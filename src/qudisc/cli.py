@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -41,7 +42,9 @@ def _format_number(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return f"{float(value):.15g}"
+    value = float(value)
+    # JSON has no NaN or infinity; a non-finite value is written as null.
+    return f"{value:.15g}" if math.isfinite(value) else "null"
 
 
 def _render_json(obj, indent: int = 0) -> str:
@@ -112,6 +115,8 @@ def cmd_dims(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else _env_tolerance()
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tolerance must be a finite number >= 0, got {tol}")
     tolerances = Tolerances() if tol is None else Tolerances(
         tight=tol, op=tol, scan=tol
     )

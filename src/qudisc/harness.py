@@ -10,12 +10,9 @@ outcome), which keeps the estimator unbiased with far lower variance.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from . import optics, povm, spaces
 from .errors import DomainError
@@ -78,12 +75,10 @@ def overlap_identity_check(psi1: np.ndarray, psi2: np.ndarray, n: int) -> Overla
     if psi1.shape != (n,) or psi2.shape != (n,):
         raise DomainError(f"states must have dimension {n}")
     pairs = build_gh_bases(n)
-    g_perp = (2.0 * pairs.g + pairs.h) / np.sqrt(3.0)
-    h_perp = (2.0 * pairs.h + pairs.g) / np.sqrt(3.0)
     big1 = np.kron(np.kron(psi1, psi1), psi2)
     big2 = np.kron(np.kron(psi1, psi2), psi2)
-    sum_g = float((np.abs(g_perp.conj() @ big1) ** 2).sum())
-    sum_h = float((np.abs(h_perp.conj() @ big2) ** 2).sum())
+    sum_g = float((np.abs(pairs.g_perp.conj() @ big1) ** 2).sum())
+    sum_h = float((np.abs(pairs.h_perp.conj() @ big2) ** 2).sum())
     closed = 0.5 * (1.0 - abs(np.vdot(psi1, psi2)) ** 2)
     return OverlapIdentity(sum_g=sum_g, sum_h=sum_h, closed_form=closed)
 
@@ -109,16 +104,32 @@ def mc_success(
     spaces.check_dimension(n)
     if trials < 100:
         raise DomainError("trials must be >= 100")
-    omega1 = float(omega1)
-    s2 = np.sin(omega1) ** 2
-    c2 = np.cos(omega1) ** 2
-    prefactor = 0.5 * priors.eta1 * s2 + 2.0 * priors.eta2 * c2 / (1 + 3 * c2)
+    prefactor = povm.PURE_SCALE * povm.success_curve_x(povm.x_from_omega1(omega1), priors)
     values = np.empty(trials)
     for t in range(trials):
         psi1, psi2 = _haar_pair(n, seed, t)
         values[t] = prefactor * (1.0 - abs(np.vdot(psi1, psi2)) ** 2)
     stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(mean=float(values.mean()), stderr=stderr, trials=trials, seed=seed)
+
+
+def kolmogorov_pvalue(lam: float) -> float:
+    """Kolmogorov's limit P(sqrt(N) D_N > lam) = 2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2).
+
+    Below lam = 0.2 the series converges slowly and its value is 1 to 1e-12.
+    """
+    if not lam >= 0.2:
+        return 1.0
+    k = np.arange(1, 101)
+    return float(2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * k**2 * lam**2)))
+
+
+def ks_pvalue(samples: np.ndarray, cdf) -> float:
+    """Asymptotic one-sample Kolmogorov-Smirnov p-value against a continuous CDF."""
+    u = np.sort(cdf(np.asarray(samples, dtype=float)))
+    steps = np.arange(len(u) + 1) / len(u)
+    distance = max((steps[1:] - u).max(), (u - steps[:-1]).max())
+    return kolmogorov_pvalue(np.sqrt(len(u)) * distance)
 
 
 @dataclass(frozen=True)
@@ -357,7 +368,7 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
     for omega1 in np.linspace(0.0, np.pi / 2, 20):
         _, net = optics.discriminator_network(omega1)
         triple = povm.subspace_povm(g, h, omega1)
-        for which, state in (("g", g), ("h", h), ("g_perp", (2 * g + h) / np.sqrt(3))):
+        for which, state in (("g", g), ("h", h), ("g_perp", pairs.g_perp[0])):
             probs = optics.output_distribution(net, optics.discriminator_port_state(which))
             expected = [np.vdot(state, op @ state).real for op in triple.elements()]
             dev = max(dev, np.abs(probs - np.array(expected)).max())
@@ -406,7 +417,7 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
                "sampled projector average converges to the analytic input state")
 
     samples = np.abs([haar_state(3, 123, t)[0] for t in range(10_000)]) ** 2
-    pvalue = sps.kstest(samples, sps.beta(1, 2).cdf).pvalue
+    pvalue = ks_pvalue(samples, lambda u: 1.0 - (1.0 - u) ** 2)  # Beta(1, 2) CDF
     report.add("haar_first_component_law", scope, max(0.0, 1e-3 - pvalue), 0.0,
                "squared first component of random states follows the Beta(1, n-1) law")
 
@@ -414,25 +425,13 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
 def verify_all(n_max: int, tolerances: Tolerances | None = None) -> VerificationReport:
     """Run every invariant check for n = 2..n_max plus the global checks.
 
-    Failures are recorded in the report, not raised.  The worker count for
-    the per-n suites honors the QUDISC_THREADS environment variable.
+    Failures are recorded in the report, not raised.
     """
     if int(n_max) != n_max or n_max < 2:
         raise DomainError(f"n_max must be an integer >= 2, got {n_max!r}")
     tol = tolerances or Tolerances()
     report = VerificationReport(n_max=n_max)
-
-    workers = int(os.environ.get("QUDISC_THREADS", "1"))
-    ns = list(range(2, n_max + 1))
-    if workers > 1:
-        partials = [VerificationReport(n_max=n_max) for _ in ns]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda args: _checks_for_n(args[0], tol, args[1]),
-                          zip(ns, partials)))
-        for partial in partials:
-            report.results.extend(partial.results)
-    else:
-        for n in ns:
-            _checks_for_n(n, tol, report)
+    for n in range(2, n_max + 1):
+        _checks_for_n(n, tol, report)
     _global_checks(n_max, tol, report)
     return report

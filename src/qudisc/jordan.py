@@ -10,7 +10,8 @@ T_i independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,18 +31,34 @@ CASE_DISTINCT = "i<j<k"
 CASE_DISTINCT_PRIMED = "i<j<k'"
 
 
+def reciprocal_rows(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(2g + h)/sqrt(3) and (2h + g)/sqrt(3), row by row: for <g|h> = -1/2, the
+    unit vectors of span(g, h) orthogonal to h and to g respectively."""
+    return (2.0 * g + h) / np.sqrt(3.0), (2.0 * h + g) / np.sqrt(3.0)
+
+
 @dataclass(frozen=True)
 class JordanPairSet:
     """Paired orthonormal families spanning S4 (g) and S5 (h).
 
     g and h are stacked row vectors of shape (i0, n^3); labels[m] records the
-    originating case and ordered triple of row m.
+    originating case and ordered triple of row m; g_perp and h_perp are their
+    :func:`reciprocal_rows`.  The arrays are read-only, as
+    :func:`build_gh_bases` shares one instance per n.
     """
 
     n: int
     g: np.ndarray
     h: np.ndarray
     labels: tuple[tuple[str, tuple[int, int, int]], ...]
+    g_perp: np.ndarray = field(init=False, repr=False)
+    h_perp: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for name, rows in zip(("g_perp", "h_perp"), reciprocal_rows(self.g, self.h)):
+            object.__setattr__(self, name, rows)
+        for rows in (self.g, self.h, self.g_perp, self.h_perp):
+            rows.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -57,9 +74,14 @@ def build_gh_bases(n: int) -> JordanPairSet:
     """Construct the i0 = n(n+1)(n-1)/3 paired basis vectors.
 
     Enumeration is lexicographic in the ordered triple (i, j, k); triples with
-    three distinct labels contribute two pairs (unprimed before primed).
+    three distinct labels contribute two pairs (unprimed before primed).  The
+    set is built once per n and shared: repeated calls return the same object.
     """
-    check_dimension(n)
+    return _build_gh_bases(check_dimension(n))
+
+
+@functools.lru_cache(maxsize=4)
+def _build_gh_bases(n: int) -> JordanPairSet:
     eye = np.eye(n)
     c1 = np.sqrt(1.0 / 3.0)
     c2 = np.sqrt(2.0 / 3.0)
@@ -152,6 +174,7 @@ def density_from_jordan(n: int) -> tuple[np.ndarray, np.ndarray]:
 __all__ = [
     "JordanPairSet",
     "build_gh_bases",
+    "reciprocal_rows",
     "overlap_matrix",
     "jordan_angles",
     "density_from_jordan",

@@ -5,8 +5,9 @@ x = 1 + 3 cos^2(omega1) in [1, 4], the per-subspace success probability is
 
     P(x) = 1 - eta1 * x / 4 - eta2 / x,
 
-and the averaged and pure-state figures of merit are fixed multiples of it,
-so all three share the same optimal operating point:
+and the averaged and pure-state figures of merit are 2(n-1)/(3n) and
+(2/3)(1 - |<psi1|psi2>|^2) times it, so all three share the same optimal
+operating point:
 
     x0 = 2 sqrt(eta2 / eta1)   clipped to [1, 4].
 
@@ -17,15 +18,22 @@ values (3/4) eta2 at x = 4 and (3/4) eta1 at x = 1 take over for eta1 below
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractError, DegeneratePriorsError, DomainError
-from .jordan import build_gh_bases
-from .spaces import TAU_NORM, check_dimension, mean_density_operators
+from .jordan import build_gh_bases, reciprocal_rows
+from .spaces import TAU_NORM, check_dimension, mean_density_operators, projector_from_rows
 
 PROB_SLACK = 1e-12
+PURE_SCALE = 2.0 / 3.0  # pure-state success over P(x) (1 - |<psi1|psi2>|^2)
+
+
+def _average_scale(n: int) -> float:
+    """Averaged success over P(x) at qudit dimension n: 2(n-1)/(3n)."""
+    return 2.0 * (n - 1) / (3.0 * n)
 
 
 @dataclass(frozen=True)
@@ -36,9 +44,9 @@ class Priors:
     eta2: float
 
     def __post_init__(self) -> None:
-        if self.eta1 < 0 or self.eta2 < 0:
+        if not (self.eta1 >= 0 and self.eta2 >= 0):
             raise DomainError("priors must be nonnegative")
-        if abs(self.eta1 + self.eta2 - 1.0) > 1e-12:
+        if not abs(self.eta1 + self.eta2 - 1.0) <= 1e-12:
             raise DomainError("priors must sum to 1")
 
     @classmethod
@@ -84,7 +92,7 @@ def check_omega1(omega1: float) -> float:
 
 def clamp_probability(p: float) -> float:
     """Clip numerical noise off a probability; raise on real violations."""
-    if p < -PROB_SLACK or p > 1.0 + PROB_SLACK:
+    if not -PROB_SLACK <= p <= 1.0 + PROB_SLACK:
         raise ContractError(f"value {p} is not a probability")
     return min(max(p, 0.0), 1.0)
 
@@ -117,9 +125,7 @@ def reciprocal_pair(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarra
     overlap = np.vdot(g, h)
     if abs(overlap + 0.5) > 1e-6:
         raise ContractError(f"expected overlap -1/2, got {overlap}")
-    g_perp = (2.0 * g + h) / np.sqrt(3.0)
-    h_perp = (2.0 * h + g) / np.sqrt(3.0)
-    return g_perp, h_perp
+    return reciprocal_rows(g, h)
 
 
 def _dyad(v: np.ndarray) -> np.ndarray:
@@ -145,16 +151,23 @@ def subspace_povm(g: np.ndarray, h: np.ndarray, omega1: float) -> MeasurementTri
 
 def total_povm(n: int, omega1: float) -> MeasurementTriple:
     """Three-outcome POVM on the full three-register space."""
-    check_dimension(n)
     omega1 = check_omega1(omega1)
-    pairs = build_gh_bases(n)
-    g_perp = (2.0 * pairs.g + pairs.h) / np.sqrt(3.0)
-    h_perp = (2.0 * pairs.h + pairs.g) / np.sqrt(3.0)
+    proj_g, proj_h = _reciprocal_projectors(check_dimension(n))
     x = x_from_omega1(omega1)
-    pi1 = np.sin(omega1) ** 2 * (g_perp.T @ g_perp.conj())
-    pi2 = (4.0 * np.cos(omega1) ** 2 / x) * (h_perp.T @ h_perp.conj())
+    pi1 = np.sin(omega1) ** 2 * proj_g
+    pi2 = (4.0 * np.cos(omega1) ** 2 / x) * proj_h
     pi0 = np.eye(n**3, dtype=complex) - pi1 - pi2
     return MeasurementTriple(pi1=pi1, pi2=pi2, pi0=pi0, omega1=omega1)
+
+
+@functools.lru_cache(maxsize=4)  # the n^3 x n^3 projectors grow as n^6
+def _reciprocal_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only projectors onto the spans of the g_perp and h_perp families."""
+    pairs = build_gh_bases(n)
+    projectors = projector_from_rows(pairs.g_perp), projector_from_rows(pairs.h_perp)
+    for proj in projectors:
+        proj.setflags(write=False)
+    return projectors
 
 
 def success_curve_x(x: float, priors: Priors) -> float:
@@ -164,25 +177,16 @@ def success_curve_x(x: float, priors: Priors) -> float:
     return clamp_probability(1.0 - priors.eta1 * x / 4.0 - priors.eta2 / x)
 
 
-def _regime(priors: Priors) -> tuple[str, float]:
-    priors.require_nondegenerate()
-    if priors.eta1 < 0.2:
-        return "low", 4.0
-    if priors.eta1 > 0.8:
-        return "high", 1.0
-    x0 = 2.0 * np.sqrt(priors.eta2 / priors.eta1)
-    return "middle", float(np.clip(x0, 1.0, 4.0))
-
-
 def optimal_subspace(priors: Priors) -> RegimeResult:
     """Maximum of the per-subspace success curve over the angle family."""
-    regime, x_star = _regime(priors)
-    if regime == "low":
-        value = 0.75 * priors.eta2
-    elif regime == "high":
-        value = 0.75 * priors.eta1
+    priors.require_nondegenerate()
+    if priors.eta1 < 0.2:
+        regime, x_star, value = "low", 4.0, 0.75 * priors.eta2
+    elif priors.eta1 > 0.8:
+        regime, x_star, value = "high", 1.0, 0.75 * priors.eta1
     else:
-        value = 1.0 - np.sqrt(priors.eta1 * priors.eta2)
+        regime, value = "middle", 1.0 - np.sqrt(priors.eta1 * priors.eta2)
+        x_star = float(np.clip(2.0 * np.sqrt(priors.eta2 / priors.eta1), 1.0, 4.0))
     return RegimeResult(
         value=clamp_probability(value),
         regime=regime,
@@ -193,33 +197,15 @@ def optimal_subspace(priors: Priors) -> RegimeResult:
 
 def average_success(n: int, omega1: float, priors: Priors) -> float:
     """Success probability of identifying the averaged input states."""
-    check_dimension(n)
-    omega1 = check_omega1(omega1)
-    s2 = np.sin(omega1) ** 2
-    c2 = np.cos(omega1) ** 2
-    value = (n - 1) * priors.eta1 * s2 / (2 * n) + 2 * (n - 1) * priors.eta2 * c2 / (
-        n * (1 + 3 * c2)
-    )
-    return clamp_probability(value)
+    scale = _average_scale(check_dimension(n))
+    return clamp_probability(scale * success_curve_x(x_from_omega1(omega1), priors))
 
 
 def optimal_average(n: int, priors: Priors) -> RegimeResult:
     """Optimum of :func:`average_success` over the angle family."""
-    check_dimension(n)
-    regime, x_star = _regime(priors)
-    scale = (n - 1) / (2.0 * n)
-    if regime == "low":
-        value = scale * priors.eta2
-    elif regime == "high":
-        value = scale * priors.eta1
-    else:
-        value = (2.0 * (n - 1) / (3.0 * n)) * (1.0 - np.sqrt(priors.eta1 * priors.eta2))
-    return RegimeResult(
-        value=clamp_probability(value),
-        regime=regime,
-        x_star=x_star,
-        omega1_star=omega1_from_x(x_star),
-    )
+    scale = _average_scale(check_dimension(n))
+    best = optimal_subspace(priors)
+    return replace(best, value=clamp_probability(scale * best.value))
 
 
 def pure_success(
@@ -231,11 +217,11 @@ def pure_success(
 ) -> float:
     """Success probability when the two program states are fixed pure states.
 
-    Equals (eta1 sin^2(omega1) / 2 + 2 eta2 cos^2(omega1) / x) times
-    (1 - |<psi1|psi2>|^2); the prefactor carries no dependence on n.
+    Equals (2/3) P(x) (1 - |<psi1|psi2>|^2); the prefactor carries no
+    dependence on n.
     """
     check_dimension(n)
-    omega1 = check_omega1(omega1)
+    prefactor = PURE_SCALE * success_curve_x(x_from_omega1(omega1), priors)
     psi1 = np.asarray(psi1, dtype=complex)
     psi2 = np.asarray(psi2, dtype=complex)
     if psi1.shape != (n,) or psi2.shape != (n,):
@@ -244,9 +230,6 @@ def pure_success(
         if abs(np.linalg.norm(psi) - 1.0) > TAU_NORM:
             raise ContractError("states must be unit vectors")
     overlap_sq = abs(np.vdot(psi1, psi2)) ** 2
-    s2 = np.sin(omega1) ** 2
-    c2 = np.cos(omega1) ** 2
-    prefactor = 0.5 * priors.eta1 * s2 + 2.0 * priors.eta2 * c2 / (1 + 3 * c2)
     return clamp_probability(prefactor * (1.0 - overlap_sq))
 
 
@@ -258,19 +241,8 @@ def optimal_pure(overlap_sq: float, priors: Priors) -> RegimeResult:
     """
     if not 0.0 <= overlap_sq <= 1.0:
         raise DomainError(f"overlap_sq must lie in [0, 1], got {overlap_sq}")
-    regime, x_star = _regime(priors)
-    if regime == "low":
-        value = 0.5 * priors.eta2
-    elif regime == "high":
-        value = 0.5 * priors.eta1
-    else:
-        value = (2.0 / 3.0) * (1.0 - np.sqrt(priors.eta1 * priors.eta2))
-    return RegimeResult(
-        value=clamp_probability(value * (1.0 - overlap_sq)),
-        regime=regime,
-        x_star=x_star,
-        omega1_star=omega1_from_x(x_star),
-    )
+    best = optimal_subspace(priors)
+    return replace(best, value=clamp_probability(PURE_SCALE * best.value * (1.0 - overlap_sq)))
 
 
 def average_success_trace(n: int, omega1: float, priors: Priors) -> float:

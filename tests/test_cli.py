@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from qudisc.cli import main
+from qudisc.cli import _render_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,7 +55,7 @@ def test_verify_rejects_bad_nmax(capsys):
 def test_verify_json_mode(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n-max", "2", "--json")
     assert code == 0
-    record = json.loads(out)
+    record = json.loads(out, parse_constant=_reject_constant)
     assert record["results"]["passed"] is True
     assert len(record["results"]["checks"]) > 20
 
@@ -64,6 +64,30 @@ def test_verify_env_tolerance(capsys, monkeypatch):
     monkeypatch.setenv("QUDISC_TOL", "1e-30")
     code, _, _ = run_cli(capsys, "verify", "--n-max", "2")
     assert code == 1
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+def test_verify_rejects_bad_tolerance(capsys, tol):
+    code, out, err = run_cli(capsys, "verify", "--n-max", "2", "--json", f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_verify_rejects_infinite_env_tolerance(capsys, monkeypatch):
+    monkeypatch.setenv("QUDISC_TOL", "inf")
+    code, _, err = run_cli(capsys, "verify", "--n-max", "2")
+    assert code == 2
+    assert "error" in err
+
+
+def test_render_json_writes_non_finite_numbers_as_null():
+    text = _render_json({"x": float("nan"), "y": [float("inf"), -float("inf"), 1.5]})
+    assert json.loads(text, parse_constant=_reject_constant) == {"x": None, "y": [None, None, 1.5]}
 
 
 def test_scan_row_at_x2(capsys):

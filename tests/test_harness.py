@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,8 @@ from qudisc.harness import (
     Tolerances,
     empirical_mean_density,
     haar_state,
+    kolmogorov_pvalue,
+    ks_pvalue,
     mc_success,
     overlap_identity_check,
     verify_all,
@@ -128,6 +133,29 @@ def test_mc_success_coverage_over_seeds():
 def test_mc_success_validation():
     with pytest.raises(DomainError):
         mc_success(2, 0.3, Priors.from_eta1(0.5), trials=50, seed=0)
+    with pytest.raises(DomainError):
+        mc_success(2, 5.0, Priors.from_eta1(0.5), trials=200, seed=0)
+
+
+# Kolmogorov's limit law at 0, in its small-lambda branch, at its 5% and 1%
+# quantiles, and far in the tail.
+@pytest.mark.parametrize(
+    "lam,pvalue", [(0.0, 1.0), (0.3, 1.0), (1.3581, 0.05), (1.6276, 0.01), (5.0, 0.0)]
+)
+def test_kolmogorov_pvalue(lam, pvalue):
+    assert abs(kolmogorov_pvalue(lam) - pvalue) < 1e-3
+
+
+def test_ks_pvalue_rejects_wrong_law():
+    # |a1|^2 is uniform for n = 2, not Beta(1, 2) as for n = 3.
+    samples = np.abs([haar_state(2, 123, t)[0] for t in range(2_000)]) ** 2
+    assert ks_pvalue(samples, lambda u: 1.0 - (1.0 - u) ** 2) < 1e-3
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, qudisc.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_verify_all_passes_and_reports():
@@ -149,12 +177,3 @@ def test_verify_all_unattainable_tolerance_fails_without_raising():
     assert not report.passed
     assert any(not r.passed for r in report.results)
     assert "FAIL" in report.to_text()
-
-
-def test_verify_all_parallel_matches_serial(monkeypatch):
-    monkeypatch.setenv("QUDISC_THREADS", "2")
-    parallel = verify_all(3)
-    monkeypatch.delenv("QUDISC_THREADS")
-    serial = verify_all(3)
-    assert {r.name for r in parallel.results} == {r.name for r in serial.results}
-    assert parallel.passed and serial.passed

@@ -134,6 +134,15 @@ def test_g_family_completes_s1(n):
     assert np.abs(p0 + projector_from_rows(pairs.h) - p_s2).max() < 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_build_is_memoized_and_read_only(n):
+    pairs = build_gh_bases(n)
+    assert build_gh_bases(n) is pairs
+    for name in ("g", "h", "g_perp", "h_perp"):
+        with pytest.raises(ValueError):
+            getattr(pairs, name)[0, 0] = 1.0
+
+
 def test_build_rejects_bad_dimension():
     with pytest.raises(DomainError):
         build_gh_bases(1)

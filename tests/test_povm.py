@@ -44,6 +44,9 @@ def test_priors_validation():
         Priors(0.6, 0.6)
     with pytest.raises(DomainError):
         Priors(-0.1, 1.1)
+    for eta1, eta2 in ((np.nan, np.nan), (np.nan, 1.0), (np.inf, -np.inf)):
+        with pytest.raises(DomainError):
+            Priors(eta1, eta2)
     Priors.from_eta1(0.3).require_nondegenerate()
     with pytest.raises(DegeneratePriorsError):
         Priors.from_eta1(1.0).require_nondegenerate()
@@ -52,15 +55,18 @@ def test_priors_validation():
 def test_clamp_probability():
     assert clamp_probability(-1e-13) == 0.0
     assert clamp_probability(1.0 + 1e-13) == 1.0
-    with pytest.raises(ContractError):
-        clamp_probability(1.1)
+    for bad in (1.1, np.nan, -np.inf):
+        with pytest.raises(ContractError):
+            clamp_probability(bad)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_reciprocal_pair_properties(n):
     pairs = build_gh_bases(n)
-    for g, h in zip(pairs.g, pairs.h):
+    for g, h, stored_g_perp, stored_h_perp in zip(pairs.g, pairs.h, pairs.g_perp, pairs.h_perp):
         g_perp, h_perp = reciprocal_pair(g, h)
+        np.testing.assert_array_equal(stored_g_perp, g_perp)
+        np.testing.assert_array_equal(stored_h_perp, h_perp)
         assert abs(np.vdot(g_perp, h)) < 1e-12
         assert abs(np.vdot(h_perp, g)) < 1e-12
         assert abs(np.linalg.norm(g_perp) - 1.0) < 1e-12
@@ -130,6 +136,14 @@ def test_total_povm_unambiguous(n):
         povm = total_povm(n, omega1)
         assert abs(np.trace(povm.pi1 @ rho2).real) < 1e-12
         assert abs(np.trace(povm.pi2 @ rho1).real) < 1e-12
+
+
+def test_total_povm_results_are_independent_copies():
+    first = total_povm(3, 0.7)
+    expected = first.pi1.copy()
+    first.pi1[:] = 0.0
+    second = total_povm(3, 0.7)
+    np.testing.assert_array_equal(second.pi1, expected)
 
 
 def test_total_povm_endpoint():
