@@ -20,24 +20,34 @@ from .jordan import build_gh_bases, density_from_jordan, jordan_angles
 from .povm import Priors
 
 
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+# Random pairs per block, which bounds a sampling call's memory.  Each block
+# takes the next draws of the call's one stream, so results do not depend on it.
+HAAR_BLOCK = 1024
+
+
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard complex Gaussians; each value takes two consecutive stream draws."""
+    return rng.standard_normal((*shape, 2)).view(complex)[..., 0]
+
+
+def _haar_rows(rng: np.random.Generator, shape: tuple[int, ...], n: int) -> np.ndarray:
+    """Unit vectors of the unitarily invariant measure along the last axis."""
+    z = _complex_normal(rng, (*shape, n))
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def _haar_pair_blocks(n: int, trials: int, seed: int):
+    """(psi1 rows, psi2 rows) for `trials` random pairs, HAAR_BLOCK pairs at a time."""
+    rng = optics.seeded_stream(seed)
+    for start in range(0, trials, HAAR_BLOCK):
+        pairs = _haar_rows(rng, (min(HAAR_BLOCK, trials - start), 2), n)
+        yield pairs[:, 0], pairs[:, 1]
 
 
 def haar_state(n: int, seed: int, stream: int = 0) -> np.ndarray:
     """Unit vector drawn from the unitarily invariant measure."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"dimension must be a positive integer, got {n!r}")
-    rng = _rng(seed, stream)
-    z = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return z / np.linalg.norm(z)
-
-
-def _haar_pair(n: int, seed: int, trial: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = _rng(seed, trial)
-    z = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return z[0], z[1]
+    spaces.check_integer(n, 1, "dimension")
+    return _haar_rows(optics.seeded_stream(seed, stream), (), n)
 
 
 def empirical_mean_density(n: int, which: int, trials: int, seed: int) -> np.ndarray:
@@ -45,14 +55,12 @@ def empirical_mean_density(n: int, which: int, trials: int, seed: int) -> np.nda
     spaces.check_dimension(n)
     if which not in (1, 2):
         raise DomainError("which must be 1 or 2")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    spaces.check_integer(trials, 1, "trials")
     acc = np.zeros((n**3, n**3), dtype=complex)
-    for t in range(trials):
-        psi1, psi2 = _haar_pair(n, seed, t)
+    for psi1, psi2 in _haar_pair_blocks(n, trials, seed):
         middle = psi1 if which == 1 else psi2
-        big = np.kron(np.kron(psi1, middle), psi2)
-        acc += np.outer(big, big.conj())
+        big = np.einsum("ti,tj,tk->tijk", psi1, middle, psi2).reshape(len(psi1), n**3)
+        acc += big.T @ big.conj()
     return acc / trials
 
 
@@ -102,13 +110,10 @@ def mc_success(
     depends on the drawn pair only through the squared overlap.
     """
     spaces.check_dimension(n)
-    if trials < 100:
-        raise DomainError("trials must be >= 100")
+    spaces.check_integer(trials, 100, "trials")
     prefactor = povm.PURE_SCALE * povm.success_curve_x(povm.x_from_omega1(omega1), priors)
-    values = np.empty(trials)
-    for t in range(trials):
-        psi1, psi2 = _haar_pair(n, seed, t)
-        values[t] = prefactor * (1.0 - abs(np.vdot(psi1, psi2)) ** 2)
+    overlaps = [(a.conj() * b).sum(axis=1) for a, b in _haar_pair_blocks(n, trials, seed)]
+    values = prefactor * (1.0 - np.abs(np.concatenate(overlaps)) ** 2)
     stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(mean=float(values.mean()), stderr=stderr, trials=trials, seed=seed)
 
@@ -306,8 +311,7 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
 
     dev_pure, dev_unamb_pure, dev_identity = 0.0, 0.0, 0.0
     triple = povm.total_povm(n, 0.7)
-    for trial in range(100):
-        psi1, psi2 = _haar_pair(n, 977, trial)
+    for psi1, psi2 in _haar_rows(optics.seeded_stream(977), (100, 2), n):
         closed = povm.pure_success(psi1, psi2, 0.7, priors, n)
         operator = povm.pure_success_expectation(psi1, psi2, 0.7, priors, n)
         dev_pure = max(dev_pure, abs(closed - operator))
@@ -377,10 +381,9 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
 
     dev = 0.0
     max_layers_ok = True
+    rng = optics.seeded_stream(4242)
     for dim in range(2, 9):
-        rng = _rng(4242, dim)
-        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        q, r = np.linalg.qr(z)
+        q, r = np.linalg.qr(_complex_normal(rng, (dim, dim)))
         target = q * (np.diag(r) / np.abs(np.diag(r)))
         net = optics.reck_decompose(target)
         max_layers_ok &= len(net.layers) <= dim * (dim - 1) // 2
@@ -416,7 +419,7 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
     report.add("empirical_mean_density", scope, np.abs(emp - rho1).max(), 0.01,
                "sampled projector average converges to the analytic input state")
 
-    samples = np.abs([haar_state(3, 123, t)[0] for t in range(10_000)]) ** 2
+    samples = np.abs(_haar_rows(optics.seeded_stream(123), (10_000,), 3)[:, 0]) ** 2
     pvalue = ks_pvalue(samples, lambda u: 1.0 - (1.0 - u) ** 2)  # Beta(1, 2) CDF
     report.add("haar_first_component_law", scope, max(0.0, 1e-3 - pvalue), 0.0,
                "squared first component of random states follows the Beta(1, n-1) law")
@@ -427,8 +430,7 @@ def verify_all(n_max: int, tolerances: Tolerances | None = None) -> Verification
 
     Failures are recorded in the report, not raised.
     """
-    if int(n_max) != n_max or n_max < 2:
-        raise DomainError(f"n_max must be an integer >= 2, got {n_max!r}")
+    n_max = spaces.check_integer(n_max, 2, "n_max")
     tol = tolerances or Tolerances()
     report = VerificationReport(n_max=n_max)
     for n in range(2, n_max + 1):

@@ -8,7 +8,7 @@ network unitary from left to right:
 
 so the phase layer is the final (rightmost) factor and acts on the input
 ports; the first listed two-mode layer is the leftmost factor.  Each layer
-embeds the block
+applies the block
 
     [[sin(w) e^{i phi}, cos(w) e^{i phi}],
      [cos(w) e^{i theta}, -sin(w) e^{i theta}]]
@@ -22,15 +22,23 @@ most N(N-1)/2 two-mode layers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, DomainError
 from .povm import Priors, check_omega1, omega2_constraint, success_curve_x, x_from_omega1
-from .spaces import TAU_NORM
+from .spaces import TAU_NORM, check_integer
 
 _ANGLE_FORMAT = "{:.17g}"
+# Values after the keyword of each network-file line.
+_LINE_FIELDS = {"MODES": 1, "BS": 5, "PHASE": 2}
+
+
+def seeded_stream(seed: int, stream: int = 0) -> np.random.Generator:
+    """The one counter-based Philox stream a sampling call draws from, keyed by (seed, stream)."""
+    return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
 def two_mode_unitary(omega: float, phi: float, theta: float) -> np.ndarray:
@@ -61,16 +69,12 @@ class TwoModeLayer:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
+        for attr in ("mode_a", "mode_b"):
+            object.__setattr__(self, attr, check_integer(getattr(self, attr), 0, "layer mode"))
         if self.mode_a == self.mode_b:
             raise DomainError("layer modes must differ")
-
-    def embed(self, num_modes: int) -> np.ndarray:
-        mat = np.eye(num_modes, dtype=complex)
-        block = two_mode_unitary(self.omega, self.phi, self.theta)
-        a, b = self.mode_a, self.mode_b
-        mat[a, a], mat[a, b] = block[0, 0], block[0, 1]
-        mat[b, a], mat[b, b] = block[1, 0], block[1, 1]
-        return mat
+        if not all(map(math.isfinite, (self.omega, self.phi, self.theta))):
+            raise DomainError("layer angles must be finite")
 
 
 @dataclass(frozen=True)
@@ -82,19 +86,24 @@ class Interferometer:
     phases: tuple[float, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "num_modes", check_integer(self.num_modes, 1, "num_modes"))
         phases = self.phases if self.phases else (0.0,) * self.num_modes
         if len(phases) != self.num_modes:
             raise DomainError("one phase per mode required")
-        object.__setattr__(self, "phases", tuple(float(p) for p in phases))
+        phases = tuple(float(p) for p in phases)
+        if not all(map(math.isfinite, phases)):
+            raise DomainError("phases must be finite")
+        object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "layers", tuple(self.layers))
         for layer in self.layers:
-            if not (0 <= layer.mode_a < self.num_modes and 0 <= layer.mode_b < self.num_modes):
+            if max(layer.mode_a, layer.mode_b) >= self.num_modes:  # modes are >= 0
                 raise DomainError("layer modes outside the network")
 
     def unitary(self) -> np.ndarray:
         mat = np.diag(np.exp(1j * np.asarray(self.phases)))
         for layer in reversed(self.layers):
-            mat = layer.embed(self.num_modes) @ mat
+            rows = [layer.mode_a, layer.mode_b]
+            mat[rows] = two_mode_unitary(layer.omega, layer.phi, layer.theta) @ mat[rows]
         return mat
 
     def to_text(self) -> str:
@@ -112,26 +121,33 @@ class Interferometer:
 
     @classmethod
     def from_text(cls, text: str) -> "Interferometer":
+        """Parse :meth:`to_text` output; a line it cannot round-trip raises DomainError."""
         num_modes = None
         layers: list[TwoModeLayer] = []
         phases: dict[int, float] = {}
         for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = line.split()
-            if parts[0] == "MODES":
-                num_modes = int(parts[1])
-            elif parts[0] == "BS":
-                a, b = int(parts[1]) - 1, int(parts[2]) - 1
-                omega, phi, theta = (float(v) for v in parts[3:6])
-                layers.append(TwoModeLayer(a, b, omega, phi, theta))
-            elif parts[0] == "PHASE":
-                phases[int(parts[1]) - 1] = float(parts[2])
-            else:
+            kind, values = parts[0], parts[1:]
+            if _LINE_FIELDS.get(kind) != len(values):
                 raise DomainError(f"unrecognized line: {raw!r}")
+            try:
+                if kind == "MODES" and num_modes is None:
+                    num_modes = int(values[0])
+                elif kind == "BS":
+                    a, b = int(values[0]) - 1, int(values[1]) - 1
+                    layers.append(TwoModeLayer(a, b, *(float(v) for v in values[2:])))
+                elif kind == "PHASE" and int(values[0]) - 1 not in phases:
+                    phases[int(values[0]) - 1] = float(values[1])
+                else:
+                    raise DomainError("repeated header or phase")
+            except ValueError as exc:  # DomainError is a ValueError
+                raise DomainError(f"line {raw!r}: {exc}") from None
         if num_modes is None:
             raise DomainError("missing MODES header")
+        if not set(phases) <= set(range(num_modes)):
+            raise DomainError("PHASE line for a mode outside the network")
         phase_list = [phases.get(m, 0.0) for m in range(num_modes)]
         return cls(num_modes=num_modes, layers=tuple(layers), phases=tuple(phase_list))
 
@@ -184,10 +200,10 @@ def reck_decompose(matrix: np.ndarray) -> Interferometer:
     N(N-1)/2 layers; entries that are already zero are skipped.
     """
     mat = np.array(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ContractError("input must be a square matrix")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+        raise ContractError("input must be a non-empty square matrix")
     dim = mat.shape[0]
-    if np.abs(mat.conj().T @ mat - np.eye(dim)).max() > 1e-8:
+    if not (np.isfinite(mat).all() and np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= 1e-8):
         raise ContractError("input matrix is not unitary")
 
     layers: list[TwoModeLayer] = []
@@ -219,7 +235,7 @@ def prepare_state_network(amplitudes: np.ndarray, n: int) -> Interferometer:
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.shape != (n,):
         raise ContractError(f"expected {n} amplitudes, got shape {amps.shape}")
-    if abs(np.linalg.norm(amps) - 1.0) > TAU_NORM:
+    if not abs(np.linalg.norm(amps) - 1.0) <= TAU_NORM:
         raise ContractError("amplitudes must have unit norm")
 
     if abs(abs(amps[0]) - 1.0) < 1e-14:
@@ -247,15 +263,6 @@ def prepare_state_network(amplitudes: np.ndarray, n: int) -> Interferometer:
     return Interferometer(num_modes=n, layers=tuple(reversed(physical)))
 
 
-def _shot_uniforms(seed: int, shots: int, per_shot: int = 1) -> np.ndarray:
-    """Uniforms derived from (seed, shot index) via keyed counter-based RNG."""
-    out = np.empty((shots, per_shot))
-    for k in range(shots):
-        gen = np.random.Generator(np.random.Philox(key=[seed, k]))
-        out[k] = gen.random(per_shot)
-    return out
-
-
 @dataclass(frozen=True)
 class ClickStats:
     """Outcome tallies of a single-photon sampling run."""
@@ -276,7 +283,7 @@ def output_distribution(net: Interferometer, input_state: np.ndarray) -> np.ndar
         raise ContractError(
             f"input has {amps.shape} amplitudes, network has {net.num_modes} modes"
         )
-    if abs(np.linalg.norm(amps) - 1.0) > TAU_NORM:
+    if not abs(np.linalg.norm(amps) - 1.0) <= TAU_NORM:
         raise ContractError("input must be a unit vector")
     probs = np.abs(net.unitary() @ amps) ** 2
     return probs / probs.sum()
@@ -290,15 +297,14 @@ def simulate_clicks(
     labels: tuple[str, ...] | None = None,
 ) -> ClickStats:
     """Sample i.i.d. output-mode clicks; deterministic given the seed."""
-    if shots < 1:
-        raise DomainError("shots must be >= 1")
+    check_integer(shots, 1, "shots")
     probs = output_distribution(net, input_state)
     if labels is None:
         labels = tuple(f"m{i + 1}" for i in range(net.num_modes))
     if len(labels) != net.num_modes:
         raise ContractError("one label per output mode required")
     edges = np.cumsum(probs)
-    draws = _shot_uniforms(seed, shots)[:, 0]
+    draws = seeded_stream(seed).random(shots)
     outcomes = np.searchsorted(edges, draws, side="right")
     outcomes = np.minimum(outcomes, net.num_modes - 1)
     tallies = np.bincount(outcomes, minlength=net.num_modes)
@@ -330,14 +336,13 @@ def simulate_discriminator(
     A shot succeeds when a g input clicks D1 or an h input clicks D2; the
     expected success rate is the per-subspace curve at x = 1 + 3 cos^2 w1.
     """
-    if shots < 1:
-        raise DomainError("shots must be >= 1")
+    check_integer(shots, 1, "shots")
     net = discriminator_network(omega1)[1]
     dist_g = output_distribution(net, discriminator_port_state("g"))
     dist_h = output_distribution(net, discriminator_port_state("h"))
     edges_g, edges_h = np.cumsum(dist_g), np.cumsum(dist_h)
 
-    draws = _shot_uniforms(seed, shots, per_shot=2)
+    draws = seeded_stream(seed).random((shots, 2))  # (prior pick, click) per shot
     pick_h = draws[:, 0] >= priors.eta1
     outcomes = np.where(
         pick_h,

@@ -8,6 +8,7 @@ matrices.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 
@@ -21,10 +22,18 @@ TAU_OP = 1e-10
 TAU_RANK = 1e-8
 
 
+def check_integer(value, low: int, what: str) -> int:
+    """`value` as an int; DomainError unless it is a whole number >= low (NaN and inf are not)."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+    if not (whole and value >= low):
+        raise DomainError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def check_dimension(n: int) -> int:
-    if int(n) != n or int(n) < 2:
-        raise DomainError(f"qudit dimension must be an integer >= 2, got {n!r}")
-    return int(n)
+    return check_integer(n, 2, "qudit dimension")
 
 
 @dataclass(frozen=True)
@@ -64,7 +73,7 @@ def flatten_index(labels: tuple[int, ...], n: int, factors: int | None = None) -
         raise DomainError(f"expected {factors} labels, got {len(labels)}")
     idx = 0
     for a in labels:
-        if int(a) != a or not 1 <= a <= n:
+        if check_integer(a, 1, "basis label") > n:
             raise DomainError(f"basis label {a!r} outside 1..{n}")
         idx = idx * n + (int(a) - 1)
     return idx

@@ -183,6 +183,12 @@ def test_prepare_rejects_unnormalized(tmp_path, capsys):
     code, _, err = run_cli(capsys, "prepare", str(source))
     assert code == 2
     assert "error" in err
+    source.write_text("nan\n0.5\n")
+    out_file = tmp_path / "net.txt"
+    code, out, err = run_cli(capsys, "prepare", str(source), "--out", str(out_file))
+    assert code == 2
+    assert "error" in err and out == ""
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from qudisc import harness
 from qudisc.errors import DomainError
 from qudisc.harness import (
     McEstimate,
@@ -16,6 +17,7 @@ from qudisc.harness import (
     overlap_identity_check,
     verify_all,
 )
+from qudisc.optics import Interferometer, simulate_clicks, simulate_discriminator
 from qudisc.povm import Priors, average_success, omega1_from_x
 from qudisc.spaces import mean_density_operators
 
@@ -28,8 +30,9 @@ def test_haar_state_basics():
     np.testing.assert_array_equal(state, again)
     assert abs(np.linalg.norm(state) - 1.0) < 1e-12
     assert not np.allclose(state, haar_state(3, seed=6))
-    with pytest.raises(DomainError):
-        haar_state(0, seed=1)
+    for bad in (0, 1.5, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            haar_state(bad, seed=1)
 
 
 def test_haar_first_component_mean():
@@ -61,8 +64,61 @@ def test_empirical_mean_density_trace_distance_n3():
 def test_empirical_mean_density_validation():
     with pytest.raises(DomainError):
         empirical_mean_density(2, 3, trials=10, seed=0)
-    with pytest.raises(DomainError):
-        empirical_mean_density(2, 1, trials=0, seed=0)
+    for trials in (0, 2.5, np.nan):
+        with pytest.raises(DomainError):
+            empirical_mean_density(2, 1, trials=trials, seed=0)
+
+
+def test_sampling_does_not_depend_on_block_size(monkeypatch):
+    priors = Priors.from_eta1(0.3)
+    mean = mc_success(3, 0.8, priors, trials=500, seed=4)
+    density = empirical_mean_density(2, 2, trials=500, seed=6)
+    monkeypatch.setattr(harness, "HAAR_BLOCK", 7)
+    assert mc_success(3, 0.8, priors, trials=500, seed=4) == mean
+    np.testing.assert_allclose(
+        empirical_mean_density(2, 2, trials=500, seed=6), density, rtol=0, atol=1e-14
+    )
+
+
+def test_pair_sampling_matches_per_pair_loop():
+    # The documented contract: pair t takes the next 4n normals of the
+    # (seed, 0) stream, real and imaginary parts interleaved.
+    n, trials, seed = 2, 300, 21
+    z = np.random.Generator(np.random.Philox(key=[seed, 0])).standard_normal((trials, 2, n, 2))
+    z = z[..., 0] + 1j * z[..., 1]
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    density = sum(np.outer(big, big.conj())
+                  for big in (np.kron(np.kron(a, b), b) for a, b in z)) / trials
+    np.testing.assert_allclose(
+        empirical_mean_density(n, 2, trials, seed), density, rtol=0, atol=1e-14
+    )
+    priors = Priors.from_eta1(0.6)
+    scale = average_success(n, 0.5, priors) * n / (n - 1)  # (2/3) P(x)
+    values = [scale * (1.0 - abs(np.vdot(a, b)) ** 2) for a, b in z]
+    assert abs(mc_success(n, 0.5, priors, trials, seed).mean - np.mean(values)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: simulate_clicks(Interferometer(num_modes=2), np.array([1, 0]), 100, seed=3),
+        lambda: simulate_discriminator(0.6, Priors.from_eta1(0.4), shots=100, seed=3),
+        lambda: mc_success(2, 0.6, Priors.from_eta1(0.4), trials=100, seed=3),
+        lambda: empirical_mean_density(2, 1, trials=100, seed=3),
+        lambda: haar_state(4, seed=3, stream=2),
+    ],
+)
+def test_one_sampling_call_builds_one_philox(monkeypatch, call):
+    real, built = np.random.Philox, []
+
+    def counted(*args, **kwargs):
+        built.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "HAAR_BLOCK", 7)  # several blocks, still one stream
+    monkeypatch.setattr(np.random, "Philox", counted)
+    call()
+    assert len(built) == 1
 
 
 def test_overlap_identity_orthogonal_pair():
@@ -131,8 +187,9 @@ def test_mc_success_coverage_over_seeds():
 
 
 def test_mc_success_validation():
-    with pytest.raises(DomainError):
-        mc_success(2, 0.3, Priors.from_eta1(0.5), trials=50, seed=0)
+    for trials in (50, 150.5, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            mc_success(2, 0.3, Priors.from_eta1(0.5), trials=trials, seed=0)
     with pytest.raises(DomainError):
         mc_success(2, 5.0, Priors.from_eta1(0.5), trials=200, seed=0)
 
@@ -168,8 +225,9 @@ def test_verify_all_passes_and_reports():
 
 
 def test_verify_all_rejects_bad_nmax():
-    with pytest.raises(DomainError):
-        verify_all(1)
+    for bad in (1, 2.5, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            verify_all(bad)
 
 
 def test_verify_all_unattainable_tolerance_fails_without_raising():

@@ -60,6 +60,18 @@ def test_layer_validation():
         TwoModeLayer(1, 1, omega=0.3)
     with pytest.raises(DomainError):
         Interferometer(num_modes=2, layers=(TwoModeLayer(0, 5, omega=0.1),))
+    for modes in ((0.5, 1), (-1, 1), (0, np.nan)):
+        with pytest.raises(DomainError):
+            TwoModeLayer(*modes, omega=0.3)
+    for angles in ((np.nan, 0.0, 0.0), (0.3, np.inf, 0.0), (0.3, 0.0, -np.inf)):
+        with pytest.raises(DomainError):
+            TwoModeLayer(0, 1, *angles)
+    for phases in ((np.nan, 0.0), (0.0, np.inf)):
+        with pytest.raises(DomainError):
+            Interferometer(num_modes=2, phases=phases)
+    for num_modes in (0, -1, 2.5, np.nan):
+        with pytest.raises(DomainError):
+            Interferometer(num_modes=num_modes)
 
 
 def test_discriminator_columns_and_unitarity():
@@ -143,6 +155,9 @@ def test_reck_rejects_non_unitary():
         reck_decompose(np.ones((3, 3)))
     with pytest.raises(ContractError):
         reck_decompose(np.ones((2, 3)))
+    for bad in (np.full((2, 2), np.nan), np.diag([1.0, np.inf]), np.zeros((0, 0))):
+        with pytest.raises(ContractError):
+            reck_decompose(bad)
 
 
 def test_serialization_roundtrip():
@@ -155,6 +170,20 @@ def test_serialization_roundtrip():
     assert parsed.to_text() == text
     with pytest.raises(DomainError):
         Interferometer.from_text("BS 1 2 0.1 0 0\n")  # no MODES header
+    for bad in (
+        "MODES 2\nPHASE 5 0.1\n",  # phase on a mode outside the network
+        "MODES 2\nPHASE 0 0.1\n",
+        "MODES 0\n",
+        "MODES 2\nMODES 3\n",
+        "MODES x\n",
+        "MODES 2\nBS 1 2\n",  # too few values
+        "MODES 2\nBS 1 2 0.1 0 0 7\n",  # too many values
+        "MODES 2\nBS 1 2 nan 0 0\n",
+        "MODES 2\nPHASE 1 inf\n",
+        "MODES 2\nPHASE 1 0.1\nPHASE 1 0.2\n",
+    ):
+        with pytest.raises(DomainError):
+            Interferometer.from_text(bad)
 
 
 def test_prepare_basis_vector_is_identity_network():
@@ -193,6 +222,8 @@ def test_prepare_handles_interior_zeros_and_phases():
 def test_prepare_rejects_unnormalized():
     with pytest.raises(ContractError):
         prepare_state_network(np.array([1.0, 1.0]), 2)
+    with pytest.raises(ContractError):
+        prepare_state_network(np.array([np.nan, 0.5]), 2)
 
 
 def test_simulate_clicks_identity_network():
@@ -224,6 +255,19 @@ def test_simulate_clicks_discriminator_d1_rate():
     assert stats.counts["D2"] == 0
 
 
+def test_simulate_clicks_tallies_one_seeded_stream():
+    net = Interferometer(num_modes=3, layers=(TwoModeLayer(0, 2, omega=0.4, phi=0.3),
+                                              TwoModeLayer(0, 1, omega=1.1)))
+    state = np.array([0.6, 0.8j, 0.0])
+    shots, seed = 5_000, 12
+    edges = np.cumsum(output_distribution(net, state))
+    draws = np.random.Generator(np.random.Philox(key=[seed, 0])).random(shots)
+    expected = np.bincount(np.minimum(np.searchsorted(edges, draws, side="right"), 2),
+                           minlength=3)
+    stats = simulate_clicks(net, state, shots=shots, seed=seed)
+    assert list(stats.counts.values()) == expected.tolist()
+
+
 def test_simulate_clicks_deterministic_and_validated():
     net = Interferometer(num_modes=2, layers=(TwoModeLayer(0, 1, omega=0.3),))
     state = np.array([1, 0], dtype=complex)
@@ -233,8 +277,9 @@ def test_simulate_clicks_deterministic_and_validated():
     assert simulate_clicks(net, state, shots=500, seed=10) != first
     with pytest.raises(ContractError):
         simulate_clicks(net, np.array([1, 0, 0], dtype=complex), 10, 0)
-    with pytest.raises(DomainError):
-        simulate_clicks(net, state, shots=0, seed=0)
+    for shots in (0, 2.5, np.nan):
+        with pytest.raises(DomainError):
+            simulate_clicks(net, state, shots=shots, seed=0)
     with pytest.raises(ContractError):
         ClickStats(shots=3, seed=0, counts={"a": 1})
 

@@ -7,6 +7,7 @@ from qudisc.errors import DomainError
 from qudisc.spaces import (
     SpaceSpec,
     basis_ket,
+    check_dimension,
     constructive_dimension_table,
     dimension_table,
     expand_u3,
@@ -45,8 +46,9 @@ def test_flatten_index_matches_enumeration_order():
 def test_flatten_index_rejects_out_of_range():
     with pytest.raises(DomainError):
         flatten_index((0, 1, 1), 2)
-    with pytest.raises(DomainError):
-        flatten_index((1, 3, 1), 2)
+    for bad in ((1, 3, 1), (1, 1.5, 1), (np.nan, 1, 1), (1, 1, np.inf)):
+        with pytest.raises(DomainError):
+            flatten_index(bad, 2)
 
 
 def test_space_spec_roundtrip():
@@ -159,8 +161,12 @@ def test_dimension_table_values():
     assert (t2.s3, t2.s4, t2.s5, t2.s6, t2.i0) == (8, 2, 2, 4, 2)
     t3 = dimension_table(3)
     assert (t3.s0, t3.s3, t3.s6, t3.i0) == (10, 26, 16, 8)
-    with pytest.raises(DomainError):
-        dimension_table(1)
+    for bad in (1, 2.5, np.inf, -np.inf, np.nan, "3", None):
+        with pytest.raises(DomainError):
+            dimension_table(bad)
+        with pytest.raises(DomainError):
+            check_dimension(bad)
+    assert check_dimension(3.0) == 3 and check_dimension(np.int64(4)) == 4
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
