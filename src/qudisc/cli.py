@@ -4,7 +4,8 @@ Every command prints one machine-readable record: a JSON object with numbers
 rendered to 15 significant digits (the scan command appends a CSV body after
 the record).  Repeated invocations with the same flags and seed produce
 byte-identical output.  Exit codes: 0 success, 1 verification failure,
-2 usage or domain error.
+2 usage or domain error (including requests too large for memory), 3 internal
+error (an unexpected exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -315,6 +317,13 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; use a smaller request", file=sys.stderr)
+        return 2
+    except Exception:
+        traceback.print_exc()
+        print("error: internal error", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

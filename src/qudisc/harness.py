@@ -24,6 +24,15 @@ from .povm import Priors
 # takes the next draws of the call's one stream, so results do not depend on it.
 HAAR_BLOCK = 1024
 
+# Coarse stride of the regime scan.  P(x) is concave on [1, 4], so the maximum
+# over the fine grid lies within one stride of the maximum over every stride-th
+# point, and scanning only that window finds it exactly.
+SCAN_STRIDE = 1000
+
+# Largest dense operator verify_all may build: a complex n^3 x n^3 matrix takes
+# 16 n^6 bytes, so this admits n_max <= 8 (the per-n suite grows about as n^9).
+MAX_OPERATOR_BYTES = 4 * 2**20
+
 
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Standard complex Gaussians; each value takes two consecutive stream draws."""
@@ -76,15 +85,13 @@ class OverlapIdentity:
 def overlap_identity_check(psi1: np.ndarray, psi2: np.ndarray, n: int) -> OverlapIdentity:
     """Summed squared overlaps of the inputs with the reciprocal families.
 
-    Both sums equal (1 - |<psi1|psi2>|^2) / 2 for any pure pair.
+    Both sums equal (1 - |<psi1|psi2>|^2) / 2 for any pure pair; states that
+    are not finite unit vectors of length n raise ContractError.
     """
-    psi1 = np.asarray(psi1, dtype=complex)
-    psi2 = np.asarray(psi2, dtype=complex)
-    if psi1.shape != (n,) or psi2.shape != (n,):
-        raise DomainError(f"states must have dimension {n}")
+    psi1, psi2 = spaces.check_unit_state(psi1, n), spaces.check_unit_state(psi2, n)
     pairs = build_gh_bases(n)
-    big1 = np.kron(np.kron(psi1, psi1), psi2)
-    big2 = np.kron(np.kron(psi1, psi2), psi2)
+    big1 = spaces.product_ket(psi1, psi1, psi2)
+    big2 = spaces.product_ket(psi1, psi2, psi2)
     sum_g = float((np.abs(pairs.g_perp.conj() @ big1) ** 2).sum())
     sum_h = float((np.abs(pairs.h_perp.conj() @ big2) ** 2).sum())
     closed = 0.5 * (1.0 - abs(np.vdot(psi1, psi2)) ** 2)
@@ -315,8 +322,8 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
         closed = povm.pure_success(psi1, psi2, 0.7, priors, n)
         operator = povm.pure_success_expectation(psi1, psi2, 0.7, priors, n)
         dev_pure = max(dev_pure, abs(closed - operator))
-        big1 = np.kron(np.kron(psi1, psi1), psi2)
-        big2 = np.kron(np.kron(psi1, psi2), psi2)
+        big1 = spaces.product_ket(psi1, psi1, psi2)
+        big2 = spaces.product_ket(psi1, psi2, psi2)
         dev_unamb_pure = max(
             dev_unamb_pure,
             np.linalg.norm(triple.pi1 @ big2),
@@ -336,6 +343,15 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
                "summed reciprocal overlaps equal (1 - overlap^2)/2 for random pairs")
 
 
+def _grid_max(xs: np.ndarray, priors: Priors) -> float:
+    """Maximum of P over the sorted grid xs, evaluated within one SCAN_STRIDE of the coarse peak."""
+    def curve(x):
+        return 1.0 - priors.eta1 * x / 4.0 - priors.eta2 / x
+
+    k = int(np.argmax(curve(xs[::SCAN_STRIDE])))
+    return float(curve(xs[max(0, (k - 1) * SCAN_STRIDE):(k + 1) * SCAN_STRIDE + 1]).max())
+
+
 def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> None:
     scope = "global"
     etas = np.linspace(0.01, 0.99, 99)
@@ -344,8 +360,7 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
     dev = 0.0
     for eta1 in etas:
         priors = Priors.from_eta1(float(eta1))
-        values = 1.0 - priors.eta1 * xs / 4.0 - priors.eta2 / xs
-        dev = max(dev, abs(povm.optimal_subspace(priors).value - values.max()))
+        dev = max(dev, abs(povm.optimal_subspace(priors).value - _grid_max(xs, priors)))
     report.add("regime_optima_vs_scan", scope, dev, tol.scan,
                "three-regime optimum matches a 1e-6 grid scan for 99 priors")
 
@@ -428,9 +443,15 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
 def verify_all(n_max: int, tolerances: Tolerances | None = None) -> VerificationReport:
     """Run every invariant check for n = 2..n_max plus the global checks.
 
-    Failures are recorded in the report, not raised.
+    Failures are recorded in the report, not raised.  An n_max whose n^3 x n^3
+    operators would exceed MAX_OPERATOR_BYTES raises DomainError before any work.
     """
     n_max = spaces.check_integer(n_max, 2, "n_max")
+    if 16 * n_max**6 > MAX_OPERATOR_BYTES:
+        raise DomainError(
+            f"n_max {n_max} is too large: 16 n^6 bytes per operator must not exceed "
+            f"{MAX_OPERATOR_BYTES}"
+        )
     tol = tolerances or Tolerances()
     report = VerificationReport(n_max=n_max)
     for n in range(2, n_max + 1):

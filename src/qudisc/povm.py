@@ -25,7 +25,9 @@ import numpy as np
 
 from .errors import ContractError, DegeneratePriorsError, DomainError
 from .jordan import build_gh_bases, reciprocal_rows
-from .spaces import TAU_NORM, check_dimension, mean_density_operators, projector_from_rows
+from .spaces import (
+    check_dimension, check_unit_state, mean_density_operators, product_ket, projector_from_rows,
+)
 
 PROB_SLACK = 1e-12
 PURE_SCALE = 2.0 / 3.0  # pure-state success over P(x) (1 - |<psi1|psi2>|^2)
@@ -222,13 +224,7 @@ def pure_success(
     """
     check_dimension(n)
     prefactor = PURE_SCALE * success_curve_x(x_from_omega1(omega1), priors)
-    psi1 = np.asarray(psi1, dtype=complex)
-    psi2 = np.asarray(psi2, dtype=complex)
-    if psi1.shape != (n,) or psi2.shape != (n,):
-        raise ContractError(f"states must be vectors of length {n}")
-    for psi in (psi1, psi2):
-        if abs(np.linalg.norm(psi) - 1.0) > TAU_NORM:
-            raise ContractError("states must be unit vectors")
+    psi1, psi2 = check_unit_state(psi1, n), check_unit_state(psi2, n)
     overlap_sq = abs(np.vdot(psi1, psi2)) ** 2
     return clamp_probability(prefactor * (1.0 - overlap_sq))
 
@@ -260,8 +256,8 @@ def pure_success_expectation(
 ) -> float:
     """Operator-level evaluation of :func:`pure_success` (cross-check)."""
     povm = total_povm(n, omega1)
-    big1 = np.kron(np.kron(psi1, psi1), psi2)
-    big2 = np.kron(np.kron(psi1, psi2), psi2)
+    big1 = product_ket(psi1, psi1, psi2)
+    big2 = product_ket(psi1, psi2, psi2)
     value = priors.eta1 * np.vdot(big1, povm.pi1 @ big1).real + priors.eta2 * np.vdot(
         big2, povm.pi2 @ big2
     ).real

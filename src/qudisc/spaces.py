@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ContractError, DomainError
 
 # Default tolerances: norm checks, operator identities, SVD rank threshold.
 TAU_NORM = 1e-10
@@ -34,6 +34,16 @@ def check_integer(value, low: int, what: str) -> int:
 
 def check_dimension(n: int) -> int:
     return check_integer(n, 2, "qudit dimension")
+
+
+def check_unit_state(psi, n: int) -> np.ndarray:
+    """`psi` as a complex vector; ContractError unless it is a finite unit vector of length n."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (n,):
+        raise ContractError(f"states must be vectors of length {n}")
+    if not abs(np.linalg.norm(psi) - 1.0) <= TAU_NORM:  # NaN and inf fail too
+        raise ContractError("states must be unit vectors")
+    return psi
 
 
 @dataclass(frozen=True)
@@ -84,6 +94,11 @@ def basis_ket(labels: tuple[int, ...], n: int) -> np.ndarray:
     vec = np.zeros(n ** len(labels), dtype=complex)
     vec[flatten_index(labels, n)] = 1.0
     return vec
+
+
+def product_ket(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|a>|b>|c> on the three registers; the same products as nested np.kron, in one pass."""
+    return np.multiply.outer(np.multiply.outer(a, b), c).ravel()
 
 
 def pair_labels(n: int) -> list[tuple[int, int]]:

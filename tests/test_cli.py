@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from qudisc import cli, harness
 from qudisc.cli import _render_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -50,6 +51,42 @@ def test_verify_rejects_bad_nmax(capsys):
     code, _, err = run_cli(capsys, "verify", "--n-max", "0")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("n_max", ["9", str(10**9)])
+def test_verify_refuses_oversized_nmax(capsys, monkeypatch, n_max):
+    def no_work(*args):
+        raise AssertionError("verify started work")
+
+    monkeypatch.setattr(harness, "_checks_for_n", no_work)
+    monkeypatch.setattr(harness, "_global_checks", no_work)
+    code, out, err = run_cli(capsys, "verify", "--n-max", n_max, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "too large" in err
+
+
+def _raising(exc):
+    def command(args):
+        raise exc
+
+    return command
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_dims", _raising(MemoryError()))
+    code, out, err = run_cli(capsys, "dims", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_exits_3_with_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_dims", _raising(RuntimeError("boom")))
+    code, out, err = run_cli(capsys, "dims", "--n", "2")
+    assert (code, out) == (3, "")
+    assert "Traceback" in err and "RuntimeError: boom" in err
+    assert err.rstrip().endswith("error: internal error")
 
 
 def test_verify_json_mode(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qudisc import harness
-from qudisc.errors import DomainError
+from qudisc.errors import ContractError, DomainError
 from qudisc.harness import (
     McEstimate,
     Tolerances,
@@ -136,6 +136,21 @@ def test_overlap_identity_equal_pair():
     assert result.sum_h < 1e-12
 
 
+@pytest.mark.parametrize(
+    "psi1, psi2",
+    [
+        (np.array([np.nan, 0]), np.array([1, 0])),
+        (np.array([1, 0]), np.array([np.inf, 0])),
+        (np.array([1, 1]), np.array([1, 0])),  # norm sqrt(2)
+        (np.array([0.5, 0]), np.array([0, 1])),
+        (np.array([1, 0, 0]), np.array([1, 0])),  # wrong length
+    ],
+)
+def test_overlap_identity_rejects_non_unit_states(psi1, psi2):
+    with pytest.raises(ContractError):
+        overlap_identity_check(psi1, psi2, 2)
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_overlap_identity_random_pairs(n):
     rng = np.random.Generator(np.random.Philox(key=33))
@@ -228,6 +243,28 @@ def test_verify_all_rejects_bad_nmax():
     for bad in (1, 2.5, np.inf, np.nan):
         with pytest.raises(DomainError):
             verify_all(bad)
+
+
+def test_verify_all_refuses_oversized_nmax_before_any_work(monkeypatch):
+    ran = []  # the check runners record their calls instead of building operators
+    monkeypatch.setattr(harness, "_checks_for_n", lambda n, tol, report: ran.append(n))
+    monkeypatch.setattr(harness, "_global_checks", lambda n_max, tol, report: ran.append("g"))
+    for too_big in (9, 10**9):
+        with pytest.raises(DomainError, match="too large"):
+            verify_all(too_big)
+    assert ran == []
+    assert 16 * 8**6 == harness.MAX_OPERATOR_BYTES  # n_max = 8 is the largest admitted
+    verify_all(8)
+    assert ran == [2, 3, 4, 5, 6, 7, 8, "g"]
+
+
+@pytest.mark.parametrize("eta1", [0.01, 0.19, 0.2, 0.21, 0.5, 0.79, 0.8, 0.81, 0.99])
+def test_windowed_regime_scan_is_the_full_grid_maximum(eta1):
+    xs = np.arange(1.0, 4.0 + 1e-6, 1e-6)
+    xs = xs[xs <= 4.0]
+    priors = Priors.from_eta1(eta1)
+    full = (1.0 - priors.eta1 * xs / 4.0 - priors.eta2 / xs).max()
+    assert harness._grid_max(xs, priors) == full
 
 
 def test_verify_all_unattainable_tolerance_fails_without_raising():

@@ -186,6 +186,28 @@ def test_serialization_roundtrip():
             Interferometer.from_text(bad)
 
 
+@pytest.mark.parametrize("dim", range(2, 11))
+def test_reck_and_text_round_trips_on_haar_unitaries(dim):
+    for seed in range(5):
+        target = random_unitary(dim, np.random.Generator(np.random.Philox(key=[dim, seed])))
+        net = reck_decompose(target)
+        assert np.abs(net.unitary() - target).max() < 1e-10
+        assert Interferometer.from_text(net.to_text()) == net
+
+
+def test_text_round_trips_on_random_networks():
+    rng = np.random.Generator(np.random.Philox(key=6))
+    for _ in range(50):
+        modes = int(rng.integers(1, 8))
+        layers = tuple(
+            TwoModeLayer(*rng.choice(modes, 2, replace=False), *rng.uniform(-7, 7, 3))
+            for _ in range(int(rng.integers(0, 12)) if modes > 1 else 0)
+        )
+        phases = tuple(rng.uniform(-7, 7, modes) * (rng.random(modes) < 0.5))
+        net = Interferometer(num_modes=modes, layers=layers, phases=phases)
+        assert Interferometer.from_text(net.to_text()) == net
+
+
 def test_prepare_basis_vector_is_identity_network():
     net = prepare_state_network(np.array([1.0, 0.0, 0.0]), 3)
     assert len(net.layers) == 0

@@ -280,6 +280,9 @@ def test_pure_success_examples():
     assert pure_success(psi, psi, 0.9, priors, 2) < 1e-12
     with pytest.raises(ContractError):
         pure_success(e1, np.ones(3) / np.sqrt(3), omega1, priors, 2)
+    for bad in (np.array([np.nan, 0]), np.array([np.inf, 0]), 2 * e1):
+        with pytest.raises(ContractError):
+            pure_success(bad, e2, omega1, priors, 2)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -15,6 +15,7 @@ from qudisc.spaces import (
     mean_density_operators,
     pair_labels,
     permutation_operator,
+    product_ket,
     s1_product_basis,
     s2_product_basis,
     symmetric_basis_2,
@@ -220,3 +221,11 @@ def test_expand_u3_rejects_bad_input():
         expand_u3(2, (2, 1, 1), "S1")
     with pytest.raises(DomainError):
         expand_u3(2, (1, 1, 2), "S3")
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_product_ket_equals_nested_kron(n):
+    rng = np.random.Generator(np.random.Philox(key=n))
+    for _ in range(20):
+        a, b, c = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        assert np.array_equal(product_ket(a, b, c), np.kron(np.kron(a, b), c))
