@@ -24,7 +24,6 @@ from .optics import (
     ClickStats,
     Interferometer,
     TwoModeLayer,
-    beamsplitter,
     discriminator_network,
     prepare_state_network,
     reck_decompose,
@@ -48,7 +47,6 @@ from .povm import (
 )
 from .spaces import (
     DimensionTable,
-    SpaceSpec,
     dimension_table,
     expand_u3,
     flatten_index,

@@ -35,10 +35,29 @@ _ANGLE_FORMAT = "{:.17g}"
 # Values after the keyword of each network-file line.
 _LINE_FIELDS = {"MODES": 1, "BS": 5, "PHASE": 2}
 
+# Shots per block of a sampling call, which bounds its memory.  Each block takes
+# the next uniforms of the call's one stream, so tallies do not depend on it.
+SHOT_BLOCK = 2**16
+# Most shots one sampling call accepts: at some 7 million shots per second
+# this is about 2.5 minutes of sampling.
+MAX_SHOTS = 10**9
+
 
 def seeded_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """The one counter-based Philox stream a sampling call draws from, keyed by (seed, stream)."""
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
+
+
+def _shot_blocks(shots: int, seed: int, width: int):
+    """Uniforms of `shots` shots, `width` per shot, SHOT_BLOCK shots at a time.
+
+    Shots outside 1..MAX_SHOTS raise DomainError before any draw.
+    """
+    if check_integer(shots, 1, "shots") > MAX_SHOTS:
+        raise DomainError(f"shots must not exceed {MAX_SHOTS}, got {shots}")
+    rng = seeded_stream(seed)
+    return (rng.random((min(SHOT_BLOCK, shots - start), width))
+            for start in range(0, shots, SHOT_BLOCK))
 
 
 def two_mode_unitary(omega: float, phi: float, theta: float) -> np.ndarray:
@@ -50,12 +69,6 @@ def two_mode_unitary(omega: float, phi: float, theta: float) -> np.ndarray:
             [c * np.exp(1j * theta), -s * np.exp(1j * theta)],
         ]
     )
-
-
-def beamsplitter(omega: float) -> np.ndarray:
-    """Real beamsplitter block; transmittance sin^2(omega)."""
-    s, c = np.sin(omega), np.cos(omega)
-    return np.array([[s, c], [c, -s]])
 
 
 @dataclass(frozen=True)
@@ -297,17 +310,17 @@ def simulate_clicks(
     labels: tuple[str, ...] | None = None,
 ) -> ClickStats:
     """Sample i.i.d. output-mode clicks; deterministic given the seed."""
-    check_integer(shots, 1, "shots")
+    blocks = _shot_blocks(shots, seed, 1)
     probs = output_distribution(net, input_state)
     if labels is None:
         labels = tuple(f"m{i + 1}" for i in range(net.num_modes))
     if len(labels) != net.num_modes:
         raise ContractError("one label per output mode required")
     edges = np.cumsum(probs)
-    draws = seeded_stream(seed).random(shots)
-    outcomes = np.searchsorted(edges, draws, side="right")
-    outcomes = np.minimum(outcomes, net.num_modes - 1)
-    tallies = np.bincount(outcomes, minlength=net.num_modes)
+    tallies = np.zeros(net.num_modes, dtype=np.int64)
+    for draws in blocks:
+        outcomes = np.minimum(np.searchsorted(edges, draws[:, 0], side="right"), net.num_modes - 1)
+        tallies += np.bincount(outcomes, minlength=net.num_modes)
     return ClickStats(
         shots=shots, seed=seed, counts={lab: int(c) for lab, c in zip(labels, tallies)}
     )
@@ -336,27 +349,30 @@ def simulate_discriminator(
     A shot succeeds when a g input clicks D1 or an h input clicks D2; the
     expected success rate is the per-subspace curve at x = 1 + 3 cos^2 w1.
     """
-    check_integer(shots, 1, "shots")
+    blocks = _shot_blocks(shots, seed, 2)  # (prior pick, click) per shot
     net = discriminator_network(omega1)[1]
     dist_g = output_distribution(net, discriminator_port_state("g"))
     dist_h = output_distribution(net, discriminator_port_state("h"))
     edges_g, edges_h = np.cumsum(dist_g), np.cumsum(dist_h)
 
-    draws = seeded_stream(seed).random((shots, 2))  # (prior pick, click) per shot
-    pick_h = draws[:, 0] >= priors.eta1
-    outcomes = np.where(
-        pick_h,
-        np.searchsorted(edges_h, draws[:, 1], side="right"),
-        np.searchsorted(edges_g, draws[:, 1], side="right"),
-    )
-    outcomes = np.minimum(outcomes, 2)
-    tallies = np.bincount(outcomes, minlength=3)
-    successes = int(((~pick_h) & (outcomes == 0)).sum() + (pick_h & (outcomes == 1)).sum())
+    tallies = np.zeros(3, dtype=np.int64)
+    picked_h, successes = 0, 0
+    for draws in blocks:
+        pick_h = draws[:, 0] >= priors.eta1
+        outcomes = np.where(
+            pick_h,
+            np.searchsorted(edges_h, draws[:, 1], side="right"),
+            np.searchsorted(edges_g, draws[:, 1], side="right"),
+        )
+        outcomes = np.minimum(outcomes, 2)
+        tallies += np.bincount(outcomes, minlength=3)
+        picked_h += int(pick_h.sum())
+        successes += int(((~pick_h) & (outcomes == 0)).sum() + (pick_h & (outcomes == 1)).sum())
     return DiscriminationRun(
         shots=shots,
         seed=seed,
         counts={"D1": int(tallies[0]), "D2": int(tallies[1]), "F": int(tallies[2])},
-        input_counts={"g": int((~pick_h).sum()), "h": int(pick_h.sum())},
+        input_counts={"g": shots - picked_h, "h": picked_h},
         successes=successes,
     )
 

@@ -230,8 +230,10 @@ def pure_success(
 
 
 def optimal_pure(overlap_sq: float, priors: Priors) -> RegimeResult:
-    """Optimal success probability for fixed pure inputs.
+    """Optimal success probability for fixed pure inputs within the omega1 family.
 
+    It maximizes over the one-angle measurements x = 1 + 3 cos^2(omega1) only;
+    nothing here shows that no other unambiguous measurement does better.
     Depends only on the priors and the squared overlap, not on the qudit
     dimension.
     """

@@ -46,36 +46,6 @@ def check_unit_state(psi, n: int) -> np.ndarray:
     return psi
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
-    """A tensor power of the single-qudit space."""
-
-    n: int
-    factors: int
-
-    def __post_init__(self) -> None:
-        check_dimension(self.n)
-        if self.factors not in (1, 2, 3):
-            raise DomainError(f"factors must be 1, 2 or 3, got {self.factors}")
-
-    @property
-    def dim(self) -> int:
-        return self.n**self.factors
-
-    def flat_index(self, labels: tuple[int, ...]) -> int:
-        return flatten_index(labels, self.n, factors=self.factors)
-
-    def labels(self, index: int) -> tuple[int, ...]:
-        """Inverse of :meth:`flat_index`."""
-        if not 0 <= index < self.dim:
-            raise DomainError(f"flat index {index} outside [0, {self.dim})")
-        out = []
-        for _ in range(self.factors):
-            index, r = divmod(index, self.n)
-            out.append(r + 1)
-        return tuple(reversed(out))
-
-
 def flatten_index(labels: tuple[int, ...], n: int, factors: int | None = None) -> int:
     """Row-major flat index of a 1-based basis tuple (first register slowest)."""
     check_dimension(n)
@@ -146,15 +116,13 @@ def symmetric_basis_3(n: int) -> np.ndarray:
 def permutation_operator(perm: tuple[int, ...], n: int) -> np.ndarray:
     """Unitary permuting the registers: register r of the output takes the
     input register perm[r] (perm is 0-based over the factors)."""
-    factors = len(perm)
-    dim = n**factors
-    op = np.zeros((dim, dim), dtype=complex)
-    spec = SpaceSpec(n, factors)
-    for col in range(dim):
-        labels = spec.labels(col)
-        permuted = tuple(labels[perm[r]] for r in range(factors))
-        op[spec.flat_index(permuted), col] = 1.0
-    return op
+    check_dimension(n)
+    if sorted(perm) != list(range(len(perm))):
+        raise DomainError(f"{perm!r} is not a permutation of the registers")
+    factors, dim = len(perm), n ** len(perm)
+    # Row axis r of the identity's tensor takes input register perm[r].
+    eye = np.eye(dim, dtype=complex).reshape((n,) * factors + (dim,))
+    return eye.transpose(*perm, factors).reshape(dim, dim)
 
 
 def projector_from_rows(rows: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from qudisc import cli, harness
+from qudisc import cli, harness, optics
 from qudisc.cli import _render_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -186,6 +186,17 @@ def test_simulate_seed_repeatable(capsys):
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_simulate_refuses_too_many_shots(capsys, monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(optics, "seeded_stream", no_stream)
+    code, out, err = run_cli(capsys, "simulate", "--eta1", "0.5", "--x", "2",
+                             "--shots", str(optics.MAX_SHOTS + 1))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "must not exceed" in err
 
 
 def test_simulate_omega1_and_x_exclusive(capsys):

@@ -1,10 +1,14 @@
+import copy
+import dataclasses
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qudisc import harness
+from qudisc import harness, povm
 from qudisc.errors import ContractError, DomainError
 from qudisc.harness import (
     McEstimate,
@@ -18,8 +22,9 @@ from qudisc.harness import (
     verify_all,
 )
 from qudisc.optics import Interferometer, simulate_clicks, simulate_discriminator
-from qudisc.povm import Priors, average_success, omega1_from_x
-from qudisc.spaces import mean_density_operators
+from qudisc.jordan import build_gh_bases
+from qudisc.povm import Priors, average_success, omega1_from_x, total_povm
+from qudisc.spaces import mean_density_operators, projector_from_rows, symmetric_basis_3
 
 
 def test_haar_state_basics():
@@ -226,7 +231,11 @@ def test_ks_pvalue_rejects_wrong_law():
 
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, qudisc.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    src = str(Path(harness.__file__).parents[1])  # the tested package, however pytest found it
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env)
     assert out.stdout.strip() == "False"
 
 
@@ -263,8 +272,63 @@ def test_windowed_regime_scan_is_the_full_grid_maximum(eta1):
     xs = np.arange(1.0, 4.0 + 1e-6, 1e-6)
     xs = xs[xs <= 4.0]
     priors = Priors.from_eta1(eta1)
-    full = (1.0 - priors.eta1 * xs / 4.0 - priors.eta2 / xs).max()
-    assert harness._grid_max(xs, priors) == full
+    values = 1.0 - priors.eta1 * xs / 4.0 - priors.eta2 / xs
+    top = int(np.argmax(values))
+    assert harness._grid_max(xs, priors) == (values[top], top)
+
+
+def _povm_positive(n):
+    report = harness.VerificationReport(n_max=n)
+    harness._checks_for_n(n, Tolerances(), report)
+    return next(r for r in report.results if r.name == "povm_positive")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_block_positivity_certificate_matches_dense_eigensolves(n):
+    dense = 0.0
+    for omega1 in np.linspace(0.0, np.pi / 2, 50):
+        for op in total_povm(n, omega1).elements():
+            dense = max(dense, max(0.0, -np.linalg.eigvalsh(op).min()))
+    block = _povm_positive(n)
+    assert block.passed
+    assert dense <= Tolerances().op and block.deviation <= Tolerances().op
+    assert abs(block.deviation - dense) <= 1e-13
+
+
+def _patch_total_povm(monkeypatch, change):
+    """total_povm with pi1 and pi2 replaced by change(n, triple); pi0 still completes them."""
+    def patched(n, omega1):
+        triple = total_povm(n, omega1)
+        pi1, pi2 = change(n, triple)
+        return dataclasses.replace(triple, pi1=pi1, pi2=pi2, pi0=np.eye(n**3) - pi1 - pi2)
+
+    monkeypatch.setattr(povm, "total_povm", patched)
+
+
+def test_povm_positive_fails_on_a_negative_dyad_off_the_blocks(monkeypatch):
+    def change(n, triple):
+        s = symmetric_basis_3(n)[1]  # orthogonal to every g_perp and h row
+        return triple.pi1 - 1e-6 * np.outer(s, s.conj()), triple.pi2
+
+    _patch_total_povm(monkeypatch, change)
+    assert not _povm_positive(3).passed
+
+
+def test_povm_positive_fails_on_a_wrong_pi2_coefficient(monkeypatch):
+    def change(n, triple):
+        return triple.pi1, triple.pi2 + 1e-6 * projector_from_rows(build_gh_bases(n).h_perp)
+
+    _patch_total_povm(monkeypatch, change)
+    assert not _povm_positive(3).passed
+
+
+def test_povm_positive_fails_on_a_perturbed_h_perp_row(monkeypatch):
+    pairs = copy.copy(build_gh_bases(3))
+    h_perp = pairs.h_perp.copy()
+    h_perp[4, 7] += 1e-6
+    object.__setattr__(pairs, "h_perp", h_perp)
+    monkeypatch.setattr(harness, "build_gh_bases", lambda n: pairs)
+    assert not _povm_positive(3).passed
 
 
 def test_verify_all_unattainable_tolerance_fails_without_raising():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qudisc import optics
 from qudisc.errors import ContractError, DomainError
 from qudisc.jordan import build_gh_bases
 from qudisc.optics import (
@@ -8,7 +9,6 @@ from qudisc.optics import (
     Interferometer,
     TwoModeLayer,
     analytic_discriminator_probabilities,
-    beamsplitter,
     discriminator_network,
     discriminator_port_state,
     output_distribution,
@@ -42,17 +42,6 @@ def test_two_mode_unitary_is_unitary():
         omega, phi, theta = rng.uniform(0, 2 * np.pi, size=3)
         block = two_mode_unitary(omega, phi, theta)
         np.testing.assert_allclose(block.conj().T @ block, np.eye(2), atol=1e-12)
-
-
-def test_beamsplitter_properties():
-    balanced = beamsplitter(np.pi / 4)
-    np.testing.assert_allclose(np.abs(balanced), np.full((2, 2), 1 / np.sqrt(2)), atol=1e-12)
-    np.testing.assert_allclose(beamsplitter(np.pi / 2), np.diag([1.0, -1.0]), atol=1e-12)
-    for omega in (0.1, 0.7, 1.3):
-        np.testing.assert_allclose(
-            beamsplitter(omega), two_mode_unitary(omega, 0, 0).real, atol=1e-12
-        )
-        assert abs(np.linalg.det(beamsplitter(omega)) + 1.0) < 1e-12
 
 
 def test_layer_validation():
@@ -318,3 +307,28 @@ def test_simulate_discriminator_statistics():
     assert abs(run.empirical_success - analytic["success"]) < 5 * sigma
     again = simulate_discriminator(omega1, priors, shots=shots, seed=4)
     assert again == run
+
+
+def test_sampling_tallies_do_not_depend_on_shot_block(monkeypatch):
+    priors = Priors.from_eta1(0.35)
+    net = Interferometer(num_modes=3, layers=(TwoModeLayer(0, 2, omega=0.4, phi=0.3),
+                                              TwoModeLayer(0, 1, omega=1.1)))
+    state = np.array([0.6, 0.8j, 0.0])
+    runs = [simulate_discriminator(0.7, priors, shots=1001, seed=8),
+            simulate_clicks(net, state, shots=1001, seed=8)]
+    monkeypatch.setattr(optics, "SHOT_BLOCK", 7)  # 143 blocks of the one stream
+    assert simulate_discriminator(0.7, priors, shots=1001, seed=8) == runs[0]
+    assert simulate_clicks(net, state, shots=1001, seed=8) == runs[1]
+
+
+def test_shots_above_the_limit_are_refused_before_any_draw(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(optics, "seeded_stream", no_stream)
+    net, state = Interferometer(num_modes=2), np.array([1, 0], dtype=complex)
+    for shots in (optics.MAX_SHOTS + 1, 10**18):
+        with pytest.raises(DomainError, match="must not exceed"):
+            simulate_discriminator(0.7, Priors.from_eta1(0.5), shots=shots, seed=0)
+        with pytest.raises(DomainError, match="must not exceed"):
+            simulate_clicks(net, state, shots=shots, seed=0)

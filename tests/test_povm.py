@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qudisc import harness
 from qudisc.errors import ContractError, DegeneratePriorsError, DomainError
 from qudisc.jordan import build_gh_bases
 from qudisc.povm import (
@@ -217,9 +218,14 @@ def test_optimal_subspace_boundary_continuity():
 
 
 def test_optimal_subspace_against_grid_scan():
+    # The windowed scan finds the full 1e-6 grid maximum and its index exactly
+    # (test_windowed_regime_scan_is_the_full_grid_maximum).
+    xs = np.arange(1.0, 4.0 + 1e-6, 1e-6)
+    xs = xs[xs <= 4.0]
     for eta1 in np.linspace(0.01, 0.99, 99):
         priors = Priors.from_eta1(float(eta1))
-        best, x_best = scan_maximum(priors)
+        best, top = harness._grid_max(xs, priors)
+        x_best = xs[top]
         result = optimal_subspace(priors)
         assert abs(result.value - best) < 1e-6
         assert abs(result.x_star - x_best) < 2e-6

@@ -5,7 +5,6 @@ import pytest
 
 from qudisc.errors import DomainError
 from qudisc.spaces import (
-    SpaceSpec,
     basis_ket,
     check_dimension,
     constructive_dimension_table,
@@ -52,12 +51,27 @@ def test_flatten_index_rejects_out_of_range():
             flatten_index(bad, 2)
 
 
-def test_space_spec_roundtrip():
-    spec = SpaceSpec(3, 3)
-    for idx in range(spec.dim):
-        assert spec.flat_index(spec.labels(idx)) == idx
+def _permutation_operator_loop(perm, n):
+    """Reference: one column per input label tuple, as a loop over the n^k columns."""
+    factors = len(perm)
+    op = np.zeros((n**factors, n**factors), dtype=complex)
+    for col, labels in enumerate(itertools.product(range(1, n + 1), repeat=factors)):
+        op[flatten_index(tuple(labels[perm[r]] for r in range(factors)), n), col] = 1.0
+    return op
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_permutation_operator_matches_column_loop(n):
+    for factors in (2, 3):
+        for perm in itertools.permutations(range(factors)):
+            op = permutation_operator(perm, n)
+            assert op.dtype == complex
+            assert np.array_equal(op, _permutation_operator_loop(perm, n))
+    for bad_perm in ((0, 0), (1, 2), (0, 2, 1, 1)):
+        with pytest.raises(DomainError):
+            permutation_operator(bad_perm, n)
     with pytest.raises(DomainError):
-        SpaceSpec(1, 2)
+        permutation_operator((1, 0), 1)
 
 
 def test_symmetric_basis_2_qubit_vectors():
