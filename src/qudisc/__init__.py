@@ -35,13 +35,13 @@ from .povm import (
     Priors,
     RegimeResult,
     average_success,
+    block_povm,
+    detection_weights,
     omega2_constraint,
     optimal_average,
     optimal_pure,
     optimal_subspace,
     pure_success,
-    reciprocal_pair,
-    subspace_povm,
     success_curve_x,
     total_povm,
 )

@@ -291,9 +291,9 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     # Positivity is certified on the Jordan blocks, not by dense eigensolves.
     # With V the columns of Q = [g_perp; h], eps = ||Q Q^+ - I||_2 and each
     # h_perp row equal to g_perp/2 + (sqrt(3)/2) h, the model of pi_k is
-    # V (C_k (x) I) V^+ for the 2x2 blocks C_1 = a E_g and C_2 = b E_h, and
-    # (I - V V^+) + V (C_0 (x) I) V^+ with C_0 = I - a E_g - b E_h for pi_0;
-    # I - V V^+ >= -eps.  Weyl's inequality with ||.||_2 <= ||.||_F gives
+    # V (C_k (x) I) V^+ for the 2x2 blocks C_1 = a E_g and C_2 = b E_h of
+    # povm.block_povm, and (I - V V^+) + V (C_0 (x) I) V^+ with
+    # C_0 = I - a E_g - b E_h for pi_0; I - V V^+ >= -eps.  Weyl's inequality with ||.||_2 <= ||.||_F gives
     #   -lambda_min(pi_k) <= ||pi_k - model_k||_F + (1 + eps) max(0, -lambda_min(C_k)),
     # plus eps for pi_0, so the deviation bounds every dense operator's
     # negativity on the grid.  The Frobenius residuals are elementwise work.
@@ -302,8 +302,6 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     model_h_perp = 0.5 * pairs.g_perp + (np.sqrt(3.0) / 2.0) * pairs.h
     lift_g = spaces.projector_from_rows(pairs.g_perp)
     lift_h = spaces.projector_from_rows(model_h_perp)
-    e_g = np.diag([1.0, 0.0])
-    e_h = np.array([[0.25, np.sqrt(3.0) / 4.0], [np.sqrt(3.0) / 4.0, 0.75]])
 
     grid = np.linspace(0.0, np.pi / 2, 50)
     dev_psd = max(eps, np.abs(pairs.h_perp - model_h_perp).max())
@@ -311,12 +309,11 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     eye = np.eye(n**3)
     for omega1 in grid:
         triple = povm.total_povm(n, omega1)
-        a = np.sin(omega1) ** 2
-        b = 4.0 * np.cos(omega1) ** 2 / povm.x_from_omega1(omega1)
+        a, b = povm.detection_weights(omega1)
         completeness = sum(triple.elements()) - eye
         r = (np.linalg.norm(triple.pi1 - a * lift_g)
              + np.linalg.norm(triple.pi2 - b * lift_h))
-        blocks = np.array([a * e_g, b * e_h, np.eye(2) - a * e_g - b * e_h])
+        blocks = povm.block_povm(omega1)
         negativity = (1.0 + eps) * np.maximum(0.0, -np.linalg.eigvalsh(blocks)[:, 0])
         r0 = r + np.linalg.norm(completeness) + eps
         dev_psd = max(dev_psd, r + negativity[:2].max(), r0 + negativity[2])
@@ -412,12 +409,12 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
                "normalized pure-state success is independent of the qudit dimension")
 
     pairs = build_gh_bases(2)
-    g, h = pairs.g[0], pairs.h[0]
+    block = {"g": pairs.g[0], "h": pairs.h[0], "g_perp": pairs.g_perp[0]}
     dev = 0.0
     for omega1 in np.linspace(0.0, np.pi / 2, 20):
         _, net = optics.discriminator_network(omega1)
-        triple = povm.subspace_povm(g, h, omega1)
-        for which, state in (("g", g), ("h", h), ("g_perp", pairs.g_perp[0])):
+        triple = povm.total_povm(2, omega1)
+        for which, state in block.items():
             probs = optics.output_distribution(net, optics.discriminator_port_state(which))
             expected = [np.vdot(state, op @ state).real for op in triple.elements()]
             dev = max(dev, np.abs(probs - np.array(expected)).max())

@@ -1,5 +1,11 @@
 """Detection operators and success probabilities of the discriminator.
 
+The measurement is defined once, on a Jordan block span(g_perp_i, h_i): in
+the block's orthonormal (g_perp, h) frame, :func:`block_povm` holds the three
+2x2 detection operators, weighted by :func:`detection_weights`, and
+:func:`total_povm` lifts that block onto all i0 blocks of the three-register
+space.
+
 The measurement family has one free angle omega1 in [0, pi/2].  With
 x = 1 + 3 cos^2(omega1) in [1, 4], the per-subspace success probability is
 
@@ -24,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, DegeneratePriorsError, DomainError
-from .jordan import build_gh_bases, reciprocal_rows
+from .jordan import build_gh_bases
 from .spaces import (
     check_dimension, check_unit_state, mean_density_operators, product_ket, projector_from_rows,
 )
@@ -118,46 +124,34 @@ def omega2_constraint(omega1: float) -> float:
     return float(np.arccos(np.sqrt(1.0 / x)))
 
 
-def reciprocal_pair(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit vectors in span(g, h) orthogonal to h (resp. g).
-
-    Requires the overlap <g|h> to be -1/2 (the value the paired bases are
-    built to have); then g_perp = (2 g + h)/sqrt(3) and symmetrically.
-    """
-    overlap = np.vdot(g, h)
-    if abs(overlap + 0.5) > 1e-6:
-        raise ContractError(f"expected overlap -1/2, got {overlap}")
-    return reciprocal_rows(g, h)
-
-
-def _dyad(v: np.ndarray) -> np.ndarray:
-    return np.outer(v, v.conj())
-
-
-def subspace_povm(g: np.ndarray, h: np.ndarray, omega1: float) -> MeasurementTriple:
-    """Detection operators restricted to the two-dimensional span of (g, h).
-
-    pi1 = sin^2(omega1) |g_perp><g_perp|, pi2 = (4 cos^2(omega1) / x)
-    |h_perp><h_perp|, and pi0 completes the projector onto span(g, h).
-    pi1 annihilates h and pi2 annihilates g by construction.
-    """
+def detection_weights(omega1: float) -> tuple[float, float]:
+    """(a, b) = (sin^2(omega1), 4 cos^2(omega1) / x): pi1 = a |g_perp><g_perp| and
+    pi2 = b |h_perp><h_perp| on every Jordan block."""
     omega1 = check_omega1(omega1)
-    g_perp, h_perp = reciprocal_pair(g, h)
-    x = x_from_omega1(omega1)
-    pi1 = np.sin(omega1) ** 2 * _dyad(g_perp)
-    pi2 = (4.0 * np.cos(omega1) ** 2 / x) * _dyad(h_perp)
-    # Identity on the span: g_perp and h are an orthonormal pair spanning it.
-    p_span = _dyad(g_perp) + _dyad(h)
-    return MeasurementTriple(pi1=pi1, pi2=pi2, pi0=p_span - pi1 - pi2, omega1=omega1)
+    return np.sin(omega1) ** 2, 4.0 * np.cos(omega1) ** 2 / x_from_omega1(omega1)
+
+
+def block_povm(omega1: float) -> np.ndarray:
+    """The (3, 2, 2) detection operators of one Jordan block in its (g_perp, h) frame.
+
+    a E_g, b E_h and I - a E_g - b E_h, with E_g and E_h the projectors onto
+    g_perp = (1, 0) and h_perp = (1/2, sqrt(3)/2); g = (sqrt(3)/2, -1/2) and
+    h = (0, 1) in the same frame.
+    """
+    a, b = detection_weights(omega1)
+    e_g = np.diag([1.0, 0.0])
+    e_h = np.array([[0.25, np.sqrt(3.0) / 4.0], [np.sqrt(3.0) / 4.0, 0.75]])
+    return np.array([a * e_g, b * e_h, np.eye(2) - a * e_g - b * e_h])
 
 
 def total_povm(n: int, omega1: float) -> MeasurementTriple:
-    """Three-outcome POVM on the full three-register space."""
+    """Three-outcome POVM on the full three-register space: :func:`block_povm`
+    lifted onto every Jordan block, with pi0 the identity off the blocks."""
     omega1 = check_omega1(omega1)
     proj_g, proj_h = _reciprocal_projectors(check_dimension(n))
-    x = x_from_omega1(omega1)
-    pi1 = np.sin(omega1) ** 2 * proj_g
-    pi2 = (4.0 * np.cos(omega1) ** 2 / x) * proj_h
+    a, b = detection_weights(omega1)
+    pi1 = a * proj_g
+    pi2 = b * proj_h
     pi0 = np.eye(n**3, dtype=complex) - pi1 - pi2
     return MeasurementTriple(pi1=pi1, pi2=pi2, pi0=pi0, omega1=omega1)
 

@@ -29,7 +29,6 @@ from qudisc.povm import (
     optimal_subspace,
     pure_success,
     pure_success_expectation,
-    subspace_povm,
     total_povm,
 )
 from qudisc.spaces import (
@@ -190,7 +189,7 @@ def test_criterion_08_optics_equivalence():
     worst_born = 0.0
     for omega1 in np.linspace(0.0, np.pi / 2, 20):
         _, net = discriminator_network(omega1)
-        povm = subspace_povm(g, h, omega1)
+        povm = total_povm(2, omega1)
         for which, state in (("g", g), ("h", h)):
             probs = output_distribution(net, discriminator_port_state(which))
             expected = np.array([np.vdot(state, op @ state).real for op in povm.elements()])

@@ -18,7 +18,7 @@ from qudisc.optics import (
     simulate_discriminator,
     two_mode_unitary,
 )
-from qudisc.povm import Priors, omega1_from_x, omega2_constraint, subspace_povm
+from qudisc.povm import Priors, omega1_from_x, omega2_constraint, total_povm
 
 
 def random_unitary(dim, rng):
@@ -98,7 +98,7 @@ def test_discriminator_matches_povm_born_rule():
     g, h = pairs.g[0], pairs.h[0]
     for omega1 in np.linspace(0.0, np.pi / 2, 20):
         _, net = discriminator_network(omega1)
-        povm = subspace_povm(g, h, omega1)
+        povm = total_povm(2, omega1)
         for which, state in (("g", g), ("h", h)):
             probs = output_distribution(net, discriminator_port_state(which))
             expected = [

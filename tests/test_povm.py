@@ -3,12 +3,13 @@ import pytest
 
 from qudisc import harness
 from qudisc.errors import ContractError, DegeneratePriorsError, DomainError
-from qudisc.jordan import build_gh_bases
+from qudisc.jordan import build_gh_bases, reciprocal_rows
 from qudisc.povm import (
     MeasurementTriple,
     Priors,
     average_success,
     average_success_trace,
+    block_povm,
     clamp_probability,
     omega1_from_x,
     omega2_constraint,
@@ -17,8 +18,6 @@ from qudisc.povm import (
     optimal_subspace,
     pure_success,
     pure_success_expectation,
-    reciprocal_pair,
-    subspace_povm,
     success_curve_x,
     total_povm,
     x_from_omega1,
@@ -64,10 +63,7 @@ def test_clamp_probability():
 @pytest.mark.parametrize("n", [2, 3])
 def test_reciprocal_pair_properties(n):
     pairs = build_gh_bases(n)
-    for g, h, stored_g_perp, stored_h_perp in zip(pairs.g, pairs.h, pairs.g_perp, pairs.h_perp):
-        g_perp, h_perp = reciprocal_pair(g, h)
-        np.testing.assert_array_equal(stored_g_perp, g_perp)
-        np.testing.assert_array_equal(stored_h_perp, h_perp)
+    for g, h, g_perp, h_perp in zip(pairs.g, pairs.h, pairs.g_perp, pairs.h_perp):
         assert abs(np.vdot(g_perp, h)) < 1e-12
         assert abs(np.vdot(h_perp, g)) < 1e-12
         assert abs(np.linalg.norm(g_perp) - 1.0) < 1e-12
@@ -75,48 +71,42 @@ def test_reciprocal_pair_properties(n):
         assert abs(abs(np.vdot(g, g_perp)) ** 2 - 0.75) < 1e-12
 
 
-def test_reciprocal_pair_rejects_generic_overlap():
-    e0, e1 = np.eye(2, dtype=complex)
-    with pytest.raises(ContractError):
-        reciprocal_pair(e0, e1)
+# g and h in the orthonormal (g_perp, h) frame of one Jordan block.
+G_FRAME = np.array([np.sqrt(3.0) / 2.0, -0.5])
+H_FRAME = np.array([0.0, 1.0])
 
 
-def test_subspace_povm_endpoints():
-    pairs = build_gh_bases(2)
-    g, h = pairs.g[0], pairs.h[0]
-    g_perp, h_perp = reciprocal_pair(g, h)
+def test_block_povm_endpoints():
+    g_perp, h_perp = reciprocal_rows(G_FRAME, H_FRAME)
+    np.testing.assert_allclose(g_perp, [1.0, 0.0], atol=1e-15)
 
-    triple = subspace_povm(g, h, 0.0)
-    assert np.abs(triple.pi1).max() < 1e-15
-    np.testing.assert_allclose(triple.pi2, np.outer(h_perp, h_perp.conj()), atol=1e-12)
+    pi1, pi2, _ = block_povm(0.0)
+    assert np.abs(pi1).max() < 1e-15
+    np.testing.assert_allclose(pi2, np.outer(h_perp, h_perp), atol=1e-12)
 
-    triple = subspace_povm(g, h, np.pi / 2)
-    assert np.abs(triple.pi2).max() < 1e-15
-    np.testing.assert_allclose(triple.pi1, np.outer(g_perp, g_perp.conj()), atol=1e-12)
+    pi1, pi2, _ = block_povm(np.pi / 2)
+    assert np.abs(pi2).max() < 1e-15
+    np.testing.assert_allclose(pi1, np.outer(g_perp, g_perp), atol=1e-12)
 
 
-def test_subspace_povm_matrix_elements_x2():
-    pairs = build_gh_bases(2)
-    g, h = pairs.g[0], pairs.h[0]
-    omega1 = omega1_from_x(2.0)  # cos^2 = 1/3
-    triple = subspace_povm(g, h, omega1)
-    assert abs(np.vdot(g, triple.pi1 @ g).real - 0.5) < 1e-12
-    assert abs(np.vdot(h, triple.pi2 @ h).real - 0.5) < 1e-12
+def test_block_povm_matrix_elements_x2():
+    pi1, pi2, _ = block_povm(omega1_from_x(2.0))  # cos^2 = 1/3
+    assert abs(G_FRAME @ pi1 @ G_FRAME - 0.5) < 1e-12
+    assert abs(H_FRAME @ pi2 @ H_FRAME - 0.5) < 1e-12
     # Exclusion is exact by construction.
-    assert np.linalg.norm(triple.pi1 @ h) < 1e-12
-    assert np.linalg.norm(triple.pi2 @ g) < 1e-12
+    assert np.linalg.norm(pi1 @ H_FRAME) < 1e-12
+    assert np.linalg.norm(pi2 @ G_FRAME) < 1e-12
 
 
-def test_subspace_povm_valid_on_grid():
+def test_block_povm_valid_on_grid():
     pairs = build_gh_bases(3)
-    g, h = pairs.g[4], pairs.h[4]
-    g_perp, _ = reciprocal_pair(g, h)
-    span = np.outer(g_perp, g_perp.conj()) + np.outer(h, h.conj())
+    frame = np.vstack([pairs.g_perp[4], pairs.h[4]])  # one block of total_povm(3, .)
     for omega1 in np.linspace(0.0, np.pi / 2, 25):
-        triple = subspace_povm(g, h, omega1)
-        np.testing.assert_allclose(sum(triple.elements()), span, atol=1e-10)
-        for op in triple.elements():
-            assert np.linalg.eigvalsh(op).min() > -1e-10
+        blocks = block_povm(omega1)
+        np.testing.assert_allclose(blocks.sum(axis=0), np.eye(2), atol=1e-10)
+        assert np.linalg.eigvalsh(blocks).min() > -1e-10
+        lifted = [frame.conj() @ op @ frame.T for op in total_povm(3, omega1).elements()]
+        np.testing.assert_allclose(lifted, blocks, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
