@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import traceback
 
@@ -116,7 +115,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = args.tol if args.tol is not None else _env_tolerance()
+    tol = args.tol
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError(f"tolerance must be a finite number >= 0, got {tol}")
     tolerances = Tolerances() if tol is None else Tolerances(
@@ -141,11 +140,6 @@ def cmd_verify(args) -> int:
     else:
         sys.stdout.write(report.to_text())
     return 0 if report.passed else 1
-
-
-def _env_tolerance() -> float | None:
-    raw = os.environ.get("QUDISC_TOL")
-    return float(raw) if raw else None
 
 
 def cmd_scan(args) -> int:
@@ -222,16 +216,20 @@ def cmd_simulate(args) -> int:
 
 
 def _read_amplitudes(path: str) -> np.ndarray:
+    """One amplitude per line as `re` or `re im`; any other line raises DomainError."""
     values = []
     with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
+        for number, raw in enumerate(handle, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.replace(",", " ").split()
-            re_part = float(parts[0])
-            im_part = float(parts[1]) if len(parts) > 1 else 0.0
-            values.append(complex(re_part, im_part))
+            try:
+                if len(parts) > 2:
+                    raise ValueError("expected one or two values (re [im])")
+                values.append(complex(*(float(p) for p in parts)))
+            except ValueError as exc:
+                raise DomainError(f"{path} line {number} {line!r}: {exc}") from None
     if not values:
         raise DomainError(f"no amplitudes found in {path}")
     return np.array(values, dtype=complex)
@@ -270,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full verification suite")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--tol", type=float, default=None,
-                   help="override all comparison tolerances (default from QUDISC_TOL)")
+                   help="override all comparison tolerances")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=cmd_verify)
 

@@ -151,7 +151,6 @@ class Tolerances:
 
     tight: float = 1e-12  # exact algebraic identities
     op: float = 1e-10  # operator-level identities with more accumulation
-    rank: float = 1e-8  # SVD rank threshold
     scan: float = 1e-6  # closed-form optima vs. brute-force grid scans
 
 
@@ -412,7 +411,7 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
     block = {"g": pairs.g[0], "h": pairs.h[0], "g_perp": pairs.g_perp[0]}
     dev = 0.0
     for omega1 in np.linspace(0.0, np.pi / 2, 20):
-        _, net = optics.discriminator_network(omega1)
+        net = optics.discriminator_network(omega1)
         triple = povm.total_povm(2, omega1)
         for which, state in block.items():
             probs = optics.output_distribution(net, optics.discriminator_port_state(which))
@@ -434,7 +433,7 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
                tol.op, "triangular mesh synthesis reproduces random unitaries up to size 8")
 
     shots = 20_000
-    _, net = optics.discriminator_network(povm.omega1_from_x(2.0))
+    net = optics.discriminator_network(povm.omega1_from_x(2.0))
     probs = optics.output_distribution(net, optics.discriminator_port_state("g"))
     stats_run = optics.simulate_clicks(
         net, optics.discriminator_port_state("g"), shots, seed=31

@@ -43,9 +43,22 @@ SHOT_BLOCK = 2**16
 MAX_SHOTS = 10**9
 
 
+def _key_word(value, what: str) -> int:
+    """`value` as one 64-bit Philox key word; DomainError unless it is a whole number in [0, 2^64)."""
+    word = check_integer(value, 0, what)
+    if word >= 2**64:
+        raise DomainError(f"{what} must be below 2**64, got {value!r}")
+    return word
+
+
 def seeded_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """The one counter-based Philox stream a sampling call draws from, keyed by (seed, stream)."""
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+    """The one counter-based Philox stream a sampling call draws from, keyed by (seed, stream).
+
+    Seed and stream are whole numbers in [0, 2^64), the two key words;
+    anything else raises DomainError before a stream is built.
+    """
+    key = np.array([_key_word(seed, "seed"), _key_word(stream, "stream")], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _shot_blocks(shots: int, seed: int, width: int):
@@ -165,14 +178,14 @@ class Interferometer:
         return cls(num_modes=num_modes, layers=tuple(layers), phases=tuple(phase_list))
 
 
-def discriminator_network(omega1: float) -> tuple[np.ndarray, Interferometer]:
+def discriminator_network(omega1: float) -> Interferometer:
     """Six-port device distinguishing one paired-basis vector pair.
 
     Ports: inputs (g_perp, h, vacuum), outputs (D1, D2, F).  Two cascaded
     splitters: the first couples the g_perp port to the vacuum port at
     omega1, the second couples the h port to the vacuum port at omega2.
 
-    In these bases the columns are
+    In these bases the columns of its unitary U3 are
 
         U3 e_gperp = (-sin w1, cos w1 cos w2, -cos w1 sin w2)
         U3 e_h     = (0, sin w2, cos w2)
@@ -181,7 +194,8 @@ def discriminator_network(omega1: float) -> tuple[np.ndarray, Interferometer]:
     fixed by the no-click condition: injecting the superposition
     (sqrt(3)/2) g_perp - (1/2) h must produce zero amplitude at D2, which
     forces sin w2 = +sqrt(3) cos w1 cos w2 in this column convention.  The
-    Born probabilities then reproduce the subspace POVM expectations exactly.
+    Born probabilities then reproduce the expectations of
+    :func:`qudisc.povm.block_povm` exactly.
     """
     omega1 = check_omega1(omega1)
     omega2 = omega2_constraint(omega1)
@@ -189,12 +203,12 @@ def discriminator_network(omega1: float) -> tuple[np.ndarray, Interferometer]:
     second = TwoModeLayer(1, 2, omega=omega2, phi=0.0, theta=0.0)
     # Listed order is the matrix product order; `first` acts on the input
     # state first, hence sits rightmost.
-    net = Interferometer(num_modes=3, layers=(second, first))
-    return net.unitary(), net
+    return Interferometer(num_modes=3, layers=(second, first))
 
 
 def discriminator_port_state(which: str) -> np.ndarray:
-    """Port amplitudes representing the injected g, h or g_perp state."""
+    """Port amplitudes of the injected g, h or g_perp state: its coordinates in
+    the orthonormal (g_perp, h) frame of one Jordan block, then the vacuum port."""
     if which == "g":
         return np.array([np.sqrt(3.0) / 2.0, -0.5, 0.0], dtype=complex)
     if which == "h":
@@ -350,7 +364,7 @@ def simulate_discriminator(
     expected success rate is the per-subspace curve at x = 1 + 3 cos^2 w1.
     """
     blocks = _shot_blocks(shots, seed, 2)  # (prior pick, click) per shot
-    net = discriminator_network(omega1)[1]
+    net = discriminator_network(omega1)
     dist_g = output_distribution(net, discriminator_port_state("g"))
     dist_h = output_distribution(net, discriminator_port_state("h"))
     edges_g, edges_h = np.cumsum(dist_g), np.cumsum(dist_h)
@@ -379,7 +393,7 @@ def simulate_discriminator(
 
 def analytic_discriminator_probabilities(omega1: float, priors: Priors) -> dict[str, float]:
     """Exact outcome probabilities of the priors-weighted six-port run."""
-    net = discriminator_network(omega1)[1]
+    net = discriminator_network(omega1)
     dist_g = output_distribution(net, discriminator_port_state("g"))
     dist_h = output_distribution(net, discriminator_port_state("h"))
     mixed = priors.eta1 * dist_g + priors.eta2 * dist_h

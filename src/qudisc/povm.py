@@ -238,23 +238,29 @@ def optimal_pure(overlap_sq: float, priors: Priors) -> RegimeResult:
 
 
 def average_success_trace(n: int, omega1: float, priors: Priors) -> float:
-    """Operator-level evaluation of :func:`average_success` (cross-check)."""
-    povm = total_povm(n, omega1)
+    """Operator-level evaluation of :func:`average_success` (cross-check).
+
+    eta1 Tr(pi1 rho1) + eta2 Tr(pi2 rho2), with each trace taken elementwise.
+    """
+    proj_g, proj_h = _reciprocal_projectors(check_dimension(n))
+    a, b = detection_weights(omega1)
     rho1, rho2 = mean_density_operators(n)
-    value = priors.eta1 * np.trace(povm.pi1 @ rho1).real + priors.eta2 * np.trace(
-        povm.pi2 @ rho2
-    ).real
+    value = (priors.eta1 * a * np.sum(proj_g * rho1.T).real
+             + priors.eta2 * b * np.sum(proj_h * rho2.T).real)
     return clamp_probability(value)
 
 
 def pure_success_expectation(
     psi1: np.ndarray, psi2: np.ndarray, omega1: float, priors: Priors, n: int
 ) -> float:
-    """Operator-level evaluation of :func:`pure_success` (cross-check)."""
-    povm = total_povm(n, omega1)
+    """Operator-level evaluation of :func:`pure_success` (cross-check).
+
+    eta1 <psi1 psi1 psi2|pi1|psi1 psi1 psi2> + eta2 <psi1 psi2 psi2|pi2|psi1 psi2 psi2>.
+    """
+    proj_g, proj_h = _reciprocal_projectors(check_dimension(n))
+    a, b = detection_weights(omega1)
     big1 = product_ket(psi1, psi1, psi2)
     big2 = product_ket(psi1, psi2, psi2)
-    value = priors.eta1 * np.vdot(big1, povm.pi1 @ big1).real + priors.eta2 * np.vdot(
-        big2, povm.pi2 @ big2
-    ).real
+    value = (priors.eta1 * a * np.vdot(big1, proj_g @ big1).real
+             + priors.eta2 * b * np.vdot(big2, proj_h @ big2).real)
     return clamp_probability(value)

@@ -188,7 +188,7 @@ def test_criterion_08_optics_equivalence():
     g, h = pairs.g[0], pairs.h[0]
     worst_born = 0.0
     for omega1 in np.linspace(0.0, np.pi / 2, 20):
-        _, net = discriminator_network(omega1)
+        net = discriminator_network(omega1)
         povm = total_povm(2, omega1)
         for which, state in (("g", g), ("h", h)):
             probs = output_distribution(net, discriminator_port_state(which))
@@ -205,7 +205,7 @@ def test_criterion_08_optics_equivalence():
 
     shots = 100_000
     omega1 = omega1_from_x(2.0)
-    _, net = discriminator_network(omega1)
+    net = discriminator_network(omega1)
     stats = simulate_clicks(net, discriminator_port_state("g"), shots, seed=88,
                             labels=("D1", "D2", "F"))
     sigma = np.sqrt(0.25 / shots)

@@ -126,6 +126,26 @@ def test_one_sampling_call_builds_one_philox(monkeypatch, call):
     assert len(built) == 1
 
 
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: simulate_clicks(Interferometer(num_modes=2), np.array([1, 0]), 100, seed=-1),
+        lambda: simulate_discriminator(0.6, Priors.from_eta1(0.4), shots=100, seed=2**64),
+        lambda: mc_success(2, 0.6, Priors.from_eta1(0.4), trials=100, seed=np.nan),
+        lambda: empirical_mean_density(2, 1, trials=100, seed=1.5),
+        lambda: haar_state(2, 2.5),
+        lambda: haar_state(2, seed=3, stream=-2),
+    ],
+)
+def test_sampling_calls_refuse_bad_seeds_before_any_stream(monkeypatch, call):
+    def no_philox(*args, **kwargs):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(np.random, "Philox", no_philox)
+    with pytest.raises(DomainError):
+        call()
+
 def test_overlap_identity_orthogonal_pair():
     e1, e2 = np.eye(2, dtype=complex)
     result = overlap_identity_check(e1, e2, 2)

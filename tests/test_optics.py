@@ -65,9 +65,8 @@ def test_layer_validation():
 
 def test_discriminator_columns_and_unitarity():
     for omega1 in np.linspace(0.0, np.pi / 2, 7):
-        u3, net = discriminator_network(omega1)
+        u3 = discriminator_network(omega1).unitary()
         np.testing.assert_allclose(u3.conj().T @ u3, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(u3, net.unitary(), atol=1e-12)
         omega2 = omega2_constraint(omega1)
         s1, c1 = np.sin(omega1), np.cos(omega1)
         s2, c2 = np.sin(omega2), np.cos(omega2)
@@ -77,14 +76,14 @@ def test_discriminator_columns_and_unitarity():
 
 def test_discriminator_h_never_hits_d1():
     for omega1 in np.linspace(0.0, np.pi / 2, 9):
-        _, net = discriminator_network(omega1)
+        net = discriminator_network(omega1)
         probs = output_distribution(net, discriminator_port_state("h"))
         assert probs[0] < 1e-24
 
 
 def test_discriminator_failure_probs_at_x2():
     omega1 = omega1_from_x(2.0)
-    _, net = discriminator_network(omega1)
+    net = discriminator_network(omega1)
     probs_g = output_distribution(net, discriminator_port_state("g"))
     probs_h = output_distribution(net, discriminator_port_state("h"))
     assert abs(probs_g[2] - 0.5) < 1e-12
@@ -97,7 +96,7 @@ def test_discriminator_matches_povm_born_rule():
     pairs = build_gh_bases(2)
     g, h = pairs.g[0], pairs.h[0]
     for omega1 in np.linspace(0.0, np.pi / 2, 20):
-        _, net = discriminator_network(omega1)
+        net = discriminator_network(omega1)
         povm = total_povm(2, omega1)
         for which, state in (("g", g), ("h", h)):
             probs = output_distribution(net, discriminator_port_state(which))
@@ -256,7 +255,7 @@ def test_simulate_clicks_balanced_splitter():
 
 def test_simulate_clicks_discriminator_d1_rate():
     omega1 = omega1_from_x(2.0)
-    _, net = discriminator_network(omega1)
+    net = discriminator_network(omega1)
     shots = 100_000
     stats = simulate_clicks(
         net, discriminator_port_state("g"), shots=shots, seed=2, labels=("D1", "D2", "F")
@@ -278,6 +277,26 @@ def test_simulate_clicks_tallies_one_seeded_stream():
     stats = simulate_clicks(net, state, shots=shots, seed=seed)
     assert list(stats.counts.values()) == expected.tolist()
 
+
+
+def test_seeded_stream_keys_are_the_seed_and_stream_words():
+    for seed, stream in ((0, 0), (7, 0), (2**31 - 1, 5), (2**62 + 5, 2**63 - 1)):
+        reference = np.random.Generator(np.random.Philox(key=[seed, stream])).random(4)
+        np.testing.assert_array_equal(optics.seeded_stream(seed, stream).random(4), reference)
+    # Above 2^63 each seed keeps its own stream, up to the last 64-bit word.
+    assert not np.array_equal(optics.seeded_stream(2**63).random(4),
+                              optics.seeded_stream(2**63 + 1).random(4))
+    optics.seeded_stream(2**64 - 1, 2**64 - 1)
+    np.testing.assert_array_equal(optics.seeded_stream(3.0).random(4),
+                                  optics.seeded_stream(3).random(4))
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64, 2.5, np.nan, np.inf, "7", None])
+def test_seeded_stream_rejects_keys_outside_64_bits(bad):
+    with pytest.raises(DomainError):
+        optics.seeded_stream(bad)
+    with pytest.raises(DomainError):
+        optics.seeded_stream(0, bad)
 
 def test_simulate_clicks_deterministic_and_validated():
     net = Interferometer(num_modes=2, layers=(TwoModeLayer(0, 1, omega=0.3),))

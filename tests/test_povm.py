@@ -22,7 +22,7 @@ from qudisc.povm import (
     total_povm,
     x_from_omega1,
 )
-from qudisc.spaces import mean_density_operators
+from qudisc.spaces import mean_density_operators, product_ket
 
 
 def haar_state(n, rng):
@@ -292,6 +292,29 @@ def test_pure_success_matches_expectation(n):
             operator = pure_success_expectation(psi1, psi2, omega1, priors, n)
             assert abs(closed - operator) < 1e-10
 
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cross_checks_match_dense_total_povm(n):
+    """Both cross-checks equal their evaluation on dense total_povm operators."""
+    rng = np.random.Generator(np.random.Philox(key=[37, n]))
+    priors = Priors.from_eta1(0.4)
+    rho1, rho2 = mean_density_operators(n)
+    for omega1 in (0.0, 0.3, omega1_from_x(2.0), 1.1, np.pi / 2):
+        povm = total_povm(n, omega1)
+        dense = clamp_probability(
+            priors.eta1 * np.trace(povm.pi1 @ rho1).real
+            + priors.eta2 * np.trace(povm.pi2 @ rho2).real
+        )
+        assert abs(average_success_trace(n, omega1, priors) - dense) < 1e-14
+        for _ in range(5):
+            psi1, psi2 = haar_state(n, rng), haar_state(n, rng)
+            big1, big2 = product_ket(psi1, psi1, psi2), product_ket(psi1, psi2, psi2)
+            dense = clamp_probability(
+                priors.eta1 * np.vdot(big1, povm.pi1 @ big1).real
+                + priors.eta2 * np.vdot(big2, povm.pi2 @ big2).real
+            )
+            assert abs(pure_success_expectation(psi1, psi2, omega1, priors, n) - dense) < 1e-14
 
 def test_pure_success_dimension_independent():
     priors = Priors.from_eta1(0.3)
