@@ -224,12 +224,13 @@ def _read_amplitudes(path: str) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             parts = line.replace(",", " ").split()
+            where = f"{path} line {number} {line!r}"
+            if len(parts) > 2:
+                raise DomainError(f"{where}: expected one or two values (re [im])")
             try:
-                if len(parts) > 2:
-                    raise ValueError("expected one or two values (re [im])")
-                values.append(complex(*(float(p) for p in parts)))
+                values.append(complex(*map(float, parts)))
             except ValueError as exc:
-                raise DomainError(f"{path} line {number} {line!r}: {exc}") from None
+                raise DomainError(f"{where}: {exc}") from None
     if not values:
         raise DomainError(f"no amplitudes found in {path}")
     return np.array(values, dtype=complex)

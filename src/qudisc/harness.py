@@ -30,8 +30,8 @@ HAAR_BLOCK = 1024
 SCAN_STRIDE = 1000
 
 # Largest dense operator verify_all may build: a complex n^3 x n^3 matrix takes
-# 16 n^6 bytes, so this admits n_max <= 8.  The per-n suite takes about 0.5,
-# 1.3 and 4.2 s at n = 6, 7 and 8 (one BLAS thread on a 2-vCPU x86 VM).
+# 16 n^6 bytes, so this admits n_max <= 8.  The per-n suite takes about 0.4,
+# 1.1 and 3.4 s at n = 6, 7 and 8 (one BLAS thread on a 2-vCPU x86 VM).
 MAX_OPERATOR_BYTES = 4 * 2**20
 
 
@@ -292,7 +292,8 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     # h_perp row equal to g_perp/2 + (sqrt(3)/2) h, the model of pi_k is
     # V (C_k (x) I) V^+ for the 2x2 blocks C_1 = a E_g and C_2 = b E_h of
     # povm.block_povm, and (I - V V^+) + V (C_0 (x) I) V^+ with
-    # C_0 = I - a E_g - b E_h for pi_0; I - V V^+ >= -eps.  Weyl's inequality with ||.||_2 <= ||.||_F gives
+    # C_0 = I - a E_g - b E_h for pi_0; I - V V^+ >= -eps.  Weyl's inequality
+    # with ||.||_2 <= ||.||_F gives
     #   -lambda_min(pi_k) <= ||pi_k - model_k||_F + (1 + eps) max(0, -lambda_min(C_k)),
     # plus eps for pi_0, so the deviation bounds every dense operator's
     # negativity on the grid.  The Frobenius residuals are elementwise work.

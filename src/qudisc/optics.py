@@ -43,22 +43,13 @@ SHOT_BLOCK = 2**16
 MAX_SHOTS = 10**9
 
 
-def _key_word(value, what: str) -> int:
-    """`value` as one 64-bit Philox key word; DomainError unless it is a whole number in [0, 2^64)."""
-    word = check_integer(value, 0, what)
-    if word >= 2**64:
-        raise DomainError(f"{what} must be below 2**64, got {value!r}")
-    return word
-
-
 def seeded_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """The one counter-based Philox stream a sampling call draws from, keyed by (seed, stream).
-
-    Seed and stream are whole numbers in [0, 2^64), the two key words;
-    anything else raises DomainError before a stream is built.
-    """
-    key = np.array([_key_word(seed, "seed"), _key_word(stream, "stream")], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The one counter-based Philox stream a sampling call draws from, keyed by (seed, stream):
+    the two 64-bit key words, whole numbers in [0, 2^64); others raise DomainError."""
+    key = [check_integer(seed, 0, "seed"), check_integer(stream, 0, "stream")]
+    if max(key) >= 2**64:
+        raise DomainError(f"seed and stream must be below 2**64, got {seed!r} and {stream!r}")
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 def _shot_blocks(shots: int, seed: int, width: int):
@@ -185,7 +176,7 @@ def discriminator_network(omega1: float) -> Interferometer:
     splitters: the first couples the g_perp port to the vacuum port at
     omega1, the second couples the h port to the vacuum port at omega2.
 
-    In these bases the columns of its unitary U3 are
+    In these bases the columns are
 
         U3 e_gperp = (-sin w1, cos w1 cos w2, -cos w1 sin w2)
         U3 e_h     = (0, sin w2, cos w2)
@@ -194,8 +185,7 @@ def discriminator_network(omega1: float) -> Interferometer:
     fixed by the no-click condition: injecting the superposition
     (sqrt(3)/2) g_perp - (1/2) h must produce zero amplitude at D2, which
     forces sin w2 = +sqrt(3) cos w1 cos w2 in this column convention.  The
-    Born probabilities then reproduce the expectations of
-    :func:`qudisc.povm.block_povm` exactly.
+    Born probabilities then reproduce the povm.block_povm expectations exactly.
     """
     omega1 = check_omega1(omega1)
     omega2 = omega2_constraint(omega1)

@@ -1,10 +1,8 @@
 """Detection operators and success probabilities of the discriminator.
 
-The measurement is defined once, on a Jordan block span(g_perp_i, h_i): in
-the block's orthonormal (g_perp, h) frame, :func:`block_povm` holds the three
-2x2 detection operators, weighted by :func:`detection_weights`, and
-:func:`total_povm` lifts that block onto all i0 blocks of the three-register
-space.
+On each Jordan block span(g_perp_i, h_i) the measurement is :func:`block_povm`,
+written in the block's orthonormal (g_perp, h) frame; :func:`total_povm` lifts
+it onto all i0 blocks of the three-register space.
 
 The measurement family has one free angle omega1 in [0, pi/2].  With
 x = 1 + 3 cos^2(omega1) in [1, 4], the per-subspace success probability is
@@ -132,12 +130,9 @@ def detection_weights(omega1: float) -> tuple[float, float]:
 
 
 def block_povm(omega1: float) -> np.ndarray:
-    """The (3, 2, 2) detection operators of one Jordan block in its (g_perp, h) frame.
-
-    a E_g, b E_h and I - a E_g - b E_h, with E_g and E_h the projectors onto
-    g_perp = (1, 0) and h_perp = (1/2, sqrt(3)/2); g = (sqrt(3)/2, -1/2) and
-    h = (0, 1) in the same frame.
-    """
+    """(a E_g, b E_h, I - a E_g - b E_h) on one Jordan block, in its (g_perp, h) frame:
+    E_g and E_h project onto g_perp = (1, 0) and h_perp = (1/2, sqrt(3)/2), and
+    g = (sqrt(3)/2, -1/2), h = (0, 1)."""
     a, b = detection_weights(omega1)
     e_g = np.diag([1.0, 0.0])
     e_h = np.array([[0.25, np.sqrt(3.0) / 4.0], [np.sqrt(3.0) / 4.0, 0.75]])
@@ -238,10 +233,7 @@ def optimal_pure(overlap_sq: float, priors: Priors) -> RegimeResult:
 
 
 def average_success_trace(n: int, omega1: float, priors: Priors) -> float:
-    """Operator-level evaluation of :func:`average_success` (cross-check).
-
-    eta1 Tr(pi1 rho1) + eta2 Tr(pi2 rho2), with each trace taken elementwise.
-    """
+    """Operator-level evaluation of :func:`average_success` (cross-check)."""
     proj_g, proj_h = _reciprocal_projectors(check_dimension(n))
     a, b = detection_weights(omega1)
     rho1, rho2 = mean_density_operators(n)
@@ -253,10 +245,7 @@ def average_success_trace(n: int, omega1: float, priors: Priors) -> float:
 def pure_success_expectation(
     psi1: np.ndarray, psi2: np.ndarray, omega1: float, priors: Priors, n: int
 ) -> float:
-    """Operator-level evaluation of :func:`pure_success` (cross-check).
-
-    eta1 <psi1 psi1 psi2|pi1|psi1 psi1 psi2> + eta2 <psi1 psi2 psi2|pi2|psi1 psi2 psi2>.
-    """
+    """Operator-level evaluation of :func:`pure_success` (cross-check)."""
     proj_g, proj_h = _reciprocal_projectors(check_dimension(n))
     a, b = detection_weights(omega1)
     big1 = product_ket(psi1, psi1, psi2)
