@@ -31,7 +31,6 @@ from .errors import ContractError, DomainError
 from .povm import Priors, check_omega1, omega2_constraint, success_curve_x, x_from_omega1
 from .spaces import TAU_NORM, check_integer
 
-_ANGLE_FORMAT = "{:.17g}"
 # Values after the keyword of each network-file line.
 _LINE_FIELDS = {"MODES": 1, "BS": 5, "PHASE": 2}
 
@@ -64,15 +63,17 @@ def _shot_blocks(shots: int, seed: int, width: int):
             for start in range(0, shots, SHOT_BLOCK))
 
 
-def two_mode_unitary(omega: float, phi: float, theta: float) -> np.ndarray:
-    """The 2x2 block realized by one four-port interferometer."""
+def two_mode_unitary(
+    omega: float | np.ndarray, phi: float | np.ndarray, theta: float | np.ndarray
+) -> np.ndarray:
+    """The 2x2 block realized by one four-port interferometer.
+
+    Given arrays of angles, one block per entry, on the last two axes.
+    """
     s, c = np.sin(omega), np.cos(omega)
-    return np.array(
-        [
-            [s * np.exp(1j * phi), c * np.exp(1j * phi)],
-            [c * np.exp(1j * theta), -s * np.exp(1j * theta)],
-        ]
-    )
+    e_phi, e_theta = np.exp(1j * phi), np.exp(1j * theta)
+    rows = (np.stack([s * e_phi, c * e_phi], -1), np.stack([c * e_theta, -s * e_theta], -1))
+    return np.stack(rows, -2)
 
 
 @dataclass(frozen=True)
@@ -117,23 +118,44 @@ class Interferometer:
                 raise DomainError("layer modes outside the network")
 
     def unitary(self) -> np.ndarray:
+        """The network unitary, composed in wavefronts of commuting layers.
+
+        Layers are taken in application order (last listed first), and each
+        gets depth 1 + the larger depth reached so far on its two modes.  The
+        layers of one depth act on disjoint modes, and every mode meets its
+        layers in order, so each depth is applied as one batched product of
+        its 2x2 blocks with the rows they act on.  This holds for any layer
+        order; the result equals layer-by-layer composition bit for bit.
+        """
         mat = np.diag(np.exp(1j * np.asarray(self.phases)))
-        for layer in reversed(self.layers):
-            rows = [layer.mode_a, layer.mode_b]
-            mat[rows] = two_mode_unitary(layer.omega, layer.phi, layer.theta) @ mat[rows]
+        if not self.layers:
+            return mat
+        applied = self.layers[::-1]
+        pairs = [(layer.mode_a, layer.mode_b) for layer in applied]
+        omega, phi, theta = np.array(
+            [(layer.omega, layer.phi, layer.theta) for layer in applied], dtype=float
+        ).T
+        blocks = two_mode_unitary(omega, phi, theta)
+        reached = [0] * self.num_modes  # depth of the last layer on each mode
+        groups: list[list[int]] = []  # layer indices, one list per depth
+        for index, (a, b) in enumerate(pairs):
+            depth = max(reached[a], reached[b])
+            reached[a] = reached[b] = depth + 1
+            if depth == len(groups):
+                groups.append([])
+            groups[depth].append(index)
+        modes = np.array(pairs)
+        for group in groups:
+            rows = modes[group]
+            mat[rows] = blocks[group] @ mat[rows]
         return mat
 
     def to_text(self) -> str:
         """Serialize as BS lines followed by PHASE lines (1-based modes)."""
         lines = [f"MODES {self.num_modes}"]
-        for layer in self.layers:
-            angles = " ".join(
-                _ANGLE_FORMAT.format(v) for v in (layer.omega, layer.phi, layer.theta)
-            )
-            lines.append(f"BS {layer.mode_a + 1} {layer.mode_b + 1} {angles}")
-        for mode, phase in enumerate(self.phases):
-            if phase != 0.0:
-                lines.append(f"PHASE {mode + 1} {_ANGLE_FORMAT.format(phase)}")
+        lines += [f"BS {layer.mode_a + 1} {layer.mode_b + 1} {layer.omega:.17g} "
+                  f"{layer.phi:.17g} {layer.theta:.17g}" for layer in self.layers]
+        lines += [f"PHASE {m + 1} {p:.17g}" for m, p in enumerate(self.phases) if p != 0.0]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -154,7 +176,7 @@ class Interferometer:
                     num_modes = int(values[0])
                 elif kind == "BS":
                     a, b = int(values[0]) - 1, int(values[1]) - 1
-                    layers.append(TwoModeLayer(a, b, *(float(v) for v in values[2:])))
+                    layers.append(TwoModeLayer(a, b, *map(float, values[2:])))
                 elif kind == "PHASE" and int(values[0]) - 1 not in phases:
                     phases[int(values[0]) - 1] = float(values[1])
                 else:
@@ -215,6 +237,13 @@ def reck_decompose(matrix: np.ndarray) -> Interferometer:
     strict lower triangle column by column (pivot row = diagonal row); the
     surviving diagonal becomes the input phase layer.  Emits at most
     N(N-1)/2 layers; entries that are already zero are skipped.
+
+    Step (col, row) reads and writes rows col and row only, so the steps
+    with one value of t = col + row act on disjoint rows, and each row meets
+    its steps in order of t as it does column by column.  The steps run as
+    wavefronts t = 1 .. 2N-3, each one gathered update of its rows; the
+    layers are emitted in (col, row) order, the same layers with the same
+    angles as a column-by-column elimination.
     """
     mat = np.array(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
@@ -223,20 +252,34 @@ def reck_decompose(matrix: np.ndarray) -> Interferometer:
     if not (np.isfinite(mat).all() and np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= 1e-8):
         raise ContractError("input matrix is not unitary")
 
-    layers: list[TwoModeLayer] = []
-    for col in range(dim - 1):
-        for row in range(col + 1, dim):
-            if abs(mat[row, col]) <= 1e-14:
-                continue
-            phi = float(np.angle(mat[col, col]))
-            theta = float(np.angle(mat[row, col]))
-            omega = float(np.arctan2(abs(mat[col, col]), abs(mat[row, col])))
-            s, c = np.sin(omega), np.cos(omega)
-            top = s * np.exp(-1j * phi) * mat[col] + c * np.exp(-1j * theta) * mat[row]
-            bot = c * np.exp(-1j * phi) * mat[col] - s * np.exp(-1j * theta) * mat[row]
-            mat[col], mat[row] = top, bot
-            layers.append(TwoModeLayer(col, row, omega=omega, phi=phi, theta=theta))
+    # angles[:, col, row] = (omega, phi, theta) of step (col, row), if kept.
+    angles = np.zeros((3, dim, dim))
+    kept = np.zeros((dim, dim), dtype=bool)
+    for t in range(1, 2 * dim - 2):
+        cols = np.arange(max(0, t - dim + 1), (t + 1) // 2)
+        rows = t - cols
+        pivot, target = mat[cols, cols], mat[rows, cols]
+        # hypot, not np.abs: it matches the scalar abs() bit for bit.
+        size = np.hypot(target.real, target.imag)
+        keep = size > 1e-14
+        cols, rows, pivot, target, size = (v[keep] for v in (cols, rows, pivot, target, size))
+        if not cols.size:
+            continue
+        phi, theta = np.angle(pivot), np.angle(target)
+        omega = np.arctan2(np.hypot(pivot.real, pivot.imag), size)
+        s, c = np.sin(omega), np.cos(omega)
+        e_phi, e_theta = np.exp(-1j * phi)[:, None], np.exp(-1j * theta)[:, None]
+        top, bot = mat[cols], mat[rows]
+        mat[cols] = s[:, None] * e_phi * top + c[:, None] * e_theta * bot
+        mat[rows] = c[:, None] * e_phi * top - s[:, None] * e_theta * bot
+        angles[:, cols, rows] = omega, phi, theta
+        kept[cols, rows] = True
 
+    cols, rows = np.nonzero(kept)  # in (col, row) order
+    layers = [
+        TwoModeLayer(col, row, *step)
+        for col, row, step in zip(cols.tolist(), rows.tolist(), zip(*angles[:, kept].tolist()))
+    ]
     phases = tuple(float(a) for a in np.angle(np.diag(mat)))
     phases = tuple(0.0 if abs(a) < 1e-14 else a for a in phases)
     return Interferometer(num_modes=dim, layers=tuple(layers), phases=phases)

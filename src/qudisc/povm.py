@@ -248,6 +248,7 @@ def pure_success_expectation(
     """Operator-level evaluation of :func:`pure_success` (cross-check)."""
     proj_g, proj_h = _reciprocal_projectors(check_dimension(n))
     a, b = detection_weights(omega1)
+    psi1, psi2 = check_unit_state(psi1, n), check_unit_state(psi2, n)
     big1 = product_ket(psi1, psi1, psi2)
     big2 = product_ket(psi1, psi2, psi2)
     value = (priors.eta1 * a * np.vdot(big1, proj_g @ big1).real

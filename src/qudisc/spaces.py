@@ -24,6 +24,8 @@ TAU_RANK = 1e-8
 
 def check_integer(value, low: int, what: str) -> int:
     """`value` as an int; DomainError unless it is a whole number >= low (NaN and inf are not)."""
+    if type(value) is int and value >= low:  # the common case, without the ABC checks
+        return value
     whole = isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer()
     )

@@ -38,10 +38,12 @@ def test_two_mode_unitary_special_values():
 
 def test_two_mode_unitary_is_unitary():
     rng = np.random.Generator(np.random.Philox(key=3))
-    for _ in range(20):
-        omega, phi, theta = rng.uniform(0, 2 * np.pi, size=3)
+    angles = rng.uniform(0, 2 * np.pi, size=(20, 3))
+    stacked = two_mode_unitary(*angles.T)  # one block per row of angles
+    for (omega, phi, theta), from_stack in zip(angles, stacked):
         block = two_mode_unitary(omega, phi, theta)
         np.testing.assert_allclose(block.conj().T @ block, np.eye(2), atol=1e-12)
+        assert np.array_equal(from_stack, block)
 
 
 def test_layer_validation():
@@ -194,6 +196,91 @@ def test_text_round_trips_on_random_networks():
         phases = tuple(rng.uniform(-7, 7, modes) * (rng.random(modes) < 0.5))
         net = Interferometer(num_modes=modes, layers=layers, phases=phases)
         assert Interferometer.from_text(net.to_text()) == net
+
+
+def _reck_column_by_column(matrix):
+    """Reference: the column-by-column elimination, one step at a time."""
+    mat = np.array(matrix, dtype=complex)
+    dim = mat.shape[0]
+
+    layers: list[TwoModeLayer] = []
+    for col in range(dim - 1):
+        for row in range(col + 1, dim):
+            if abs(mat[row, col]) <= 1e-14:
+                continue
+            phi = float(np.angle(mat[col, col]))
+            theta = float(np.angle(mat[row, col]))
+            omega = float(np.arctan2(abs(mat[col, col]), abs(mat[row, col])))
+            s, c = np.sin(omega), np.cos(omega)
+            top = s * np.exp(-1j * phi) * mat[col] + c * np.exp(-1j * theta) * mat[row]
+            bot = c * np.exp(-1j * phi) * mat[col] - s * np.exp(-1j * theta) * mat[row]
+            mat[col], mat[row] = top, bot
+            layers.append(TwoModeLayer(col, row, omega=omega, phi=phi, theta=theta))
+
+    phases = tuple(float(a) for a in np.angle(np.diag(mat)))
+    phases = tuple(0.0 if abs(a) < 1e-14 else a for a in phases)
+    return Interferometer(num_modes=dim, layers=tuple(layers), phases=phases)
+
+
+def _reck_equivalence_targets():
+    for dim in range(1, 13):
+        for seed in range(3):
+            yield random_unitary(dim, np.random.Generator(np.random.Philox(key=[7100 + dim, seed])))
+    yield np.eye(5)
+    yield np.eye(6)[[3, 0, 5, 1, 4, 2]]
+    block = np.zeros((6, 6), dtype=complex)  # exact zeros below the diagonal: skipped steps
+    rng = np.random.Generator(np.random.Philox(key=72))
+    block[:3, :3] = random_unitary(3, rng)
+    block[3:5, 3:5] = two_mode_unitary(0.4, 1.0, -2.0)
+    block[5, 5] = np.exp(0.3j)
+    yield block
+    yield block[::-1]
+    # Entries below 1e-14 but not zero: the tiny ones skipped, the rest kept.
+    near_diagonal = two_mode_unitary(np.pi / 2 - 5e-15, 0.2, 0.0)
+    yield np.kron(near_diagonal, random_unitary(3, rng))
+    yield two_mode_unitary(0.6, 0.0, 0.0)
+
+
+def test_reck_wavefronts_match_column_by_column_elimination():
+    """The wavefront schedule emits the same network text as one step at a time."""
+    for target in _reck_equivalence_targets():
+        expected = _reck_column_by_column(target).to_text()
+        assert reck_decompose(target).to_text() == expected
+
+
+def _unitary_layer_by_layer(net):
+    """Reference: one 2x2 block product per layer, last listed layer first."""
+    mat = np.diag(np.exp(1j * np.asarray(net.phases)))
+    for layer in reversed(net.layers):
+        s, c = np.sin(layer.omega), np.cos(layer.omega)
+        block = np.array(
+            [
+                [s * np.exp(1j * layer.phi), c * np.exp(1j * layer.phi)],
+                [c * np.exp(1j * layer.theta), -s * np.exp(1j * layer.theta)],
+            ]
+        )
+        rows = [layer.mode_a, layer.mode_b]
+        mat[rows] = block @ mat[rows]
+    return mat
+
+
+def test_unitary_depth_batches_match_layer_by_layer_on_any_order():
+    rng = np.random.Generator(np.random.Philox(key=73))
+    nets = []
+    for _ in range(200):
+        modes = int(rng.integers(2, 10))
+        pairs = [rng.choice(modes, 2, replace=False) for _ in range(int(rng.integers(0, 31)))]
+        if len(pairs) > 2:
+            pairs[-1] = pairs[0]  # a repeated pair
+        layers = tuple(TwoModeLayer(int(a), int(b), *rng.uniform(-7, 7, 3)) for a, b in pairs)
+        phases = tuple(rng.uniform(-7, 7, modes) * (rng.random(modes) < 0.7))
+        nets.append(Interferometer(num_modes=modes, layers=layers, phases=phases))
+    nets += [discriminator_network(omega1) for omega1 in (0.0, 0.3, omega1_from_x(2.0), 1.5)]
+    for n in (2, 3, 9, 17):
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        nets.append(prepare_state_network(amps / np.linalg.norm(amps), n))
+    for net in nets:
+        assert np.array_equal(net.unitary(), _unitary_layer_by_layer(net))
 
 
 def test_prepare_basis_vector_is_identity_network():

@@ -293,6 +293,19 @@ def test_pure_success_matches_expectation(n):
             assert abs(closed - operator) < 1e-10
 
 
+def test_pure_success_expectation_validates_states():
+    """Like pure_success, the cross-check refuses what is not a unit state of length n."""
+    priors = Priors.from_eta1(0.5)
+    e1, e2 = np.eye(2, dtype=complex)
+    for psi1, psi2 in (
+        (1.2 * e1, e2),  # not normalized: it used to evaluate to 0.521
+        (e1, np.ones(3) / np.sqrt(3)),  # length 3 at n = 2
+        (np.array([np.nan, 0.0]), e2),
+        (e1, np.array([np.nan, 0.0])),
+    ):
+        with pytest.raises(ContractError):
+            pure_success_expectation(psi1, psi2, 0.7, priors, 2)
+
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_cross_checks_match_dense_total_povm(n):

@@ -7,6 +7,7 @@ from qudisc.errors import DomainError
 from qudisc.spaces import (
     basis_ket,
     check_dimension,
+    check_integer,
     constructive_dimension_table,
     dimension_table,
     expand_u3,
@@ -49,6 +50,35 @@ def test_flatten_index_rejects_out_of_range():
     for bad in ((1, 3, 1), (1, 1.5, 1), (np.nan, 1, 1), (1, 1, np.inf)):
         with pytest.raises(DomainError):
             flatten_index(bad, 2)
+
+
+@pytest.mark.parametrize(
+    "value, low, expected",
+    [
+        (3, 0, 3),
+        (np.int64(3), 0, 3),
+        (True, 0, 1),
+        (3.0, 0, 3),
+        (2.5, 0, None),
+        (float("nan"), 0, None),
+        (float("inf"), 0, None),
+        ("3", 0, None),
+        (None, 0, None),
+        (3, 4, None),
+        (np.int64(3), 4, None),
+        (-1, 0, None),
+        (True, 2, None),
+        (2**70, 0, 2**70),
+    ],
+)
+def test_check_integer_semantics(value, low, expected):
+    """Which values check_integer accepts, and the plain int it returns for them."""
+    if expected is None:
+        with pytest.raises(DomainError):
+            check_integer(value, low, "value")
+    else:
+        got = check_integer(value, low, "value")
+        assert got == expected and type(got) is int
 
 
 def _permutation_operator_loop(perm, n):
