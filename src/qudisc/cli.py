@@ -37,6 +37,10 @@ from .povm import (
 )
 from .spaces import dimension_table
 
+# Most grid points `scan` accepts: at some 13 microseconds per printed row this
+# is about two minutes of output, and the grid itself takes 80 MB.
+MAX_SCAN_STEPS = 10**7
+
 
 def _format_number(value) -> str:
     if isinstance(value, bool):
@@ -143,6 +147,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.steps > MAX_SCAN_STEPS:
+        raise DomainError(f"steps must not exceed {MAX_SCAN_STEPS}, got {args.steps}")
     priors = _priors_from_eta1(args.eta1, open_interval=True)
     points = max(args.steps, 2)
     xs = np.linspace(1.0, 4.0, points)

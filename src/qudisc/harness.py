@@ -220,7 +220,7 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
                "two- and three-fold symmetric bases have identity Gram matrices")
 
     swap = spaces.permutation_operator((1, 0), n)
-    p_sigma = spaces.symmetric_projector(n, factors=2)
+    p_sigma = spaces.symmetric_projector(n)
     dev = np.abs(p_sigma - (np.eye(n * n) + swap) / 2).max()
     dev = max(dev, np.abs(p_sigma @ p_sigma - p_sigma).max())
     report.add("symmetric_projector", scope, dev, tol.op,
@@ -242,13 +242,12 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     report.add("mean_densities_are_states", scope, dev, tol.tight,
                "averaged inputs are unit-trace positive operators")
 
-    bases = {"S1": spaces.s1_product_basis(n), "S2": spaces.s2_product_basis(n)}
+    s1_rows, s2_rows = spaces.s1_product_basis(n), spaces.s2_product_basis(n)
     dev = 0.0
-    for side, rows in bases.items():
-        for triple in spaces.triple_labels(n):
-            vec = spaces.expand_u3(n, triple, side) @ rows
-            target = sym3[spaces.triple_labels(n).index(triple)]
-            dev = max(dev, np.linalg.norm(vec - target))
+    for triple, target in zip(spaces.triple_labels(n), sym3):
+        coeffs = spaces.expand_u3(n, triple)
+        dev = max(dev, np.linalg.norm(coeffs @ s1_rows - target),
+                  np.linalg.norm(coeffs @ s2_rows - target))
     report.add("symmetric_vector_expansions", scope, dev, tol.tight,
                "product-basis expansions reconstruct the symmetric vectors")
 
@@ -279,13 +278,14 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     p0 = spaces.projector_from_rows(sym3)
     dev = max(
         np.abs(p0 + spaces.projector_from_rows(pairs.g)
-               - spaces.projector_from_rows(bases["S1"])).max(),
+               - spaces.projector_from_rows(s1_rows)).max(),
         np.abs(p0 + spaces.projector_from_rows(pairs.h)
-               - spaces.projector_from_rows(bases["S2"])).max(),
+               - spaces.projector_from_rows(s2_rows)).max(),
     )
     report.add("complement_spans", scope, dev, tol.op,
                "g (resp. h) dyads complete the symmetric projector to S1 (resp. S2)")
-    del op, rho1_j, rho2_j, p0, bases  # the dense per-n temporaries the loop below does not use
+    # The dense per-n temporaries the loop below does not use.
+    del op, rho1_j, rho2_j, p0, s1_rows, s2_rows
 
     # Positivity is certified on the Jordan blocks, not by dense eigensolves.
     # With V the columns of Q = [g_perp; h], eps = ||Q Q^+ - I||_2 and each

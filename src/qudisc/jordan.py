@@ -5,7 +5,8 @@ admit explicit orthonormal bases {g_i} and {h_i} whose cross overlaps are
 diagonal with constant value -1/2.  Diagonal cross overlaps are exactly the
 canonical (Jordan) basis condition, so each pair (g_i, h_i) spans its own
 two-dimensional subspace T_i and the discrimination problem splits over the
-T_i independently.
+T_i independently.  h_i is g_i with registers A and C exchanged: the
+exchange maps S1 onto S2 and fixes the fully symmetric subspace.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .spaces import (
     check_dimension,
     basis_ket,
     dimension_table,
+    exchange_ac,
     projector_from_rows,
     symmetric_basis_3,
 )
@@ -92,10 +94,7 @@ def _build_gh_bases(n: int) -> JordanPairSet:
     def pair_with_c(i: int, j: int, k: int) -> np.ndarray:
         return np.kron(_sym_pair_ket(i, j, n), eye[k - 1])
 
-    def a_with_pair(i: int, j: int, k: int) -> np.ndarray:
-        return np.kron(eye[i - 1], _sym_pair_ket(j, k, n))
-
-    g_rows, h_rows, labels = [], [], []
+    g_rows, labels = [], []
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             for k in range(j, n + 1):
@@ -103,31 +102,22 @@ def _build_gh_bases(n: int) -> JordanPairSet:
                     continue
                 if i == j:
                     g_rows.append(c1 * pair_with_c(i, k, i) - c2 * basis_ket((i, i, k), n))
-                    h_rows.append(c1 * a_with_pair(i, i, k) - c2 * basis_ket((k, i, i), n))
                     labels.append((CASE_LOW, (i, j, k)))
                 elif j == k:
                     g_rows.append(c1 * pair_with_c(i, j, j) - c2 * basis_ket((j, j, i), n))
-                    h_rows.append(c1 * a_with_pair(j, i, j) - c2 * basis_ket((i, j, j), n))
                     labels.append((CASE_HIGH, (i, j, k)))
                 else:
                     g_rows.append(
                         a * pair_with_c(i, j, k) - b * pair_with_c(i, k, j) + c * pair_with_c(j, k, i)
                     )
-                    h_rows.append(
-                        a * a_with_pair(k, i, j) - b * a_with_pair(j, i, k) + c * a_with_pair(i, j, k)
-                    )
                     labels.append((CASE_DISTINCT, (i, j, k)))
                     g_rows.append(
                         a * pair_with_c(i, k, j) - b * pair_with_c(i, j, k) + c * pair_with_c(j, k, i)
                     )
-                    h_rows.append(
-                        a * a_with_pair(j, i, k) - b * a_with_pair(k, i, j) + c * a_with_pair(i, j, k)
-                    )
                     labels.append((CASE_DISTINCT_PRIMED, (i, j, k)))
 
-    pair_set = JordanPairSet(
-        n=n, g=np.array(g_rows), h=np.array(h_rows), labels=tuple(labels)
-    )
+    g = np.array(g_rows)
+    pair_set = JordanPairSet(n=n, g=g, h=exchange_ac(g, n), labels=tuple(labels))
     assert len(pair_set) == dimension_table(n).i0
     return pair_set
 

@@ -132,13 +132,18 @@ def projector_from_rows(rows: np.ndarray) -> np.ndarray:
     return rows.T @ rows.conj()
 
 
-def symmetric_projector(n: int, factors: int = 2) -> np.ndarray:
-    """Projector onto the symmetric subspace of 2 or 3 tensor factors."""
-    if factors == 2:
-        return projector_from_rows(symmetric_basis_2(n))
-    if factors == 3:
-        return projector_from_rows(symmetric_basis_3(n))
-    raise DomainError(f"factors must be 2 or 3, got {factors}")
+def exchange_ac(rows: np.ndarray, n: int) -> np.ndarray:
+    """Stacked n^3 row vectors with registers A and C exchanged.
+
+    The tensor transpose permutes entries, so it is exact, and it is its own
+    inverse.  It maps S1 onto S2, and fixes every three-fold symmetric vector.
+    """
+    return rows.reshape(-1, n, n, n).transpose(0, 3, 2, 1).reshape(rows.shape)
+
+
+def symmetric_projector(n: int) -> np.ndarray:
+    """Projector onto the two-fold symmetric subspace."""
+    return projector_from_rows(symmetric_basis_2(n))
 
 
 def mean_density_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +155,7 @@ def mean_density_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     check_dimension(n)
     weight = 2.0 / (n**2 * (n + 1))
-    p_sigma = symmetric_projector(n, factors=2)
+    p_sigma = symmetric_projector(n)
     eye = np.eye(n, dtype=complex)
     rho1 = weight * np.kron(p_sigma, eye)
     rho2 = weight * np.kron(eye, p_sigma)
@@ -209,11 +214,11 @@ def s1_product_basis(n: int) -> np.ndarray:
 def s2_product_basis(n: int) -> np.ndarray:
     """Orthonormal basis of S2: A label tensored with symmetric BC pairs.
 
-    Row order: A label major, pair index (lexicographic) minor.
+    Row m is row m of :func:`s1_product_basis` with registers A and C
+    exchanged, so the row order is pair index (lexicographic) major, A label
+    minor.
     """
-    sym2 = symmetric_basis_2(n)
-    eye = np.eye(n)
-    return np.array([np.kron(eye[a], u) for a in range(n) for u in sym2])
+    return exchange_ac(s1_product_basis(n), n)
 
 
 def _svd_rank(rows: np.ndarray) -> int:
@@ -231,10 +236,10 @@ def constructive_dimension_table(n: int) -> DimensionTable:
     p1 = projector_from_rows(b1)
     p2 = projector_from_rows(b2)
 
-    stacked = np.vstack([b1, b2])
-    s3 = _svd_rank(stacked)
-    vh = np.linalg.svd(stacked)[2]
+    _, singular, vh = np.linalg.svd(np.vstack([b1, b2]), full_matrices=False)
+    s3 = int((singular > TAU_RANK).sum())
     p3 = projector_from_rows(vh[:s3])
+    s4 = _svd_rank(p1 - p0)
 
     return DimensionTable(
         n=n,
@@ -243,10 +248,10 @@ def constructive_dimension_table(n: int) -> DimensionTable:
         s1=_svd_rank(b1),
         s2=_svd_rank(b2),
         s3=s3,
-        s4=_svd_rank(p1 - p0),
+        s4=s4,
         s5=_svd_rank(p2 - p0),
         s6=_svd_rank(p3 - p0),
-        i0=_svd_rank(p1 - p0),
+        i0=s4,
     )
 
 
@@ -254,54 +259,38 @@ def _pair_index(i: int, j: int, n: int) -> int:
     return pair_labels(n).index((min(i, j), max(i, j)))
 
 
-def expand_u3(n: int, triple: tuple[int, int, int], side: str) -> np.ndarray:
-    """Coefficients of a three-fold symmetric basis vector over S1 or S2.
+def expand_u3(n: int, triple: tuple[int, int, int]) -> np.ndarray:
+    """Coefficients of a three-fold symmetric basis vector over S1 and S2.
 
-    For side "S1" the coefficients refer to :func:`s1_product_basis` order,
-    for side "S2" to :func:`s2_product_basis` order.  Triples must satisfy
-    i <= j <= k; the fully repeated triple i = j = k expands trivially to a
-    single product basis vector.
+    The coefficients refer to :func:`s1_product_basis` order.  The vector is
+    fixed by the A<->C exchange that takes each S1 row to the S2 row of the
+    same index, so the same coefficients expand it over
+    :func:`s2_product_basis`.  Triples must satisfy i <= j <= k; the fully
+    repeated triple i = j = k expands trivially to a single product basis
+    vector.
     """
     check_dimension(n)
     i, j, k = triple
     if not (1 <= i <= j <= k <= n):
         raise DomainError(f"triple {triple} is not ordered within 1..{n}")
-    if side not in ("S1", "S2"):
-        raise DomainError(f"side must be 'S1' or 'S2', got {side!r}")
 
     npairs = n * (n + 1) // 2
     coeffs = np.zeros(npairs * n, dtype=complex)
     c_major = np.sqrt(2.0 / 3.0)
     c_minor = np.sqrt(1.0 / 3.0)
 
-    def s1_slot(pair: tuple[int, int], c_label: int) -> int:
+    def slot(pair: tuple[int, int], c_label: int) -> int:
         return _pair_index(*pair, n) * n + (c_label - 1)
 
-    def s2_slot(a_label: int, pair: tuple[int, int]) -> int:
-        return (a_label - 1) * npairs + _pair_index(*pair, n)
-
-    if side == "S1":
-        if i == j == k:
-            coeffs[s1_slot((i, i), i)] = 1.0
-        elif i == j:
-            coeffs[s1_slot((i, k), i)] = c_major
-            coeffs[s1_slot((i, i), k)] = c_minor
-        elif j == k:
-            coeffs[s1_slot((i, j), j)] = c_major
-            coeffs[s1_slot((j, j), i)] = c_minor
-        else:
-            for pair, c in (((i, j), k), ((i, k), j), ((j, k), i)):
-                coeffs[s1_slot(pair, c)] = c_minor
+    if i == j == k:
+        coeffs[slot((i, i), i)] = 1.0
+    elif i == j:
+        coeffs[slot((i, k), i)] = c_major
+        coeffs[slot((i, i), k)] = c_minor
+    elif j == k:
+        coeffs[slot((i, j), j)] = c_major
+        coeffs[slot((j, j), i)] = c_minor
     else:
-        if i == j == k:
-            coeffs[s2_slot(i, (i, i))] = 1.0
-        elif i == j:
-            coeffs[s2_slot(i, (i, k))] = c_major
-            coeffs[s2_slot(k, (i, i))] = c_minor
-        elif j == k:
-            coeffs[s2_slot(j, (i, j))] = c_major
-            coeffs[s2_slot(i, (j, j))] = c_minor
-        else:
-            for a, pair in ((k, (i, j)), (j, (i, k)), (i, (j, k))):
-                coeffs[s2_slot(a, pair)] = c_minor
+        for pair, c in (((i, j), k), ((i, k), j), ((j, k), i)):
+            coeffs[slot(pair, c)] = c_minor
     return coeffs

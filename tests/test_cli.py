@@ -135,6 +135,17 @@ def test_scan_degenerate_grid(capsys):
     assert [row.split(",")[1] for row in rows] == ["1", "4"]
 
 
+@pytest.mark.parametrize("steps", [cli.MAX_SCAN_STEPS + 1, 10**9])
+def test_scan_refuses_too_many_steps(capsys, monkeypatch, steps):
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    code, out, err = run_cli(capsys, "scan", "--n", "2", "--eta1", "0.5", "--steps", str(steps))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "must not exceed" in err
+
+
 def test_scan_rejects_degenerate_priors(capsys):
     code, _, err = run_cli(capsys, "scan", "--n", "2", "--eta1", "1.0")
     assert code == 2

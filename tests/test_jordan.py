@@ -18,6 +18,7 @@ from qudisc.spaces import (
     s1_product_basis,
     s2_product_basis,
     symmetric_basis_3,
+    triple_labels,
 )
 
 
@@ -34,6 +35,54 @@ def test_qubit_g_vector_explicit():
         2 / 3
     ) * basis_ket((1, 1, 2), 2)
     np.testing.assert_allclose(pairs.g[0], expected, atol=1e-15)
+
+
+def test_qubit_h_vector_explicit():
+    pairs = build_gh_bases(2)
+    sym_12 = (basis_ket((1, 2), 2) + basis_ket((2, 1), 2)) / np.sqrt(2)
+    expected = np.sqrt(1 / 3) * np.kron(np.eye(2)[0], sym_12) - np.sqrt(
+        2 / 3
+    ) * basis_ket((2, 1, 1), 2)
+    np.testing.assert_allclose(pairs.h[0], expected, atol=1e-15)
+
+
+def _h_rows_by_formula(n):
+    """The h family written out case by case: A label with a symmetric BC pair."""
+    eye = np.eye(n)
+    c1, c2 = np.sqrt(1.0 / 3.0), np.sqrt(2.0 / 3.0)
+    a = (3.0 - np.sqrt(3.0)) / 6.0
+    b = (3.0 + np.sqrt(3.0)) / 6.0
+    c = np.sqrt(3.0) / 3.0
+
+    def sym_pair(i, j):
+        if i == j:
+            return basis_ket((i, i), n)
+        return (basis_ket((i, j), n) + basis_ket((j, i), n)) / np.sqrt(2)
+
+    def a_with_pair(i, j, k):
+        return np.kron(eye[i - 1], sym_pair(j, k))
+
+    rows = []
+    for i, j, k in triple_labels(n):
+        if i == j == k:
+            continue
+        if i == j:
+            rows.append(c1 * a_with_pair(i, i, k) - c2 * basis_ket((k, i, i), n))
+        elif j == k:
+            rows.append(c1 * a_with_pair(j, i, j) - c2 * basis_ket((i, j, j), n))
+        else:
+            rows.append(
+                a * a_with_pair(k, i, j) - b * a_with_pair(j, i, k) + c * a_with_pair(i, j, k)
+            )
+            rows.append(
+                a * a_with_pair(j, i, k) - b * a_with_pair(k, i, j) + c * a_with_pair(i, j, k)
+            )
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_h_family_is_the_case_formulas(n):
+    assert np.array_equal(build_gh_bases(n).h, _h_rows_by_formula(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -10,12 +10,14 @@ from qudisc.spaces import (
     check_integer,
     constructive_dimension_table,
     dimension_table,
+    exchange_ac,
     expand_u3,
     flatten_index,
     mean_density_operators,
     pair_labels,
     permutation_operator,
     product_ket,
+    projector_from_rows,
     s1_product_basis,
     s2_product_basis,
     symmetric_basis_2,
@@ -153,7 +155,7 @@ def test_symmetric_basis_3_orthonormal_and_permutation_invariant(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_symmetric_projector_properties(n):
-    proj = symmetric_projector(n, factors=2)
+    proj = symmetric_projector(n)
     assert abs(np.trace(proj).real - n * (n + 1) / 2) < 1e-10
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
     np.testing.assert_allclose(proj, proj.conj().T, atol=1e-12)
@@ -165,14 +167,12 @@ def test_symmetric_projector_properties(n):
 
 
 def test_symmetric_projector_three_factors():
-    proj = symmetric_projector(3, factors=3)
+    proj = projector_from_rows(symmetric_basis_3(3))
     assert abs(np.trace(proj).real - 10) < 1e-10
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
 
 
-def test_symmetric_projector_rejects_bad_factors():
-    with pytest.raises(DomainError):
-        symmetric_projector(2, factors=4)
+def test_symmetric_bases_reject_dimension_one():
     with pytest.raises(DomainError):
         symmetric_basis_2(1)
     with pytest.raises(DomainError):
@@ -229,19 +229,24 @@ def test_expand_u3_examples():
     pairs = pair_labels(2)
     c_major, c_minor = np.sqrt(2 / 3), np.sqrt(1 / 3)
 
-    coeffs = expand_u3(2, (1, 1, 2), "S1")
+    coeffs = expand_u3(2, (1, 1, 2))
     expected = np.zeros(6, dtype=complex)
     expected[pairs.index((1, 2)) * 2 + 0] = c_major  # sym(1,2) x |1>
     expected[pairs.index((1, 1)) * 2 + 1] = c_minor  # |112>
     np.testing.assert_allclose(coeffs, expected, atol=1e-15)
 
-    coeffs = expand_u3(2, (1, 1, 2), "S2")
-    expected = np.zeros(6, dtype=complex)
-    expected[0 * 3 + pairs.index((1, 2))] = c_major  # |1> x sym(1,2)
-    expected[1 * 3 + pairs.index((1, 1))] = c_minor  # |211>
-    np.testing.assert_allclose(coeffs, expected, atol=1e-15)
+    # The same coefficients rebuild u3 from the S2 rows, whose row m is row m
+    # of S1 with registers A and C exchanged.
+    s2 = s2_product_basis(2)
+    sym_12 = (basis_ket((1, 2), 2) + basis_ket((2, 1), 2)) / np.sqrt(2)
+    np.testing.assert_allclose(s2[pairs.index((1, 2)) * 2 + 0],
+                               np.kron(basis_ket((1,), 2), sym_12))  # |1> x sym(1,2)
+    np.testing.assert_allclose(s2[pairs.index((1, 1)) * 2 + 1],
+                               basis_ket((2, 1, 1), 2))  # |211>
+    u3 = symmetric_basis_3(2)[triple_labels(2).index((1, 1, 2))]
+    np.testing.assert_allclose(coeffs @ s2, u3, atol=1e-15)
 
-    coeffs = expand_u3(3, (1, 2, 3), "S1")
+    coeffs = expand_u3(3, (1, 2, 3))
     assert np.count_nonzero(coeffs) == 3
     np.testing.assert_allclose(
         coeffs[np.nonzero(coeffs)], np.full(3, 1 / np.sqrt(3)), atol=1e-15
@@ -252,19 +257,29 @@ def test_expand_u3_examples():
 def test_expand_u3_reconstructs_symmetric_basis(n):
     sym3 = symmetric_basis_3(n)
     labels = triple_labels(n)
-    bases = {"S1": s1_product_basis(n), "S2": s2_product_basis(n)}
-    for side, rows in bases.items():
-        for triple in labels:
-            vec = expand_u3(n, triple, side) @ rows
-            target = sym3[labels.index(triple)]
-            assert np.linalg.norm(vec - target) < 1e-12
+    bases = (s1_product_basis(n), s2_product_basis(n))
+    for triple in labels:
+        coeffs = expand_u3(n, triple)
+        target = sym3[labels.index(triple)]
+        for rows in bases:
+            assert np.linalg.norm(coeffs @ rows - target) < 1e-12
 
 
 def test_expand_u3_rejects_bad_input():
     with pytest.raises(DomainError):
-        expand_u3(2, (2, 1, 1), "S1")
+        expand_u3(2, (2, 1, 1))
     with pytest.raises(DomainError):
-        expand_u3(2, (1, 1, 2), "S3")
+        expand_u3(2, (1, 1, 3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exchange_ac_is_the_register_swap_and_an_involution(n):
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(5, n**3)) + 1j * rng.normal(size=(5, n**3))
+    swapped = exchange_ac(rows, n)
+    assert np.array_equal(swapped, rows @ permutation_operator((2, 1, 0), n).T)
+    assert np.array_equal(exchange_ac(swapped, n), rows)
+    assert np.array_equal(exchange_ac(rows[0], n), swapped[0])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
