@@ -255,7 +255,7 @@ def cmd_prepare(args) -> int:
     _emit_record(
         "prepare",
         {"amplitudes": args.amplitudes, "out": args.out, "modes": len(amps)},
-        {"layers": len(net.layers), "column_error": target_error},
+        {"layers": len(net.modes), "column_error": target_error},
     )
     return 0
 

@@ -428,7 +428,7 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
         q, r = np.linalg.qr(_complex_normal(rng, (dim, dim)))
         target = q * (np.diag(r) / np.abs(np.diag(r)))
         net = optics.reck_decompose(target)
-        max_layers_ok &= len(net.layers) <= dim * (dim - 1) // 2
+        max_layers_ok &= len(net.modes) <= dim * (dim - 1) // 2
         dev = max(dev, np.abs(net.unitary() - target).max())
     report.add("mesh_synthesis_roundtrip", scope, dev if max_layers_ok else np.inf,
                tol.op, "triangular mesh synthesis reproduces random unitaries up to size 8")

@@ -18,12 +18,18 @@ splitter, so it can absorb an arbitrary phase diagonal on its right (input
 side) but not on its left; the phase layer therefore sits on the input
 side, and the triangular elimination below reaches every unitary with at
 most N(N-1)/2 two-mode layers.
+
+An :class:`Interferometer` stores its layers as arrays, not as one object per
+layer: ``modes`` holds the (L, 2) 0-based mode pairs in listed order,
+``angles`` the (L, 3) angles (w, phi, theta) and ``phases`` the N input
+phases.  The arrays are read-only and validated together when the network is
+built; synthesis, composition and the text form work on them whole.
+:class:`TwoModeLayer` is the record for building a network by hand.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +46,8 @@ SHOT_BLOCK = 2**16
 # Most shots one sampling call accepts: at some 7 million shots per second
 # this is about 2.5 minutes of sampling.
 MAX_SHOTS = 10**9
+# Most modes a network may have: unitary() of 2^12 modes is a 256 MB matrix.
+MAX_MODES = 2**12
 
 
 def seeded_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -76,6 +84,56 @@ def two_mode_unitary(
     return np.stack(rows, -2)
 
 
+def _check_num_modes(num_modes) -> int:
+    """`num_modes` as an int; DomainError unless it is a whole number in 1..MAX_MODES."""
+    checked = check_integer(num_modes, 1, "num_modes")
+    if checked > MAX_MODES:
+        raise DomainError(f"num_modes must not exceed {MAX_MODES}, got {num_modes!r}")
+    return checked
+
+
+def _real_array(values, row_shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A copy of `values` as rows of shape `row_shape`; an empty input gives zero rows.
+
+    DomainError unless every entry is a real number and the shape fits.
+    """
+    try:
+        arr = np.array(values)
+    except (ValueError, OverflowError):  # ragged nesting, integers beyond 64 bits
+        raise DomainError(f"{what} must be a table of real numbers") from None
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"{what} must be real numbers, got {arr.dtype} entries")
+    if arr.size == 0:
+        arr = arr.reshape((0, *row_shape))
+    if arr.ndim != 1 + len(row_shape) or arr.shape[1:] != row_shape:
+        dims = ", ".join(["rows", *map(str, row_shape)])
+        raise DomainError(f"{what} must have shape ({dims}), got {arr.shape}")
+    return arr
+
+
+def _layer_arrays(modes, angles, num_modes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (L, 2) int64 mode pairs and (L, 3) float angles of L layers.
+
+    DomainError unless the modes are whole numbers >= 0, below `num_modes`
+    when it is given, and distinct within each pair, and the angles finite.
+    """
+    modes = _real_array(modes, (2,), "layer modes")
+    angles = _real_array(angles, (3,), "layer angles").astype(float, copy=False)
+    if len(modes) != len(angles):
+        raise DomainError(f"{len(modes)} mode pairs for {len(angles)} angle triples")
+    if not ((modes >= 0) & (modes == np.trunc(modes))).all():  # NaN fails too
+        raise DomainError("layer modes must be whole numbers >= 0")
+    if num_modes is not None and not (modes < num_modes).all():
+        raise DomainError("layer modes outside the network")
+    if not (modes[:, 0] != modes[:, 1]).all():
+        raise DomainError("layer modes must differ")
+    if not np.isfinite(angles).all():
+        raise DomainError("layer angles must be finite")
+    modes = modes.astype(np.int64, copy=False)
+    modes.flags.writeable = angles.flags.writeable = False
+    return modes, angles
+
+
 @dataclass(frozen=True)
 class TwoModeLayer:
     """A two-mode block acting on the 0-based mode pair (mode_a, mode_b)."""
@@ -87,35 +145,62 @@ class TwoModeLayer:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        for attr in ("mode_a", "mode_b"):
-            object.__setattr__(self, attr, check_integer(getattr(self, attr), 0, "layer mode"))
-        if self.mode_a == self.mode_b:
-            raise DomainError("layer modes must differ")
-        if not all(map(math.isfinite, (self.omega, self.phi, self.theta))):
-            raise DomainError("layer angles must be finite")
+        modes, angles = _layer_arrays([(self.mode_a, self.mode_b)],
+                                      [(self.omega, self.phi, self.theta)])
+        for attr, value in zip(("mode_a", "mode_b", "omega", "phi", "theta"),
+                               modes[0].tolist() + angles[0].tolist()):
+            object.__setattr__(self, attr, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Interferometer:
-    """An ordered mesh of two-mode layers with input-port phases."""
+    """An ordered mesh of two-mode layers with input-port phases, stored as arrays.
+
+    Layer k acts on the 0-based mode pair ``modes[k]`` with the angles
+    ``angles[k]`` = (omega, phi, theta); ``phases`` holds one phase per mode
+    (all zero when omitted).  The stored arrays are read-only copies.
+    """
 
     num_modes: int
-    layers: tuple[TwoModeLayer, ...] = ()
-    phases: tuple[float, ...] = field(default=())
+    modes: np.ndarray = ()
+    angles: np.ndarray = ()
+    phases: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "num_modes", check_integer(self.num_modes, 1, "num_modes"))
-        phases = self.phases if self.phases else (0.0,) * self.num_modes
-        if len(phases) != self.num_modes:
+        num_modes = _check_num_modes(self.num_modes)
+        modes, angles = _layer_arrays(self.modes, self.angles, num_modes)
+        phases = _real_array(self.phases, (), "phases").astype(float, copy=False)
+        if not phases.size:
+            phases = np.zeros(num_modes)
+        if phases.shape != (num_modes,):
             raise DomainError("one phase per mode required")
-        phases = tuple(float(p) for p in phases)
-        if not all(map(math.isfinite, phases)):
+        if not np.isfinite(phases).all():
             raise DomainError("phases must be finite")
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "layers", tuple(self.layers))
-        for layer in self.layers:
-            if max(layer.mode_a, layer.mode_b) >= self.num_modes:  # modes are >= 0
-                raise DomainError("layer modes outside the network")
+        phases.flags.writeable = False
+        for attr, value in (("num_modes", num_modes), ("modes", modes), ("angles", angles),
+                            ("phases", phases)):
+            object.__setattr__(self, attr, value)
+
+    @classmethod
+    def from_layers(cls, num_modes: int, layers=(), phases=()) -> "Interferometer":
+        """A network from :class:`TwoModeLayer` records in listed order."""
+        layers = tuple(layers)
+        return cls(num_modes, [(layer.mode_a, layer.mode_b) for layer in layers],
+                   [(layer.omega, layer.phi, layer.theta) for layer in layers], phases)
+
+    @property
+    def layers(self) -> tuple[TwoModeLayer, ...]:
+        """The layers as records in listed order, rebuilt from the arrays on each access."""
+        return tuple(TwoModeLayer(a, b, *angles)
+                     for (a, b), angles in zip(self.modes.tolist(), self.angles.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Interferometer):
+            return NotImplemented
+        return self.num_modes == other.num_modes and all(
+            np.array_equal(getattr(self, attr), getattr(other, attr))
+            for attr in ("modes", "angles", "phases")
+        )
 
     def unitary(self) -> np.ndarray:
         """The network unitary, composed in wavefronts of commuting layers.
@@ -127,24 +212,19 @@ class Interferometer:
         its 2x2 blocks with the rows they act on.  This holds for any layer
         order; the result equals layer-by-layer composition bit for bit.
         """
-        mat = np.diag(np.exp(1j * np.asarray(self.phases)))
-        if not self.layers:
+        mat = np.diag(np.exp(1j * self.phases))
+        if not len(self.modes):
             return mat
-        applied = self.layers[::-1]
-        pairs = [(layer.mode_a, layer.mode_b) for layer in applied]
-        omega, phi, theta = np.array(
-            [(layer.omega, layer.phi, layer.theta) for layer in applied], dtype=float
-        ).T
-        blocks = two_mode_unitary(omega, phi, theta)
+        modes = self.modes[::-1]  # application order
+        blocks = two_mode_unitary(*self.angles[::-1].T)
         reached = [0] * self.num_modes  # depth of the last layer on each mode
         groups: list[list[int]] = []  # layer indices, one list per depth
-        for index, (a, b) in enumerate(pairs):
+        for index, (a, b) in enumerate(modes.tolist()):
             depth = max(reached[a], reached[b])
             reached[a] = reached[b] = depth + 1
             if depth == len(groups):
                 groups.append([])
             groups[depth].append(index)
-        modes = np.array(pairs)
         for group in groups:
             rows = modes[group]
             mat[rows] = blocks[group] @ mat[rows]
@@ -152,17 +232,18 @@ class Interferometer:
 
     def to_text(self) -> str:
         """Serialize as BS lines followed by PHASE lines (1-based modes)."""
-        lines = [f"MODES {self.num_modes}"]
-        lines += [f"BS {layer.mode_a + 1} {layer.mode_b + 1} {layer.omega:.17g} "
-                  f"{layer.phi:.17g} {layer.theta:.17g}" for layer in self.layers]
-        lines += [f"PHASE {m + 1} {p:.17g}" for m, p in enumerate(self.phases) if p != 0.0]
-        return "\n".join(lines) + "\n"
+        fields = np.hstack([self.modes + 1, self.angles]).ravel().tolist()
+        bs_lines = ("BS %d %d %.17g %.17g %.17g\n" * len(self.modes)) % tuple(fields)
+        phase_lines = "".join(f"PHASE {m + 1} {p:.17g}\n"
+                              for m, p in enumerate(self.phases.tolist()) if p != 0.0)
+        return f"MODES {self.num_modes}\n{bs_lines}{phase_lines}"
 
     @classmethod
     def from_text(cls, text: str) -> "Interferometer":
         """Parse :meth:`to_text` output; a line it cannot round-trip raises DomainError."""
         num_modes = None
-        layers: list[TwoModeLayer] = []
+        bs_modes: list[str] = []  # the values of the BS lines, converted once at the end
+        bs_angles: list[str] = []
         phases: dict[int, float] = {}
         for raw in text.splitlines():
             parts = raw.split()
@@ -171,12 +252,13 @@ class Interferometer:
             kind, values = parts[0], parts[1:]
             if _LINE_FIELDS.get(kind) != len(values):
                 raise DomainError(f"unrecognized line: {raw!r}")
+            if kind == "BS":
+                bs_modes += values[:2]
+                bs_angles += values[2:]
+                continue
             try:
                 if kind == "MODES" and num_modes is None:
-                    num_modes = int(values[0])
-                elif kind == "BS":
-                    a, b = int(values[0]) - 1, int(values[1]) - 1
-                    layers.append(TwoModeLayer(a, b, *map(float, values[2:])))
+                    num_modes = _check_num_modes(int(values[0]))
                 elif kind == "PHASE" and int(values[0]) - 1 not in phases:
                     phases[int(values[0]) - 1] = float(values[1])
                 else:
@@ -187,8 +269,13 @@ class Interferometer:
             raise DomainError("missing MODES header")
         if not set(phases) <= set(range(num_modes)):
             raise DomainError("PHASE line for a mode outside the network")
+        try:
+            modes = np.array(bs_modes, dtype=np.int64).reshape(-1, 2) - 1
+            angles = np.array(bs_angles, dtype=float).reshape(-1, 3)
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(f"BS line: {exc}") from None
         phase_list = [phases.get(m, 0.0) for m in range(num_modes)]
-        return cls(num_modes=num_modes, layers=tuple(layers), phases=tuple(phase_list))
+        return cls(num_modes, modes, angles, phase_list)
 
 
 def discriminator_network(omega1: float) -> Interferometer:
@@ -211,11 +298,10 @@ def discriminator_network(omega1: float) -> Interferometer:
     """
     omega1 = check_omega1(omega1)
     omega2 = omega2_constraint(omega1)
-    first = TwoModeLayer(0, 2, omega=omega1, phi=np.pi, theta=0.0)
-    second = TwoModeLayer(1, 2, omega=omega2, phi=0.0, theta=0.0)
-    # Listed order is the matrix product order; `first` acts on the input
-    # state first, hence sits rightmost.
-    return Interferometer(num_modes=3, layers=(second, first))
+    # Listed order is the matrix product order; the omega1 splitter acts on
+    # the input state first, hence sits rightmost.
+    return Interferometer(3, modes=[(1, 2), (0, 2)],
+                          angles=[(omega2, 0.0, 0.0), (omega1, np.pi, 0.0)])
 
 
 def discriminator_port_state(which: str) -> np.ndarray:
@@ -248,7 +334,7 @@ def reck_decompose(matrix: np.ndarray) -> Interferometer:
     mat = np.array(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
         raise ContractError("input must be a non-empty square matrix")
-    dim = mat.shape[0]
+    dim = _check_num_modes(mat.shape[0])
     if not (np.isfinite(mat).all() and np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= 1e-8):
         raise ContractError("input matrix is not unitary")
 
@@ -276,13 +362,9 @@ def reck_decompose(matrix: np.ndarray) -> Interferometer:
         kept[cols, rows] = True
 
     cols, rows = np.nonzero(kept)  # in (col, row) order
-    layers = [
-        TwoModeLayer(col, row, *step)
-        for col, row, step in zip(cols.tolist(), rows.tolist(), zip(*angles[:, kept].tolist()))
-    ]
-    phases = tuple(float(a) for a in np.angle(np.diag(mat)))
-    phases = tuple(0.0 if abs(a) < 1e-14 else a for a in phases)
-    return Interferometer(num_modes=dim, layers=tuple(layers), phases=phases)
+    phases = np.angle(np.diag(mat))
+    phases[np.abs(phases) < 1e-14] = 0.0
+    return Interferometer(dim, np.stack([cols, rows], 1), angles[:, kept].T, phases)
 
 
 def prepare_state_network(amplitudes: np.ndarray, n: int) -> Interferometer:
@@ -297,14 +379,16 @@ def prepare_state_network(amplitudes: np.ndarray, n: int) -> Interferometer:
         raise ContractError(f"expected {n} amplitudes, got shape {amps.shape}")
     if not abs(np.linalg.norm(amps) - 1.0) <= TAU_NORM:
         raise ContractError("amplitudes must have unit norm")
+    _check_num_modes(n)  # before the cascade is computed
 
     if abs(abs(amps[0]) - 1.0) < 1e-14:
         phase = float(np.angle(amps[0]))
         phases = [0.0] * n
         phases[0] = 0.0 if abs(phase) < 1e-14 else phase
-        return Interferometer(num_modes=n, layers=(), phases=tuple(phases))
+        return Interferometer(num_modes=n, phases=phases)
 
-    physical: list[TwoModeLayer] = []
+    modes: list[tuple[int, int]] = []  # in physical order, the reverse of the listed one
+    angles: list[tuple[float, float, float]] = []
     residual = 1.0
     for k in range(n - 1):
         if residual < 1e-14:
@@ -313,14 +397,15 @@ def prepare_state_network(amplitudes: np.ndarray, n: int) -> Interferometer:
             ratio = min(abs(amps[k]) / residual, 1.0)
             omega = float(np.arcsin(ratio))
             phi = float(np.angle(amps[k])) if abs(amps[k]) > 0 else 0.0
-            physical.append(TwoModeLayer(k, k + 1, omega=omega, phi=phi, theta=0.0))
+            angles.append((omega, phi, 0.0))
             residual *= np.cos(omega)
         else:
             omega = float(np.arctan2(abs(amps[k]), abs(amps[k + 1])))
             phi = float(np.angle(amps[k])) if abs(amps[k]) > 0 else 0.0
             theta = float(np.angle(amps[k + 1])) if abs(amps[k + 1]) > 0 else 0.0
-            physical.append(TwoModeLayer(k, k + 1, omega=omega, phi=phi, theta=theta))
-    return Interferometer(num_modes=n, layers=tuple(reversed(physical)))
+            angles.append((omega, phi, theta))
+        modes.append((k, k + 1))
+    return Interferometer(n, modes[::-1], angles[::-1])
 
 
 @dataclass(frozen=True)

@@ -270,7 +270,9 @@ def expand_u3(n: int, triple: tuple[int, int, int]) -> np.ndarray:
     vector.
     """
     check_dimension(n)
-    i, j, k = triple
+    if len(triple) != 3:
+        raise DomainError(f"expected 3 labels, got {len(triple)}")
+    i, j, k = (check_integer(label, 1, "basis label") for label in triple)
     if not (1 <= i <= j <= k <= n):
         raise DomainError(f"triple {triple} is not ordered within 1..{n}")
 

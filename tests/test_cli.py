@@ -260,6 +260,14 @@ def test_prepare_rejects_unnormalized(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_prepare_refuses_more_modes_than_the_limit(tmp_path, capsys):
+    modes = optics.MAX_MODES + 1
+    source = tmp_path / "amps.txt"
+    source.write_text(f"{modes ** -0.5!r}\n" * modes)
+    code, out, err = run_cli(capsys, "prepare", str(source))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "must not exceed" in err
+
 
 @pytest.mark.parametrize("body,line", [("0.6 0 5\n0.8\n", 1), ("0.6\n# note\n0.8 x\n", 3)])
 def test_prepare_rejects_malformed_amplitude_lines(tmp_path, capsys, body, line):

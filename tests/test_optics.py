@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,19 +52,76 @@ def test_layer_validation():
     with pytest.raises(DomainError):
         TwoModeLayer(1, 1, omega=0.3)
     with pytest.raises(DomainError):
-        Interferometer(num_modes=2, layers=(TwoModeLayer(0, 5, omega=0.1),))
+        Interferometer.from_layers(2, (TwoModeLayer(0, 5, omega=0.1),))
     for modes in ((0.5, 1), (-1, 1), (0, np.nan)):
         with pytest.raises(DomainError):
             TwoModeLayer(*modes, omega=0.3)
     for angles in ((np.nan, 0.0, 0.0), (0.3, np.inf, 0.0), (0.3, 0.0, -np.inf)):
         with pytest.raises(DomainError):
             TwoModeLayer(0, 1, *angles)
-    for phases in ((np.nan, 0.0), (0.0, np.inf)):
+    for phases in ((np.nan, 0.0), (0.0, np.inf), ("a", 0.0), (0.1,), ((0.1, 0.2),), (None, 0.0)):
         with pytest.raises(DomainError):
             Interferometer(num_modes=2, phases=phases)
-    for num_modes in (0, -1, 2.5, np.nan):
+    for num_modes in (0, -1, 2.5, np.nan, optics.MAX_MODES + 1):
         with pytest.raises(DomainError):
             Interferometer(num_modes=num_modes)
+    for angles in (("0.3", 0.0, 0.0), (0.3, None, 0.0), (0.3, 0.0, 1j)):
+        with pytest.raises(DomainError):
+            TwoModeLayer(0, 1, *angles)
+    for modes, angles in (
+        ([(0, 1)], []),  # one pair, no angles
+        ([(0, 1, 2)], [(0.3, 0.0, 0.0)]),
+        ([(0, 1)], [(0.3, 0.0)]),
+        ([0, 1], [0.3, 0.0, 0.0]),  # flat, not one row per layer
+        ([(0, 2**70)], [(0.3, 0.0, 0.0)]),
+        ([(0, 1), (1,)], [(0.3, 0.0, 0.0)] * 2),
+    ):
+        with pytest.raises(DomainError):
+            Interferometer(3, modes, angles)
+
+
+def test_network_arrays_are_read_only_copies():
+    modes, angles, phases = np.array([[0, 2], [1, 2]]), np.full((2, 3), 0.4), np.array([0.1, 0, 0])
+    net = Interferometer(3, modes, angles, phases)
+    assert net.modes.dtype == np.int64 and net.modes.shape == (2, 2)
+    assert net.angles.dtype == float and net.angles.shape == (2, 3)
+    for arr in (net.modes, net.angles, net.phases):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    modes[0, 0], angles[0, 0], phases[0] = 1, 9.0, 9.0  # the caller's arrays stay the caller's
+    assert net == Interferometer(3, [(0, 2), (1, 2)], np.full((2, 3), 0.4), (0.1, 0, 0))
+    assert net.layers == (TwoModeLayer(0, 2, 0.4, 0.4, 0.4), TwoModeLayer(1, 2, 0.4, 0.4, 0.4))
+    assert Interferometer.from_layers(3, net.layers, net.phases) == net
+
+
+def test_network_equality_is_value_equality():
+    net = Interferometer(2, [(0, 1)], [(0.3, 0.0, -0.0)], (0.0, -0.0))
+    assert net == Interferometer(2, [(0, 1)], [(0.3, -0.0, 0.0)])
+    assert net == Interferometer(2.0, np.array([(0.0, 1.0)]), [(0.3, 0, 0)], (0, 0))
+    assert net != Interferometer(2, [(1, 0)], [(0.3, 0.0, 0.0)])
+    assert net != Interferometer(2, [(0, 1)], [(0.3, 0.0, 1e-300)])
+    assert net != Interferometer(2, [(0, 1)], [(0.3, 0.0, 0.0)], (0.0, 0.1))
+    assert net != Interferometer(3, [(0, 1)], [(0.3, 0.0, 0.0)])
+    assert net != Interferometer(2)
+    assert net != "MODES 2"
+
+
+def test_mode_count_above_the_limit_is_refused_before_any_allocation(monkeypatch):
+    tracemalloc.start()
+    try:
+        for text in ("MODES 1000000000\n", f"MODES {optics.MAX_MODES + 1}\nPHASE 1 0.5\n"):
+            with pytest.raises(DomainError, match="must not exceed"):
+                Interferometer.from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert Interferometer.from_text(f"MODES {optics.MAX_MODES}\n").num_modes == optics.MAX_MODES
+    monkeypatch.setattr(optics, "MAX_MODES", 3)
+    with pytest.raises(DomainError, match="must not exceed"):
+        reck_decompose(np.eye(4))
+    with pytest.raises(DomainError, match="must not exceed"):
+        prepare_state_network(np.full(4, 0.5), 4)
 
 
 def test_discriminator_columns_and_unitarity():
@@ -171,6 +230,13 @@ def test_serialization_roundtrip():
         "MODES 2\nBS 1 2 nan 0 0\n",
         "MODES 2\nPHASE 1 inf\n",
         "MODES 2\nPHASE 1 0.1\nPHASE 1 0.2\n",
+        "MODES 2\nBS 1.5 2 0.1 0 0\n",
+        "MODES 2\nBS 0 1 0.1 0 0\n",  # modes are 1-based
+        "MODES 2\nBS 1 1 0.1 0 0\n",
+        "MODES 2\nBS 1 3 0.1 0 0\n",
+        "MODES 2\nBS 1 99999999999999999999 0.1 0 0\n",
+        "MODES 2\nBS 1 2 0.1 x 0\n",
+        "MODES 1e3\n",
     ):
         with pytest.raises(DomainError):
             Interferometer.from_text(bad)
@@ -194,8 +260,37 @@ def test_text_round_trips_on_random_networks():
             for _ in range(int(rng.integers(0, 12)) if modes > 1 else 0)
         )
         phases = tuple(rng.uniform(-7, 7, modes) * (rng.random(modes) < 0.5))
-        net = Interferometer(num_modes=modes, layers=layers, phases=phases)
+        net = Interferometer.from_layers(modes, layers, phases=phases)
         assert Interferometer.from_text(net.to_text()) == net
+
+
+def _to_text_per_layer(net):
+    """Reference: the network text written one f-string per layer."""
+    lines = [f"MODES {net.num_modes}"]
+    lines += [f"BS {layer.mode_a + 1} {layer.mode_b + 1} {layer.omega:.17g} "
+              f"{layer.phi:.17g} {layer.theta:.17g}" for layer in net.layers]
+    lines += [f"PHASE {m + 1} {p:.17g}" for m, p in enumerate(net.phases) if p != 0.0]
+    return "\n".join(lines) + "\n"
+
+
+def test_text_matches_per_layer_formatting_byte_for_byte():
+    rng = np.random.Generator(np.random.Philox(key=74))
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, 2.2250738585072014e-308,
+                        np.pi, -np.pi, 1e300, 0.1, 1 / 3])
+    for _ in range(100):
+        modes = int(rng.integers(1, 12))
+        count = int(rng.integers(0, 40)) if modes > 1 else 0
+        pairs = [rng.choice(modes, 2, replace=False) for _ in range(count)]
+        angles = np.where(rng.random((count, 3)) < 0.4, rng.choice(special, (count, 3)),
+                          rng.uniform(-7, 7, (count, 3)) * 10.0 ** rng.integers(-300, 3, (count, 3)))
+        phases = np.where(rng.random(modes) < 0.5, rng.choice(special, modes),
+                          rng.uniform(-7, 7, modes))
+        net = Interferometer(modes, np.reshape(pairs, (-1, 2)), angles, phases)
+        text = net.to_text()
+        assert text == _to_text_per_layer(net)
+        assert Interferometer.from_text(text) == net
+    net = reck_decompose(random_unitary(12, rng))
+    assert net.to_text() == _to_text_per_layer(net)
 
 
 def _reck_column_by_column(matrix):
@@ -219,7 +314,7 @@ def _reck_column_by_column(matrix):
 
     phases = tuple(float(a) for a in np.angle(np.diag(mat)))
     phases = tuple(0.0 if abs(a) < 1e-14 else a for a in phases)
-    return Interferometer(num_modes=dim, layers=tuple(layers), phases=phases)
+    return Interferometer.from_layers(dim, tuple(layers), phases=phases)
 
 
 def _reck_equivalence_targets():
@@ -274,7 +369,7 @@ def test_unitary_depth_batches_match_layer_by_layer_on_any_order():
             pairs[-1] = pairs[0]  # a repeated pair
         layers = tuple(TwoModeLayer(int(a), int(b), *rng.uniform(-7, 7, 3)) for a, b in pairs)
         phases = tuple(rng.uniform(-7, 7, modes) * (rng.random(modes) < 0.7))
-        nets.append(Interferometer(num_modes=modes, layers=layers, phases=phases))
+        nets.append(Interferometer.from_layers(modes, layers, phases=phases))
     nets += [discriminator_network(omega1) for omega1 in (0.0, 0.3, omega1_from_x(2.0), 1.5)]
     for n in (2, 3, 9, 17):
         amps = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -331,7 +426,7 @@ def test_simulate_clicks_identity_network():
 
 
 def test_simulate_clicks_balanced_splitter():
-    net = Interferometer(num_modes=2, layers=(TwoModeLayer(0, 1, omega=np.pi / 4),))
+    net = Interferometer.from_layers(2, (TwoModeLayer(0, 1, omega=np.pi / 4),))
     state = np.array([1, 0], dtype=complex)
     shots = 100_000
     stats = simulate_clicks(net, state, shots=shots, seed=11)
@@ -353,8 +448,8 @@ def test_simulate_clicks_discriminator_d1_rate():
 
 
 def test_simulate_clicks_tallies_one_seeded_stream():
-    net = Interferometer(num_modes=3, layers=(TwoModeLayer(0, 2, omega=0.4, phi=0.3),
-                                              TwoModeLayer(0, 1, omega=1.1)))
+    net = Interferometer.from_layers(3, (TwoModeLayer(0, 2, omega=0.4, phi=0.3),
+                                         TwoModeLayer(0, 1, omega=1.1)))
     state = np.array([0.6, 0.8j, 0.0])
     shots, seed = 5_000, 12
     edges = np.cumsum(output_distribution(net, state))
@@ -386,7 +481,7 @@ def test_seeded_stream_rejects_keys_outside_64_bits(bad):
         optics.seeded_stream(0, bad)
 
 def test_simulate_clicks_deterministic_and_validated():
-    net = Interferometer(num_modes=2, layers=(TwoModeLayer(0, 1, omega=0.3),))
+    net = Interferometer.from_layers(2, (TwoModeLayer(0, 1, omega=0.3),))
     state = np.array([1, 0], dtype=complex)
     first = simulate_clicks(net, state, shots=500, seed=9)
     second = simulate_clicks(net, state, shots=500, seed=9)
@@ -417,8 +512,8 @@ def test_simulate_discriminator_statistics():
 
 def test_sampling_tallies_do_not_depend_on_shot_block(monkeypatch):
     priors = Priors.from_eta1(0.35)
-    net = Interferometer(num_modes=3, layers=(TwoModeLayer(0, 2, omega=0.4, phi=0.3),
-                                              TwoModeLayer(0, 1, omega=1.1)))
+    net = Interferometer.from_layers(3, (TwoModeLayer(0, 2, omega=0.4, phi=0.3),
+                                         TwoModeLayer(0, 1, omega=1.1)))
     state = np.array([0.6, 0.8j, 0.0])
     runs = [simulate_discriminator(0.7, priors, shots=1001, seed=8),
             simulate_clicks(net, state, shots=1001, seed=8)]

@@ -253,6 +253,13 @@ def test_expand_u3_examples():
     )
 
 
+@pytest.mark.parametrize("triple", [(1.5, 1.5, 2), (1, 2, 2.5), (0, 1, 2), (1, 2, np.nan),
+                                    (1, 2, "3"), (2, 1, 3), (1, 2, 4), (1, 2), (1, 2, 3, 3)])
+def test_expand_u3_rejects_labels_that_are_not_an_ordered_triple(triple):
+    with pytest.raises(DomainError):
+        expand_u3(3, triple)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_expand_u3_reconstructs_symmetric_basis(n):
     sym3 = symmetric_basis_3(n)
