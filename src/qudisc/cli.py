@@ -22,6 +22,7 @@ from . import __version__
 from .errors import DomainError
 from .harness import Tolerances, verify_all
 from .optics import (
+    MAX_MODES,
     analytic_discriminator_probabilities,
     prepare_state_network,
     simulate_discriminator,
@@ -222,7 +223,8 @@ def cmd_simulate(args) -> int:
 
 
 def _read_amplitudes(path: str) -> np.ndarray:
-    """One amplitude per line as `re` or `re im`; any other line raises DomainError."""
+    """One amplitude per line as `re` or `re im`; any other line raises DomainError,
+    and so does the first amplitude past MAX_MODES, before the rest is read."""
     values = []
     with open(path, "r", encoding="utf-8") as handle:
         for number, raw in enumerate(handle, 1):
@@ -231,6 +233,8 @@ def _read_amplitudes(path: str) -> np.ndarray:
                 continue
             parts = line.replace(",", " ").split()
             where = f"{path} line {number} {line!r}"
+            if len(values) == MAX_MODES:
+                raise DomainError(f"{where}: the amplitude count must not exceed {MAX_MODES}")
             if len(parts) > 2:
                 raise DomainError(f"{where}: expected one or two values (re [im])")
             try:

@@ -30,7 +30,8 @@ import numpy as np
 from .errors import ContractError, DegeneratePriorsError, DomainError
 from .jordan import build_gh_bases
 from .spaces import (
-    check_dimension, check_unit_state, mean_density_operators, product_ket, projector_from_rows,
+    check_dimension, check_unit_states, mean_density_operators, product_ket, projector_from_rows,
+    split_product,
 )
 
 PROB_SLACK = 1e-12
@@ -96,8 +97,13 @@ def check_omega1(omega1: float) -> float:
     return omega1
 
 
-def clamp_probability(p: float) -> float:
-    """Clip numerical noise off a probability; raise on real violations."""
+def clamp_probability(p):
+    """Clip numerical noise off a probability, or off each entry of an array of
+    them; raise on real violations."""
+    if isinstance(p, np.ndarray) and p.ndim:
+        if not np.all((p >= -PROB_SLACK) & (p <= 1.0 + PROB_SLACK)):  # NaN fails too
+            raise ContractError(f"values {p} are not all probabilities")
+        return np.clip(p, 0.0, 1.0)
     if not -PROB_SLACK <= p <= 1.0 + PROB_SLACK:
         raise ContractError(f"value {p} is not a probability")
     return min(max(p, 0.0), 1.0)
@@ -147,13 +153,13 @@ def total_povm(n: int, omega1: float) -> MeasurementTriple:
     a, b = detection_weights(omega1)
     pi1 = a * proj_g
     pi2 = b * proj_h
-    pi0 = np.eye(n**3, dtype=complex) - pi1 - pi2
+    pi0 = np.eye(n**3) - pi1 - pi2
     return MeasurementTriple(pi1=pi1, pi2=pi2, pi0=pi0, omega1=omega1)
 
 
 @functools.lru_cache(maxsize=4)  # the n^3 x n^3 projectors grow as n^6
 def _reciprocal_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only projectors onto the spans of the g_perp and h_perp families."""
+    """Read-only real projectors onto the spans of the g_perp and h_perp families."""
     pairs = build_gh_bases(n)
     projectors = projector_from_rows(pairs.g_perp), projector_from_rows(pairs.h_perp)
     for proj in projectors:
@@ -205,16 +211,17 @@ def pure_success(
     omega1: float,
     priors: Priors,
     n: int,
-) -> float:
+) -> float | np.ndarray:
     """Success probability when the two program states are fixed pure states.
 
     Equals (2/3) P(x) (1 - |<psi1|psi2>|^2); the prefactor carries no
-    dependence on n.
+    dependence on n.  States (n,) give a float; row-aligned stacks (T, n) give
+    one value per pair.
     """
     check_dimension(n)
     prefactor = PURE_SCALE * success_curve_x(x_from_omega1(omega1), priors)
-    psi1, psi2 = check_unit_state(psi1, n), check_unit_state(psi2, n)
-    overlap_sq = abs(np.vdot(psi1, psi2)) ** 2
+    psi1, psi2 = check_unit_states(psi1, psi2, n)
+    overlap_sq = np.abs((psi1.conj() * psi2).sum(axis=-1)) ** 2
     return clamp_probability(prefactor * (1.0 - overlap_sq))
 
 
@@ -237,20 +244,27 @@ def average_success_trace(n: int, omega1: float, priors: Priors) -> float:
     proj_g, proj_h = _reciprocal_projectors(check_dimension(n))
     a, b = detection_weights(omega1)
     rho1, rho2 = mean_density_operators(n)
-    value = (priors.eta1 * a * np.sum(proj_g * rho1.T).real
-             + priors.eta2 * b * np.sum(proj_h * rho2.T).real)
+    value = priors.eta1 * a * np.vdot(proj_g, rho1.T) + priors.eta2 * b * np.vdot(proj_h, rho2.T)
     return clamp_probability(value)
 
 
 def pure_success_expectation(
     psi1: np.ndarray, psi2: np.ndarray, omega1: float, priors: Priors, n: int
-) -> float:
-    """Operator-level evaluation of :func:`pure_success` (cross-check)."""
+) -> float | np.ndarray:
+    """Operator-level evaluation of :func:`pure_success` (cross-check).
+
+    Takes states (n,) or row-aligned stacks (T, n), as :func:`pure_success`
+    does; each projector meets all the pairs in one real matrix product.
+    """
     proj_g, proj_h = _reciprocal_projectors(check_dimension(n))
     a, b = detection_weights(omega1)
-    psi1, psi2 = check_unit_state(psi1, n), check_unit_state(psi2, n)
-    big1 = product_ket(psi1, psi1, psi2)
-    big2 = product_ket(psi1, psi2, psi2)
-    value = (priors.eta1 * a * np.vdot(big1, proj_g @ big1).real
-             + priors.eta2 * b * np.vdot(big2, proj_h @ big2).real)
+    psi1, psi2 = check_unit_states(psi1, psi2, n)
+    value = (priors.eta1 * a * _expectation(proj_g, product_ket(psi1, psi1, psi2))
+             + priors.eta2 * b * _expectation(proj_h, product_ket(psi1, psi2, psi2)))
     return clamp_probability(value)
+
+
+def _expectation(op: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Re <k|op|k> for complex kets (..., N) and a real operator."""
+    product = split_product(kets, op)
+    return (product[..., 0, :] * kets.real + product[..., 1, :] * kets.imag).sum(axis=-1)

@@ -2,15 +2,22 @@
 
 The device acts on three n-dimensional registers A, B, C.  Basis labels are
 1-based tuples over {1..n} (register A is the slowest-varying factor); flat
-array indices are 0-based row-major.  All operators are dense complex
-matrices.
+array indices are 0-based row-major.  Every basis and operator here is a
+dense real (float64) matrix; only states and their product kets are complex.
+
+A basis ket |i j k> lies in the label-multiset space V_t of its sorted labels
+t.  The symmetric bases, the S1 and S2 product bases and the averaged input
+states are block diagonal over these spaces, so their ranks and spectra can
+be computed one V_t at a time (:func:`label_blocks`, :func:`block_stacks`,
+:func:`diagonal_blocks`).
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -38,14 +45,17 @@ def check_dimension(n: int) -> int:
     return check_integer(n, 2, "qudit dimension")
 
 
-def check_unit_state(psi, n: int) -> np.ndarray:
-    """`psi` as a complex vector; ContractError unless it is a finite unit vector of length n."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (n,):
-        raise ContractError(f"states must be vectors of length {n}")
-    if not abs(np.linalg.norm(psi) - 1.0) <= TAU_NORM:  # NaN and inf fail too
-        raise ContractError("states must be unit vectors")
-    return psi
+def check_unit_states(psi1, psi2, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two states (n,), or two row-aligned stacks of states (T, n), as complex
+    arrays; ContractError unless every state is a finite unit vector of length n."""
+    psi1, psi2 = np.asarray(psi1, dtype=complex), np.asarray(psi2, dtype=complex)
+    if psi1.shape != psi2.shape or psi1.ndim not in (1, 2) or psi1.shape[-1] != n:
+        raise ContractError(f"states must be vectors of length {n}, or equal stacks of them")
+    for psi in (psi1, psi2):
+        norms = np.sqrt((psi.real**2 + psi.imag**2).sum(axis=-1))
+        if not np.all(np.abs(norms - 1.0) <= TAU_NORM):  # NaN and inf fail too
+            raise ContractError("states must be unit vectors")
+    return psi1, psi2
 
 
 def flatten_index(labels: tuple[int, ...], n: int, factors: int | None = None) -> int:
@@ -63,14 +73,28 @@ def flatten_index(labels: tuple[int, ...], n: int, factors: int | None = None) -
 
 def basis_ket(labels: tuple[int, ...], n: int) -> np.ndarray:
     """Computational basis vector |labels> on n^len(labels) dimensions."""
-    vec = np.zeros(n ** len(labels), dtype=complex)
+    vec = np.zeros(n ** len(labels))
     vec[flatten_index(labels, n)] = 1.0
     return vec
 
 
 def product_ket(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """|a>|b>|c> on the three registers; the same products as nested np.kron, in one pass."""
-    return np.multiply.outer(np.multiply.outer(a, b), c).ravel()
+    """|a>|b>|c> on the three registers, for single states (n,) or row-aligned
+    stacks (T, n); the same products as nested np.kron, in one pass."""
+    big = a[..., :, None, None] * b[..., None, :, None] * c[..., None, None, :]
+    return big.reshape(*big.shape[:-3], -1)
+
+
+def split_product(kets: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """kets @ matrix for complex kets (..., N) and a real (N, M) matrix, as its
+    real and imaginary parts stacked (..., 2, M).
+
+    One real matrix product over all leading axes: the real matrix is never
+    cast to complex.
+    """
+    parts = np.stack([kets.real, kets.imag], axis=-2)
+    product = parts.reshape(-1, parts.shape[-1]) @ matrix
+    return product.reshape(*parts.shape[:-1], matrix.shape[-1])
 
 
 def pair_labels(n: int) -> list[tuple[int, int]]:
@@ -85,13 +109,95 @@ def triple_labels(n: int) -> list[tuple[int, int, int]]:
     return list(combinations_with_replacement(range(1, n + 1), 3))
 
 
-def _symmetrized_ket(labels: tuple[int, ...], n: int) -> np.ndarray:
-    """Equal superposition of the distinct permutations of ``labels``."""
-    perms = sorted(set(permutations(labels)))
-    vec = np.zeros(n ** len(labels), dtype=complex)
-    for p in perms:
-        vec[flatten_index(p, n)] += 1.0
-    return vec / np.sqrt(len(perms))
+@dataclass(frozen=True)
+class LabelBlocks:
+    """The label-multiset spaces V_t of `factors` registers of dimension n.
+
+    block_of[f] is the index of flat basis index f's sorted label tuple in
+    combinations-with-replacement order (:func:`pair_labels`,
+    :func:`triple_labels`).  groups holds one (blocks, d) array per block
+    dimension d: the flat indices of each V_t of that dimension, ascending,
+    with the blocks in index order.  group_of and slot_of locate each block in
+    groups.  All arrays are read-only.
+    """
+
+    block_of: np.ndarray
+    groups: tuple[np.ndarray, ...]
+    group_of: np.ndarray
+    slot_of: np.ndarray
+
+
+def label_blocks(n: int, factors: int = 3) -> LabelBlocks:
+    """The V_t of `factors` registers at qudit dimension n; one shared instance per (n, factors)."""
+    return _label_blocks(check_dimension(n), check_integer(factors, 1, "register count"))
+
+
+@functools.lru_cache(maxsize=8)
+def _label_blocks(n: int, factors: int) -> LabelBlocks:
+    labels = np.indices((n,) * factors).reshape(factors, -1).T
+    keys = np.sort(labels, axis=1) @ n ** np.arange(factors - 1, -1, -1)
+    _, block_of = np.unique(keys, return_inverse=True)
+    sizes = np.bincount(block_of)
+    members = np.split(np.argsort(block_of, kind="stable"), np.cumsum(sizes)[:-1])
+    dims = np.unique(sizes)
+    group_of = np.searchsorted(dims, sizes)
+    slot_of = np.zeros_like(block_of, shape=len(sizes))
+    groups = []
+    for g, d in enumerate(dims):
+        ids = np.flatnonzero(group_of == g)
+        slot_of[ids] = np.arange(len(ids))
+        groups.append(np.array([members[t] for t in ids]).reshape(len(ids), d))
+    blocks = LabelBlocks(block_of=block_of, groups=tuple(groups), group_of=group_of,
+                         slot_of=slot_of)
+    for array in (block_of, group_of, slot_of, *groups):
+        array.setflags(write=False)
+    return blocks
+
+
+def block_stacks(rows: np.ndarray, n: int, factors: int = 3) -> list[np.ndarray]:
+    """Stacked rows split over the V_t, each row restricted to its own V_t.
+
+    Returns one (blocks, depth, d) array per group of :func:`label_blocks`,
+    block-aligned with that group; a block's rows fill its first slots in row
+    order and zero rows pad the rest, which leaves every rank and span as it
+    is.  Raises ContractError unless each row has nonzero entries in exactly
+    one V_t.
+    """
+    blocks = label_blocks(n, factors)
+    nonzero = rows != 0
+    owner = blocks.block_of[nonzero.argmax(axis=1)]
+    if not nonzero.any(axis=1).all() or (nonzero & (blocks.block_of != owner[:, None])).any():
+        raise ContractError("each row must be supported in exactly one label-multiset space V_t")
+    stacks = []
+    for g, cols in enumerate(blocks.groups):
+        mine = np.flatnonzero(blocks.group_of[owner] == g)
+        slots = blocks.slot_of[owner[mine]]
+        order = np.argsort(slots, kind="stable")
+        mine, slots = mine[order], slots[order]
+        level = np.arange(len(slots)) - np.searchsorted(slots, slots)  # rank within the block
+        stack = np.zeros((len(cols), level.max(initial=-1) + 1, cols.shape[1]))
+        stack[slots, level] = rows[mine[:, None], cols[slots]]
+        stacks.append(stack)
+    return stacks
+
+
+def diagonal_blocks(op: np.ndarray, n: int) -> tuple[list[np.ndarray], float]:
+    """The V_t diagonal blocks of an n^3 x n^3 operator, one (blocks, d, d)
+    stack per group of :func:`label_blocks`, and the Frobenius norm of the
+    entries off those blocks."""
+    blocks = label_blocks(n)
+    diagonal = [op[cols[:, :, None], cols[:, None, :]] for cols in blocks.groups]
+    off_block = blocks.block_of[:, None] != blocks.block_of
+    return diagonal, float(np.linalg.norm(op[off_block]))
+
+
+def _symmetric_basis(n: int, factors: int) -> np.ndarray:
+    """One row per V_t: the equal superposition of the basis kets in it."""
+    blocks = label_blocks(n, factors)
+    sizes = np.bincount(blocks.block_of)
+    basis = np.zeros((len(sizes), n**factors))
+    basis[blocks.block_of, np.arange(n**factors)] = 1.0 / np.sqrt(sizes[blocks.block_of])
+    return basis
 
 
 def symmetric_basis_2(n: int) -> np.ndarray:
@@ -100,8 +206,7 @@ def symmetric_basis_2(n: int) -> np.ndarray:
     Returns an array of shape (n(n+1)/2, n^2); row order follows
     :func:`pair_labels`.
     """
-    check_dimension(n)
-    return np.array([_symmetrized_ket(p, n) for p in pair_labels(n)])
+    return _symmetric_basis(n, 2)
 
 
 def symmetric_basis_3(n: int) -> np.ndarray:
@@ -111,8 +216,7 @@ def symmetric_basis_3(n: int) -> np.ndarray:
     :func:`triple_labels`.  Each row is invariant under all six register
     permutations.
     """
-    check_dimension(n)
-    return np.array([_symmetrized_ket(t, n) for t in triple_labels(n)])
+    return _symmetric_basis(n, 3)
 
 
 def permutation_operator(perm: tuple[int, ...], n: int) -> np.ndarray:
@@ -123,7 +227,7 @@ def permutation_operator(perm: tuple[int, ...], n: int) -> np.ndarray:
         raise DomainError(f"{perm!r} is not a permutation of the registers")
     factors, dim = len(perm), n ** len(perm)
     # Row axis r of the identity's tensor takes input register perm[r].
-    eye = np.eye(dim, dtype=complex).reshape((n,) * factors + (dim,))
+    eye = np.eye(dim).reshape((n,) * factors + (dim,))
     return eye.transpose(*perm, factors).reshape(dim, dim)
 
 
@@ -156,7 +260,7 @@ def mean_density_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
     check_dimension(n)
     weight = 2.0 / (n**2 * (n + 1))
     p_sigma = symmetric_projector(n)
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(n)
     rho1 = weight * np.kron(p_sigma, eye)
     rho2 = weight * np.kron(eye, p_sigma)
     return rho1, rho2
@@ -204,11 +308,14 @@ def dimension_table(n: int) -> DimensionTable:
 def s1_product_basis(n: int) -> np.ndarray:
     """Orthonormal basis of S1: symmetric AB pairs tensored with C.
 
-    Row order: pair index (lexicographic) major, C label minor.
+    Row order: pair index (lexicographic) major, C label minor.  Row (m, c)
+    is np.kron(sym2[m], e_c), scattered into place in one step.
     """
     sym2 = symmetric_basis_2(n)
-    eye = np.eye(n)
-    return np.array([np.kron(u, eye[a]) for u in sym2 for a in range(n)])
+    c = np.arange(n)
+    rows = np.zeros((len(sym2), n, n * n, n))
+    rows[:, c, :, c] = sym2  # rows[m, c, p, c] = sym2[m, p]
+    return rows.reshape(len(sym2) * n, n**3)
 
 
 def s2_product_basis(n: int) -> np.ndarray:
@@ -221,26 +328,41 @@ def s2_product_basis(n: int) -> np.ndarray:
     return exchange_ac(s1_product_basis(n), n)
 
 
-def _svd_rank(rows: np.ndarray) -> int:
-    return int(np.linalg.matrix_rank(rows, tol=TAU_RANK))
+def _svd_rank(stacks: list[np.ndarray]) -> int:
+    """Summed SVD ranks of stacked matrices."""
+    return sum(int((np.linalg.svd(m, compute_uv=False) > TAU_RANK).sum()) for m in stacks)
+
+
+def _block_projectors(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-block sums of dyads of stacked orthonormal rows."""
+    return [m.transpose(0, 2, 1) @ m for m in stacks]
 
 
 def constructive_dimension_table(n: int) -> DimensionTable:
-    """Subspace dimensions recomputed as SVD ranks of explicitly built spans."""
+    """Subspace dimensions recomputed as SVD ranks of explicitly built spans.
+
+    Every basis row lies in one label-multiset space V_t, so every span and
+    projector splits over the V_t and each rank is a sum of per-block ranks.
+    Raises ContractError if a basis row is not supported in exactly one V_t.
+    """
     check_dimension(n)
-    sym2 = symmetric_basis_2(n)
-    sym3 = symmetric_basis_3(n)
-    b1 = s1_product_basis(n)
-    b2 = s2_product_basis(n)
-    p0 = projector_from_rows(sym3)
-    p1 = projector_from_rows(b1)
-    p2 = projector_from_rows(b2)
+    sym2 = block_stacks(symmetric_basis_2(n), n, factors=2)
+    sym3, b1, b2 = (block_stacks(rows, n) for rows in (
+        symmetric_basis_3(n), s1_product_basis(n), s2_product_basis(n)))
+    p0, p1, p2 = (_block_projectors(stacks) for stacks in (sym3, b1, b2))
 
-    _, singular, vh = np.linalg.svd(np.vstack([b1, b2]), full_matrices=False)
-    s3 = int((singular > TAU_RANK).sum())
-    p3 = projector_from_rows(vh[:s3])
-    s4 = _svd_rank(p1 - p0)
+    # S3 = span(S1, S2) block by block: the right singular vectors above TAU_RANK.
+    p3, s3 = [], 0
+    for u1, u2 in zip(b1, b2):
+        _, singular, vh = np.linalg.svd(np.concatenate([u1, u2], axis=1), full_matrices=False)
+        spans = singular > TAU_RANK
+        s3 += int(spans.sum())
+        p3.append(np.einsum("bki,bk,bkj->bij", vh, spans, vh))
 
+    def rank_of_difference(left, right):
+        return _svd_rank([a - b for a, b in zip(left, right)])
+
+    s4 = rank_of_difference(p1, p0)
     return DimensionTable(
         n=n,
         sigma=_svd_rank(sym2),
@@ -249,8 +371,8 @@ def constructive_dimension_table(n: int) -> DimensionTable:
         s2=_svd_rank(b2),
         s3=s3,
         s4=s4,
-        s5=_svd_rank(p2 - p0),
-        s6=_svd_rank(p3 - p0),
+        s5=rank_of_difference(p2, p0),
+        s6=rank_of_difference(p3, p0),
         i0=s4,
     )
 
@@ -277,7 +399,7 @@ def expand_u3(n: int, triple: tuple[int, int, int]) -> np.ndarray:
         raise DomainError(f"triple {triple} is not ordered within 1..{n}")
 
     npairs = n * (n + 1) // 2
-    coeffs = np.zeros(npairs * n, dtype=complex)
+    coeffs = np.zeros(npairs * n)
     c_major = np.sqrt(2.0 / 3.0)
     c_minor = np.sqrt(1.0 / 3.0)
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,22 @@ def test_prepare_refuses_more_modes_than_the_limit(tmp_path, capsys):
     code, out, err = run_cli(capsys, "prepare", str(source))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "must not exceed" in err
+
+
+def test_prepare_stops_reading_at_the_first_amplitude_past_the_limit(tmp_path, capsys):
+    modes = optics.MAX_MODES + 1
+    source = tmp_path / "amps.txt"
+    source.write_text("# header\n" + f"{modes ** -0.5!r}\n" * modes)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "prepare", str(source))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    # Refused on the line of amplitude MAX_MODES + 1, before any network is built.
+    assert err.startswith("error:") and f"line {modes + 1} " in err and "must not exceed" in err
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("body,line", [("0.6 0 5\n0.8\n", 1), ("0.6\n# note\n0.8 x\n", 3)])

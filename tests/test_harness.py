@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qudisc import harness, povm
+from qudisc import harness, povm, spaces
 from qudisc.errors import ContractError, DomainError
 from qudisc.harness import (
     McEstimate,
@@ -22,7 +22,7 @@ from qudisc.harness import (
     verify_all,
 )
 from qudisc.optics import Interferometer, simulate_clicks, simulate_discriminator
-from qudisc.jordan import build_gh_bases
+from qudisc.jordan import JordanPairSet, build_gh_bases
 from qudisc.povm import Priors, average_success, omega1_from_x, total_povm
 from qudisc.spaces import mean_density_operators, projector_from_rows, symmetric_basis_3
 
@@ -356,3 +356,67 @@ def test_verify_all_unattainable_tolerance_fails_without_raising():
     assert not report.passed
     assert any(not r.passed for r in report.results)
     assert "FAIL" in report.to_text()
+
+
+def _failed_checks(report):
+    return {(r.scope, r.name) for r in report.results if not r.passed}
+
+
+def test_pi1_scaled_at_n5_fails_the_pure_state_checks(monkeypatch):
+    # pi1 at n = 5 scaled by 1 + 1e-3 wherever register C reads label 2: a
+    # uniform scale would leave pi1 blind to the wrong input.
+    real = povm._reciprocal_projectors
+
+    def faulty(n):
+        proj_g, proj_h = real(n)
+        if n != 5:
+            return proj_g, proj_h
+        scale = np.ones((n, n, n))
+        scale[:, :, 1] = 1.0 + 1e-3
+        scale = scale.ravel()
+        return scale[:, None] * proj_g * scale, proj_h
+
+    monkeypatch.setattr(povm, "_reciprocal_projectors", faulty)
+    failed = _failed_checks(verify_all(5))
+    assert {("global", "dimension_independence"), ("n=5", "povm_unambiguous_pure"),
+            ("n=5", "pure_success_closed_form")} <= failed
+    assert not any(scope == "n=4" for scope, _ in failed)
+
+
+def test_a_perturbed_g_row_fails_the_angle_checks(monkeypatch):
+    pairs = build_gh_bases(3)
+    g = pairs.g.copy()
+    g[4, np.flatnonzero(g[4])[0]] += 1e-6
+    broken = JordanPairSet(n=3, g=g, h=pairs.h, labels=pairs.labels)
+    monkeypatch.setattr(harness, "build_gh_bases", lambda n: broken if n == 3 else build_gh_bases(n))
+    failed = _failed_checks(verify_all(3))
+    assert {("n=3", "principal_angle_cosines"), ("n=3", "paired_basis_structure")} <= failed
+
+
+def test_an_entry_off_the_blocks_of_rho1_fails_the_state_check(monkeypatch):
+    # Above the diagonal, where a dense eigvalsh (lower triangle) would not look.
+    real = spaces.mean_density_operators
+
+    def faulty(n):
+        rho1, rho2 = real(n)
+        rho1 = rho1.copy()
+        rho1[0, -1] = 1e-9  # row |111>, column |333>
+        return rho1, rho2
+
+    monkeypatch.setattr(spaces, "mean_density_operators", faulty)
+    assert ("n=3", "mean_densities_are_states") in _failed_checks(verify_all(3))
+
+
+def test_an_s1_row_outside_one_block_fails_the_dimension_check(monkeypatch):
+    real = spaces.s1_product_basis
+
+    def broken(n):
+        rows = real(n).copy()
+        rows[0, -1] = 1e-9  # row 0 is |111>; the last index is |nnn>
+        return rows
+
+    monkeypatch.setattr(spaces, "s1_product_basis", broken)
+    with pytest.raises(ContractError):
+        spaces.constructive_dimension_table(3)
+    report = verify_all(3)
+    assert {("n=2", "dimension_formulas"), ("n=3", "dimension_formulas")} <= _failed_checks(report)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qudisc import harness
+from qudisc import harness, povm as povm_module
 from qudisc.errors import ContractError, DegeneratePriorsError, DomainError
 from qudisc.jordan import build_gh_bases, reciprocal_rows
 from qudisc.povm import (
@@ -58,6 +58,14 @@ def test_clamp_probability():
     for bad in (1.1, np.nan, -np.inf):
         with pytest.raises(ContractError):
             clamp_probability(bad)
+
+
+def test_clamp_probability_arrays():
+    values = clamp_probability(np.array([-1e-13, 0.5, 1.0 + 1e-13]))
+    assert np.array_equal(values, [0.0, 0.5, 1.0])
+    for bad in (1.1, np.nan):
+        with pytest.raises(ContractError):
+            clamp_probability(np.array([0.5, bad]))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -328,6 +336,59 @@ def test_cross_checks_match_dense_total_povm(n):
                 + priors.eta2 * np.vdot(big2, povm.pi2 @ big2).real
             )
             assert abs(pure_success_expectation(psi1, psi2, omega1, priors, n) - dense) < 1e-14
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_total_povm_is_real_and_its_cached_projectors_read_only(n):
+    triple = total_povm(n, 0.6)
+    assert all(op.dtype == np.float64 for op in triple.elements())
+    projectors = povm_module._reciprocal_projectors(n)
+    assert povm_module._reciprocal_projectors(n) is projectors
+    for proj in projectors:
+        assert proj.dtype == np.float64 and not proj.flags.writeable
+
+
+def _state_stacks(n, pairs, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    z = rng.normal(size=(2, pairs, n)) + 1j * rng.normal(size=(2, pairs, n))
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_stacked_pairs_agree_with_per_pair_calls(n):
+    psi1, psi2 = _state_stacks(n, 30, seed=n)
+    priors = Priors.from_eta1(0.3)
+    for name, call in (
+        ("pure_success", lambda a, b: pure_success(a, b, 0.7, priors, n)),
+        ("pure_success_expectation", lambda a, b: pure_success_expectation(a, b, 0.7, priors, n)),
+        ("sum_g", lambda a, b: harness.overlap_identity_check(a, b, n).sum_g),
+        ("sum_h", lambda a, b: harness.overlap_identity_check(a, b, n).sum_h),
+        ("closed_form", lambda a, b: harness.overlap_identity_check(a, b, n).closed_form),
+    ):
+        stacked = call(psi1, psi2)
+        singles = [call(a, b) for a, b in zip(psi1, psi2)]
+        assert stacked.shape == (30,), name
+        assert all(isinstance(v, float) for v in singles), name
+        assert np.abs(stacked - np.array(singles)).max() <= 1e-15, name
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.001, 0.0])
+def test_one_bad_row_in_a_stack_is_refused(bad):
+    n = 3
+    psi1, psi2 = _state_stacks(n, 10, seed=5)
+    psi1[6] *= bad
+    priors = Priors.from_eta1(0.3)
+    for call in (
+        lambda a, b: pure_success(a, b, 0.7, priors, n),
+        lambda a, b: pure_success_expectation(a, b, 0.7, priors, n),
+        lambda a, b: harness.overlap_identity_check(a, b, n),
+    ):
+        with pytest.raises(ContractError):
+            call(psi1, psi2)
+        with pytest.raises(ContractError):  # mismatched stacks
+            call(psi2[:4], psi2)
+        with pytest.raises(ContractError):  # not a vector or a stack of vectors
+            call(psi2[None], psi2[None])
+
 
 def test_pure_success_dimension_independent():
     priors = Priors.from_eta1(0.3)

@@ -3,16 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
-from qudisc.errors import DomainError
+from qudisc import spaces
+from qudisc.errors import ContractError, DomainError
 from qudisc.spaces import (
     basis_ket,
+    block_stacks,
     check_dimension,
     check_integer,
     constructive_dimension_table,
+    diagonal_blocks,
     dimension_table,
     exchange_ac,
     expand_u3,
     flatten_index,
+    label_blocks,
     mean_density_operators,
     pair_labels,
     permutation_operator,
@@ -97,7 +101,7 @@ def test_permutation_operator_matches_column_loop(n):
     for factors in (2, 3):
         for perm in itertools.permutations(range(factors)):
             op = permutation_operator(perm, n)
-            assert op.dtype == complex
+            assert op.dtype == np.float64
             assert np.array_equal(op, _permutation_operator_loop(perm, n))
     for bad_perm in ((0, 0), (1, 2), (0, 2, 1, 1)):
         with pytest.raises(DomainError):
@@ -219,6 +223,94 @@ def test_dimension_table_matches_constructive_ranks(n):
     assert constructive_dimension_table(n) == dimension_table(n)
 
 
+def _s1_product_basis_loop(n):
+    """Reference: one np.kron per (pair, C label), the build the index scatter replaced."""
+    eye = np.eye(n)
+    return np.array([np.kron(u, eye[a]) for u in symmetric_basis_2(n) for a in range(n)])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_s1_product_basis_is_the_kron_loop_bit_for_bit(n):
+    rows, reference = s1_product_basis(n), _s1_product_basis_loop(n)
+    assert rows.dtype == reference.dtype == np.float64 and rows.shape == reference.shape
+    assert rows.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bases_and_operators_on_the_registers_are_real(n):
+    arrays = [
+        basis_ket((1, 2, 1), n), symmetric_basis_2(n), symmetric_basis_3(n),
+        permutation_operator((1, 0), n), permutation_operator((2, 0, 1), n),
+        s1_product_basis(n), s2_product_basis(n), symmetric_projector(n),
+        *mean_density_operators(n), expand_u3(n, (1, 1, 2)),
+    ]
+    assert all(a.dtype == np.float64 for a in arrays)
+    blocks = label_blocks(n)
+    assert label_blocks(n) is blocks
+    for array in (blocks.block_of, blocks.group_of, blocks.slot_of, *blocks.groups):
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("n, factors", [(2, 2), (3, 2), (2, 3), (4, 3)])
+def test_label_blocks_are_the_sorted_label_multisets(n, factors):
+    blocks = label_blocks(n, factors)
+    multisets = list(itertools.combinations_with_replacement(range(n), factors))
+    for flat, labels in enumerate(itertools.product(range(n), repeat=factors)):
+        assert blocks.block_of[flat] == multisets.index(tuple(sorted(labels)))
+    seen = []
+    for g, cols in enumerate(blocks.groups):
+        for slot, members in enumerate(cols):
+            t = blocks.block_of[members[0]]
+            assert (blocks.group_of[t], blocks.slot_of[t]) == (g, slot)
+            assert list(members) == list(np.flatnonzero(blocks.block_of == t))
+            seen.append(t)
+    assert sorted(seen) == list(range(len(multisets)))
+
+
+def test_block_stacks_restrict_rows_and_refuse_rows_across_blocks():
+    n = 3
+    rows = s1_product_basis(n)
+    stacks = block_stacks(rows, n)
+    for cols, stack in zip(label_blocks(n).groups, stacks):
+        for members, block in zip(cols, stack):
+            inside = rows[:, members]
+            mine = inside[np.abs(inside).sum(axis=1) > 0]
+            assert np.array_equal(block[:len(mine)], mine) and not block[len(mine):].any()
+    crossing = rows.copy()
+    crossing[4, flatten_index((3, 3, 3), n)] = 1e-9  # row 4 lies in V_{1,1,2}
+    for bad in (crossing, np.vstack([rows, np.zeros(n**3)])):
+        with pytest.raises(ContractError):
+            block_stacks(bad, n)
+
+
+def test_constructive_table_refuses_a_basis_row_outside_one_block(monkeypatch):
+    real = spaces.s1_product_basis
+
+    def broken(n):
+        rows = real(n).copy()
+        rows[0, -1] = 1e-9  # row 0 is |111>; the last index is |nnn>
+        return rows
+
+    monkeypatch.setattr(spaces, "s1_product_basis", broken)
+    with pytest.raises(ContractError):
+        constructive_dimension_table(3)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_diagonal_blocks_and_the_off_block_norm(n):
+    rng = np.random.default_rng(n)
+    op = rng.normal(size=(n**3, n**3))
+    diagonal, off = diagonal_blocks(op, n)
+    block_of = label_blocks(n).block_of
+    for cols, stack in zip(label_blocks(n).groups, diagonal):
+        for members, block in zip(cols, stack):
+            assert np.array_equal(block, op[np.ix_(members, members)])
+    outside = block_of[:, None] != block_of[None, :]
+    assert off > 0 and abs(off - np.sqrt((op[outside] ** 2).sum())) <= 1e-12 * off
+    rho1, _ = mean_density_operators(n)
+    assert diagonal_blocks(rho1, n)[1] == 0.0
+
+
 def test_s1_union_s2_rank_qubits():
     stacked = np.vstack([s1_product_basis(2), s2_product_basis(2)])
     singular = np.linalg.svd(stacked, compute_uv=False)
@@ -295,3 +387,8 @@ def test_product_ket_equals_nested_kron(n):
     for _ in range(20):
         a, b, c = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
         assert np.array_equal(product_ket(a, b, c), np.kron(np.kron(a, b), c))
+    stack = rng.normal(size=(3, 4, n)) + 1j * rng.normal(size=(3, 4, n))
+    kets = product_ket(*stack)
+    assert kets.shape == (4, n**3)
+    for t in range(4):
+        assert np.array_equal(kets[t], product_ket(*stack[:, t]))
