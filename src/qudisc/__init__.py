@@ -23,7 +23,6 @@ from .jordan import (
 from .optics import (
     ClickStats,
     Interferometer,
-    TwoModeLayer,
     discriminator_network,
     prepare_state_network,
     reck_decompose,

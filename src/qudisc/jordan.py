@@ -7,6 +7,11 @@ canonical (Jordan) basis condition, so each pair (g_i, h_i) spans its own
 two-dimensional subspace T_i and the discrimination problem splits over the
 T_i independently.  h_i is g_i with registers A and C exchanged: the
 exchange maps S1 onto S2 and fixes the fully symmetric subspace.
+
+Every g_i lies in one label-multiset space V_t (:func:`qudisc.spaces.label_blocks`),
+and up to relabelling it is one of four kinds, none depending on n: one row
+for t = (i, i, k) or (i, j, j), and two for three distinct labels.  g is the
+four kind rows scattered over the V_t.
 """
 
 from __future__ import annotations
@@ -20,17 +25,47 @@ from .errors import ContractError
 from .spaces import (
     TAU_OP,
     check_dimension,
-    basis_ket,
     dimension_table,
     exchange_ac,
+    label_blocks,
     projector_from_rows,
     symmetric_basis_3,
+    triple_labels,
 )
 
 CASE_LOW = "i=j<k"
 CASE_HIGH = "i<j=k"
 CASE_DISTINCT = "i<j<k"
 CASE_DISTINCT_PRIMED = "i<j<k'"
+
+
+def _kind_rows() -> dict[str, tuple[float, ...]]:
+    """The g row of each kind over the basis kets of its V_t in ascending flat
+    order, which are the sorted permutations of t = (i, j, k)."""
+    s = 1.0 / np.sqrt(2)
+    c1, c2 = np.sqrt(1.0 / 3.0), np.sqrt(2.0 / 3.0)
+    a, b, c = (3.0 - np.sqrt(3.0)) / 6.0, (3.0 + np.sqrt(3.0)) / 6.0, np.sqrt(3.0) / 3.0
+    return {
+        CASE_LOW: (-c2, c1 * s, c1 * s),  # |iik>, |iki>, |kii>
+        CASE_HIGH: (c1 * s, c1 * s, -c2),  # |ijj>, |jij>, |jji>
+        # |ijk>, |ikj>, |jik>, |jki>, |kij>, |kji>
+        CASE_DISTINCT: (a * s, -(b * s), a * s, c * s, -(b * s), c * s),
+        CASE_DISTINCT_PRIMED: (-(b * s), a * s, -(b * s), c * s, a * s, c * s),
+    }
+
+
+_G_ROWS = _kind_rows()
+
+
+def _triple_kinds(i: int, j: int, k: int) -> tuple[str, ...]:
+    """The kinds of the g rows in V_t for t = (i, j, k), i <= j <= k, in row order."""
+    if i == j == k:
+        return ()
+    if i == j:
+        return (CASE_LOW,)
+    if j == k:
+        return (CASE_HIGH,)
+    return (CASE_DISTINCT, CASE_DISTINCT_PRIMED)
 
 
 def reciprocal_rows(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,12 +101,6 @@ class JordanPairSet:
         return len(self.labels)
 
 
-def _sym_pair_ket(i: int, j: int, n: int) -> np.ndarray:
-    if i == j:
-        return basis_ket((i, i), n)
-    return (basis_ket((i, j), n) + basis_ket((j, i), n)) / np.sqrt(2)
-
-
 def build_gh_bases(n: int) -> JordanPairSet:
     """Construct the i0 = n(n+1)(n-1)/3 paired basis vectors.
 
@@ -84,39 +113,17 @@ def build_gh_bases(n: int) -> JordanPairSet:
 
 @functools.lru_cache(maxsize=4)
 def _build_gh_bases(n: int) -> JordanPairSet:
-    eye = np.eye(n)
-    c1 = np.sqrt(1.0 / 3.0)
-    c2 = np.sqrt(2.0 / 3.0)
-    a = (3.0 - np.sqrt(3.0)) / 6.0
-    b = (3.0 + np.sqrt(3.0)) / 6.0
-    c = np.sqrt(3.0) / 3.0
-
-    def pair_with_c(i: int, j: int, k: int) -> np.ndarray:
-        return np.kron(_sym_pair_ket(i, j, n), eye[k - 1])
-
-    g_rows, labels = [], []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                if i == j == k:
-                    continue
-                if i == j:
-                    g_rows.append(c1 * pair_with_c(i, k, i) - c2 * basis_ket((i, i, k), n))
-                    labels.append((CASE_LOW, (i, j, k)))
-                elif j == k:
-                    g_rows.append(c1 * pair_with_c(i, j, j) - c2 * basis_ket((j, j, i), n))
-                    labels.append((CASE_HIGH, (i, j, k)))
-                else:
-                    g_rows.append(
-                        a * pair_with_c(i, j, k) - b * pair_with_c(i, k, j) + c * pair_with_c(j, k, i)
-                    )
-                    labels.append((CASE_DISTINCT, (i, j, k)))
-                    g_rows.append(
-                        a * pair_with_c(i, k, j) - b * pair_with_c(i, j, k) + c * pair_with_c(j, k, i)
-                    )
-                    labels.append((CASE_DISTINCT_PRIMED, (i, j, k)))
-
-    g = np.array(g_rows)
+    blocks = label_blocks(n)
+    labels, rows, cols, values = [], [], [], []
+    for t, triple in enumerate(triple_labels(n)):
+        members = blocks.groups[blocks.group_of[t]][blocks.slot_of[t]]
+        for kind in _triple_kinds(*triple):
+            rows += [len(labels)] * len(members)
+            cols.append(members)
+            values += _G_ROWS[kind]
+            labels.append((kind, triple))
+    g = np.zeros((len(labels), n**3))
+    g[rows, np.concatenate(cols)] = values
     pair_set = JordanPairSet(n=n, g=g, h=exchange_ac(g, n), labels=tuple(labels))
     assert len(pair_set) == dimension_table(n).i0
     return pair_set

@@ -24,7 +24,6 @@ layer: ``modes`` holds the (L, 2) 0-based mode pairs in listed order,
 ``angles`` the (L, 3) angles (w, phi, theta) and ``phases`` the N input
 phases.  The arrays are read-only and validated together when the network is
 built; synthesis, composition and the text form work on them whole.
-:class:`TwoModeLayer` is the record for building a network by hand.
 """
 
 from __future__ import annotations
@@ -111,11 +110,11 @@ def _real_array(values, row_shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr
 
 
-def _layer_arrays(modes, angles, num_modes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _layer_arrays(modes, angles, num_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (L, 2) int64 mode pairs and (L, 3) float angles of L layers.
 
     DomainError unless the modes are whole numbers >= 0, below `num_modes`
-    when it is given, and distinct within each pair, and the angles finite.
+    and distinct within each pair, and the angles finite.
     """
     modes = _real_array(modes, (2,), "layer modes")
     angles = _real_array(angles, (3,), "layer angles").astype(float, copy=False)
@@ -123,7 +122,7 @@ def _layer_arrays(modes, angles, num_modes: int | None = None) -> tuple[np.ndarr
         raise DomainError(f"{len(modes)} mode pairs for {len(angles)} angle triples")
     if not ((modes >= 0) & (modes == np.trunc(modes))).all():  # NaN fails too
         raise DomainError("layer modes must be whole numbers >= 0")
-    if num_modes is not None and not (modes < num_modes).all():
+    if not (modes < num_modes).all():
         raise DomainError("layer modes outside the network")
     if not (modes[:, 0] != modes[:, 1]).all():
         raise DomainError("layer modes must differ")
@@ -132,24 +131,6 @@ def _layer_arrays(modes, angles, num_modes: int | None = None) -> tuple[np.ndarr
     modes = modes.astype(np.int64, copy=False)
     modes.flags.writeable = angles.flags.writeable = False
     return modes, angles
-
-
-@dataclass(frozen=True)
-class TwoModeLayer:
-    """A two-mode block acting on the 0-based mode pair (mode_a, mode_b)."""
-
-    mode_a: int
-    mode_b: int
-    omega: float
-    phi: float = 0.0
-    theta: float = 0.0
-
-    def __post_init__(self) -> None:
-        modes, angles = _layer_arrays([(self.mode_a, self.mode_b)],
-                                      [(self.omega, self.phi, self.theta)])
-        for attr, value in zip(("mode_a", "mode_b", "omega", "phi", "theta"),
-                               modes[0].tolist() + angles[0].tolist()):
-            object.__setattr__(self, attr, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,19 +161,6 @@ class Interferometer:
         for attr, value in (("num_modes", num_modes), ("modes", modes), ("angles", angles),
                             ("phases", phases)):
             object.__setattr__(self, attr, value)
-
-    @classmethod
-    def from_layers(cls, num_modes: int, layers=(), phases=()) -> "Interferometer":
-        """A network from :class:`TwoModeLayer` records in listed order."""
-        layers = tuple(layers)
-        return cls(num_modes, [(layer.mode_a, layer.mode_b) for layer in layers],
-                   [(layer.omega, layer.phi, layer.theta) for layer in layers], phases)
-
-    @property
-    def layers(self) -> tuple[TwoModeLayer, ...]:
-        """The layers as records in listed order, rebuilt from the arrays on each access."""
-        return tuple(TwoModeLayer(a, b, *angles)
-                     for (a, b), angles in zip(self.modes.tolist(), self.angles.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Interferometer):

@@ -139,7 +139,7 @@ def _label_blocks(n: int, factors: int) -> LabelBlocks:
     _, block_of = np.unique(keys, return_inverse=True)
     sizes = np.bincount(block_of)
     members = np.split(np.argsort(block_of, kind="stable"), np.cumsum(sizes)[:-1])
-    dims = np.unique(sizes)
+    dims = np.flatnonzero(np.bincount(sizes))
     group_of = np.searchsorted(dims, sizes)
     slot_of = np.zeros_like(block_of, shape=len(sizes))
     groups = []
@@ -255,14 +255,21 @@ def mean_density_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The first operator fills the AB symmetric subspace uniformly and is
     maximally mixed on C; the second fills the BC symmetric subspace and is
-    maximally mixed on A.  Both have unit trace.
+    maximally mixed on A.  Both have unit trace.  The pair is built once per n
+    and shared, so the arrays are read-only.
     """
-    check_dimension(n)
+    return _mean_density_operators(check_dimension(n))
+
+
+@functools.lru_cache(maxsize=4)  # the n^3 x n^3 operators grow as n^6
+def _mean_density_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
     weight = 2.0 / (n**2 * (n + 1))
     p_sigma = symmetric_projector(n)
     eye = np.eye(n)
     rho1 = weight * np.kron(p_sigma, eye)
     rho2 = weight * np.kron(eye, p_sigma)
+    for rho in (rho1, rho2):
+        rho.setflags(write=False)
     return rho1, rho2
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qudisc import harness, povm, spaces
+from qudisc import harness, jordan, povm, spaces
 from qudisc.errors import ContractError, DomainError
 from qudisc.harness import (
     McEstimate,
@@ -22,7 +22,7 @@ from qudisc.harness import (
     verify_all,
 )
 from qudisc.optics import Interferometer, simulate_clicks, simulate_discriminator
-from qudisc.jordan import JordanPairSet, build_gh_bases
+from qudisc.jordan import CASE_LOW, JordanPairSet, build_gh_bases
 from qudisc.povm import Priors, average_success, omega1_from_x, total_povm
 from qudisc.spaces import mean_density_operators, projector_from_rows, symmetric_basis_3
 
@@ -249,14 +249,25 @@ def test_ks_pvalue_rejects_wrong_law():
     assert ks_pvalue(samples, lambda u: 1.0 - (1.0 - u) ** 2) < 1e-3
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, qudisc.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+def _fresh_python(code):
+    """stdout of `code` run in a new interpreter that imports the tested package."""
     src = str(Path(harness.__file__).parents[1])  # the tested package, however pytest found it
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, qudisc.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    assert _fresh_python(code) == "False"
+
+
+def test_verify_leaves_numpy_ma_unloaded():
+    # numpy.ma is a lazy import costing ~15 ms, which np.unique without return_* triggers.
+    code = "import sys, qudisc; qudisc.verify_all(3); print('numpy.ma' in sys.modules)"
+    assert _fresh_python(code) == "False"
 
 
 def test_verify_all_passes_and_reports():
@@ -282,7 +293,7 @@ def test_verify_all_refuses_oversized_nmax_before_any_work(monkeypatch):
         with pytest.raises(DomainError, match="too large"):
             verify_all(too_big)
     assert ran == []
-    assert 16 * 8**6 == harness.MAX_OPERATOR_BYTES  # n_max = 8 is the largest admitted
+    assert 8 * 8**6 <= harness.MAX_OPERATOR_BYTES < 8 * 9**6  # n_max = 8 is the largest admitted
     verify_all(8)
     assert ran == [2, 3, 4, 5, 6, 7, 8, "g"]
 
@@ -391,6 +402,20 @@ def test_a_perturbed_g_row_fails_the_angle_checks(monkeypatch):
     monkeypatch.setattr(harness, "build_gh_bases", lambda n: broken if n == 3 else build_gh_bases(n))
     failed = _failed_checks(verify_all(3))
     assert {("n=3", "principal_angle_cosines"), ("n=3", "paired_basis_structure")} <= failed
+
+
+def test_a_perturbed_kind_row_fails_the_paired_basis_check(monkeypatch):
+    low = jordan._G_ROWS[CASE_LOW]
+    monkeypatch.setitem(jordan._G_ROWS, CASE_LOW, (low[0] + 1e-9, *low[1:]))
+    caches = (jordan._build_gh_bases, povm._reciprocal_projectors)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        failed = _failed_checks(verify_all(3))
+    finally:
+        for cache in caches:  # drop the families built from the perturbed table
+            cache.cache_clear()
+    assert ("n=3", "paired_basis_structure") in failed
 
 
 def test_an_entry_off_the_blocks_of_rho1_fails_the_state_check(monkeypatch):

@@ -9,7 +9,6 @@ from qudisc.jordan import build_gh_bases
 from qudisc.optics import (
     ClickStats,
     Interferometer,
-    TwoModeLayer,
     analytic_discriminator_probabilities,
     discriminator_network,
     discriminator_port_state,
@@ -50,15 +49,15 @@ def test_two_mode_unitary_is_unitary():
 
 def test_layer_validation():
     with pytest.raises(DomainError):
-        TwoModeLayer(1, 1, omega=0.3)
+        Interferometer(2, [(1, 1)], [(0.3, 0, 0)])
     with pytest.raises(DomainError):
-        Interferometer.from_layers(2, (TwoModeLayer(0, 5, omega=0.1),))
+        Interferometer(2, [(0, 5)], [(0.1, 0, 0)])
     for modes in ((0.5, 1), (-1, 1), (0, np.nan)):
         with pytest.raises(DomainError):
-            TwoModeLayer(*modes, omega=0.3)
+            Interferometer(2, [modes], [(0.3, 0, 0)])
     for angles in ((np.nan, 0.0, 0.0), (0.3, np.inf, 0.0), (0.3, 0.0, -np.inf)):
         with pytest.raises(DomainError):
-            TwoModeLayer(0, 1, *angles)
+            Interferometer(2, [(0, 1)], [angles])
     for phases in ((np.nan, 0.0), (0.0, np.inf), ("a", 0.0), (0.1,), ((0.1, 0.2),), (None, 0.0)):
         with pytest.raises(DomainError):
             Interferometer(num_modes=2, phases=phases)
@@ -67,7 +66,7 @@ def test_layer_validation():
             Interferometer(num_modes=num_modes)
     for angles in (("0.3", 0.0, 0.0), (0.3, None, 0.0), (0.3, 0.0, 1j)):
         with pytest.raises(DomainError):
-            TwoModeLayer(0, 1, *angles)
+            Interferometer(2, [(0, 1)], [angles])
     for modes, angles in (
         ([(0, 1)], []),  # one pair, no angles
         ([(0, 1, 2)], [(0.3, 0.0, 0.0)]),
@@ -90,8 +89,8 @@ def test_network_arrays_are_read_only_copies():
             arr[0] = 1
     modes[0, 0], angles[0, 0], phases[0] = 1, 9.0, 9.0  # the caller's arrays stay the caller's
     assert net == Interferometer(3, [(0, 2), (1, 2)], np.full((2, 3), 0.4), (0.1, 0, 0))
-    assert net.layers == (TwoModeLayer(0, 2, 0.4, 0.4, 0.4), TwoModeLayer(1, 2, 0.4, 0.4, 0.4))
-    assert Interferometer.from_layers(3, net.layers, net.phases) == net
+    assert net.modes.tolist() == [[0, 2], [1, 2]] and net.angles.tolist() == [[0.4] * 3] * 2
+    assert Interferometer(3, net.modes, net.angles, net.phases) == net
 
 
 def test_network_equality_is_value_equality():
@@ -169,7 +168,7 @@ def test_discriminator_matches_povm_born_rule():
 
 def test_reck_identity_is_empty():
     net = reck_decompose(np.eye(4))
-    assert len(net.layers) == 0
+    assert len(net.modes) == 0
     assert all(p == 0.0 for p in net.phases)
     np.testing.assert_allclose(net.unitary(), np.eye(4), atol=1e-15)
 
@@ -177,9 +176,8 @@ def test_reck_identity_is_empty():
 def test_reck_single_block_roundtrip():
     block = two_mode_unitary(0.6, 0.0, 0.0)
     net = reck_decompose(block)
-    assert len(net.layers) == 1
-    layer = net.layers[0]
-    assert abs(layer.omega - 0.6) < 1e-12
+    assert len(net.modes) == 1
+    assert abs(net.angles[0, 0] - 0.6) < 1e-12
     np.testing.assert_allclose(net.unitary(), block, atol=1e-12)
 
 
@@ -195,7 +193,7 @@ def test_reck_roundtrip_and_layer_bound(dim):
     rng = np.random.Generator(np.random.Philox(key=100 + dim))
     target = random_unitary(dim, rng)
     net = reck_decompose(target)
-    assert len(net.layers) <= dim * (dim - 1) // 2
+    assert len(net.modes) <= dim * (dim - 1) // 2
     assert np.abs(net.unitary() - target).max() < 1e-10
 
 
@@ -255,20 +253,20 @@ def test_text_round_trips_on_random_networks():
     rng = np.random.Generator(np.random.Philox(key=6))
     for _ in range(50):
         modes = int(rng.integers(1, 8))
-        layers = tuple(
-            TwoModeLayer(*rng.choice(modes, 2, replace=False), *rng.uniform(-7, 7, 3))
-            for _ in range(int(rng.integers(0, 12)) if modes > 1 else 0)
-        )
+        pairs, angles = [], []
+        for _ in range(int(rng.integers(0, 12)) if modes > 1 else 0):
+            pairs.append(rng.choice(modes, 2, replace=False))
+            angles.append(rng.uniform(-7, 7, 3))
         phases = tuple(rng.uniform(-7, 7, modes) * (rng.random(modes) < 0.5))
-        net = Interferometer.from_layers(modes, layers, phases=phases)
+        net = Interferometer(modes, pairs, angles, phases)
         assert Interferometer.from_text(net.to_text()) == net
 
 
 def _to_text_per_layer(net):
     """Reference: the network text written one f-string per layer."""
     lines = [f"MODES {net.num_modes}"]
-    lines += [f"BS {layer.mode_a + 1} {layer.mode_b + 1} {layer.omega:.17g} "
-              f"{layer.phi:.17g} {layer.theta:.17g}" for layer in net.layers]
+    lines += [f"BS {a + 1} {b + 1} {omega:.17g} {phi:.17g} {theta:.17g}"
+              for (a, b), (omega, phi, theta) in zip(net.modes.tolist(), net.angles.tolist())]
     lines += [f"PHASE {m + 1} {p:.17g}" for m, p in enumerate(net.phases) if p != 0.0]
     return "\n".join(lines) + "\n"
 
@@ -298,7 +296,7 @@ def _reck_column_by_column(matrix):
     mat = np.array(matrix, dtype=complex)
     dim = mat.shape[0]
 
-    layers: list[TwoModeLayer] = []
+    modes, angles = [], []
     for col in range(dim - 1):
         for row in range(col + 1, dim):
             if abs(mat[row, col]) <= 1e-14:
@@ -310,11 +308,12 @@ def _reck_column_by_column(matrix):
             top = s * np.exp(-1j * phi) * mat[col] + c * np.exp(-1j * theta) * mat[row]
             bot = c * np.exp(-1j * phi) * mat[col] - s * np.exp(-1j * theta) * mat[row]
             mat[col], mat[row] = top, bot
-            layers.append(TwoModeLayer(col, row, omega=omega, phi=phi, theta=theta))
+            modes.append((col, row))
+            angles.append((omega, phi, theta))
 
     phases = tuple(float(a) for a in np.angle(np.diag(mat)))
     phases = tuple(0.0 if abs(a) < 1e-14 else a for a in phases)
-    return Interferometer.from_layers(dim, tuple(layers), phases=phases)
+    return Interferometer(dim, modes, angles, phases)
 
 
 def _reck_equivalence_targets():
@@ -346,15 +345,15 @@ def test_reck_wavefronts_match_column_by_column_elimination():
 def _unitary_layer_by_layer(net):
     """Reference: one 2x2 block product per layer, last listed layer first."""
     mat = np.diag(np.exp(1j * np.asarray(net.phases)))
-    for layer in reversed(net.layers):
-        s, c = np.sin(layer.omega), np.cos(layer.omega)
+    for rows, (omega, phi, theta) in reversed(list(zip(net.modes.tolist(),
+                                                       net.angles.tolist()))):
+        s, c = np.sin(omega), np.cos(omega)
         block = np.array(
             [
-                [s * np.exp(1j * layer.phi), c * np.exp(1j * layer.phi)],
-                [c * np.exp(1j * layer.theta), -s * np.exp(1j * layer.theta)],
+                [s * np.exp(1j * phi), c * np.exp(1j * phi)],
+                [c * np.exp(1j * theta), -s * np.exp(1j * theta)],
             ]
         )
-        rows = [layer.mode_a, layer.mode_b]
         mat[rows] = block @ mat[rows]
     return mat
 
@@ -367,9 +366,9 @@ def test_unitary_depth_batches_match_layer_by_layer_on_any_order():
         pairs = [rng.choice(modes, 2, replace=False) for _ in range(int(rng.integers(0, 31)))]
         if len(pairs) > 2:
             pairs[-1] = pairs[0]  # a repeated pair
-        layers = tuple(TwoModeLayer(int(a), int(b), *rng.uniform(-7, 7, 3)) for a, b in pairs)
+        angles = [rng.uniform(-7, 7, 3) for _ in pairs]
         phases = tuple(rng.uniform(-7, 7, modes) * (rng.random(modes) < 0.7))
-        nets.append(Interferometer.from_layers(modes, layers, phases=phases))
+        nets.append(Interferometer(modes, pairs, angles, phases))
     nets += [discriminator_network(omega1) for omega1 in (0.0, 0.3, omega1_from_x(2.0), 1.5)]
     for n in (2, 3, 9, 17):
         amps = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -380,15 +379,15 @@ def test_unitary_depth_batches_match_layer_by_layer_on_any_order():
 
 def test_prepare_basis_vector_is_identity_network():
     net = prepare_state_network(np.array([1.0, 0.0, 0.0]), 3)
-    assert len(net.layers) == 0
+    assert len(net.modes) == 0
     np.testing.assert_allclose(net.unitary(), np.eye(3), atol=1e-15)
 
 
 def test_prepare_balanced_pair_single_layer():
     amps = np.array([1.0, 1.0]) / np.sqrt(2)
     net = prepare_state_network(amps, 2)
-    assert len(net.layers) == 1
-    assert abs(net.layers[0].omega - np.pi / 4) < 1e-12
+    assert len(net.modes) == 1
+    assert abs(net.angles[0, 0] - np.pi / 4) < 1e-12
     np.testing.assert_allclose(net.unitary()[:, 0], amps, atol=1e-10)
 
 
@@ -426,7 +425,7 @@ def test_simulate_clicks_identity_network():
 
 
 def test_simulate_clicks_balanced_splitter():
-    net = Interferometer.from_layers(2, (TwoModeLayer(0, 1, omega=np.pi / 4),))
+    net = Interferometer(2, [(0, 1)], [(np.pi / 4, 0, 0)])
     state = np.array([1, 0], dtype=complex)
     shots = 100_000
     stats = simulate_clicks(net, state, shots=shots, seed=11)
@@ -448,8 +447,7 @@ def test_simulate_clicks_discriminator_d1_rate():
 
 
 def test_simulate_clicks_tallies_one_seeded_stream():
-    net = Interferometer.from_layers(3, (TwoModeLayer(0, 2, omega=0.4, phi=0.3),
-                                         TwoModeLayer(0, 1, omega=1.1)))
+    net = Interferometer(3, [(0, 2), (0, 1)], [(0.4, 0.3, 0), (1.1, 0, 0)])
     state = np.array([0.6, 0.8j, 0.0])
     shots, seed = 5_000, 12
     edges = np.cumsum(output_distribution(net, state))
@@ -481,7 +479,7 @@ def test_seeded_stream_rejects_keys_outside_64_bits(bad):
         optics.seeded_stream(0, bad)
 
 def test_simulate_clicks_deterministic_and_validated():
-    net = Interferometer.from_layers(2, (TwoModeLayer(0, 1, omega=0.3),))
+    net = Interferometer(2, [(0, 1)], [(0.3, 0, 0)])
     state = np.array([1, 0], dtype=complex)
     first = simulate_clicks(net, state, shots=500, seed=9)
     second = simulate_clicks(net, state, shots=500, seed=9)
@@ -512,8 +510,7 @@ def test_simulate_discriminator_statistics():
 
 def test_sampling_tallies_do_not_depend_on_shot_block(monkeypatch):
     priors = Priors.from_eta1(0.35)
-    net = Interferometer.from_layers(3, (TwoModeLayer(0, 2, omega=0.4, phi=0.3),
-                                         TwoModeLayer(0, 1, omega=1.1)))
+    net = Interferometer(3, [(0, 2), (0, 1)], [(0.4, 0.3, 0), (1.1, 0, 0)])
     state = np.array([0.6, 0.8j, 0.0])
     runs = [simulate_discriminator(0.7, priors, shots=1001, seed=8),
             simulate_clicks(net, state, shots=1001, seed=8)]

@@ -192,6 +192,15 @@ def test_mean_density_operators_are_states(n):
         assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
+def test_mean_density_operators_are_shared_and_read_only():
+    rho1, rho2 = mean_density_operators(3)
+    again = mean_density_operators(3)
+    assert again[0] is rho1 and again[1] is rho2
+    for rho in (rho1, rho2):
+        with pytest.raises(ValueError):
+            rho[0, 0] = 1.0
+
+
 def test_mean_density_spectrum_qubits():
     rho1, _ = mean_density_operators(2)
     eigs = np.sort(np.linalg.eigvalsh(rho1))
