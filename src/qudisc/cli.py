@@ -39,7 +39,7 @@ from .povm import (
 from .spaces import dimension_table
 
 # Most grid points `scan` accepts: at some 13 microseconds per printed row this
-# is about two minutes of output, and the grid itself takes 80 MB.
+# is about two minutes of output.  The grid is computed one point at a time.
 MAX_SCAN_STEPS = 10**7
 
 
@@ -147,25 +147,33 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _scan_grid(points: int):
+    """The points of np.linspace(1.0, 4.0, points), points >= 2, one at a time,
+    by linspace's own formula: i * step + 1.0, and exactly 4.0 last."""
+    step = 3.0 / (points - 1)
+    for i in range(points - 1):
+        yield i * step + 1.0
+    yield 4.0
+
+
 def cmd_scan(args) -> int:
     if args.steps > MAX_SCAN_STEPS:
         raise DomainError(f"steps must not exceed {MAX_SCAN_STEPS}, got {args.steps}")
     priors = _priors_from_eta1(args.eta1, open_interval=True)
     points = max(args.steps, 2)
-    xs = np.linspace(1.0, 4.0, points)
     _emit_record(
         "scan",
         {"n": args.n, "eta1": args.eta1, "steps": args.steps},
         {"rows": points, "columns": ["omega1", "x", "p_avg", "p_subspace"]},
     )
     print("omega1,x,p_avg,p_subspace")
-    for x in xs:
-        omega1 = omega1_from_x(float(x))
+    for x in _scan_grid(points):
+        omega1 = omega1_from_x(x)
         row = (
             omega1,
-            float(x),
+            x,
             average_success(args.n, omega1, priors),
-            success_curve_x(float(x), priors),
+            success_curve_x(x, priors),
         )
         print(",".join(_format_number(v) for v in row))
     return 0
@@ -255,7 +263,9 @@ def cmd_prepare(args) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    target_error = float(np.abs(net.unitary()[:, 0] - amps).max())
+    photon = np.zeros(len(amps))
+    photon[0] = 1.0  # one photon in the first mode; apply() never builds the unitary
+    target_error = float(np.abs(net.apply(photon) - amps).max())
     _emit_record(
         "prepare",
         {"amplitudes": args.amplitudes, "out": args.out, "modes": len(amps)},

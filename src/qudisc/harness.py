@@ -24,6 +24,11 @@ from .povm import Priors
 # takes the next draws of the call's one stream, so results do not depend on it.
 HAAR_BLOCK = 1024
 
+# The regime scan's grid is np.arange(1.0, 4.0 + 1e-6, 1e-6) cut at 4: np.arange
+# computes its point i as 1.0 + i * SCAN_STEP, and the first SCAN_POINTS of them
+# are <= 4.  Points are computed only where the scan reads them.
+SCAN_STEP = (1.0 + 1e-6) - 1.0
+SCAN_POINTS = 3_000_001
 # Coarse stride of the regime scan.  P(x) is concave on [1, 4], so the maximum
 # over the fine grid lies within one stride of the maximum over every stride-th
 # point, and scanning only that window finds it exactly.
@@ -376,27 +381,30 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
                "summed reciprocal overlaps equal (1 - overlap^2)/2 for random pairs")
 
 
-def _grid_max(xs: np.ndarray, priors: Priors) -> tuple[float, int]:
-    """Maximum of P over the sorted grid xs and its index in xs, evaluated
+def _scan_points(start: int, stop: int, stride: int = 1) -> np.ndarray:
+    """Points start, start + stride, ... (below stop) of the regime scan's grid."""
+    return 1.0 + np.arange(start, min(stop, SCAN_POINTS), stride) * SCAN_STEP
+
+
+def _grid_max(priors: Priors) -> tuple[float, int]:
+    """Maximum of P over the regime scan's grid and its index there, evaluated
     within one SCAN_STRIDE of the coarse peak."""
     def curve(x):
         return 1.0 - priors.eta1 * x / 4.0 - priors.eta2 / x
 
-    start = max(0, (int(np.argmax(curve(xs[::SCAN_STRIDE]))) - 1) * SCAN_STRIDE)
-    window = curve(xs[start:start + 2 * SCAN_STRIDE + 1])
+    coarse = curve(_scan_points(0, SCAN_POINTS, SCAN_STRIDE))
+    start = max(0, (int(np.argmax(coarse)) - 1) * SCAN_STRIDE)
+    window = curve(_scan_points(start, start + 2 * SCAN_STRIDE + 1))
     top = int(np.argmax(window))
     return float(window[top]), start + top
 
 
 def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> None:
     scope = "global"
-    etas = np.linspace(0.01, 0.99, 99)
-    xs = np.arange(1.0, 4.0 + 1e-6, 1e-6)
-    xs = xs[:np.searchsorted(xs, 4.0, side="right")]  # the points <= 4, as a view, not a copy
     dev = 0.0
-    for eta1 in etas:
+    for eta1 in np.linspace(0.01, 0.99, 99):
         priors = Priors.from_eta1(float(eta1))
-        dev = max(dev, abs(povm.optimal_subspace(priors).value - _grid_max(xs, priors)[0]))
+        dev = max(dev, abs(povm.optimal_subspace(priors).value - _grid_max(priors)[0]))
     report.add("regime_optima_vs_scan", scope, dev, tol.scan,
                "three-regime optimum matches a 1e-6 grid scan for 99 priors")
 

@@ -24,6 +24,11 @@ layer: ``modes`` holds the (L, 2) 0-based mode pairs in listed order,
 ``angles`` the (L, 3) angles (w, phi, theta) and ``phases`` the N input
 phases.  The arrays are read-only and validated together when the network is
 built; synthesis, composition and the text form work on them whole.
+
+``Interferometer.unitary()`` composes the N x N network unitary;
+``Interferometer.apply(states)`` propagates input amplitudes, one column per
+state, through the same wavefront schedule without it, so a single photon
+costs O(N) memory rather than O(N^2).
 """
 
 from __future__ import annotations
@@ -45,7 +50,8 @@ SHOT_BLOCK = 2**16
 # Most shots one sampling call accepts: at some 7 million shots per second
 # this is about 2.5 minutes of sampling.
 MAX_SHOTS = 10**9
-# Most modes a network may have: unitary() of 2^12 modes is a 256 MB matrix.
+# Most modes a network may have: unitary() of 2^12 modes is a 256 MB matrix
+# (apply() to one photon holds only its N amplitudes).
 MAX_MODES = 2**12
 
 
@@ -170,33 +176,56 @@ class Interferometer:
             for attr in ("modes", "angles", "phases")
         )
 
-    def unitary(self) -> np.ndarray:
-        """The network unitary, composed in wavefronts of commuting layers.
+    def _compose(self, mat: np.ndarray) -> np.ndarray:
+        """Apply the two-mode layers to the rows of `mat` in place, in wavefronts.
 
         Layers are taken in application order (last listed first), and each
         gets depth 1 + the larger depth reached so far on its two modes.  The
         layers of one depth act on disjoint modes, and every mode meets its
         layers in order, so each depth is applied as one batched product of
-        its 2x2 blocks with the rows they act on.  This holds for any layer
-        order; the result equals layer-by-layer composition bit for bit.
+        its 2x2 blocks with the rows they act on.  One stable argsort of the
+        depths makes each depth a slice of the sorted layers.  This holds for
+        any layer order; the result equals layer-by-layer composition bit for bit.
         """
-        mat = np.diag(np.exp(1j * self.phases))
         if not len(self.modes):
             return mat
-        modes = self.modes[::-1]  # application order
-        blocks = two_mode_unitary(*self.angles[::-1].T)
         reached = [0] * self.num_modes  # depth of the last layer on each mode
-        groups: list[list[int]] = []  # layer indices, one list per depth
-        for index, (a, b) in enumerate(modes.tolist()):
+        depths = []
+        for a, b in self.modes[::-1].tolist():
             depth = max(reached[a], reached[b])
             reached[a] = reached[b] = depth + 1
-            if depth == len(groups):
-                groups.append([])
-            groups[depth].append(index)
-        for group in groups:
-            rows = modes[group]
-            mat[rows] = blocks[group] @ mat[rows]
+            depths.append(depth)
+        order = len(depths) - 1 - np.argsort(depths, kind="stable")  # listed indices
+        modes = self.modes[order]
+        blocks = two_mode_unitary(*self.angles[order].T)
+        bounds = np.cumsum(np.bincount(depths)).tolist()
+        for lo, hi in zip([0, *bounds], bounds):
+            rows = modes[lo:hi]
+            mat[rows] = blocks[lo:hi] @ mat[rows]
         return mat
+
+    def unitary(self) -> np.ndarray:
+        """The N x N network unitary: the layers composed onto diag(exp(i * phases))."""
+        return self._compose(np.diag(np.exp(1j * self.phases)))
+
+    def apply(self, states) -> np.ndarray:
+        """The network applied to input amplitudes `states`, shape (N,) or (N, k),
+        without building the unitary; equals ``unitary() @ states`` up to rounding.
+
+        ContractError unless `states` is a finite array of one of those shapes.
+        """
+        try:
+            states = np.asarray(states, dtype=complex)
+        except (TypeError, ValueError):
+            raise ContractError("states must be an array of numbers") from None
+        if states.ndim not in (1, 2) or len(states) != self.num_modes:
+            raise ContractError(f"states must have shape ({self.num_modes},) or "
+                                f"({self.num_modes}, k), got {states.shape}")
+        if not np.isfinite(states).all():
+            raise ContractError("states must be finite")
+        columns = states[:, None] if states.ndim == 1 else states
+        columns = np.exp(1j * self.phases)[:, None] * columns
+        return self._compose(columns).reshape(states.shape)
 
     def to_text(self) -> str:
         """Serialize as BS lines followed by PHASE lines (1-based modes)."""

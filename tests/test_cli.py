@@ -2,6 +2,7 @@ import json
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qudisc import cli, harness, optics
@@ -286,6 +287,23 @@ def test_prepare_stops_reading_at_the_first_amplitude_past_the_limit(tmp_path, c
     assert peak < 2**20
 
 
+def test_prepare_propagates_one_photon_without_the_unitary(tmp_path, capsys):
+    rng = optics.seeded_stream(4096)
+    amps = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    amps /= np.linalg.norm(amps)
+    source = tmp_path / "amps.txt"
+    source.write_text("".join(f"{a.real!r} {a.imag!r}\n" for a in amps.tolist()))
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "prepare", str(source), "--out", str(tmp_path / "net.txt"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(out)["results"]["column_error"] < 1e-10
+    assert peak < 16 * 2**20  # the 4096 x 4096 unitary alone would take 256 MiB
+
+
 @pytest.mark.parametrize("body,line", [("0.6 0 5\n0.8\n", 1), ("0.6\n# note\n0.8 x\n", 3)])
 def test_prepare_rejects_malformed_amplitude_lines(tmp_path, capsys, body, line):
     source = tmp_path / "amps.txt"
@@ -309,3 +327,10 @@ def test_golden_outputs(capsys, name, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 51, 10**5 + 1])
+def test_scan_grid_is_linspace_bit_for_bit(steps):
+    points = max(steps, 2)
+    streamed = np.fromiter(cli._scan_grid(points), dtype=float, count=points)
+    assert streamed.tobytes() == np.linspace(1.0, 4.0, points).tobytes()

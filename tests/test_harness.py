@@ -3,6 +3,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -298,14 +299,27 @@ def test_verify_all_refuses_oversized_nmax_before_any_work(monkeypatch):
     assert ran == [2, 3, 4, 5, 6, 7, 8, "g"]
 
 
+def _full_scan_grid():
+    xs = np.arange(1.0, 4.0 + 1e-6, 1e-6)
+    return xs[xs <= 4.0]
+
+
+def test_on_demand_scan_points_are_the_full_grid():
+    xs = _full_scan_grid()
+    assert len(xs) == harness.SCAN_POINTS == 3_000_001
+    points = harness._scan_points(0, harness.SCAN_POINTS)
+    assert points.tobytes() == xs.tobytes()
+    assert harness._scan_points(2_999_000, 3_001_001).tobytes() == xs[2_999_000:].tobytes()
+    assert harness._scan_points(0, 4_000_000, 1000).tobytes() == xs[::1000].tobytes()
+
+
 @pytest.mark.parametrize("eta1", [0.01, 0.19, 0.2, 0.21, 0.5, 0.79, 0.8, 0.81, 0.99])
 def test_windowed_regime_scan_is_the_full_grid_maximum(eta1):
-    xs = np.arange(1.0, 4.0 + 1e-6, 1e-6)
-    xs = xs[xs <= 4.0]
+    xs = _full_scan_grid()
     priors = Priors.from_eta1(eta1)
     values = 1.0 - priors.eta1 * xs / 4.0 - priors.eta2 / xs
     top = int(np.argmax(values))
-    assert harness._grid_max(xs, priors) == (values[top], top)
+    assert harness._grid_max(priors) == (values[top], top)
 
 
 def _povm_positive(n):
@@ -445,3 +459,17 @@ def test_an_s1_row_outside_one_block_fails_the_dimension_check(monkeypatch):
         spaces.constructive_dimension_table(3)
     report = verify_all(3)
     assert {("n=2", "dimension_formulas"), ("n=3", "dimension_formulas")} <= _failed_checks(report)
+
+
+def test_verify_all_memory_peak_stays_small():
+    caches = (spaces._label_blocks, spaces._mean_density_operators,
+              jordan._build_gh_bases, povm._reciprocal_projectors)
+    for cache in caches:  # count every operator verify_all builds
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        verify_all(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # the full 1e-6 regime grid alone would take 24 MB

@@ -358,7 +358,8 @@ def _unitary_layer_by_layer(net):
     return mat
 
 
-def test_unitary_depth_batches_match_layer_by_layer_on_any_order():
+def _any_order_networks():
+    """Random layer orders with repeated pairs, the six-port devices and cascades."""
     rng = np.random.Generator(np.random.Philox(key=73))
     nets = []
     for _ in range(200):
@@ -373,8 +374,43 @@ def test_unitary_depth_batches_match_layer_by_layer_on_any_order():
     for n in (2, 3, 9, 17):
         amps = rng.normal(size=n) + 1j * rng.normal(size=n)
         nets.append(prepare_state_network(amps / np.linalg.norm(amps), n))
-    for net in nets:
+    return nets
+
+
+def test_unitary_depth_batches_match_layer_by_layer_on_any_order():
+    for net in _any_order_networks():
         assert np.array_equal(net.unitary(), _unitary_layer_by_layer(net))
+
+
+def _apply_test_networks():
+    return _any_order_networks() + [reck_decompose(t) for t in _reck_equivalence_targets()]
+
+
+def test_apply_to_the_identity_is_the_unitary():
+    for net in _apply_test_networks():
+        assert np.array_equal(net.apply(np.eye(net.num_modes)), net.unitary())
+
+
+def test_apply_to_states_matches_the_unitary_product():
+    rng = np.random.Generator(np.random.Philox(key=74))
+    for net in _apply_test_networks():
+        unitary = net.unitary()
+        for shape in ((net.num_modes,), (net.num_modes, 1), (net.num_modes, 3)):
+            states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            out = net.apply(states)
+            assert out.shape == shape
+            assert np.abs(out - unitary @ states).max() <= 1e-12
+    net = prepare_state_network(np.array([0.6, 0.0, 0.8j]), 3)
+    assert np.abs(net.apply([1, 0, 0]) - [0.6, 0.0, 0.8j]).max() < 1e-12  # real input
+
+
+def test_apply_rejects_malformed_states():
+    net = discriminator_network(0.3)
+    for bad in (np.ones(2), np.ones((4, 2)), np.ones((3, 2, 1)), np.float64(1.0), "abc",
+                np.array([1.0, np.nan, 0.0]), np.array([[1.0], [np.inf], [0.0]]),
+                np.array([1.0, complex(0.0, -np.inf), 0.0])):
+        with pytest.raises(ContractError):
+            net.apply(bad)
 
 
 def test_prepare_basis_vector_is_identity_network():

@@ -222,7 +222,7 @@ def test_optimal_subspace_against_grid_scan():
     xs = xs[xs <= 4.0]
     for eta1 in np.linspace(0.01, 0.99, 99):
         priors = Priors.from_eta1(float(eta1))
-        best, top = harness._grid_max(xs, priors)
+        best, top = harness._grid_max(priors)
         x_best = xs[top]
         result = optimal_subspace(priors)
         assert abs(result.value - best) < 1e-6
