@@ -35,8 +35,8 @@ SCAN_POINTS = 3_000_001
 SCAN_STRIDE = 1000
 
 # Largest dense operator verify_all may build: a real n^3 x n^3 matrix takes
-# 8 n^6 bytes, so this admits n_max <= 8.  The per-n suite takes about 0.06,
-# 0.14 and 0.33 s at n = 6, 7 and 8 (one BLAS thread on a 2-vCPU x86 VM).
+# 8 n^6 bytes, so this admits n_max <= 8.  The per-n suite takes about 0.02-0.03,
+# 0.04-0.06 and 0.11-0.14 s at n = 6, 7 and 8 (one BLAS thread on a 2-vCPU x86 VM).
 MAX_OPERATOR_BYTES = 4 * 2**20
 
 
@@ -141,7 +141,9 @@ def kolmogorov_pvalue(lam: float) -> float:
 
     Below lam = 0.2 the series converges slowly and its value is 1 to 1e-12.
     """
-    if not lam >= 0.2:
+    if np.isnan(lam):  # a statistic that could not be computed fits nothing
+        return 0.0
+    if lam < 0.2:
         return 1.0
     k = np.arange(1, 101)
     return float(2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * k**2 * lam**2)))
@@ -151,7 +153,7 @@ def ks_pvalue(samples: np.ndarray, cdf) -> float:
     """Asymptotic one-sample Kolmogorov-Smirnov p-value against a continuous CDF."""
     u = np.sort(cdf(np.asarray(samples, dtype=float)))
     steps = np.arange(len(u) + 1) / len(u)
-    distance = max((steps[1:] - u).max(), (u - steps[:-1]).max())
+    distance = np.maximum((steps[1:] - u).max(), (u - steps[:-1]).max())
     return kolmogorov_pvalue(np.sqrt(len(u)) * distance)
 
 
@@ -209,13 +211,101 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+def _worst(*deviations) -> float:
+    """The largest deviation, NaN if any is NaN.  Python's max keeps its running
+    value against a NaN, so a NaN deviation would read as a pass."""
+    return float(np.max(np.asarray(deviations, dtype=float)))
+
+
+def _lowest_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """lambda_min over the blocks of a (K, blocks, d, d) stack, one per K; NaN
+    where the eigensolver finds no spectrum (non-finite entries).  Blocks equal
+    at every K have equal spectra, so only distinct ones are solved."""
+    trajectories = stack.transpose(1, 0, 2, 3).reshape(stack.shape[1], -1)
+    distinct = list({block.tobytes(): b for b, block in enumerate(trajectories)}.values())
+    try:
+        return np.linalg.eigvalsh(stack[:, distinct])[..., 0].min(axis=1)
+    except np.linalg.LinAlgError:
+        return np.full(len(stack), np.nan)
+
+
+def _completeness_and_unambiguity(stacks, off, rho_blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Per angle, the largest |entry| of pi1 + pi2 + pi0 - I and the larger of
+    |Tr(pi1 rho2)| and |Tr(pi2 rho1)|.
+
+    The operators are given as V_t diagonal blocks, one (K, 3, blocks, d, d)
+    stack per group, plus the Frobenius norms off (K, 3) of their entries off
+    the blocks; rho_blocks holds spaces.diagonal_blocks of rho1 and rho2.  The
+    off-block entries enter through those norms: they bound the off-block part
+    of the sum, and by Cauchy-Schwarz their share of each trace.
+    """
+    (rho1, rho1_off), (rho2, rho2_off) = rho_blocks
+    complete = np.max([np.abs(s.sum(axis=1) - np.eye(s.shape[-1])).max(axis=(1, 2, 3))
+                       for s in stacks], axis=0) + off.sum(axis=1)
+    wrong = [sum(np.einsum("kbij,bji->k", s[:, k], r) for s, r in zip(stacks, rho))
+             for k, rho in ((0, rho2), (1, rho1))]
+    unambiguous = np.maximum(np.abs(wrong[0]) + off[:, 0] * rho2_off,
+                             np.abs(wrong[1]) + off[:, 1] * rho1_off)
+    return complete, unambiguous
+
+
+def _povm_grid_deviations(n: int, grid: np.ndarray, pairs,
+                          rho_blocks) -> tuple[float, float, float]:
+    """Worst positivity, completeness and unambiguity deviations of the detection
+    operators over the omega1 grid, read on their V_t diagonal blocks.
+
+    pi0's spectrum is an exact eigensolve of its distinct blocks.  pi1 and pi2
+    are held against a and b times the block projectors P_g and P_h of the
+    g_perp and h_perp rows, built here; one eigensolve per n gives their
+    spectra, and Weyl's inequality with ||.||_2 <= ||.||_F gives
+        -lambda_min(pi1) <= a max(0, -lambda_min(P_g)) + ||pi1 - a P_g||_F,
+    and the same for pi2.  Each h_perp row must equal g_perp/2 + (sqrt(3)/2) h.
+    At every seventh point (both ends included) the dense total_povm is
+    compared with the direct sum of the blocks: each ||dense - blocks||_F,
+    off-block entries included, joins that operator's negativity (Weyl
+    again), and the dense completeness and traces join the other two
+    deviations.
+    """
+    stacks = povm.total_povm_blocks(n, grid)
+    weights = np.array([povm.detection_weights(w) for w in grid])
+    model_h_perp = 0.5 * pairs.g_perp + (np.sqrt(3.0) / 2.0) * pairs.h
+    negativity = np.empty((len(grid), 3))
+    for k, rows in enumerate((pairs.g_perp, pairs.h_perp)):
+        model = spaces.block_projectors(spaces.block_stacks(rows, n))
+        lowest = np.min([_lowest_eigenvalues(m[None]) for m in model])
+        weight = weights[:, k, None, None, None]
+        residual = sum(((s[:, k] - weight * m) ** 2).sum(axis=(1, 2, 3))
+                       for s, m in zip(stacks, model))
+        negativity[:, k] = weights[:, k] * np.maximum(0.0, -lowest) + np.sqrt(residual)
+    negativity[:, 2] = np.maximum(0.0, -np.min([_lowest_eigenvalues(s[:, 2]) for s in stacks],
+                                                axis=0))
+
+    checked = np.arange(0, len(grid), 7)
+    dense = [np.empty((len(checked), *s.shape[1:])) for s in stacks]
+    dense_off = np.empty((len(checked), 3))
+    for i, j in enumerate(checked):
+        for k, op in enumerate(povm.total_povm(n, grid[j]).elements()):
+            blocks, dense_off[i, k] = spaces.diagonal_blocks(op, n)
+            for stack, block in zip(dense, blocks):
+                stack[i, k] = block
+    distance = sum(((d - s[checked]) ** 2).sum(axis=(2, 3, 4)) for d, s in zip(dense, stacks))
+    negativity[checked] += np.sqrt(distance + dense_off**2)
+
+    complete, unambiguous = _completeness_and_unambiguity(
+        stacks, np.zeros((len(grid), 3)), rho_blocks)
+    dense_complete, dense_unambiguous = _completeness_and_unambiguity(dense, dense_off, rho_blocks)
+    return (_worst(np.abs(pairs.h_perp - model_h_perp).max(), negativity.max()),
+            _worst(complete.max(), dense_complete.max()),
+            _worst(unambiguous.max(), dense_unambiguous.max()))
+
+
 def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     scope = f"n={n}"
     table = spaces.dimension_table(n)
     try:
         constructive = spaces.constructive_dimension_table(n)
-        dev = max(abs(getattr(table, f) - getattr(constructive, f))
-                  for f in ("sigma", "s0", "s1", "s2", "s3", "s4", "s5", "s6", "i0"))
+        dev = _worst(*(abs(getattr(table, f) - getattr(constructive, f))
+                       for f in ("sigma", "s0", "s1", "s2", "s3", "s4", "s5", "s6", "i0")))
     except ContractError:  # a basis row outside one V_t: the per-block ranks are undefined
         dev = np.inf
     report.add("dimension_formulas", scope, dev, 0,
@@ -223,7 +313,7 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
 
     sym2 = spaces.symmetric_basis_2(n)
     sym3 = spaces.symmetric_basis_3(n)
-    dev = max(
+    dev = _worst(
         np.abs(sym2.conj() @ sym2.T - np.eye(len(sym2))).max(),
         np.abs(sym3.conj() @ sym3.T - np.eye(len(sym3))).max(),
     )
@@ -233,30 +323,31 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     swap = spaces.permutation_operator((1, 0), n)
     p_sigma = spaces.symmetric_projector(n)
     dev = np.abs(p_sigma - (np.eye(n * n) + swap) / 2).max()
-    dev = max(dev, np.abs(p_sigma @ p_sigma - p_sigma).max())
+    dev = _worst(dev, np.abs(p_sigma @ p_sigma - p_sigma).max())
     report.add("symmetric_projector", scope, dev, tol.op,
                "two-fold symmetric projector is the permutation symmetrizer")
 
     dev = 0.0
     for perm in itertools.permutations(range(3)):
         op = spaces.permutation_operator(perm, n)
-        dev = max(dev, np.abs(sym3 @ op.T - sym3).max())
+        dev = _worst(dev, np.abs(sym3 @ op.T - sym3).max())
     report.add("threefold_permutation_invariance", scope, dev, tol.tight,
                "three-fold symmetric vectors are fixed by all register permutations")
 
     # Weyl: lambda_min(rho) >= lambda_min(its V_t diagonal blocks) - ||off-block part||_F.
     rho1, rho2 = spaces.mean_density_operators(n)
+    rho_blocks = [spaces.diagonal_blocks(rho, n) for rho in (rho1, rho2)]
     dev = 0.0
-    for rho in (rho1, rho2):
-        blocks, off_block = spaces.diagonal_blocks(rho, n)
-        lowest = min(np.linalg.eigvalsh(stack)[:, 0].min() for stack in blocks)
-        dev = max(dev, abs(np.trace(rho) - 1), max(0.0, -lowest) + off_block)
+    for rho, (blocks, off_block) in zip((rho1, rho2), rho_blocks):
+        lowest = np.min([_lowest_eigenvalues(stack[None]) for stack in blocks])
+        dev = _worst(dev, abs(np.trace(rho) - 1), np.maximum(0.0, -lowest) + off_block)
     report.add("mean_densities_are_states", scope, dev, tol.tight,
                "averaged inputs are unit-trace positive operators")
 
     s1_rows, s2_rows = spaces.s1_product_basis(n), spaces.s2_product_basis(n)
     coeffs = np.array([spaces.expand_u3(n, triple) for triple in spaces.triple_labels(n)])
-    dev = max(np.linalg.norm(coeffs @ rows - sym3, axis=1).max() for rows in (s1_rows, s2_rows))
+    dev = _worst(*(np.linalg.norm(coeffs @ rows - sym3, axis=1).max()
+                   for rows in (s1_rows, s2_rows)))
     report.add("symmetric_vector_expansions", scope, dev, tol.tight,
                "product-basis expansions reconstruct the symmetric vectors")
 
@@ -271,7 +362,7 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
                "g/h families orthonormal with diagonal cross overlap -1/2")
 
     dev = np.abs(pairs.g.conj() @ sym3.T).max()
-    dev = max(dev, np.abs(pairs.h.conj() @ sym3.T).max())
+    dev = _worst(dev, np.abs(pairs.h.conj() @ sym3.T).max())
     report.add("paired_basis_off_symmetric", scope, dev, tol.tight,
                "g/h vectors are orthogonal to the fully symmetric subspace")
 
@@ -283,12 +374,12 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
                "all principal-angle cosines between the families equal 1/2")
 
     rho1_j, rho2_j = density_from_jordan(n)
-    dev = max(np.abs(rho1_j - rho1).max(), np.abs(rho2_j - rho2).max())
+    dev = _worst(np.abs(rho1_j - rho1).max(), np.abs(rho2_j - rho2).max())
     report.add("density_decomposition", scope, dev, tol.tight,
                "paired-basis decomposition rebuilds the averaged inputs")
 
     p0 = spaces.projector_from_rows(sym3)
-    dev = max(
+    dev = _worst(
         np.abs(p0 + spaces.projector_from_rows(pairs.g)
                - spaces.projector_from_rows(s1_rows)).max(),
         np.abs(p0 + spaces.projector_from_rows(pairs.h)
@@ -296,51 +387,14 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     )
     report.add("complement_spans", scope, dev, tol.op,
                "g (resp. h) dyads complete the symmetric projector to S1 (resp. S2)")
-    # The dense per-n temporaries the loop below does not use.
+    # The dense per-n temporaries the checks below do not use.
     del op, rho1_j, rho2_j, p0, s1_rows, s2_rows
 
-    # Positivity is certified on the Jordan blocks, not by dense eigensolves.
-    # With V the columns of Q = [g_perp; h], eps = ||Q Q^+ - I||_2 and each
-    # h_perp row equal to g_perp/2 + (sqrt(3)/2) h, the model of pi_k is
-    # V (C_k (x) I) V^+ for the 2x2 blocks C_1 = a E_g and C_2 = b E_h of
-    # povm.block_povm, and (I - V V^+) + V (C_0 (x) I) V^+ with
-    # C_0 = I - a E_g - b E_h for pi_0; I - V V^+ >= -eps.  Weyl's inequality
-    # with ||.||_2 <= ||.||_F gives
-    #   -lambda_min(pi_k) <= ||pi_k - model_k||_F + (1 + eps) max(0, -lambda_min(C_k)),
-    # plus eps for pi_0, so the deviation bounds every dense operator's
-    # negativity on the grid.  The Frobenius residuals are elementwise work.
-    q = np.vstack([pairs.g_perp, pairs.h])
-    eps = float(np.linalg.norm(q.conj() @ q.T - np.eye(len(q)), 2))
-    model_h_perp = 0.5 * pairs.g_perp + (np.sqrt(3.0) / 2.0) * pairs.h
-    lift_g = spaces.projector_from_rows(pairs.g_perp)
-    lift_h = spaces.projector_from_rows(model_h_perp)
-
     grid = np.linspace(0.0, np.pi / 2, 50)
-    dev_psd = max(eps, np.abs(pairs.h_perp - model_h_perp).max())
-    dev_sum, dev_unamb = 0.0, 0.0
-    eye = np.eye(n**3)
-    rho1_t, rho2_t = np.ascontiguousarray(rho1.T), np.ascontiguousarray(rho2.T)
-    residual = np.empty_like(eye)  # one n^3 x n^3 buffer for every residual below
-    for omega1 in grid:
-        triple = povm.total_povm(n, omega1)
-        a, b = povm.detection_weights(omega1)
-        np.add(triple.pi1, triple.pi2, out=residual)
-        residual += triple.pi0
-        residual -= eye
-        dev_sum = max(dev_sum, residual.max(), -residual.min())
-        completeness = np.linalg.norm(residual)
-        r = 0.0
-        for op, weight, lift in ((triple.pi1, a, lift_g), (triple.pi2, b, lift_h)):
-            np.multiply(lift, weight, out=residual)
-            np.subtract(op, residual, out=residual)
-            r += np.linalg.norm(residual)
-        blocks = povm.block_povm(omega1)
-        negativity = (1.0 + eps) * np.maximum(0.0, -np.linalg.eigvalsh(blocks)[:, 0])
-        r0 = r + completeness + eps
-        dev_psd = max(dev_psd, r + negativity[:2].max(), r0 + negativity[2])
-        # Tr(pi rho) = sum(pi * rho^T), one contiguous dot product each.
-        dev_unamb = max(dev_unamb, abs(np.vdot(triple.pi1, rho2_t)),
-                        abs(np.vdot(triple.pi2, rho1_t)))
+    try:
+        dev_psd, dev_sum, dev_unamb = _povm_grid_deviations(n, grid, pairs, rho_blocks)
+    except ContractError:  # a g_perp or h row outside one V_t: the operators have no V_t blocks
+        dev_psd = dev_sum = dev_unamb = np.inf
     report.add("povm_positive", scope, dev_psd, tol.op,
                "all three detection operators are positive semidefinite on a 50-point grid")
     report.add("povm_complete", scope, dev_sum, tol.op,
@@ -351,7 +405,7 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     priors = Priors.from_eta1(0.3)
     dev = 0.0
     for omega1 in grid[::7]:
-        dev = max(dev, abs(
+        dev = _worst(dev, abs(
             povm.average_success(n, omega1, priors)
             - povm.average_success_trace(n, omega1, priors)
         ))
@@ -365,14 +419,14 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     closed = povm.pure_success(psi1, psi2, 0.7, priors, n)
     operator = povm.pure_success_expectation(psi1, psi2, 0.7, priors, n)
     dev_pure = np.abs(closed - operator).max()
-    dev_unamb_pure = max(  # |pi_k |wrong input>| per pair, as (kets) pi_k^T in real arithmetic
+    dev_unamb_pure = _worst(*(  # |pi_k |wrong input>| per pair, as (kets) pi_k^T in real arithmetic
         np.sqrt((spaces.split_product(kets, op.T) ** 2).sum(axis=(-2, -1))).max()
         for op, kets in ((triple.pi1, spaces.product_ket(psi1, psi2, psi2)),
                          (triple.pi2, spaces.product_ket(psi1, psi1, psi2)))
-    )
+    ))
     identity = overlap_identity_check(psi1, psi2, n)
-    dev_identity = max(np.abs(identity.sum_g - identity.closed_form).max(),
-                       np.abs(identity.sum_h - identity.closed_form).max())
+    dev_identity = _worst(np.abs(identity.sum_g - identity.closed_form).max(),
+                          np.abs(identity.sum_h - identity.closed_form).max())
     report.add("pure_success_closed_form", scope, dev_pure, tol.op,
                "closed-form pure-state success equals the expectation value")
     report.add("povm_unambiguous_pure", scope, dev_unamb_pure, tol.op,
@@ -404,7 +458,7 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
     dev = 0.0
     for eta1 in np.linspace(0.01, 0.99, 99):
         priors = Priors.from_eta1(float(eta1))
-        dev = max(dev, abs(povm.optimal_subspace(priors).value - _grid_max(priors)[0]))
+        dev = _worst(dev, abs(povm.optimal_subspace(priors).value - _grid_max(priors)[0]))
     report.add("regime_optima_vs_scan", scope, dev, tol.scan,
                "three-regime optimum matches a 1e-6 grid scan for 99 priors")
 
@@ -413,7 +467,7 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
     for boundary in (0.2, 0.8):
         values = [povm.optimal_subspace(Priors.from_eta1(eta1)).value
                   for eta1 in (np.nextafter(boundary, 0.0), boundary, np.nextafter(boundary, 1.0))]
-        dev = max(dev, max(values) - min(values))
+        dev = _worst(dev, np.ptp(values))
     report.add("regime_continuity", scope, dev, tol.tight,
                "endpoint and interior optimum formulas agree at the regime boundaries")
 
@@ -425,7 +479,7 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
         e = np.eye(n)
         psi1, psi2 = e[0], (e[0] + e[1]) / np.sqrt(2)
         ratios.append(povm.pure_success_expectation(psi1, psi2, 0.8, priors, n) / 0.5)
-    report.add("dimension_independence", scope, max(ratios) - min(ratios), tol.op,
+    report.add("dimension_independence", scope, np.ptp(ratios), tol.op,
                "normalized pure-state success is independent of the qudit dimension")
 
     pairs = build_gh_bases(2)
@@ -437,7 +491,7 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
         for which, state in block.items():
             probs = optics.output_distribution(net, optics.discriminator_port_state(which))
             expected = [np.vdot(state, op @ state).real for op in triple.elements()]
-            dev = max(dev, np.abs(probs - np.array(expected)).max())
+            dev = _worst(dev, np.abs(probs - np.array(expected)).max())
     report.add("network_born_rule", scope, dev, tol.tight,
                "six-port click probabilities equal the detection-operator expectations")
 
@@ -449,7 +503,7 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
         target = q * (np.diag(r) / np.abs(np.diag(r)))
         net = optics.reck_decompose(target)
         max_layers_ok &= len(net.modes) <= dim * (dim - 1) // 2
-        dev = max(dev, np.abs(net.unitary() - target).max())
+        dev = _worst(dev, np.abs(net.unitary() - target).max())
     report.add("mesh_synthesis_roundtrip", scope, dev if max_layers_ok else np.inf,
                tol.op, "triangular mesh synthesis reproduces random unitaries up to size 8")
 
@@ -471,8 +525,8 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
         omega1 = 0.8
         est = mc_success(n, omega1, priors_i, trials=trials, seed=55)
         target = povm.average_success(n, omega1, priors_i)
-        if est.stderr > 0:
-            dev_sigma = max(dev_sigma, abs(est.mean - target) / est.stderr)
+        if est.stderr != 0:  # a NaN error is not skipped
+            dev_sigma = _worst(dev_sigma, abs(est.mean - target) / est.stderr)
     report.add("mc_success_consistency", scope, dev_sigma, 3.0,
                "Monte Carlo success estimates sit within three standard errors")
 
@@ -483,7 +537,7 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
 
     samples = np.abs(_haar_rows(optics.seeded_stream(123), (10_000,), 3)[:, 0]) ** 2
     pvalue = ks_pvalue(samples, lambda u: 1.0 - (1.0 - u) ** 2)  # Beta(1, 2) CDF
-    report.add("haar_first_component_law", scope, max(0.0, 1e-3 - pvalue), 0.0,
+    report.add("haar_first_component_law", scope, _worst(0.0, 1e-3 - pvalue), 0.0,
                "squared first component of random states follows the Beta(1, n-1) law")
 
 

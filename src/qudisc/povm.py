@@ -2,7 +2,9 @@
 
 On each Jordan block span(g_perp_i, h_i) the measurement is :func:`block_povm`,
 written in the block's orthonormal (g_perp, h) frame; :func:`total_povm` lifts
-it onto all i0 blocks of the three-register space.
+it onto all i0 blocks of the three-register space, and :func:`total_povm_blocks`
+gives the same operators as their diagonal blocks over the label-multiset
+spaces V_t.
 
 The measurement family has one free angle omega1 in [0, pi/2].  With
 x = 1 + 3 cos^2(omega1) in [1, 4], the per-subspace success probability is
@@ -30,8 +32,8 @@ import numpy as np
 from .errors import ContractError, DegeneratePriorsError, DomainError
 from .jordan import build_gh_bases
 from .spaces import (
-    check_dimension, check_unit_states, mean_density_operators, product_ket, projector_from_rows,
-    split_product,
+    block_projectors, block_stacks, check_dimension, check_unit_states, mean_density_operators,
+    product_ket, projector_from_rows, split_product,
 )
 
 PROB_SLACK = 1e-12
@@ -153,8 +155,29 @@ def total_povm(n: int, omega1: float) -> MeasurementTriple:
     a, b = detection_weights(omega1)
     pi1 = a * proj_g
     pi2 = b * proj_h
-    pi0 = np.eye(n**3) - pi1 - pi2
+    pi0 = np.eye(n**3)  # I - pi1 - pi2, in place
+    pi0 -= pi1
+    pi0 -= pi2
     return MeasurementTriple(pi1=pi1, pi2=pi2, pi0=pi0, omega1=omega1)
+
+
+def total_povm_blocks(n: int, omega1) -> list[np.ndarray]:
+    """:func:`total_povm` at each angle of `omega1` (one or an array), as its V_t diagonal blocks.
+
+    Returns one (angles, 3, blocks, d, d) stack per group of
+    :func:`spaces.label_blocks`, with pi1, pi2 and pi0 along axis 1.  Every
+    g_perp and h_perp row lies in one V_t, so the operators are block
+    diagonal and these blocks are all of them; no n^3 x n^3 array is built.
+    """
+    weights = np.array([detection_weights(w) for w in np.ravel(omega1)])
+    a, b = weights.T[:, :, None, None, None]
+    stacks = []
+    for proj_g, proj_h in zip(*_reciprocal_blocks(check_dimension(n))):
+        pi1 = a * proj_g
+        pi2 = b * proj_h
+        pi0 = np.eye(proj_g.shape[-1]) - pi1 - pi2
+        stacks.append(np.stack([pi1, pi2, pi0], axis=1))
+    return stacks
 
 
 @functools.lru_cache(maxsize=4)  # the n^3 x n^3 projectors grow as n^6
@@ -165,6 +188,17 @@ def _reciprocal_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     for proj in projectors:
         proj.setflags(write=False)
     return projectors
+
+
+@functools.lru_cache(maxsize=8)
+def _reciprocal_blocks(n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The V_t diagonal blocks of :func:`_reciprocal_projectors`, built from the
+    rows, one read-only (blocks, d, d) stack per group of label_blocks(n)."""
+    pairs = build_gh_bases(n)
+    blocks = tuple(block_projectors(block_stacks(rows, n)) for rows in (pairs.g_perp, pairs.h_perp))
+    for stack in (*blocks[0], *blocks[1]):
+        stack.setflags(write=False)
+    return blocks
 
 
 def success_curve_x(x: float, priors: Priors) -> float:

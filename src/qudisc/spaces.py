@@ -185,10 +185,12 @@ def diagonal_blocks(op: np.ndarray, n: int) -> tuple[list[np.ndarray], float]:
     """The V_t diagonal blocks of an n^3 x n^3 operator, one (blocks, d, d)
     stack per group of :func:`label_blocks`, and the Frobenius norm of the
     entries off those blocks."""
-    blocks = label_blocks(n)
-    diagonal = [op[cols[:, :, None], cols[:, None, :]] for cols in blocks.groups]
-    off_block = blocks.block_of[:, None] != blocks.block_of
-    return diagonal, float(np.linalg.norm(op[off_block]))
+    entries = [(cols[:, :, None], cols[:, None, :]) for cols in label_blocks(n).groups]
+    diagonal = [op[rows, cols] for rows, cols in entries]
+    rest = np.array(op)  # op minus the direct sum of its diagonal blocks
+    for rows, cols in entries:
+        rest[rows, cols] = 0.0
+    return diagonal, float(np.linalg.norm(rest))
 
 
 def _symmetric_basis(n: int, factors: int) -> np.ndarray:
@@ -340,8 +342,8 @@ def _svd_rank(stacks: list[np.ndarray]) -> int:
     return sum(int((np.linalg.svd(m, compute_uv=False) > TAU_RANK).sum()) for m in stacks)
 
 
-def _block_projectors(stacks: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-block sums of dyads of stacked orthonormal rows."""
+def block_projectors(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-block sums of dyads of stacked orthonormal rows (:func:`block_stacks`)."""
     return [m.transpose(0, 2, 1) @ m for m in stacks]
 
 
@@ -356,7 +358,7 @@ def constructive_dimension_table(n: int) -> DimensionTable:
     sym2 = block_stacks(symmetric_basis_2(n), n, factors=2)
     sym3, b1, b2 = (block_stacks(rows, n) for rows in (
         symmetric_basis_3(n), s1_product_basis(n), s2_product_basis(n)))
-    p0, p1, p2 = (_block_projectors(stacks) for stacks in (sym3, b1, b2))
+    p0, p1, p2 = (block_projectors(stacks) for stacks in (sym3, b1, b2))
 
     # S3 = span(S1, S2) block by block: the right singular vectors above TAU_RANK.
     p3, s3 = [], 0

@@ -376,6 +376,97 @@ def test_povm_positive_fails_on_a_perturbed_h_perp_row(monkeypatch):
     assert not _povm_positive(3).passed
 
 
+def _per_n_results(n):
+    report = harness.VerificationReport(n_max=n)
+    harness._checks_for_n(n, Tolerances(), report)
+    return {r.name: r for r in report.results}
+
+
+OMEGA1_GRID = np.linspace(0.0, np.pi / 2, 50)  # the grid of the per-n POVM checks
+
+
+def test_povm_positive_fails_on_a_dense_fault_at_one_cross_check_point(monkeypatch):
+    real = povm.total_povm
+
+    def faulty(n, omega1):
+        triple = real(n, omega1)
+        if n == 6 and omega1 == OMEGA1_GRID[14]:
+            triple.pi1[0, -1] += 1e-6  # between |111> and |666>, off the V_t blocks
+            triple.pi1[-1, 0] += 1e-6
+        return triple
+
+    monkeypatch.setattr(povm, "total_povm", faulty)
+    assert not _povm_positive(6).passed
+
+
+def test_povm_positive_fails_on_a_block_fault_between_cross_check_points(monkeypatch):
+    real = povm.total_povm_blocks
+
+    def faulty(n, omega1):
+        stacks = real(n, omega1)
+        v = np.full(stacks[-1].shape[-1], 1.0 / np.sqrt(stacks[-1].shape[-1]))
+        stacks[-1][10, 0, 0] -= 1e-6 * np.outer(v, v)  # pi1 on one V_t at OMEGA1_GRID[10]
+        return stacks
+
+    monkeypatch.setattr(povm, "total_povm_blocks", faulty)
+    assert not _povm_positive(3).passed
+
+
+def test_verify_all_builds_dense_povms_only_at_the_cross_check_points(monkeypatch):
+    calls = []
+    real = povm.total_povm
+
+    def counted(n, omega1):
+        calls.append(n)
+        return real(n, omega1)
+
+    monkeypatch.setattr(povm, "total_povm", counted)
+    assert verify_all(6).passed
+    # Per n: OMEGA1_GRID[::7] and the pure-state triple; network_born_rule adds 20 at n = 2.
+    assert len(calls) <= 5 * (len(OMEGA1_GRID[::7]) + 1) + 20
+    assert set(calls) == {2, 3, 4, 5, 6}
+
+
+def test_a_nan_in_one_permutation_operator_fails_the_invariance_check(monkeypatch):
+    real = spaces.permutation_operator
+
+    def faulty(perm, n):
+        op = real(perm, n)
+        if tuple(perm) == (1, 0, 2):  # the third of the six: Python's max would drop its NaN
+            op = op.copy()
+            op[0, 0] = np.nan
+        return op
+
+    monkeypatch.setattr(spaces, "permutation_operator", faulty)
+    result = _per_n_results(3)["threefold_permutation_invariance"]
+    assert not result.passed and np.isnan(result.deviation)
+
+
+def test_a_nan_in_pi1_at_one_grid_point_fails_the_grid_checks(monkeypatch):
+    # pi1 = a P_g and pi0 = I - pi1 - pi2 are NaN at OMEGA1_GRID[10], between
+    # the dense cross-check points, and finite everywhere else.
+    real = povm.detection_weights
+
+    def faulty(omega1):
+        a, b = real(omega1)
+        return (np.nan if omega1 == OMEGA1_GRID[10] else a), b
+
+    monkeypatch.setattr(povm, "detection_weights", faulty)
+    results = _per_n_results(3)
+    for name in ("povm_positive", "povm_complete", "povm_unambiguous_mixed"):
+        assert not results[name].passed and np.isnan(results[name].deviation), name
+
+
+def test_a_nan_ks_statistic_fails_closed(monkeypatch):
+    assert kolmogorov_pvalue(np.nan) == 0.0
+    assert ks_pvalue([0.1, np.nan, 0.5], lambda u: u) == 0.0
+    monkeypatch.setattr(harness, "ks_pvalue", lambda samples, cdf: np.nan)
+    report = harness.VerificationReport(n_max=2)
+    harness._global_checks(2, Tolerances(), report)
+    law = next(r for r in report.results if r.name == "haar_first_component_law")
+    assert not law.passed
+
+
 def test_verify_all_unattainable_tolerance_fails_without_raising():
     report = verify_all(2, Tolerances(tight=1e-30, op=1e-30, scan=1e-30))
     assert not report.passed
@@ -421,7 +512,7 @@ def test_a_perturbed_g_row_fails_the_angle_checks(monkeypatch):
 def test_a_perturbed_kind_row_fails_the_paired_basis_check(monkeypatch):
     low = jordan._G_ROWS[CASE_LOW]
     monkeypatch.setitem(jordan._G_ROWS, CASE_LOW, (low[0] + 1e-9, *low[1:]))
-    caches = (jordan._build_gh_bases, povm._reciprocal_projectors)
+    caches = (jordan._build_gh_bases, povm._reciprocal_projectors, povm._reciprocal_blocks)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -463,7 +554,7 @@ def test_an_s1_row_outside_one_block_fails_the_dimension_check(monkeypatch):
 
 def test_verify_all_memory_peak_stays_small():
     caches = (spaces._label_blocks, spaces._mean_density_operators,
-              jordan._build_gh_bases, povm._reciprocal_projectors)
+              jordan._build_gh_bases, povm._reciprocal_projectors, povm._reciprocal_blocks)
     for cache in caches:  # count every operator verify_all builds
         cache.cache_clear()
     tracemalloc.start()

@@ -22,7 +22,7 @@ from qudisc.povm import (
     total_povm,
     x_from_omega1,
 )
-from qudisc.spaces import mean_density_operators, product_ket
+from qudisc.spaces import diagonal_blocks, label_blocks, mean_density_operators, product_ket
 
 
 def haar_state(n, rng):
@@ -345,6 +345,38 @@ def test_total_povm_is_real_and_its_cached_projectors_read_only(n):
     assert povm_module._reciprocal_projectors(n) is projectors
     for proj in projectors:
         assert proj.dtype == np.float64 and not proj.flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_total_povm_pi0_is_the_identity_minus_pi1_and_pi2(n):
+    for omega1 in np.linspace(0.0, np.pi / 2, 50):
+        triple = total_povm(n, omega1)
+        assert np.array_equal(triple.pi0, np.eye(n**3) - triple.pi1 - triple.pi2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_total_povm_blocks_are_the_dense_diagonal_blocks(n):
+    grid = np.linspace(0.0, np.pi / 2, 50)
+    stacks = povm_module.total_povm_blocks(n, grid)
+    groups = label_blocks(n).groups
+    assert [s.shape for s in stacks] == [(50, 3, *cols.shape, cols.shape[1]) for cols in groups]
+    for i in range(0, 50, 3):
+        for k, op in enumerate(total_povm(n, grid[i]).elements()):
+            blocks, off = diagonal_blocks(op, n)
+            assert off == 0.0
+            for block, stack in zip(blocks, stacks):
+                assert np.array_equal(block, stack[i, k])
+
+
+def test_total_povm_blocks_validate_angles_and_keep_their_cache_read_only():
+    single = povm_module.total_povm_blocks(3, 0.6)
+    assert [s.shape[0] for s in single] == [1, 1, 1]
+    for bad in (-0.1, np.nan, 2.0):
+        with pytest.raises(DomainError):
+            povm_module.total_povm_blocks(3, [0.3, bad])
+    cached = povm_module._reciprocal_blocks(3)
+    assert povm_module._reciprocal_blocks(3) is cached
+    assert not any(stack.flags.writeable for stacks in cached for stack in stacks)
 
 
 def _state_stacks(n, pairs, seed):

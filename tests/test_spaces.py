@@ -320,6 +320,24 @@ def test_diagonal_blocks_and_the_off_block_norm(n):
     assert diagonal_blocks(rho1, n)[1] == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_diagonal_blocks_equal_the_off_block_mask_version(n):
+    # The reference gathers the off-block entries through an n^6 boolean mask.
+    rng = np.random.default_rng(10 + n)
+    op = rng.normal(size=(n**3, n**3))
+    before = op.copy()
+    blocks = label_blocks(n)
+    diagonal, off = diagonal_blocks(op, n)
+    assert np.array_equal(op, before)  # the input is left as it was
+    for cols, stack in zip(blocks.groups, diagonal):
+        assert np.array_equal(stack, op[cols[:, :, None], cols[:, None, :]])
+    mask = blocks.block_of[:, None] != blocks.block_of
+    assert off == pytest.approx(np.linalg.norm(op[mask]), rel=1e-14, abs=0.0)
+    lone = np.zeros_like(op)
+    lone[tuple(np.argwhere(mask)[len(op)])] = -3e-9  # one entry off the blocks
+    assert diagonal_blocks(lone, n)[1] == 3e-9
+
+
 def test_s1_union_s2_rank_qubits():
     stacked = np.vstack([s1_product_basis(2), s2_product_basis(2)])
     singular = np.linalg.svd(stacked, compute_uv=False)
