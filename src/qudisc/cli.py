@@ -36,7 +36,7 @@ from .povm import (
     success_curve_x,
     x_from_omega1,
 )
-from .spaces import dimension_table
+from .spaces import check_dimension, dimension_table
 
 # Most grid points `scan` accepts: at some 13 microseconds per printed row this
 # is about two minutes of output.  The grid is computed one point at a time.
@@ -157,6 +157,7 @@ def _scan_grid(points: int):
 
 
 def cmd_scan(args) -> int:
+    check_dimension(args.n)
     if args.steps > MAX_SCAN_STEPS:
         raise DomainError(f"steps must not exceed {MAX_SCAN_STEPS}, got {args.steps}")
     priors = _priors_from_eta1(args.eta1, open_interval=True)
@@ -197,6 +198,7 @@ def cmd_optimal(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    check_dimension(args.n)
     priors = _priors_from_eta1(args.eta1, open_interval=False)
     omega1 = _resolve_omega1(args)
     run = simulate_discriminator(omega1, priors, shots=args.shots, seed=args.seed)

@@ -23,6 +23,10 @@ from .povm import Priors
 # Random pairs per block, which bounds a sampling call's memory.  Each block
 # takes the next draws of the call's one stream, so results do not depend on it.
 HAAR_BLOCK = 1024
+# Most trials one Monte Carlo call accepts: mc_success keeps one float per
+# trial, and its standard error one more, so it peaks near 160 MB at the limit
+# (about 4 s at n = 2 on a 2-vCPU x86 VM).
+MAX_TRIALS = 10**7
 
 # The regime scan's grid is np.arange(1.0, 4.0 + 1e-6, 1e-6) cut at 4: np.arange
 # computes its point i as 1.0 + i * SCAN_STEP, and the first SCAN_POINTS of them
@@ -51,12 +55,18 @@ def _haar_rows(rng: np.random.Generator, shape: tuple[int, ...], n: int) -> np.n
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
-def _haar_pair_blocks(n: int, trials: int, seed: int):
-    """(psi1 rows, psi2 rows) for `trials` random pairs, HAAR_BLOCK pairs at a time."""
+def _haar_pair_blocks(n: int, trials: int, seed: int, least: int):
+    """(psi1 rows, psi2 rows) for `trials` random pairs, HAAR_BLOCK pairs at a time.
+
+    Trials outside least..MAX_TRIALS raise DomainError before any draw.
+    """
+    trials = spaces.check_integer(trials, least, "trials")
+    if trials > MAX_TRIALS:
+        raise DomainError(f"trials must not exceed {MAX_TRIALS}, got {trials}")
     rng = optics.seeded_stream(seed)
-    for start in range(0, trials, HAAR_BLOCK):
-        pairs = _haar_rows(rng, (min(HAAR_BLOCK, trials - start), 2), n)
-        yield pairs[:, 0], pairs[:, 1]
+    pairs = (_haar_rows(rng, (min(HAAR_BLOCK, trials - start), 2), n)
+             for start in range(0, trials, HAAR_BLOCK))
+    return ((p[:, 0], p[:, 1]) for p in pairs)
 
 
 def haar_state(n: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -70,9 +80,9 @@ def empirical_mean_density(n: int, which: int, trials: int, seed: int) -> np.nda
     spaces.check_dimension(n)
     if which not in (1, 2):
         raise DomainError("which must be 1 or 2")
-    spaces.check_integer(trials, 1, "trials")
+    blocks = _haar_pair_blocks(n, trials, seed, 1)
     acc = np.zeros((n**3, n**3), dtype=complex)
-    for psi1, psi2 in _haar_pair_blocks(n, trials, seed):
+    for psi1, psi2 in blocks:
         middle = psi1 if which == 1 else psi2
         big = np.einsum("ti,tj,tk->tijk", psi1, middle, psi2).reshape(len(psi1), n**3)
         acc += big.T @ big.conj()
@@ -128,10 +138,10 @@ def mc_success(
     depends on the drawn pair only through the squared overlap.
     """
     spaces.check_dimension(n)
-    spaces.check_integer(trials, 100, "trials")
+    blocks = _haar_pair_blocks(n, trials, seed, 100)
     prefactor = povm.PURE_SCALE * povm.success_curve_x(povm.x_from_omega1(omega1), priors)
-    overlaps = [(a.conj() * b).sum(axis=1) for a, b in _haar_pair_blocks(n, trials, seed)]
-    values = prefactor * (1.0 - np.abs(np.concatenate(overlaps)) ** 2)
+    values = np.concatenate([prefactor * (1.0 - np.abs((a.conj() * b).sum(axis=1)) ** 2)
+                             for a, b in blocks])
     stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(mean=float(values.mean()), stderr=stderr, trials=trials, seed=seed)
 
@@ -507,14 +517,11 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
     report.add("mesh_synthesis_roundtrip", scope, dev if max_layers_ok else np.inf,
                tol.op, "triangular mesh synthesis reproduces random unitaries up to size 8")
 
-    shots = 20_000
+    shots, state = 20_000, optics.discriminator_port_state("g")
     net = optics.discriminator_network(povm.omega1_from_x(2.0))
-    probs = optics.output_distribution(net, optics.discriminator_port_state("g"))
-    stats_run = optics.simulate_clicks(
-        net, optics.discriminator_port_state("g"), shots, seed=31
-    )
-    freq = np.array([stats_run.counts[k] for k in ("m1", "m2", "m3")]) / shots
-    tv = 0.5 * np.abs(freq - probs).sum()
+    probs = optics.output_distribution(net, state)
+    counts = optics.simulate_clicks(net, state, shots, seed=31).counts
+    tv = 0.5 * np.abs(np.array(list(counts.values())) / shots - probs).sum()
     report.add("sampled_click_convergence", scope, tv, 5 * np.sqrt(3 / shots),
                "empirical click frequencies converge at the statistical rate")
 

@@ -28,7 +28,9 @@ built; synthesis, composition and the text form work on them whole.
 ``Interferometer.unitary()`` composes the N x N network unitary;
 ``Interferometer.apply(states)`` propagates input amplitudes, one column per
 state, through the same wavefront schedule without it, so a single photon
-costs O(N) memory rather than O(N^2).
+costs O(N) memory rather than O(N^2).  Click probabilities are always read
+through ``apply``: :func:`output_distribution` propagates the one photon, and
+every sampler tallies its seeded shots with one kernel, ``_click_tallies``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ from .spaces import TAU_NORM, check_integer
 
 # Values after the keyword of each network-file line.
 _LINE_FIELDS = {"MODES": 1, "BS": 5, "PHASE": 2}
+# Port amplitudes (g_perp, h, vacuum) of the six-port's inputs, and its outputs.
+_PORT_STATES = {"g": (np.sqrt(3.0) / 2.0, -0.5, 0.0), "h": (0.0, 1.0, 0.0),
+                "g_perp": (1.0, 0.0, 0.0)}
+_PORTS = ("D1", "D2", "F")
 
 # Shots per block of a sampling call, which bounds its memory.  Each block takes
 # the next uniforms of the call's one stream, so tallies do not depend on it.
@@ -304,13 +310,9 @@ def discriminator_network(omega1: float) -> Interferometer:
 def discriminator_port_state(which: str) -> np.ndarray:
     """Port amplitudes of the injected g, h or g_perp state: its coordinates in
     the orthonormal (g_perp, h) frame of one Jordan block, then the vacuum port."""
-    if which == "g":
-        return np.array([np.sqrt(3.0) / 2.0, -0.5, 0.0], dtype=complex)
-    if which == "h":
-        return np.array([0.0, 1.0, 0.0], dtype=complex)
-    if which == "g_perp":
-        return np.array([1.0, 0.0, 0.0], dtype=complex)
-    raise DomainError(f"unknown input {which!r}")
+    if which not in _PORT_STATES:
+        raise DomainError(f"unknown input {which!r}")
+    return np.array(_PORT_STATES[which], dtype=complex)
 
 
 def reck_decompose(matrix: np.ndarray) -> Interferometer:
@@ -419,40 +421,41 @@ class ClickStats:
 
 
 def output_distribution(net: Interferometer, input_state: np.ndarray) -> np.ndarray:
-    """Born probabilities over output modes for a single-photon input."""
+    """Born probabilities over output modes for a single-photon input, propagated
+    by ``net.apply``; ContractError unless the input is a unit vector of N amplitudes."""
     amps = np.asarray(input_state, dtype=complex)
-    if amps.shape != (net.num_modes,):
-        raise ContractError(
-            f"input has {amps.shape} amplitudes, network has {net.num_modes} modes"
-        )
-    if not abs(np.linalg.norm(amps) - 1.0) <= TAU_NORM:
+    if amps.ndim != 1 or not abs(np.linalg.norm(amps) - 1.0) <= TAU_NORM:
         raise ContractError("input must be a unit vector")
-    probs = np.abs(net.unitary() @ amps) ** 2
+    probs = np.abs(net.apply(amps)) ** 2
     return probs / probs.sum()
 
 
-def simulate_clicks(
-    net: Interferometer,
-    input_state: np.ndarray,
-    shots: int,
-    seed: int,
-    labels: tuple[str, ...] | None = None,
-) -> ClickStats:
-    """Sample i.i.d. output-mode clicks; deterministic given the seed."""
-    blocks = _shot_blocks(shots, seed, 1)
-    probs = output_distribution(net, input_state)
-    if labels is None:
-        labels = tuple(f"m{i + 1}" for i in range(net.num_modes))
-    if len(labels) != net.num_modes:
-        raise ContractError("one label per output mode required")
-    edges = np.cumsum(probs)
-    tallies = np.zeros(net.num_modes, dtype=np.int64)
+def _click_tallies(dists: np.ndarray, weights, blocks) -> np.ndarray:
+    """Joint counts of (input, output mode), an (inputs, modes) table, over the
+    shots whose uniforms `blocks` yields.  A shot's first uniform picks input i,
+    the first whose cumulative weight exceeds it, and its last picks the mode the
+    same way in dists[i]; the last bin takes what lies above the other edges.
+    With one input the pick is always 0, so one uniform per shot suffices."""
+    inputs, modes = dists.shape
+    pick_edges = np.cumsum(weights)[:-1]
+    click_edges = np.cumsum(dists, axis=1)[:, :-1]
+    table = np.zeros((inputs, modes), dtype=np.int64)
     for draws in blocks:
-        outcomes = np.minimum(np.searchsorted(edges, draws[:, 0], side="right"), net.num_modes - 1)
-        tallies += np.bincount(outcomes, minlength=net.num_modes)
-    return ClickStats(
-        shots=shots, seed=seed, counts={lab: int(c) for lab, c in zip(labels, tallies)}
-    )
+        picked = np.searchsorted(pick_edges, draws[:, 0], side="right")
+        for i, edges in enumerate(click_edges):
+            clicks = np.searchsorted(edges, draws[picked == i, -1], side="right")
+            table[i] += np.bincount(clicks, minlength=modes)
+    return table
+
+
+def simulate_clicks(net: Interferometer, input_state: np.ndarray, shots: int,
+                    seed: int) -> ClickStats:
+    """Sample i.i.d. output-mode clicks, counted as m1..mN; deterministic given the seed."""
+    blocks = _shot_blocks(shots, seed, 1)
+    dist = output_distribution(net, input_state)
+    tallies = _click_tallies(dist[None], [1.0], blocks)[0]
+    return ClickStats(shots=shots, seed=seed,
+                      counts={f"m{i + 1}": int(c) for i, c in enumerate(tallies)})
 
 
 @dataclass(frozen=True)
@@ -470,51 +473,37 @@ class DiscriminationRun:
         return self.successes / self.shots
 
 
+def _port_distributions(omega1: float) -> np.ndarray:
+    """Born distributions over (D1, D2, F) of the g and h port states, one row each."""
+    net = discriminator_network(omega1)
+    return np.array([output_distribution(net, discriminator_port_state(which))
+                     for which in ("g", "h")])
+
+
 def simulate_discriminator(
     omega1: float, priors: Priors, shots: int, seed: int
 ) -> DiscriminationRun:
     """Sample the six-port discriminator with inputs drawn from the priors.
 
-    A shot succeeds when a g input clicks D1 or an h input clicks D2; the
-    expected success rate is the per-subspace curve at x = 1 + 3 cos^2 w1.
+    Each shot takes two uniforms: the first picks h when it is >= eta1, else g,
+    and the second picks the click.  A shot succeeds when a g input clicks D1
+    or an h input clicks D2; the expected success rate is the per-subspace
+    curve at x = 1 + 3 cos^2 w1.
     """
-    blocks = _shot_blocks(shots, seed, 2)  # (prior pick, click) per shot
-    net = discriminator_network(omega1)
-    dist_g = output_distribution(net, discriminator_port_state("g"))
-    dist_h = output_distribution(net, discriminator_port_state("h"))
-    edges_g, edges_h = np.cumsum(dist_g), np.cumsum(dist_h)
-
-    tallies = np.zeros(3, dtype=np.int64)
-    picked_h, successes = 0, 0
-    for draws in blocks:
-        pick_h = draws[:, 0] >= priors.eta1
-        outcomes = np.where(
-            pick_h,
-            np.searchsorted(edges_h, draws[:, 1], side="right"),
-            np.searchsorted(edges_g, draws[:, 1], side="right"),
-        )
-        outcomes = np.minimum(outcomes, 2)
-        tallies += np.bincount(outcomes, minlength=3)
-        picked_h += int(pick_h.sum())
-        successes += int(((~pick_h) & (outcomes == 0)).sum() + (pick_h & (outcomes == 1)).sum())
+    blocks = _shot_blocks(shots, seed, 2)
+    table = _click_tallies(_port_distributions(omega1), [priors.eta1, priors.eta2], blocks)
     return DiscriminationRun(
         shots=shots,
         seed=seed,
-        counts={"D1": int(tallies[0]), "D2": int(tallies[1]), "F": int(tallies[2])},
-        input_counts={"g": shots - picked_h, "h": picked_h},
-        successes=successes,
+        counts=dict(zip(_PORTS, table.sum(axis=0).tolist())),
+        input_counts=dict(zip(("g", "h"), table.sum(axis=1).tolist())),
+        successes=int(table[0, 0] + table[1, 1]),
     )
 
 
 def analytic_discriminator_probabilities(omega1: float, priors: Priors) -> dict[str, float]:
     """Exact outcome probabilities of the priors-weighted six-port run."""
-    net = discriminator_network(omega1)
-    dist_g = output_distribution(net, discriminator_port_state("g"))
-    dist_h = output_distribution(net, discriminator_port_state("h"))
+    dist_g, dist_h = _port_distributions(omega1)
     mixed = priors.eta1 * dist_g + priors.eta2 * dist_h
-    return {
-        "D1": float(mixed[0]),
-        "D2": float(mixed[1]),
-        "F": float(mixed[2]),
-        "success": success_curve_x(x_from_omega1(omega1), priors),
-    }
+    return {**dict(zip(_PORTS, mixed.tolist())),
+            "success": success_curve_x(x_from_omega1(omega1), priors)}

@@ -41,8 +41,8 @@ PURE_SCALE = 2.0 / 3.0  # pure-state success over P(x) (1 - |<psi1|psi2>|^2)
 
 
 def _average_scale(n: int) -> float:
-    """Averaged success over P(x) at qudit dimension n: 2(n-1)/(3n)."""
-    return 2.0 * (n - 1) / (3.0 * n)
+    """Averaged success over P(x) at dimension n: 2(n-1)/(3n), correctly rounded for any n."""
+    return 2 * (n - 1) / (3 * n)
 
 
 @dataclass(frozen=True)

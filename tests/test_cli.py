@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qudisc import cli, harness, optics
+from qudisc import cli, harness, optics, povm
 from qudisc.cli import _render_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -321,6 +321,11 @@ def test_prepare_rejects_malformed_amplitude_lines(tmp_path, capsys, body, line)
             "optimal_n2_eta05_overlap0.txt",
             ["optimal", "--n", "2", "--eta1", "0.5", "--overlap-sq", "0"],
         ),
+        (
+            "simulate_n2_eta03_x25_shots200000_seed7.txt",
+            ["simulate", "--n", "2", "--eta1", "0.3", "--x", "2.5", "--shots", "200000",
+             "--seed", "7"],
+        ),
     ],
 )
 def test_golden_outputs(capsys, name, argv):
@@ -334,3 +339,61 @@ def test_scan_grid_is_linspace_bit_for_bit(steps):
     points = max(steps, 2)
     streamed = np.fromiter(cli._scan_grid(points), dtype=float, count=points)
     assert streamed.tobytes() == np.linspace(1.0, 4.0, points).tobytes()
+
+
+def _no_stream(*args):
+    raise AssertionError("a stream was built")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--n", "1", "--eta1", "0.3", "--steps", "3"],
+    ["simulate", "--n", "1", "--eta1", "0.3", "--x", "2", "--shots", "20000000"],
+])
+def test_the_dimension_is_checked_before_any_output_or_draw(monkeypatch, capsys, argv):
+    monkeypatch.setattr(optics, "seeded_stream", _no_stream)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "qudit dimension" in err
+
+
+def test_a_400_digit_dimension_averages_to_two_thirds(capsys):
+    n = 10**400
+    assert povm._average_scale(n) == 2 / 3
+    for m in (2, 3, 7, 10**6 + 3, 2**51 - 1):  # the int quotient keeps the float formula's bits
+        assert povm._average_scale(m) == 2.0 * (m - 1) / (3.0 * m)
+    priors = povm.Priors.from_eta1(0.3)
+    assert povm.average_success(n, 0.7, priors) == (2 / 3) * povm.success_curve_x(
+        povm.x_from_omega1(0.7), priors)
+    assert povm.optimal_average(n, priors).value == (2 / 3) * povm.optimal_subspace(priors).value
+    code, out, _ = run_cli(capsys, "optimal", "--n", str(n), "--eta1", "0.3")
+    assert code == 0
+    record = json.loads(out)
+    assert record["params"]["n"] == n
+    assert abs(record["results"]["p_avg_opt"] - povm.optimal_average(n, priors).value) < 1e-14
+
+
+def _contract_cases():
+    """argv lists for every subcommand with out-of-domain and limit values."""
+    cases = []
+    for n in ("1", "0", "-1", str(10**400)):
+        cases += [["dims", "--n", n], ["verify", "--n-max", n],
+                  ["scan", "--n", n, "--eta1", "0.3", "--steps", "3"],
+                  ["optimal", "--n", n, "--eta1", "0.3"],
+                  ["simulate", "--n", n, "--eta1", "0.3", "--x", "2", "--shots", "100"]]
+    for eta1 in ("nan", "inf"):
+        cases += [["scan", "--n", "2", "--eta1", eta1, "--steps", "3"],
+                  ["optimal", "--n", "2", "--eta1", eta1],
+                  ["simulate", "--n", "2", "--eta1", eta1, "--x", "2", "--shots", "100"]]
+    for steps in (0, cli.MAX_SCAN_STEPS + 1):
+        cases.append(["scan", "--n", "2", "--eta1", "0.3", "--steps", str(steps)])
+    for shots in (0, optics.MAX_SHOTS + 1):
+        cases.append(["simulate", "--n", "2", "--eta1", "0.3", "--x", "2", "--shots", str(shots)])
+    return cases
+
+
+@pytest.mark.parametrize("argv", _contract_cases(), ids=lambda argv: " ".join(argv)[:60])
+def test_exit_codes_are_zero_or_two_and_a_refusal_prints_nothing(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == "" and err.startswith("error:")

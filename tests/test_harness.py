@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qudisc import harness, jordan, povm, spaces
+from qudisc import harness, jordan, optics, povm, spaces
 from qudisc.errors import ContractError, DomainError
 from qudisc.harness import (
     McEstimate,
@@ -564,3 +564,67 @@ def test_verify_all_memory_peak_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # the full 1e-6 regime grid alone would take 24 MB
+
+
+def test_a_scaled_photon_amplitude_fails_the_born_rule_check(monkeypatch):
+    real = optics.Interferometer.apply
+
+    def faulty(self, states):
+        out = real(self, states)
+        out[0] *= 1 + 1e-9
+        return out
+
+    monkeypatch.setattr(optics.Interferometer, "apply", faulty)
+    born = next(r for r in verify_all(2).results if r.name == "network_born_rule")
+    assert not born.passed
+
+
+# (n, eta1, omega1, trials, seed, mean, stderr): the three verify_all settings
+# (n = 4 at n_max = 4) and three of the bench `sample` round's shape.
+MC_REFERENCE = [
+    (2, 0.5, 0.8, 10_000, 55, "0x1.50c4ef4c6e642p-3", "0x1.ee1bbb31c484dp-11"),
+    (3, 0.1, 0.8, 10_000, 55, "0x1.04eb75b2d5829p-2", "0x1.d708b2eacc074p-11"),
+    (4, 0.9, 0.8, 10_000, 55, "0x1.9d934bc753ff4p-3", "0x1.15db25a69041fp-11"),
+    (5, 0.9, 0.8, 10_000, 55, "0x1.bcb118e9c36c2p-3", "0x1.ccad6bc00943bp-12"),
+    (2, 0.37, 0.2, 20_000, 1_234_567, "0x1.47c01295f248ap-3", "0x1.55ab7ab066696p-11"),
+    (3, 0.62, 1.1, 20_000, 2**31 - 1, "0x1.d620abdf65bacp-3", "0x1.2b18e4c96b89dp-11"),
+    (5, 0.05, 1.5, 20_000, 90_210, "0x1.c1431a58500b1p-6", "0x1.4ab575719c8d0p-15"),
+]
+
+
+@pytest.mark.parametrize("n,eta1,omega1,trials,seed,mean,stderr", MC_REFERENCE)
+def test_mc_success_values_are_pinned_bit_for_bit(n, eta1, omega1, trials, seed, mean, stderr):
+    est = mc_success(n, omega1, Priors.from_eta1(eta1), trials, seed)
+    assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
+
+
+def test_mc_success_keeps_one_float_per_trial():
+    tracemalloc.start()
+    try:
+        mc_success(2, 0.8, Priors.from_eta1(0.5), trials=10**6, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20  # the complex overlaps of every trial took 38 MiB
+
+
+@pytest.mark.parametrize("call", [
+    lambda trials: mc_success(2, 0.6, Priors.from_eta1(0.4), trials=trials, seed=3),
+    lambda trials: empirical_mean_density(2, 1, trials=trials, seed=3),
+])
+def test_trials_above_the_limit_are_refused_before_any_draw(monkeypatch, call):
+    def no_stream(*args):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(optics, "seeded_stream", no_stream)
+    for trials in (harness.MAX_TRIALS + 1, 10**400):
+        with pytest.raises(DomainError, match="must not exceed"):
+            call(trials)
+
+
+def test_whole_float_trials_count_as_their_integer():
+    # A whole float passes the trials check; it raised TypeError in range().
+    priors = Priors.from_eta1(0.4)
+    assert mc_success(2, 0.6, priors, 200.0, 3).mean == mc_success(2, 0.6, priors, 200, 3).mean
+    np.testing.assert_array_equal(empirical_mean_density(2, 1, 20.0, 3),
+                                  empirical_mean_density(2, 1, 20, 3))

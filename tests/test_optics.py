@@ -474,12 +474,10 @@ def test_simulate_clicks_discriminator_d1_rate():
     omega1 = omega1_from_x(2.0)
     net = discriminator_network(omega1)
     shots = 100_000
-    stats = simulate_clicks(
-        net, discriminator_port_state("g"), shots=shots, seed=2, labels=("D1", "D2", "F")
-    )
+    stats = simulate_clicks(net, discriminator_port_state("g"), shots=shots, seed=2)
     sigma = np.sqrt(0.25 / shots)
-    assert abs(stats.counts["D1"] / shots - 0.5) < 5 * sigma
-    assert stats.counts["D2"] == 0
+    assert abs(stats.counts["m1"] / shots - 0.5) < 5 * sigma  # D1
+    assert stats.counts["m2"] == 0  # D2
 
 
 def test_simulate_clicks_tallies_one_seeded_stream():
@@ -566,3 +564,64 @@ def test_shots_above_the_limit_are_refused_before_any_draw(monkeypatch):
             simulate_discriminator(0.7, Priors.from_eta1(0.5), shots=shots, seed=0)
         with pytest.raises(DomainError, match="must not exceed"):
             simulate_clicks(net, state, shots=shots, seed=0)
+
+
+def test_discriminator_tallies_follow_the_two_uniforms_of_each_shot():
+    # The first uniform of a shot picks h when it is >= eta1, the second the click.
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        omega1, eta1 = rng.uniform(0.0, np.pi / 2), rng.uniform(0.0, 1.0)
+        shots, seed = int(rng.integers(1, 3 * optics.SHOT_BLOCK)), int(rng.integers(2**40))
+        net = discriminator_network(omega1)
+        g_edges, h_edges = (np.cumsum(output_distribution(net, discriminator_port_state(which)))
+                            for which in ("g", "h"))
+        draws = optics.seeded_stream(seed).random((shots, 2))
+        pick_h = draws[:, 0] >= eta1
+        clicks = np.minimum(np.where(pick_h, np.searchsorted(h_edges, draws[:, 1], side="right"),
+                                     np.searchsorted(g_edges, draws[:, 1], side="right")), 2)
+        run = simulate_discriminator(omega1, Priors.from_eta1(eta1), shots, seed)
+        assert list(run.counts.values()) == np.bincount(clicks, minlength=3).tolist()
+        assert run.input_counts == {"g": int((~pick_h).sum()), "h": int(pick_h.sum())}
+        assert run.successes == int((~pick_h & (clicks == 0)).sum()
+                                    + (pick_h & (clicks == 1)).sum())
+
+
+def test_click_probabilities_and_samples_never_build_the_unitary(monkeypatch):
+    def no_unitary(self):
+        raise AssertionError("unitary() was built")
+
+    monkeypatch.setattr(Interferometer, "unitary", no_unitary)
+    net = Interferometer(3, [(0, 2), (0, 1)], [(0.4, 0.3, 0), (1.1, 0, 0)])
+    state = np.array([0.6, 0.8j, 0.0])
+    assert abs(output_distribution(net, state).sum() - 1.0) < 1e-15
+    assert sum(simulate_clicks(net, state, shots=100, seed=1).counts.values()) == 100
+    priors = Priors.from_eta1(0.4)
+    assert simulate_discriminator(0.7, priors, shots=100, seed=1).shots == 100
+    assert analytic_discriminator_probabilities(0.7, priors)["F"] > 0
+
+
+def test_one_photon_through_a_full_size_cascade_stays_small():
+    rng = optics.seeded_stream(4096)
+    amps = rng.normal(size=optics.MAX_MODES) + 1j * rng.normal(size=optics.MAX_MODES)
+    amps /= np.linalg.norm(amps)
+    net = prepare_state_network(amps, optics.MAX_MODES)
+    photon = np.zeros(optics.MAX_MODES)
+    photon[0] = 1.0
+    shots = 2 * optics.SHOT_BLOCK
+    tracemalloc.start()
+    try:
+        probs = output_distribution(net, photon)
+        stats = simulate_clicks(net, photon, shots=shots, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # the 4096 x 4096 unitary alone would take 256 MiB
+    np.testing.assert_allclose(probs, np.abs(amps) ** 2, rtol=0, atol=1e-12)
+    assert len(stats.counts) == optics.MAX_MODES and sum(stats.counts.values()) == shots
+
+
+def test_output_distribution_takes_one_unit_vector_of_n_amplitudes():
+    net = Interferometer(2, [(0, 1)], [(0.3, 0, 0)])
+    for bad in ([1.0, 0.0, 0.0], [[1.0], [0.0]], [1.0, 1.0], [np.nan, 0.0]):
+        with pytest.raises(ContractError):
+            output_distribution(net, np.array(bad))
