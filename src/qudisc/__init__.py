@@ -16,7 +16,6 @@ from .harness import (
 from .jordan import (
     JordanPairSet,
     build_gh_bases,
-    density_from_jordan,
     jordan_angles,
     overlap_matrix,
 )

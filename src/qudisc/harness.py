@@ -16,7 +16,7 @@ import numpy as np
 
 from . import optics, povm, spaces
 from .errors import ContractError, DomainError
-from .jordan import build_gh_bases, density_from_jordan, jordan_angles
+from .jordan import build_gh_bases, jordan_angles
 from .povm import Priors
 
 
@@ -38,9 +38,17 @@ SCAN_POINTS = 3_000_001
 # point, and scanning only that window finds it exactly.
 SCAN_STRIDE = 1000
 
-# Largest dense operator verify_all may build: a real n^3 x n^3 matrix takes
-# 8 n^6 bytes, so this admits n_max <= 8.  The per-n suite takes about 0.02-0.03,
-# 0.04-0.06 and 0.11-0.14 s at n = 6, 7 and 8 (one BLAS thread on a 2-vCPU x86 VM).
+# The per-n suite reads every operator on its V_t diagonal blocks.  Dense
+# n^3 x n^3 operators are built only at n <= DENSE_N_MAX, to be held against the
+# direct sums of the blocks: the averaged inputs, and the detection operators at
+# every DENSE_STRIDE-th point of the omega1 grid, which is read GRID_CHUNK (a
+# multiple of DENSE_STRIDE) points at a time.
+DENSE_N_MAX, DENSE_STRIDE, GRID_CHUNK = 5, 7, 28
+# Bound on n_max, as if one 8 n^6-byte real n^3 x n^3 operator were built: it
+# admits n_max <= 8.  None is built above n = 5, but the S1/S2 rows and the g/h
+# families and Gram matrix still grow as n^6.  The per-n suite takes about
+# 15-24, 30-39 and 53-65 ms and peaks at 2.3, 4.5 and 8.2 MiB at n = 6, 7 and 8
+# (one BLAS thread on a 2-vCPU x86 VM).
 MAX_OPERATOR_BYTES = 4 * 2**20
 
 
@@ -109,9 +117,8 @@ def overlap_identity_check(psi1: np.ndarray, psi2: np.ndarray, n: int) -> Overla
     psi1, psi2 = spaces.check_unit_states(psi1, psi2, n)
     pairs = build_gh_bases(n)
 
-    def overlap_sum(family, kets):
-        overlaps = spaces.split_product(kets, family.T)
-        return (overlaps**2).sum(axis=(-2, -1))
+    def overlap_sum(family, kets):  # in real arithmetic: the real family is never cast
+        return sum(((part @ family.T) ** 2).sum(axis=-1) for part in (kets.real, kets.imag))
 
     sum_g = overlap_sum(pairs.g_perp, spaces.product_ket(psi1, psi1, psi2))
     sum_h = overlap_sum(pairs.h_perp, spaces.product_ket(psi1, psi2, psi2))
@@ -239,24 +246,20 @@ def _lowest_eigenvalues(stack: np.ndarray) -> np.ndarray:
         return np.full(len(stack), np.nan)
 
 
-def _completeness_and_unambiguity(stacks, off, rho_blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Per angle, the largest |entry| of pi1 + pi2 + pi0 - I and the larger of
-    |Tr(pi1 rho2)| and |Tr(pi2 rho1)|.
+def _completeness_and_unambiguity(stacks, rho_blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Per angle, the largest |entry| of pi1 + pi2 + pi0 - I on the V_t blocks
+    and the larger of |Tr(pi1 rho2)| and |Tr(pi2 rho1)|.
 
     The operators are given as V_t diagonal blocks, one (K, 3, blocks, d, d)
-    stack per group, plus the Frobenius norms off (K, 3) of their entries off
-    the blocks; rho_blocks holds spaces.diagonal_blocks of rho1 and rho2.  The
-    off-block entries enter through those norms: they bound the off-block part
-    of the sum, and by Cauchy-Schwarz their share of each trace.
+    stack per group; rho_blocks holds spaces.mean_density_blocks, all the
+    entries of the averaged inputs, so the traces read only those blocks.
     """
-    (rho1, rho1_off), (rho2, rho2_off) = rho_blocks
+    rho1, rho2 = rho_blocks
     complete = np.max([np.abs(s.sum(axis=1) - np.eye(s.shape[-1])).max(axis=(1, 2, 3))
-                       for s in stacks], axis=0) + off.sum(axis=1)
+                       for s in stacks], axis=0)
     wrong = [sum(np.einsum("kbij,bji->k", s[:, k], r) for s, r in zip(stacks, rho))
              for k, rho in ((0, rho2), (1, rho1))]
-    unambiguous = np.maximum(np.abs(wrong[0]) + off[:, 0] * rho2_off,
-                             np.abs(wrong[1]) + off[:, 1] * rho1_off)
-    return complete, unambiguous
+    return complete, np.maximum(np.abs(wrong[0]), np.abs(wrong[1]))
 
 
 def _povm_grid_deviations(n: int, grid: np.ndarray, pairs,
@@ -270,43 +273,48 @@ def _povm_grid_deviations(n: int, grid: np.ndarray, pairs,
     spectra, and Weyl's inequality with ||.||_2 <= ||.||_F gives
         -lambda_min(pi1) <= a max(0, -lambda_min(P_g)) + ||pi1 - a P_g||_F,
     and the same for pi2.  Each h_perp row must equal g_perp/2 + (sqrt(3)/2) h.
-    At every seventh point (both ends included) the dense total_povm is
-    compared with the direct sum of the blocks: each ||dense - blocks||_F,
-    off-block entries included, joins that operator's negativity (Weyl
-    again), and the dense completeness and traces join the other two
-    deviations.
+
+    At n <= DENSE_N_MAX every DENSE_STRIDE-th point (both ends included) is
+    also built densely with total_povm: each ||dense - blocks||_F, off-block
+    entries included, joins that operator's negativity (Weyl again), and the
+    dense completeness, with the off-block norms added, and traces join the
+    other two deviations.
     """
-    stacks = povm.total_povm_blocks(n, grid)
-    weights = np.array([povm.detection_weights(w) for w in grid])
     model_h_perp = 0.5 * pairs.g_perp + (np.sqrt(3.0) / 2.0) * pairs.h
-    negativity = np.empty((len(grid), 3))
-    for k, rows in enumerate((pairs.g_perp, pairs.h_perp)):
-        model = spaces.block_projectors(spaces.block_stacks(rows, n))
-        lowest = np.min([_lowest_eigenvalues(m[None]) for m in model])
-        weight = weights[:, k, None, None, None]
-        residual = sum(((s[:, k] - weight * m) ** 2).sum(axis=(1, 2, 3))
-                       for s, m in zip(stacks, model))
-        negativity[:, k] = weights[:, k] * np.maximum(0.0, -lowest) + np.sqrt(residual)
-    negativity[:, 2] = np.maximum(0.0, -np.min([_lowest_eigenvalues(s[:, 2]) for s in stacks],
-                                                axis=0))
+    models = [spaces.block_projectors(spaces.block_stacks(rows, n))
+              for rows in (pairs.g_perp, pairs.h_perp)]
+    lowest = [np.min([_lowest_eigenvalues(m[None]) for m in model]) for model in models]
+    worst = [np.abs(pairs.h_perp - model_h_perp).max(), 0.0, 0.0]
+    for start in range(0, len(grid), GRID_CHUNK):
+        angles = grid[start:start + GRID_CHUNK]
+        stacks = povm.total_povm_blocks(n, angles)
+        weights = np.array([povm.detection_weights(w) for w in angles])
+        negativity = np.empty((len(angles), 3))
+        for k, model in enumerate(models):
+            weight = weights[:, k, None, None, None]
+            residual = sum(((s[:, k] - weight * m) ** 2).sum(axis=(1, 2, 3))
+                           for s, m in zip(stacks, model))
+            negativity[:, k] = weights[:, k] * np.maximum(0.0, -lowest[k]) + np.sqrt(residual)
+        negativity[:, 2] = np.maximum(
+            0.0, -np.min([_lowest_eigenvalues(s[:, 2]) for s in stacks], axis=0))
+        complete, unambiguous = _completeness_and_unambiguity(stacks, rho_blocks)
 
-    checked = np.arange(0, len(grid), 7)
-    dense = [np.empty((len(checked), *s.shape[1:])) for s in stacks]
-    dense_off = np.empty((len(checked), 3))
-    for i, j in enumerate(checked):
-        for k, op in enumerate(povm.total_povm(n, grid[j]).elements()):
-            blocks, dense_off[i, k] = spaces.diagonal_blocks(op, n)
-            for stack, block in zip(dense, blocks):
-                stack[i, k] = block
-    distance = sum(((d - s[checked]) ** 2).sum(axis=(2, 3, 4)) for d, s in zip(dense, stacks))
-    negativity[checked] += np.sqrt(distance + dense_off**2)
-
-    complete, unambiguous = _completeness_and_unambiguity(
-        stacks, np.zeros((len(grid), 3)), rho_blocks)
-    dense_complete, dense_unambiguous = _completeness_and_unambiguity(dense, dense_off, rho_blocks)
-    return (_worst(np.abs(pairs.h_perp - model_h_perp).max(), negativity.max()),
-            _worst(complete.max(), dense_complete.max()),
-            _worst(unambiguous.max(), dense_unambiguous.max()))
+        if n <= DENSE_N_MAX:
+            checked = np.arange(0, len(angles), DENSE_STRIDE)
+            dense = [np.empty((len(checked), *s.shape[1:])) for s in stacks]
+            off = np.empty((len(checked), 3))
+            for i, j in enumerate(checked):
+                for k, op in enumerate(povm.total_povm(n, angles[j]).elements()):
+                    blocks, off[i, k] = spaces.diagonal_blocks(op, n)
+                    for stack, block in zip(dense, blocks):
+                        stack[i, k] = block
+            distance = sum(((d - s[checked]) ** 2).sum(axis=(2, 3, 4)) for d, s in zip(dense, stacks))
+            negativity[checked] += np.sqrt(distance + off**2)
+            dense_complete, dense_unambiguous = _completeness_and_unambiguity(dense, rho_blocks)
+            complete = np.concatenate([complete, dense_complete + off.sum(axis=1)])
+            unambiguous = np.concatenate([unambiguous, dense_unambiguous])
+        worst = [_worst(w, d.max()) for w, d in zip(worst, (negativity, complete, unambiguous))]
+    return tuple(worst)
 
 
 def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
@@ -330,45 +338,43 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     report.add("symmetric_bases_orthonormal", scope, dev, tol.tight,
                "two- and three-fold symmetric bases have identity Gram matrices")
 
-    swap = spaces.permutation_operator((1, 0), n)
+    swap = spaces.permute_registers(np.eye(n * n), (1, 0), n)  # its rows: the swap is symmetric
     p_sigma = spaces.symmetric_projector(n)
     dev = np.abs(p_sigma - (np.eye(n * n) + swap) / 2).max()
     dev = _worst(dev, np.abs(p_sigma @ p_sigma - p_sigma).max())
     report.add("symmetric_projector", scope, dev, tol.op,
                "two-fold symmetric projector is the permutation symmetrizer")
 
-    dev = 0.0
-    for perm in itertools.permutations(range(3)):
-        op = spaces.permutation_operator(perm, n)
-        dev = _worst(dev, np.abs(sym3 @ op.T - sym3).max())
+    dev = _worst(*(np.abs(spaces.permute_registers(sym3, perm, n) - sym3).max()
+                   for perm in itertools.permutations(range(3))))
     report.add("threefold_permutation_invariance", scope, dev, tol.tight,
                "three-fold symmetric vectors are fixed by all register permutations")
 
-    # Weyl: lambda_min(rho) >= lambda_min(its V_t diagonal blocks) - ||off-block part||_F.
-    rho1, rho2 = spaces.mean_density_operators(n)
-    rho_blocks = [spaces.diagonal_blocks(rho, n) for rho in (rho1, rho2)]
+    # At n <= DENSE_N_MAX, by Weyl, lambda_min(dense) >= lambda_min(blocks) - ||dense - blocks||_F.
+    rho_blocks = spaces.mean_density_blocks(n)
     dev = 0.0
-    for rho, (blocks, off_block) in zip((rho1, rho2), rho_blocks):
+    for blocks in rho_blocks:
         lowest = np.min([_lowest_eigenvalues(stack[None]) for stack in blocks])
-        dev = _worst(dev, abs(np.trace(rho) - 1), np.maximum(0.0, -lowest) + off_block)
+        trace = sum(np.trace(stack, axis1=1, axis2=2).sum() for stack in blocks)
+        dev = _worst(dev, abs(trace - 1), np.maximum(0.0, -lowest))
+    if n <= DENSE_N_MAX:
+        for rho, blocks in zip(spaces.mean_density_operators(n), rho_blocks):
+            diagonal, off_block = spaces.diagonal_blocks(rho, n)
+            distance = sum(((d - b) ** 2).sum() for d, b in zip(diagonal, blocks))
+            dev = _worst(dev, np.sqrt(distance + off_block**2))
     report.add("mean_densities_are_states", scope, dev, tol.tight,
                "averaged inputs are unit-trace positive operators")
 
-    s1_rows, s2_rows = spaces.s1_product_basis(n), spaces.s2_product_basis(n)
     coeffs = np.array([spaces.expand_u3(n, triple) for triple in spaces.triple_labels(n)])
     dev = _worst(*(np.linalg.norm(coeffs @ rows - sym3, axis=1).max()
-                   for rows in (s1_rows, s2_rows)))
+                   for rows in (spaces.s1_product_basis(n), spaces.s2_product_basis(n))))
     report.add("symmetric_vector_expansions", scope, dev, tol.tight,
                "product-basis expansions reconstruct the symmetric vectors")
 
     pairs = build_gh_bases(n)
-    stacked = np.vstack([pairs.g, pairs.h])
-    gram = stacked.conj() @ stacked.T
-    expected = np.block([
-        [np.eye(table.i0), -0.5 * np.eye(table.i0)],
-        [-0.5 * np.eye(table.i0), np.eye(table.i0)],
-    ])
-    report.add("paired_basis_structure", scope, np.abs(gram - expected).max(), tol.tight,
+    dev = _worst(*(np.abs(a @ b.T - overlap * np.eye(table.i0)).max() for a, b, overlap in (
+        (pairs.g, pairs.g, 1.0), (pairs.h, pairs.h, 1.0), (pairs.g, pairs.h, -0.5))))
+    report.add("paired_basis_structure", scope, dev, tol.tight,
                "g/h families orthonormal with diagonal cross overlap -1/2")
 
     dev = np.abs(pairs.g.conj() @ sym3.T).max()
@@ -383,22 +389,24 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     report.add("principal_angle_cosines", scope, dev, tol.tight,
                "all principal-angle cosines between the families equal 1/2")
 
-    rho1_j, rho2_j = density_from_jordan(n)
-    dev = _worst(np.abs(rho1_j - rho1).max(), np.abs(rho2_j - rho2).max())
-    report.add("density_decomposition", scope, dev, tol.tight,
+    # Per V_t block: rho_1 = w (P_0 + P_g), rho_2 = w (P_0 + P_h), S1 = P_0 + P_g, S2 = P_0 + P_h.
+    weight = 2.0 / (n**2 * (n + 1))
+    try:
+        p0, p_g, p_h, p_s1, p_s2 = (spaces.block_projectors(spaces.block_stacks(rows, n))
+                                    for rows in (sym3, pairs.g, pairs.h, spaces.s1_product_basis(n),
+                                                 spaces.s2_product_basis(n)))
+        dev_density = _worst(*(np.abs(weight * (a + b) - rho).max()
+                               for family, rhos in ((p_g, rho_blocks[0]), (p_h, rho_blocks[1]))
+                               for a, b, rho in zip(p0, family, rhos)))
+        dev_spans = _worst(*(np.abs(a + b - span).max()
+                             for family, spans in ((p_g, p_s1), (p_h, p_s2))
+                             for a, b, span in zip(p0, family, spans)))
+    except ContractError:  # a row outside one V_t: its dyads have no V_t blocks
+        dev_density = dev_spans = np.inf
+    report.add("density_decomposition", scope, dev_density, tol.tight,
                "paired-basis decomposition rebuilds the averaged inputs")
-
-    p0 = spaces.projector_from_rows(sym3)
-    dev = _worst(
-        np.abs(p0 + spaces.projector_from_rows(pairs.g)
-               - spaces.projector_from_rows(s1_rows)).max(),
-        np.abs(p0 + spaces.projector_from_rows(pairs.h)
-               - spaces.projector_from_rows(s2_rows)).max(),
-    )
-    report.add("complement_spans", scope, dev, tol.op,
+    report.add("complement_spans", scope, dev_spans, tol.op,
                "g (resp. h) dyads complete the symmetric projector to S1 (resp. S2)")
-    # The dense per-n temporaries the checks below do not use.
-    del op, rho1_j, rho2_j, p0, s1_rows, s2_rows
 
     grid = np.linspace(0.0, np.pi / 2, 50)
     try:
@@ -412,27 +420,28 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     report.add("povm_unambiguous_mixed", scope, dev_unamb, tol.tight,
                "wrong-state expectation values vanish for the averaged inputs")
 
+    # On the grid, and at the optimum, where the trace must be 2(n-1)/(3n) times P(x*).
     priors = Priors.from_eta1(0.3)
-    dev = 0.0
-    for omega1 in grid[::7]:
-        dev = _worst(dev, abs(
-            povm.average_success(n, omega1, priors)
-            - povm.average_success_trace(n, omega1, priors)
-        ))
+    best = povm.optimal_subspace(priors)
+    traces = povm.average_success_trace(n, np.append(grid[::7], best.omega1_star), priors)
+    dev = _worst(*(abs(povm.average_success(n, omega1, priors) - trace)
+                   for omega1, trace in zip(grid[::7], traces)),
+                 abs(traces[-1] - 2 * (n - 1) / (3 * n) * best.value))
     report.add("average_success_closed_form", scope, dev, tol.op,
                "closed-form averaged success equals the trace evaluation")
 
     # The 100 seeded pairs, each library call taking the whole stack at once.
-    triple = povm.total_povm(n, 0.7)
     states = _haar_rows(optics.seeded_stream(977), (100, 2), n)
     psi1, psi2 = states[:, 0], states[:, 1]
     closed = povm.pure_success(psi1, psi2, 0.7, priors, n)
     operator = povm.pure_success_expectation(psi1, psi2, 0.7, priors, n)
     dev_pure = np.abs(closed - operator).max()
-    dev_unamb_pure = _worst(*(  # |pi_k |wrong input>| per pair, as (kets) pi_k^T in real arithmetic
-        np.sqrt((spaces.split_product(kets, op.T) ** 2).sum(axis=(-2, -1))).max()
-        for op, kets in ((triple.pi1, spaces.product_ket(psi1, psi2, psi2)),
-                         (triple.pi2, spaces.product_ket(psi1, psi1, psi2)))
+    stacks = povm.total_povm_blocks(n, 0.7)
+    dev_unamb_pure = _worst(*(  # |pi_k |wrong input>| per pair, from its V_t blocks
+        np.sqrt(sum((np.abs(np.einsum("bij,tbj->tbi", s[0, k], amps)) ** 2).sum(axis=(1, 2))
+                    for s, amps in zip(stacks, spaces.gather_blocks(kets, n)))).max()
+        for k, kets in ((0, spaces.product_ket(psi1, psi2, psi2)),
+                        (1, spaces.product_ket(psi1, psi1, psi2)))
     ))
     identity = overlap_identity_check(psi1, psi2, n)
     dev_identity = _worst(np.abs(identity.sum_g - identity.closed_form).max(),
@@ -481,8 +490,8 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
     report.add("regime_continuity", scope, dev, tol.tight,
                "endpoint and interior optimum formulas agree at the regime boundaries")
 
-    # The same two-dimensional pair embedded at every n, through the dense
-    # operators; largest n first, while its projectors are still cached.
+    # The same two-dimensional pair embedded at every n, through the V_t blocks
+    # of the detection operators.
     priors = Priors.from_eta1(0.3)
     ratios = []
     for n in range(max(5, n_max), 1, -1):

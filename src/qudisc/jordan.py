@@ -28,8 +28,6 @@ from .spaces import (
     dimension_table,
     exchange_ac,
     label_blocks,
-    projector_from_rows,
-    symmetric_basis_3,
     triple_labels,
 )
 
@@ -152,29 +150,12 @@ def jordan_angles(family_a: np.ndarray, family_b: np.ndarray) -> np.ndarray:
     return np.linalg.svd(cross, compute_uv=False)
 
 
-def density_from_jordan(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rebuild the averaged input states from the paired-basis decomposition.
-
-    Each state is the uniform mixture over the symmetric projector plus the
-    dyads of its own family, with weight 2 / (n^2 (n+1)); the results equal
-    :func:`qudisc.spaces.mean_density_operators` entrywise.
-    """
-    check_dimension(n)
-    weight = 2.0 / (n**2 * (n + 1))
-    p0 = projector_from_rows(symmetric_basis_3(n))
-    pairs = build_gh_bases(n)
-    rho1 = weight * (p0 + projector_from_rows(pairs.g))
-    rho2 = weight * (p0 + projector_from_rows(pairs.h))
-    return rho1, rho2
-
-
 __all__ = [
     "JordanPairSet",
     "build_gh_bases",
     "reciprocal_rows",
     "overlap_matrix",
     "jordan_angles",
-    "density_from_jordan",
     "CASE_LOW",
     "CASE_HIGH",
     "CASE_DISTINCT",

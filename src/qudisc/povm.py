@@ -32,8 +32,8 @@ import numpy as np
 from .errors import ContractError, DegeneratePriorsError, DomainError
 from .jordan import build_gh_bases
 from .spaces import (
-    block_projectors, block_stacks, check_dimension, check_unit_states, mean_density_operators,
-    product_ket, projector_from_rows, split_product,
+    block_projectors, block_stacks, check_dimension, check_unit_states, gather_blocks,
+    mean_density_blocks, product_ket, projector_from_rows,
 )
 
 PROB_SLACK = 1e-12
@@ -273,32 +273,31 @@ def optimal_pure(overlap_sq: float, priors: Priors) -> RegimeResult:
     return replace(best, value=clamp_probability(PURE_SCALE * best.value * (1.0 - overlap_sq)))
 
 
-def average_success_trace(n: int, omega1: float, priors: Priors) -> float:
-    """Operator-level evaluation of :func:`average_success` (cross-check)."""
-    proj_g, proj_h = _reciprocal_projectors(check_dimension(n))
-    a, b = detection_weights(omega1)
-    rho1, rho2 = mean_density_operators(n)
-    value = priors.eta1 * a * np.vdot(proj_g, rho1.T) + priors.eta2 * b * np.vdot(proj_h, rho2.T)
-    return clamp_probability(value)
+def average_success_trace(n: int, omega1, priors: Priors) -> float | np.ndarray:
+    """Operator-level evaluation of :func:`average_success` (cross-check):
+    eta1 Tr(pi1 rho1) + eta2 Tr(pi2 rho2) as sums of block traces over the V_t
+    blocks of :func:`total_povm_blocks` and :func:`spaces.mean_density_blocks`.
+    One angle gives a float; an array of angles, one value per angle."""
+    rho1, rho2 = mean_density_blocks(check_dimension(n))
+    value = sum(priors.eta1 * np.einsum("kbij,bji->k", stack[:, 0], r1)
+                + priors.eta2 * np.einsum("kbij,bji->k", stack[:, 1], r2)
+                for stack, r1, r2 in zip(total_povm_blocks(n, omega1), rho1, rho2))
+    return clamp_probability(value if np.ndim(omega1) else float(value[0]))
 
 
 def pure_success_expectation(
     psi1: np.ndarray, psi2: np.ndarray, omega1: float, priors: Priors, n: int
 ) -> float | np.ndarray:
-    """Operator-level evaluation of :func:`pure_success` (cross-check).
-
-    Takes states (n,) or row-aligned stacks (T, n), as :func:`pure_success`
-    does; each projector meets all the pairs in one real matrix product.
-    """
-    proj_g, proj_h = _reciprocal_projectors(check_dimension(n))
-    a, b = detection_weights(omega1)
+    """Operator-level evaluation of :func:`pure_success` (cross-check): block
+    quadratic forms of :func:`total_povm_blocks` on the product kets' amplitudes
+    on each V_t (:func:`spaces.gather_blocks`), in O(n^3) memory.  Takes states
+    (n,) or row-aligned stacks (T, n), as :func:`pure_success` does."""
+    stacks = total_povm_blocks(check_dimension(n), omega1)
     psi1, psi2 = check_unit_states(psi1, psi2, n)
-    value = (priors.eta1 * a * _expectation(proj_g, product_ket(psi1, psi1, psi2))
-             + priors.eta2 * b * _expectation(proj_h, product_ket(psi1, psi2, psi2)))
+    value = 0.0
+    for k, eta, kets in ((0, priors.eta1, product_ket(psi1, psi1, psi2)),
+                         (1, priors.eta2, product_ket(psi1, psi2, psi2))):
+        value = value + eta * sum(  # Re <a|op|a> = <Re a|op|Re a> + <Im a|op|Im a> for a real op
+            np.einsum("...bi,bij,...bj->...", part, s[0, k], part)
+            for s, a in zip(stacks, gather_blocks(kets, n)) for part in (a.real, a.imag))
     return clamp_probability(value)
-
-
-def _expectation(op: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Re <k|op|k> for complex kets (..., N) and a real operator."""
-    product = split_product(kets, op)
-    return (product[..., 0, :] * kets.real + product[..., 1, :] * kets.imag).sum(axis=-1)

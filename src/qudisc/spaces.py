@@ -9,7 +9,7 @@ A basis ket |i j k> lies in the label-multiset space V_t of its sorted labels
 t.  The symmetric bases, the S1 and S2 product bases and the averaged input
 states are block diagonal over these spaces, so their ranks and spectra can
 be computed one V_t at a time (:func:`label_blocks`, :func:`block_stacks`,
-:func:`diagonal_blocks`).
+:func:`diagonal_blocks`, :func:`gather_blocks`).
 """
 
 from __future__ import annotations
@@ -83,18 +83,6 @@ def product_ket(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     stacks (T, n); the same products as nested np.kron, in one pass."""
     big = a[..., :, None, None] * b[..., None, :, None] * c[..., None, None, :]
     return big.reshape(*big.shape[:-3], -1)
-
-
-def split_product(kets: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """kets @ matrix for complex kets (..., N) and a real (N, M) matrix, as its
-    real and imaginary parts stacked (..., 2, M).
-
-    One real matrix product over all leading axes: the real matrix is never
-    cast to complex.
-    """
-    parts = np.stack([kets.real, kets.imag], axis=-2)
-    product = parts.reshape(-1, parts.shape[-1]) @ matrix
-    return product.reshape(*parts.shape[:-1], matrix.shape[-1])
 
 
 def pair_labels(n: int) -> list[tuple[int, int]]:
@@ -193,6 +181,12 @@ def diagonal_blocks(op: np.ndarray, n: int) -> tuple[list[np.ndarray], float]:
     return diagonal, float(np.linalg.norm(rest))
 
 
+def gather_blocks(kets: np.ndarray, n: int) -> list[np.ndarray]:
+    """The amplitudes of kets (..., n^3) on each V_t, one (..., blocks, d)
+    array per group of :func:`label_blocks`: O(n^3) memory per ket."""
+    return [kets[..., cols] for cols in label_blocks(n).groups]
+
+
 def _symmetric_basis(n: int, factors: int) -> np.ndarray:
     """One row per V_t: the equal superposition of the basis kets in it."""
     blocks = label_blocks(n, factors)
@@ -221,16 +215,15 @@ def symmetric_basis_3(n: int) -> np.ndarray:
     return _symmetric_basis(n, 3)
 
 
-def permutation_operator(perm: tuple[int, ...], n: int) -> np.ndarray:
-    """Unitary permuting the registers: register r of the output takes the
-    input register perm[r] (perm is 0-based over the factors)."""
+def permute_registers(rows: np.ndarray, perm: tuple[int, ...], n: int) -> np.ndarray:
+    """Stacked n^len(perm) row vectors with their registers permuted: register
+    r of each output row takes input register perm[r] (0-based).  The tensor
+    transpose permutes entries, so it is exact."""
     check_dimension(n)
     if sorted(perm) != list(range(len(perm))):
         raise DomainError(f"{perm!r} is not a permutation of the registers")
-    factors, dim = len(perm), n ** len(perm)
-    # Row axis r of the identity's tensor takes input register perm[r].
-    eye = np.eye(dim).reshape((n,) * factors + (dim,))
-    return eye.transpose(*perm, factors).reshape(dim, dim)
+    tensor = rows.reshape(-1, *(n,) * len(perm))
+    return tensor.transpose(0, *(p + 1 for p in perm)).reshape(rows.shape)
 
 
 def projector_from_rows(rows: np.ndarray) -> np.ndarray:
@@ -239,12 +232,9 @@ def projector_from_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def exchange_ac(rows: np.ndarray, n: int) -> np.ndarray:
-    """Stacked n^3 row vectors with registers A and C exchanged.
-
-    The tensor transpose permutes entries, so it is exact, and it is its own
-    inverse.  It maps S1 onto S2, and fixes every three-fold symmetric vector.
-    """
-    return rows.reshape(-1, n, n, n).transpose(0, 3, 2, 1).reshape(rows.shape)
+    """Stacked n^3 row vectors with registers A and C exchanged: its own inverse,
+    it maps S1 onto S2 and fixes every three-fold symmetric vector."""
+    return permute_registers(rows, (2, 1, 0), n)
 
 
 def symmetric_projector(n: int) -> np.ndarray:
@@ -273,6 +263,25 @@ def _mean_density_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
     for rho in (rho1, rho2):
         rho.setflags(write=False)
     return rho1, rho2
+
+
+@functools.lru_cache(maxsize=8)
+def mean_density_blocks(n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """All the entries of :func:`mean_density_operators`, which are block
+    diagonal: one read-only (blocks, d, d) stack per group of
+    :func:`label_blocks` for each operator, read from the entries of
+    P_sigma (x) I and I (x) P_sigma by index arithmetic.  Shared per n."""
+    weight = 2.0 / (check_dimension(n) ** 2 * (n + 1))
+    p_sigma = symmetric_projector(n)
+    rho1, rho2 = [], []
+    for cols in label_blocks(n).groups:
+        i, j = cols[:, :, None], cols[:, None, :]
+        # Flat index (ab, c) for P_sigma (x) I, and (a, bc) for I (x) P_sigma.
+        rho1.append(weight * (p_sigma[i // n, j // n] * (i % n == j % n)))
+        rho2.append(weight * ((i // n**2 == j // n**2) * p_sigma[i % n**2, j % n**2]))
+    for stack in rho1 + rho2:
+        stack.setflags(write=False)
+    return tuple(rho1), tuple(rho2)
 
 
 @dataclass(frozen=True)

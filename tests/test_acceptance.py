@@ -12,7 +12,7 @@ import numpy as np
 
 from qudisc.cli import main as cli_main
 from qudisc.harness import empirical_mean_density, mc_success, overlap_identity_check
-from qudisc.jordan import build_gh_bases, density_from_jordan, jordan_angles, overlap_matrix
+from qudisc.jordan import build_gh_bases, jordan_angles, overlap_matrix
 from qudisc.optics import (
     discriminator_network,
     discriminator_port_state,
@@ -35,6 +35,8 @@ from qudisc.spaces import (
     constructive_dimension_table,
     dimension_table,
     mean_density_operators,
+    projector_from_rows,
+    symmetric_basis_3,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -72,9 +74,11 @@ def test_criterion_02_jordan_structure():
             worst = max(worst, np.abs(family.conj() @ family.T - np.eye(i0)).max())
         worst = max(worst, np.abs(overlap_matrix(pairs) + 0.5 * np.eye(i0)).max())
         worst = max(worst, np.abs(jordan_angles(pairs.g, pairs.h) - 0.5).max())
-        rho_direct = mean_density_operators(n)
-        rho_jordan = density_from_jordan(n)
-        for direct, rebuilt in zip(rho_direct, rho_jordan):
+        # rho_1 = w (P_0 + P_g) and rho_2 = w (P_0 + P_h), rebuilt densely.
+        weight = 2.0 / (n**2 * (n + 1))
+        p0 = projector_from_rows(symmetric_basis_3(n))
+        for direct, family in zip(mean_density_operators(n), (pairs.g, pairs.h)):
+            rebuilt = weight * (p0 + projector_from_rows(family))
             worst = max(worst, np.abs(direct - rebuilt).max())
     elapsed = time.time() - start
     _report(2, "paired-basis structure n=2..4", worst < 1e-12 and elapsed < 30,

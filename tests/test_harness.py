@@ -390,13 +390,13 @@ def test_povm_positive_fails_on_a_dense_fault_at_one_cross_check_point(monkeypat
 
     def faulty(n, omega1):
         triple = real(n, omega1)
-        if n == 6 and omega1 == OMEGA1_GRID[14]:
-            triple.pi1[0, -1] += 1e-6  # between |111> and |666>, off the V_t blocks
+        if n == 5 and omega1 == OMEGA1_GRID[14]:
+            triple.pi1[0, -1] += 1e-6  # between |111> and |555>, off the V_t blocks
             triple.pi1[-1, 0] += 1e-6
         return triple
 
     monkeypatch.setattr(povm, "total_povm", faulty)
-    assert not _povm_positive(6).passed
+    assert not _povm_positive(5).passed
 
 
 def test_povm_positive_fails_on_a_block_fault_between_cross_check_points(monkeypatch):
@@ -405,7 +405,8 @@ def test_povm_positive_fails_on_a_block_fault_between_cross_check_points(monkeyp
     def faulty(n, omega1):
         stacks = real(n, omega1)
         v = np.full(stacks[-1].shape[-1], 1.0 / np.sqrt(stacks[-1].shape[-1]))
-        stacks[-1][10, 0, 0] -= 1e-6 * np.outer(v, v)  # pi1 on one V_t at OMEGA1_GRID[10]
+        for i in np.flatnonzero(np.ravel(omega1) == OMEGA1_GRID[10]):
+            stacks[-1][i, 0, 0] -= 1e-6 * np.outer(v, v)  # pi1 on one V_t at OMEGA1_GRID[10]
         return stacks
 
     monkeypatch.setattr(povm, "total_povm_blocks", faulty)
@@ -422,22 +423,22 @@ def test_verify_all_builds_dense_povms_only_at_the_cross_check_points(monkeypatc
 
     monkeypatch.setattr(povm, "total_povm", counted)
     assert verify_all(6).passed
-    # Per n: OMEGA1_GRID[::7] and the pure-state triple; network_born_rule adds 20 at n = 2.
-    assert len(calls) <= 5 * (len(OMEGA1_GRID[::7]) + 1) + 20
-    assert set(calls) == {2, 3, 4, 5, 6}
+    # OMEGA1_GRID[::7] at n = 2..5 only; network_born_rule adds 20 at n = 2.
+    assert len(calls) <= 4 * len(OMEGA1_GRID[::7]) + 20
+    assert set(calls) == {2, 3, 4, 5}
 
 
 def test_a_nan_in_one_permutation_operator_fails_the_invariance_check(monkeypatch):
-    real = spaces.permutation_operator
+    real = spaces.permute_registers
 
-    def faulty(perm, n):
-        op = real(perm, n)
+    def faulty(rows, perm, n):
+        permuted = real(rows, perm, n)
         if tuple(perm) == (1, 0, 2):  # the third of the six: Python's max would drop its NaN
-            op = op.copy()
-            op[0, 0] = np.nan
-        return op
+            permuted = permuted.copy()
+            permuted[0, 0] = np.nan
+        return permuted
 
-    monkeypatch.setattr(spaces, "permutation_operator", faulty)
+    monkeypatch.setattr(spaces, "permute_registers", faulty)
     result = _per_n_results(3)["threefold_permutation_invariance"]
     assert not result.passed and np.isnan(result.deviation)
 
@@ -455,6 +456,19 @@ def test_a_nan_in_pi1_at_one_grid_point_fails_the_grid_checks(monkeypatch):
     results = _per_n_results(3)
     for name in ("povm_positive", "povm_complete", "povm_unambiguous_mixed"):
         assert not results[name].passed and np.isnan(results[name].deviation), name
+
+
+def test_an_operating_point_off_the_optimum_fails_the_averaged_trace_check(monkeypatch):
+    # The trace at omega1* must equal 2(n-1)/(3n) P(x*); the grid points alone
+    # would not see an omega1* that misses the optimum.
+    real = povm.optimal_subspace
+
+    def faulty(priors):
+        best = real(priors)
+        return dataclasses.replace(best, omega1_star=best.omega1_star + 1e-3)
+
+    monkeypatch.setattr(povm, "optimal_subspace", faulty)
+    assert not _per_n_results(3)["average_success_closed_form"].passed
 
 
 def test_a_nan_ks_statistic_fails_closed(monkeypatch):
@@ -479,9 +493,9 @@ def _failed_checks(report):
 
 
 def test_pi1_scaled_at_n5_fails_the_pure_state_checks(monkeypatch):
-    # pi1 at n = 5 scaled by 1 + 1e-3 wherever register C reads label 2: a
-    # uniform scale would leave pi1 blind to the wrong input.
-    real = povm._reciprocal_projectors
+    # pi1 at n = 5 scaled by 1 + 1e-3 wherever register C reads label 2, on its
+    # V_t blocks: a uniform scale would leave pi1 blind to the wrong input.
+    real = povm._reciprocal_blocks
 
     def faulty(n):
         proj_g, proj_h = real(n)
@@ -490,9 +504,11 @@ def test_pi1_scaled_at_n5_fails_the_pure_state_checks(monkeypatch):
         scale = np.ones((n, n, n))
         scale[:, :, 1] = 1.0 + 1e-3
         scale = scale.ravel()
-        return scale[:, None] * proj_g * scale, proj_h
+        scaled = [scale[cols][:, :, None] * block * scale[cols][:, None, :]
+                  for cols, block in zip(spaces.label_blocks(n).groups, proj_g)]
+        return scaled, proj_h
 
-    monkeypatch.setattr(povm, "_reciprocal_projectors", faulty)
+    monkeypatch.setattr(povm, "_reciprocal_blocks", faulty)
     failed = _failed_checks(verify_all(5))
     assert {("global", "dimension_independence"), ("n=5", "povm_unambiguous_pure"),
             ("n=5", "pure_success_closed_form")} <= failed
@@ -537,6 +553,76 @@ def test_an_entry_off_the_blocks_of_rho1_fails_the_state_check(monkeypatch):
     assert ("n=3", "mean_densities_are_states") in _failed_checks(verify_all(3))
 
 
+def test_a_change_inside_one_rho1_block_fails_the_state_checks_at_n6(monkeypatch):
+    # No dense copy of rho1 exists at n = 6: the blocks are all the suite reads.
+    real = spaces.mean_density_blocks
+
+    def faulty(n):
+        rho1, rho2 = real(n)
+        if n == 6:
+            rho1 = [stack.copy() for stack in rho1]
+            rho1[-1][0, 0, 0] += 1e-9  # |123><123| on its V_t
+        return rho1, rho2
+
+    monkeypatch.setattr(spaces, "mean_density_blocks", faulty)
+    results = _per_n_results(6)
+    for name in ("mean_densities_are_states", "density_decomposition"):
+        assert not results[name].passed, name
+
+
+def test_a_wrong_index_in_the_amplitude_gather_fails_the_pure_state_check(monkeypatch):
+    real = spaces.gather_blocks
+
+    def faulty(kets, n):
+        amplitudes = real(kets, n)
+        if n == 6:
+            cols = spaces.label_blocks(n).groups[-1].copy()
+            cols[0, 0] = cols[1, 0]  # one amplitude read from the next V_t
+            amplitudes[-1] = kets[..., cols]
+        return amplitudes
+
+    monkeypatch.setattr(povm, "gather_blocks", faulty)
+    results = _per_n_results(6)
+    assert not results["pure_success_closed_form"].passed
+    assert results["povm_unambiguous_pure"].passed  # the suite's own gather is intact
+
+
+OPERATOR_CACHES = (spaces._label_blocks, spaces._mean_density_operators,
+                   spaces.mean_density_blocks, jordan._build_gh_bases,
+                   povm._reciprocal_projectors, povm._reciprocal_blocks)
+
+
+def _clear_operator_caches():
+    for cache in OPERATOR_CACHES:
+        cache.cache_clear()
+
+
+def test_no_dense_operator_is_built_above_n5(monkeypatch):
+    # The dense builders refuse n >= 6.  spaces.permutation_operator and
+    # jordan.density_from_jordan, the other two dense builders, are gone.
+    for module, name in ((povm, "total_povm"), (povm, "_reciprocal_projectors"),
+                         (spaces, "mean_density_operators")):
+        def guarded(n, *args, real=getattr(module, name), name=name):
+            if n >= 6:
+                raise AssertionError(f"{name} called at n = {n}")
+            return real(n, *args)
+
+        monkeypatch.setattr(module, name, guarded)
+    assert verify_all(6).passed
+    _clear_operator_caches()
+    report = harness.VerificationReport(n_max=8)
+    tracemalloc.start()
+    try:
+        harness._checks_for_n(8, Tolerances(), report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    # With the dense operators _checks_for_n(8) peaked at 26.7 MiB; on the
+    # blocks it takes about 8.2 MiB.
+    assert peak <= 26.7 / 2 * 2**20
+
+
 def test_an_s1_row_outside_one_block_fails_the_dimension_check(monkeypatch):
     real = spaces.s1_product_basis
 
@@ -553,17 +639,16 @@ def test_an_s1_row_outside_one_block_fails_the_dimension_check(monkeypatch):
 
 
 def test_verify_all_memory_peak_stays_small():
-    caches = (spaces._label_blocks, spaces._mean_density_operators,
-              jordan._build_gh_bases, povm._reciprocal_projectors, povm._reciprocal_blocks)
-    for cache in caches:  # count every operator verify_all builds
-        cache.cache_clear()
+    _clear_operator_caches()  # count every operator verify_all builds
     tracemalloc.start()
     try:
         verify_all(6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20  # the full 1e-6 regime grid alone would take 24 MB
+    # Measured 3.9 MiB (6.4 MiB with dense operators at n = 6); the full 1e-6
+    # regime grid alone would take 24 MB.
+    assert peak < 5 * 2**20
 
 
 def test_a_scaled_photon_amplitude_fails_the_born_rule_check(monkeypatch):

@@ -6,13 +6,14 @@ from qudisc.jordan import (
     CASE_DISTINCT,
     CASE_DISTINCT_PRIMED,
     build_gh_bases,
-    density_from_jordan,
     jordan_angles,
     overlap_matrix,
 )
 from qudisc.spaces import (
     basis_ket,
+    diagonal_blocks,
     dimension_table,
+    mean_density_blocks,
     mean_density_operators,
     projector_from_rows,
     s1_product_basis,
@@ -159,12 +160,26 @@ def test_jordan_angles_rejects_non_orthonormal():
         jordan_angles(bad, good)
 
 
+def density_from_jordan(n):
+    """w (P_0 + P_g) and w (P_0 + P_h), w = 2 / (n^2 (n+1)): the averaged inputs
+    rebuilt densely from the paired bases."""
+    weight = 2.0 / (n**2 * (n + 1))
+    p0 = projector_from_rows(symmetric_basis_3(n))
+    pairs = build_gh_bases(n)
+    return tuple(weight * (p0 + projector_from_rows(rows)) for rows in (pairs.g, pairs.h))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_density_from_jordan_matches_direct(n):
     rho1_j, rho2_j = density_from_jordan(n)
     rho1, rho2 = mean_density_operators(n)
     assert np.abs(rho1_j - rho1).max() < 1e-12
     assert np.abs(rho2_j - rho2).max() < 1e-12
+    # The V_t blocks the verification suite reads are those of the rebuilt states.
+    for rebuilt, blocks in zip((rho1_j, rho2_j), mean_density_blocks(n)):
+        diagonal, off = diagonal_blocks(rebuilt, n)
+        assert off < 1e-12
+        assert max(np.abs(d - b).max() for d, b in zip(diagonal, blocks)) < 1e-12
 
 
 def test_density_from_jordan_trace_qubits():

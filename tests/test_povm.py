@@ -249,10 +249,16 @@ def test_average_success_examples():
 @pytest.mark.parametrize("n", [2, 3])
 def test_average_success_matches_trace(n):
     priors = Priors.from_eta1(0.3)
-    for omega1 in np.linspace(0.0, np.pi / 2, 9):
+    grid = np.linspace(0.0, np.pi / 2, 9)
+    for omega1 in grid:
         closed = average_success(n, omega1, priors)
         traced = average_success_trace(n, omega1, priors)
         assert abs(closed - traced) < 1e-10
+    # An array of angles gives one value per angle, as the angles one at a time.
+    stacked = average_success_trace(n, grid, priors)
+    assert stacked.shape == grid.shape
+    np.testing.assert_allclose(stacked, [average_success_trace(n, w, priors) for w in grid],
+                               rtol=0, atol=1e-15)
 
 
 def test_optimal_average_examples():

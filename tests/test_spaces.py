@@ -17,9 +17,10 @@ from qudisc.spaces import (
     expand_u3,
     flatten_index,
     label_blocks,
+    mean_density_blocks,
     mean_density_operators,
     pair_labels,
-    permutation_operator,
+    permute_registers,
     product_ket,
     projector_from_rows,
     s1_product_basis,
@@ -98,16 +99,17 @@ def _permutation_operator_loop(perm, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_permutation_operator_matches_column_loop(n):
+    # permute_registers maps each row r to P r: the rows of the identity become P^T.
     for factors in (2, 3):
         for perm in itertools.permutations(range(factors)):
-            op = permutation_operator(perm, n)
+            op = permute_registers(np.eye(n**factors), perm, n).T
             assert op.dtype == np.float64
             assert np.array_equal(op, _permutation_operator_loop(perm, n))
     for bad_perm in ((0, 0), (1, 2), (0, 2, 1, 1)):
         with pytest.raises(DomainError):
-            permutation_operator(bad_perm, n)
+            permute_registers(np.eye(n**len(bad_perm)), bad_perm, n)
     with pytest.raises(DomainError):
-        permutation_operator((1, 0), 1)
+        permute_registers(np.eye(1), (1, 0), 1)
 
 
 def test_symmetric_basis_2_qubit_vectors():
@@ -153,7 +155,8 @@ def test_symmetric_basis_3_orthonormal_and_permutation_invariant(n):
     gram = basis.conj() @ basis.T
     np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-12)
     for perm in itertools.permutations(range(3)):
-        op = permutation_operator(perm, n)
+        np.testing.assert_allclose(permute_registers(basis, perm, n), basis, atol=1e-12)
+        op = _permutation_operator_loop(perm, n).real
         np.testing.assert_allclose(basis @ op.T, basis, atol=1e-12)
 
 
@@ -165,7 +168,7 @@ def test_symmetric_projector_properties(n):
     np.testing.assert_allclose(proj, proj.conj().T, atol=1e-12)
 
     # Independent construction: (I + SWAP)/2 with SWAP from index permutation.
-    swap = permutation_operator((1, 0), n)
+    swap = _permutation_operator_loop((1, 0), n).real
     np.testing.assert_allclose(proj, (np.eye(n * n) + swap) / 2, atol=1e-10)
     np.testing.assert_allclose(proj @ swap, swap @ proj, atol=1e-12)
 
@@ -199,6 +202,19 @@ def test_mean_density_operators_are_shared_and_read_only():
     for rho in (rho1, rho2):
         with pytest.raises(ValueError):
             rho[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_mean_density_blocks_are_the_dense_diagonal_blocks_bit_for_bit(n):
+    blocks = mean_density_blocks(n)
+    assert mean_density_blocks(n) is blocks
+    for rho, stacks in zip(mean_density_operators(n), blocks):
+        diagonal, off = diagonal_blocks(rho, n)
+        assert off == 0.0
+        assert [d.tobytes() for d in diagonal] == [b.tobytes() for b in stacks]
+        for stack in stacks:
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
 
 
 def test_mean_density_spectrum_qubits():
@@ -249,9 +265,11 @@ def test_s1_product_basis_is_the_kron_loop_bit_for_bit(n):
 def test_bases_and_operators_on_the_registers_are_real(n):
     arrays = [
         basis_ket((1, 2, 1), n), symmetric_basis_2(n), symmetric_basis_3(n),
-        permutation_operator((1, 0), n), permutation_operator((2, 0, 1), n),
+        permute_registers(np.eye(n * n), (1, 0), n),
+        permute_registers(np.eye(n**3), (2, 0, 1), n),
         s1_product_basis(n), s2_product_basis(n), symmetric_projector(n),
-        *mean_density_operators(n), expand_u3(n, (1, 1, 2)),
+        *mean_density_operators(n), *mean_density_blocks(n)[0], *mean_density_blocks(n)[1],
+        expand_u3(n, (1, 1, 2)),
     ]
     assert all(a.dtype == np.float64 for a in arrays)
     blocks = label_blocks(n)
@@ -403,7 +421,7 @@ def test_exchange_ac_is_the_register_swap_and_an_involution(n):
     rng = np.random.default_rng(n)
     rows = rng.normal(size=(5, n**3)) + 1j * rng.normal(size=(5, n**3))
     swapped = exchange_ac(rows, n)
-    assert np.array_equal(swapped, rows @ permutation_operator((2, 1, 0), n).T)
+    assert np.array_equal(swapped, rows @ _permutation_operator_loop((2, 1, 0), n).T)
     assert np.array_equal(exchange_ac(swapped, n), rows)
     assert np.array_equal(exchange_ac(rows[0], n), swapped[0])
 
