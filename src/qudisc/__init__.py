@@ -17,7 +17,6 @@ from .jordan import (
     JordanPairSet,
     build_gh_bases,
     jordan_angles,
-    overlap_matrix,
 )
 from .optics import (
     ClickStats,
@@ -47,7 +46,6 @@ from .spaces import (
     DimensionTable,
     dimension_table,
     expand_u3,
-    flatten_index,
     mean_density_operators,
     symmetric_basis_2,
     symmetric_basis_3,

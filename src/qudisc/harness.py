@@ -45,10 +45,11 @@ SCAN_STRIDE = 1000
 # multiple of DENSE_STRIDE) points at a time.
 DENSE_N_MAX, DENSE_STRIDE, GRID_CHUNK = 5, 7, 28
 # Bound on n_max, as if one 8 n^6-byte real n^3 x n^3 operator were built: it
-# admits n_max <= 8.  None is built above n = 5, but the S1/S2 rows and the g/h
-# families and Gram matrix still grow as n^6.  The per-n suite takes about
-# 15-24, 30-39 and 53-65 ms and peaks at 2.3, 4.5 and 8.2 MiB at n = 6, 7 and 8
-# (one BLAS thread on a 2-vCPU x86 VM).
+# admits n_max <= 8.  None is built above n = 5, but the g/h families with their
+# Gram matrix and jordan_angles' SVD, overlap_identity_check's products with
+# them and the S1/S2 rows of symmetric_vector_expansions still grow as n^6.
+# The per-n suite takes about 21-23, 31-34 and 53-60 ms and peaks at 2.3, 4.3
+# and 7.6 MiB at n = 6, 7 and 8 (one BLAS thread on a 2-vCPU x86 VM).
 MAX_OPERATOR_BYTES = 4 * 2**20
 
 
@@ -268,9 +269,9 @@ def _povm_grid_deviations(n: int, grid: np.ndarray, pairs,
     operators over the omega1 grid, read on their V_t diagonal blocks.
 
     pi0's spectrum is an exact eigensolve of its distinct blocks.  pi1 and pi2
-    are held against a and b times the block projectors P_g and P_h of the
-    g_perp and h_perp rows, built here; one eigensolve per n gives their
-    spectra, and Weyl's inequality with ||.||_2 <= ||.||_F gives
+    are held against a and b times the kinds' projectors P_g and P_h onto their
+    g_perp and h_perp rows (spaces.kind_blocks); one eigensolve per n gives
+    their spectra, and Weyl's inequality with ||.||_2 <= ||.||_F gives
         -lambda_min(pi1) <= a max(0, -lambda_min(P_g)) + ||pi1 - a P_g||_F,
     and the same for pi2.  Each h_perp row must equal g_perp/2 + (sqrt(3)/2) h.
 
@@ -280,11 +281,10 @@ def _povm_grid_deviations(n: int, grid: np.ndarray, pairs,
     dense completeness, with the off-block norms added, and traces join the
     other two deviations.
     """
-    model_h_perp = 0.5 * pairs.g_perp + (np.sqrt(3.0) / 2.0) * pairs.h
-    models = [spaces.block_projectors(spaces.block_stacks(rows, n))
-              for rows in (pairs.g_perp, pairs.h_perp)]
+    models = [spaces.kind_blocks(n, entry) for entry in ("p_g_perp", "p_h_perp")]
     lowest = [np.min([_lowest_eigenvalues(m[None]) for m in model]) for model in models]
-    worst = [np.abs(pairs.h_perp - model_h_perp).max(), 0.0, 0.0]
+    h_perp_gap = np.abs(pairs.h_perp - (0.5 * pairs.g_perp + np.sqrt(3.0) / 2.0 * pairs.h)).max()
+    worst = [h_perp_gap, 0.0, 0.0]
     for start in range(0, len(grid), GRID_CHUNK):
         angles = grid[start:start + GRID_CHUNK]
         stacks = povm.total_povm_blocks(n, angles)
@@ -320,12 +320,9 @@ def _povm_grid_deviations(n: int, grid: np.ndarray, pairs,
 def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     scope = f"n={n}"
     table = spaces.dimension_table(n)
-    try:
-        constructive = spaces.constructive_dimension_table(n)
-        dev = _worst(*(abs(getattr(table, f) - getattr(constructive, f))
-                       for f in ("sigma", "s0", "s1", "s2", "s3", "s4", "s5", "s6", "i0")))
-    except ContractError:  # a basis row outside one V_t: the per-block ranks are undefined
-        dev = np.inf
+    constructive = spaces.constructive_dimension_table(n)
+    dev = _worst(*(abs(getattr(table, f) - getattr(constructive, f))
+                   for f in ("sigma", "s0", "s1", "s2", "s3", "s4", "s5", "s6", "i0")))
     report.add("dimension_formulas", scope, dev, 0,
                "closed-form subspace dimensions equal constructive SVD ranks")
 
@@ -366,8 +363,10 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
                "averaged inputs are unit-trace positive operators")
 
     coeffs = np.array([spaces.expand_u3(n, triple) for triple in spaces.triple_labels(n)])
+    s1 = spaces.s1_product_basis(n)
     dev = _worst(*(np.linalg.norm(coeffs @ rows - sym3, axis=1).max()
-                   for rows in (spaces.s1_product_basis(n), spaces.s2_product_basis(n))))
+                   for rows in (s1, spaces.exchange_ac(s1, n))))  # S1's rows, then S2's
+    del s1  # n^6 bytes that no later check reads
     report.add("symmetric_vector_expansions", scope, dev, tol.tight,
                "product-basis expansions reconstruct the symmetric vectors")
 
@@ -391,28 +390,21 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
 
     # Per V_t block: rho_1 = w (P_0 + P_g), rho_2 = w (P_0 + P_h), S1 = P_0 + P_g, S2 = P_0 + P_h.
     weight = 2.0 / (n**2 * (n + 1))
-    try:
-        p0, p_g, p_h, p_s1, p_s2 = (spaces.block_projectors(spaces.block_stacks(rows, n))
-                                    for rows in (sym3, pairs.g, pairs.h, spaces.s1_product_basis(n),
-                                                 spaces.s2_product_basis(n)))
-        dev_density = _worst(*(np.abs(weight * (a + b) - rho).max()
-                               for family, rhos in ((p_g, rho_blocks[0]), (p_h, rho_blocks[1]))
-                               for a, b, rho in zip(p0, family, rhos)))
-        dev_spans = _worst(*(np.abs(a + b - span).max()
-                             for family, spans in ((p_g, p_s1), (p_h, p_s2))
-                             for a, b, span in zip(p0, family, spans)))
-    except ContractError:  # a row outside one V_t: its dyads have no V_t blocks
-        dev_density = dev_spans = np.inf
+    p0, p_g, p_h, p_s1, p_s2 = (spaces.kind_blocks(n, entry)
+                                for entry in ("p0", "p_g", "p_h", "s1", "s2"))
+    dev_density = _worst(*(np.abs(weight * (a + b) - rho).max()
+                           for family, rhos in ((p_g, rho_blocks[0]), (p_h, rho_blocks[1]))
+                           for a, b, rho in zip(p0, family, rhos)))
+    dev_spans = _worst(*(np.abs(a + b - span).max()
+                         for family, spans in ((p_g, p_s1), (p_h, p_s2))
+                         for a, b, span in zip(p0, family, spans)))
     report.add("density_decomposition", scope, dev_density, tol.tight,
                "paired-basis decomposition rebuilds the averaged inputs")
     report.add("complement_spans", scope, dev_spans, tol.op,
                "g (resp. h) dyads complete the symmetric projector to S1 (resp. S2)")
 
     grid = np.linspace(0.0, np.pi / 2, 50)
-    try:
-        dev_psd, dev_sum, dev_unamb = _povm_grid_deviations(n, grid, pairs, rho_blocks)
-    except ContractError:  # a g_perp or h row outside one V_t: the operators have no V_t blocks
-        dev_psd = dev_sum = dev_unamb = np.inf
+    dev_psd, dev_sum, dev_unamb = _povm_grid_deviations(n, grid, pairs, rho_blocks)
     report.add("povm_positive", scope, dev_psd, tol.op,
                "all three detection operators are positive semidefinite on a 50-point grid")
     report.add("povm_complete", scope, dev_sum, tol.op,

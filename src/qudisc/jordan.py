@@ -9,9 +9,9 @@ T_i independently.  h_i is g_i with registers A and C exchanged: the
 exchange maps S1 onto S2 and fixes the fully symmetric subspace.
 
 Every g_i lies in one label-multiset space V_t (:func:`qudisc.spaces.label_blocks`),
-and up to relabelling it is one of four kinds, none depending on n: one row
-for t = (i, i, k) or (i, j, j), and two for three distinct labels.  g is the
-four kind rows scattered over the V_t.
+and up to relabelling it is a row of one of four kinds, none depending on n
+(:mod:`qudisc.kinds`): one row for t = (i, i, k) or (i, j, j), and two for three
+distinct labels.  g is the kinds' rows scattered over the V_t.
 """
 
 from __future__ import annotations
@@ -21,55 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kinds
 from .errors import ContractError
+from .kinds import CASE_DISTINCT, CASE_DISTINCT_PRIMED, CASE_HIGH, CASE_LOW, reciprocal_rows
 from .spaces import (
     TAU_OP,
     check_dimension,
     dimension_table,
     exchange_ac,
+    kind_blocks,
     label_blocks,
     triple_labels,
 )
-
-CASE_LOW = "i=j<k"
-CASE_HIGH = "i<j=k"
-CASE_DISTINCT = "i<j<k"
-CASE_DISTINCT_PRIMED = "i<j<k'"
-
-
-def _kind_rows() -> dict[str, tuple[float, ...]]:
-    """The g row of each kind over the basis kets of its V_t in ascending flat
-    order, which are the sorted permutations of t = (i, j, k)."""
-    s = 1.0 / np.sqrt(2)
-    c1, c2 = np.sqrt(1.0 / 3.0), np.sqrt(2.0 / 3.0)
-    a, b, c = (3.0 - np.sqrt(3.0)) / 6.0, (3.0 + np.sqrt(3.0)) / 6.0, np.sqrt(3.0) / 3.0
-    return {
-        CASE_LOW: (-c2, c1 * s, c1 * s),  # |iik>, |iki>, |kii>
-        CASE_HIGH: (c1 * s, c1 * s, -c2),  # |ijj>, |jij>, |jji>
-        # |ijk>, |ikj>, |jik>, |jki>, |kij>, |kji>
-        CASE_DISTINCT: (a * s, -(b * s), a * s, c * s, -(b * s), c * s),
-        CASE_DISTINCT_PRIMED: (-(b * s), a * s, -(b * s), c * s, a * s, c * s),
-    }
-
-
-_G_ROWS = _kind_rows()
-
-
-def _triple_kinds(i: int, j: int, k: int) -> tuple[str, ...]:
-    """The kinds of the g rows in V_t for t = (i, j, k), i <= j <= k, in row order."""
-    if i == j == k:
-        return ()
-    if i == j:
-        return (CASE_LOW,)
-    if j == k:
-        return (CASE_HIGH,)
-    return (CASE_DISTINCT, CASE_DISTINCT_PRIMED)
-
-
-def reciprocal_rows(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(2g + h)/sqrt(3) and (2h + g)/sqrt(3), row by row: for <g|h> = -1/2, the
-    unit vectors of span(g, h) orthogonal to h and to g respectively."""
-    return (2.0 * g + h) / np.sqrt(3.0), (2.0 * h + g) / np.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -111,27 +74,18 @@ def build_gh_bases(n: int) -> JordanPairSet:
 
 @functools.lru_cache(maxsize=4)
 def _build_gh_bases(n: int) -> JordanPairSet:
-    blocks = label_blocks(n)
-    labels, rows, cols, values = [], [], [], []
-    for t, triple in enumerate(triple_labels(n)):
-        members = blocks.groups[blocks.group_of[t]][blocks.slot_of[t]]
-        for kind in _triple_kinds(*triple):
-            rows += [len(labels)] * len(members)
-            cols.append(members)
-            values += _G_ROWS[kind]
-            labels.append((kind, triple))
-    g = np.zeros((len(labels), n**3))
-    g[rows, np.concatenate(cols)] = values
-    pair_set = JordanPairSet(n=n, g=g, h=exchange_ac(g, n), labels=tuple(labels))
+    blocks, table = label_blocks(n), kinds.kind_table()
+    depth = np.array([len(kind.cases) for kind in table])[blocks.kind_of]  # g rows per V_t
+    first = np.cumsum(depth) - depth
+    g = np.zeros((depth.sum(), n**3))
+    for group, (cols, rows) in enumerate(zip(blocks.groups, kind_blocks(n, "g"))):
+        index = first[blocks.group_of == group, None] + np.arange(rows.shape[1])
+        g[index[:, :, None], cols[:, None, :]] = rows
+    labels = tuple((case, triple) for triple, k in zip(triple_labels(n), blocks.kind_of)
+                   for case in table[k].cases)
+    pair_set = JordanPairSet(n=n, g=g, h=exchange_ac(g, n), labels=labels)
     assert len(pair_set) == dimension_table(n).i0
     return pair_set
-
-
-def overlap_matrix(pair_set: JordanPairSet) -> np.ndarray:
-    """Cross-Gram matrix G[i, j] = <g_i|h_j>."""
-    if pair_set.g.shape != pair_set.h.shape:
-        raise ContractError("g and h families must have matching shapes")
-    return pair_set.g.conj() @ pair_set.h.T
 
 
 def jordan_angles(family_a: np.ndarray, family_b: np.ndarray) -> np.ndarray:
@@ -142,7 +96,7 @@ def jordan_angles(family_a: np.ndarray, family_b: np.ndarray) -> np.ndarray:
     """
     for name, family in (("first", family_a), ("second", family_b)):
         gram = family.conj() @ family.T
-        if np.abs(gram - np.eye(len(family))).max() > TAU_OP:
+        if not np.abs(gram - np.eye(len(family))).max() <= TAU_OP:  # NaN fails too
             raise ContractError(f"{name} family is not orthonormal")
     if family_a.shape[1] != family_b.shape[1]:
         raise ContractError("families live on different spaces")
@@ -154,7 +108,6 @@ __all__ = [
     "JordanPairSet",
     "build_gh_bases",
     "reciprocal_rows",
-    "overlap_matrix",
     "jordan_angles",
     "CASE_LOW",
     "CASE_HIGH",

@@ -32,8 +32,8 @@ import numpy as np
 from .errors import ContractError, DegeneratePriorsError, DomainError
 from .jordan import build_gh_bases
 from .spaces import (
-    block_projectors, block_stacks, check_dimension, check_unit_states, gather_blocks,
-    mean_density_blocks, product_ket, projector_from_rows,
+    check_dimension, check_unit_states, gather_blocks, kind_blocks, mean_density_blocks,
+    product_ket, projector_from_rows,
 )
 
 PROB_SLACK = 1e-12
@@ -167,12 +167,13 @@ def total_povm_blocks(n: int, omega1) -> list[np.ndarray]:
     Returns one (angles, 3, blocks, d, d) stack per group of
     :func:`spaces.label_blocks`, with pi1, pi2 and pi0 along axis 1.  Every
     g_perp and h_perp row lies in one V_t, so the operators are block
-    diagonal and these blocks are all of them; no n^3 x n^3 array is built.
+    diagonal and these blocks are all of them: the kinds' P_g_perp and
+    P_h_perp (:func:`spaces.kind_blocks`).  No n^3 x n^3 array is built.
     """
     weights = np.array([detection_weights(w) for w in np.ravel(omega1)])
     a, b = weights.T[:, :, None, None, None]
     stacks = []
-    for proj_g, proj_h in zip(*_reciprocal_blocks(check_dimension(n))):
+    for proj_g, proj_h in zip(kind_blocks(n, "p_g_perp"), kind_blocks(n, "p_h_perp")):
         pi1 = a * proj_g
         pi2 = b * proj_h
         pi0 = np.eye(proj_g.shape[-1]) - pi1 - pi2
@@ -188,17 +189,6 @@ def _reciprocal_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     for proj in projectors:
         proj.setflags(write=False)
     return projectors
-
-
-@functools.lru_cache(maxsize=8)
-def _reciprocal_blocks(n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The V_t diagonal blocks of :func:`_reciprocal_projectors`, built from the
-    rows, one read-only (blocks, d, d) stack per group of label_blocks(n)."""
-    pairs = build_gh_bases(n)
-    blocks = tuple(block_projectors(block_stacks(rows, n)) for rows in (pairs.g_perp, pairs.h_perp))
-    for stack in (*blocks[0], *blocks[1]):
-        stack.setflags(write=False)
-    return blocks
 
 
 def success_curve_x(x: float, priors: Priors) -> float:

@@ -2,14 +2,14 @@
 
 The device acts on three n-dimensional registers A, B, C.  Basis labels are
 1-based tuples over {1..n} (register A is the slowest-varying factor); flat
-array indices are 0-based row-major.  Every basis and operator here is a
-dense real (float64) matrix; only states and their product kets are complex.
+array indices are 0-based row-major.  Bases and operators on the registers are
+real (float64); only states and their product kets are complex.
 
 A basis ket |i j k> lies in the label-multiset space V_t of its sorted labels
 t.  The symmetric bases, the S1 and S2 product bases and the averaged input
-states are block diagonal over these spaces, so their ranks and spectra can
-be computed one V_t at a time (:func:`label_blocks`, :func:`block_stacks`,
-:func:`diagonal_blocks`, :func:`gather_blocks`).
+states are block diagonal over these spaces, and each V_t block is that of
+its kind (:mod:`qudisc.kinds`), so such objects are kept as stacks of V_t
+blocks (:func:`label_blocks`) scattered from the kind table (:func:`kind_blocks`).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from . import kinds
 from .errors import ContractError, DomainError
 
 # Default tolerances: norm checks, operator identities, SVD rank threshold.
@@ -58,26 +59,6 @@ def check_unit_states(psi1, psi2, n: int) -> tuple[np.ndarray, np.ndarray]:
     return psi1, psi2
 
 
-def flatten_index(labels: tuple[int, ...], n: int, factors: int | None = None) -> int:
-    """Row-major flat index of a 1-based basis tuple (first register slowest)."""
-    check_dimension(n)
-    if factors is not None and len(labels) != factors:
-        raise DomainError(f"expected {factors} labels, got {len(labels)}")
-    idx = 0
-    for a in labels:
-        if check_integer(a, 1, "basis label") > n:
-            raise DomainError(f"basis label {a!r} outside 1..{n}")
-        idx = idx * n + (int(a) - 1)
-    return idx
-
-
-def basis_ket(labels: tuple[int, ...], n: int) -> np.ndarray:
-    """Computational basis vector |labels> on n^len(labels) dimensions."""
-    vec = np.zeros(n ** len(labels))
-    vec[flatten_index(labels, n)] = 1.0
-    return vec
-
-
 def product_ket(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """|a>|b>|c> on the three registers, for single states (n,) or row-aligned
     stacks (T, n); the same products as nested np.kron, in one pass."""
@@ -105,14 +86,16 @@ class LabelBlocks:
     combinations-with-replacement order (:func:`pair_labels`,
     :func:`triple_labels`).  groups holds one (blocks, d) array per block
     dimension d: the flat indices of each V_t of that dimension, ascending,
-    with the blocks in index order.  group_of and slot_of locate each block in
-    groups.  All arrays are read-only.
+    with the blocks in index order.  group_of[t] is the group of block t.
+    kind_of[t] has bit factors - 2 - r set where sorted labels r and r + 1 of t
+    differ; for three registers that is the index into :func:`kinds.kind_table`.
+    All arrays are read-only.
     """
 
     block_of: np.ndarray
     groups: tuple[np.ndarray, ...]
     group_of: np.ndarray
-    slot_of: np.ndarray
+    kind_of: np.ndarray
 
 
 def label_blocks(n: int, factors: int = 3) -> LabelBlocks:
@@ -122,51 +105,41 @@ def label_blocks(n: int, factors: int = 3) -> LabelBlocks:
 
 @functools.lru_cache(maxsize=8)
 def _label_blocks(n: int, factors: int) -> LabelBlocks:
-    labels = np.indices((n,) * factors).reshape(factors, -1).T
-    keys = np.sort(labels, axis=1) @ n ** np.arange(factors - 1, -1, -1)
-    _, block_of = np.unique(keys, return_inverse=True)
+    labels = np.sort(np.indices((n,) * factors).reshape(factors, -1).T, axis=1)
+    keys = labels @ n ** np.arange(factors - 1, -1, -1)
+    _, first, block_of = np.unique(keys, return_index=True, return_inverse=True)
+    kind_of = (np.diff(labels[first], axis=1) != 0) @ 2 ** np.arange(factors - 2, -1, -1)
     sizes = np.bincount(block_of)
     members = np.split(np.argsort(block_of, kind="stable"), np.cumsum(sizes)[:-1])
     dims = np.flatnonzero(np.bincount(sizes))
     group_of = np.searchsorted(dims, sizes)
-    slot_of = np.zeros_like(block_of, shape=len(sizes))
     groups = []
     for g, d in enumerate(dims):
         ids = np.flatnonzero(group_of == g)
-        slot_of[ids] = np.arange(len(ids))
         groups.append(np.array([members[t] for t in ids]).reshape(len(ids), d))
     blocks = LabelBlocks(block_of=block_of, groups=tuple(groups), group_of=group_of,
-                         slot_of=slot_of)
-    for array in (block_of, group_of, slot_of, *groups):
+                         kind_of=kind_of)
+    for array in (block_of, group_of, kind_of, *groups):
         array.setflags(write=False)
     return blocks
 
 
-def block_stacks(rows: np.ndarray, n: int, factors: int = 3) -> list[np.ndarray]:
-    """Stacked rows split over the V_t, each row restricted to its own V_t.
-
-    Returns one (blocks, depth, d) array per group of :func:`label_blocks`,
-    block-aligned with that group; a block's rows fill its first slots in row
-    order and zero rows pad the rest, which leaves every rank and span as it
-    is.  Raises ContractError unless each row has nonzero entries in exactly
-    one V_t.
-    """
-    blocks = label_blocks(n, factors)
-    nonzero = rows != 0
-    owner = blocks.block_of[nonzero.argmax(axis=1)]
-    if not nonzero.any(axis=1).all() or (nonzero & (blocks.block_of != owner[:, None])).any():
-        raise ContractError("each row must be supported in exactly one label-multiset space V_t")
+def kind_blocks(n: int, entry: str) -> list[np.ndarray]:
+    """The `entry` field of :func:`qudisc.kinds.kind_table` on every V_t of three
+    registers at qudit dimension n: one (blocks, ...) stack per group of
+    :func:`label_blocks`, each block's entry that of its kind."""
+    blocks, table = label_blocks(n), kinds.kind_table()
     stacks = []
-    for g, cols in enumerate(blocks.groups):
-        mine = np.flatnonzero(blocks.group_of[owner] == g)
-        slots = blocks.slot_of[owner[mine]]
-        order = np.argsort(slots, kind="stable")
-        mine, slots = mine[order], slots[order]
-        level = np.arange(len(slots)) - np.searchsorted(slots, slots)  # rank within the block
-        stack = np.zeros((len(cols), level.max(initial=-1) + 1, cols.shape[1]))
-        stack[slots, level] = rows[mine[:, None], cols[slots]]
-        stacks.append(stack)
+    for group in range(len(blocks.groups)):
+        # The kinds of the group's one dimension, and which of them each block is.
+        present, index = np.unique(blocks.kind_of[blocks.group_of == group], return_inverse=True)
+        stacks.append(np.stack([getattr(table[k], entry) for k in present])[index])
     return stacks
+
+
+def kind_counts(n: int) -> np.ndarray:
+    """The number of V_t of each kind at qudit dimension n, from :func:`label_blocks`."""
+    return np.bincount(label_blocks(n).kind_of, minlength=len(kinds.kind_table()))
 
 
 def diagonal_blocks(op: np.ndarray, n: int) -> tuple[list[np.ndarray], float]:
@@ -269,16 +242,10 @@ def _mean_density_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
 def mean_density_blocks(n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """All the entries of :func:`mean_density_operators`, which are block
     diagonal: one read-only (blocks, d, d) stack per group of
-    :func:`label_blocks` for each operator, read from the entries of
-    P_sigma (x) I and I (x) P_sigma by index arithmetic.  Shared per n."""
+    :func:`label_blocks` for each operator, w = 2/(n^2 (n+1)) times the kinds'
+    rho1 and rho2 (:func:`kind_blocks`).  Shared per n."""
     weight = 2.0 / (check_dimension(n) ** 2 * (n + 1))
-    p_sigma = symmetric_projector(n)
-    rho1, rho2 = [], []
-    for cols in label_blocks(n).groups:
-        i, j = cols[:, :, None], cols[:, None, :]
-        # Flat index (ab, c) for P_sigma (x) I, and (a, bc) for I (x) P_sigma.
-        rho1.append(weight * (p_sigma[i // n, j // n] * (i % n == j % n)))
-        rho2.append(weight * ((i // n**2 == j // n**2) * p_sigma[i % n**2, j % n**2]))
+    rho1, rho2 = ([weight * stack for stack in kind_blocks(n, entry)] for entry in ("rho1", "rho2"))
     for stack in rho1 + rho2:
         stack.setflags(write=False)
     return tuple(rho1), tuple(rho2)
@@ -346,53 +313,33 @@ def s2_product_basis(n: int) -> np.ndarray:
     return exchange_ac(s1_product_basis(n), n)
 
 
-def _svd_rank(stacks: list[np.ndarray]) -> int:
-    """Summed SVD ranks of stacked matrices."""
-    return sum(int((np.linalg.svd(m, compute_uv=False) > TAU_RANK).sum()) for m in stacks)
+def _rank(matrix: np.ndarray) -> int:
+    return int((np.linalg.svd(matrix, compute_uv=False) > TAU_RANK).sum())
 
 
-def block_projectors(stacks: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-block sums of dyads of stacked orthonormal rows (:func:`block_stacks`)."""
-    return [m.transpose(0, 2, 1) @ m for m in stacks]
+def _kind_ranks(kind: kinds.Kind) -> list[int]:
+    """On one kind's V_t: the ranks of P_0, S1, S2, S3 = span(S1, S2), and of
+    the complements of P_0 in S1, S2 and S3."""
+    # S3: the right singular vectors of the stacked S1 and S2 projectors above TAU_RANK.
+    _, singular, vh = np.linalg.svd(np.concatenate([kind.s1, kind.s2]), full_matrices=False)
+    span = vh[singular > TAU_RANK]
+    return [_rank(kind.p0), _rank(kind.s1), _rank(kind.s2), len(span),
+            _rank(kind.s1 - kind.p0), _rank(kind.s2 - kind.p0), _rank(span.T @ span - kind.p0)]
 
 
 def constructive_dimension_table(n: int) -> DimensionTable:
     """Subspace dimensions recomputed as SVD ranks of explicitly built spans.
 
-    Every basis row lies in one label-multiset space V_t, so every span and
-    projector splits over the V_t and each rank is a sum of per-block ranks.
-    Raises ContractError if a basis row is not supported in exactly one V_t.
+    Every span of three registers splits over the V_t, and its block on a V_t
+    is that of the V_t's kind (:mod:`qudisc.kinds`), so each of its dimensions
+    is the sum over the kinds of the kind's rank times :func:`kind_counts`.
+    sigma is the rank of the two-fold symmetric basis.
     """
-    check_dimension(n)
-    sym2 = block_stacks(symmetric_basis_2(n), n, factors=2)
-    sym3, b1, b2 = (block_stacks(rows, n) for rows in (
-        symmetric_basis_3(n), s1_product_basis(n), s2_product_basis(n)))
-    p0, p1, p2 = (block_projectors(stacks) for stacks in (sym3, b1, b2))
-
-    # S3 = span(S1, S2) block by block: the right singular vectors above TAU_RANK.
-    p3, s3 = [], 0
-    for u1, u2 in zip(b1, b2):
-        _, singular, vh = np.linalg.svd(np.concatenate([u1, u2], axis=1), full_matrices=False)
-        spans = singular > TAU_RANK
-        s3 += int(spans.sum())
-        p3.append(np.einsum("bki,bk,bkj->bij", vh, spans, vh))
-
-    def rank_of_difference(left, right):
-        return _svd_rank([a - b for a, b in zip(left, right)])
-
-    s4 = rank_of_difference(p1, p0)
-    return DimensionTable(
-        n=n,
-        sigma=_svd_rank(sym2),
-        s0=_svd_rank(sym3),
-        s1=_svd_rank(b1),
-        s2=_svd_rank(b2),
-        s3=s3,
-        s4=s4,
-        s5=rank_of_difference(p2, p0),
-        s6=rank_of_difference(p3, p0),
-        i0=s4,
-    )
+    sigma = _rank(symmetric_basis_2(n))
+    ranks = np.array([_kind_ranks(kind) for kind in kinds.kind_table()])
+    s0, s1, s2, s3, s4, s5, s6 = (int(r) for r in kind_counts(n) @ ranks)
+    return DimensionTable(n=n, sigma=sigma, s0=s0, s1=s1, s2=s2, s3=s3, s4=s4, s5=s5, s6=s6,
+                          i0=s4)
 
 
 def _pair_index(i: int, j: int, n: int) -> int:

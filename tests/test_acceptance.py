@@ -12,7 +12,7 @@ import numpy as np
 
 from qudisc.cli import main as cli_main
 from qudisc.harness import empirical_mean_density, mc_success, overlap_identity_check
-from qudisc.jordan import build_gh_bases, jordan_angles, overlap_matrix
+from qudisc.jordan import build_gh_bases, jordan_angles
 from qudisc.optics import (
     discriminator_network,
     discriminator_port_state,
@@ -72,7 +72,7 @@ def test_criterion_02_jordan_structure():
         i0 = dimension_table(n).i0
         for family in (pairs.g, pairs.h):
             worst = max(worst, np.abs(family.conj() @ family.T - np.eye(i0)).max())
-        worst = max(worst, np.abs(overlap_matrix(pairs) + 0.5 * np.eye(i0)).max())
+        worst = max(worst, np.abs(pairs.g @ pairs.h.T + 0.5 * np.eye(i0)).max())
         worst = max(worst, np.abs(jordan_angles(pairs.g, pairs.h) - 0.5).max())
         # rho_1 = w (P_0 + P_g) and rho_2 = w (P_0 + P_h), rebuilt densely.
         weight = 2.0 / (n**2 * (n + 1))

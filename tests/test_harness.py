@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qudisc import harness, jordan, optics, povm, spaces
+from qudisc import harness, jordan, kinds, optics, povm, spaces
 from qudisc.errors import ContractError, DomainError
 from qudisc.harness import (
     McEstimate,
@@ -260,6 +260,11 @@ def _fresh_python(code):
     return out.stdout.strip()
 
 
+def test_cli_import_leaves_the_kind_table_unbuilt():
+    code = "import qudisc.cli, qudisc.kinds as k; print(k.kind_table.cache_info().currsize)"
+    assert _fresh_python(code) == "0"
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, qudisc.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     assert _fresh_python(code) == "False"
@@ -495,20 +500,19 @@ def _failed_checks(report):
 def test_pi1_scaled_at_n5_fails_the_pure_state_checks(monkeypatch):
     # pi1 at n = 5 scaled by 1 + 1e-3 wherever register C reads label 2, on its
     # V_t blocks: a uniform scale would leave pi1 blind to the wrong input.
-    real = povm._reciprocal_blocks
+    real = spaces.kind_blocks
 
-    def faulty(n):
-        proj_g, proj_h = real(n)
-        if n != 5:
-            return proj_g, proj_h
+    def faulty(n, entry):
+        proj = real(n, entry)
+        if n != 5 or entry != "p_g_perp":
+            return proj
         scale = np.ones((n, n, n))
         scale[:, :, 1] = 1.0 + 1e-3
         scale = scale.ravel()
-        scaled = [scale[cols][:, :, None] * block * scale[cols][:, None, :]
-                  for cols, block in zip(spaces.label_blocks(n).groups, proj_g)]
-        return scaled, proj_h
+        return [scale[cols][:, :, None] * block * scale[cols][:, None, :]
+                for cols, block in zip(spaces.label_blocks(n).groups, proj)]
 
-    monkeypatch.setattr(povm, "_reciprocal_blocks", faulty)
+    monkeypatch.setattr(povm, "kind_blocks", faulty)
     failed = _failed_checks(verify_all(5))
     assert {("global", "dimension_independence"), ("n=5", "povm_unambiguous_pure"),
             ("n=5", "pure_success_closed_form")} <= failed
@@ -526,17 +530,41 @@ def test_a_perturbed_g_row_fails_the_angle_checks(monkeypatch):
 
 
 def test_a_perturbed_kind_row_fails_the_paired_basis_check(monkeypatch):
-    low = jordan._G_ROWS[CASE_LOW]
-    monkeypatch.setitem(jordan._G_ROWS, CASE_LOW, (low[0] + 1e-9, *low[1:]))
-    caches = (jordan._build_gh_bases, povm._reciprocal_projectors, povm._reciprocal_blocks)
-    for cache in caches:
-        cache.cache_clear()
+    real = kinds._g_rows
+
+    def faulty():
+        rows = real()
+        low = rows[CASE_LOW]
+        return {**rows, CASE_LOW: (low[0] + 1e-9, *low[1:])}
+
+    monkeypatch.setattr(kinds, "_g_rows", faulty)
+    _clear_operator_caches()
     try:
         failed = _failed_checks(verify_all(3))
     finally:
-        for cache in caches:  # drop the families built from the perturbed table
-            cache.cache_clear()
+        _clear_operator_caches()  # drop the table and families built from the perturbed rows
     assert ("n=3", "paired_basis_structure") in failed
+
+
+def _with_kind(index, **entries):
+    """The kind table with entries of kind `index` replaced."""
+    table = list(kinds.kind_table())
+    table[index] = dataclasses.replace(table[index], **entries)
+    return tuple(table)
+
+
+def test_a_change_in_one_rho_entry_of_the_kind_table_fails_the_state_checks(monkeypatch):
+    rho1 = kinds.kind_table()[3].rho1.copy()
+    rho1[0, 0] += 1e-9  # |abc><abc| of rho1 / w on every {a,b,c} block
+    table = _with_kind(3, rho1=rho1)
+    monkeypatch.setattr(kinds, "kind_table", lambda: table)
+    _clear_operator_caches()
+    try:
+        results = _per_n_results(3)
+    finally:
+        _clear_operator_caches()
+    for name in ("mean_densities_are_states", "density_decomposition"):
+        assert not results[name].passed, name
 
 
 def test_an_entry_off_the_blocks_of_rho1_fails_the_state_check(monkeypatch):
@@ -587,9 +615,9 @@ def test_a_wrong_index_in_the_amplitude_gather_fails_the_pure_state_check(monkey
     assert results["povm_unambiguous_pure"].passed  # the suite's own gather is intact
 
 
-OPERATOR_CACHES = (spaces._label_blocks, spaces._mean_density_operators,
+OPERATOR_CACHES = (kinds.kind_table, spaces._label_blocks, spaces._mean_density_operators,
                    spaces.mean_density_blocks, jordan._build_gh_bases,
-                   povm._reciprocal_projectors, povm._reciprocal_blocks)
+                   povm._reciprocal_projectors)
 
 
 def _clear_operator_caches():
@@ -623,19 +651,51 @@ def test_no_dense_operator_is_built_above_n5(monkeypatch):
     assert peak <= 26.7 / 2 * 2**20
 
 
-def test_an_s1_row_outside_one_block_fails_the_dimension_check(monkeypatch):
+def test_a_wrong_kind_count_fails_the_dimension_check(monkeypatch):
+    real = spaces.kind_counts
+    monkeypatch.setattr(spaces, "kind_counts", lambda n: real(n) + [0, 1, 0, 0])
+    assert {("n=2", "dimension_formulas"), ("n=3", "dimension_formulas")} <= _failed_checks(
+        verify_all(3))
+
+
+def test_a_wrong_s1_block_fails_the_dimension_and_span_checks(monkeypatch):
+    # The {a,b,c} kind's S1 block with one of its three directions dropped.
+    _, vectors = np.linalg.eigh(kinds.kind_table()[3].s1)
+    table = _with_kind(3, s1=vectors[:, -2:] @ vectors[:, -2:].T)
+    monkeypatch.setattr(kinds, "kind_table", lambda: table)
+    _clear_operator_caches()
+    try:
+        results = _per_n_results(3)
+    finally:
+        _clear_operator_caches()
+    for name in ("dimension_formulas", "complement_spans"):
+        assert not results[name].passed, name
+
+
+def test_a_nan_in_one_g_row_fails_the_angle_checks_without_raising(monkeypatch):
+    pairs = build_gh_bases(3)
+    g = pairs.g.copy()
+    g[4, np.flatnonzero(g[4])[0]] = np.nan
+    broken = JordanPairSet(n=3, g=g, h=pairs.h, labels=pairs.labels)
+    monkeypatch.setattr(harness, "build_gh_bases", lambda n: broken if n == 3 else build_gh_bases(n))
+    results = {r.name: r for r in verify_all(3).results if r.scope == "n=3"}
+    assert not results["principal_angle_cosines"].passed
+    assert results["principal_angle_cosines"].deviation == np.inf
+    assert not results["paired_basis_structure"].passed
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_the_per_n_suite_builds_the_s1_rows_once(monkeypatch, n):
+    calls = []
     real = spaces.s1_product_basis
 
-    def broken(n):
-        rows = real(n).copy()
-        rows[0, -1] = 1e-9  # row 0 is |111>; the last index is |nnn>
-        return rows
+    def counted(m):
+        calls.append(m)
+        return real(m)
 
-    monkeypatch.setattr(spaces, "s1_product_basis", broken)
-    with pytest.raises(ContractError):
-        spaces.constructive_dimension_table(3)
-    report = verify_all(3)
-    assert {("n=2", "dimension_formulas"), ("n=3", "dimension_formulas")} <= _failed_checks(report)
+    monkeypatch.setattr(spaces, "s1_product_basis", counted)
+    _per_n_results(n)
+    assert calls == [n]
 
 
 def test_verify_all_memory_peak_stays_small():

@@ -7,10 +7,8 @@ from qudisc.jordan import (
     CASE_DISTINCT_PRIMED,
     build_gh_bases,
     jordan_angles,
-    overlap_matrix,
 )
 from qudisc.spaces import (
-    basis_ket,
     diagonal_blocks,
     dimension_table,
     mean_density_blocks,
@@ -21,6 +19,7 @@ from qudisc.spaces import (
     symmetric_basis_3,
     triple_labels,
 )
+from references import ket
 
 
 def test_qubit_pair_count_and_triples():
@@ -31,19 +30,19 @@ def test_qubit_pair_count_and_triples():
 
 def test_qubit_g_vector_explicit():
     pairs = build_gh_bases(2)
-    sym_12 = (basis_ket((1, 2), 2) + basis_ket((2, 1), 2)) / np.sqrt(2)
+    sym_12 = (ket((1, 2), 2) + ket((2, 1), 2)) / np.sqrt(2)
     expected = np.sqrt(1 / 3) * np.kron(sym_12, np.eye(2)[0]) - np.sqrt(
         2 / 3
-    ) * basis_ket((1, 1, 2), 2)
+    ) * ket((1, 1, 2), 2)
     np.testing.assert_allclose(pairs.g[0], expected, atol=1e-15)
 
 
 def test_qubit_h_vector_explicit():
     pairs = build_gh_bases(2)
-    sym_12 = (basis_ket((1, 2), 2) + basis_ket((2, 1), 2)) / np.sqrt(2)
+    sym_12 = (ket((1, 2), 2) + ket((2, 1), 2)) / np.sqrt(2)
     expected = np.sqrt(1 / 3) * np.kron(np.eye(2)[0], sym_12) - np.sqrt(
         2 / 3
-    ) * basis_ket((2, 1, 1), 2)
+    ) * ket((2, 1, 1), 2)
     np.testing.assert_allclose(pairs.h[0], expected, atol=1e-15)
 
 
@@ -57,8 +56,8 @@ def _h_rows_by_formula(n):
 
     def sym_pair(i, j):
         if i == j:
-            return basis_ket((i, i), n)
-        return (basis_ket((i, j), n) + basis_ket((j, i), n)) / np.sqrt(2)
+            return ket((i, i), n)
+        return (ket((i, j), n) + ket((j, i), n)) / np.sqrt(2)
 
     def a_with_pair(i, j, k):
         return np.kron(eye[i - 1], sym_pair(j, k))
@@ -68,9 +67,9 @@ def _h_rows_by_formula(n):
         if i == j == k:
             continue
         if i == j:
-            rows.append(c1 * a_with_pair(i, i, k) - c2 * basis_ket((k, i, i), n))
+            rows.append(c1 * a_with_pair(i, i, k) - c2 * ket((k, i, i), n))
         elif j == k:
-            rows.append(c1 * a_with_pair(j, i, j) - c2 * basis_ket((i, j, j), n))
+            rows.append(c1 * a_with_pair(j, i, j) - c2 * ket((i, j, j), n))
         else:
             rows.append(
                 a * a_with_pair(k, i, j) - b * a_with_pair(j, i, k) + c * a_with_pair(i, j, k)
@@ -102,13 +101,13 @@ def test_families_orthonormal_and_off_symmetric(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_overlap_matrix_is_minus_half_identity(n):
     pairs = build_gh_bases(n)
-    gram = overlap_matrix(pairs)
+    gram = pairs.g @ pairs.h.T  # <g_i|h_j>
     np.testing.assert_allclose(gram, -0.5 * np.eye(len(pairs)), atol=1e-12)
 
 
 def test_overlap_matrix_n4_size():
     pairs = build_gh_bases(4)
-    assert overlap_matrix(pairs).shape == (20, 20)
+    assert (pairs.g @ pairs.h.T).shape == (20, 20)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -158,6 +157,10 @@ def test_jordan_angles_rejects_non_orthonormal():
     good = np.eye(2, dtype=complex)
     with pytest.raises(ContractError):
         jordan_angles(bad, good)
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])  # its Gram deviation is NaN, not above the bound
+    for first, second in ((nan, good), (good, nan)):
+        with pytest.raises(ContractError):
+            jordan_angles(first, second)
 
 
 def density_from_jordan(n):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qudisc import harness, povm as povm_module
+from qudisc import harness, kinds, povm as povm_module
 from qudisc.errors import ContractError, DegeneratePriorsError, DomainError
 from qudisc.jordan import build_gh_bases, reciprocal_rows
 from qudisc.povm import (
@@ -380,9 +380,9 @@ def test_total_povm_blocks_validate_angles_and_keep_their_cache_read_only():
     for bad in (-0.1, np.nan, 2.0):
         with pytest.raises(DomainError):
             povm_module.total_povm_blocks(3, [0.3, bad])
-    cached = povm_module._reciprocal_blocks(3)
-    assert povm_module._reciprocal_blocks(3) is cached
-    assert not any(stack.flags.writeable for stacks in cached for stack in stacks)
+    table = kinds.kind_table()  # the blocks' one source, built once
+    assert kinds.kind_table() is table
+    assert not any(k.p_g_perp.flags.writeable or k.p_h_perp.flags.writeable for k in table)
 
 
 def _state_stacks(n, pairs, seed):

@@ -1,13 +1,13 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from qudisc import spaces
+from qudisc import kinds, spaces
 from qudisc.errors import ContractError, DomainError
+from qudisc.jordan import build_gh_bases
 from qudisc.spaces import (
-    basis_ket,
-    block_stacks,
     check_dimension,
     check_integer,
     constructive_dimension_table,
@@ -15,7 +15,8 @@ from qudisc.spaces import (
     dimension_table,
     exchange_ac,
     expand_u3,
-    flatten_index,
+    kind_blocks,
+    kind_counts,
     label_blocks,
     mean_density_blocks,
     mean_density_operators,
@@ -30,33 +31,31 @@ from qudisc.spaces import (
     symmetric_projector,
     triple_labels,
 )
+from references import block_projectors, block_stacks, ket, rho_blocks_by_index_arithmetic
+
+
+def _flat_index(labels, n):
+    """Row-major flat index of 1-based labels, register A slowest."""
+    return np.ravel_multi_index(np.subtract(labels, 1), (n,) * len(labels))
 
 
 def test_flatten_index_corners():
-    assert flatten_index((1, 1, 1), 2) == 0
-    assert flatten_index((2, 2, 2), 2) == 7
+    assert _flat_index((1, 1, 1), 2) == 0
+    assert _flat_index((2, 2, 2), 2) == 7
+    assert np.flatnonzero(ket((1, 2, 1), 2)).tolist() == [2]
 
 
 def test_flatten_index_matches_enumeration_order():
-    # Oracle: enumerate all tuples in declared order (A slowest) and compare.
+    # Oracle: enumerate all tuples in declared order (A slowest) and compare;
+    # the kets of the tests sit at these indices, as in np.kron.
     for n, factors in [(2, 3), (3, 3), (4, 2)]:
-        expected = {
-            t: pos
-            for pos, t in enumerate(
-                itertools.product(range(1, n + 1), repeat=factors)
-            )
-        }
-        for t, pos in expected.items():
-            assert flatten_index(t, n) == pos
-    assert flatten_index((1, 2, 1), 2) == 2
-
-
-def test_flatten_index_rejects_out_of_range():
-    with pytest.raises(DomainError):
-        flatten_index((0, 1, 1), 2)
-    for bad in ((1, 3, 1), (1, 1.5, 1), (np.nan, 1, 1), (1, 1, np.inf)):
-        with pytest.raises(DomainError):
-            flatten_index(bad, 2)
+        for pos, t in enumerate(itertools.product(range(1, n + 1), repeat=factors)):
+            assert _flat_index(t, n) == pos
+            kron = np.ones(1)
+            for label in t:
+                kron = np.kron(kron, np.eye(n)[label - 1])
+            assert np.array_equal(ket(t, n), kron)
+    assert _flat_index((1, 2, 1), 2) == 2
 
 
 @pytest.mark.parametrize(
@@ -93,7 +92,7 @@ def _permutation_operator_loop(perm, n):
     factors = len(perm)
     op = np.zeros((n**factors, n**factors), dtype=complex)
     for col, labels in enumerate(itertools.product(range(1, n + 1), repeat=factors)):
-        op[flatten_index(tuple(labels[perm[r]] for r in range(factors)), n), col] = 1.0
+        op[_flat_index([labels[perm[r]] for r in range(factors)], n), col] = 1.0
     return op
 
 
@@ -115,11 +114,11 @@ def test_permutation_operator_matches_column_loop(n):
 def test_symmetric_basis_2_qubit_vectors():
     basis = symmetric_basis_2(2)
     assert basis.shape == (3, 4)
-    np.testing.assert_allclose(basis[0], basis_ket((1, 1), 2))
+    np.testing.assert_allclose(basis[0], ket((1, 1), 2))
     np.testing.assert_allclose(
-        basis[1], (basis_ket((1, 2), 2) + basis_ket((2, 1), 2)) / np.sqrt(2)
+        basis[1], (ket((1, 2), 2) + ket((2, 1), 2)) / np.sqrt(2)
     )
-    np.testing.assert_allclose(basis[2], basis_ket((2, 2), 2))
+    np.testing.assert_allclose(basis[2], ket((2, 2), 2))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -137,14 +136,14 @@ def test_symmetric_basis_3_counts_and_vectors():
     labels = triple_labels(2)
     row = basis[labels.index((1, 1, 2))]
     expected = (
-        basis_ket((1, 1, 2), 2) + basis_ket((1, 2, 1), 2) + basis_ket((2, 1, 1), 2)
+        ket((1, 1, 2), 2) + ket((1, 2, 1), 2) + ket((2, 1, 1), 2)
     ) / np.sqrt(3)
     np.testing.assert_allclose(row, expected)
 
     basis3 = symmetric_basis_3(3)
     row123 = basis3[triple_labels(3).index((1, 2, 3))]
     expected123 = sum(
-        basis_ket(p, 3) for p in itertools.permutations((1, 2, 3))
+        ket(p, 3) for p in itertools.permutations((1, 2, 3))
     ) / np.sqrt(6)
     np.testing.assert_allclose(row123, expected123)
 
@@ -205,13 +204,16 @@ def test_mean_density_operators_are_shared_and_read_only():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_mean_density_blocks_are_the_dense_diagonal_blocks_bit_for_bit(n):
+def test_mean_density_blocks_are_the_dense_diagonal_blocks(n):
+    # The blocks are w (I + swap)/2, whose entries w/2 and w are exact; the dense
+    # operators take P_sigma's entries (1/sqrt 2)^2, which may round to one ulp off 1/2.
     blocks = mean_density_blocks(n)
     assert mean_density_blocks(n) is blocks
+    ulp = np.spacing(2.0 / (n**2 * (n + 1)))
     for rho, stacks in zip(mean_density_operators(n), blocks):
         diagonal, off = diagonal_blocks(rho, n)
         assert off == 0.0
-        assert [d.tobytes() for d in diagonal] == [b.tobytes() for b in stacks]
+        assert max(np.abs(d - b).max() for d, b in zip(diagonal, stacks)) <= ulp
         for stack in stacks:
             with pytest.raises(ValueError):
                 stack[0, 0, 0] = 1.0
@@ -264,7 +266,7 @@ def test_s1_product_basis_is_the_kron_loop_bit_for_bit(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_bases_and_operators_on_the_registers_are_real(n):
     arrays = [
-        basis_ket((1, 2, 1), n), symmetric_basis_2(n), symmetric_basis_3(n),
+        symmetric_basis_2(n), symmetric_basis_3(n),
         permute_registers(np.eye(n * n), (1, 0), n),
         permute_registers(np.eye(n**3), (2, 0, 1), n),
         s1_product_basis(n), s2_product_basis(n), symmetric_projector(n),
@@ -274,7 +276,7 @@ def test_bases_and_operators_on_the_registers_are_real(n):
     assert all(a.dtype == np.float64 for a in arrays)
     blocks = label_blocks(n)
     assert label_blocks(n) is blocks
-    for array in (blocks.block_of, blocks.group_of, blocks.slot_of, *blocks.groups):
+    for array in (blocks.block_of, blocks.group_of, blocks.kind_of, *blocks.groups):
         assert not array.flags.writeable
 
 
@@ -288,7 +290,7 @@ def test_label_blocks_are_the_sorted_label_multisets(n, factors):
     for g, cols in enumerate(blocks.groups):
         for slot, members in enumerate(cols):
             t = blocks.block_of[members[0]]
-            assert (blocks.group_of[t], blocks.slot_of[t]) == (g, slot)
+            assert blocks.group_of[t] == g and np.flatnonzero(blocks.group_of == g)[slot] == t
             assert list(members) == list(np.flatnonzero(blocks.block_of == t))
             seen.append(t)
     assert sorted(seen) == list(range(len(multisets)))
@@ -304,23 +306,49 @@ def test_block_stacks_restrict_rows_and_refuse_rows_across_blocks():
             mine = inside[np.abs(inside).sum(axis=1) > 0]
             assert np.array_equal(block[:len(mine)], mine) and not block[len(mine):].any()
     crossing = rows.copy()
-    crossing[4, flatten_index((3, 3, 3), n)] = 1e-9  # row 4 lies in V_{1,1,2}
+    crossing[4, _flat_index((3, 3, 3), n)] = 1e-9  # row 4 lies in V_{1,1,2}
     for bad in (crossing, np.vstack([rows, np.zeros(n**3)])):
         with pytest.raises(ContractError):
             block_stacks(bad, n)
 
 
-def test_constructive_table_refuses_a_basis_row_outside_one_block(monkeypatch):
-    real = spaces.s1_product_basis
+def test_constructive_table_counts_kinds_and_reads_their_s1_blocks(monkeypatch):
+    table = dimension_table(3)
+    real = spaces.kind_counts
+    monkeypatch.setattr(spaces, "kind_counts", lambda n: real(n) + [0, 0, 0, 1])
+    assert constructive_dimension_table(3) != table
+    monkeypatch.setattr(spaces, "kind_counts", real)
+    # The {a,b,c} kind's S1 block with one of its three directions dropped.
+    kind_list = list(kinds.kind_table())
+    _, vectors = np.linalg.eigh(kind_list[3].s1)
+    kind_list[3] = dataclasses.replace(kind_list[3], s1=vectors[:, -2:] @ vectors[:, -2:].T)
+    monkeypatch.setattr(kinds, "kind_table", lambda: tuple(kind_list))
+    broken = constructive_dimension_table(3)
+    assert broken.s1 == table.s1 - 1 and broken.s2 == table.s2
 
-    def broken(n):
-        rows = real(n).copy()
-        rows[0, -1] = 1e-9  # row 0 is |111>; the last index is |nnn>
-        return rows
 
-    monkeypatch.setattr(spaces, "s1_product_basis", broken)
-    with pytest.raises(ContractError):
-        constructive_dimension_table(3)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_kind_blocks_are_the_blocks_of_the_rows_they_replace(n):
+    pairs = build_gh_bases(n)
+    for entry, rows in (("p_g_perp", pairs.g_perp), ("p_h_perp", pairs.h_perp), ("p_g", pairs.g),
+                        ("p_h", pairs.h), ("p0", symmetric_basis_3(n)),
+                        ("s1", s1_product_basis(n)), ("s2", s2_product_basis(n))):
+        scattered, reference = kind_blocks(n, entry), block_projectors(block_stacks(rows, n))
+        assert [s.tobytes() for s in scattered] == [r.tobytes() for r in reference], entry
+    for entry, rows in (("g", pairs.g), ("h", pairs.h)):
+        scattered, reference = kind_blocks(n, entry), block_stacks(rows, n)
+        assert [s.tobytes() for s in scattered] == [r.tobytes() for r in reference], entry
+    # w (I + swap)/2 against P_sigma's entries: one ulp of w at most.
+    ulp = np.spacing(2.0 / (n**2 * (n + 1)))
+    for blocks, reference in zip(mean_density_blocks(n), rho_blocks_by_index_arithmetic(n)):
+        assert max(np.abs(b - r).max() for b, r in zip(blocks, reference)) <= ulp
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_kind_counts_are_the_block_counts_of_each_kind(n):
+    counts = kind_counts(n)
+    assert counts.tolist() == [n, n * (n - 1) // 2, n * (n - 1) // 2, n * (n - 1) * (n - 2) // 6]
+    assert counts @ [kind.d for kind in kinds.kind_table()] == n**3
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -375,11 +403,11 @@ def test_expand_u3_examples():
     # The same coefficients rebuild u3 from the S2 rows, whose row m is row m
     # of S1 with registers A and C exchanged.
     s2 = s2_product_basis(2)
-    sym_12 = (basis_ket((1, 2), 2) + basis_ket((2, 1), 2)) / np.sqrt(2)
+    sym_12 = (ket((1, 2), 2) + ket((2, 1), 2)) / np.sqrt(2)
     np.testing.assert_allclose(s2[pairs.index((1, 2)) * 2 + 0],
-                               np.kron(basis_ket((1,), 2), sym_12))  # |1> x sym(1,2)
+                               np.kron(ket((1,), 2), sym_12))  # |1> x sym(1,2)
     np.testing.assert_allclose(s2[pairs.index((1, 1)) * 2 + 1],
-                               basis_ket((2, 1, 1), 2))  # |211>
+                               ket((2, 1, 1), 2))  # |211>
     u3 = symmetric_basis_3(2)[triple_labels(2).index((1, 1, 2))]
     np.testing.assert_allclose(coeffs @ s2, u3, atol=1e-15)
 
