@@ -52,7 +52,7 @@ def reciprocal_rows(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class Kind:
-    """One kind of V_t, on its d basis kets `members` in ascending flat order.
+    """One kind of V_t, on its d basis kets in ascending flat order.
 
     g, h, g_perp and h_perp are the kind's rows of the paired families, one per
     entry of `cases`.  p0 projects onto the symmetric vector, and p_g, p_h,
@@ -61,7 +61,6 @@ class Kind:
     inputs over w = 2/(n^2 (n+1)).  All arrays are read-only.
     """
 
-    members: tuple[tuple[int, int, int], ...]
     d: int
     cases: tuple[str, ...]
     g: np.ndarray
@@ -96,7 +95,7 @@ def _kind(labels: tuple[int, int, int], cases: tuple[str, ...]) -> Kind:
     keys = [(*sorted(m[:2]), m[2]) for m in members]
     s1 = np.array([[1.0 / np.sqrt(keys.count(k)) if key == k else 0.0 for key in keys]
                    for k in sorted(set(keys))])
-    kind = Kind(members=members, d=d, cases=cases, g=g, h=h, g_perp=g_perp, h_perp=h_perp,
+    kind = Kind(d=d, cases=cases, g=g, h=h, g_perp=g_perp, h_perp=h_perp,
                 p0=proj(np.full((1, d), 1.0 / np.sqrt(d))), p_g=proj(g), p_h=proj(h),
                 p_g_perp=proj(g_perp), p_h_perp=proj(h_perp),
                 s1=proj(s1), s2=proj(permuted(s1, (2, 1, 0))),  # S2 is S1 with A and C exchanged

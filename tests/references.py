@@ -2,14 +2,14 @@
 
 Each rebuilds per n what the library now scatters from the kind table
 (qudisc.kinds), by the route the library took before: splitting n^3-wide
-rows over the V_t, and reading the averaged inputs' blocks from the entries
-of P_sigma (x) I and I (x) P_sigma.
+rows over the V_t, writing the g family out term by term, and reading the
+averaged inputs' blocks from the entries of P_sigma (x) I and I (x) P_sigma.
 """
 
 import numpy as np
 
 from qudisc.errors import ContractError
-from qudisc.spaces import label_blocks, symmetric_projector
+from qudisc.spaces import label_blocks, symmetric_projector, triple_labels
 
 
 def ket(labels, n):
@@ -18,6 +18,33 @@ def ket(labels, n):
     vec = np.zeros(n ** len(labels))
     vec[np.ravel_multi_index(np.subtract(labels, 1), (n,) * len(labels))] = 1.0
     return vec
+
+
+def g_rows_by_formula(n):
+    """The g family written out case by case, in the order of build_gh_bases:
+    a symmetric AB pair with a C label."""
+    eye = np.eye(n)
+    c1, c2 = np.sqrt(1.0 / 3.0), np.sqrt(2.0 / 3.0)
+    a, b, c = (3.0 - np.sqrt(3.0)) / 6.0, (3.0 + np.sqrt(3.0)) / 6.0, np.sqrt(3.0) / 3.0
+
+    def pair_with_c(i, j, k):
+        pair = ket((i, i), n) if i == j else (ket((i, j), n) + ket((j, i), n)) / np.sqrt(2)
+        return np.kron(pair, eye[k - 1])
+
+    rows = []
+    for i, j, k in triple_labels(n):
+        if i == j == k:
+            continue
+        if i == j:
+            rows.append(c1 * pair_with_c(i, k, i) - c2 * ket((i, i, k), n))
+        elif j == k:
+            rows.append(c1 * pair_with_c(i, j, j) - c2 * ket((j, j, i), n))
+        else:
+            rows.append(a * pair_with_c(i, j, k) - b * pair_with_c(i, k, j)
+                        + c * pair_with_c(j, k, i))
+            rows.append(a * pair_with_c(i, k, j) - b * pair_with_c(i, j, k)
+                        + c * pair_with_c(j, k, i))
+    return np.array(rows)
 
 
 def block_stacks(rows, n, factors=3):

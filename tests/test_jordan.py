@@ -19,7 +19,7 @@ from qudisc.spaces import (
     symmetric_basis_3,
     triple_labels,
 )
-from references import ket
+from references import g_rows_by_formula, ket
 
 
 def test_qubit_pair_count_and_triples():
@@ -78,6 +78,11 @@ def _h_rows_by_formula(n):
                 a * a_with_pair(j, i, k) - b * a_with_pair(k, i, j) + c * a_with_pair(i, j, k)
             )
     return np.array(rows)
+
+
+@pytest.mark.parametrize("n", range(2, 9))  # every n that verify admits
+def test_g_family_is_the_case_formulas(n):
+    assert build_gh_bases(n).g.tobytes() == g_rows_by_formula(n).tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 9))  # every n that verify admits

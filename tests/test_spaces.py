@@ -6,7 +6,7 @@ import pytest
 
 from qudisc import kinds, spaces
 from qudisc.errors import ContractError, DomainError
-from qudisc.jordan import build_gh_bases
+from qudisc.jordan import reciprocal_rows
 from qudisc.spaces import (
     check_dimension,
     check_integer,
@@ -31,7 +31,9 @@ from qudisc.spaces import (
     symmetric_projector,
     triple_labels,
 )
-from references import block_projectors, block_stacks, ket, rho_blocks_by_index_arithmetic
+from references import (
+    block_projectors, block_stacks, g_rows_by_formula, ket, rho_blocks_by_index_arithmetic,
+)
 
 
 def _flat_index(labels, n):
@@ -329,13 +331,16 @@ def test_constructive_table_counts_kinds_and_reads_their_s1_blocks(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_kind_blocks_are_the_blocks_of_the_rows_they_replace(n):
-    pairs = build_gh_bases(n)
-    for entry, rows in (("p_g_perp", pairs.g_perp), ("p_h_perp", pairs.h_perp), ("p_g", pairs.g),
-                        ("p_h", pairs.h), ("p0", symmetric_basis_3(n)),
+    # n^3-wide rows built without the kind table: g term by term, h as its A <-> C exchange.
+    g = g_rows_by_formula(n)
+    h = exchange_ac(g, n)
+    g_perp, h_perp = reciprocal_rows(g, h)
+    for entry, rows in (("p_g_perp", g_perp), ("p_h_perp", h_perp), ("p_g", g),
+                        ("p_h", h), ("p0", symmetric_basis_3(n)),
                         ("s1", s1_product_basis(n)), ("s2", s2_product_basis(n))):
         scattered, reference = kind_blocks(n, entry), block_projectors(block_stacks(rows, n))
         assert [s.tobytes() for s in scattered] == [r.tobytes() for r in reference], entry
-    for entry, rows in (("g", pairs.g), ("h", pairs.h)):
+    for entry, rows in (("g", g), ("h", h)):
         scattered, reference = kind_blocks(n, entry), block_stacks(rows, n)
         assert [s.tobytes() for s in scattered] == [r.tobytes() for r in reference], entry
     # w (I + swap)/2 against P_sigma's entries: one ulp of w at most.
