@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import optics, povm, spaces
+from . import kinds, optics, povm, spaces
 from .errors import ContractError, DomainError
 from .jordan import build_gh_bases, jordan_angles
 from .povm import Priors
@@ -38,18 +38,19 @@ SCAN_POINTS = 3_000_001
 # point, and scanning only that window finds it exactly.
 SCAN_STRIDE = 1000
 
-# The per-n suite reads every operator on its V_t diagonal blocks.  Dense
-# n^3 x n^3 operators are built only at n <= DENSE_N_MAX, to be held against the
-# direct sums of the blocks: the averaged inputs, and the detection operators at
-# every DENSE_STRIDE-th point of the omega1 grid, which is read GRID_CHUNK (a
-# multiple of DENSE_STRIDE) points at a time.
-DENSE_N_MAX, DENSE_STRIDE, GRID_CHUNK = 5, 7, 28
+# The per-n suite reads the averaged inputs and the detection operators once
+# per kind of V_t.  Dense n^3 x n^3 operators are built only at n <= DENSE_N_MAX,
+# to be held against the scatter of the kind blocks over the V_t: the averaged
+# inputs, and the detection operators at every DENSE_STRIDE-th point of the
+# omega1 grid.
+DENSE_N_MAX, DENSE_STRIDE = 5, 7
 # Bound on n_max, as if one 8 n^6-byte real n^3 x n^3 operator were built: it
 # admits n_max <= 8.  None is built above n = 5, but the g/h families with their
 # Gram matrix and jordan_angles' SVD, overlap_identity_check's products with
 # them and the S1/S2 rows of symmetric_vector_expansions still grow as n^6.
-# The per-n suite takes about 21-23, 31-34 and 53-60 ms and peaks at 2.3, 4.3
-# and 7.6 MiB at n = 6, 7 and 8 (one BLAS thread on a 2-vCPU x86 VM).
+# The per-n suite takes about 13-14, 20-23 and 35-40 ms and peaks at 2.0, 3.8
+# and 6.8 MiB at n = 6, 7 and 8 (tracemalloc, caches cleared; 1.6, 2.6 and
+# 4.1 MiB warm; one BLAS thread on a 2-vCPU x86 VM).
 MAX_OPERATOR_BYTES = 4 * 2**20
 
 
@@ -236,24 +237,20 @@ def _worst(*deviations) -> float:
 
 
 def _lowest_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """lambda_min over the blocks of a (K, blocks, d, d) stack, one per K; NaN
-    where the eigensolver finds no spectrum (non-finite entries).  Blocks equal
-    at every K have equal spectra, so only distinct ones are solved."""
-    trajectories = stack.transpose(1, 0, 2, 3).reshape(stack.shape[1], -1)
-    distinct = list({block.tobytes(): b for b, block in enumerate(trajectories)}.values())
-    try:
-        return np.linalg.eigvalsh(stack[:, distinct])[..., 0].min(axis=1)
-    except np.linalg.LinAlgError:
-        return np.full(len(stack), np.nan)
+    """lambda_min of each symmetric matrix of a (..., d, d) stack; all NaN if an
+    entry is not finite, where LAPACK may raise or return a spectrum."""
+    if not np.isfinite(stack).all():
+        return np.full(stack.shape[:-2], np.nan)
+    return np.linalg.eigvalsh(stack)[..., 0]
 
 
 def _completeness_and_unambiguity(stacks, rho_blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Per angle, the largest |entry| of pi1 + pi2 + pi0 - I on the V_t blocks
-    and the larger of |Tr(pi1 rho2)| and |Tr(pi2 rho1)|.
+    """Per angle, the largest |entry| of pi1 + pi2 + pi0 - I on the blocks and
+    the larger of |Tr(pi1 rho2)| and |Tr(pi2 rho1)|, summed over the blocks.
 
-    The operators are given as V_t diagonal blocks, one (K, 3, blocks, d, d)
-    stack per group; rho_blocks holds spaces.mean_density_blocks, all the
-    entries of the averaged inputs, so the traces read only those blocks.
+    The operators come as (K, 3, blocks, d, d) stacks, and rho_blocks holds the
+    matching (blocks, d, d) stacks of the averaged inputs, so the traces read
+    only those blocks.
     """
     rho1, rho2 = rho_blocks
     complete = np.max([np.abs(s.sum(axis=1) - np.eye(s.shape[-1])).max(axis=(1, 2, 3))
@@ -261,60 +258,6 @@ def _completeness_and_unambiguity(stacks, rho_blocks) -> tuple[np.ndarray, np.nd
     wrong = [sum(np.einsum("kbij,bji->k", s[:, k], r) for s, r in zip(stacks, rho))
              for k, rho in ((0, rho2), (1, rho1))]
     return complete, np.maximum(np.abs(wrong[0]), np.abs(wrong[1]))
-
-
-def _povm_grid_deviations(n: int, grid: np.ndarray, pairs,
-                          rho_blocks) -> tuple[float, float, float]:
-    """Worst positivity, completeness and unambiguity deviations of the detection
-    operators over the omega1 grid, read on their V_t diagonal blocks.
-
-    pi0's spectrum is an exact eigensolve of its distinct blocks.  pi1 and pi2
-    are held against a and b times the kinds' projectors P_g and P_h onto their
-    g_perp and h_perp rows (spaces.kind_blocks); one eigensolve per n gives
-    their spectra, and Weyl's inequality with ||.||_2 <= ||.||_F gives
-        -lambda_min(pi1) <= a max(0, -lambda_min(P_g)) + ||pi1 - a P_g||_F,
-    and the same for pi2.  Each h_perp row must equal g_perp/2 + (sqrt(3)/2) h.
-
-    At n <= DENSE_N_MAX every DENSE_STRIDE-th point (both ends included) is
-    also built densely with total_povm: each ||dense - blocks||_F, off-block
-    entries included, joins that operator's negativity (Weyl again), and the
-    dense completeness, with the off-block norms added, and traces join the
-    other two deviations.
-    """
-    models = [spaces.kind_blocks(n, entry) for entry in ("p_g_perp", "p_h_perp")]
-    lowest = [np.min([_lowest_eigenvalues(m[None]) for m in model]) for model in models]
-    h_perp_gap = np.abs(pairs.h_perp - (0.5 * pairs.g_perp + np.sqrt(3.0) / 2.0 * pairs.h)).max()
-    worst = [h_perp_gap, 0.0, 0.0]
-    for start in range(0, len(grid), GRID_CHUNK):
-        angles = grid[start:start + GRID_CHUNK]
-        stacks = povm.total_povm_blocks(n, angles)
-        weights = np.array([povm.detection_weights(w) for w in angles])
-        negativity = np.empty((len(angles), 3))
-        for k, model in enumerate(models):
-            weight = weights[:, k, None, None, None]
-            residual = sum(((s[:, k] - weight * m) ** 2).sum(axis=(1, 2, 3))
-                           for s, m in zip(stacks, model))
-            negativity[:, k] = weights[:, k] * np.maximum(0.0, -lowest[k]) + np.sqrt(residual)
-        negativity[:, 2] = np.maximum(
-            0.0, -np.min([_lowest_eigenvalues(s[:, 2]) for s in stacks], axis=0))
-        complete, unambiguous = _completeness_and_unambiguity(stacks, rho_blocks)
-
-        if n <= DENSE_N_MAX:
-            checked = np.arange(0, len(angles), DENSE_STRIDE)
-            dense = [np.empty((len(checked), *s.shape[1:])) for s in stacks]
-            off = np.empty((len(checked), 3))
-            for i, j in enumerate(checked):
-                for k, op in enumerate(povm.total_povm(n, angles[j]).elements()):
-                    blocks, off[i, k] = spaces.diagonal_blocks(op, n)
-                    for stack, block in zip(dense, blocks):
-                        stack[i, k] = block
-            distance = sum(((d - s[checked]) ** 2).sum(axis=(2, 3, 4)) for d, s in zip(dense, stacks))
-            negativity[checked] += np.sqrt(distance + off**2)
-            dense_complete, dense_unambiguous = _completeness_and_unambiguity(dense, rho_blocks)
-            complete = np.concatenate([complete, dense_complete + off.sum(axis=1)])
-            unambiguous = np.concatenate([unambiguous, dense_unambiguous])
-        worst = [_worst(w, d.max()) for w, d in zip(worst, (negativity, complete, unambiguous))]
-    return tuple(worst)
 
 
 def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
@@ -347,15 +290,21 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     report.add("threefold_permutation_invariance", scope, dev, tol.tight,
                "three-fold symmetric vectors are fixed by all register permutations")
 
-    # At n <= DENSE_N_MAX, by Weyl, lambda_min(dense) >= lambda_min(blocks) - ||dense - blocks||_F.
-    rho_blocks = spaces.mean_density_blocks(n)
+    # Operators built alike on every V_t are read once per kind present at n,
+    # and a sum over the V_t counts each kind's term once per V_t of that kind.
+    # The averaged inputs are w times the kinds' rho1 and rho2.  At n <= DENSE_N_MAX,
+    # by Weyl, lambda_min(dense) >= lambda_min(blocks) - ||dense - blocks||_F.
+    grid, weight = np.linspace(0.0, np.pi / 2, 50), spaces.mean_density_weight(n)
+    present = [(count, kind, ops) for count, kind, ops
+               in zip(spaces.kind_counts(n), kinds.kind_table(), povm.kind_povms(grid)) if count]
     dev = 0.0
-    for blocks in rho_blocks:
-        lowest = np.min([_lowest_eigenvalues(stack[None]) for stack in blocks])
-        trace = sum(np.trace(stack, axis1=1, axis2=2).sum() for stack in blocks)
+    for entry in ("rho1", "rho2"):
+        blocks = [weight * getattr(kind, entry) for _, kind, _ in present]
+        lowest = np.min([_lowest_eigenvalues(block) for block in blocks])
+        trace = sum(count * np.trace(block) for (count, *_), block in zip(present, blocks))
         dev = _worst(dev, abs(trace - 1), np.maximum(0.0, -lowest))
     if n <= DENSE_N_MAX:
-        for rho, blocks in zip(spaces.mean_density_operators(n), rho_blocks):
+        for rho, blocks in zip(spaces.mean_density_operators(n), spaces.mean_density_blocks(n)):
             diagonal, off_block = spaces.diagonal_blocks(rho, n)
             distance = sum(((d - b) ** 2).sum() for d, b in zip(diagonal, blocks))
             dev = _worst(dev, np.sqrt(distance + off_block**2))
@@ -388,28 +337,54 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     report.add("principal_angle_cosines", scope, dev, tol.tight,
                "all principal-angle cosines between the families equal 1/2")
 
-    # Per V_t block: rho_1 = w (P_0 + P_g), rho_2 = w (P_0 + P_h), S1 = P_0 + P_g, S2 = P_0 + P_h.
-    weight = 2.0 / (n**2 * (n + 1))
-    p0, p_g, p_h, p_s1, p_s2 = (spaces.kind_blocks(n, entry)
-                                for entry in ("p0", "p_g", "p_h", "s1", "s2"))
-    dev_density = _worst(*(np.abs(weight * (a + b) - rho).max()
-                           for family, rhos in ((p_g, rho_blocks[0]), (p_h, rho_blocks[1]))
-                           for a, b, rho in zip(p0, family, rhos)))
-    dev_spans = _worst(*(np.abs(a + b - span).max()
-                         for family, spans in ((p_g, p_s1), (p_h, p_s2))
-                         for a, b, span in zip(p0, family, spans)))
+    # Per kind: rho_1 = w (P_0 + P_g), rho_2 = w (P_0 + P_h), S1 = P_0 + P_g, S2 = P_0 + P_h.
+    dev_density = _worst(*(np.abs(weight * (kind.p0 + family) - weight * rho).max()
+                           for _, kind, _ in present
+                           for family, rho in ((kind.p_g, kind.rho1), (kind.p_h, kind.rho2))))
+    dev_spans = _worst(*(np.abs(kind.p0 + family - span).max()
+                         for _, kind, _ in present
+                         for family, span in ((kind.p_g, kind.s1), (kind.p_h, kind.s2))))
     report.add("density_decomposition", scope, dev_density, tol.tight,
                "paired-basis decomposition rebuilds the averaged inputs")
     report.add("complement_spans", scope, dev_spans, tol.op,
                "g (resp. h) dyads complete the symmetric projector to S1 (resp. S2)")
 
-    grid = np.linspace(0.0, np.pi / 2, 50)
-    dev_psd, dev_sum, dev_unamb = _povm_grid_deviations(n, grid, pairs, rho_blocks)
-    report.add("povm_positive", scope, dev_psd, tol.op,
+    # One eigensolve per kind gives the exact lambda_min of its pi1, pi2 and pi0 at
+    # every angle; each h_perp row must equal g_perp/2 + (sqrt(3)/2) h.  At
+    # n <= DENSE_N_MAX every DENSE_STRIDE-th point (both ends included) is also built
+    # densely with total_povm and held against povm.total_povm_blocks, the kind blocks
+    # scattered over the V_t: each ||dense - blocks||_F, off-block entries included,
+    # joins that operator's negativity (Weyl, with ||.||_2 <= ||.||_F), and the dense
+    # completeness, with the off-block norms added, and traces join the other two.
+    h_perp_gap = _worst(*(
+        np.abs(kind.h_perp - (0.5 * kind.g_perp + np.sqrt(3.0) / 2.0 * kind.h)).max(initial=0.0)
+        for _, kind, _ in present))
+    negativity = np.maximum(0.0, -np.min([_lowest_eigenvalues(ops) for *_, ops in present], axis=0))
+    complete, unambiguous = _completeness_and_unambiguity(
+        [ops[:, :, None] for *_, ops in present],
+        [[count * weight * getattr(kind, entry)[None] for count, kind, _ in present]
+         for entry in ("rho1", "rho2")])
+    if n <= DENSE_N_MAX:
+        angles = grid[::DENSE_STRIDE]
+        stacks = povm.total_povm_blocks(n, angles)
+        dense = [np.empty_like(s) for s in stacks]
+        off = np.empty((len(angles), 3))
+        for i, omega1 in enumerate(angles):
+            for k, op in enumerate(povm.total_povm(n, omega1).elements()):
+                blocks, off[i, k] = spaces.diagonal_blocks(op, n)
+                for stack, block in zip(dense, blocks):
+                    stack[i, k] = block
+        distance = sum(((d - s) ** 2).sum(axis=(2, 3, 4)) for d, s in zip(dense, stacks))
+        negativity[::DENSE_STRIDE] += np.sqrt(distance + off**2)
+        dense_complete, dense_unambiguous = _completeness_and_unambiguity(
+            dense, spaces.mean_density_blocks(n))
+        complete = np.concatenate([complete, dense_complete + off.sum(axis=1)])
+        unambiguous = np.concatenate([unambiguous, dense_unambiguous])
+    report.add("povm_positive", scope, _worst(h_perp_gap, negativity.max()), tol.op,
                "all three detection operators are positive semidefinite on a 50-point grid")
-    report.add("povm_complete", scope, dev_sum, tol.op,
+    report.add("povm_complete", scope, _worst(complete.max()), tol.op,
                "detection operators sum to the identity")
-    report.add("povm_unambiguous_mixed", scope, dev_unamb, tol.tight,
+    report.add("povm_unambiguous_mixed", scope, _worst(unambiguous.max()), tol.tight,
                "wrong-state expectation values vanish for the averaged inputs")
 
     # On the grid, and at the optimum, where the trace must be 2(n-1)/(3n) times P(x*).

@@ -103,6 +103,14 @@ def _check_num_modes(num_modes) -> int:
     return checked
 
 
+def _complex_array(values, what: str) -> np.ndarray:
+    """`values` as a complex array; ContractError unless every entry is a number."""
+    try:
+        return np.asarray(values, dtype=complex)
+    except (TypeError, ValueError):
+        raise ContractError(f"{what} must be an array of numbers") from None
+
+
 def _real_array(values, row_shape: tuple[int, ...], what: str) -> np.ndarray:
     """A copy of `values` as rows of shape `row_shape`; an empty input gives zero rows.
 
@@ -220,10 +228,7 @@ class Interferometer:
 
         ContractError unless `states` is a finite array of one of those shapes.
         """
-        try:
-            states = np.asarray(states, dtype=complex)
-        except (TypeError, ValueError):
-            raise ContractError("states must be an array of numbers") from None
+        states = _complex_array(states, "states")
         if states.ndim not in (1, 2) or len(states) != self.num_modes:
             raise ContractError(f"states must have shape ({self.num_modes},) or "
                                 f"({self.num_modes}, k), got {states.shape}")
@@ -330,7 +335,7 @@ def reck_decompose(matrix: np.ndarray) -> Interferometer:
     layers are emitted in (col, row) order, the same layers with the same
     angles as a column-by-column elimination.
     """
-    mat = np.array(matrix, dtype=complex)
+    mat = _complex_array(matrix, "input").copy()
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
         raise ContractError("input must be a non-empty square matrix")
     dim = _check_num_modes(mat.shape[0])
@@ -373,7 +378,7 @@ def prepare_state_network(amplitudes: np.ndarray, n: int) -> Interferometer:
     remaining columns are an arbitrary unitary completion.  Mode k keeps its
     final amplitude at layer (k, k+1) and hands the residual weight onward.
     """
-    amps = np.asarray(amplitudes, dtype=complex)
+    amps = _complex_array(amplitudes, "amplitudes")
     if amps.shape != (n,):
         raise ContractError(f"expected {n} amplitudes, got shape {amps.shape}")
     if not abs(np.linalg.norm(amps) - 1.0) <= TAU_NORM:
@@ -423,7 +428,7 @@ class ClickStats:
 def output_distribution(net: Interferometer, input_state: np.ndarray) -> np.ndarray:
     """Born probabilities over output modes for a single-photon input, propagated
     by ``net.apply``; ContractError unless the input is a unit vector of N amplitudes."""
-    amps = np.asarray(input_state, dtype=complex)
+    amps = _complex_array(input_state, "input")
     if amps.ndim != 1 or not abs(np.linalg.norm(amps) - 1.0) <= TAU_NORM:
         raise ContractError("input must be a unit vector")
     probs = np.abs(net.apply(amps)) ** 2

@@ -2,9 +2,9 @@
 
 On each Jordan block span(g_perp_i, h_i) the measurement is :func:`block_povm`,
 written in the block's orthonormal (g_perp, h) frame; :func:`total_povm` lifts
-it onto all i0 blocks of the three-register space, and :func:`total_povm_blocks`
-gives the same operators as their diagonal blocks over the label-multiset
-spaces V_t.
+it onto all i0 blocks of the three-register space.  :func:`kind_povms` gives
+its block on each kind of label-multiset space V_t, with no n in it, and
+:func:`total_povm_blocks` scatters those over the V_t of dimension n.
 
 The measurement family has one free angle omega1 in [0, pi/2].  With
 x = 1 + 3 cos^2(omega1) in [1, 4], the per-subspace success probability is
@@ -29,11 +29,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kinds
 from .errors import ContractError, DegeneratePriorsError, DomainError
 from .jordan import build_gh_bases
 from .spaces import (
-    check_dimension, check_unit_states, gather_blocks, kind_blocks, mean_density_blocks,
-    product_ket, projector_from_rows,
+    check_dimension, check_unit_states, gather_blocks, kind_counts, mean_density_weight,
+    product_ket, projector_from_rows, scatter_kinds,
 )
 
 PROB_SLACK = 1e-12
@@ -93,7 +94,10 @@ class RegimeResult:
 
 
 def check_omega1(omega1: float) -> float:
-    omega1 = float(omega1)
+    try:
+        omega1 = float(omega1)
+    except (TypeError, ValueError):
+        raise DomainError(f"omega1 must be a real number, got {omega1!r}") from None
     if not 0.0 <= omega1 <= np.pi / 2 + 1e-12:
         raise DomainError(f"omega1 must lie in [0, pi/2], got {omega1}")
     return omega1
@@ -161,24 +165,24 @@ def total_povm(n: int, omega1: float) -> MeasurementTriple:
     return MeasurementTriple(pi1=pi1, pi2=pi2, pi0=pi0, omega1=omega1)
 
 
-def total_povm_blocks(n: int, omega1) -> list[np.ndarray]:
-    """:func:`total_povm` at each angle of `omega1` (one or an array), as its V_t diagonal blocks.
+def kind_povms(omega1) -> list[np.ndarray]:
+    """:func:`total_povm` on one V_t of each kind of :func:`qudisc.kinds.kind_table`, at
+    each angle of `omega1` (one or an array): one (angles, 3, d, d) stack per kind, with
+    pi1 = a P_g_perp, pi2 = b P_h_perp and pi0 = I - a g_perp^T g_perp - b h_perp^T h_perp
+    along axis 1.  pi0 reads the kind's rows, so the three sum to I only if its
+    projectors are those of its rows."""
+    weights = np.array([detection_weights(w) for w in np.ravel(omega1)]).reshape(-1, 2)
+    a, b = weights.T[:, :, None, None]
+    return [np.stack([a * k.p_g_perp, b * k.p_h_perp,
+                      np.eye(k.d) - a * (k.g_perp.T @ k.g_perp) - b * (k.h_perp.T @ k.h_perp)],
+                     axis=1) for k in kinds.kind_table()]
 
-    Returns one (angles, 3, blocks, d, d) stack per group of
-    :func:`spaces.label_blocks`, with pi1, pi2 and pi0 along axis 1.  Every
-    g_perp and h_perp row lies in one V_t, so the operators are block
-    diagonal and these blocks are all of them: the kinds' P_g_perp and
-    P_h_perp (:func:`spaces.kind_blocks`).  No n^3 x n^3 array is built.
-    """
-    weights = np.array([detection_weights(w) for w in np.ravel(omega1)])
-    a, b = weights.T[:, :, None, None, None]
-    stacks = []
-    for proj_g, proj_h in zip(kind_blocks(n, "p_g_perp"), kind_blocks(n, "p_h_perp")):
-        pi1 = a * proj_g
-        pi2 = b * proj_h
-        pi0 = np.eye(proj_g.shape[-1]) - pi1 - pi2
-        stacks.append(np.stack([pi1, pi2, pi0], axis=1))
-    return stacks
+
+def total_povm_blocks(n: int, omega1) -> list[np.ndarray]:
+    """:func:`total_povm` at each angle of `omega1` (one or an array) as its V_t diagonal
+    blocks, which hold all its entries: :func:`kind_povms` scattered over the V_t, one
+    (angles, 3, blocks, d, d) stack per group of :func:`spaces.label_blocks`."""
+    return scatter_kinds(n, kind_povms(omega1), axis=2)
 
 
 @functools.lru_cache(maxsize=4)  # the n^3 x n^3 projectors grow as n^6
@@ -265,13 +269,15 @@ def optimal_pure(overlap_sq: float, priors: Priors) -> RegimeResult:
 
 def average_success_trace(n: int, omega1, priors: Priors) -> float | np.ndarray:
     """Operator-level evaluation of :func:`average_success` (cross-check):
-    eta1 Tr(pi1 rho1) + eta2 Tr(pi2 rho2) as sums of block traces over the V_t
-    blocks of :func:`total_povm_blocks` and :func:`spaces.mean_density_blocks`.
-    One angle gives a float; an array of angles, one value per angle."""
-    rho1, rho2 = mean_density_blocks(check_dimension(n))
-    value = sum(priors.eta1 * np.einsum("kbij,bji->k", stack[:, 0], r1)
-                + priors.eta2 * np.einsum("kbij,bji->k", stack[:, 1], r2)
-                for stack, r1, r2 in zip(total_povm_blocks(n, omega1), rho1, rho2))
+    eta1 Tr(pi1 rho1) + eta2 Tr(pi2 rho2), with each kind's traces of
+    :func:`kind_povms` and its rho1 and rho2 counted once per V_t of that kind
+    (:func:`spaces.kind_counts`), times w.  One angle gives a float; an array
+    of angles, one value per angle."""
+    counts = kind_counts(check_dimension(n))
+    value = mean_density_weight(n) * sum(
+        count * (priors.eta1 * np.einsum("kij,ji->k", ops[:, 0], kind.rho1)
+                 + priors.eta2 * np.einsum("kij,ji->k", ops[:, 1], kind.rho2))
+        for count, kind, ops in zip(counts, kinds.kind_table(), kind_povms(omega1)))
     return clamp_probability(value if np.ndim(omega1) else float(value[0]))
 
 

@@ -9,7 +9,7 @@ A basis ket |i j k> lies in the label-multiset space V_t of its sorted labels
 t.  The symmetric bases, the S1 and S2 product bases and the averaged input
 states are block diagonal over these spaces, and each V_t block is that of
 its kind (:mod:`qudisc.kinds`), so such objects are kept as stacks of V_t
-blocks (:func:`label_blocks`) scattered from the kind table (:func:`kind_blocks`).
+blocks (:func:`label_blocks`) scattered from the kind table (:func:`scatter_kinds`).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def product_ket(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """|a>|b>|c> on the three registers, for single states (n,) or row-aligned
     stacks (T, n); the same products as nested np.kron, in one pass."""
     big = a[..., :, None, None] * b[..., None, :, None] * c[..., None, None, :]
-    return big.reshape(*big.shape[:-3], -1)
+    return big.reshape(*big.shape[:-3], a.shape[-1] * b.shape[-1] * c.shape[-1])
 
 
 def pair_labels(n: int) -> list[tuple[int, int]]:
@@ -124,17 +124,21 @@ def _label_blocks(n: int, factors: int) -> LabelBlocks:
     return blocks
 
 
+def scatter_kinds(n: int, per_kind, axis: int = 0) -> list[np.ndarray]:
+    """One array per kind of :func:`qudisc.kinds.kind_table`, in its order, on every
+    V_t of three registers at qudit dimension n: one stack per group of
+    :func:`label_blocks`, the blocks along `axis`, each block's array that of its kind."""
+    blocks = label_blocks(n)
+    return [np.stack([per_kind[k] for k in blocks.kind_of[blocks.group_of == group]], axis=axis)
+            for group in range(len(blocks.groups))]
+
+
 def kind_blocks(n: int, entry: str) -> list[np.ndarray]:
-    """The `entry` field of :func:`qudisc.kinds.kind_table` on every V_t of three
-    registers at qudit dimension n: one (blocks, ...) stack per group of
-    :func:`label_blocks`, each block's entry that of its kind."""
-    blocks, table = label_blocks(n), kinds.kind_table()
-    stacks = []
-    for group in range(len(blocks.groups)):
-        # The kinds of the group's one dimension, and which of them each block is.
-        present, index = np.unique(blocks.kind_of[blocks.group_of == group], return_inverse=True)
-        stacks.append(np.stack([getattr(table[k], entry) for k in present])[index])
-    return stacks
+    """The `entry` field of :func:`qudisc.kinds.kind_table` on every V_t (:func:`scatter_kinds`)."""
+    table = kinds.kind_table()
+    if not (isinstance(entry, str) and hasattr(table[0], entry)):
+        raise DomainError(f"{entry!r} is not an entry of the kind table")
+    return scatter_kinds(n, [getattr(kind, entry) for kind in table])
 
 
 def kind_counts(n: int) -> np.ndarray:
@@ -191,10 +195,13 @@ def symmetric_basis_3(n: int) -> np.ndarray:
 def permute_registers(rows: np.ndarray, perm: tuple[int, ...], n: int) -> np.ndarray:
     """Stacked n^len(perm) row vectors with their registers permuted: register
     r of each output row takes input register perm[r] (0-based).  The tensor
-    transpose permutes entries, so it is exact."""
+    transpose permutes entries, so it is exact.  ContractError unless the rows
+    have n^len(perm) entries."""
     check_dimension(n)
     if sorted(perm) != list(range(len(perm))):
         raise DomainError(f"{perm!r} is not a permutation of the registers")
+    if np.shape(rows)[-1:] != (n ** len(perm),):
+        raise ContractError(f"rows must have {n ** len(perm)} entries, got shape {np.shape(rows)}")
     tensor = rows.reshape(-1, *(n,) * len(perm))
     return tensor.transpose(0, *(p + 1 for p in perm)).reshape(rows.shape)
 
@@ -226,9 +233,14 @@ def mean_density_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _mean_density_operators(check_dimension(n))
 
 
+def mean_density_weight(n: int) -> float:
+    """w = 2/(n^2 (n+1)): on each V_t the averaged inputs are w times its kind's rho1 and rho2."""
+    return 2.0 / (check_dimension(n) ** 2 * (n + 1))
+
+
 @functools.lru_cache(maxsize=4)  # the n^3 x n^3 operators grow as n^6
 def _mean_density_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
-    weight = 2.0 / (n**2 * (n + 1))
+    weight = mean_density_weight(n)
     p_sigma = symmetric_projector(n)
     eye = np.eye(n)
     rho1 = weight * np.kron(p_sigma, eye)
@@ -242,9 +254,9 @@ def _mean_density_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
 def mean_density_blocks(n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """All the entries of :func:`mean_density_operators`, which are block
     diagonal: one read-only (blocks, d, d) stack per group of
-    :func:`label_blocks` for each operator, w = 2/(n^2 (n+1)) times the kinds'
-    rho1 and rho2 (:func:`kind_blocks`).  Shared per n."""
-    weight = 2.0 / (check_dimension(n) ** 2 * (n + 1))
+    :func:`label_blocks` for each operator, w (:func:`mean_density_weight`) times
+    the kinds' rho1 and rho2 (:func:`kind_blocks`).  Shared per n."""
+    weight = mean_density_weight(n)
     rho1, rho2 = ([weight * stack for stack in kind_blocks(n, entry)] for entry in ("rho1", "rho2"))
     for stack in rho1 + rho2:
         stack.setflags(write=False)

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import os
 import subprocess
@@ -373,12 +372,31 @@ def test_povm_positive_fails_on_a_wrong_pi2_coefficient(monkeypatch):
 
 
 def test_povm_positive_fails_on_a_perturbed_h_perp_row(monkeypatch):
-    pairs = copy.copy(build_gh_bases(3))
-    h_perp = pairs.h_perp.copy()
-    h_perp[4, 7] += 1e-6
-    object.__setattr__(pairs, "h_perp", h_perp)
-    monkeypatch.setattr(harness, "build_gh_bases", lambda n: pairs)
-    assert not _povm_positive(3).passed
+    # The primed {a,b,c} row at its |acb> entry: at n = 3, h_perp[4, 7] of the family.
+    h_perp = kinds.kind_table()[3].h_perp.copy()
+    h_perp[1, 1] += 1e-6
+    table = _with_kind(3, h_perp=h_perp)
+    monkeypatch.setattr(kinds, "kind_table", lambda: table)
+    _clear_operator_caches()
+    try:
+        assert not _povm_positive(3).passed
+    finally:
+        _clear_operator_caches()
+
+
+def test_a_changed_p_h_perp_of_one_kind_fails_positivity_and_completeness_at_n6(monkeypatch):
+    # No dense copy exists at n = 6; pi0 reads the h_perp rows, not P_h_perp.
+    p_h_perp = kinds.kind_table()[1].p_h_perp.copy()
+    p_h_perp[0, 0] -= 1e-9
+    table = _with_kind(1, p_h_perp=p_h_perp)
+    monkeypatch.setattr(kinds, "kind_table", lambda: table)
+    _clear_operator_caches()
+    try:
+        results = _per_n_results(6)
+    finally:
+        _clear_operator_caches()
+    for name in ("povm_positive", "povm_complete"):
+        assert not results[name].passed, name
 
 
 def _per_n_results(n):
@@ -405,16 +423,15 @@ def test_povm_positive_fails_on_a_dense_fault_at_one_cross_check_point(monkeypat
 
 
 def test_povm_positive_fails_on_a_block_fault_between_cross_check_points(monkeypatch):
-    real = povm.total_povm_blocks
+    real = povm.kind_povms
 
-    def faulty(n, omega1):
-        stacks = real(n, omega1)
-        v = np.full(stacks[-1].shape[-1], 1.0 / np.sqrt(stacks[-1].shape[-1]))
-        for i in np.flatnonzero(np.ravel(omega1) == OMEGA1_GRID[10]):
-            stacks[-1][i, 0, 0] -= 1e-6 * np.outer(v, v)  # pi1 on one V_t at OMEGA1_GRID[10]
+    def faulty(omega1):
+        stacks = real(omega1)
+        v = np.full(6, 1.0 / np.sqrt(6))  # the symmetric vector of an {a,b,c} V_t
+        stacks[3][np.ravel(omega1) == OMEGA1_GRID[10], 0] -= 1e-6 * np.outer(v, v)
         return stacks
 
-    monkeypatch.setattr(povm, "total_povm_blocks", faulty)
+    monkeypatch.setattr(povm, "kind_povms", faulty)
     assert not _povm_positive(3).passed
 
 
@@ -433,6 +450,24 @@ def test_verify_all_builds_dense_povms_only_at_the_cross_check_points(monkeypatc
     assert set(calls) == {2, 3, 4, 5}
 
 
+def test_verify_all_scatters_the_povm_only_at_the_cross_check_and_pure_state_angles(monkeypatch):
+    calls = []
+    real = povm.total_povm_blocks
+
+    def recorded(n, omega1):
+        calls.append((n, tuple(np.ravel(omega1))))
+        return real(n, omega1)
+
+    monkeypatch.setattr(povm, "total_povm_blocks", recorded)
+    assert verify_all(6).passed
+    cross_check = tuple(OMEGA1_GRID[::harness.DENSE_STRIDE])
+    assert len(cross_check) == 8
+    # The 50-point grid is read per kind: the scatter sees the dense cross-check
+    # points at n <= 5, the pure-state checks' 0.7 and dimension_independence's 0.8.
+    assert [n for n, angles in calls if angles == cross_check] == [2, 3, 4, 5]
+    assert {angles for _, angles in calls} == {cross_check, (0.7,), (0.8,)}
+
+
 def test_a_nan_in_one_permutation_operator_fails_the_invariance_check(monkeypatch):
     real = spaces.permute_registers
 
@@ -449,18 +484,20 @@ def test_a_nan_in_one_permutation_operator_fails_the_invariance_check(monkeypatc
 
 
 def test_a_nan_in_pi1_at_one_grid_point_fails_the_grid_checks(monkeypatch):
-    # pi1 = a P_g and pi0 = I - pi1 - pi2 are NaN at OMEGA1_GRID[10], between
-    # the dense cross-check points, and finite everywhere else.
-    real = povm.detection_weights
+    # The {a,b,c} kind's pi1 is NaN at OMEGA1_GRID[10], between the dense
+    # cross-check points, and finite everywhere else; n = 6 has no dense copy.
+    real = povm.kind_povms
 
     def faulty(omega1):
-        a, b = real(omega1)
-        return (np.nan if omega1 == OMEGA1_GRID[10] else a), b
+        stacks = real(omega1)
+        stacks[3][np.ravel(omega1) == OMEGA1_GRID[10], 0] = np.nan
+        return stacks
 
-    monkeypatch.setattr(povm, "detection_weights", faulty)
-    results = _per_n_results(3)
-    for name in ("povm_positive", "povm_complete", "povm_unambiguous_mixed"):
-        assert not results[name].passed and np.isnan(results[name].deviation), name
+    monkeypatch.setattr(povm, "kind_povms", faulty)
+    for n in (3, 6):
+        results = _per_n_results(n)
+        for name in ("povm_positive", "povm_complete", "povm_unambiguous_mixed"):
+            assert not results[name].passed and np.isnan(results[name].deviation), (n, name)
 
 
 def test_an_operating_point_off_the_optimum_fails_the_averaged_trace_check(monkeypatch):
@@ -499,20 +536,24 @@ def _failed_checks(report):
 
 def test_pi1_scaled_at_n5_fails_the_pure_state_checks(monkeypatch):
     # pi1 at n = 5 scaled by 1 + 1e-3 wherever register C reads label 2, on its
-    # V_t blocks: a uniform scale would leave pi1 blind to the wrong input.
-    real = spaces.kind_blocks
+    # V_t blocks, and pi0 still I - pi1 - pi2: a uniform scale would leave pi1
+    # blind to the wrong input.
+    real = povm.total_povm_blocks
 
-    def faulty(n, entry):
-        proj = real(n, entry)
-        if n != 5 or entry != "p_g_perp":
-            return proj
+    def faulty(n, omega1):
+        stacks = real(n, omega1)
+        if n != 5:
+            return stacks
         scale = np.ones((n, n, n))
         scale[:, :, 1] = 1.0 + 1e-3
         scale = scale.ravel()
-        return [scale[cols][:, :, None] * block * scale[cols][:, None, :]
-                for cols, block in zip(spaces.label_blocks(n).groups, proj)]
+        for cols, stack in zip(spaces.label_blocks(n).groups, stacks):
+            pi1 = scale[cols][:, :, None] * stack[:, 0] * scale[cols][:, None, :]
+            stack[:, 2] -= pi1 - stack[:, 0]
+            stack[:, 0] = pi1
+        return stacks
 
-    monkeypatch.setattr(povm, "kind_blocks", faulty)
+    monkeypatch.setattr(povm, "total_povm_blocks", faulty)
     failed = _failed_checks(verify_all(5))
     assert {("global", "dimension_independence"), ("n=5", "povm_unambiguous_pure"),
             ("n=5", "pure_success_closed_form")} <= failed
@@ -554,17 +595,19 @@ def _with_kind(index, **entries):
 
 
 def test_a_change_in_one_rho_entry_of_the_kind_table_fails_the_state_checks(monkeypatch):
+    # At n = 6 no dense copy of rho1 exists: the kinds are all the suite reads.
     rho1 = kinds.kind_table()[3].rho1.copy()
     rho1[0, 0] += 1e-9  # |abc><abc| of rho1 / w on every {a,b,c} block
     table = _with_kind(3, rho1=rho1)
     monkeypatch.setattr(kinds, "kind_table", lambda: table)
     _clear_operator_caches()
     try:
-        results = _per_n_results(3)
+        results = {n: _per_n_results(n) for n in (3, 6)}
     finally:
         _clear_operator_caches()
-    for name in ("mean_densities_are_states", "density_decomposition"):
-        assert not results[name].passed, name
+    for n in (3, 6):
+        for name in ("mean_densities_are_states", "density_decomposition"):
+            assert not results[n][name].passed, (n, name)
 
 
 def test_an_entry_off_the_blocks_of_rho1_fails_the_state_check(monkeypatch):
@@ -579,23 +622,6 @@ def test_an_entry_off_the_blocks_of_rho1_fails_the_state_check(monkeypatch):
 
     monkeypatch.setattr(spaces, "mean_density_operators", faulty)
     assert ("n=3", "mean_densities_are_states") in _failed_checks(verify_all(3))
-
-
-def test_a_change_inside_one_rho1_block_fails_the_state_checks_at_n6(monkeypatch):
-    # No dense copy of rho1 exists at n = 6: the blocks are all the suite reads.
-    real = spaces.mean_density_blocks
-
-    def faulty(n):
-        rho1, rho2 = real(n)
-        if n == 6:
-            rho1 = [stack.copy() for stack in rho1]
-            rho1[-1][0, 0, 0] += 1e-9  # |123><123| on its V_t
-        return rho1, rho2
-
-    monkeypatch.setattr(spaces, "mean_density_blocks", faulty)
-    results = _per_n_results(6)
-    for name in ("mean_densities_are_states", "density_decomposition"):
-        assert not results[name].passed, name
 
 
 def test_a_wrong_index_in_the_amplitude_gather_fails_the_pure_state_check(monkeypatch):
@@ -647,7 +673,7 @@ def test_no_dense_operator_is_built_above_n5(monkeypatch):
         tracemalloc.stop()
     assert report.passed
     # With the dense operators _checks_for_n(8) peaked at 26.7 MiB; on the
-    # blocks it takes about 8.2 MiB.
+    # blocks it took about 7.6 MiB, and read once per kind about 6.8 MiB.
     assert peak <= 26.7 / 2 * 2**20
 
 
@@ -706,8 +732,8 @@ def test_verify_all_memory_peak_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Measured 3.9 MiB (6.4 MiB with dense operators at n = 6); the full 1e-6
-    # regime grid alone would take 24 MB.
+    # Measured 2.9 MiB (3.1 MiB with one copy of each operator per V_t, 6.4 MiB
+    # with dense operators at n = 6); the full 1e-6 regime grid alone would take 24 MB.
     assert peak < 5 * 2**20
 
 

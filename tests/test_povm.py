@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qudisc import harness, kinds, povm as povm_module
+from qudisc import harness, kinds, optics, spaces, povm as povm_module
 from qudisc.errors import ContractError, DegeneratePriorsError, DomainError
 from qudisc.jordan import build_gh_bases, reciprocal_rows
 from qudisc.povm import (
@@ -383,6 +383,50 @@ def test_total_povm_blocks_validate_angles_and_keep_their_cache_read_only():
     table = kinds.kind_table()  # the blocks' one source, built once
     assert kinds.kind_table() is table
     assert not any(k.p_g_perp.flags.writeable or k.p_h_perp.flags.writeable for k in table)
+
+
+EMPTY_STATES = np.empty((0, 3), dtype=complex)
+
+
+@pytest.mark.parametrize("call, shape", [
+    pytest.param(lambda: product_ket(EMPTY_STATES, EMPTY_STATES, EMPTY_STATES), (0, 27),
+                 id="product_ket"),
+    pytest.param(lambda: pure_success_expectation(EMPTY_STATES, EMPTY_STATES, 0.7,
+                                                  Priors.from_eta1(0.3), 3), (0,),
+                 id="pure_success_expectation"),
+    pytest.param(lambda: harness.overlap_identity_check(EMPTY_STATES, EMPTY_STATES, 3).sum_g,
+                 (0,), id="overlap_identity_check.sum_g"),
+    pytest.param(lambda: harness.overlap_identity_check(EMPTY_STATES, EMPTY_STATES, 3).sum_h,
+                 (0,), id="overlap_identity_check.sum_h"),
+    pytest.param(lambda: average_success_trace(3, [], Priors.from_eta1(0.3)), (0,),
+                 id="average_success_trace"),
+    pytest.param(lambda: povm_module.total_povm_blocks(3, [])[-1], (0, 3, 1, 6, 6),
+                 id="total_povm_blocks"),
+    pytest.param(lambda: povm_module.kind_povms([])[0], (0, 3, 1, 1), id="kind_povms"),
+])
+def test_empty_input_gives_empty_output(call, shape):
+    assert np.shape(call()) == shape
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: povm_module.check_omega1(None), DomainError, id="check_omega1-None"),
+    pytest.param(lambda: povm_module.check_omega1("a"), DomainError, id="check_omega1-str"),
+    pytest.param(lambda: povm_module.check_omega1(1j), DomainError, id="check_omega1-complex"),
+    pytest.param(lambda: x_from_omega1(None), DomainError, id="x_from_omega1"),
+    pytest.param(lambda: povm_module.detection_weights("a"), DomainError, id="detection_weights"),
+    pytest.param(lambda: optics.discriminator_network(None), DomainError,
+                 id="discriminator_network"),
+    pytest.param(lambda: optics.reck_decompose([["a"]]), ContractError, id="reck_decompose"),
+    pytest.param(lambda: optics.prepare_state_network(["a"], 1), ContractError,
+                 id="prepare_state_network"),
+    pytest.param(lambda: optics.output_distribution(optics.Interferometer(num_modes=1), ["a"]),
+                 ContractError, id="output_distribution"),
+    pytest.param(lambda: spaces.kind_blocks(3, "nope"), DomainError, id="kind_blocks-name"),
+    pytest.param(lambda: spaces.kind_blocks(3, None), DomainError, id="kind_blocks-None"),
+])
+def test_non_numeric_input_raises_the_package_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def _state_stacks(n, pairs, seed):

@@ -111,6 +111,10 @@ def test_permutation_operator_matches_column_loop(n):
             permute_registers(np.eye(n**len(bad_perm)), bad_perm, n)
     with pytest.raises(DomainError):
         permute_registers(np.eye(1), (1, 0), 1)
+    # Rows of n^2 entries under a three-register permutation: entries would move between rows.
+    for rows in (np.eye(n**2), np.ones(n**3 + 1), np.float64(1.0)):
+        with pytest.raises(ContractError):
+            permute_registers(rows, (1, 0, 2), n)
 
 
 def test_symmetric_basis_2_qubit_vectors():
