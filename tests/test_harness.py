@@ -594,20 +594,31 @@ def _with_kind(index, **entries):
     return tuple(table)
 
 
-def test_a_change_in_one_rho_entry_of_the_kind_table_fails_the_state_checks(monkeypatch):
-    # At n = 6 no dense copy of rho1 exists: the kinds are all the suite reads.
+def _state_checks_with_changed_rho1(monkeypatch, n):
+    """The per-n results at n with 1e-9 added to |abc><abc| of the {a,b,c}
+    kind's rho1, so to rho1 / w on every {a,b,c} block."""
     rho1 = kinds.kind_table()[3].rho1.copy()
-    rho1[0, 0] += 1e-9  # |abc><abc| of rho1 / w on every {a,b,c} block
+    rho1[0, 0] += 1e-9
     table = _with_kind(3, rho1=rho1)
     monkeypatch.setattr(kinds, "kind_table", lambda: table)
     _clear_operator_caches()
     try:
-        results = {n: _per_n_results(n) for n in (3, 6)}
+        return _per_n_results(n)
     finally:
         _clear_operator_caches()
-    for n in (3, 6):
-        for name in ("mean_densities_are_states", "density_decomposition"):
-            assert not results[n][name].passed, (n, name)
+
+
+def test_a_change_in_one_rho_entry_of_the_kind_table_fails_the_state_checks(monkeypatch):
+    results = _state_checks_with_changed_rho1(monkeypatch, 3)
+    for name in ("mean_densities_are_states", "density_decomposition"):
+        assert not results[name].passed, name
+
+
+def test_a_change_inside_one_rho1_block_fails_the_state_checks_at_n6(monkeypatch):
+    # No dense copy of rho1 exists at n = 6: the kinds' blocks are all the suite reads.
+    results = _state_checks_with_changed_rho1(monkeypatch, 6)
+    for name in ("mean_densities_are_states", "density_decomposition"):
+        assert not results[name].passed, name
 
 
 def test_an_entry_off_the_blocks_of_rho1_fails_the_state_check(monkeypatch):
