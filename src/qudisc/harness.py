@@ -45,12 +45,11 @@ SCAN_STRIDE = 1000
 # omega1 grid.
 DENSE_N_MAX, DENSE_STRIDE = 5, 7
 # Bound on n_max, as if one 8 n^6-byte real n^3 x n^3 operator were built: it
-# admits n_max <= 8.  None is built above n = 5, but the g/h families with their
-# Gram matrix and jordan_angles' SVD, overlap_identity_check's products with
-# them and the S1/S2 rows of symmetric_vector_expansions still grow as n^6.
-# The per-n suite takes about 13-14, 20-23 and 35-40 ms and peaks at 2.0, 3.8
-# and 6.8 MiB at n = 6, 7 and 8 (tracemalloc, caches cleared; 1.6, 2.6 and
-# 4.1 MiB warm; one BLAS thread on a 2-vCPU x86 VM).
+# admits n_max <= 8.  None is built above n = 5, but the three-fold symmetric
+# rows, the S1 rows and the expand_u3 coefficients of symmetric_vector_expansions
+# still grow as n^6.  The per-n suite takes about 8-9, 12-14 and 18-21 ms and
+# peaks at 1.6, 2.6 and 4.1 MiB at n = 6, 7 and 8, caches cleared or not
+# (tracemalloc; one BLAS thread on a 2-vCPU x86 VM).
 MAX_OPERATOR_BYTES = 4 * 2**20
 
 
@@ -112,18 +111,20 @@ class OverlapIdentity:
 def overlap_identity_check(psi1: np.ndarray, psi2: np.ndarray, n: int) -> OverlapIdentity:
     """Summed squared overlaps of the inputs with the reciprocal families.
 
-    Both sums equal (1 - |<psi1|psi2>|^2) / 2 for any pure pair.  Takes states
-    (n,) or row-aligned stacks (T, n); states that are not finite unit vectors
-    of length n raise ContractError.
+    Both sums equal (1 - |<psi1|psi2>|^2) / 2 for any pure pair.  Each is summed
+    over the V_t, from the kets' amplitudes there and the kinds' g_perp or h_perp
+    rows, in O(n^3) memory per ket.  Takes states (n,) or row-aligned stacks
+    (T, n); states that are not finite unit vectors of length n raise ContractError.
     """
     psi1, psi2 = spaces.check_unit_states(psi1, psi2, n)
-    pairs = build_gh_bases(n)
 
-    def overlap_sum(family, kets):  # in real arithmetic: the real family is never cast
-        return sum(((part @ family.T) ** 2).sum(axis=-1) for part in (kets.real, kets.imag))
+    def overlap_sum(entry, kets):
+        blocks = zip(spaces.kind_blocks(n, entry), spaces.gather_blocks(kets, n))
+        return sum((np.abs(np.einsum("...bj,bij->...bi", amps, rows)) ** 2).sum(axis=(-2, -1))
+                   for rows, amps in blocks)
 
-    sum_g = overlap_sum(pairs.g_perp, spaces.product_ket(psi1, psi1, psi2))
-    sum_h = overlap_sum(pairs.h_perp, spaces.product_ket(psi1, psi2, psi2))
+    sum_g = overlap_sum("g_perp", spaces.product_ket(psi1, psi1, psi2))
+    sum_h = overlap_sum("h_perp", spaces.product_ket(psi1, psi2, psi2))
     closed = 0.5 * (1.0 - np.abs((psi1.conj() * psi2).sum(axis=-1)) ** 2)
     return OverlapIdentity(sum_g=sum_g, sum_h=sum_h, closed_form=closed)
 
@@ -236,6 +237,14 @@ def _worst(*deviations) -> float:
     return float(np.max(np.asarray(deviations, dtype=float)))
 
 
+def _or_inf(deviation) -> float:
+    """deviation(), or inf if it raises ContractError, so that its check fails."""
+    try:
+        return deviation()
+    except ContractError:
+        return np.inf
+
+
 def _lowest_eigenvalues(stack: np.ndarray) -> np.ndarray:
     """lambda_min of each symmetric matrix of a (..., d, d) stack; all NaN if an
     entry is not finite, where LAPACK may raise or return a spectrum."""
@@ -269,19 +278,15 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     report.add("dimension_formulas", scope, dev, 0,
                "closed-form subspace dimensions equal constructive SVD ranks")
 
-    sym2 = spaces.symmetric_basis_2(n)
-    sym3 = spaces.symmetric_basis_3(n)
-    dev = _worst(
-        np.abs(sym2.conj() @ sym2.T - np.eye(len(sym2))).max(),
-        np.abs(sym3.conj() @ sym3.T - np.eye(len(sym3))).max(),
-    )
+    sym2, sym3 = spaces.symmetric_basis_2(n), spaces.symmetric_basis_3(n)
+    dev = _worst(*(np.abs(rows.conj() @ rows.T - np.eye(len(rows))).max() for rows in (sym2, sym3)))
     report.add("symmetric_bases_orthonormal", scope, dev, tol.tight,
                "two- and three-fold symmetric bases have identity Gram matrices")
 
     swap = spaces.permute_registers(np.eye(n * n), (1, 0), n)  # its rows: the swap is symmetric
     p_sigma = spaces.symmetric_projector(n)
-    dev = np.abs(p_sigma - (np.eye(n * n) + swap) / 2).max()
-    dev = _worst(dev, np.abs(p_sigma @ p_sigma - p_sigma).max())
+    dev = _worst(np.abs(p_sigma - (np.eye(n * n) + swap) / 2).max(),
+                 np.abs(p_sigma @ p_sigma - p_sigma).max())
     report.add("symmetric_projector", scope, dev, tol.op,
                "two-fold symmetric projector is the permutation symmetrizer")
 
@@ -319,21 +324,18 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     report.add("symmetric_vector_expansions", scope, dev, tol.tight,
                "product-basis expansions reconstruct the symmetric vectors")
 
-    pairs = build_gh_bases(n)
-    dev = _worst(*(np.abs(a @ b.T - overlap * np.eye(table.i0)).max() for a, b, overlap in (
-        (pairs.g, pairs.g, 1.0), (pairs.h, pairs.h, 1.0), (pairs.g, pairs.h, -0.5))))
+    paired = [kind for _, kind, _ in present if kind.cases]  # {a,a,a} has no g or h rows
+    dev = _worst(*(np.abs(a @ b.T - overlap * np.eye(len(a))).max() for k in paired
+                   for a, b, overlap in ((k.g, k.g, 1.0), (k.h, k.h, 1.0), (k.g, k.h, -0.5))))
     report.add("paired_basis_structure", scope, dev, tol.tight,
                "g/h families orthonormal with diagonal cross overlap -1/2")
 
-    dev = np.abs(pairs.g.conj() @ sym3.T).max()
-    dev = _worst(dev, np.abs(pairs.h.conj() @ sym3.T).max())
+    dev = _worst(*(np.abs(rows @ np.full(k.d, k.d**-0.5)).max()  # the unit symmetric vector
+                   for k in paired for rows in (k.g, k.h)))
     report.add("paired_basis_off_symmetric", scope, dev, tol.tight,
                "g/h vectors are orthogonal to the fully symmetric subspace")
 
-    try:
-        dev = np.abs(jordan_angles(pairs.g, pairs.h) - 0.5).max()
-    except ContractError:  # families that are not orthonormal have no principal angles
-        dev = np.inf
+    dev = _worst(*(_or_inf(lambda: np.abs(jordan_angles(k.g, k.h) - 0.5).max()) for k in paired))
     report.add("principal_angle_cosines", scope, dev, tol.tight,
                "all principal-angle cosines between the families equal 1/2")
 
@@ -390,10 +392,10 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     # On the grid, and at the optimum, where the trace must be 2(n-1)/(3n) times P(x*).
     priors = Priors.from_eta1(0.3)
     best = povm.optimal_subspace(priors)
-    traces = povm.average_success_trace(n, np.append(grid[::7], best.omega1_star), priors)
-    dev = _worst(*(abs(povm.average_success(n, omega1, priors) - trace)
-                   for omega1, trace in zip(grid[::7], traces)),
-                 abs(traces[-1] - 2 * (n - 1) / (3 * n) * best.value))
+    angles = np.append(grid[::7], best.omega1_star)
+    closed = [*(povm.average_success(n, omega1, priors) for omega1 in grid[::7]),
+              2 * (n - 1) / (3 * n) * best.value]
+    dev = _or_inf(lambda: np.abs(povm.average_success_trace(n, angles, priors) - closed).max())
     report.add("average_success_closed_form", scope, dev, tol.op,
                "closed-form averaged success equals the trace evaluation")
 
@@ -401,8 +403,8 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     states = _haar_rows(optics.seeded_stream(977), (100, 2), n)
     psi1, psi2 = states[:, 0], states[:, 1]
     closed = povm.pure_success(psi1, psi2, 0.7, priors, n)
-    operator = povm.pure_success_expectation(psi1, psi2, 0.7, priors, n)
-    dev_pure = np.abs(closed - operator).max()
+    dev_pure = _or_inf(lambda: np.abs(
+        closed - povm.pure_success_expectation(psi1, psi2, 0.7, priors, n)).max())
     stacks = povm.total_povm_blocks(n, 0.7)
     dev_unamb_pure = _worst(*(  # |pi_k |wrong input>| per pair, from its V_t blocks
         np.sqrt(sum((np.abs(np.einsum("bij,tbj->tbi", s[0, k], amps)) ** 2).sum(axis=(1, 2))
@@ -460,16 +462,13 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
     # The same two-dimensional pair embedded at every n, through the V_t blocks
     # of the detection operators.
     priors = Priors.from_eta1(0.3)
-    ratios = []
-    for n in range(max(5, n_max), 1, -1):
-        e = np.eye(n)
-        psi1, psi2 = e[0], (e[0] + e[1]) / np.sqrt(2)
-        ratios.append(povm.pure_success_expectation(psi1, psi2, 0.8, priors, n) / 0.5)
-    report.add("dimension_independence", scope, np.ptp(ratios), tol.op,
+    states = [(e[0], (e[0] + e[1]) / np.sqrt(2)) for e in map(np.eye, range(max(5, n_max), 1, -1))]
+    dev = _or_inf(lambda: np.ptp([povm.pure_success_expectation(psi1, psi2, 0.8, priors, len(psi1))
+                                  for psi1, psi2 in states]) / 0.5)
+    report.add("dimension_independence", scope, dev, tol.op,
                "normalized pure-state success is independent of the qudit dimension")
 
-    pairs = build_gh_bases(2)
-    block = {"g": pairs.g[0], "h": pairs.h[0], "g_perp": pairs.g_perp[0]}
+    block = {name: getattr(build_gh_bases(2), name)[0] for name in ("g", "h", "g_perp")}
     dev = 0.0
     for omega1 in np.linspace(0.0, np.pi / 2, 20):
         net = optics.discriminator_network(omega1)
@@ -501,13 +500,11 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
     report.add("sampled_click_convergence", scope, tv, 5 * np.sqrt(3 / shots),
                "empirical click frequencies converge at the statistical rate")
 
-    trials = 10_000
     dev_sigma = 0.0
     for (n, eta1) in ((2, 0.5), (3, 0.1), (min(5, max(2, n_max)), 0.9)):
         priors_i = Priors.from_eta1(eta1)
-        omega1 = 0.8
-        est = mc_success(n, omega1, priors_i, trials=trials, seed=55)
-        target = povm.average_success(n, omega1, priors_i)
+        est = mc_success(n, 0.8, priors_i, trials=10_000, seed=55)
+        target = povm.average_success(n, 0.8, priors_i)
         if est.stderr != 0:  # a NaN error is not skipped
             dev_sigma = _worst(dev_sigma, abs(est.mean - target) / est.stderr)
     report.add("mc_success_consistency", scope, dev_sigma, 3.0,

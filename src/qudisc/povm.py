@@ -95,6 +95,8 @@ class RegimeResult:
 
 def check_omega1(omega1: float) -> float:
     try:
+        if isinstance(omega1, (str, bytes, bool, np.bool_)):  # float() would take them
+            raise TypeError
         omega1 = float(omega1)
     except (TypeError, ValueError):
         raise DomainError(f"omega1 must be a real number, got {omega1!r}") from None

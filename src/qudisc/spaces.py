@@ -200,8 +200,9 @@ def permute_registers(rows: np.ndarray, perm: tuple[int, ...], n: int) -> np.nda
     check_dimension(n)
     if sorted(perm) != list(range(len(perm))):
         raise DomainError(f"{perm!r} is not a permutation of the registers")
-    if np.shape(rows)[-1:] != (n ** len(perm),):
-        raise ContractError(f"rows must have {n ** len(perm)} entries, got shape {np.shape(rows)}")
+    rows = np.asarray(rows)
+    if rows.shape[-1:] != (n ** len(perm),):
+        raise ContractError(f"rows must have {n ** len(perm)} entries, got shape {rows.shape}")
     tensor = rows.reshape(-1, *(n,) * len(perm))
     return tensor.transpose(0, *(p + 1 for p in perm)).reshape(rows.shape)
 

@@ -22,7 +22,7 @@ from qudisc.harness import (
     verify_all,
 )
 from qudisc.optics import Interferometer, simulate_clicks, simulate_discriminator
-from qudisc.jordan import CASE_LOW, JordanPairSet, build_gh_bases
+from qudisc.jordan import CASE_DISTINCT_PRIMED, CASE_LOW, JordanPairSet, build_gh_bases
 from qudisc.povm import Priors, average_success, omega1_from_x, total_povm
 from qudisc.spaces import mean_density_operators, projector_from_rows, symmetric_basis_3
 
@@ -560,31 +560,45 @@ def test_pi1_scaled_at_n5_fails_the_pure_state_checks(monkeypatch):
     assert not any(scope == "n=4" for scope, _ in failed)
 
 
+def _verify_with_changed_g_row(monkeypatch, case, change):
+    """verify_all(3) with the kind table, and the dense families scattered from
+    it, built from change(row) as the g row of `case`."""
+    real = kinds._g_rows
+    monkeypatch.setattr(kinds, "_g_rows", lambda: {**real(), case: change(real()[case])})
+    _clear_operator_caches()
+    try:
+        return verify_all(3)
+    finally:
+        _clear_operator_caches()  # drop the table and families built from the changed row
+
+
 def test_a_perturbed_g_row_fails_the_angle_checks(monkeypatch):
+    # The primed {a,b,c} row at its |abc> entry: at n = 3, g[4, 5] of the dense family.
+    report = _verify_with_changed_g_row(monkeypatch, CASE_DISTINCT_PRIMED,
+                                        lambda row: (row[0] + 1e-6, *row[1:]))
+    failed = _failed_checks(report)
+    assert {("n=3", "principal_angle_cosines"), ("n=3", "paired_basis_structure")} <= failed
+
+
+def test_a_perturbed_dense_g_row_fails_the_dense_cross_check(monkeypatch):
+    # The dense families feed only total_povm, which povm_positive holds
+    # against the kind blocks at n <= DENSE_N_MAX.
     pairs = build_gh_bases(3)
     g = pairs.g.copy()
     g[4, np.flatnonzero(g[4])[0]] += 1e-6
     broken = JordanPairSet(n=3, g=g, h=pairs.h, labels=pairs.labels)
-    monkeypatch.setattr(harness, "build_gh_bases", lambda n: broken if n == 3 else build_gh_bases(n))
-    failed = _failed_checks(verify_all(3))
-    assert {("n=3", "principal_angle_cosines"), ("n=3", "paired_basis_structure")} <= failed
+    real = jordan._build_gh_bases
+    monkeypatch.setattr(jordan, "_build_gh_bases", lambda n: broken if n == 3 else real(n))
+    povm._reciprocal_projectors.cache_clear()
+    try:
+        assert not _povm_positive(3).passed
+    finally:
+        povm._reciprocal_projectors.cache_clear()
 
 
 def test_a_perturbed_kind_row_fails_the_paired_basis_check(monkeypatch):
-    real = kinds._g_rows
-
-    def faulty():
-        rows = real()
-        low = rows[CASE_LOW]
-        return {**rows, CASE_LOW: (low[0] + 1e-9, *low[1:])}
-
-    monkeypatch.setattr(kinds, "_g_rows", faulty)
-    _clear_operator_caches()
-    try:
-        failed = _failed_checks(verify_all(3))
-    finally:
-        _clear_operator_caches()  # drop the table and families built from the perturbed rows
-    assert ("n=3", "paired_basis_structure") in failed
+    report = _verify_with_changed_g_row(monkeypatch, CASE_LOW, lambda row: (row[0] + 1e-9, *row[1:]))
+    assert ("n=3", "paired_basis_structure") in _failed_checks(report)
 
 
 def _with_kind(index, **entries):
@@ -666,7 +680,7 @@ def test_no_dense_operator_is_built_above_n5(monkeypatch):
     # The dense builders refuse n >= 6.  spaces.permutation_operator and
     # jordan.density_from_jordan, the other two dense builders, are gone.
     for module, name in ((povm, "total_povm"), (povm, "_reciprocal_projectors"),
-                         (spaces, "mean_density_operators")):
+                         (spaces, "mean_density_operators"), (jordan, "_build_gh_bases")):
         def guarded(n, *args, real=getattr(module, name), name=name):
             if n >= 6:
                 raise AssertionError(f"{name} called at n = {n}")
@@ -684,7 +698,8 @@ def test_no_dense_operator_is_built_above_n5(monkeypatch):
         tracemalloc.stop()
     assert report.passed
     # With the dense operators _checks_for_n(8) peaked at 26.7 MiB; on the
-    # blocks it took about 7.6 MiB, and read once per kind about 6.8 MiB.
+    # blocks it took about 7.6 MiB, read once per kind about 6.8 MiB, and with
+    # the Jordan pairs read from the kind table about 4.1 MiB.
     assert peak <= 26.7 / 2 * 2**20
 
 
@@ -710,15 +725,15 @@ def test_a_wrong_s1_block_fails_the_dimension_and_span_checks(monkeypatch):
 
 
 def test_a_nan_in_one_g_row_fails_the_angle_checks_without_raising(monkeypatch):
-    pairs = build_gh_bases(3)
-    g = pairs.g.copy()
-    g[4, np.flatnonzero(g[4])[0]] = np.nan
-    broken = JordanPairSet(n=3, g=g, h=pairs.h, labels=pairs.labels)
-    monkeypatch.setattr(harness, "build_gh_bases", lambda n: broken if n == 3 else build_gh_bases(n))
-    results = {r.name: r for r in verify_all(3).results if r.scope == "n=3"}
+    report = _verify_with_changed_g_row(monkeypatch, CASE_DISTINCT_PRIMED,
+                                        lambda row: (np.nan, *row[1:]))
+    results = {r.name: r for r in report.results if r.scope == "n=3"}
     assert not results["principal_angle_cosines"].passed
     assert results["principal_angle_cosines"].deviation == np.inf
     assert not results["paired_basis_structure"].passed
+    # The operator-level success values are NaN, which the probability checks refuse.
+    assert {("n=3", "average_success_closed_form"), ("n=3", "pure_success_closed_form"),
+            ("global", "dimension_independence")} <= _failed_checks(report)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])

@@ -429,6 +429,18 @@ def test_non_numeric_input_raises_the_package_errors(call, error):
         call()
 
 
+@pytest.mark.parametrize("value, expected", [
+    ("0.5", DomainError), (b"0.5", DomainError), (True, DomainError), (np.True_, DomainError),
+    (np.float64(0.5), 0.5), (np.float32(0.25), 0.25), (np.int64(1), 1.0),
+])
+def test_check_omega1_takes_real_numbers_but_not_strings_bytes_or_booleans(value, expected):
+    if expected is DomainError:
+        with pytest.raises(DomainError):
+            povm_module.check_omega1(value)
+    else:
+        assert povm_module.check_omega1(value) == expected
+
+
 def _state_stacks(n, pairs, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.normal(size=(2, pairs, n)) + 1j * rng.normal(size=(2, pairs, n))

@@ -117,6 +117,12 @@ def test_permutation_operator_matches_column_loop(n):
             permute_registers(rows, (1, 0, 2), n)
 
 
+def test_permute_registers_takes_nested_lists():
+    # |12> and |21> of two qubits, as lists: the swap exchanges them.
+    assert np.array_equal(permute_registers([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]], (1, 0), 2),
+                          [[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+
 def test_symmetric_basis_2_qubit_vectors():
     basis = symmetric_basis_2(2)
     assert basis.shape == (3, 4)
