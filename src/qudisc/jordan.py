@@ -16,7 +16,6 @@ distinct labels.  g is the kinds' rows scattered over the V_t.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +40,7 @@ class JordanPairSet:
 
     g and h are stacked row vectors of shape (i0, n^3); labels[m] records the
     originating case and ordered triple of row m; g_perp and h_perp are their
-    :func:`reciprocal_rows`.  The arrays are read-only, as
-    :func:`build_gh_bases` shares one instance per n.
+    :func:`reciprocal_rows`.
     """
 
     n: int
@@ -55,8 +53,6 @@ class JordanPairSet:
     def __post_init__(self) -> None:
         for name, rows in zip(("g_perp", "h_perp"), reciprocal_rows(self.g, self.h)):
             object.__setattr__(self, name, rows)
-        for rows in (self.g, self.h, self.g_perp, self.h_perp):
-            rows.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -66,14 +62,9 @@ def build_gh_bases(n: int) -> JordanPairSet:
     """Construct the i0 = n(n+1)(n-1)/3 paired basis vectors.
 
     Enumeration is lexicographic in the ordered triple (i, j, k); triples with
-    three distinct labels contribute two pairs (unprimed before primed).  The
-    set is built once per n and shared: repeated calls return the same object.
+    three distinct labels contribute two pairs (unprimed before primed).
     """
-    return _build_gh_bases(check_dimension(n))
-
-
-@functools.lru_cache(maxsize=4)
-def _build_gh_bases(n: int) -> JordanPairSet:
+    n = check_dimension(n)
     blocks, table = label_blocks(n), kinds.kind_table()
     depth = np.array([len(kind.cases) for kind in table])[blocks.kind_of]  # g rows per V_t
     first = np.cumsum(depth) - depth

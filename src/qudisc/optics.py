@@ -88,7 +88,14 @@ def two_mode_unitary(
     """The 2x2 block realized by one four-port interferometer.
 
     Given arrays of angles, one block per entry, on the last two axes.
+    DomainError unless every angle is a finite real number.
     """
+    try:
+        omega, phi, theta = (np.asarray(angle) for angle in (omega, phi, theta))
+        if not all(a.dtype.kind in "iuf" and np.isfinite(a).all() for a in (omega, phi, theta)):
+            raise TypeError
+    except (TypeError, ValueError):  # ValueError: ragged nesting
+        raise DomainError("angles must be finite real numbers") from None
     s, c = np.sin(omega), np.cos(omega)
     e_phi, e_theta = np.exp(1j * phi), np.exp(1j * theta)
     rows = (np.stack([s * e_phi, c * e_phi], -1), np.stack([c * e_theta, -s * e_theta], -1))

@@ -103,7 +103,9 @@ def label_blocks(n: int, factors: int = 3) -> LabelBlocks:
     return _label_blocks(check_dimension(n), check_integer(factors, 1, "register count"))
 
 
-@functools.lru_cache(maxsize=8)
+# verify_all(n_max) reads one key per (n, factors), n = 2..n_max and factors 2
+# and 3: 2 (n_max - 1) keys, 14 at the largest n_max it admits (8).
+@functools.lru_cache(maxsize=16)
 def _label_blocks(n: int, factors: int) -> LabelBlocks:
     labels = np.sort(np.indices((n,) * factors).reshape(factors, -1).T, axis=1)
     keys = labels @ n ** np.arange(factors - 1, -1, -1)
@@ -149,8 +151,11 @@ def kind_counts(n: int) -> np.ndarray:
 def diagonal_blocks(op: np.ndarray, n: int) -> tuple[list[np.ndarray], float]:
     """The V_t diagonal blocks of an n^3 x n^3 operator, one (blocks, d, d)
     stack per group of :func:`label_blocks`, and the Frobenius norm of the
-    entries off those blocks."""
-    entries = [(cols[:, :, None], cols[:, None, :]) for cols in label_blocks(n).groups]
+    entries off those blocks.  ContractError unless op is n^3 x n^3."""
+    blocks = label_blocks(n)
+    if np.shape(op) != blocks.block_of.shape * 2:
+        raise ContractError(f"op must be {n}^3 x {n}^3, got shape {np.shape(op)}")
+    entries = [(cols[:, :, None], cols[:, None, :]) for cols in blocks.groups]
     diagonal = [op[rows, cols] for rows, cols in entries]
     rest = np.array(op)  # op minus the direct sum of its diagonal blocks
     for rows, cols in entries:
@@ -160,8 +165,12 @@ def diagonal_blocks(op: np.ndarray, n: int) -> tuple[list[np.ndarray], float]:
 
 def gather_blocks(kets: np.ndarray, n: int) -> list[np.ndarray]:
     """The amplitudes of kets (..., n^3) on each V_t, one (..., blocks, d)
-    array per group of :func:`label_blocks`: O(n^3) memory per ket."""
-    return [kets[..., cols] for cols in label_blocks(n).groups]
+    array per group of :func:`label_blocks`: O(n^3) memory per ket.
+    ContractError unless the last axis has n^3 entries."""
+    blocks = label_blocks(n)
+    if np.shape(kets)[-1:] != blocks.block_of.shape:
+        raise ContractError(f"kets must have {n}^3 entries, got shape {np.shape(kets)}")
+    return [kets[..., cols] for cols in blocks.groups]
 
 
 def _symmetric_basis(n: int, factors: int) -> np.ndarray:
@@ -196,11 +205,14 @@ def permute_registers(rows: np.ndarray, perm: tuple[int, ...], n: int) -> np.nda
     """Stacked n^len(perm) row vectors with their registers permuted: register
     r of each output row takes input register perm[r] (0-based).  The tensor
     transpose permutes entries, so it is exact.  ContractError unless the rows
-    have n^len(perm) entries."""
+    are an array with n^len(perm) entries each."""
     check_dimension(n)
     if sorted(perm) != list(range(len(perm))):
         raise DomainError(f"{perm!r} is not a permutation of the registers")
-    rows = np.asarray(rows)
+    try:
+        rows = np.asarray(rows)
+    except ValueError:  # ragged nesting
+        raise ContractError("rows must be a rectangular array") from None
     if rows.shape[-1:] != (n ** len(perm),):
         raise ContractError(f"rows must have {n ** len(perm)} entries, got shape {rows.shape}")
     tensor = rows.reshape(-1, *(n,) * len(perm))
@@ -228,10 +240,11 @@ def mean_density_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The first operator fills the AB symmetric subspace uniformly and is
     maximally mixed on C; the second fills the BC symmetric subspace and is
-    maximally mixed on A.  Both have unit trace.  The pair is built once per n
-    and shared, so the arrays are read-only.
+    maximally mixed on A.  Both have unit trace.
     """
-    return _mean_density_operators(check_dimension(n))
+    n = check_dimension(n)
+    weight, p_sigma, eye = mean_density_weight(n), symmetric_projector(n), np.eye(n)
+    return weight * np.kron(p_sigma, eye), weight * np.kron(eye, p_sigma)
 
 
 def mean_density_weight(n: int) -> float:
@@ -239,29 +252,14 @@ def mean_density_weight(n: int) -> float:
     return 2.0 / (check_dimension(n) ** 2 * (n + 1))
 
 
-@functools.lru_cache(maxsize=4)  # the n^3 x n^3 operators grow as n^6
-def _mean_density_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
-    weight = mean_density_weight(n)
-    p_sigma = symmetric_projector(n)
-    eye = np.eye(n)
-    rho1 = weight * np.kron(p_sigma, eye)
-    rho2 = weight * np.kron(eye, p_sigma)
-    for rho in (rho1, rho2):
-        rho.setflags(write=False)
-    return rho1, rho2
-
-
-@functools.lru_cache(maxsize=8)
 def mean_density_blocks(n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """All the entries of :func:`mean_density_operators`, which are block
-    diagonal: one read-only (blocks, d, d) stack per group of
-    :func:`label_blocks` for each operator, w (:func:`mean_density_weight`) times
-    the kinds' rho1 and rho2 (:func:`kind_blocks`).  Shared per n."""
+    diagonal: one (blocks, d, d) stack per group of :func:`label_blocks` for
+    each operator, w (:func:`mean_density_weight`) times the kinds' rho1 and
+    rho2 (:func:`kind_blocks`)."""
     weight = mean_density_weight(n)
-    rho1, rho2 = ([weight * stack for stack in kind_blocks(n, entry)] for entry in ("rho1", "rho2"))
-    for stack in rho1 + rho2:
-        stack.setflags(write=False)
-    return tuple(rho1), tuple(rho2)
+    return tuple(tuple(weight * stack for stack in kind_blocks(n, entry))
+                 for entry in ("rho1", "rho2"))
 
 
 @dataclass(frozen=True)

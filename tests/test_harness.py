@@ -587,8 +587,9 @@ def test_a_perturbed_dense_g_row_fails_the_dense_cross_check(monkeypatch):
     g = pairs.g.copy()
     g[4, np.flatnonzero(g[4])[0]] += 1e-6
     broken = JordanPairSet(n=3, g=g, h=pairs.h, labels=pairs.labels)
-    real = jordan._build_gh_bases
-    monkeypatch.setattr(jordan, "_build_gh_bases", lambda n: broken if n == 3 else real(n))
+    for module in (jordan, povm, harness):
+        monkeypatch.setattr(module, "build_gh_bases",
+                            lambda n: broken if n == 3 else build_gh_bases(n))
     povm._reciprocal_projectors.cache_clear()
     try:
         assert not _povm_positive(3).passed
@@ -666,9 +667,7 @@ def test_a_wrong_index_in_the_amplitude_gather_fails_the_pure_state_check(monkey
     assert results["povm_unambiguous_pure"].passed  # the suite's own gather is intact
 
 
-OPERATOR_CACHES = (kinds.kind_table, spaces._label_blocks, spaces._mean_density_operators,
-                   spaces.mean_density_blocks, jordan._build_gh_bases,
-                   povm._reciprocal_projectors)
+OPERATOR_CACHES = (kinds.kind_table, spaces._label_blocks, povm._reciprocal_projectors)
 
 
 def _clear_operator_caches():
@@ -680,7 +679,8 @@ def test_no_dense_operator_is_built_above_n5(monkeypatch):
     # The dense builders refuse n >= 6.  spaces.permutation_operator and
     # jordan.density_from_jordan, the other two dense builders, are gone.
     for module, name in ((povm, "total_povm"), (povm, "_reciprocal_projectors"),
-                         (spaces, "mean_density_operators"), (jordan, "_build_gh_bases")):
+                         (spaces, "mean_density_operators"), (jordan, "build_gh_bases"),
+                         (povm, "build_gh_bases"), (harness, "build_gh_bases")):
         def guarded(n, *args, real=getattr(module, name), name=name):
             if n >= 6:
                 raise AssertionError(f"{name} called at n = {n}")
@@ -701,6 +701,17 @@ def test_no_dense_operator_is_built_above_n5(monkeypatch):
     # blocks it took about 7.6 MiB, read once per kind about 6.8 MiB, and with
     # the Jordan pairs read from the kind table about 4.1 MiB.
     assert peak <= 26.7 / 2 * 2**20
+
+
+def test_verify_all_hits_every_kept_cache_and_label_blocks_fits_its_keys():
+    # Only builders whose traffic repeats are cached.  verify_all(8) reads
+    # label_blocks at one key per (n, factors), n = 2..8 and factors 2 and 3, so
+    # a cache that holds them all misses once per key.
+    _clear_operator_caches()
+    assert verify_all(8).passed
+    assert spaces._label_blocks.cache_info().misses == 14
+    for cache in (kinds.kind_table, povm._reciprocal_projectors):
+        assert cache.cache_info().hits >= 1, cache
 
 
 def test_a_wrong_kind_count_fails_the_dimension_check(monkeypatch):

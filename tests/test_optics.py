@@ -47,6 +47,13 @@ def test_two_mode_unitary_is_unitary():
         assert np.array_equal(from_stack, block)
 
 
+@pytest.mark.parametrize("angles", [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, [0.1, -np.inf]),
+                                    ("a", 0, 0), (0, 1j, 0), (True, 0, 0), ([0.1, [0.2]], 0, 0)])
+def test_two_mode_unitary_rejects_angles_that_are_not_finite_real_numbers(angles):
+    with pytest.raises(DomainError):
+        two_mode_unitary(*angles)
+
+
 def test_layer_validation():
     with pytest.raises(DomainError):
         Interferometer(2, [(1, 1)], [(0.3, 0, 0)])
