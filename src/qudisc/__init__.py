@@ -45,7 +45,6 @@ from .povm import (
 from .spaces import (
     DimensionTable,
     dimension_table,
-    expand_u3,
     mean_density_operators,
     symmetric_basis_2,
     symmetric_basis_3,

@@ -44,12 +44,12 @@ SCAN_STRIDE = 1000
 # inputs, and the detection operators at every DENSE_STRIDE-th point of the
 # omega1 grid.
 DENSE_N_MAX, DENSE_STRIDE = 5, 7
-# Bound on n_max, as if one 8 n^6-byte real n^3 x n^3 operator were built: it
-# admits n_max <= 8.  None is built above n = 5, but the three-fold symmetric
-# rows, the S1 rows and the expand_u3 coefficients of symmetric_vector_expansions
-# still grow as n^6.  The per-n suite takes about 8-9, 12-14 and 18-21 ms and
-# peaks at 1.6, 2.6 and 4.1 MiB at n = 6, 7 and 8, caches cleared or not
-# (tracemalloc; one BLAS thread on a 2-vCPU x86 VM).
+# Bound on n_max: 8 n^6 bytes, one real n^3 x n^3 array, must not exceed it,
+# which admits n_max <= 8.  No such operator is built above n = 5; what still
+# grows as n^6 is the three-fold symmetric basis, C(n+2, 3) rows of n^3 entries,
+# that the symmetric-basis checks read.  The per-n suite takes about 11, 15-18
+# and 21-23 ms (medians) and peaks at 1.5, 2.5 and 3.9 MiB at n = 6, 7 and 8,
+# caches cleared or not (tracemalloc; one BLAS thread on a 1-vCPU Xeon VM).
 MAX_OPERATOR_BYTES = 4 * 2**20
 
 
@@ -211,7 +211,7 @@ class VerificationReport:
                 name=name,
                 scope=scope,
                 passed=bool(deviation <= tolerance),
-                deviation=float(deviation),
+                deviation=float(deviation) + 0.0,  # -0.0 + 0.0 is +0.0
                 tolerance=float(tolerance),
                 claim=claim,
             )
@@ -273,8 +273,11 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     scope = f"n={n}"
     table = spaces.dimension_table(n)
     constructive = spaces.constructive_dimension_table(n)
+    counts = spaces.kind_counts(n)  # closed form, against the V_t that label_blocks counts
+    counted = np.bincount(spaces.label_blocks(n).kind_of, minlength=len(counts))
     dev = _worst(*(abs(getattr(table, f) - getattr(constructive, f))
-                   for f in ("sigma", "s0", "s1", "s2", "s3", "s4", "s5", "s6", "i0")))
+                   for f in ("sigma", "s0", "s1", "s2", "s3", "s4", "s5", "s6", "i0")),
+                 np.abs(counts - counted).max())
     report.add("dimension_formulas", scope, dev, 0,
                "closed-form subspace dimensions equal constructive SVD ranks")
 
@@ -301,7 +304,7 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     # by Weyl, lambda_min(dense) >= lambda_min(blocks) - ||dense - blocks||_F.
     grid, weight = np.linspace(0.0, np.pi / 2, 50), spaces.mean_density_weight(n)
     present = [(count, kind, ops) for count, kind, ops
-               in zip(spaces.kind_counts(n), kinds.kind_table(), povm.kind_povms(grid)) if count]
+               in zip(counts, kinds.kind_table(), povm.kind_povms(grid)) if count]
     dev = 0.0
     for entry in ("rho1", "rho2"):
         blocks = [weight * getattr(kind, entry) for _, kind, _ in present]
@@ -316,11 +319,18 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     report.add("mean_densities_are_states", scope, dev, tol.tight,
                "averaged inputs are unit-trace positive operators")
 
-    coeffs = np.array([spaces.expand_u3(n, triple) for triple in spaces.triple_labels(n)])
-    s1 = spaces.s1_product_basis(n)
-    dev = _worst(*(np.linalg.norm(coeffs @ rows - sym3, axis=1).max()
-                   for rows in (s1, spaces.exchange_ac(s1, n))))  # S1's rows, then S2's
-    del s1  # n^6 bytes that no later check reads
+    # Per kind present, u3 over its S1 rows and over its S2 rows gives its unit
+    # symmetric vector; per n, sym3 is those vectors scattered over the V_t.
+    units = [np.full(kind.d, 1.0 / np.sqrt(kind.d)) for kind in kinds.kind_table()]
+    dev = _worst(*(np.linalg.norm(kind.u3 @ rows - unit)
+                   for count, kind, unit in zip(counts, kinds.kind_table(), units) if count
+                   for rows in (kind.s1_rows, kind.s2_rows)))
+    blocks = spaces.label_blocks(n)
+    rest = sym3.copy()  # row t of sym3 is that of V_t
+    for group, (cols, vectors) in enumerate(zip(blocks.groups, spaces.scatter_kinds(n, units))):
+        rest[np.flatnonzero(blocks.group_of == group)[:, None], cols] -= vectors
+    dev = _worst(dev, np.linalg.norm(rest, axis=1).max())
+    del rest  # n^6 / 6 bytes that no later check reads
     report.add("symmetric_vector_expansions", scope, dev, tol.tight,
                "product-basis expansions reconstruct the symmetric vectors")
 
@@ -524,8 +534,10 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
 def verify_all(n_max: int, tolerances: Tolerances | None = None) -> VerificationReport:
     """Run every invariant check for n = 2..n_max plus the global checks.
 
-    Failures are recorded in the report, not raised.  An n_max whose n^3 x n^3
-    operators would exceed MAX_OPERATOR_BYTES raises DomainError before any work.
+    Failures are recorded in the report, not raised.  An n_max with
+    8 n_max^6 > MAX_OPERATOR_BYTES raises DomainError before any work: above
+    n = 5 the largest arrays built are the three-fold symmetric rows, which
+    grow as n^6 / 6.
     """
     n_max = spaces.check_integer(n_max, 2, "n_max")
     if 8 * n_max**6 > MAX_OPERATOR_BYTES:

@@ -44,6 +44,16 @@ def _g_rows() -> dict[str, tuple[float, ...]]:
     }
 
 
+def _u3_coefficients() -> dict[tuple[int, int, int], tuple[float, ...]]:
+    """The paper's expansion of each kind's unit symmetric vector over its S1
+    rows, in their order: sqrt(2/3) on the symmetric pair {a,b} with the
+    repeated label in C, sqrt(1/3) on the repeated pair, 1/sqrt(3) on each
+    pair of {a,b,c}.  The A <-> C exchange fixes the vector and maps each S1
+    row to its S2 row, so the same coefficients expand it over the S2 rows."""
+    c1, c2 = np.sqrt(1.0 / 3.0), np.sqrt(2.0 / 3.0)
+    return {(0, 0, 0): (1.0,), (0, 0, 1): (c1, c2), (0, 1, 1): (c2, c1), (0, 1, 2): (c1, c1, c1)}
+
+
 def reciprocal_rows(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(2g + h)/sqrt(3) and (2h + g)/sqrt(3), row by row: for <g|h> = -1/2, the
     unit vectors of span(g, h) orthogonal to h and to g respectively."""
@@ -56,9 +66,12 @@ class Kind:
 
     g, h, g_perp and h_perp are the kind's rows of the paired families, one per
     entry of `cases`.  p0 projects onto the symmetric vector, and p_g, p_h,
-    p_g_perp and p_h_perp onto the spans of those rows; s1 and s2 project onto
-    the parts of S1 and S2 in V_t; rho1 and rho2 are the blocks of the averaged
-    inputs over w = 2/(n^2 (n+1)).  All arrays are read-only.
+    p_g_perp and p_h_perp onto the spans of those rows.  s1_rows are the S1
+    product-basis rows in V_t, a symmetric AB pair with a C label, in
+    lexicographic (pair, C) order; s2_rows are them with A and C exchanged, and
+    s1 and s2 project onto their spans.  u3 expands the unit symmetric vector
+    over either.  rho1 and rho2 are the blocks of the averaged inputs over
+    w = 2/(n^2 (n+1)).  All arrays are read-only.
     """
 
     d: int
@@ -72,8 +85,11 @@ class Kind:
     p_h: np.ndarray
     p_g_perp: np.ndarray
     p_h_perp: np.ndarray
+    s1_rows: np.ndarray
+    s2_rows: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
+    u3: np.ndarray
     rho1: np.ndarray
     rho2: np.ndarray
 
@@ -93,12 +109,13 @@ def _kind(labels: tuple[int, int, int], cases: tuple[str, ...]) -> Kind:
     g_perp, h_perp = reciprocal_rows(g, h)
     # S1's product-basis rows: one per symmetric AB pair and C label, in that order.
     keys = [(*sorted(m[:2]), m[2]) for m in members]
-    s1 = np.array([[1.0 / np.sqrt(keys.count(k)) if key == k else 0.0 for key in keys]
-                   for k in sorted(set(keys))])
+    s1_rows = np.array([[1.0 / np.sqrt(keys.count(k)) if key == k else 0.0 for key in keys]
+                        for k in sorted(set(keys))])
+    s2_rows = permuted(s1_rows, (2, 1, 0))  # S2 is S1 with A and C exchanged
     kind = Kind(d=d, cases=cases, g=g, h=h, g_perp=g_perp, h_perp=h_perp,
                 p0=proj(np.full((1, d), 1.0 / np.sqrt(d))), p_g=proj(g), p_h=proj(h),
-                p_g_perp=proj(g_perp), p_h_perp=proj(h_perp),
-                s1=proj(s1), s2=proj(permuted(s1, (2, 1, 0))),  # S2 is S1 with A and C exchanged
+                p_g_perp=proj(g_perp), p_h_perp=proj(h_perp), s1_rows=s1_rows, s2_rows=s2_rows,
+                s1=proj(s1_rows), s2=proj(s2_rows), u3=np.array(_u3_coefficients()[labels]),
                 rho1=(eye + permuted(eye, (1, 0, 2))) / 2,  # (I + swap_AB)/2
                 rho2=(eye + permuted(eye, (0, 2, 1))) / 2)  # (I + swap_BC)/2
     for value in vars(kind).values():

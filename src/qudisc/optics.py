@@ -87,15 +87,16 @@ def two_mode_unitary(
 ) -> np.ndarray:
     """The 2x2 block realized by one four-port interferometer.
 
-    Given arrays of angles, one block per entry, on the last two axes.
-    DomainError unless every angle is a finite real number.
+    Given arrays of angles, broadcast together, one block per entry, on the
+    last two axes.  DomainError unless every angle is a finite real number and
+    the three broadcast.
     """
     try:
-        omega, phi, theta = (np.asarray(angle) for angle in (omega, phi, theta))
+        omega, phi, theta = np.broadcast_arrays(*(np.asarray(a) for a in (omega, phi, theta)))
         if not all(a.dtype.kind in "iuf" and np.isfinite(a).all() for a in (omega, phi, theta)):
             raise TypeError
-    except (TypeError, ValueError):  # ValueError: ragged nesting
-        raise DomainError("angles must be finite real numbers") from None
+    except (TypeError, ValueError):  # ValueError: ragged nesting, or shapes that do not broadcast
+        raise DomainError("angles must be finite real numbers that broadcast together") from None
     s, c = np.sin(omega), np.cos(omega)
     e_phi, e_theta = np.exp(1j * phi), np.exp(1j * theta)
     rows = (np.stack([s * e_phi, c * e_phi], -1), np.stack([c * e_theta, -s * e_theta], -1))

@@ -1,10 +1,11 @@
 """Detection operators and success probabilities of the discriminator.
 
 On each Jordan block span(g_perp_i, h_i) the measurement is :func:`block_povm`,
-written in the block's orthonormal (g_perp, h) frame; :func:`total_povm` lifts
-it onto all i0 blocks of the three-register space.  :func:`kind_povms` gives
-its block on each kind of label-multiset space V_t, with no n in it, and
+written in the block's orthonormal (g_perp, h) frame.  :func:`kind_povms` gives
+it on each kind of label-multiset space V_t, with no n in it, and
 :func:`total_povm_blocks` scatters those over the V_t of dimension n.
+:func:`total_povm` builds the same operators independently, as combinations of
+the register permutations.
 
 The measurement family has one free angle omega1 in [0, pi/2].  With
 x = 1 + 3 cos^2(omega1) in [1, 4], the per-subspace success probability is
@@ -31,10 +32,9 @@ import numpy as np
 
 from . import kinds
 from .errors import ContractError, DegeneratePriorsError, DomainError
-from .jordan import build_gh_bases
 from .spaces import (
     check_dimension, check_unit_states, gather_blocks, kind_counts, mean_density_weight,
-    product_ket, projector_from_rows, scatter_kinds,
+    permute_registers, product_ket, scatter_kinds,
 )
 
 PROB_SLACK = 1e-12
@@ -154,10 +154,12 @@ def block_povm(omega1: float) -> np.ndarray:
 
 
 def total_povm(n: int, omega1: float) -> MeasurementTriple:
-    """Three-outcome POVM on the full three-register space: :func:`block_povm`
-    lifted onto every Jordan block, with pi0 the identity off the blocks."""
-    omega1 = check_omega1(omega1)
-    proj_g, proj_h = _reciprocal_projectors(check_dimension(n))
+    """Three-outcome POVM on the full three-register space: pi1 = a (S3 - S2),
+    pi2 = b (S3 - S1) and pi0 = I - pi1 - pi2, with (a, b) from
+    :func:`detection_weights` and the projectors built from the register
+    permutations (:func:`_permutation_projectors`)."""
+    n, omega1 = check_dimension(n), check_omega1(omega1)
+    proj_g, proj_h = _permutation_projectors(n)
     a, b = detection_weights(omega1)
     pi1 = a * proj_g
     pi2 = b * proj_h
@@ -188,10 +190,20 @@ def total_povm_blocks(n: int, omega1) -> list[np.ndarray]:
 
 
 @functools.lru_cache(maxsize=4)  # the n^3 x n^3 projectors grow as n^6
-def _reciprocal_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only real projectors onto the spans of the g_perp and h_perp families."""
-    pairs = build_gh_bases(n)
-    projectors = projector_from_rows(pairs.g_perp), projector_from_rows(pairs.h_perp)
+def _permutation_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only P_g_perp = S3 - S2 and P_h_perp = S3 - S1, from the six register
+    permutations P_sigma alone: S1 = (I + P_AB)/2, S2 = (I + P_BC)/2, and
+    S3 = span(S1, S2) = I - sum_sigma sgn(sigma) P_sigma / 6, the complement of
+    the antisymmetric subspace.  The measurement commutes with U (x) U (x) U, so
+    by Schur-Weyl duality it is such a combination of the permutations."""
+    # The identity's rows permuted are P_sigma^T; the transpositions and both
+    # sums below are symmetric, so the transpose does not matter.
+    eye = np.eye(n**3)
+    even, odd = ((0, 1, 2), (1, 2, 0), (2, 0, 1)), ((1, 0, 2), (0, 2, 1), (2, 1, 0))
+    perms = {perm: permute_registers(eye, perm, n) for perm in even + odd}
+    s3 = eye - (sum(perms[p] for p in even) - sum(perms[p] for p in odd)) / 6
+    s1, s2 = (eye + perms[(1, 0, 2)]) / 2, (eye + perms[(0, 2, 1)]) / 2
+    projectors = s3 - s2, s3 - s1
     for proj in projectors:
         proj.setflags(write=False)
     return projectors

@@ -144,8 +144,11 @@ def kind_blocks(n: int, entry: str) -> list[np.ndarray]:
 
 
 def kind_counts(n: int) -> np.ndarray:
-    """The number of V_t of each kind at qudit dimension n, from :func:`label_blocks`."""
-    return np.bincount(label_blocks(n).kind_of, minlength=len(kinds.kind_table()))
+    """The number of V_t of each kind at qudit dimension n: n, C(n,2), C(n,2) and
+    C(n,3), as int64, or as exact Python ints once C(n,3) outgrows int64."""
+    n = check_dimension(n)
+    pairs, triples = n * (n - 1) // 2, n * (n - 1) * (n - 2) // 6
+    return np.array([n, pairs, pairs, triples], dtype=np.int64 if triples < 2**63 else object)
 
 
 def diagonal_blocks(op: np.ndarray, n: int) -> tuple[list[np.ndarray], float]:
@@ -175,6 +178,7 @@ def gather_blocks(kets: np.ndarray, n: int) -> list[np.ndarray]:
 
 def _symmetric_basis(n: int, factors: int) -> np.ndarray:
     """One row per V_t: the equal superposition of the basis kets in it."""
+    n = check_dimension(n)
     blocks = label_blocks(n, factors)
     sizes = np.bincount(blocks.block_of)
     basis = np.zeros((len(sizes), n**factors))
@@ -289,7 +293,7 @@ class DimensionTable:
 
 def dimension_table(n: int) -> DimensionTable:
     """Closed-form subspace dimensions."""
-    check_dimension(n)
+    n = check_dimension(n)
     sigma = n * (n + 1) // 2
     s0 = n * (n + 1) * (n + 2) // 6
     s1 = n**2 * (n + 1) // 2
@@ -299,29 +303,6 @@ def dimension_table(n: int) -> DimensionTable:
         n=n, sigma=sigma, s0=s0, s1=s1, s2=s1, s3=s3,
         s4=s1 - s0, s5=s1 - s0, s6=2 * i0, i0=i0,
     )
-
-
-def s1_product_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of S1: symmetric AB pairs tensored with C.
-
-    Row order: pair index (lexicographic) major, C label minor.  Row (m, c)
-    is np.kron(sym2[m], e_c), scattered into place in one step.
-    """
-    sym2 = symmetric_basis_2(n)
-    c = np.arange(n)
-    rows = np.zeros((len(sym2), n, n * n, n))
-    rows[:, c, :, c] = sym2  # rows[m, c, p, c] = sym2[m, p]
-    return rows.reshape(len(sym2) * n, n**3)
-
-
-def s2_product_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of S2: A label tensored with symmetric BC pairs.
-
-    Row m is row m of :func:`s1_product_basis` with registers A and C
-    exchanged, so the row order is pair index (lexicographic) major, A label
-    minor.
-    """
-    return exchange_ac(s1_product_basis(n), n)
 
 
 def _rank(matrix: np.ndarray) -> int:
@@ -346,51 +327,9 @@ def constructive_dimension_table(n: int) -> DimensionTable:
     is the sum over the kinds of the kind's rank times :func:`kind_counts`.
     sigma is the rank of the two-fold symmetric basis.
     """
+    n = check_dimension(n)
     sigma = _rank(symmetric_basis_2(n))
     ranks = np.array([_kind_ranks(kind) for kind in kinds.kind_table()])
     s0, s1, s2, s3, s4, s5, s6 = (int(r) for r in kind_counts(n) @ ranks)
     return DimensionTable(n=n, sigma=sigma, s0=s0, s1=s1, s2=s2, s3=s3, s4=s4, s5=s5, s6=s6,
                           i0=s4)
-
-
-def _pair_index(i: int, j: int, n: int) -> int:
-    return pair_labels(n).index((min(i, j), max(i, j)))
-
-
-def expand_u3(n: int, triple: tuple[int, int, int]) -> np.ndarray:
-    """Coefficients of a three-fold symmetric basis vector over S1 and S2.
-
-    The coefficients refer to :func:`s1_product_basis` order.  The vector is
-    fixed by the A<->C exchange that takes each S1 row to the S2 row of the
-    same index, so the same coefficients expand it over
-    :func:`s2_product_basis`.  Triples must satisfy i <= j <= k; the fully
-    repeated triple i = j = k expands trivially to a single product basis
-    vector.
-    """
-    check_dimension(n)
-    if len(triple) != 3:
-        raise DomainError(f"expected 3 labels, got {len(triple)}")
-    i, j, k = (check_integer(label, 1, "basis label") for label in triple)
-    if not (1 <= i <= j <= k <= n):
-        raise DomainError(f"triple {triple} is not ordered within 1..{n}")
-
-    npairs = n * (n + 1) // 2
-    coeffs = np.zeros(npairs * n)
-    c_major = np.sqrt(2.0 / 3.0)
-    c_minor = np.sqrt(1.0 / 3.0)
-
-    def slot(pair: tuple[int, int], c_label: int) -> int:
-        return _pair_index(*pair, n) * n + (c_label - 1)
-
-    if i == j == k:
-        coeffs[slot((i, i), i)] = 1.0
-    elif i == j:
-        coeffs[slot((i, k), i)] = c_major
-        coeffs[slot((i, i), k)] = c_minor
-    elif j == k:
-        coeffs[slot((i, j), j)] = c_major
-        coeffs[slot((j, j), i)] = c_minor
-    else:
-        for pair, c in (((i, j), k), ((i, k), j), ((j, k), i)):
-            coeffs[slot(pair, c)] = c_minor
-    return coeffs

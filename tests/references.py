@@ -2,14 +2,15 @@
 
 Each rebuilds per n what the library now scatters from the kind table
 (qudisc.kinds), by the route the library took before: splitting n^3-wide
-rows over the V_t, writing the g family out term by term, and reading the
-averaged inputs' blocks from the entries of P_sigma (x) I and I (x) P_sigma.
+rows over the V_t, writing the g family and the S1 product basis out term by
+term, and reading the averaged inputs' blocks from the entries of
+P_sigma (x) I and I (x) P_sigma.
 """
 
 import numpy as np
 
 from qudisc.errors import ContractError
-from qudisc.spaces import label_blocks, symmetric_projector, triple_labels
+from qudisc.spaces import label_blocks, symmetric_basis_2, symmetric_projector, triple_labels
 
 
 def ket(labels, n):
@@ -45,6 +46,13 @@ def g_rows_by_formula(n):
             rows.append(a * pair_with_c(i, k, j) - b * pair_with_c(i, j, k)
                         + c * pair_with_c(j, k, i))
     return np.array(rows)
+
+
+def s1_rows_by_kron(n):
+    """The S1 product basis, one np.kron per (symmetric AB pair, C label), in
+    lexicographic (pair, C) order; its A <-> C exchange is the S2 product basis."""
+    eye = np.eye(n)
+    return np.array([np.kron(u, eye[a]) for u in symmetric_basis_2(n) for a in range(n)])
 
 
 def block_stacks(rows, n, factors=3):

@@ -2,10 +2,17 @@
 
 `verify_all(6)` must report exactly these checks, in this order, with these
 scopes, tolerances and claims.  Dropping, reordering or loosening a check
-means editing this table.
+means editing this table.  The benchmark's record checker (bench/checks.py)
+requires the same names, at tolerances no tighter than these, so a renamed,
+moved or loosened check fails here before a benchmark run refuses it.
 """
 
+import importlib.util
+from pathlib import Path
+
 from qudisc.harness import verify_all
+
+CHECKS_PATH = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
 
 # (name, tolerance, claim) of the checks run at every n, in run order.
 PER_N_CHECKS = [
@@ -76,3 +83,19 @@ def test_verify_all_runs_exactly_the_pinned_checks():
     report = verify_all(6)
     assert [(r.scope, r.name, r.tolerance, r.claim) for r in report.results] == expected
     assert len(expected) == 99 and report.passed
+
+
+def _bench_checks():
+    spec = importlib.util.spec_from_file_location("bench_checks", CHECKS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_requires_exactly_the_pinned_checks_at_no_looser_tolerance():
+    bench = _bench_checks()
+    for pinned, required in ((PER_N_CHECKS, bench.PER_N_CHECKS),
+                             (GLOBAL_CHECKS, bench.GLOBAL_CHECKS)):
+        names = [name for name, *_ in pinned]
+        assert len(names) == len(set(names)) and set(names) == set(required)
+        assert not [name for name, tol, _ in pinned if tol > required[name]]

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -47,6 +48,19 @@ def test_verify_unattainable_tolerance_fails(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n-max", "2", "--tol", "1e-30")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_prints_no_negative_zero(capsys):
+    # At n = 8 the lowest eigenvalue of the averaged inputs is +0.0, and
+    # max(0, -lowest) is -0.0 before the report takes it.
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "8", "--json")
+    assert code == 0
+    tokens = re.findall(r'"worst_deviation": ([^,\n]*)', out)
+    assert len(tokens) == len(json.loads(out)["results"]["checks"])
+    assert not [token for token in tokens if token.startswith("-")]
+    report = harness.VerificationReport(n_max=2)
+    report.add("zero", "global", -0.0, 0.0, "a deviation of -0.0 is reported as +0.0")
+    assert np.copysign(1.0, report.results[0].deviation) == 1.0
 
 
 def test_verify_rejects_bad_nmax(capsys):

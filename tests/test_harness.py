@@ -22,7 +22,7 @@ from qudisc.harness import (
     verify_all,
 )
 from qudisc.optics import Interferometer, simulate_clicks, simulate_discriminator
-from qudisc.jordan import CASE_DISTINCT_PRIMED, CASE_LOW, JordanPairSet, build_gh_bases
+from qudisc.jordan import CASE_DISTINCT_PRIMED, CASE_LOW, build_gh_bases
 from qudisc.povm import Priors, average_success, omega1_from_x, total_povm
 from qudisc.spaces import mean_density_operators, projector_from_rows, symmetric_basis_3
 
@@ -581,20 +581,25 @@ def test_a_perturbed_g_row_fails_the_angle_checks(monkeypatch):
 
 
 def test_a_perturbed_dense_g_row_fails_the_dense_cross_check(monkeypatch):
-    # The dense families feed only total_povm, which povm_positive holds
-    # against the kind blocks at n <= DENSE_N_MAX.
-    pairs = build_gh_bases(3)
-    g = pairs.g.copy()
-    g[4, np.flatnonzero(g[4])[0]] += 1e-6
-    broken = JordanPairSet(n=3, g=g, h=pairs.h, labels=pairs.labels)
-    for module in (jordan, povm, harness):
-        monkeypatch.setattr(module, "build_gh_bases",
-                            lambda n: broken if n == 3 else build_gh_bases(n))
-    povm._reciprocal_projectors.cache_clear()
+    # The dense total_povm reads no g row: it is built from the register
+    # permutations, and povm_positive holds it against the kind blocks at
+    # n <= DENSE_N_MAX.  Here P_AB at n = 3 has 1e-6 added at (|112>, |121>).
+    real = spaces.permute_registers
+
+    def faulty(rows, perm, n):
+        permuted = real(rows, perm, n)
+        if n == 3 and perm == (1, 0, 2):
+            permuted = permuted.copy()
+            permuted[1, 3] += 1e-6
+        return permuted
+
+    monkeypatch.setattr(povm, "permute_registers", faulty)
+    povm._permutation_projectors.cache_clear()
     try:
         assert not _povm_positive(3).passed
+        assert _povm_positive(4).passed
     finally:
-        povm._reciprocal_projectors.cache_clear()
+        povm._permutation_projectors.cache_clear()
 
 
 def test_a_perturbed_kind_row_fails_the_paired_basis_check(monkeypatch):
@@ -667,7 +672,7 @@ def test_a_wrong_index_in_the_amplitude_gather_fails_the_pure_state_check(monkey
     assert results["povm_unambiguous_pure"].passed  # the suite's own gather is intact
 
 
-OPERATOR_CACHES = (kinds.kind_table, spaces._label_blocks, povm._reciprocal_projectors)
+OPERATOR_CACHES = (kinds.kind_table, spaces._label_blocks, povm._permutation_projectors)
 
 
 def _clear_operator_caches():
@@ -678,9 +683,9 @@ def _clear_operator_caches():
 def test_no_dense_operator_is_built_above_n5(monkeypatch):
     # The dense builders refuse n >= 6.  spaces.permutation_operator and
     # jordan.density_from_jordan, the other two dense builders, are gone.
-    for module, name in ((povm, "total_povm"), (povm, "_reciprocal_projectors"),
+    for module, name in ((povm, "total_povm"), (povm, "_permutation_projectors"),
                          (spaces, "mean_density_operators"), (jordan, "build_gh_bases"),
-                         (povm, "build_gh_bases"), (harness, "build_gh_bases")):
+                         (harness, "build_gh_bases")):
         def guarded(n, *args, real=getattr(module, name), name=name):
             if n >= 6:
                 raise AssertionError(f"{name} called at n = {n}")
@@ -698,8 +703,9 @@ def test_no_dense_operator_is_built_above_n5(monkeypatch):
         tracemalloc.stop()
     assert report.passed
     # With the dense operators _checks_for_n(8) peaked at 26.7 MiB; on the
-    # blocks it took about 7.6 MiB, read once per kind about 6.8 MiB, and with
-    # the Jordan pairs read from the kind table about 4.1 MiB.
+    # blocks it took about 7.6 MiB, read once per kind about 6.8 MiB, with the
+    # Jordan pairs read from the kind table about 4.1 MiB, and with the u3
+    # expansions read per kind instead of over the n^3-wide S1 rows 3.9 MiB.
     assert peak <= 26.7 / 2 * 2**20
 
 
@@ -710,7 +716,7 @@ def test_verify_all_hits_every_kept_cache_and_label_blocks_fits_its_keys():
     _clear_operator_caches()
     assert verify_all(8).passed
     assert spaces._label_blocks.cache_info().misses == 14
-    for cache in (kinds.kind_table, povm._reciprocal_projectors):
+    for cache in (kinds.kind_table, povm._permutation_projectors):
         assert cache.cache_info().hits >= 1, cache
 
 
@@ -749,16 +755,57 @@ def test_a_nan_in_one_g_row_fails_the_angle_checks_without_raising(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_the_per_n_suite_builds_the_s1_rows_once(monkeypatch, n):
+    # The S1 rows are the kinds' s1_rows, built with the kind table: once per
+    # kind, whatever n, and never as n^3-wide rows.
     calls = []
-    real = spaces.s1_product_basis
+    real = kinds._kind
 
-    def counted(m):
-        calls.append(m)
-        return real(m)
+    def counted(labels, cases):
+        calls.append(labels)
+        return real(labels, cases)
 
-    monkeypatch.setattr(spaces, "s1_product_basis", counted)
-    _per_n_results(n)
-    assert calls == [n]
+    monkeypatch.setattr(kinds, "_kind", counted)
+    _clear_operator_caches()
+    try:
+        _per_n_results(n)
+    finally:
+        _clear_operator_caches()
+    assert calls == [labels for labels, _ in kinds._KINDS]
+
+
+def test_a_changed_u3_coefficient_fails_the_expansion_check_wherever_its_kind_is(monkeypatch):
+    # The {a,b,c} kind, present from n = 3 on.
+    u3 = kinds.kind_table()[3].u3.copy()
+    u3[0] += 1e-9
+    table = _with_kind(3, u3=u3)
+    monkeypatch.setattr(kinds, "kind_table", lambda: table)
+    _clear_operator_caches()
+    try:
+        report = verify_all(5)
+    finally:
+        _clear_operator_caches()
+    expansions = {r.scope: r.passed for r in report.results
+                  if r.name == "symmetric_vector_expansions"}
+    assert expansions == {"n=2": True, "n=3": False, "n=4": False, "n=5": False}
+
+
+def test_a_misplaced_symmetric_row_fails_the_expansion_check(monkeypatch):
+    # Two rows of the three-fold symmetric basis exchanged at n = 4: still
+    # orthonormal and permutation invariant, but no longer row t on V_t.
+    real = spaces.symmetric_basis_3
+
+    def faulty(n):
+        rows = real(n)
+        if n == 4:
+            rows[[1, 2]] = rows[[2, 1]]
+        return rows
+
+    monkeypatch.setattr(spaces, "symmetric_basis_3", faulty)
+    failed = _failed_checks(verify_all(4))
+    assert ("n=4", "symmetric_vector_expansions") in failed
+    assert not {("n=4", "symmetric_bases_orthonormal"),
+                ("n=4", "threefold_permutation_invariance")} & failed
+    assert not any(scope == "n=3" for scope, _ in failed)
 
 
 def test_verify_all_memory_peak_stays_small():
@@ -769,7 +816,7 @@ def test_verify_all_memory_peak_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Measured 2.9 MiB (3.1 MiB with one copy of each operator per V_t, 6.4 MiB
+    # Measured 2.6 MiB (3.1 MiB with one copy of each operator per V_t, 6.4 MiB
     # with dense operators at n = 6); the full 1e-6 regime grid alone would take 24 MB.
     assert peak < 5 * 2**20
 

@@ -11,15 +11,14 @@ from qudisc.jordan import (
 from qudisc.spaces import (
     diagonal_blocks,
     dimension_table,
+    exchange_ac,
     mean_density_blocks,
     mean_density_operators,
     projector_from_rows,
-    s1_product_basis,
-    s2_product_basis,
     symmetric_basis_3,
     triple_labels,
 )
-from references import g_rows_by_formula, ket
+from references import g_rows_by_formula, ket, s1_rows_by_kron
 
 
 def test_qubit_pair_count_and_triples():
@@ -200,8 +199,8 @@ def test_density_from_jordan_trace_qubits():
 def test_g_family_completes_s1(n):
     pairs = build_gh_bases(n)
     p0 = projector_from_rows(symmetric_basis_3(n))
-    p_s1 = projector_from_rows(s1_product_basis(n))
-    p_s2 = projector_from_rows(s2_product_basis(n))
+    s1 = s1_rows_by_kron(n)
+    p_s1, p_s2 = projector_from_rows(s1), projector_from_rows(exchange_ac(s1, n))
     assert np.abs(p0 + projector_from_rows(pairs.g) - p_s1).max() < 1e-10
     assert np.abs(p0 + projector_from_rows(pairs.h) - p_s2).max() < 1e-10
 

@@ -8,7 +8,7 @@ from qudisc.jordan import CASE_DISTINCT, CASE_DISTINCT_PRIMED, CASE_HIGH, CASE_L
 from qudisc.spaces import label_blocks
 
 ARRAYS = ("g", "h", "g_perp", "h_perp", "p0", "p_g", "p_h", "p_g_perp", "p_h_perp",
-          "s1", "s2", "rho1", "rho2")
+          "s1_rows", "s2_rows", "s1", "s2", "rho1", "rho2")
 
 
 def test_the_four_kinds_and_their_rows():
@@ -22,6 +22,8 @@ def test_the_four_kinds_and_their_rows():
             array = getattr(kind, name)
             assert array.dtype == np.float64 and not array.flags.writeable, name
             assert array.shape[-1] == kind.d, name
+        assert kind.u3.dtype == np.float64 and not kind.u3.flags.writeable
+        assert kind.u3.shape == kind.s1_rows.shape[:1] == kind.s2_rows.shape[:1]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -53,3 +55,7 @@ def test_kind_identities():
         assert _gap(kind.p0 + kind.p_h, kind.rho2) <= 1e-15
         assert _gap(kind.h_perp, kind.g_perp / 2 + np.sqrt(3) / 2 * kind.h) <= 1e-15
         assert _gap(kind.p_g_perp @ kind.h.T, 0.0) <= 1e-15  # g_perp is orthogonal to h
+        assert _gap(kind.s1_rows.T @ kind.s1_rows, kind.s1) == 0.0
+        assert _gap(kind.s2_rows.T @ kind.s2_rows, kind.s2) == 0.0
+        for rows in (kind.s1_rows, kind.s2_rows):  # u3 expands the unit symmetric vector
+            assert _gap(kind.u3 @ rows, np.full(kind.d, 1 / np.sqrt(kind.d))) <= 1e-15

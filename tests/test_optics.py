@@ -47,6 +47,22 @@ def test_two_mode_unitary_is_unitary():
         assert np.array_equal(from_stack, block)
 
 
+def test_two_mode_unitary_broadcasts_its_angles():
+    blocks = two_mode_unitary(0.3, 1, np.array([0.2, 0.5]))
+    assert blocks.shape == (2, 2, 2)
+    for theta, block in zip((0.2, 0.5), blocks):
+        assert np.array_equal(block, two_mode_unitary(0.3, 1, theta))
+    grid = two_mode_unitary(np.array([[0.1], [0.4]]), 0.0, np.array([0.2, 0.5, 0.9]))
+    assert grid.shape == (2, 3, 2, 2)
+    assert np.array_equal(grid[1, 2], two_mode_unitary(0.4, 0.0, 0.9))
+
+
+def test_two_mode_unitary_rejects_angles_that_do_not_broadcast():
+    for angles in (([0.1, 0.2], [0.1, 0.2, 0.3], 0.0), (0.3, np.zeros((2, 3)), np.zeros(2))):
+        with pytest.raises(DomainError):
+            two_mode_unitary(*angles)
+
+
 @pytest.mark.parametrize("angles", [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, [0.1, -np.inf]),
                                     ("a", 0, 0), (0, 1j, 0), (True, 0, 0), ([0.1, [0.2]], 0, 0)])
 def test_two_mode_unitary_rejects_angles_that_are_not_finite_real_numbers(angles):

@@ -347,8 +347,8 @@ def test_cross_checks_match_dense_total_povm(n):
 def test_total_povm_is_real_and_its_cached_projectors_read_only(n):
     triple = total_povm(n, 0.6)
     assert all(op.dtype == np.float64 for op in triple.elements())
-    projectors = povm_module._reciprocal_projectors(n)
-    assert povm_module._reciprocal_projectors(n) is projectors
+    projectors = povm_module._permutation_projectors(n)
+    assert povm_module._permutation_projectors(n) is projectors
     for proj in projectors:
         assert proj.dtype == np.float64 and not proj.flags.writeable
 
@@ -362,16 +362,24 @@ def test_total_povm_pi0_is_the_identity_minus_pi1_and_pi2(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_total_povm_blocks_are_the_dense_diagonal_blocks(n):
+    # The kind scatter is bit for bit a P_g_perp + b P_h_perp with the projectors
+    # of the dense g_perp and h_perp families; total_povm, built from the register
+    # permutations, is within 1e-15 of it and exactly 0 off the V_t blocks.
     grid = np.linspace(0.0, np.pi / 2, 50)
     stacks = povm_module.total_povm_blocks(n, grid)
     groups = label_blocks(n).groups
     assert [s.shape for s in stacks] == [(50, 3, *cols.shape, cols.shape[1]) for cols in groups]
+    pairs = build_gh_bases(n)
+    proj_g, proj_h = (rows.T @ rows for rows in (pairs.g_perp, pairs.h_perp))
     for i in range(0, 50, 3):
-        for k, op in enumerate(total_povm(n, grid[i]).elements()):
-            blocks, off = diagonal_blocks(op, n)
+        a, b = povm_module.detection_weights(grid[i])
+        reference = (a * proj_g, b * proj_h, np.eye(n**3) - a * proj_g - b * proj_h)
+        for k, (op, ref) in enumerate(zip(total_povm(n, grid[i]).elements(), reference)):
+            blocks, off = diagonal_blocks(ref, n)
             assert off == 0.0
             for block, stack in zip(blocks, stacks):
                 assert np.array_equal(block, stack[i, k])
+            assert np.abs(op - ref).max() <= 1e-15 and diagonal_blocks(op, n)[1] == 0.0
 
 
 def test_total_povm_blocks_validate_angles_and_keep_their_cache_read_only():

@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qudisc import kinds, spaces
+from qudisc import kinds, povm, spaces
 from qudisc.errors import ContractError, DomainError
 from qudisc.jordan import reciprocal_rows
 from qudisc.spaces import (
@@ -14,7 +15,6 @@ from qudisc.spaces import (
     diagonal_blocks,
     dimension_table,
     exchange_ac,
-    expand_u3,
     gather_blocks,
     kind_blocks,
     kind_counts,
@@ -25,8 +25,6 @@ from qudisc.spaces import (
     permute_registers,
     product_ket,
     projector_from_rows,
-    s1_product_basis,
-    s2_product_basis,
     symmetric_basis_2,
     symmetric_basis_3,
     symmetric_projector,
@@ -34,6 +32,7 @@ from qudisc.spaces import (
 )
 from references import (
     block_projectors, block_stacks, g_rows_by_formula, ket, rho_blocks_by_index_arithmetic,
+    s1_rows_by_kron,
 )
 
 
@@ -250,17 +249,31 @@ def test_dimension_table_matches_constructive_ranks(n):
     assert constructive_dimension_table(n) == dimension_table(n)
 
 
-def _s1_product_basis_loop(n):
-    """Reference: one np.kron per (pair, C label), the build the index scatter replaced."""
-    eye = np.eye(n)
-    return np.array([np.kron(u, eye[a]) for u in symmetric_basis_2(n) for a in range(n)])
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_s1_product_basis_is_the_kron_loop_bit_for_bit(n):
-    rows, reference = s1_product_basis(n), _s1_product_basis_loop(n)
-    assert rows.dtype == reference.dtype == np.float64 and rows.shape == reference.shape
-    assert rows.tobytes() == reference.tobytes()
+    # The kinds' S1 and S2 rows, scattered over the V_t, against the kron loop's
+    # rows and their A <-> C exchange split over the V_t.
+    reference = s1_rows_by_kron(n)
+    for entry, rows in (("s1_rows", reference), ("s2_rows", exchange_ac(reference, n))):
+        scattered, stacks = kind_blocks(n, entry), block_stacks(rows, n)
+        assert [s.dtype for s in scattered] == [np.float64] * len(stacks)
+        assert [s.tobytes() for s in scattered] == [r.tobytes() for r in stacks], entry
+
+
+@pytest.mark.parametrize("build", [
+    symmetric_basis_2, symmetric_basis_3, symmetric_projector, kind_counts,
+    lambda n: povm.total_povm(n, 0.5).elements(),
+], ids=["symmetric_basis_2", "symmetric_basis_3", "symmetric_projector", "kind_counts",
+        "total_povm"])
+def test_a_whole_float_n_gives_the_integer_n_arrays(build):
+    got, expected = build(3.0), build(3)
+    assert np.shape(got) == np.shape(expected) and np.array_equal(got, expected)
+
+
+def test_a_whole_float_n_gives_the_integer_n_tables():
+    for table in (dimension_table, constructive_dimension_table):
+        assert table(3.0) == table(3)
+        assert all(type(value) is int for value in dataclasses.astuple(table(3.0)))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -269,9 +282,8 @@ def test_bases_and_operators_on_the_registers_are_real(n):
         symmetric_basis_2(n), symmetric_basis_3(n),
         permute_registers(np.eye(n * n), (1, 0), n),
         permute_registers(np.eye(n**3), (2, 0, 1), n),
-        s1_product_basis(n), s2_product_basis(n), symmetric_projector(n),
+        symmetric_projector(n),
         *mean_density_operators(n), *mean_density_blocks(n)[0], *mean_density_blocks(n)[1],
-        expand_u3(n, (1, 1, 2)),
     ]
     assert all(a.dtype == np.float64 for a in arrays)
     blocks = label_blocks(n)
@@ -298,7 +310,7 @@ def test_label_blocks_are_the_sorted_label_multisets(n, factors):
 
 def test_block_stacks_restrict_rows_and_refuse_rows_across_blocks():
     n = 3
-    rows = s1_product_basis(n)
+    rows = s1_rows_by_kron(n)
     stacks = block_stacks(rows, n)
     for cols, stack in zip(label_blocks(n).groups, stacks):
         for members, block in zip(cols, stack):
@@ -330,12 +342,12 @@ def test_constructive_table_counts_kinds_and_reads_their_s1_blocks(monkeypatch):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_kind_blocks_are_the_blocks_of_the_rows_they_replace(n):
     # n^3-wide rows built without the kind table: g term by term, h as its A <-> C exchange.
-    g = g_rows_by_formula(n)
+    g, s1 = g_rows_by_formula(n), s1_rows_by_kron(n)
     h = exchange_ac(g, n)
     g_perp, h_perp = reciprocal_rows(g, h)
     for entry, rows in (("p_g_perp", g_perp), ("p_h_perp", h_perp), ("p_g", g),
                         ("p_h", h), ("p0", symmetric_basis_3(n)),
-                        ("s1", s1_product_basis(n)), ("s2", s2_product_basis(n))):
+                        ("s1", s1), ("s2", exchange_ac(s1, n))):
         scattered, reference = kind_blocks(n, entry), block_projectors(block_stacks(rows, n))
         assert [s.tobytes() for s in scattered] == [r.tobytes() for r in reference], entry
     for entry, rows in (("g", g), ("h", h)):
@@ -351,7 +363,25 @@ def test_kind_blocks_are_the_blocks_of_the_rows_they_replace(n):
 def test_kind_counts_are_the_block_counts_of_each_kind(n):
     counts = kind_counts(n)
     assert counts.tolist() == [n, n * (n - 1) // 2, n * (n - 1) // 2, n * (n - 1) * (n - 2) // 6]
+    assert counts.tolist() == np.bincount(label_blocks(n).kind_of, minlength=4).tolist()
     assert counts @ [kind.d for kind in kinds.kind_table()] == n**3
+
+
+def test_kind_counts_and_the_averaged_trace_take_no_memory_that_grows_with_n():
+    # label_blocks(1000) alone would hold several n^3 = 10^9-entry arrays.
+    tracemalloc.start()
+    try:
+        counts = kind_counts(10**4)
+        value = povm.average_success_trace(1000, 0.7, povm.Priors.from_eta1(0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == [10**4, 49_995_000, 49_995_000, 166_616_670_000]
+    n = 4 * 10**6  # C(n, 3) is past int64, where numpy would round it to a float
+    assert kind_counts(n).tolist() == [n, n * (n - 1) // 2, n * (n - 1) // 2,
+                                       n * (n - 1) * (n - 2) // 6]
+    assert abs(value - povm.average_success(1000, 0.7, povm.Priors.from_eta1(0.3))) <= 1e-12
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -402,63 +432,48 @@ def test_block_readers_reject_operators_and_kets_of_the_wrong_width(call):
 
 
 def test_s1_union_s2_rank_qubits():
-    stacked = np.vstack([s1_product_basis(2), s2_product_basis(2)])
+    s1 = s1_rows_by_kron(2)
+    stacked = np.vstack([s1, exchange_ac(s1, 2)])
     singular = np.linalg.svd(stacked, compute_uv=False)
     assert int((singular > 1e-8).sum()) == 8
 
 
 def test_expand_u3_examples():
+    # The {a,a,b} kind on V_{1,1,2} at n = 2: its S1 rows, in the kron loop's
+    # (pair, C) order, are |112> and sym(1,2) x |1>.
     pairs = pair_labels(2)
     c_major, c_minor = np.sqrt(2 / 3), np.sqrt(1 / 3)
-
-    coeffs = expand_u3(2, (1, 1, 2))
-    expected = np.zeros(6, dtype=complex)
-    expected[pairs.index((1, 2)) * 2 + 0] = c_major  # sym(1,2) x |1>
-    expected[pairs.index((1, 1)) * 2 + 1] = c_minor  # |112>
-    np.testing.assert_allclose(coeffs, expected, atol=1e-15)
-
-    # The same coefficients rebuild u3 from the S2 rows, whose row m is row m
-    # of S1 with registers A and C exchanged.
-    s2 = s2_product_basis(2)
-    sym_12 = (ket((1, 2), 2) + ket((2, 1), 2)) / np.sqrt(2)
-    np.testing.assert_allclose(s2[pairs.index((1, 2)) * 2 + 0],
-                               np.kron(ket((1,), 2), sym_12))  # |1> x sym(1,2)
-    np.testing.assert_allclose(s2[pairs.index((1, 1)) * 2 + 1],
-                               ket((2, 1, 1), 2))  # |211>
+    aab = kinds.kind_table()[1]
+    assert np.array_equal(aab.u3, [c_minor, c_major])
+    s1 = s1_rows_by_kron(2)[[pairs.index((1, 1)) * 2 + 1, pairs.index((1, 2)) * 2 + 0]]
+    np.testing.assert_allclose(s1[0], ket((1, 1, 2), 2))
     u3 = symmetric_basis_3(2)[triple_labels(2).index((1, 1, 2))]
-    np.testing.assert_allclose(coeffs @ s2, u3, atol=1e-15)
+    np.testing.assert_allclose(aab.u3 @ s1, u3, atol=1e-15)
 
-    coeffs = expand_u3(3, (1, 2, 3))
-    assert np.count_nonzero(coeffs) == 3
-    np.testing.assert_allclose(
-        coeffs[np.nonzero(coeffs)], np.full(3, 1 / np.sqrt(3)), atol=1e-15
-    )
+    # The same coefficients rebuild u3 from the S2 rows, the S1 rows with
+    # registers A and C exchanged.
+    s2 = exchange_ac(s1, 2)
+    sym_12 = (ket((1, 2), 2) + ket((2, 1), 2)) / np.sqrt(2)
+    np.testing.assert_allclose(s2[0], ket((2, 1, 1), 2))  # |211>
+    np.testing.assert_allclose(s2[1], np.kron(ket((1,), 2), sym_12))  # |1> x sym(1,2)
+    np.testing.assert_allclose(aab.u3 @ s2, u3, atol=1e-15)
 
-
-@pytest.mark.parametrize("triple", [(1.5, 1.5, 2), (1, 2, 2.5), (0, 1, 2), (1, 2, np.nan),
-                                    (1, 2, "3"), (2, 1, 3), (1, 2, 4), (1, 2), (1, 2, 3, 3)])
-def test_expand_u3_rejects_labels_that_are_not_an_ordered_triple(triple):
-    with pytest.raises(DomainError):
-        expand_u3(3, triple)
+    abc = kinds.kind_table()[3]
+    np.testing.assert_allclose(abc.u3, np.full(3, 1 / np.sqrt(3)), atol=1e-15)
+    assert kinds.kind_table()[0].u3.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_expand_u3_reconstructs_symmetric_basis(n):
-    sym3 = symmetric_basis_3(n)
-    labels = triple_labels(n)
-    bases = (s1_product_basis(n), s2_product_basis(n))
-    for triple in labels:
-        coeffs = expand_u3(n, triple)
-        target = sym3[labels.index(triple)]
-        for rows in bases:
-            assert np.linalg.norm(coeffs @ rows - target) < 1e-12
-
-
-def test_expand_u3_rejects_bad_input():
-    with pytest.raises(DomainError):
-        expand_u3(2, (2, 1, 1))
-    with pytest.raises(DomainError):
-        expand_u3(2, (1, 1, 3))
+    # Each V_t's kind coefficients over the kron loop's S1 rows in V_t, and over
+    # their A <-> C exchange, give V_t's symmetric basis row.
+    sym3, blocks, table = symmetric_basis_3(n), label_blocks(n), kinds.kind_table()
+    s1 = s1_rows_by_kron(n)
+    owner = blocks.block_of[np.argmax(s1 != 0, axis=1)]
+    for t, target in enumerate(sym3):
+        rows = s1[owner == t]
+        for expanded in (rows, exchange_ac(rows, n)):
+            assert np.linalg.norm(table[blocks.kind_of[t]].u3 @ expanded - target) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
