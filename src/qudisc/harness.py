@@ -40,9 +40,8 @@ SCAN_STRIDE = 1000
 
 # The per-n suite reads the averaged inputs and the detection operators once
 # per kind of V_t.  Dense n^3 x n^3 operators are built only at n <= DENSE_N_MAX,
-# to be held against the scatter of the kind blocks over the V_t: the averaged
-# inputs, and the detection operators at every DENSE_STRIDE-th point of the
-# omega1 grid.
+# each V_t block to be held against its kind's block: the averaged inputs, and
+# the detection operators at every DENSE_STRIDE-th point of the omega1 grid.
 DENSE_N_MAX, DENSE_STRIDE = 5, 7
 # Bound on n_max: 8 n^6 bytes, one real n^3 x n^3 array, must not exceed it,
 # which admits n_max <= 8.  No such operator is built above n = 5; what still
@@ -60,6 +59,8 @@ def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
 
 def _haar_rows(rng: np.random.Generator, shape: tuple[int, ...], n: int) -> np.ndarray:
     """Unit vectors of the unitarily invariant measure along the last axis."""
+    # The normal draws, then the complex rows and the unit rows: 48 bytes an entry.
+    spaces.check_build_bytes(48 * int(np.prod(shape)) * n, "the sampled states")
     z = _complex_normal(rng, (*shape, n))
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
@@ -80,15 +81,17 @@ def _haar_pair_blocks(n: int, trials: int, seed: int, least: int):
 
 def haar_state(n: int, seed: int, stream: int = 0) -> np.ndarray:
     """Unit vector drawn from the unitarily invariant measure."""
-    spaces.check_integer(n, 1, "dimension")
+    n = spaces.check_integer(n, 1, "dimension")
     return _haar_rows(optics.seeded_stream(seed, stream), (), n)
 
 
 def empirical_mean_density(n: int, which: int, trials: int, seed: int) -> np.ndarray:
     """Monte Carlo average of the projector onto the three-register input."""
-    spaces.check_dimension(n)
+    n = spaces.check_dimension(n)
     if which not in (1, 2):
         raise DomainError("which must be 1 or 2")
+    # The complex n^3 x n^3 sum and product, and some five copies of a block's kets.
+    spaces.check_build_bytes(16 * (2 * n**6 + 5 * HAAR_BLOCK * n**3), "the sampled density")
     blocks = _haar_pair_blocks(n, trials, seed, 1)
     acc = np.zeros((n**3, n**3), dtype=complex)
     for psi1, psi2 in blocks:
@@ -116,12 +119,13 @@ def overlap_identity_check(psi1: np.ndarray, psi2: np.ndarray, n: int) -> Overla
     rows, in O(n^3) memory per ket.  Takes states (n,) or row-aligned stacks
     (T, n); states that are not finite unit vectors of length n raise ContractError.
     """
+    spaces.label_blocks(n)  # refuses an oversized n before the product kets are built
     psi1, psi2 = spaces.check_unit_states(psi1, psi2, n)
 
     def overlap_sum(entry, kets):
-        blocks = zip(spaces.kind_blocks(n, entry), spaces.gather_blocks(kets, n))
-        return sum((np.abs(np.einsum("...bj,bij->...bi", amps, rows)) ** 2).sum(axis=(-2, -1))
-                   for rows, amps in blocks)
+        blocks = zip(kinds.kind_table(), spaces.gather_blocks(kets, n))
+        return sum((np.abs(np.einsum("...bj,ij->...bi", amps, getattr(kind, entry))) ** 2)
+                   .sum(axis=(-2, -1)) for kind, amps in blocks)
 
     sum_g = overlap_sum("g_perp", spaces.product_ket(psi1, psi1, psi2))
     sum_h = overlap_sum("h_perp", spaces.product_ket(psi1, psi2, psi2))
@@ -147,7 +151,7 @@ def mc_success(
     Each trial contributes its exact conditional success probability, which
     depends on the drawn pair only through the squared overlap.
     """
-    spaces.check_dimension(n)
+    n = spaces.check_dimension(n)
     blocks = _haar_pair_blocks(n, trials, seed, 100)
     prefactor = povm.PURE_SCALE * povm.success_curve_x(povm.x_from_omega1(omega1), priors)
     values = np.concatenate([prefactor * (1.0 - np.abs((a.conj() * b).sum(axis=1)) ** 2)
@@ -253,18 +257,18 @@ def _lowest_eigenvalues(stack: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack)[..., 0]
 
 
-def _completeness_and_unambiguity(stacks, rho_blocks) -> tuple[np.ndarray, np.ndarray]:
+def _completeness_and_unambiguity(stacks, rhos) -> tuple[np.ndarray, np.ndarray]:
     """Per angle, the largest |entry| of pi1 + pi2 + pi0 - I on the blocks and
     the larger of |Tr(pi1 rho2)| and |Tr(pi2 rho1)|, summed over the blocks.
 
-    The operators come as (K, 3, blocks, d, d) stacks, and rho_blocks holds the
-    matching (blocks, d, d) stacks of the averaged inputs, so the traces read
-    only those blocks.
+    The operators come as one (K, 3, blocks, d, d) stack per kind, and rhos holds
+    each kind's (d, d) blocks of the two averaged inputs, the same on each of its
+    V_t, so the traces read only the blocks.  A kind with no blocks adds nothing.
     """
-    rho1, rho2 = rho_blocks
-    complete = np.max([np.abs(s.sum(axis=1) - np.eye(s.shape[-1])).max(axis=(1, 2, 3))
+    rho1, rho2 = rhos
+    complete = np.max([np.abs(s.sum(axis=1) - np.eye(s.shape[-1])).max(axis=(1, 2, 3), initial=0.0)
                        for s in stacks], axis=0)
-    wrong = [sum(np.einsum("kbij,bji->k", s[:, k], r) for s, r in zip(stacks, rho))
+    wrong = [sum(np.einsum("kbij,ji->k", s[:, k], r) for s, r in zip(stacks, rho))
              for k, rho in ((0, rho2), (1, rho1))]
     return complete, np.maximum(np.abs(wrong[0]), np.abs(wrong[1]))
 
@@ -312,23 +316,24 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
         trace = sum(count * np.trace(block) for (count, *_), block in zip(present, blocks))
         dev = _worst(dev, abs(trace - 1), np.maximum(0.0, -lowest))
     if n <= DENSE_N_MAX:
-        for rho, blocks in zip(spaces.mean_density_operators(n), spaces.mean_density_blocks(n)):
+        for rho, entry in zip(spaces.mean_density_operators(n), ("rho1", "rho2")):
             diagonal, off_block = spaces.diagonal_blocks(rho, n)
-            distance = sum(((d - b) ** 2).sum() for d, b in zip(diagonal, blocks))
+            distance = sum(((d - weight * getattr(kind, entry)) ** 2).sum()
+                           for d, kind in zip(diagonal, kinds.kind_table()))
             dev = _worst(dev, np.sqrt(distance + off_block**2))
     report.add("mean_densities_are_states", scope, dev, tol.tight,
                "averaged inputs are unit-trace positive operators")
 
     # Per kind present, u3 over its S1 rows and over its S2 rows gives its unit
-    # symmetric vector; per n, sym3 is those vectors scattered over the V_t.
+    # symmetric vector; per n, row t of sym3 is that of V_t's kind, on V_t.
     units = [np.full(kind.d, 1.0 / np.sqrt(kind.d)) for kind in kinds.kind_table()]
     dev = _worst(*(np.linalg.norm(kind.u3 @ rows - unit)
                    for count, kind, unit in zip(counts, kinds.kind_table(), units) if count
                    for rows in (kind.s1_rows, kind.s2_rows)))
     blocks = spaces.label_blocks(n)
     rest = sym3.copy()  # row t of sym3 is that of V_t
-    for group, (cols, vectors) in enumerate(zip(blocks.groups, spaces.scatter_kinds(n, units))):
-        rest[np.flatnonzero(blocks.group_of == group)[:, None], cols] -= vectors
+    for k, (cols, unit) in enumerate(zip(blocks.groups, units)):
+        rest[np.flatnonzero(blocks.kind_of == k)[:, None], cols] -= unit
     dev = _worst(dev, np.linalg.norm(rest, axis=1).max())
     del rest  # n^6 / 6 bytes that no later check reads
     report.add("symmetric_vector_expansions", scope, dev, tol.tight,
@@ -364,8 +369,8 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     # One eigensolve per kind gives the exact lambda_min of its pi1, pi2 and pi0 at
     # every angle; each h_perp row must equal g_perp/2 + (sqrt(3)/2) h.  At
     # n <= DENSE_N_MAX every DENSE_STRIDE-th point (both ends included) is also built
-    # densely with total_povm and held against povm.total_povm_blocks, the kind blocks
-    # scattered over the V_t: each ||dense - blocks||_F, off-block entries included,
+    # densely with total_povm and each of its V_t blocks held against its kind's
+    # povm.kind_povms block: each ||dense - blocks||_F, off-block entries included,
     # joins that operator's negativity (Weyl, with ||.||_2 <= ||.||_F), and the dense
     # completeness, with the off-block norms added, and traces join the other two.
     h_perp_gap = _worst(*(
@@ -374,22 +379,21 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     negativity = np.maximum(0.0, -np.min([_lowest_eigenvalues(ops) for *_, ops in present], axis=0))
     complete, unambiguous = _completeness_and_unambiguity(
         [ops[:, :, None] for *_, ops in present],
-        [[count * weight * getattr(kind, entry)[None] for count, kind, _ in present]
+        [[count * weight * getattr(kind, entry) for count, kind, _ in present]
          for entry in ("rho1", "rho2")])
     if n <= DENSE_N_MAX:
         angles = grid[::DENSE_STRIDE]
-        stacks = povm.total_povm_blocks(n, angles)
-        dense = [np.empty_like(s) for s in stacks]
-        off = np.empty((len(angles), 3))
-        for i, omega1 in enumerate(angles):
-            for k, op in enumerate(povm.total_povm(n, omega1).elements()):
-                blocks, off[i, k] = spaces.diagonal_blocks(op, n)
-                for stack, block in zip(dense, blocks):
-                    stack[i, k] = block
-        distance = sum(((d - s) ** 2).sum(axis=(2, 3, 4)) for d, s in zip(dense, stacks))
+        read = [[spaces.diagonal_blocks(op, n) for op in povm.total_povm(n, omega1).elements()]
+                for omega1 in angles]  # per angle and operator: (blocks per kind, off-block norm)
+        off = np.array([[norm for _, norm in ops] for ops in read])
+        dense = [np.array([[blocks[k] for blocks, _ in ops] for ops in read])
+                 for k in range(len(kinds.kind_table()))]
+        distance = sum(((d - ops[:, :, None]) ** 2).sum(axis=(2, 3, 4))
+                       for d, ops in zip(dense, povm.kind_povms(angles)))
         negativity[::DENSE_STRIDE] += np.sqrt(distance + off**2)
         dense_complete, dense_unambiguous = _completeness_and_unambiguity(
-            dense, spaces.mean_density_blocks(n))
+            dense, [[weight * getattr(kind, entry) for kind in kinds.kind_table()]
+                    for entry in ("rho1", "rho2")])
         complete = np.concatenate([complete, dense_complete + off.sum(axis=1)])
         unambiguous = np.concatenate([unambiguous, dense_unambiguous])
     report.add("povm_positive", scope, _worst(h_perp_gap, negativity.max()), tol.op,
@@ -415,10 +419,10 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     closed = povm.pure_success(psi1, psi2, 0.7, priors, n)
     dev_pure = _or_inf(lambda: np.abs(
         closed - povm.pure_success_expectation(psi1, psi2, 0.7, priors, n)).max())
-    stacks = povm.total_povm_blocks(n, 0.7)
+    povms = povm.kind_povms(0.7)
     dev_unamb_pure = _worst(*(  # |pi_k |wrong input>| per pair, from its V_t blocks
-        np.sqrt(sum((np.abs(np.einsum("bij,tbj->tbi", s[0, k], amps)) ** 2).sum(axis=(1, 2))
-                    for s, amps in zip(stacks, spaces.gather_blocks(kets, n)))).max()
+        np.sqrt(sum((np.abs(np.einsum("ij,tbj->tbi", ops[0, k], amps)) ** 2).sum(axis=(1, 2))
+                    for ops, amps in zip(povms, spaces.gather_blocks(kets, n)))).max()
         for k, kets in ((0, spaces.product_ket(psi1, psi2, psi2)),
                         (1, spaces.product_ket(psi1, psi1, psi2)))
     ))

@@ -11,7 +11,7 @@ exchange maps S1 onto S2 and fixes the fully symmetric subspace.
 Every g_i lies in one label-multiset space V_t (:func:`qudisc.spaces.label_blocks`),
 and up to relabelling it is a row of one of four kinds, none depending on n
 (:mod:`qudisc.kinds`): one row for t = (i, i, k) or (i, j, j), and two for three
-distinct labels.  g is the kinds' rows scattered over the V_t.
+distinct labels.  g holds each kind's rows on every V_t of that kind.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .spaces import (
     check_dimension,
     dimension_table,
     exchange_ac,
-    kind_blocks,
     label_blocks,
     triple_labels,
 )
@@ -69,9 +68,9 @@ def build_gh_bases(n: int) -> JordanPairSet:
     depth = np.array([len(kind.cases) for kind in table])[blocks.kind_of]  # g rows per V_t
     first = np.cumsum(depth) - depth
     g = np.zeros((depth.sum(), n**3))
-    for group, (cols, rows) in enumerate(zip(blocks.groups, kind_blocks(n, "g"))):
-        index = first[blocks.group_of == group, None] + np.arange(rows.shape[1])
-        g[index[:, :, None], cols[:, None, :]] = rows
+    for k, (cols, kind) in enumerate(zip(blocks.groups, table)):
+        index = first[blocks.kind_of == k, None] + np.arange(len(kind.cases))
+        g[index[:, :, None], cols[:, None, :]] = kind.g  # the kind's rows on each of its V_t
     labels = tuple((case, triple) for triple, k in zip(triple_labels(n), blocks.kind_of)
                    for case in table[k].cases)
     pair_set = JordanPairSet(n=n, g=g, h=exchange_ac(g, n), labels=labels)

@@ -5,8 +5,9 @@ are a permutation of the multiset t (:func:`qudisc.spaces.label_blocks`).  Up
 to an order-preserving relabelling, which keeps the kets' ascending flat
 order, t is one of four kinds: {a,a,a}, {a,a,b}, {a,b,b} and {a,b,c} with
 a < b < c.  So an operator built alike on every V_t has one block per kind,
-the same at every qudit dimension n; :func:`qudisc.spaces.kind_blocks`
-scatters the blocks held here over the V_t of a given n.
+the same at every qudit dimension n; :attr:`qudisc.spaces.LabelBlocks.groups`
+lists the V_t of each kind at a given n, and the block held here broadcasts
+over them.
 
 Each entry is built from its own definition, never from another entry, so the
 checks that compare entries compare independent constructions.

@@ -323,7 +323,7 @@ def discriminator_network(omega1: float) -> Interferometer:
 def discriminator_port_state(which: str) -> np.ndarray:
     """Port amplitudes of the injected g, h or g_perp state: its coordinates in
     the orthonormal (g_perp, h) frame of one Jordan block, then the vacuum port."""
-    if which not in _PORT_STATES:
+    if not isinstance(which, str) or which not in _PORT_STATES:
         raise DomainError(f"unknown input {which!r}")
     return np.array(_PORT_STATES[which], dtype=complex)
 
@@ -387,11 +387,11 @@ def prepare_state_network(amplitudes: np.ndarray, n: int) -> Interferometer:
     final amplitude at layer (k, k+1) and hands the residual weight onward.
     """
     amps = _complex_array(amplitudes, "amplitudes")
+    n = _check_num_modes(n)  # before the cascade is computed
     if amps.shape != (n,):
         raise ContractError(f"expected {n} amplitudes, got shape {amps.shape}")
     if not abs(np.linalg.norm(amps) - 1.0) <= TAU_NORM:
         raise ContractError("amplitudes must have unit norm")
-    _check_num_modes(n)  # before the cascade is computed
 
     if abs(abs(amps[0]) - 1.0) < 1e-14:
         phase = float(np.angle(amps[0]))

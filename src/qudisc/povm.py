@@ -2,8 +2,8 @@
 
 On each Jordan block span(g_perp_i, h_i) the measurement is :func:`block_povm`,
 written in the block's orthonormal (g_perp, h) frame.  :func:`kind_povms` gives
-it on each kind of label-multiset space V_t, with no n in it, and
-:func:`total_povm_blocks` scatters those over the V_t of dimension n.
+it on each kind of label-multiset space V_t, with no n in it: its block on
+every V_t of that kind (:attr:`qudisc.spaces.LabelBlocks.groups`).
 :func:`total_povm` builds the same operators independently, as combinations of
 the register permutations.
 
@@ -33,8 +33,8 @@ import numpy as np
 from . import kinds
 from .errors import ContractError, DegeneratePriorsError, DomainError
 from .spaces import (
-    check_dimension, check_unit_states, gather_blocks, kind_counts, mean_density_weight,
-    permute_registers, product_ket, scatter_kinds,
+    check_build_bytes, check_dimension, check_unit_states, gather_blocks, kind_counts,
+    label_blocks, mean_density_weight, permute_registers, product_ket,
 )
 
 PROB_SLACK = 1e-12
@@ -54,14 +54,14 @@ class Priors:
     eta2: float
 
     def __post_init__(self) -> None:
-        if not (self.eta1 >= 0 and self.eta2 >= 0):
+        if not (check_real(self.eta1, "eta1") >= 0 and check_real(self.eta2, "eta2") >= 0):
             raise DomainError("priors must be nonnegative")
         if not abs(self.eta1 + self.eta2 - 1.0) <= 1e-12:
             raise DomainError("priors must sum to 1")
 
     @classmethod
     def from_eta1(cls, eta1: float) -> "Priors":
-        return cls(eta1, 1.0 - eta1)
+        return cls(eta1, 1.0 - check_real(eta1, "eta1"))
 
     def require_nondegenerate(self) -> None:
         if self.eta1 <= 0.0 or self.eta1 >= 1.0:
@@ -93,13 +93,18 @@ class RegimeResult:
     omega1_star: float
 
 
-def check_omega1(omega1: float) -> float:
+def check_real(value, what: str) -> float:
+    """`value` as a float; DomainError unless it is a real number."""
     try:
-        if isinstance(omega1, (str, bytes, bool, np.bool_)):  # float() would take them
+        if isinstance(value, (str, bytes, bool, np.bool_)):  # float() would take them
             raise TypeError
-        omega1 = float(omega1)
+        return float(value)
     except (TypeError, ValueError):
-        raise DomainError(f"omega1 must be a real number, got {omega1!r}") from None
+        raise DomainError(f"{what} must be a real number, got {value!r}") from None
+
+
+def check_omega1(omega1: float) -> float:
+    omega1 = check_real(omega1, "omega1")
     if not 0.0 <= omega1 <= np.pi / 2 + 1e-12:
         raise DomainError(f"omega1 must lie in [0, pi/2], got {omega1}")
     return omega1
@@ -122,6 +127,7 @@ def x_from_omega1(omega1: float) -> float:
 
 
 def omega1_from_x(x: float) -> float:
+    x = check_real(x, "x")
     if not 1.0 <= x <= 4.0:
         raise DomainError(f"x must lie in [1, 4], got {x}")
     return float(np.arccos(np.sqrt((x - 1.0) / 3.0)))
@@ -159,6 +165,8 @@ def total_povm(n: int, omega1: float) -> MeasurementTriple:
     :func:`detection_weights` and the projectors built from the register
     permutations (:func:`_permutation_projectors`)."""
     n, omega1 = check_dimension(n), check_omega1(omega1)
+    # The identity, its six permutations, their sums and the elements: 16 n^6 floats.
+    check_build_bytes(8 * 16 * n**6, "the dense detection operators")
     proj_g, proj_h = _permutation_projectors(n)
     a, b = detection_weights(omega1)
     pi1 = a * proj_g
@@ -180,13 +188,6 @@ def kind_povms(omega1) -> list[np.ndarray]:
     return [np.stack([a * k.p_g_perp, b * k.p_h_perp,
                       np.eye(k.d) - a * (k.g_perp.T @ k.g_perp) - b * (k.h_perp.T @ k.h_perp)],
                      axis=1) for k in kinds.kind_table()]
-
-
-def total_povm_blocks(n: int, omega1) -> list[np.ndarray]:
-    """:func:`total_povm` at each angle of `omega1` (one or an array) as its V_t diagonal
-    blocks, which hold all its entries: :func:`kind_povms` scattered over the V_t, one
-    (angles, 3, blocks, d, d) stack per group of :func:`spaces.label_blocks`."""
-    return scatter_kinds(n, kind_povms(omega1), axis=2)
 
 
 @functools.lru_cache(maxsize=4)  # the n^3 x n^3 projectors grow as n^6
@@ -211,6 +212,7 @@ def _permutation_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def success_curve_x(x: float, priors: Priors) -> float:
     """Per-subspace success probability as a function of x in [1, 4]."""
+    x = check_real(x, "x")
     if not 1.0 <= x <= 4.0:
         raise DomainError(f"x must lie in [1, 4], got {x}")
     return clamp_probability(1.0 - priors.eta1 * x / 4.0 - priors.eta2 / x)
@@ -275,6 +277,7 @@ def optimal_pure(overlap_sq: float, priors: Priors) -> RegimeResult:
     Depends only on the priors and the squared overlap, not on the qudit
     dimension.
     """
+    overlap_sq = check_real(overlap_sq, "overlap_sq")
     if not 0.0 <= overlap_sq <= 1.0:
         raise DomainError(f"overlap_sq must lie in [0, 1], got {overlap_sq}")
     best = optimal_subspace(priors)
@@ -298,16 +301,17 @@ def average_success_trace(n: int, omega1, priors: Priors) -> float | np.ndarray:
 def pure_success_expectation(
     psi1: np.ndarray, psi2: np.ndarray, omega1: float, priors: Priors, n: int
 ) -> float | np.ndarray:
-    """Operator-level evaluation of :func:`pure_success` (cross-check): block
-    quadratic forms of :func:`total_povm_blocks` on the product kets' amplitudes
-    on each V_t (:func:`spaces.gather_blocks`), in O(n^3) memory.  Takes states
-    (n,) or row-aligned stacks (T, n), as :func:`pure_success` does."""
-    stacks = total_povm_blocks(check_dimension(n), omega1)
+    """Operator-level evaluation of :func:`pure_success` (cross-check): quadratic
+    forms of each kind's :func:`kind_povms` on the product kets' amplitudes on
+    every V_t of that kind (:func:`spaces.gather_blocks`), in O(n^3) memory.
+    Takes states (n,) or row-aligned stacks (T, n), as :func:`pure_success` does."""
+    n, povms = check_dimension(n), kind_povms(omega1)
+    label_blocks(n)  # refuses an oversized n before the product kets are built
     psi1, psi2 = check_unit_states(psi1, psi2, n)
     value = 0.0
     for k, eta, kets in ((0, priors.eta1, product_ket(psi1, psi1, psi2)),
                          (1, priors.eta2, product_ket(psi1, psi2, psi2))):
         value = value + eta * sum(  # Re <a|op|a> = <Re a|op|Re a> + <Im a|op|Im a> for a real op
-            np.einsum("...bi,bij,...bj->...", part, s[0, k], part)
-            for s, a in zip(stacks, gather_blocks(kets, n)) for part in (a.real, a.imag))
+            np.einsum("...bi,ij,...bj->...", part, ops[0, k], part)
+            for ops, a in zip(povms, gather_blocks(kets, n)) for part in (a.real, a.imag))
     return clamp_probability(value)

@@ -8,13 +8,14 @@ real (float64); only states and their product kets are complex.
 A basis ket |i j k> lies in the label-multiset space V_t of its sorted labels
 t.  The symmetric bases, the S1 and S2 product bases and the averaged input
 states are block diagonal over these spaces, and each V_t block is that of
-its kind (:mod:`qudisc.kinds`), so such objects are kept as stacks of V_t
-blocks (:func:`label_blocks`) scattered from the kind table (:func:`scatter_kinds`).
+its kind (:mod:`qudisc.kinds`).  :func:`label_blocks` groups the V_t by kind,
+so one block of the kind table broadcasts over every V_t of its group.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -28,6 +29,11 @@ from .errors import ContractError, DomainError
 TAU_NORM = 1e-10
 TAU_OP = 1e-10
 TAU_RANK = 1e-8
+# Most bytes one call may build: calls whose arrays grow with n estimate their
+# peak and raise DomainError above it before they allocate.  1 GiB is a quarter
+# of a 4 GiB VM and some 180 times the largest such call of the tests (total_povm
+# at n = 6); it admits the V_t up to n = 237 and total_povm up to n = 14.
+MAX_BUILD_BYTES = 2**30
 
 
 def check_integer(value, low: int, what: str) -> int:
@@ -40,6 +46,12 @@ def check_integer(value, low: int, what: str) -> int:
     if not (whole and value >= low):
         raise DomainError(f"{what} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def check_build_bytes(nbytes: int, what: str) -> None:
+    """DomainError if a call would build more than MAX_BUILD_BYTES for `what`."""
+    if nbytes > MAX_BUILD_BYTES:
+        raise DomainError(f"{what} would take {nbytes} bytes, over the limit {MAX_BUILD_BYTES}")
 
 
 def check_dimension(n: int) -> int:
@@ -84,23 +96,25 @@ class LabelBlocks:
 
     block_of[f] is the index of flat basis index f's sorted label tuple in
     combinations-with-replacement order (:func:`pair_labels`,
-    :func:`triple_labels`).  groups holds one (blocks, d) array per block
-    dimension d: the flat indices of each V_t of that dimension, ascending,
-    with the blocks in index order.  group_of[t] is the group of block t.
-    kind_of[t] has bit factors - 2 - r set where sorted labels r and r + 1 of t
-    differ; for three registers that is the index into :func:`kinds.kind_table`.
+    :func:`triple_labels`).  kind_of[t] has bit factors - 2 - r set where sorted
+    labels r and r + 1 of t differ; for three registers that is the index into
+    :func:`qudisc.kinds.kind_table`.  groups[k] is a (blocks, d) array: the flat
+    indices of each V_t of kind k, ascending, with the blocks in index order,
+    and d the size of every V_t of that kind; a kind absent at n has no rows.
     All arrays are read-only.
     """
 
     block_of: np.ndarray
     groups: tuple[np.ndarray, ...]
-    group_of: np.ndarray
     kind_of: np.ndarray
 
 
 def label_blocks(n: int, factors: int = 3) -> LabelBlocks:
     """The V_t of `factors` registers at qudit dimension n; one shared instance per (n, factors)."""
-    return _label_blocks(check_dimension(n), check_integer(factors, 1, "register count"))
+    n, factors = check_dimension(n), check_integer(factors, 1, "register count")
+    # The labels, sorted, their keys and their sorts: about ten int64 per basis ket.
+    check_build_bytes(8 * 10 * n**factors, f"the V_t of {factors} registers")
+    return _label_blocks(n, factors)
 
 
 # verify_all(n_max) reads one key per (n, factors), n = 2..n_max and factors 2
@@ -110,37 +124,20 @@ def _label_blocks(n: int, factors: int) -> LabelBlocks:
     labels = np.sort(np.indices((n,) * factors).reshape(factors, -1).T, axis=1)
     keys = labels @ n ** np.arange(factors - 1, -1, -1)
     _, first, block_of = np.unique(keys, return_index=True, return_inverse=True)
-    kind_of = (np.diff(labels[first], axis=1) != 0) @ 2 ** np.arange(factors - 2, -1, -1)
-    sizes = np.bincount(block_of)
-    members = np.split(np.argsort(block_of, kind="stable"), np.cumsum(sizes)[:-1])
-    dims = np.flatnonzero(np.bincount(sizes))
-    group_of = np.searchsorted(dims, sizes)
+    bits = 2 ** np.arange(factors - 2, -1, -1)
+    kind_of = (np.diff(labels[first], axis=1) != 0) @ bits
+    members = np.argsort(block_of, kind="stable")  # each V_t's flat indices in turn
+    member_kind = kind_of[block_of[members]]
     groups = []
-    for g, d in enumerate(dims):
-        ids = np.flatnonzero(group_of == g)
-        groups.append(np.array([members[t] for t in ids]).reshape(len(ids), d))
-    blocks = LabelBlocks(block_of=block_of, groups=tuple(groups), group_of=group_of,
-                         kind_of=kind_of)
-    for array in (block_of, group_of, kind_of, *groups):
+    for k in range(2 ** (factors - 1)):
+        # A multiset of kind k has runs of equal labels between the set bits of k.
+        runs = np.diff(np.flatnonzero(np.r_[1, k & bits, 1]))
+        d = math.factorial(factors) // math.prod(math.factorial(r) for r in runs)
+        groups.append(members[member_kind == k].reshape(-1, d))
+    blocks = LabelBlocks(block_of=block_of, groups=tuple(groups), kind_of=kind_of)
+    for array in (block_of, kind_of, *groups):
         array.setflags(write=False)
     return blocks
-
-
-def scatter_kinds(n: int, per_kind, axis: int = 0) -> list[np.ndarray]:
-    """One array per kind of :func:`qudisc.kinds.kind_table`, in its order, on every
-    V_t of three registers at qudit dimension n: one stack per group of
-    :func:`label_blocks`, the blocks along `axis`, each block's array that of its kind."""
-    blocks = label_blocks(n)
-    return [np.stack([per_kind[k] for k in blocks.kind_of[blocks.group_of == group]], axis=axis)
-            for group in range(len(blocks.groups))]
-
-
-def kind_blocks(n: int, entry: str) -> list[np.ndarray]:
-    """The `entry` field of :func:`qudisc.kinds.kind_table` on every V_t (:func:`scatter_kinds`)."""
-    table = kinds.kind_table()
-    if not (isinstance(entry, str) and hasattr(table[0], entry)):
-        raise DomainError(f"{entry!r} is not an entry of the kind table")
-    return scatter_kinds(n, [getattr(kind, entry) for kind in table])
 
 
 def kind_counts(n: int) -> np.ndarray:
@@ -153,7 +150,7 @@ def kind_counts(n: int) -> np.ndarray:
 
 def diagonal_blocks(op: np.ndarray, n: int) -> tuple[list[np.ndarray], float]:
     """The V_t diagonal blocks of an n^3 x n^3 operator, one (blocks, d, d)
-    stack per group of :func:`label_blocks`, and the Frobenius norm of the
+    stack per kind (:attr:`LabelBlocks.groups`), and the Frobenius norm of the
     entries off those blocks.  ContractError unless op is n^3 x n^3."""
     blocks = label_blocks(n)
     if np.shape(op) != blocks.block_of.shape * 2:
@@ -168,7 +165,7 @@ def diagonal_blocks(op: np.ndarray, n: int) -> tuple[list[np.ndarray], float]:
 
 def gather_blocks(kets: np.ndarray, n: int) -> list[np.ndarray]:
     """The amplitudes of kets (..., n^3) on each V_t, one (..., blocks, d)
-    array per group of :func:`label_blocks`: O(n^3) memory per ket.
+    array per kind (:attr:`LabelBlocks.groups`): O(n^3) memory per ket.
     ContractError unless the last axis has n^3 entries."""
     blocks = label_blocks(n)
     if np.shape(kets)[-1:] != blocks.block_of.shape:
@@ -211,6 +208,7 @@ def permute_registers(rows: np.ndarray, perm: tuple[int, ...], n: int) -> np.nda
     transpose permutes entries, so it is exact.  ContractError unless the rows
     are an array with n^len(perm) entries each."""
     check_dimension(n)
+    perm = tuple(check_integer(p, 0, "register index") for p in perm)
     if sorted(perm) != list(range(len(perm))):
         raise DomainError(f"{perm!r} is not a permutation of the registers")
     try:
@@ -247,6 +245,8 @@ def mean_density_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
     maximally mixed on A.  Both have unit trace.
     """
     n = check_dimension(n)
+    # Two real n^3 x n^3 operators and the products they are scaled from.
+    check_build_bytes(8 * 4 * n**6, "the averaged inputs")
     weight, p_sigma, eye = mean_density_weight(n), symmetric_projector(n), np.eye(n)
     return weight * np.kron(p_sigma, eye), weight * np.kron(eye, p_sigma)
 
@@ -254,16 +254,6 @@ def mean_density_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
 def mean_density_weight(n: int) -> float:
     """w = 2/(n^2 (n+1)): on each V_t the averaged inputs are w times its kind's rho1 and rho2."""
     return 2.0 / (check_dimension(n) ** 2 * (n + 1))
-
-
-def mean_density_blocks(n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """All the entries of :func:`mean_density_operators`, which are block
-    diagonal: one (blocks, d, d) stack per group of :func:`label_blocks` for
-    each operator, w (:func:`mean_density_weight`) times the kinds' rho1 and
-    rho2 (:func:`kind_blocks`)."""
-    weight = mean_density_weight(n)
-    return tuple(tuple(weight * stack for stack in kind_blocks(n, entry))
-                 for entry in ("rho1", "rho2"))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Reference constructions the library no longer uses, kept to hold it against.
 
-Each rebuilds per n what the library now scatters from the kind table
-(qudisc.kinds), by the route the library took before: splitting n^3-wide
+Each rebuilds per n what the library now reads once per kind from the kind
+table (qudisc.kinds), by the route the library took before: splitting n^3-wide
 rows over the V_t, writing the g family and the S1 product basis out term by
 term, and reading the averaged inputs' blocks from the entries of
 P_sigma (x) I and I (x) P_sigma.
@@ -58,8 +58,8 @@ def s1_rows_by_kron(n):
 def block_stacks(rows, n, factors=3):
     """Stacked rows split over the V_t, each row restricted to its own V_t.
 
-    Returns one (blocks, depth, d) array per group of label_blocks, block-aligned
-    with that group; a block's rows fill its first slots in row order and zero
+    Returns one (blocks, depth, d) array per kind of label_blocks, block-aligned
+    with its group; a block's rows fill its first slots in row order and zero
     rows pad the rest.  Raises ContractError unless each row has nonzero
     entries in exactly one V_t.
     """
@@ -68,13 +68,13 @@ def block_stacks(rows, n, factors=3):
     owner = blocks.block_of[nonzero.argmax(axis=1)]
     if not nonzero.any(axis=1).all() or (nonzero & (blocks.block_of != owner[:, None])).any():
         raise ContractError("each row must be supported in exactly one label-multiset space V_t")
-    slot_of = np.zeros_like(blocks.group_of)  # each block's place in its group
-    for g in range(len(blocks.groups)):
-        ids = np.flatnonzero(blocks.group_of == g)
+    slot_of = np.zeros_like(blocks.kind_of)  # each block's place in its group
+    for k in range(len(blocks.groups)):
+        ids = np.flatnonzero(blocks.kind_of == k)
         slot_of[ids] = np.arange(len(ids))
     stacks = []
-    for g, cols in enumerate(blocks.groups):
-        mine = np.flatnonzero(blocks.group_of[owner] == g)
+    for k, cols in enumerate(blocks.groups):
+        mine = np.flatnonzero(blocks.kind_of[owner] == k)
         slots = slot_of[owner[mine]]
         order = np.argsort(slots, kind="stable")
         mine, slots = mine[order], slots[order]
@@ -92,7 +92,7 @@ def block_projectors(stacks):
 
 def rho_blocks_by_index_arithmetic(n):
     """The V_t blocks of rho1 = w P_sigma (x) I and rho2 = w I (x) P_sigma, read
-    from the entries of P_sigma, one (blocks, d, d) stack per group."""
+    from the entries of P_sigma, one (blocks, d, d) stack per kind."""
     weight = 2.0 / (n**2 * (n + 1))
     p_sigma = symmetric_projector(n)
     rho1, rho2 = [], []

@@ -1,0 +1,65 @@
+"""The names README.md and the package's docstrings point to exist in the package."""
+
+import importlib
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qudisc"
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+DOTTED = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*"
+
+
+def _resolves(target, dotted):
+    """Whether each part of `dotted` is an attribute of the one before it, from
+    `target` on; a dataclass field counts as an attribute of its class."""
+    for part in dotted.split("."):
+        if hasattr(target, part):
+            target = getattr(target, part)
+        elif part in getattr(target, "__dataclass_fields__", ()):
+            target = None  # a field's value is per instance: nothing to follow past it
+        else:
+            return False
+    return True
+
+
+def _module(name):
+    return importlib.import_module(f"qudisc.{name}")
+
+
+def _in_a_module(dotted):
+    """Whether `dotted`, with or without the leading `qudisc.`, is module.attribute..."""
+    module, _, rest = dotted.removeprefix("qudisc.").partition(".")
+    return module in MODULES and bool(rest) and _resolves(_module(module), rest)
+
+
+def _readme_references():
+    """Backticked `module.name...` spans of README.md, with or without `qudisc.`,
+    outside fenced code and outside the "Removed from the API" paragraph."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    pattern = re.compile(rf"^((?:qudisc\.)?(?:{'|'.join(MODULES)})\.{DOTTED})")
+    return [match.group(1)
+            for paragraph in text.split("\n\n") if not paragraph.startswith("Removed from the API")
+            for span in re.findall(r"`([^`]+)`", paragraph)
+            if (match := pattern.match(span))]
+
+
+def _docstring_roles():
+    """(module name, target) of every :func:, :attr: and :class: role in the sources."""
+    return [(name, target) for name in MODULES
+            for target in re.findall(rf":(?:func|attr|class):`~?({DOTTED})`",
+                                     (SRC / f"{name}.py").read_text())]
+
+
+def test_readme_names_resolve_in_their_modules():
+    references = _readme_references()
+    assert len(references) >= 25  # the pattern still finds the README's references
+    assert [ref for ref in references if not _in_a_module(ref)] == []
+
+
+def test_docstring_roles_resolve_in_their_module_or_the_package():
+    roles = _docstring_roles()
+    assert len(roles) >= 30
+    stale = [(module, target) for module, target in roles
+             if not (_resolves(_module(module), target) or _in_a_module(target))]
+    assert stale == []

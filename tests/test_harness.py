@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -38,6 +39,35 @@ def test_haar_state_basics():
     for bad in (0, 1.5, np.inf, np.nan):
         with pytest.raises(DomainError):
             haar_state(bad, seed=1)
+    np.testing.assert_array_equal(haar_state(3.0, seed=5), state)
+
+
+def test_an_oversized_n_is_refused_before_any_allocation():
+    # Each call would need from some 100 GiB to some 10 TiB; it must raise
+    # DomainError, not MemoryError, having built next to nothing.
+    e0, e1 = np.zeros(2000), np.zeros(2000)
+    e0[0] = e1[1] = 1.0
+    priors = Priors.from_eta1(0.3)
+    calls = [
+        lambda: empirical_mean_density(100, 1, 10, 0),
+        lambda: povm.pure_success_expectation(e0, e1, 0.5, priors, 2000),
+        lambda: harness.overlap_identity_check(e0, e1, 2000),
+        lambda: total_povm(2000, 0.5),
+        lambda: mean_density_operators(100),
+        lambda: spaces.label_blocks(2000),
+        lambda: spaces.label_blocks(2, 40),
+        lambda: haar_state(10**13, 0),
+        lambda: mc_success(10**9, 0.5, priors, 100, 0),
+    ]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(DomainError, match="over the limit"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_haar_first_component_mean():
@@ -452,20 +482,28 @@ def test_verify_all_builds_dense_povms_only_at_the_cross_check_points(monkeypatc
 
 def test_verify_all_scatters_the_povm_only_at_the_cross_check_and_pure_state_angles(monkeypatch):
     calls = []
-    real = povm.total_povm_blocks
+    real = povm.kind_povms
 
-    def recorded(n, omega1):
-        calls.append((n, tuple(np.ravel(omega1))))
-        return real(n, omega1)
+    def recorded(omega1):
+        calls.append(tuple(np.ravel(omega1)))
+        return real(omega1)
 
-    monkeypatch.setattr(povm, "total_povm_blocks", recorded)
+    monkeypatch.setattr(povm, "kind_povms", recorded)
     assert verify_all(6).passed
     cross_check = tuple(OMEGA1_GRID[::harness.DENSE_STRIDE])
     assert len(cross_check) == 8
-    # The 50-point grid is read per kind: the scatter sees the dense cross-check
-    # points at n <= 5, the pure-state checks' 0.7 and dimension_independence's 0.8.
-    assert [n for n, angles in calls if angles == cross_check] == [2, 3, 4, 5]
-    assert {angles for _, angles in calls} == {cross_check, (0.7,), (0.8,)}
+    # Each n's checks open with the 50-point grid.  Besides it the kind blocks are
+    # read at the dense cross-check points at n <= 5, the averaged-trace check's
+    # grid[::7] and omega1*, the pure-state checks' 0.7 and dimension_independence's 0.8.
+    per_n = []
+    for angles in calls:
+        if angles == tuple(OMEGA1_GRID):
+            per_n.append([])
+        per_n[-1].append(angles)
+    assert [n for n, read in enumerate(per_n, 2) if cross_check in read] == [2, 3, 4, 5]
+    averaged = {angles for angles in calls if angles[:-1] == tuple(OMEGA1_GRID[::7])}
+    assert len(averaged) == 1
+    assert set(calls) == {tuple(OMEGA1_GRID), cross_check, *averaged, (0.7,), (0.8,)}
 
 
 def test_a_nan_in_one_permutation_operator_fails_the_invariance_check(monkeypatch):
@@ -535,25 +573,37 @@ def _failed_checks(report):
 
 
 def test_pi1_scaled_at_n5_fails_the_pure_state_checks(monkeypatch):
-    # pi1 at n = 5 scaled by 1 + 1e-3 wherever register C reads label 2, on its
-    # V_t blocks, and pi0 still I - pi1 - pi2: a uniform scale would leave pi1
-    # blind to the wrong input.
-    real = povm.total_povm_blocks
+    # While the per-n checks or a pure-state expectation run at n = 5, each kind's
+    # pi1 is scaled by 1 + 1e-3 wherever register C reads the kind's label b, and
+    # pi0 is still I - pi1 - pi2: a uniform scale would leave pi1 blind to the
+    # wrong input.
+    real, at_n5 = povm.kind_povms, [False]
 
-    def faulty(n, omega1):
-        stacks = real(n, omega1)
-        if n != 5:
+    def faulty(omega1):
+        stacks = real(omega1)
+        if not at_n5[-1]:
             return stacks
-        scale = np.ones((n, n, n))
-        scale[:, :, 1] = 1.0 + 1e-3
-        scale = scale.ravel()
-        for cols, stack in zip(spaces.label_blocks(n).groups, stacks):
-            pi1 = scale[cols][:, :, None] * stack[:, 0] * scale[cols][:, None, :]
+        for (labels, _), stack in zip(kinds._KINDS, stacks):
+            members = sorted(set(itertools.permutations(labels)))
+            scale = np.array([1.0 + 1e-3 if m[2] == 1 else 1.0 for m in members])
+            pi1 = scale[:, None] * stack[:, 0] * scale
             stack[:, 2] -= pi1 - stack[:, 0]
             stack[:, 0] = pi1
         return stacks
 
-    monkeypatch.setattr(povm, "total_povm_blocks", faulty)
+    def at(call, n_of):
+        def run(*args):
+            at_n5.append(n_of(args) == 5)
+            try:
+                return call(*args)
+            finally:
+                at_n5.pop()
+        return run
+
+    monkeypatch.setattr(povm, "kind_povms", faulty)
+    monkeypatch.setattr(harness, "_checks_for_n", at(harness._checks_for_n, lambda a: a[0]))
+    monkeypatch.setattr(povm, "pure_success_expectation",
+                        at(povm.pure_success_expectation, lambda a: a[-1]))
     failed = _failed_checks(verify_all(5))
     assert {("global", "dimension_independence"), ("n=5", "povm_unambiguous_pure"),
             ("n=5", "pure_success_closed_form")} <= failed
@@ -561,7 +611,7 @@ def test_pi1_scaled_at_n5_fails_the_pure_state_checks(monkeypatch):
 
 
 def _verify_with_changed_g_row(monkeypatch, case, change):
-    """verify_all(3) with the kind table, and the dense families scattered from
+    """verify_all(3) with the kind table, and the dense families written from
     it, built from change(row) as the g row of `case`."""
     real = kinds._g_rows
     monkeypatch.setattr(kinds, "_g_rows", lambda: {**real(), case: change(real()[case])})
@@ -707,6 +757,13 @@ def test_no_dense_operator_is_built_above_n5(monkeypatch):
     # Jordan pairs read from the kind table about 4.1 MiB, and with the u3
     # expansions read per kind instead of over the n^3-wide S1 rows 3.9 MiB.
     assert peak <= 26.7 / 2 * 2**20
+
+
+def test_a_kind_absent_at_n_reads_as_an_empty_group_and_the_suite_passes():
+    # n = 2 has no {a,b,c} V_t: its group is empty, and the per-kind reductions
+    # of the dense cross-checks read it as nothing.
+    assert spaces.label_blocks(2).groups[3].shape == (0, 6)
+    assert verify_all(2).passed
 
 
 def test_verify_all_hits_every_kept_cache_and_label_blocks_fits_its_keys():

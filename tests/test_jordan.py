@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qudisc import kinds
 from qudisc.errors import ContractError, DomainError
 from qudisc.jordan import (
     CASE_DISTINCT,
@@ -12,8 +13,8 @@ from qudisc.spaces import (
     diagonal_blocks,
     dimension_table,
     exchange_ac,
-    mean_density_blocks,
     mean_density_operators,
+    mean_density_weight,
     projector_from_rows,
     symmetric_basis_3,
     triple_labels,
@@ -182,11 +183,13 @@ def test_density_from_jordan_matches_direct(n):
     rho1, rho2 = mean_density_operators(n)
     assert np.abs(rho1_j - rho1).max() < 1e-12
     assert np.abs(rho2_j - rho2).max() < 1e-12
-    # The V_t blocks the verification suite reads are those of the rebuilt states.
-    for rebuilt, blocks in zip((rho1_j, rho2_j), mean_density_blocks(n)):
+    # The kind blocks the verification suite reads are those of the rebuilt states.
+    weight = mean_density_weight(n)
+    for rebuilt, entry in zip((rho1_j, rho2_j), ("rho1", "rho2")):
         diagonal, off = diagonal_blocks(rebuilt, n)
         assert off < 1e-12
-        assert max(np.abs(d - b).max() for d, b in zip(diagonal, blocks)) < 1e-12
+        assert max(np.abs(d - weight * getattr(kind, entry)).max(initial=0.0)
+                   for d, kind in zip(diagonal, kinds.kind_table())) < 1e-12
 
 
 def test_density_from_jordan_trace_qubits():

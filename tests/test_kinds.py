@@ -30,8 +30,8 @@ def test_the_four_kinds_and_their_rows():
 def test_each_block_has_the_members_of_its_kind_up_to_relabelling(n):
     blocks, table = label_blocks(n), kinds.kind_table()
     labels = np.indices((n,) * 3).reshape(3, -1).T
-    for group, cols in enumerate(blocks.groups):
-        for t, members in zip(np.flatnonzero(blocks.group_of == group), cols):
+    for k, cols in enumerate(blocks.groups):
+        for t, members in zip(np.flatnonzero(blocks.kind_of == k), cols):
             relabel = {x: r for r, x in enumerate(np.unique(labels[members]))}
             kets = [tuple(relabel[x] for x in labels[f]) for f in members]
             labels_of_kind = kinds._KINDS[blocks.kind_of[t]][0]

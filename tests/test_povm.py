@@ -362,13 +362,14 @@ def test_total_povm_pi0_is_the_identity_minus_pi1_and_pi2(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_total_povm_blocks_are_the_dense_diagonal_blocks(n):
-    # The kind scatter is bit for bit a P_g_perp + b P_h_perp with the projectors
-    # of the dense g_perp and h_perp families; total_povm, built from the register
-    # permutations, is within 1e-15 of it and exactly 0 off the V_t blocks.
+    # Each kind's block is, on every V_t of that kind, bit for bit a P_g_perp +
+    # b P_h_perp with the projectors of the dense g_perp and h_perp families;
+    # total_povm, built from the register permutations, is within 1e-15 of it and
+    # exactly 0 off the V_t blocks.
     grid = np.linspace(0.0, np.pi / 2, 50)
-    stacks = povm_module.total_povm_blocks(n, grid)
+    povms = povm_module.kind_povms(grid)
     groups = label_blocks(n).groups
-    assert [s.shape for s in stacks] == [(50, 3, *cols.shape, cols.shape[1]) for cols in groups]
+    assert [p.shape for p in povms] == [(50, 3, cols.shape[1], cols.shape[1]) for cols in groups]
     pairs = build_gh_bases(n)
     proj_g, proj_h = (rows.T @ rows for rows in (pairs.g_perp, pairs.h_perp))
     for i in range(0, 50, 3):
@@ -377,17 +378,17 @@ def test_total_povm_blocks_are_the_dense_diagonal_blocks(n):
         for k, (op, ref) in enumerate(zip(total_povm(n, grid[i]).elements(), reference)):
             blocks, off = diagonal_blocks(ref, n)
             assert off == 0.0
-            for block, stack in zip(blocks, stacks):
-                assert np.array_equal(block, stack[i, k])
+            for stack, ops in zip(blocks, povms):
+                assert all(np.array_equal(block, ops[i, k]) for block in stack)
             assert np.abs(op - ref).max() <= 1e-15 and diagonal_blocks(op, n)[1] == 0.0
 
 
 def test_total_povm_blocks_validate_angles_and_keep_their_cache_read_only():
-    single = povm_module.total_povm_blocks(3, 0.6)
-    assert [s.shape[0] for s in single] == [1, 1, 1]
+    single = povm_module.kind_povms(0.6)
+    assert [s.shape[0] for s in single] == [1, 1, 1, 1]
     for bad in (-0.1, np.nan, 2.0):
         with pytest.raises(DomainError):
-            povm_module.total_povm_blocks(3, [0.3, bad])
+            povm_module.kind_povms([0.3, bad])
     table = kinds.kind_table()  # the blocks' one source, built once
     assert kinds.kind_table() is table
     assert not any(k.p_g_perp.flags.writeable or k.p_h_perp.flags.writeable for k in table)
@@ -408,8 +409,6 @@ EMPTY_STATES = np.empty((0, 3), dtype=complex)
                  (0,), id="overlap_identity_check.sum_h"),
     pytest.param(lambda: average_success_trace(3, [], Priors.from_eta1(0.3)), (0,),
                  id="average_success_trace"),
-    pytest.param(lambda: povm_module.total_povm_blocks(3, [])[-1], (0, 3, 1, 6, 6),
-                 id="total_povm_blocks"),
     pytest.param(lambda: povm_module.kind_povms([])[0], (0, 3, 1, 1), id="kind_povms"),
 ])
 def test_empty_input_gives_empty_output(call, shape):
@@ -429,12 +428,33 @@ def test_empty_input_gives_empty_output(call, shape):
                  id="prepare_state_network"),
     pytest.param(lambda: optics.output_distribution(optics.Interferometer(num_modes=1), ["a"]),
                  ContractError, id="output_distribution"),
-    pytest.param(lambda: spaces.kind_blocks(3, "nope"), DomainError, id="kind_blocks-name"),
-    pytest.param(lambda: spaces.kind_blocks(3, None), DomainError, id="kind_blocks-None"),
+    pytest.param(lambda: omega1_from_x("2"), DomainError, id="omega1_from_x-str"),
+    pytest.param(lambda: omega1_from_x(None), DomainError, id="omega1_from_x-None"),
+    pytest.param(lambda: success_curve_x("2", Priors.from_eta1(0.3)), DomainError,
+                 id="success_curve_x"),
+    pytest.param(lambda: optimal_pure("x", Priors.from_eta1(0.3)), DomainError,
+                 id="optimal_pure"),
+    pytest.param(lambda: Priors("a", "b"), DomainError, id="Priors"),
+    pytest.param(lambda: Priors.from_eta1(None), DomainError, id="Priors.from_eta1"),
+    pytest.param(lambda: optics.prepare_state_network(np.array([0.6, 0.8]), 2.0 + 0.5),
+                 DomainError, id="prepare_state_network-n"),
+    pytest.param(lambda: spaces.permute_registers(np.eye(4), (1.5, 0), 2), DomainError,
+                 id="permute_registers"),
+    pytest.param(lambda: optics.discriminator_port_state(["g"]), DomainError,
+                 id="discriminator_port_state"),
 ])
 def test_non_numeric_input_raises_the_package_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_whole_float_counts_and_register_indices_are_taken_as_ints():
+    amps = np.array([0.6, 0.8])
+    net, reference = optics.prepare_state_network(amps, 2.0), optics.prepare_state_network(amps, 2)
+    assert net.num_modes == 2 and net.to_text() == reference.to_text()
+    rows = np.arange(16.0).reshape(4, 4)
+    assert np.array_equal(spaces.permute_registers(rows, (1.0, 0), 2),
+                          spaces.permute_registers(rows, (1, 0), 2))
 
 
 @pytest.mark.parametrize("value, expected", [

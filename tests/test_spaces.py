@@ -16,11 +16,10 @@ from qudisc.spaces import (
     dimension_table,
     exchange_ac,
     gather_blocks,
-    kind_blocks,
     kind_counts,
     label_blocks,
-    mean_density_blocks,
     mean_density_operators,
+    mean_density_weight,
     pair_labels,
     permute_registers,
     product_ket,
@@ -34,6 +33,11 @@ from references import (
     block_projectors, block_stacks, g_rows_by_formula, ket, rho_blocks_by_index_arithmetic,
     s1_rows_by_kron,
 )
+
+
+def _every_block_is(stack, block):
+    """Whether each block of a (blocks, ...) stack is `block`, bit for bit."""
+    return all(b.shape == block.shape and b.tobytes() == block.tobytes() for b in stack)
 
 
 def _flat_index(labels, n):
@@ -211,11 +215,12 @@ def test_mean_density_operators_are_states(n):
 def test_mean_density_blocks_are_the_dense_diagonal_blocks(n):
     # The blocks are w (I + swap)/2, whose entries w/2 and w are exact; the dense
     # operators take P_sigma's entries (1/sqrt 2)^2, which may round to one ulp off 1/2.
-    ulp = np.spacing(2.0 / (n**2 * (n + 1)))
-    for rho, stacks in zip(mean_density_operators(n), mean_density_blocks(n)):
+    ulp, weight = np.spacing(2.0 / (n**2 * (n + 1))), mean_density_weight(n)
+    for rho, entry in zip(mean_density_operators(n), ("rho1", "rho2")):
         diagonal, off = diagonal_blocks(rho, n)
         assert off == 0.0
-        assert max(np.abs(d - b).max() for d, b in zip(diagonal, stacks)) <= ulp
+        assert max(np.abs(d - weight * getattr(kind, entry)).max(initial=0.0)
+                   for d, kind in zip(diagonal, kinds.kind_table())) <= ulp
 
 
 def test_mean_density_spectrum_qubits():
@@ -251,13 +256,13 @@ def test_dimension_table_matches_constructive_ranks(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_s1_product_basis_is_the_kron_loop_bit_for_bit(n):
-    # The kinds' S1 and S2 rows, scattered over the V_t, against the kron loop's
-    # rows and their A <-> C exchange split over the V_t.
+    # The kinds' S1 and S2 rows against the kron loop's rows and their A <-> C
+    # exchange, split over the V_t of each kind.
     reference = s1_rows_by_kron(n)
     for entry, rows in (("s1_rows", reference), ("s2_rows", exchange_ac(reference, n))):
-        scattered, stacks = kind_blocks(n, entry), block_stacks(rows, n)
-        assert [s.dtype for s in scattered] == [np.float64] * len(stacks)
-        assert [s.tobytes() for s in scattered] == [r.tobytes() for r in stacks], entry
+        for kind, stack in zip(kinds.kind_table(), block_stacks(rows, n)):
+            assert getattr(kind, entry).dtype == np.float64
+            assert _every_block_is(stack, getattr(kind, entry)), entry
 
 
 @pytest.mark.parametrize("build", [
@@ -283,12 +288,13 @@ def test_bases_and_operators_on_the_registers_are_real(n):
         permute_registers(np.eye(n * n), (1, 0), n),
         permute_registers(np.eye(n**3), (2, 0, 1), n),
         symmetric_projector(n),
-        *mean_density_operators(n), *mean_density_blocks(n)[0], *mean_density_blocks(n)[1],
+        *mean_density_operators(n),
+        *(getattr(kind, entry) for kind in kinds.kind_table() for entry in ("rho1", "rho2")),
     ]
     assert all(a.dtype == np.float64 for a in arrays)
     blocks = label_blocks(n)
     assert label_blocks(n) is blocks
-    for array in (blocks.block_of, blocks.group_of, blocks.kind_of, *blocks.groups):
+    for array in (blocks.block_of, blocks.kind_of, *blocks.groups):
         assert not array.flags.writeable
 
 
@@ -299,13 +305,28 @@ def test_label_blocks_are_the_sorted_label_multisets(n, factors):
     for flat, labels in enumerate(itertools.product(range(n), repeat=factors)):
         assert blocks.block_of[flat] == multisets.index(tuple(sorted(labels)))
     seen = []
-    for g, cols in enumerate(blocks.groups):
+    for k, cols in enumerate(blocks.groups):
         for slot, members in enumerate(cols):
             t = blocks.block_of[members[0]]
-            assert blocks.group_of[t] == g and np.flatnonzero(blocks.group_of == g)[slot] == t
+            assert blocks.kind_of[t] == k and np.flatnonzero(blocks.kind_of == k)[slot] == t
             assert list(members) == list(np.flatnonzero(blocks.block_of == t))
             seen.append(t)
     assert sorted(seen) == list(range(len(multisets)))
+
+
+@pytest.mark.parametrize("factors", [2, 3])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_each_group_is_exactly_the_v_t_of_its_kind(n, factors):
+    # One group per kind, in index order, absent kinds included; every V_t of a
+    # kind has the same size, the number of orderings of its labels.
+    blocks = label_blocks(n, factors)
+    sizes = [1, 2] if factors == 2 else [kind.d for kind in kinds.kind_table()]
+    assert [cols.shape[1] for cols in blocks.groups] == sizes
+    for k, cols in enumerate(blocks.groups):
+        members = [np.flatnonzero(blocks.block_of == t)
+                   for t in np.flatnonzero(blocks.kind_of == k)]
+        assert cols.shape[0] == len(members)
+        assert all(np.array_equal(c, m) for c, m in zip(cols, members))
 
 
 def test_block_stacks_restrict_rows_and_refuse_rows_across_blocks():
@@ -342,21 +363,23 @@ def test_constructive_table_counts_kinds_and_reads_their_s1_blocks(monkeypatch):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_kind_blocks_are_the_blocks_of_the_rows_they_replace(n):
     # n^3-wide rows built without the kind table: g term by term, h as its A <-> C exchange.
-    g, s1 = g_rows_by_formula(n), s1_rows_by_kron(n)
+    # Each kind's block is that of every V_t of its kind.
+    g, s1, table = g_rows_by_formula(n), s1_rows_by_kron(n), kinds.kind_table()
     h = exchange_ac(g, n)
     g_perp, h_perp = reciprocal_rows(g, h)
     for entry, rows in (("p_g_perp", g_perp), ("p_h_perp", h_perp), ("p_g", g),
                         ("p_h", h), ("p0", symmetric_basis_3(n)),
                         ("s1", s1), ("s2", exchange_ac(s1, n))):
-        scattered, reference = kind_blocks(n, entry), block_projectors(block_stacks(rows, n))
-        assert [s.tobytes() for s in scattered] == [r.tobytes() for r in reference], entry
+        for kind, reference in zip(table, block_projectors(block_stacks(rows, n))):
+            assert _every_block_is(reference, getattr(kind, entry)), entry
     for entry, rows in (("g", g), ("h", h)):
-        scattered, reference = kind_blocks(n, entry), block_stacks(rows, n)
-        assert [s.tobytes() for s in scattered] == [r.tobytes() for r in reference], entry
+        for kind, reference in zip(table, block_stacks(rows, n)):
+            assert _every_block_is(reference, getattr(kind, entry)), entry
     # w (I + swap)/2 against P_sigma's entries: one ulp of w at most.
-    ulp = np.spacing(2.0 / (n**2 * (n + 1)))
-    for blocks, reference in zip(mean_density_blocks(n), rho_blocks_by_index_arithmetic(n)):
-        assert max(np.abs(b - r).max() for b, r in zip(blocks, reference)) <= ulp
+    ulp, weight = np.spacing(2.0 / (n**2 * (n + 1))), mean_density_weight(n)
+    for entry, reference in zip(("rho1", "rho2"), rho_blocks_by_index_arithmetic(n)):
+        assert max(np.abs(weight * getattr(kind, entry) - r).max(initial=0.0)
+                   for kind, r in zip(table, reference)) <= ulp
 
 
 @pytest.mark.parametrize("n", range(2, 9))
