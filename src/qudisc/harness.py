@@ -43,13 +43,6 @@ SCAN_STRIDE = 1000
 # each V_t block to be held against its kind's block: the averaged inputs, and
 # the detection operators at every DENSE_STRIDE-th point of the omega1 grid.
 DENSE_N_MAX, DENSE_STRIDE = 5, 7
-# Bound on n_max: 8 n^6 bytes, one real n^3 x n^3 array, must not exceed it,
-# which admits n_max <= 8.  No such operator is built above n = 5; what still
-# grows as n^6 is the three-fold symmetric basis, C(n+2, 3) rows of n^3 entries,
-# that the symmetric-basis checks read.  The per-n suite takes about 11, 15-18
-# and 21-23 ms (medians) and peaks at 1.5, 2.5 and 3.9 MiB at n = 6, 7 and 8,
-# caches cleared or not (tracemalloc; one BLAS thread on a 1-vCPU Xeon VM).
-MAX_OPERATOR_BYTES = 4 * 2**20
 
 
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -119,8 +112,10 @@ def overlap_identity_check(psi1: np.ndarray, psi2: np.ndarray, n: int) -> Overla
     rows, in O(n^3) memory per ket.  Takes states (n,) or row-aligned stacks
     (T, n); states that are not finite unit vectors of length n raise ContractError.
     """
-    spaces.label_blocks(n)  # refuses an oversized n before the product kets are built
+    n = spaces.check_dimension(n)
     psi1, psi2 = spaces.check_unit_states(psi1, psi2, n)
+    spaces.check_build_bytes(3 * 16 * psi1.size * n**2,  # three complex T x n^3 arrays
+                             "a product ket, its V_t amplitudes and their overlaps")
 
     def overlap_sum(entry, kets):
         blocks = zip(kinds.kind_table(), spaces.gather_blocks(kets, n))
@@ -538,17 +533,13 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
 def verify_all(n_max: int, tolerances: Tolerances | None = None) -> VerificationReport:
     """Run every invariant check for n = 2..n_max plus the global checks.
 
-    Failures are recorded in the report, not raised.  An n_max with
-    8 n_max^6 > MAX_OPERATOR_BYTES raises DomainError before any work: above
-    n = 5 the largest arrays built are the three-fold symmetric rows, which
-    grow as n^6 / 6.
+    Failures are recorded in the report, not raised.  An n_max whose per-n suite
+    would peak over spaces.MAX_BUILD_BYTES (n_max > 23) raises DomainError before any work.
     """
     n_max = spaces.check_integer(n_max, 2, "n_max")
-    if 8 * n_max**6 > MAX_OPERATOR_BYTES:
-        raise DomainError(
-            f"n_max {n_max} is too large: 8 n^6 bytes per operator must not exceed "
-            f"{MAX_OPERATOR_BYTES}"
-        )
+    rows = 8 * spaces.dimension_table(n_max).s0 * n_max**3  # sym3: C(n+2,3) rows of n^3 floats
+    # The per-n suite peaks at 3.03-3.06 times the rows at n = 16..23 (tracemalloc).
+    spaces.check_build_bytes(4 * rows, f"the per-n suite at n_max {n_max}")
     tol = tolerances or Tolerances()
     report = VerificationReport(n_max=n_max)
     for n in range(2, n_max + 1):

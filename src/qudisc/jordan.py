@@ -25,6 +25,7 @@ from .errors import ContractError
 from .kinds import CASE_DISTINCT, CASE_DISTINCT_PRIMED, CASE_HIGH, CASE_LOW, reciprocal_rows
 from .spaces import (
     TAU_OP,
+    check_build_bytes,
     check_dimension,
     dimension_table,
     exchange_ac,
@@ -63,7 +64,8 @@ def build_gh_bases(n: int) -> JordanPairSet:
     Enumeration is lexicographic in the ordered triple (i, j, k); triples with
     three distinct labels contribute two pairs (unprimed before primed).
     """
-    n = check_dimension(n)
+    n, i0 = check_dimension(n), dimension_table(n).i0
+    check_build_bytes(5 * 8 * i0 * n**3, "g, h, g_perp and h_perp (i0 x n^3 each) and labels")
     blocks, table = label_blocks(n), kinds.kind_table()
     depth = np.array([len(kind.cases) for kind in table])[blocks.kind_of]  # g rows per V_t
     first = np.cumsum(depth) - depth
@@ -74,7 +76,7 @@ def build_gh_bases(n: int) -> JordanPairSet:
     labels = tuple((case, triple) for triple, k in zip(triple_labels(n), blocks.kind_of)
                    for case in table[k].cases)
     pair_set = JordanPairSet(n=n, g=g, h=exchange_ac(g, n), labels=labels)
-    assert len(pair_set) == dimension_table(n).i0
+    assert len(pair_set) == i0
     return pair_set
 
 
@@ -84,6 +86,7 @@ def jordan_angles(family_a: np.ndarray, family_b: np.ndarray) -> np.ndarray:
     Computed as the singular values of the cross-Gram matrix, in descending
     order.  Raises ContractError if either family is not orthonormal.
     """
+    family_a, family_b = np.asarray(family_a), np.asarray(family_b)
     for name, family in (("first", family_a), ("second", family_b)):
         gram = family.conj() @ family.T
         if not np.abs(gram - np.eye(len(family))).max() <= TAU_OP:  # NaN fails too

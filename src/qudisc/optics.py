@@ -40,7 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .povm import Priors, check_omega1, omega2_constraint, success_curve_x, x_from_omega1
+from .povm import (
+    Priors, check_omega1, check_priors, omega2_constraint, success_curve_x, x_from_omega1,
+)
 from .spaces import TAU_NORM, check_integer
 
 # Values after the keyword of each network-file line.
@@ -503,7 +505,7 @@ def simulate_discriminator(
     or an h input clicks D2; the expected success rate is the per-subspace
     curve at x = 1 + 3 cos^2 w1.
     """
-    blocks = _shot_blocks(shots, seed, 2)
+    priors, blocks = check_priors(priors), _shot_blocks(shots, seed, 2)
     table = _click_tallies(_port_distributions(omega1), [priors.eta1, priors.eta2], blocks)
     return DiscriminationRun(
         shots=shots,
@@ -517,6 +519,7 @@ def simulate_discriminator(
 def analytic_discriminator_probabilities(omega1: float, priors: Priors) -> dict[str, float]:
     """Exact outcome probabilities of the priors-weighted six-port run."""
     dist_g, dist_h = _port_distributions(omega1)
+    priors = check_priors(priors)
     mixed = priors.eta1 * dist_g + priors.eta2 * dist_h
     return {**dict(zip(_PORTS, mixed.tolist())),
             "success": success_curve_x(x_from_omega1(omega1), priors)}

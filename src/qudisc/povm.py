@@ -34,7 +34,7 @@ from . import kinds
 from .errors import ContractError, DegeneratePriorsError, DomainError
 from .spaces import (
     check_build_bytes, check_dimension, check_unit_states, gather_blocks, kind_counts,
-    label_blocks, mean_density_weight, permute_registers, product_ket,
+    mean_density_weight, permute_registers, product_ket,
 )
 
 PROB_SLACK = 1e-12
@@ -68,6 +68,13 @@ class Priors:
             raise DegeneratePriorsError(
                 "priors 0 and 1 make the discrimination trivial; no interior optimum"
             )
+
+
+def check_priors(priors) -> Priors:
+    """`priors`; DomainError unless it is a Priors."""
+    if not isinstance(priors, Priors):
+        raise DomainError(f"priors must be a Priors, got {priors!r}")
+    return priors
 
 
 @dataclass(frozen=True)
@@ -212,7 +219,7 @@ def _permutation_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def success_curve_x(x: float, priors: Priors) -> float:
     """Per-subspace success probability as a function of x in [1, 4]."""
-    x = check_real(x, "x")
+    x, priors = check_real(x, "x"), check_priors(priors)
     if not 1.0 <= x <= 4.0:
         raise DomainError(f"x must lie in [1, 4], got {x}")
     return clamp_probability(1.0 - priors.eta1 * x / 4.0 - priors.eta2 / x)
@@ -220,7 +227,7 @@ def success_curve_x(x: float, priors: Priors) -> float:
 
 def optimal_subspace(priors: Priors) -> RegimeResult:
     """Maximum of the per-subspace success curve over the angle family."""
-    priors.require_nondegenerate()
+    check_priors(priors).require_nondegenerate()
     if priors.eta1 < 0.2:
         regime, x_star, value = "low", 4.0, 0.75 * priors.eta2
     elif priors.eta1 > 0.8:
@@ -290,7 +297,7 @@ def average_success_trace(n: int, omega1, priors: Priors) -> float | np.ndarray:
     :func:`kind_povms` and its rho1 and rho2 counted once per V_t of that kind
     (:func:`spaces.kind_counts`), times w.  One angle gives a float; an array
     of angles, one value per angle."""
-    counts = kind_counts(check_dimension(n))
+    counts, priors = kind_counts(check_dimension(n)), check_priors(priors)
     value = mean_density_weight(n) * sum(
         count * (priors.eta1 * np.einsum("kij,ji->k", ops[:, 0], kind.rho1)
                  + priors.eta2 * np.einsum("kij,ji->k", ops[:, 1], kind.rho2))
@@ -305,9 +312,10 @@ def pure_success_expectation(
     forms of each kind's :func:`kind_povms` on the product kets' amplitudes on
     every V_t of that kind (:func:`spaces.gather_blocks`), in O(n^3) memory.
     Takes states (n,) or row-aligned stacks (T, n), as :func:`pure_success` does."""
-    n, povms = check_dimension(n), kind_povms(omega1)
-    label_blocks(n)  # refuses an oversized n before the product kets are built
+    n, povms, priors = check_dimension(n), kind_povms(omega1), check_priors(priors)
     psi1, psi2 = check_unit_states(psi1, psi2, n)
+    check_build_bytes(4 * 16 * psi1.size * n**2,  # four complex T x n^3 arrays
+                      "both product kets, one's V_t amplitudes and the temporaries")
     value = 0.0
     for k, eta, kets in ((0, priors.eta1, product_ket(psi1, psi1, psi2)),
                          (1, priors.eta2, product_ket(psi1, psi2, psi2))):

@@ -29,10 +29,13 @@ from .errors import ContractError, DomainError
 TAU_NORM = 1e-10
 TAU_OP = 1e-10
 TAU_RANK = 1e-8
-# Most bytes one call may build: calls whose arrays grow with n estimate their
-# peak and raise DomainError above it before they allocate.  1 GiB is a quarter
-# of a 4 GiB VM and some 180 times the largest such call of the tests (total_povm
-# at n = 6); it admits the V_t up to n = 237 and total_povm up to n = 14.
+# Most bytes one call may build, the package's one size rule: calls whose arrays
+# grow with n, or with a stack of states, estimate their peak and raise
+# DomainError above it before they allocate.  1 GiB is a quarter of a 4 GiB VM
+# and some 180 times the largest such call of the tests (total_povm at n = 6).
+# It admits the V_t up to n = 237, the three-fold symmetric basis up to n = 30,
+# the paired bases up to n = 20, total_povm up to n = 14 and verify_all up to
+# n_max = 23.
 MAX_BUILD_BYTES = 2**30
 
 
@@ -64,8 +67,8 @@ def check_unit_states(psi1, psi2, n: int) -> tuple[np.ndarray, np.ndarray]:
     psi1, psi2 = np.asarray(psi1, dtype=complex), np.asarray(psi2, dtype=complex)
     if psi1.shape != psi2.shape or psi1.ndim not in (1, 2) or psi1.shape[-1] != n:
         raise ContractError(f"states must be vectors of length {n}, or equal stacks of them")
-    for psi in (psi1, psi2):
-        norms = np.sqrt((psi.real**2 + psi.imag**2).sum(axis=-1))
+    for psi in (psi1, psi2):  # the norms, with no temporary as large as the states
+        norms = np.sqrt(sum(np.einsum("...i,...i", part, part) for part in (psi.real, psi.imag)))
         if not np.all(np.abs(norms - 1.0) <= TAU_NORM):  # NaN and inf fail too
             raise ContractError("states must be unit vectors")
     return psi1, psi2
@@ -74,6 +77,9 @@ def check_unit_states(psi1, psi2, n: int) -> tuple[np.ndarray, np.ndarray]:
 def product_ket(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """|a>|b>|c> on the three registers, for single states (n,) or row-aligned
     stacks (T, n); the same products as nested np.kron, in one pass."""
+    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    entries = a.size * b.shape[-1] * (c.shape[-1] + 1)  # the kets and the products of a and b
+    check_build_bytes(np.result_type(a, b, c).itemsize * entries, "the product kets")
     big = a[..., :, None, None] * b[..., None, :, None] * c[..., None, None, :]
     return big.reshape(*big.shape[:-3], a.shape[-1] * b.shape[-1] * c.shape[-1])
 
@@ -118,7 +124,10 @@ def label_blocks(n: int, factors: int = 3) -> LabelBlocks:
 
 
 # verify_all(n_max) reads one key per (n, factors), n = 2..n_max and factors 2
-# and 3: 2 (n_max - 1) keys, 14 at the largest n_max it admits (8).
+# and 3, many times over within each n's checks: 2 (n_max - 1) keys, which 16
+# holds up to n_max = 9.  verify_all(23), the largest it admits, reads 44 keys
+# with 361 hits and 59 misses; the 15 repeat misses, at n <= 15 once the per-n
+# suite is done, rebuild in about 5 ms of its 12 s.
 @functools.lru_cache(maxsize=16)
 def _label_blocks(n: int, factors: int) -> LabelBlocks:
     labels = np.sort(np.indices((n,) * factors).reshape(factors, -1).T, axis=1)
@@ -176,6 +185,7 @@ def gather_blocks(kets: np.ndarray, n: int) -> list[np.ndarray]:
 def _symmetric_basis(n: int, factors: int) -> np.ndarray:
     """One row per V_t: the equal superposition of the basis kets in it."""
     n = check_dimension(n)
+    check_build_bytes(8 * math.comb(n + factors - 1, factors) * n**factors, "the symmetric basis")
     blocks = label_blocks(n, factors)
     sizes = np.bincount(blocks.block_of)
     basis = np.zeros((len(sizes), n**factors))
@@ -208,7 +218,10 @@ def permute_registers(rows: np.ndarray, perm: tuple[int, ...], n: int) -> np.nda
     transpose permutes entries, so it is exact.  ContractError unless the rows
     are an array with n^len(perm) entries each."""
     check_dimension(n)
-    perm = tuple(check_integer(p, 0, "register index") for p in perm)
+    try:
+        perm = tuple(check_integer(p, 0, "register index") for p in perm)
+    except TypeError:  # not iterable
+        raise DomainError(f"{perm!r} is not a permutation of the registers") from None
     if sorted(perm) != list(range(len(perm))):
         raise DomainError(f"{perm!r} is not a permutation of the registers")
     try:
@@ -234,6 +247,8 @@ def exchange_ac(rows: np.ndarray, n: int) -> np.ndarray:
 
 def symmetric_projector(n: int) -> np.ndarray:
     """Projector onto the two-fold symmetric subspace."""
+    n = check_dimension(n)
+    check_build_bytes(8 * (n**4 + n**3 * (n + 1) // 2), "the symmetric projector and its basis")
     return projector_from_rows(symmetric_basis_2(n))
 
 

@@ -43,15 +43,23 @@ def test_haar_state_basics():
 
 
 def test_an_oversized_n_is_refused_before_any_allocation():
-    # Each call would need from some 100 GiB to some 10 TiB; it must raise
+    # Each call would need from some 19 GiB to some 400 TiB; it must raise
     # DomainError, not MemoryError, having built next to nothing.
     e0, e1 = np.zeros(2000), np.zeros(2000)
     e0[0] = e1[1] = 1.0
+    stack = np.zeros((2000, 60), dtype=complex)  # 2000 pairs at n = 60
+    stack[:, 0] = 1.0
     priors = Priors.from_eta1(0.3)
     calls = [
         lambda: empirical_mean_density(100, 1, 10, 0),
         lambda: povm.pure_success_expectation(e0, e1, 0.5, priors, 2000),
         lambda: harness.overlap_identity_check(e0, e1, 2000),
+        lambda: povm.pure_success_expectation(stack, stack, 0.5, priors, 60),
+        lambda: harness.overlap_identity_check(stack, stack, 60),
+        lambda: spaces.symmetric_basis_3(60),
+        lambda: spaces.symmetric_basis_2(300),
+        lambda: spaces.symmetric_projector(300),
+        lambda: build_gh_bases(60),
         lambda: total_povm(2000, 0.5),
         lambda: mean_density_operators(100),
         lambda: spaces.label_blocks(2000),
@@ -324,13 +332,12 @@ def test_verify_all_refuses_oversized_nmax_before_any_work(monkeypatch):
     ran = []  # the check runners record their calls instead of building operators
     monkeypatch.setattr(harness, "_checks_for_n", lambda n, tol, report: ran.append(n))
     monkeypatch.setattr(harness, "_global_checks", lambda n_max, tol, report: ran.append("g"))
-    for too_big in (9, 10**9):
-        with pytest.raises(DomainError, match="too large"):
+    for too_big in (24, 10**9):
+        with pytest.raises(DomainError, match="over the limit"):
             verify_all(too_big)
     assert ran == []
-    assert 8 * 8**6 <= harness.MAX_OPERATOR_BYTES < 8 * 9**6  # n_max = 8 is the largest admitted
-    verify_all(8)
-    assert ran == [2, 3, 4, 5, 6, 7, 8, "g"]
+    verify_all(23)  # the largest admitted
+    assert ran == [*range(2, 24), "g"]
 
 
 def _full_scan_grid():

@@ -155,6 +155,7 @@ def test_jordan_angles_one_dimensional_oracle():
         b /= np.linalg.norm(b)
         cos = jordan_angles(a[None, :], b[None, :])[0]
         assert abs(cos - abs(np.vdot(a, b))) < 1e-12
+        assert jordan_angles([list(a)], [list(b)])[0] == cos  # nested lists are taken as arrays
 
 
 def test_jordan_angles_rejects_non_orthonormal():

@@ -440,12 +440,40 @@ def test_empty_input_gives_empty_output(call, shape):
                  DomainError, id="prepare_state_network-n"),
     pytest.param(lambda: spaces.permute_registers(np.eye(4), (1.5, 0), 2), DomainError,
                  id="permute_registers"),
+    pytest.param(lambda: spaces.permute_registers(np.eye(4), None, 2), DomainError,
+                 id="permute_registers-None"),
     pytest.param(lambda: optics.discriminator_port_state(["g"]), DomainError,
                  id="discriminator_port_state"),
 ])
 def test_non_numeric_input_raises_the_package_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+E0, E1 = np.eye(2)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda priors: success_curve_x(2.0, priors), id="success_curve_x"),
+    pytest.param(lambda priors: optimal_subspace(priors), id="optimal_subspace"),
+    pytest.param(lambda priors: average_success(2, 0.5, priors), id="average_success"),
+    pytest.param(lambda priors: optimal_average(2, priors), id="optimal_average"),
+    pytest.param(lambda priors: pure_success(E0, E1, 0.5, priors, 2), id="pure_success"),
+    pytest.param(lambda priors: optimal_pure(0.5, priors), id="optimal_pure"),
+    pytest.param(lambda priors: average_success_trace(2, 0.5, priors), id="average_success_trace"),
+    pytest.param(lambda priors: pure_success_expectation(E0, E1, 0.5, priors, 2),
+                 id="pure_success_expectation"),
+    pytest.param(lambda priors: harness.mc_success(2, 0.5, priors, 100, 0), id="mc_success"),
+    pytest.param(lambda priors: optics.simulate_discriminator(0.5, priors, 10, 0),
+                 id="simulate_discriminator"),
+    pytest.param(lambda priors: optics.analytic_discriminator_probabilities(0.5, priors),
+                 id="analytic_discriminator_probabilities"),
+])
+def test_priors_that_are_not_priors_raise_domain_error(call):
+    call(Priors.from_eta1(0.3))  # the call itself is sound
+    for bad in (None, "x", 0.3, (0.3, 0.7)):
+        with pytest.raises(DomainError, match="priors must be a Priors"):
+            call(bad)
 
 
 def test_whole_float_counts_and_register_indices_are_taken_as_ints():

@@ -515,6 +515,8 @@ def test_product_ket_equals_nested_kron(n):
     for _ in range(20):
         a, b, c = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
         assert np.array_equal(product_ket(a, b, c), np.kron(np.kron(a, b), c))
+    # Nested lists are taken as the arrays they spell.
+    assert np.array_equal(product_ket(list(a), list(b), list(c)), product_ket(a, b, c))
     stack = rng.normal(size=(3, 4, n)) + 1j * rng.normal(size=(3, 4, n))
     kets = product_ket(*stack)
     assert kets.shape == (4, n**3)
