@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import traceback
+from dataclasses import fields
 
 import numpy as np
 
@@ -104,17 +105,7 @@ def _priors_from_eta1(eta1: float, *, open_interval: bool) -> Priors:
 
 def cmd_dims(args) -> int:
     table = dimension_table(args.n)
-    results = {
-        "sigma": table.sigma,
-        "s0": table.s0,
-        "s1": table.s1,
-        "s2": table.s2,
-        "s3": table.s3,
-        "s4": table.s4,
-        "s5": table.s5,
-        "s6": table.s6,
-        "i0": table.i0,
-    }
+    results = {f.name: getattr(table, f.name) for f in fields(table) if f.name != "n"}
     _emit_record("dims", {"n": args.n}, results)
     return 0
 

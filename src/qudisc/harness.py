@@ -10,7 +10,7 @@ outcome), which keeps the estimator unbiased with far lower variance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,7 @@ SCAN_STRIDE = 1000
 # each V_t block to be held against its kind's block: the averaged inputs, and
 # the detection operators at every DENSE_STRIDE-th point of the omega1 grid.
 DENSE_N_MAX, DENSE_STRIDE = 5, 7
+SEEDED_PAIRS = 100  # random pairs of the per-n suite's pure-state checks
 
 
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -273,15 +274,20 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     table = spaces.dimension_table(n)
     constructive = spaces.constructive_dimension_table(n)
     counts = spaces.kind_counts(n)  # closed form, against the V_t that label_blocks counts
-    counted = np.bincount(spaces.label_blocks(n).kind_of, minlength=len(counts))
-    dev = _worst(*(abs(getattr(table, f) - getattr(constructive, f))
-                   for f in ("sigma", "s0", "s1", "s2", "s3", "s4", "s5", "s6", "i0")),
-                 np.abs(counts - counted).max())
+    vts = spaces.label_blocks(n)
+    dev = _worst(*(abs(a - b) for a, b in zip(astuple(table), astuple(constructive))),
+                 np.abs(counts - [len(cols) for cols in vts.groups]).max())
     report.add("dimension_formulas", scope, dev, 0,
                "closed-form subspace dimensions equal constructive SVD ranks")
 
-    sym2, sym3 = spaces.symmetric_basis_2(n), spaces.symmetric_basis_3(n)
-    dev = _worst(*(np.abs(rows.conj() @ rows.T - np.eye(len(rows))).max() for rows in (sym2, sym3)))
+    # sym3 has one row per V_t, its kind's unit vector spread over it, so the groups cover each ket.
+    sym2 = spaces.symmetric_basis_2(n)
+    dense_sym3 = [spaces.symmetric_basis_3(n)] if n <= DENSE_N_MAX else []
+    units = [np.full(kind.d, 1.0 / np.sqrt(kind.d)) for kind in kinds.kind_table()]
+    covered = np.bincount(np.concatenate([cols.ravel() for cols in vts.groups]), minlength=n**3)
+    dev = _worst(*(np.abs(rows.conj() @ rows.T - np.eye(len(rows))).max()
+                   for rows in (sym2, *dense_sym3)), np.abs(covered - 1).max(),
+                 *(abs(unit @ unit - 1) for count, unit in zip(counts, units) if count))
     report.add("symmetric_bases_orthonormal", scope, dev, tol.tight,
                "two- and three-fold symmetric bases have identity Gram matrices")
 
@@ -292,7 +298,9 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     report.add("symmetric_projector", scope, dev, tol.op,
                "two-fold symmetric projector is the permutation symmetrizer")
 
-    dev = _worst(*(np.abs(spaces.permute_registers(sym3, perm, n) - sym3).max()
+    # The permutations map each V_t, so its row, to itself; a float row lets a NaN show.
+    dev = _worst(*(np.abs(spaces.permute_registers(rows, perm, n) - rows).max()
+                   for rows in (vts.block_of[None].astype(float), *dense_sym3)
                    for perm in itertools.permutations(range(3))))
     report.add("threefold_permutation_invariance", scope, dev, tol.tight,
                "three-fold symmetric vectors are fixed by all register permutations")
@@ -320,17 +328,15 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
                "averaged inputs are unit-trace positive operators")
 
     # Per kind present, u3 over its S1 rows and over its S2 rows gives its unit
-    # symmetric vector; per n, row t of sym3 is that of V_t's kind, on V_t.
-    units = [np.full(kind.d, 1.0 / np.sqrt(kind.d)) for kind in kinds.kind_table()]
+    # symmetric vector, as wide as each V_t of its group.
     dev = _worst(*(np.linalg.norm(kind.u3 @ rows - unit)
                    for count, kind, unit in zip(counts, kinds.kind_table(), units) if count
-                   for rows in (kind.s1_rows, kind.s2_rows)))
-    blocks = spaces.label_blocks(n)
-    rest = sym3.copy()  # row t of sym3 is that of V_t
-    for k, (cols, unit) in enumerate(zip(blocks.groups, units)):
-        rest[np.flatnonzero(blocks.kind_of == k)[:, None], cols] -= unit
-    dev = _worst(dev, np.linalg.norm(rest, axis=1).max())
-    del rest  # n^6 / 6 bytes that no later check reads
+                   for rows in (kind.s1_rows, kind.s2_rows)),
+                 *(abs(cols.shape[1] - unit.size) for cols, unit in zip(vts.groups, units)))
+    for rest in dense_sym3:  # row t of sym3 is that of V_t's kind, on V_t; no later check reads it
+        for cols, unit in zip(vts.groups, units):
+            rest[vts.block_of[cols], cols] -= unit
+        dev = _worst(dev, np.linalg.norm(rest, axis=1).max())
     report.add("symmetric_vector_expansions", scope, dev, tol.tight,
                "product-basis expansions reconstruct the symmetric vectors")
 
@@ -408,8 +414,8 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     report.add("average_success_closed_form", scope, dev, tol.op,
                "closed-form averaged success equals the trace evaluation")
 
-    # The 100 seeded pairs, each library call taking the whole stack at once.
-    states = _haar_rows(optics.seeded_stream(977), (100, 2), n)
+    # The seeded pairs, each library call taking the whole stack at once.
+    states = _haar_rows(optics.seeded_stream(977), (SEEDED_PAIRS, 2), n)
     psi1, psi2 = states[:, 0], states[:, 1]
     closed = povm.pure_success(psi1, psi2, 0.7, priors, n)
     dev_pure = _or_inf(lambda: np.abs(
@@ -534,12 +540,12 @@ def verify_all(n_max: int, tolerances: Tolerances | None = None) -> Verification
     """Run every invariant check for n = 2..n_max plus the global checks.
 
     Failures are recorded in the report, not raised.  An n_max whose per-n suite
-    would peak over spaces.MAX_BUILD_BYTES (n_max > 23) raises DomainError before any work.
+    would peak over spaces.MAX_BUILD_BYTES (n_max > 48) raises DomainError before any work.
     """
     n_max = spaces.check_integer(n_max, 2, "n_max")
-    rows = 8 * spaces.dimension_table(n_max).s0 * n_max**3  # sym3: C(n+2,3) rows of n^3 floats
-    # The per-n suite peaks at 3.03-3.06 times the rows at n = 16..23 (tracemalloc).
-    spaces.check_build_bytes(4 * rows, f"the per-n suite at n_max {n_max}")
+    # The per-n suite peaked at 4.76, 4.92, 4.99 and 5.03 times the seeded pairs'
+    # kets at n = 30, 40, 45 and 48 (tracemalloc); 6 times them admits n_max <= 48.
+    spaces.check_build_bytes(6 * 16 * SEEDED_PAIRS * n_max**3, f"the per-n suite at n_max {n_max}")
     tol = tolerances or Tolerances()
     report = VerificationReport(n_max=n_max)
     for n in range(2, n_max + 1):

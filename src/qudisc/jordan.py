@@ -84,10 +84,12 @@ def jordan_angles(family_a: np.ndarray, family_b: np.ndarray) -> np.ndarray:
     """Cosines of the principal angles between two orthonormal families.
 
     Computed as the singular values of the cross-Gram matrix, in descending
-    order.  Raises ContractError if either family is not orthonormal.
+    order.  Raises ContractError unless both are numeric 2-D arrays of orthonormal rows.
     """
     family_a, family_b = np.asarray(family_a), np.asarray(family_b)
     for name, family in (("first", family_a), ("second", family_b)):
+        if family.ndim != 2 or not np.issubdtype(family.dtype, np.number):
+            raise ContractError(f"{name} family must be a numeric 2-D array, got {family.shape}")
         gram = family.conj() @ family.T
         if not np.abs(gram - np.eye(len(family))).max() <= TAU_OP:  # NaN fails too
             raise ContractError(f"{name} family is not orthonormal")

@@ -69,7 +69,7 @@ def test_verify_rejects_bad_nmax(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("n_max", ["24", str(10**9)])
+@pytest.mark.parametrize("n_max", ["49", str(10**9)])
 def test_verify_refuses_oversized_nmax(capsys, monkeypatch, n_max):
     def no_work(*args):
         raise AssertionError("verify started work")

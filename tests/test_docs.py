@@ -4,6 +4,11 @@ import importlib
 import re
 from pathlib import Path
 
+import pytest
+
+from qudisc import harness
+from qudisc.errors import DomainError
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qudisc"
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
@@ -63,3 +68,19 @@ def test_docstring_roles_resolve_in_their_module_or_the_package():
     stale = [(module, target) for module, target in roles
              if not (_resolves(_module(module), target) or _in_a_module(target))]
     assert stale == []
+
+
+def test_readme_states_the_nmax_range_that_verify_all_admits(monkeypatch):
+    stated = re.findall(r"`verify --n-max` accepts (\d+)\.\.(\d+)", (ROOT / "README.md").read_text())
+    assert len(stated) == 1
+    low, high = map(int, stated[0])
+    ran = []  # the check runners record their calls instead of building operators
+    monkeypatch.setattr(harness, "_checks_for_n", lambda n, tol, report: ran.append(n))
+    monkeypatch.setattr(harness, "_global_checks", lambda n_max, tol, report: ran.append("g"))
+    for outside in (low - 1, high + 1):
+        with pytest.raises(DomainError):
+            harness.verify_all(outside)
+    assert ran == []
+    harness.verify_all(low)
+    harness.verify_all(high)
+    assert ran == [*range(2, low + 1), "g", *range(2, high + 1), "g"]

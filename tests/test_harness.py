@@ -332,12 +332,12 @@ def test_verify_all_refuses_oversized_nmax_before_any_work(monkeypatch):
     ran = []  # the check runners record their calls instead of building operators
     monkeypatch.setattr(harness, "_checks_for_n", lambda n, tol, report: ran.append(n))
     monkeypatch.setattr(harness, "_global_checks", lambda n_max, tol, report: ran.append("g"))
-    for too_big in (24, 10**9):
+    for too_big in (49, 10**9):
         with pytest.raises(DomainError, match="over the limit"):
             verify_all(too_big)
     assert ran == []
-    verify_all(23)  # the largest admitted
-    assert ran == [*range(2, 24), "g"]
+    verify_all(48)  # the largest admitted
+    assert ran == [*range(2, 49), "g"]
 
 
 def _full_scan_grid():
@@ -738,11 +738,12 @@ def _clear_operator_caches():
 
 
 def test_no_dense_operator_is_built_above_n5(monkeypatch):
-    # The dense builders refuse n >= 6.  spaces.permutation_operator and
-    # jordan.density_from_jordan, the other two dense builders, are gone.
+    # The dense builders, and the n^6 three-fold symmetric rows, refuse n >= 6.
+    # spaces.permutation_operator and jordan.density_from_jordan, the other two
+    # dense builders, are gone.
     for module, name in ((povm, "total_povm"), (povm, "_permutation_projectors"),
                          (spaces, "mean_density_operators"), (jordan, "build_gh_bases"),
-                         (harness, "build_gh_bases")):
+                         (harness, "build_gh_bases"), (spaces, "symmetric_basis_3")):
         def guarded(n, *args, real=getattr(module, name), name=name):
             if n >= 6:
                 raise AssertionError(f"{name} called at n = {n}")
@@ -761,8 +762,9 @@ def test_no_dense_operator_is_built_above_n5(monkeypatch):
     assert report.passed
     # With the dense operators _checks_for_n(8) peaked at 26.7 MiB; on the
     # blocks it took about 7.6 MiB, read once per kind about 6.8 MiB, with the
-    # Jordan pairs read from the kind table about 4.1 MiB, and with the u3
-    # expansions read per kind instead of over the n^3-wide S1 rows 3.9 MiB.
+    # Jordan pairs read from the kind table about 4.1 MiB, with the u3
+    # expansions read per kind instead of over the n^3-wide S1 rows 3.9 MiB,
+    # and with the three-fold symmetric basis read per V_t 3.3 MiB.
     assert peak <= 26.7 / 2 * 2**20
 
 
@@ -870,6 +872,32 @@ def test_a_misplaced_symmetric_row_fails_the_expansion_check(monkeypatch):
     assert not {("n=4", "symmetric_bases_orthonormal"),
                 ("n=4", "threefold_permutation_invariance")} & failed
     assert not any(scope == "n=3" for scope, _ in failed)
+
+
+@pytest.mark.parametrize("fault, check", [
+    ("block_of", "threefold_permutation_invariance"),
+    ("groups", "symmetric_bases_orthonormal"),
+])
+def test_a_wrong_vt_above_n5_fails_the_per_vt_symmetric_basis_check(monkeypatch, fault, check):
+    # Above n = 5 the three-fold symmetric basis is read per V_t, with no dense
+    # rows.  At n = 6, |112> (flat 1) is put in the V_t of |111>, or its place
+    # in the {a,a,b} group is taken by |121> (flat 6).
+    real = spaces.label_blocks
+
+    def faulty(n, factors=3):
+        blocks = real(n, factors)
+        if (n, factors) != (6, 3):
+            return blocks
+        if fault == "block_of":
+            block_of = blocks.block_of.copy()
+            block_of[1] = 0
+            return dataclasses.replace(blocks, block_of=block_of)
+        groups = list(blocks.groups)
+        groups[1] = np.where(groups[1] == 1, 6, groups[1])
+        return dataclasses.replace(blocks, groups=tuple(groups))
+
+    monkeypatch.setattr(spaces, "label_blocks", faulty)
+    assert not _per_n_results(6)[check].passed
 
 
 def test_verify_all_memory_peak_stays_small():

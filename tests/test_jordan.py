@@ -167,6 +167,9 @@ def test_jordan_angles_rejects_non_orthonormal():
     for first, second in ((nan, good), (good, nan)):
         with pytest.raises(ContractError):
             jordan_angles(first, second)
+    # Two unit vectors are not two families: a one-row family is (1, n).
+    with pytest.raises(ContractError, match="first family must be a numeric 2-D array"):
+        jordan_angles([1.0, 0.0], [0.0, 1.0])
 
 
 def density_from_jordan(n):

@@ -3,7 +3,7 @@ import pytest
 
 from qudisc import harness, kinds, optics, spaces, povm as povm_module
 from qudisc.errors import ContractError, DegeneratePriorsError, DomainError
-from qudisc.jordan import build_gh_bases, reciprocal_rows
+from qudisc.jordan import build_gh_bases, jordan_angles, reciprocal_rows
 from qudisc.povm import (
     MeasurementTriple,
     Priors,
@@ -444,6 +444,11 @@ def test_empty_input_gives_empty_output(call, shape):
                  id="permute_registers-None"),
     pytest.param(lambda: optics.discriminator_port_state(["g"]), DomainError,
                  id="discriminator_port_state"),
+    pytest.param(lambda: jordan_angles(None, None), ContractError, id="jordan_angles-None"),
+    pytest.param(lambda: jordan_angles("a", "b"), ContractError, id="jordan_angles-str"),
+    pytest.param(lambda: product_ket(None, [1, 0], [1, 0]), ContractError, id="product_ket-None"),
+    pytest.param(lambda: product_ket(1.0, [1, 0], [1, 0]), ContractError, id="product_ket-float"),
+    pytest.param(lambda: product_ket("a", [1, 0], [1, 0]), ContractError, id="product_ket-str"),
 ])
 def test_non_numeric_input_raises_the_package_errors(call, error):
     with pytest.raises(error):
