@@ -10,12 +10,12 @@ outcome), which keeps the estimator unbiased with far lower variance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import kinds, optics, povm, spaces
-from .errors import ContractError, DomainError
+from .errors import ContractError
 from .jordan import build_gh_bases, jordan_angles
 from .povm import Priors
 
@@ -44,6 +44,7 @@ SCAN_STRIDE = 1000
 # the detection operators at every DENSE_STRIDE-th point of the omega1 grid.
 DENSE_N_MAX, DENSE_STRIDE = 5, 7
 SEEDED_PAIRS = 100  # random pairs of the per-n suite's pure-state checks
+KS_ALPHA = 1e-3  # false-alarm rate of the Haar law check
 
 
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -64,9 +65,7 @@ def _haar_pair_blocks(n: int, trials: int, seed: int, least: int):
 
     Trials outside least..MAX_TRIALS raise DomainError before any draw.
     """
-    trials = spaces.check_integer(trials, least, "trials")
-    if trials > MAX_TRIALS:
-        raise DomainError(f"trials must not exceed {MAX_TRIALS}, got {trials}")
+    trials = spaces.check_integer(trials, least, "trials", MAX_TRIALS)
     rng = optics.seeded_stream(seed)
     pairs = (_haar_rows(rng, (min(HAAR_BLOCK, trials - start), 2), n)
              for start in range(0, trials, HAAR_BLOCK))
@@ -81,9 +80,7 @@ def haar_state(n: int, seed: int, stream: int = 0) -> np.ndarray:
 
 def empirical_mean_density(n: int, which: int, trials: int, seed: int) -> np.ndarray:
     """Monte Carlo average of the projector onto the three-register input."""
-    n = spaces.check_dimension(n)
-    if which not in (1, 2):
-        raise DomainError("which must be 1 or 2")
+    n, which = spaces.check_dimension(n), spaces.check_integer(which, 1, "which", 2)
     # The complex n^3 x n^3 sum and product, and some five copies of a block's kets.
     spaces.check_build_bytes(16 * (2 * n**6 + 5 * HAAR_BLOCK * n**3), "the sampled density")
     blocks = _haar_pair_blocks(n, trials, seed, 1)
@@ -156,34 +153,34 @@ def mc_success(
     return McEstimate(mean=float(values.mean()), stderr=stderr, trials=trials, seed=seed)
 
 
-def kolmogorov_pvalue(lam: float) -> float:
-    """Kolmogorov's limit P(sqrt(N) D_N > lam) = 2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2).
-
-    Below lam = 0.2 the series converges slowly and its value is 1 to 1e-12.
-    """
-    if np.isnan(lam):  # a statistic that could not be computed fits nothing
-        return 0.0
-    if lam < 0.2:
-        return 1.0
-    k = np.arange(1, 101)
-    return float(2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * k**2 * lam**2)))
-
-
-def ks_pvalue(samples: np.ndarray, cdf) -> float:
-    """Asymptotic one-sample Kolmogorov-Smirnov p-value against a continuous CDF."""
-    u = np.sort(cdf(np.asarray(samples, dtype=float)))
+def _ks_distance(samples: np.ndarray, cdf) -> float:
+    """One-sample Kolmogorov-Smirnov distance D_N = sup |F_N - F| of N samples from a
+    continuous CDF F; NaN if a sample is NaN."""
+    u = np.sort(cdf(samples))
     steps = np.arange(len(u) + 1) / len(u)
-    distance = np.maximum((steps[1:] - u).max(), (u - steps[:-1]).max())
-    return kolmogorov_pvalue(np.sqrt(len(u)) * distance)
+    return float(np.maximum((steps[1:] - u).max(), (u - steps[:-1]).max()))
+
+
+def _dkw_epsilon(count: int) -> float:
+    """The D_N that N = count samples of the true law exceed with probability at most
+    KS_ALPHA: by the Dvoretzky-Kiefer-Wolfowitz inequality with Massart's constant
+    (Ann. Probab. 18, 1269 (1990)), P(D_N > eps) <= 2 exp(-2 N eps^2) for every N."""
+    return float(np.sqrt(np.log(2.0 / KS_ALPHA) / (2.0 * count)))
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Comparison thresholds used by the verification suite."""
+    """Comparison thresholds used by the verification suite; DomainError unless
+    each is a finite real number >= 0."""
 
     tight: float = 1e-12  # exact algebraic identities
     op: float = 1e-10  # operator-level identities with more accumulation
     scan: float = 1e-6  # closed-form optima vs. brute-force grid scans
+
+    def __post_init__(self) -> None:
+        for entry in fields(self):
+            spaces.check_real(getattr(self, entry.name), f"tolerance {entry.name}", 0.0,
+                              np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -530,9 +527,11 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
     report.add("empirical_mean_density", scope, np.abs(emp - rho1).max(), 0.01,
                "sampled projector average converges to the analytic input state")
 
+    # D_N over its DKW-Massart bound, which the true law exceeds with probability <= KS_ALPHA.
     samples = np.abs(_haar_rows(optics.seeded_stream(123), (10_000,), 3)[:, 0]) ** 2
-    pvalue = ks_pvalue(samples, lambda u: 1.0 - (1.0 - u) ** 2)  # Beta(1, 2) CDF
-    report.add("haar_first_component_law", scope, _worst(0.0, 1e-3 - pvalue), 0.0,
+    distance = _ks_distance(samples, lambda u: 1.0 - (1.0 - u) ** 2)  # Beta(1, 2) CDF
+    report.add("haar_first_component_law", scope,
+               _worst(0.0, distance - _dkw_epsilon(len(samples))), 0.0,
                "squared first component of random states follows the Beta(1, n-1) law")
 
 

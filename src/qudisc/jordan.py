@@ -22,9 +22,9 @@ import numpy as np
 
 from . import kinds
 from .errors import ContractError
-from .kinds import CASE_DISTINCT, CASE_DISTINCT_PRIMED, CASE_HIGH, CASE_LOW, reciprocal_rows
 from .spaces import (
     TAU_OP,
+    check_array,
     check_build_bytes,
     check_dimension,
     dimension_table,
@@ -40,7 +40,7 @@ class JordanPairSet:
 
     g and h are stacked row vectors of shape (i0, n^3); labels[m] records the
     originating case and ordered triple of row m; g_perp and h_perp are their
-    :func:`reciprocal_rows`.
+    :func:`qudisc.kinds.reciprocal_rows`.
     """
 
     n: int
@@ -51,7 +51,7 @@ class JordanPairSet:
     h_perp: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name, rows in zip(("g_perp", "h_perp"), reciprocal_rows(self.g, self.h)):
+        for name, rows in zip(("g_perp", "h_perp"), kinds.reciprocal_rows(self.g, self.h)):
             object.__setattr__(self, name, rows)
 
     def __len__(self) -> int:
@@ -86,10 +86,9 @@ def jordan_angles(family_a: np.ndarray, family_b: np.ndarray) -> np.ndarray:
     Computed as the singular values of the cross-Gram matrix, in descending
     order.  Raises ContractError unless both are numeric 2-D arrays of orthonormal rows.
     """
-    family_a, family_b = np.asarray(family_a), np.asarray(family_b)
+    family_a, family_b = (check_array(f, f"{name} family", (2,))
+                          for f, name in ((family_a, "first"), (family_b, "second")))
     for name, family in (("first", family_a), ("second", family_b)):
-        if family.ndim != 2 or not np.issubdtype(family.dtype, np.number):
-            raise ContractError(f"{name} family must be a numeric 2-D array, got {family.shape}")
         gram = family.conj() @ family.T
         if not np.abs(gram - np.eye(len(family))).max() <= TAU_OP:  # NaN fails too
             raise ContractError(f"{name} family is not orthonormal")
@@ -98,14 +97,3 @@ def jordan_angles(family_a: np.ndarray, family_b: np.ndarray) -> np.ndarray:
     cross = family_a.conj() @ family_b.T
     return np.linalg.svd(cross, compute_uv=False)
 
-
-__all__ = [
-    "JordanPairSet",
-    "build_gh_bases",
-    "reciprocal_rows",
-    "jordan_angles",
-    "CASE_LOW",
-    "CASE_HIGH",
-    "CASE_DISTINCT",
-    "CASE_DISTINCT_PRIMED",
-]

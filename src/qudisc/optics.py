@@ -43,7 +43,7 @@ from .errors import ContractError, DomainError
 from .povm import (
     Priors, check_omega1, check_priors, omega2_constraint, success_curve_x, x_from_omega1,
 )
-from .spaces import TAU_NORM, check_integer
+from .spaces import TAU_NORM, check_array, check_integer
 
 # Values after the keyword of each network-file line.
 _LINE_FIELDS = {"MODES": 1, "BS": 5, "PHASE": 2}
@@ -66,9 +66,7 @@ MAX_MODES = 2**12
 def seeded_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """The one counter-based Philox stream a sampling call draws from, keyed by (seed, stream):
     the two 64-bit key words, whole numbers in [0, 2^64); others raise DomainError."""
-    key = [check_integer(seed, 0, "seed"), check_integer(stream, 0, "stream")]
-    if max(key) >= 2**64:
-        raise DomainError(f"seed and stream must be below 2**64, got {seed!r} and {stream!r}")
+    key = [check_integer(seed, 0, "seed", 2**64 - 1), check_integer(stream, 0, "stream", 2**64 - 1)]
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
@@ -77,8 +75,7 @@ def _shot_blocks(shots: int, seed: int, width: int):
 
     Shots outside 1..MAX_SHOTS raise DomainError before any draw.
     """
-    if check_integer(shots, 1, "shots") > MAX_SHOTS:
-        raise DomainError(f"shots must not exceed {MAX_SHOTS}, got {shots}")
+    shots = check_integer(shots, 1, "shots", MAX_SHOTS)
     rng = seeded_stream(seed)
     return (rng.random((min(SHOT_BLOCK, shots - start), width))
             for start in range(0, shots, SHOT_BLOCK))
@@ -93,32 +90,17 @@ def two_mode_unitary(
     last two axes.  DomainError unless every angle is a finite real number and
     the three broadcast.
     """
+    angles = [check_array(a, "angles", None, float) for a in (omega, phi, theta)]
     try:
-        omega, phi, theta = np.broadcast_arrays(*(np.asarray(a) for a in (omega, phi, theta)))
-        if not all(a.dtype.kind in "iuf" and np.isfinite(a).all() for a in (omega, phi, theta)):
-            raise TypeError
-    except (TypeError, ValueError):  # ValueError: ragged nesting, or shapes that do not broadcast
-        raise DomainError("angles must be finite real numbers that broadcast together") from None
+        omega, phi, theta = np.broadcast_arrays(*angles)
+    except ValueError:
+        raise DomainError("angles must broadcast together") from None
+    if not all(np.isfinite(a).all() for a in angles):
+        raise DomainError("angles must be finite")
     s, c = np.sin(omega), np.cos(omega)
     e_phi, e_theta = np.exp(1j * phi), np.exp(1j * theta)
     rows = (np.stack([s * e_phi, c * e_phi], -1), np.stack([c * e_theta, -s * e_theta], -1))
     return np.stack(rows, -2)
-
-
-def _check_num_modes(num_modes) -> int:
-    """`num_modes` as an int; DomainError unless it is a whole number in 1..MAX_MODES."""
-    checked = check_integer(num_modes, 1, "num_modes")
-    if checked > MAX_MODES:
-        raise DomainError(f"num_modes must not exceed {MAX_MODES}, got {num_modes!r}")
-    return checked
-
-
-def _complex_array(values, what: str) -> np.ndarray:
-    """`values` as a complex array; ContractError unless every entry is a number."""
-    try:
-        return np.asarray(values, dtype=complex)
-    except (TypeError, ValueError):
-        raise ContractError(f"{what} must be an array of numbers") from None
 
 
 def _real_array(values, row_shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -130,7 +112,7 @@ def _real_array(values, row_shape: tuple[int, ...], what: str) -> np.ndarray:
         arr = np.array(values)
     except (ValueError, OverflowError):  # ragged nesting, integers beyond 64 bits
         raise DomainError(f"{what} must be a table of real numbers") from None
-    if arr.dtype.kind not in "biuf":
+    if arr.dtype.kind not in "iuf":
         raise DomainError(f"{what} must be real numbers, got {arr.dtype} entries")
     if arr.size == 0:
         arr = arr.reshape((0, *row_shape))
@@ -178,7 +160,7 @@ class Interferometer:
     phases: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        num_modes = _check_num_modes(self.num_modes)
+        num_modes = check_integer(self.num_modes, 1, "num_modes", MAX_MODES)
         modes, angles = _layer_arrays(self.modes, self.angles, num_modes)
         phases = _real_array(self.phases, (), "phases").astype(float, copy=False)
         if not phases.size:
@@ -238,8 +220,8 @@ class Interferometer:
 
         ContractError unless `states` is a finite array of one of those shapes.
         """
-        states = _complex_array(states, "states")
-        if states.ndim not in (1, 2) or len(states) != self.num_modes:
+        states = check_array(states, "states", (1, 2), complex)
+        if len(states) != self.num_modes:
             raise ContractError(f"states must have shape ({self.num_modes},) or "
                                 f"({self.num_modes}, k), got {states.shape}")
         if not np.isfinite(states).all():
@@ -276,7 +258,7 @@ class Interferometer:
                 continue
             try:
                 if kind == "MODES" and num_modes is None:
-                    num_modes = _check_num_modes(int(values[0]))
+                    num_modes = check_integer(int(values[0]), 1, "num_modes", MAX_MODES)
                 elif kind == "PHASE" and int(values[0]) - 1 not in phases:
                     phases[int(values[0]) - 1] = float(values[1])
                 else:
@@ -345,10 +327,10 @@ def reck_decompose(matrix: np.ndarray) -> Interferometer:
     layers are emitted in (col, row) order, the same layers with the same
     angles as a column-by-column elimination.
     """
-    mat = _complex_array(matrix, "input").copy()
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+    mat = check_array(matrix, "input", (2,), complex).copy()
+    if mat.shape[0] != mat.shape[1] or mat.size == 0:
         raise ContractError("input must be a non-empty square matrix")
-    dim = _check_num_modes(mat.shape[0])
+    dim = check_integer(mat.shape[0], 1, "num_modes", MAX_MODES)
     if not (np.isfinite(mat).all() and np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= 1e-8):
         raise ContractError("input matrix is not unitary")
 
@@ -388,9 +370,9 @@ def prepare_state_network(amplitudes: np.ndarray, n: int) -> Interferometer:
     remaining columns are an arbitrary unitary completion.  Mode k keeps its
     final amplitude at layer (k, k+1) and hands the residual weight onward.
     """
-    amps = _complex_array(amplitudes, "amplitudes")
-    n = _check_num_modes(n)  # before the cascade is computed
-    if amps.shape != (n,):
+    amps = check_array(amplitudes, "amplitudes", (1,), complex)
+    n = check_integer(n, 1, "num_modes", MAX_MODES)  # before the cascade is computed
+    if len(amps) != n:
         raise ContractError(f"expected {n} amplitudes, got shape {amps.shape}")
     if not abs(np.linalg.norm(amps) - 1.0) <= TAU_NORM:
         raise ContractError("amplitudes must have unit norm")
@@ -438,8 +420,8 @@ class ClickStats:
 def output_distribution(net: Interferometer, input_state: np.ndarray) -> np.ndarray:
     """Born probabilities over output modes for a single-photon input, propagated
     by ``net.apply``; ContractError unless the input is a unit vector of N amplitudes."""
-    amps = _complex_array(input_state, "input")
-    if amps.ndim != 1 or not abs(np.linalg.norm(amps) - 1.0) <= TAU_NORM:
+    amps = check_array(input_state, "input", (1,), complex)
+    if not abs(np.linalg.norm(amps) - 1.0) <= TAU_NORM:
         raise ContractError("input must be a unit vector")
     probs = np.abs(net.apply(amps)) ** 2
     return probs / probs.sum()

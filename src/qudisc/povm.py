@@ -33,8 +33,8 @@ import numpy as np
 from . import kinds
 from .errors import ContractError, DegeneratePriorsError, DomainError
 from .spaces import (
-    check_build_bytes, check_dimension, check_unit_states, gather_blocks, kind_counts,
-    mean_density_weight, permute_registers, product_ket,
+    check_array, check_build_bytes, check_dimension, check_real, check_unit_states, gather_blocks,
+    kind_counts, mean_density_weight, permute_registers, product_ket,
 )
 
 PROB_SLACK = 1e-12
@@ -54,8 +54,8 @@ class Priors:
     eta2: float
 
     def __post_init__(self) -> None:
-        if not (check_real(self.eta1, "eta1") >= 0 and check_real(self.eta2, "eta2") >= 0):
-            raise DomainError("priors must be nonnegative")
+        check_real(self.eta1, "eta1", 0.0)
+        check_real(self.eta2, "eta2", 0.0)
         if not abs(self.eta1 + self.eta2 - 1.0) <= 1e-12:
             raise DomainError("priors must sum to 1")
 
@@ -100,21 +100,8 @@ class RegimeResult:
     omega1_star: float
 
 
-def check_real(value, what: str) -> float:
-    """`value` as a float; DomainError unless it is a real number."""
-    try:
-        if isinstance(value, (str, bytes, bool, np.bool_)):  # float() would take them
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{what} must be a real number, got {value!r}") from None
-
-
 def check_omega1(omega1: float) -> float:
-    omega1 = check_real(omega1, "omega1")
-    if not 0.0 <= omega1 <= np.pi / 2 + 1e-12:
-        raise DomainError(f"omega1 must lie in [0, pi/2], got {omega1}")
-    return omega1
+    return check_real(omega1, "omega1", 0.0, np.pi / 2 + 1e-12)
 
 
 def clamp_probability(p):
@@ -134,9 +121,7 @@ def x_from_omega1(omega1: float) -> float:
 
 
 def omega1_from_x(x: float) -> float:
-    x = check_real(x, "x")
-    if not 1.0 <= x <= 4.0:
-        raise DomainError(f"x must lie in [1, 4], got {x}")
+    x = check_real(x, "x", 1.0, 4.0)
     return float(np.arccos(np.sqrt((x - 1.0) / 3.0)))
 
 
@@ -190,7 +175,8 @@ def kind_povms(omega1) -> list[np.ndarray]:
     pi1 = a P_g_perp, pi2 = b P_h_perp and pi0 = I - a g_perp^T g_perp - b h_perp^T h_perp
     along axis 1.  pi0 reads the kind's rows, so the three sum to I only if its
     projectors are those of its rows."""
-    weights = np.array([detection_weights(w) for w in np.ravel(omega1)]).reshape(-1, 2)
+    angles = check_array(omega1, "omega1", None, float).ravel()
+    weights = np.array([detection_weights(w) for w in angles]).reshape(-1, 2)
     a, b = weights.T[:, :, None, None]
     return [np.stack([a * k.p_g_perp, b * k.p_h_perp,
                       np.eye(k.d) - a * (k.g_perp.T @ k.g_perp) - b * (k.h_perp.T @ k.h_perp)],
@@ -219,9 +205,7 @@ def _permutation_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def success_curve_x(x: float, priors: Priors) -> float:
     """Per-subspace success probability as a function of x in [1, 4]."""
-    x, priors = check_real(x, "x"), check_priors(priors)
-    if not 1.0 <= x <= 4.0:
-        raise DomainError(f"x must lie in [1, 4], got {x}")
+    x, priors = check_real(x, "x", 1.0, 4.0), check_priors(priors)
     return clamp_probability(1.0 - priors.eta1 * x / 4.0 - priors.eta2 / x)
 
 
@@ -284,9 +268,7 @@ def optimal_pure(overlap_sq: float, priors: Priors) -> RegimeResult:
     Depends only on the priors and the squared overlap, not on the qudit
     dimension.
     """
-    overlap_sq = check_real(overlap_sq, "overlap_sq")
-    if not 0.0 <= overlap_sq <= 1.0:
-        raise DomainError(f"overlap_sq must lie in [0, 1], got {overlap_sq}")
+    overlap_sq = check_real(overlap_sq, "overlap_sq", 0.0, 1.0)
     best = optimal_subspace(priors)
     return replace(best, value=clamp_probability(PURE_SCALE * best.value * (1.0 - overlap_sq)))
 
@@ -298,11 +280,12 @@ def average_success_trace(n: int, omega1, priors: Priors) -> float | np.ndarray:
     (:func:`spaces.kind_counts`), times w.  One angle gives a float; an array
     of angles, one value per angle."""
     counts, priors = kind_counts(check_dimension(n)), check_priors(priors)
+    angles = check_array(omega1, "omega1", None, float)
     value = mean_density_weight(n) * sum(
         count * (priors.eta1 * np.einsum("kij,ji->k", ops[:, 0], kind.rho1)
                  + priors.eta2 * np.einsum("kij,ji->k", ops[:, 1], kind.rho2))
-        for count, kind, ops in zip(counts, kinds.kind_table(), kind_povms(omega1)))
-    return clamp_probability(value if np.ndim(omega1) else float(value[0]))
+        for count, kind, ops in zip(counts, kinds.kind_table(), kind_povms(angles)))
+    return clamp_probability(value if angles.ndim else float(value[0]))
 
 
 def pure_success_expectation(

@@ -39,16 +39,56 @@ TAU_RANK = 1e-8
 MAX_BUILD_BYTES = 2**30
 
 
-def check_integer(value, low: int, what: str) -> int:
-    """`value` as an int; DomainError unless it is a whole number >= low (NaN and inf are not)."""
-    if type(value) is int and value >= low:  # the common case, without the ABC checks
-        return value
-    whole = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer()
-    )
+def check_integer(value, low: int, what: str, high: int | None = None) -> int:
+    """`value` as an int; DomainError unless it is a whole number in [low, high],
+    with no upper bound when high is None (NaN, inf and booleans are not whole numbers)."""
+    if type(value) is int and low <= value and (high is None or value <= high):
+        return value  # the common case, without the ABC checks
+    whole = not isinstance(value, (bool, np.bool_)) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer()))
     if not (whole and value >= low):
         raise DomainError(f"{what} must be an integer >= {low}, got {value!r}")
+    if high is not None and value > high:
+        raise DomainError(f"{what} must not exceed {high}, got {value!r}")
     return int(value)
+
+
+def check_real(value, what: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """`value` as a float; DomainError unless it is a real number in [low, high] (NaN is not)."""
+    try:
+        if isinstance(value, (str, bytes, bool, np.bool_, np.complexfloating)):
+            raise TypeError  # float() would take them
+        real = float(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond the floats
+        raise DomainError(f"{what} must be a real number, got {value!r}") from None
+    if not low <= real <= high:
+        raise DomainError(f"{what} must lie in [{low}, {high}], got {real}")
+    return real
+
+
+def check_array(values, what: str, ranks: tuple[int, ...] | None, dtype=None) -> np.ndarray:
+    """`values` as an array with as many axes as one entry of `ranks` (any number when
+    None), cast to `dtype` when given; an array that needs no cast is returned as is.
+
+    Ragged nesting, entries that are not numbers, booleans and casts that lose a
+    part (complex to real) are refused.  Arrays of states, rows or operators raise
+    ContractError; real arrays (dtype float) hold angles, and raise DomainError as
+    scalars do.
+    """
+    error = DomainError if dtype is float else ContractError
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise error(f"{what} must be a rectangular array of numbers") from None
+    if array.dtype.kind not in "iufc" or not np.can_cast(array.dtype, dtype or array.dtype,
+                                                        "same_kind"):
+        raise error(f"{what} must be an array of {'real ' if dtype is float else ''}numbers, "
+                    f"got {array.dtype} entries")
+    if ranks is not None and array.ndim not in ranks:
+        axes = " or ".join(map(str, ranks))
+        raise error(f"{what} must have {axes} axes, got shape {array.shape}")
+    return array if dtype is None else array.astype(dtype, copy=False)
 
 
 def check_build_bytes(nbytes: int, what: str) -> None:
@@ -64,8 +104,8 @@ def check_dimension(n: int) -> int:
 def check_unit_states(psi1, psi2, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Two states (n,), or two row-aligned stacks of states (T, n), as complex
     arrays; ContractError unless every state is a finite unit vector of length n."""
-    psi1, psi2 = np.asarray(psi1, dtype=complex), np.asarray(psi2, dtype=complex)
-    if psi1.shape != psi2.shape or psi1.ndim not in (1, 2) or psi1.shape[-1] != n:
+    psi1, psi2 = (check_array(psi, "states", (1, 2), complex) for psi in (psi1, psi2))
+    if psi1.shape != psi2.shape or psi1.shape[-1] != n:
         raise ContractError(f"states must be vectors of length {n}, or equal stacks of them")
     for psi in (psi1, psi2):  # the norms, with no temporary as large as the states
         norms = np.sqrt(sum(np.einsum("...i,...i", part, part) for part in (psi.real, psi.imag)))
@@ -76,10 +116,10 @@ def check_unit_states(psi1, psi2, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def product_ket(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """|a>|b>|c> on the three registers, for numeric states (n,) or row-aligned
-    stacks (T, n), else ContractError; the same products as nested np.kron."""
-    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
-    if not all(s.ndim in (1, 2) and np.issubdtype(s.dtype, np.number) for s in (a, b, c)):
-        raise ContractError("states must be numeric vectors (n,) or stacks of them (T, n)")
+    stacks (T, n) of one length, else ContractError; the same products as nested np.kron."""
+    a, b, c = (check_array(s, "states", (1, 2)) for s in (a, b, c))
+    if not a.shape[:-1] == b.shape[:-1] == c.shape[:-1]:
+        raise ContractError("states must be three vectors or three stacks of one length")
     entries = a.size * b.shape[-1] * (c.shape[-1] + 1)  # the kets and the products of a and b
     check_build_bytes(np.result_type(a, b, c).itemsize * entries, "the product kets")
     big = a[..., :, None, None] * b[..., None, :, None] * c[..., None, None, :]
@@ -163,9 +203,9 @@ def diagonal_blocks(op: np.ndarray, n: int) -> tuple[list[np.ndarray], float]:
     """The V_t diagonal blocks of an n^3 x n^3 operator, one (blocks, d, d)
     stack per kind (:attr:`LabelBlocks.groups`), and the Frobenius norm of the
     entries off those blocks.  ContractError unless op is n^3 x n^3."""
-    blocks = label_blocks(n)
-    if np.shape(op) != blocks.block_of.shape * 2:
-        raise ContractError(f"op must be {n}^3 x {n}^3, got shape {np.shape(op)}")
+    blocks, op = label_blocks(n), check_array(op, "op", (2,))
+    if op.shape != blocks.block_of.shape * 2:
+        raise ContractError(f"op must be {n}^3 x {n}^3, got shape {op.shape}")
     entries = [(cols[:, :, None], cols[:, None, :]) for cols in blocks.groups]
     diagonal = [op[rows, cols] for rows, cols in entries]
     rest = np.array(op)  # op minus the direct sum of its diagonal blocks
@@ -178,9 +218,9 @@ def gather_blocks(kets: np.ndarray, n: int) -> list[np.ndarray]:
     """The amplitudes of kets (..., n^3) on each V_t, one (..., blocks, d)
     array per kind (:attr:`LabelBlocks.groups`): O(n^3) memory per ket.
     ContractError unless the last axis has n^3 entries."""
-    blocks = label_blocks(n)
-    if np.shape(kets)[-1:] != blocks.block_of.shape:
-        raise ContractError(f"kets must have {n}^3 entries, got shape {np.shape(kets)}")
+    blocks, kets = label_blocks(n), check_array(kets, "kets", None)
+    if kets.shape[-1:] != blocks.block_of.shape:
+        raise ContractError(f"kets must have {n}^3 entries, got shape {kets.shape}")
     return [kets[..., cols] for cols in blocks.groups]
 
 
@@ -219,17 +259,14 @@ def permute_registers(rows: np.ndarray, perm: tuple[int, ...], n: int) -> np.nda
     r of each output row takes input register perm[r] (0-based).  The tensor
     transpose permutes entries, so it is exact.  ContractError unless the rows
     are an array with n^len(perm) entries each."""
-    check_dimension(n)
+    n = check_dimension(n)
     try:
         perm = tuple(check_integer(p, 0, "register index") for p in perm)
     except TypeError:  # not iterable
         raise DomainError(f"{perm!r} is not a permutation of the registers") from None
     if sorted(perm) != list(range(len(perm))):
         raise DomainError(f"{perm!r} is not a permutation of the registers")
-    try:
-        rows = np.asarray(rows)
-    except ValueError:  # ragged nesting
-        raise ContractError("rows must be a rectangular array") from None
+    rows = check_array(rows, "rows", None)
     if rows.shape[-1:] != (n ** len(perm),):
         raise ContractError(f"rows must have {n ** len(perm)} entries, got shape {rows.shape}")
     tensor = rows.reshape(-1, *(n,) * len(perm))

@@ -16,14 +16,13 @@ from qudisc.harness import (
     Tolerances,
     empirical_mean_density,
     haar_state,
-    kolmogorov_pvalue,
-    ks_pvalue,
     mc_success,
     overlap_identity_check,
     verify_all,
 )
 from qudisc.optics import Interferometer, simulate_clicks, simulate_discriminator
-from qudisc.jordan import CASE_DISTINCT_PRIMED, CASE_LOW, build_gh_bases
+from qudisc.jordan import build_gh_bases
+from qudisc.kinds import CASE_DISTINCT_PRIMED, CASE_LOW
 from qudisc.povm import Priors, average_success, omega1_from_x, total_povm
 from qudisc.spaces import mean_density_operators, projector_from_rows, symmetric_basis_3
 
@@ -272,19 +271,38 @@ def test_mc_success_validation():
         mc_success(2, 5.0, Priors.from_eta1(0.5), trials=200, seed=0)
 
 
-# Kolmogorov's limit law at 0, in its small-lambda branch, at its 5% and 1%
-# quantiles, and far in the tail.
+def _kolmogorov_pvalue(lam):
+    """Reference: Kolmogorov's limit P(sqrt(N) D_N > lam) = 2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2).
+
+    Below lam = 0.2 the series converges slowly and its value is 1 to 1e-12.
+    """
+    if lam < 0.2:
+        return 1.0
+    k = np.arange(1, 101)
+    return float(2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * k**2 * lam**2)))
+
+
+# The reference at 0, in its small-lambda branch, at its 5% and 1% quantiles,
+# and far in the tail.
 @pytest.mark.parametrize(
     "lam,pvalue", [(0.0, 1.0), (0.3, 1.0), (1.3581, 0.05), (1.6276, 0.01), (5.0, 0.0)]
 )
 def test_kolmogorov_pvalue(lam, pvalue):
-    assert abs(kolmogorov_pvalue(lam) - pvalue) < 1e-3
+    assert abs(_kolmogorov_pvalue(lam) - pvalue) < 1e-3
 
 
-def test_ks_pvalue_rejects_wrong_law():
+def test_dkw_bound_of_the_haar_law_check_is_kolmogorovs_quantile():
+    # 2 exp(-2 lam^2) is the leading term of Kolmogorov's series, so at 10^4 samples
+    # the DKW-Massart bound at alpha = 1e-3 is Kolmogorov's 1e-3 quantile to 1.25e-10.
+    lam = np.sqrt(10_000) * harness._dkw_epsilon(10_000)
+    assert abs(_kolmogorov_pvalue(lam) - harness.KS_ALPHA) <= 1e-9 * harness.KS_ALPHA
+
+
+def test_ks_distance_rejects_wrong_law():
     # |a1|^2 is uniform for n = 2, not Beta(1, 2) as for n = 3.
     samples = np.abs([haar_state(2, 123, t)[0] for t in range(2_000)]) ** 2
-    assert ks_pvalue(samples, lambda u: 1.0 - (1.0 - u) ** 2) < 1e-3
+    distance = harness._ks_distance(samples, lambda u: 1.0 - (1.0 - u) ** 2)
+    assert distance > harness._dkw_epsilon(len(samples))
 
 
 def _fresh_python(code):
@@ -559,9 +577,8 @@ def test_an_operating_point_off_the_optimum_fails_the_averaged_trace_check(monke
 
 
 def test_a_nan_ks_statistic_fails_closed(monkeypatch):
-    assert kolmogorov_pvalue(np.nan) == 0.0
-    assert ks_pvalue([0.1, np.nan, 0.5], lambda u: u) == 0.0
-    monkeypatch.setattr(harness, "ks_pvalue", lambda samples, cdf: np.nan)
+    assert np.isnan(harness._ks_distance(np.array([0.1, np.nan, 0.5]), lambda u: u))
+    monkeypatch.setattr(harness, "_ks_distance", lambda samples, cdf: np.nan)
     report = harness.VerificationReport(n_max=2)
     harness._global_checks(2, Tolerances(), report)
     law = next(r for r in report.results if r.name == "haar_first_component_law")

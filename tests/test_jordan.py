@@ -3,12 +3,8 @@ import pytest
 
 from qudisc import kinds
 from qudisc.errors import ContractError, DomainError
-from qudisc.jordan import (
-    CASE_DISTINCT,
-    CASE_DISTINCT_PRIMED,
-    build_gh_bases,
-    jordan_angles,
-)
+from qudisc.jordan import build_gh_bases, jordan_angles
+from qudisc.kinds import CASE_DISTINCT, CASE_DISTINCT_PRIMED
 from qudisc.spaces import (
     diagonal_blocks,
     dimension_table,
@@ -168,7 +164,7 @@ def test_jordan_angles_rejects_non_orthonormal():
         with pytest.raises(ContractError):
             jordan_angles(first, second)
     # Two unit vectors are not two families: a one-row family is (1, n).
-    with pytest.raises(ContractError, match="first family must be a numeric 2-D array"):
+    with pytest.raises(ContractError, match="first family must have 2 axes"):
         jordan_angles([1.0, 0.0], [0.0, 1.0])
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qudisc import kinds
-from qudisc.jordan import CASE_DISTINCT, CASE_DISTINCT_PRIMED, CASE_HIGH, CASE_LOW
+from qudisc.kinds import CASE_DISTINCT, CASE_DISTINCT_PRIMED, CASE_HIGH, CASE_LOW
 from qudisc.spaces import label_blocks
 
 ARRAYS = ("g", "h", "g_perp", "h_perp", "p0", "p_g", "p_h", "p_g_perp", "p_h_perp",

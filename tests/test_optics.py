@@ -589,6 +589,14 @@ def test_shots_above_the_limit_are_refused_before_any_draw(monkeypatch):
             simulate_clicks(net, state, shots=shots, seed=0)
 
 
+def test_whole_float_shots_count_as_their_integer():
+    # A whole float passes the shots check; it raised TypeError in range().
+    net, state, priors = Interferometer(num_modes=2), np.array([0.6, 0.8]), Priors.from_eta1(0.4)
+    assert simulate_clicks(net, state, 100.0, 5).counts == simulate_clicks(net, state, 100, 5).counts
+    assert (simulate_discriminator(0.7, priors, 100.0, 5).counts
+            == simulate_discriminator(0.7, priors, 100, 5).counts)
+
+
 def test_discriminator_tallies_follow_the_two_uniforms_of_each_shot():
     # The first uniform of a shot picks h when it is >= eta1, the second the click.
     rng = np.random.default_rng(15)

@@ -3,7 +3,8 @@ import pytest
 
 from qudisc import harness, kinds, optics, spaces, povm as povm_module
 from qudisc.errors import ContractError, DegeneratePriorsError, DomainError
-from qudisc.jordan import build_gh_bases, jordan_angles, reciprocal_rows
+from qudisc.jordan import build_gh_bases, jordan_angles
+from qudisc.kinds import reciprocal_rows
 from qudisc.povm import (
     MeasurementTriple,
     Priors,

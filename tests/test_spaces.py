@@ -7,7 +7,7 @@ import pytest
 
 from qudisc import kinds, povm, spaces
 from qudisc.errors import ContractError, DomainError
-from qudisc.jordan import reciprocal_rows
+from qudisc.kinds import reciprocal_rows
 from qudisc.spaces import (
     check_dimension,
     check_integer,
@@ -69,7 +69,7 @@ def test_flatten_index_matches_enumeration_order():
     [
         (3, 0, 3),
         (np.int64(3), 0, 3),
-        (True, 0, 1),
+        (True, 0, None),
         (3.0, 0, 3),
         (2.5, 0, None),
         (float("nan"), 0, None),
@@ -420,6 +420,11 @@ def test_diagonal_blocks_and_the_off_block_norm(n):
     assert off > 0 and abs(off - np.sqrt((op[outside] ** 2).sum())) <= 1e-12 * off
     rho1, _ = mean_density_operators(n)
     assert diagonal_blocks(rho1, n)[1] == 0.0
+    # Nested lists are taken as the arrays they spell.
+    listed, listed_off = diagonal_blocks(op.tolist(), n)
+    assert listed_off == off and all(map(np.array_equal, listed, diagonal))
+    kets = rng.normal(size=(2, n**3))
+    assert all(map(np.array_equal, gather_blocks(kets.tolist(), n), gather_blocks(kets, n)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
