@@ -47,6 +47,5 @@ from .spaces import (
     dimension_table,
     mean_density_operators,
     symmetric_basis_2,
-    symmetric_basis_3,
     symmetric_projector,
 )

@@ -9,7 +9,6 @@ outcome), which keeps the estimator unbiased with far lower variance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -38,11 +37,6 @@ SCAN_POINTS = 3_000_001
 # point, and scanning only that window finds it exactly.
 SCAN_STRIDE = 1000
 
-# The per-n suite reads the averaged inputs and the detection operators once
-# per kind of V_t.  Dense n^3 x n^3 operators are built only at n <= DENSE_N_MAX,
-# each V_t block to be held against its kind's block: the averaged inputs, and
-# the detection operators at every DENSE_STRIDE-th point of the omega1 grid.
-DENSE_N_MAX, DENSE_STRIDE = 5, 7
 SEEDED_PAIRS = 100  # random pairs of the per-n suite's pure-state checks
 KS_ALPHA = 1e-3  # false-alarm rate of the Haar law check
 
@@ -277,13 +271,12 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     report.add("dimension_formulas", scope, dev, 0,
                "closed-form subspace dimensions equal constructive SVD ranks")
 
-    # sym3 has one row per V_t, its kind's unit vector spread over it, so the groups cover each ket.
+    # The three-fold symmetric basis has one row per V_t, its kind's unit vector
+    # spread over it, so the groups must cover each ket once.
     sym2 = spaces.symmetric_basis_2(n)
-    dense_sym3 = [spaces.symmetric_basis_3(n)] if n <= DENSE_N_MAX else []
     units = [np.full(kind.d, 1.0 / np.sqrt(kind.d)) for kind in kinds.kind_table()]
     covered = np.bincount(np.concatenate([cols.ravel() for cols in vts.groups]), minlength=n**3)
-    dev = _worst(*(np.abs(rows.conj() @ rows.T - np.eye(len(rows))).max()
-                   for rows in (sym2, *dense_sym3)), np.abs(covered - 1).max(),
+    dev = _worst(np.abs(sym2.conj() @ sym2.T - np.eye(len(sym2))).max(), np.abs(covered - 1).max(),
                  *(abs(unit @ unit - 1) for count, unit in zip(counts, units) if count))
     report.add("symmetric_bases_orthonormal", scope, dev, tol.tight,
                "two- and three-fold symmetric bases have identity Gram matrices")
@@ -295,32 +288,40 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     report.add("symmetric_projector", scope, dev, tol.op,
                "two-fold symmetric projector is the permutation symmetrizer")
 
-    # The permutations map each V_t, so its row, to itself; a float row lets a NaN show.
-    dev = _worst(*(np.abs(spaces.permute_registers(rows, perm, n) - rows).max()
-                   for rows in (vts.block_of[None].astype(float), *dense_sym3)
-                   for perm in itertools.permutations(range(3))))
+    # The glue between the kinds and the whole space: each permutation maps every
+    # V_t, so its row of block_of, to itself, and moves the flat indices of a V_t
+    # as its kind's permutation matrix moves them.  Float rows let a NaN show.
+    rows = np.stack([vts.block_of, np.arange(n**3)]).astype(float)
+    moved = [spaces.permute_registers(rows, perm, n) for perm, _ in kinds.PERMUTATIONS]
+    dev = _worst(*(np.abs(m[0] - rows[0]).max() for m in moved),
+                 *(np.abs(m[1, cols] - cols @ kind.perms[s]).max(initial=0.0)
+                   for s, m in enumerate(moved)
+                   for cols, kind in zip(vts.groups, kinds.kind_table())))
     report.add("threefold_permutation_invariance", scope, dev, tol.tight,
                "three-fold symmetric vectors are fixed by all register permutations")
 
     # Operators built alike on every V_t are read once per kind present at n,
     # and a sum over the V_t counts each kind's term once per V_t of that kind.
-    # The averaged inputs are w times the kinds' rho1 and rho2.  At n <= DENSE_N_MAX,
-    # by Weyl, lambda_min(dense) >= lambda_min(blocks) - ||dense - blocks||_F.
+    # The averaged inputs are w times the kinds' rho1 and rho2.  By Schur-Weyl
+    # duality they and the detection operators are sums of the six permutations,
+    # so each kind's S1, S2 and S3 from its permutation matrices must equal its
+    # blocks built from the paper's rows; by the glue check these are the V_t
+    # blocks of the sums on the whole space.  A Frobenius distance between two
+    # copies joins the negativity of the one checked (Weyl, ||.||_2 <= ||.||_F).
     grid, weight = np.linspace(0.0, np.pi / 2, 50), spaces.mean_density_weight(n)
     present = [(count, kind, ops) for count, kind, ops
                in zip(counts, kinds.kind_table(), povm.kind_povms(grid)) if count]
+    sums = [kinds.symmetrizers(kind.perms) for _, kind, _ in present]
     dev = 0.0
-    for entry in ("rho1", "rho2"):
+    for index, entry, span in ((0, "rho1", "s1"), (1, "rho2", "s2")):
         blocks = [weight * getattr(kind, entry) for _, kind, _ in present]
         lowest = np.min([_lowest_eigenvalues(block) for block in blocks])
         trace = sum(count * np.trace(block) for (count, *_), block in zip(present, blocks))
-        dev = _worst(dev, abs(trace - 1), np.maximum(0.0, -lowest))
-    if n <= DENSE_N_MAX:
-        for rho, entry in zip(spaces.mean_density_operators(n), ("rho1", "rho2")):
-            diagonal, off_block = spaces.diagonal_blocks(rho, n)
-            distance = sum(((d - weight * getattr(kind, entry)) ** 2).sum()
-                           for d, kind in zip(diagonal, kinds.kind_table()))
-            dev = _worst(dev, np.sqrt(distance + off_block**2))
+        # w S1 (w S2) from the permutations, and from the product-basis rows.
+        copies = _worst(*(np.linalg.norm(block - weight * copy)
+                          for block, (_, kind, _), s in zip(blocks, present, sums)
+                          for copy in (s[index], getattr(kind, span))))
+        dev = _worst(dev, abs(trace - 1), np.maximum(0.0, -lowest), copies)
     report.add("mean_densities_are_states", scope, dev, tol.tight,
                "averaged inputs are unit-trace positive operators")
 
@@ -330,10 +331,6 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
                    for count, kind, unit in zip(counts, kinds.kind_table(), units) if count
                    for rows in (kind.s1_rows, kind.s2_rows)),
                  *(abs(cols.shape[1] - unit.size) for cols, unit in zip(vts.groups, units)))
-    for rest in dense_sym3:  # row t of sym3 is that of V_t's kind, on V_t; no later check reads it
-        for cols, unit in zip(vts.groups, units):
-            rest[vts.block_of[cols], cols] -= unit
-        dev = _worst(dev, np.linalg.norm(rest, axis=1).max())
     report.add("symmetric_vector_expansions", scope, dev, tol.tight,
                "product-basis expansions reconstruct the symmetric vectors")
 
@@ -365,36 +362,32 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
                "g (resp. h) dyads complete the symmetric projector to S1 (resp. S2)")
 
     # One eigensolve per kind gives the exact lambda_min of its pi1, pi2 and pi0 at
-    # every angle; each h_perp row must equal g_perp/2 + (sqrt(3)/2) h.  At
-    # n <= DENSE_N_MAX every DENSE_STRIDE-th point (both ends included) is also built
-    # densely with total_povm and each of its V_t blocks held against its kind's
-    # povm.kind_povms block: each ||dense - blocks||_F, off-block entries included,
-    # joins that operator's negativity (Weyl, with ||.||_2 <= ||.||_F), and the dense
-    # completeness, with the off-block norms added, and traces join the other two.
+    # every angle; each h_perp row must equal g_perp/2 + (sqrt(3)/2) h.  Each kind's
+    # S3 - S2 and S3 - S1 must be its P_g_perp and P_h_perp, and a (S3 - S2),
+    # b (S3 - S1) and their complement, as total_povm builds them, its blocks at
+    # every angle: the distance, the largest over the kinds, joins each operator's
+    # negativity, and their completeness and traces join the other two checks.
     h_perp_gap = _worst(*(
         np.abs(kind.h_perp - (0.5 * kind.g_perp + np.sqrt(3.0) / 2.0 * kind.h)).max(initial=0.0)
         for _, kind, _ in present))
+    projector_gap = _worst(*(np.linalg.norm(copy - proj)
+                             for (_, kind, _), (s1, s2, s3) in zip(present, sums)
+                             for copy, proj in ((s3 - s2, kind.p_g_perp), (s3 - s1, kind.p_h_perp))))
+    a, b = np.array([povm.detection_weights(w) for w in grid]).T[:, :, None, None]
+    built = []  # per kind present: (K, 3, d, d), as kind_povms gives them
+    for (_, kind, _), (s1, s2, s3) in zip(present, sums):
+        pi1, pi2 = a * (s3 - s2), b * (s3 - s1)
+        built.append(np.stack([pi1, pi2, np.eye(kind.d) - pi1 - pi2], axis=1))
+    distance = np.max([np.sqrt(((ops - copy) ** 2).sum(axis=(2, 3)))
+                       for (*_, ops), copy in zip(present, built)], axis=0)
     negativity = np.maximum(0.0, -np.min([_lowest_eigenvalues(ops) for *_, ops in present], axis=0))
-    complete, unambiguous = _completeness_and_unambiguity(
-        [ops[:, :, None] for *_, ops in present],
-        [[count * weight * getattr(kind, entry) for count, kind, _ in present]
-         for entry in ("rho1", "rho2")])
-    if n <= DENSE_N_MAX:
-        angles = grid[::DENSE_STRIDE]
-        read = [[spaces.diagonal_blocks(op, n) for op in povm.total_povm(n, omega1).elements()]
-                for omega1 in angles]  # per angle and operator: (blocks per kind, off-block norm)
-        off = np.array([[norm for _, norm in ops] for ops in read])
-        dense = [np.array([[blocks[k] for blocks, _ in ops] for ops in read])
-                 for k in range(len(kinds.kind_table()))]
-        distance = sum(((d - ops[:, :, None]) ** 2).sum(axis=(2, 3, 4))
-                       for d, ops in zip(dense, povm.kind_povms(angles)))
-        negativity[::DENSE_STRIDE] += np.sqrt(distance + off**2)
-        dense_complete, dense_unambiguous = _completeness_and_unambiguity(
-            dense, [[weight * getattr(kind, entry) for kind in kinds.kind_table()]
-                    for entry in ("rho1", "rho2")])
-        complete = np.concatenate([complete, dense_complete + off.sum(axis=1)])
-        unambiguous = np.concatenate([unambiguous, dense_unambiguous])
-    report.add("povm_positive", scope, _worst(h_perp_gap, negativity.max()), tol.op,
+    rhos = [[count * weight * getattr(kind, entry) for count, kind, _ in present]
+            for entry in ("rho1", "rho2")]
+    complete, unambiguous = np.max([_completeness_and_unambiguity(
+        [stack[:, :, None] for stack in stacks], rhos)
+        for stacks in ([ops for *_, ops in present], built)], axis=0)
+    dev = _worst(h_perp_gap, projector_gap, (negativity + distance).max())
+    report.add("povm_positive", scope, dev, tol.op,
                "all three detection operators are positive semidefinite on a 50-point grid")
     report.add("povm_complete", scope, _worst(complete.max()), tol.op,
                "detection operators sum to the identity")

@@ -9,8 +9,11 @@ the same at every qudit dimension n; :attr:`qudisc.spaces.LabelBlocks.groups`
 lists the V_t of each kind at a given n, and the block held here broadcasts
 over them.
 
-Each entry is built from its own definition, never from another entry, so the
-checks that compare entries compare independent constructions.
+The g rows and the S1 product-basis rows are written out from their
+definitions.  h and the S2 rows are them with A and C exchanged, and rho1 and
+rho2 are (I + P_AB)/2 and (I + P_BC)/2, all through the kind's permutation
+matrices (`perms`).  So the checks that hold sums of the permutations against
+the projectors of the rows compare independent constructions.
 """
 
 from __future__ import annotations
@@ -55,6 +58,25 @@ def _u3_coefficients() -> dict[tuple[int, int, int], tuple[float, ...]]:
     return {(0, 0, 0): (1.0,), (0, 0, 1): (c1, c2), (0, 1, 1): (c2, c1), (0, 1, 2): (c1, c1, c1)}
 
 
+# The six register permutations as spaces.permute_registers takes them (register
+# r takes register perm[r]), with their signs: the identity, the two 3-cycles,
+# then the exchanges of A and B, of B and C and of A and C.
+PERMUTATIONS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1))
+SWAP_AB, SWAP_BC, SWAP_AC = 3, 4, 5  # their places in PERMUTATIONS
+
+
+def symmetrizers(perms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S1 = (I + P_AB)/2, S2 = (I + P_BC)/2 and S3 = I - sum_sigma sgn(sigma) P_sigma / 6
+    from the six permutation matrices P_sigma, given in the order of PERMUTATIONS
+    (the first is I): the projectors onto the AB- and BC-symmetric subspaces and onto
+    their span, the complement of the antisymmetric subspace.  The same sums serve
+    one kind's V_t and the whole three-register space."""
+    eye = perms[0]
+    s3 = eye - sum(sign * p for (_, sign), p in zip(PERMUTATIONS, perms)) / 6
+    return (eye + perms[SWAP_AB]) / 2, (eye + perms[SWAP_BC]) / 2, s3
+
+
 def reciprocal_rows(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(2g + h)/sqrt(3) and (2h + g)/sqrt(3), row by row: for <g|h> = -1/2, the
     unit vectors of span(g, h) orthogonal to h and to g respectively."""
@@ -72,7 +94,9 @@ class Kind:
     lexicographic (pair, C) order; s2_rows are them with A and C exchanged, and
     s1 and s2 project onto their spans.  u3 expands the unit symmetric vector
     over either.  rho1 and rho2 are the blocks of the averaged inputs over
-    w = 2/(n^2 (n+1)).  All arrays are read-only.
+    w = 2/(n^2 (n+1)).  perms stacks the d x d matrices of PERMUTATIONS: rows @
+    perms[s] permutes the registers of rows on V_t as spaces.permute_registers
+    does on the whole space.  All arrays are read-only.
     """
 
     d: int
@@ -93,32 +117,35 @@ class Kind:
     u3: np.ndarray
     rho1: np.ndarray
     rho2: np.ndarray
+    perms: np.ndarray
 
 
 def _kind(labels: tuple[int, int, int], cases: tuple[str, ...]) -> Kind:
     members = tuple(sorted(set(permutations(labels))))
-    d, eye = len(members), np.eye(len(members))
-
-    def permuted(rows, perm):  # register r takes register perm[r], as in spaces.permute_registers
-        return rows[:, [members.index(tuple(m[perm.index(s)] for s in range(3))) for m in members]]
+    d = len(members)
+    # Register r of member m takes register perm[r] of its source, as in spaces.permute_registers.
+    perms = np.zeros((len(PERMUTATIONS), d, d))
+    for s, (perm, _) in enumerate(PERMUTATIONS):
+        for j, m in enumerate(members):
+            perms[s, members.index(tuple(m[perm.index(r)] for r in range(3))), j] = 1.0
 
     def proj(rows):
         return rows.T @ rows
 
     g = np.array([_g_rows()[case] for case in cases]).reshape(len(cases), d)
-    h = permuted(g, (2, 1, 0))
+    h = g @ perms[SWAP_AC]
     g_perp, h_perp = reciprocal_rows(g, h)
     # S1's product-basis rows: one per symmetric AB pair and C label, in that order.
     keys = [(*sorted(m[:2]), m[2]) for m in members]
     s1_rows = np.array([[1.0 / np.sqrt(keys.count(k)) if key == k else 0.0 for key in keys]
                         for k in sorted(set(keys))])
-    s2_rows = permuted(s1_rows, (2, 1, 0))  # S2 is S1 with A and C exchanged
+    s2_rows = s1_rows @ perms[SWAP_AC]  # S2 is S1 with A and C exchanged
+    rho1, rho2, _ = symmetrizers(perms)  # (I + swap_AB)/2 and (I + swap_BC)/2
     kind = Kind(d=d, cases=cases, g=g, h=h, g_perp=g_perp, h_perp=h_perp,
                 p0=proj(np.full((1, d), 1.0 / np.sqrt(d))), p_g=proj(g), p_h=proj(h),
                 p_g_perp=proj(g_perp), p_h_perp=proj(h_perp), s1_rows=s1_rows, s2_rows=s2_rows,
                 s1=proj(s1_rows), s2=proj(s2_rows), u3=np.array(_u3_coefficients()[labels]),
-                rho1=(eye + permuted(eye, (1, 0, 2))) / 2,  # (I + swap_AB)/2
-                rho2=(eye + permuted(eye, (0, 2, 1))) / 2)  # (I + swap_BC)/2
+                rho1=rho1, rho2=rho2, perms=perms)
     for value in vars(kind).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)

@@ -25,7 +25,6 @@ values (3/4) eta2 at x = 4 and (3/4) eta1 at x = 1 take over for eta1 below
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -154,17 +153,21 @@ def block_povm(omega1: float) -> np.ndarray:
 def total_povm(n: int, omega1: float) -> MeasurementTriple:
     """Three-outcome POVM on the full three-register space: pi1 = a (S3 - S2),
     pi2 = b (S3 - S1) and pi0 = I - pi1 - pi2, with (a, b) from
-    :func:`detection_weights` and the projectors built from the register
-    permutations (:func:`_permutation_projectors`)."""
+    :func:`detection_weights` and S1, S2 and S3 summed from the six register
+    permutations (:func:`qudisc.kinds.symmetrizers`).  The measurement commutes
+    with U (x) U (x) U, so by Schur-Weyl duality it is such a combination of the
+    permutations."""
     n, omega1 = check_dimension(n), check_omega1(omega1)
     # The identity, its six permutations, their sums and the elements: 16 n^6 floats.
     check_build_bytes(8 * 16 * n**6, "the dense detection operators")
-    proj_g, proj_h = _permutation_projectors(n)
+    # The identity's rows permuted are P_sigma^T; S1, S2 and S3 are symmetric, so
+    # the transpose does not matter.
+    eye = np.eye(n**3)
+    s1, s2, s3 = kinds.symmetrizers([permute_registers(eye, p, n) for p, _ in kinds.PERMUTATIONS])
     a, b = detection_weights(omega1)
-    pi1 = a * proj_g
-    pi2 = b * proj_h
-    pi0 = np.eye(n**3)  # I - pi1 - pi2, in place
-    pi0 -= pi1
+    pi1 = a * (s3 - s2)
+    pi2 = b * (s3 - s1)
+    pi0 = eye - pi1  # I - pi1 - pi2, in place
     pi0 -= pi2
     return MeasurementTriple(pi1=pi1, pi2=pi2, pi0=pi0, omega1=omega1)
 
@@ -181,26 +184,6 @@ def kind_povms(omega1) -> list[np.ndarray]:
     return [np.stack([a * k.p_g_perp, b * k.p_h_perp,
                       np.eye(k.d) - a * (k.g_perp.T @ k.g_perp) - b * (k.h_perp.T @ k.h_perp)],
                      axis=1) for k in kinds.kind_table()]
-
-
-@functools.lru_cache(maxsize=4)  # the n^3 x n^3 projectors grow as n^6
-def _permutation_projectors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only P_g_perp = S3 - S2 and P_h_perp = S3 - S1, from the six register
-    permutations P_sigma alone: S1 = (I + P_AB)/2, S2 = (I + P_BC)/2, and
-    S3 = span(S1, S2) = I - sum_sigma sgn(sigma) P_sigma / 6, the complement of
-    the antisymmetric subspace.  The measurement commutes with U (x) U (x) U, so
-    by Schur-Weyl duality it is such a combination of the permutations."""
-    # The identity's rows permuted are P_sigma^T; the transpositions and both
-    # sums below are symmetric, so the transpose does not matter.
-    eye = np.eye(n**3)
-    even, odd = ((0, 1, 2), (1, 2, 0), (2, 0, 1)), ((1, 0, 2), (0, 2, 1), (2, 1, 0))
-    perms = {perm: permute_registers(eye, perm, n) for perm in even + odd}
-    s3 = eye - (sum(perms[p] for p in even) - sum(perms[p] for p in odd)) / 6
-    s1, s2 = (eye + perms[(1, 0, 2)]) / 2, (eye + perms[(0, 2, 1)]) / 2
-    projectors = s3 - s2, s3 - s1
-    for proj in projectors:
-        proj.setflags(write=False)
-    return projectors
 
 
 def success_curve_x(x: float, priors: Priors) -> float:

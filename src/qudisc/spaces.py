@@ -33,9 +33,8 @@ TAU_RANK = 1e-8
 # grow with n, or with a stack of states, estimate their peak and raise
 # DomainError above it before they allocate.  1 GiB is a quarter of a 4 GiB VM
 # and some 180 times the largest such call of the tests (total_povm at n = 6).
-# It admits the V_t up to n = 237, the three-fold symmetric basis up to n = 30,
-# the paired bases up to n = 20, total_povm up to n = 14 and verify_all up to
-# n_max = 48.
+# It admits the V_t up to n = 237, the paired bases up to n = 20, total_povm up
+# to n = 14 and verify_all up to n_max = 48.
 MAX_BUILD_BYTES = 2**30
 
 
@@ -44,14 +43,24 @@ def check_integer(value, low: int, what: str, high: int | None = None) -> int:
     with no upper bound when high is None (NaN, inf and booleans are not whole numbers)."""
     if type(value) is int and low <= value and (high is None or value <= high):
         return value  # the common case, without the ABC checks
-    whole = not isinstance(value, (bool, np.bool_)) and (
-        isinstance(value, numbers.Integral)
-        or (isinstance(value, numbers.Real) and float(value).is_integer()))
-    if not (whole and value >= low):
+    if not (_is_whole(value) and value >= low):
         raise DomainError(f"{what} must be an integer >= {low}, got {value!r}")
     if high is not None and value > high:
         raise DomainError(f"{what} must not exceed {high}, got {value!r}")
     return int(value)
+
+
+def _is_whole(value) -> bool:
+    """Whether a number is whole: exactly for ints and fractions, through float()
+    for other reals (NaN, inf and booleans are not whole)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        return False
+    if isinstance(value, numbers.Rational):  # float() of Fraction(10**400, 3) overflows
+        return value.denominator == 1
+    try:
+        return float(value).is_integer()
+    except OverflowError:  # a real beyond the floats
+        return False
 
 
 def check_real(value, what: str, low: float = -math.inf, high: float = math.inf) -> float:
@@ -168,7 +177,7 @@ def label_blocks(n: int, factors: int = 3) -> LabelBlocks:
 # verify_all(n_max) reads one key per (n, factors), n = 2..n_max and factors 2
 # and 3, many times over within each n's checks: 2 (n_max - 1) keys, which 16
 # holds up to n_max = 9.  verify_all(48), the largest it admits, reads 94 keys:
-# 546 hits, 134 misses.  Its 40 repeat misses come after the per-n suite, and
+# 434 hits, 134 misses.  Its 40 repeat misses come after the per-n suite, and
 # all its builds take 0.4 s of its 53 s.
 @functools.lru_cache(maxsize=16)
 def _label_blocks(n: int, factors: int) -> LabelBlocks:
@@ -199,21 +208,6 @@ def kind_counts(n: int) -> np.ndarray:
     return np.array([n, pairs, pairs, triples], dtype=np.int64 if triples < 2**63 else object)
 
 
-def diagonal_blocks(op: np.ndarray, n: int) -> tuple[list[np.ndarray], float]:
-    """The V_t diagonal blocks of an n^3 x n^3 operator, one (blocks, d, d)
-    stack per kind (:attr:`LabelBlocks.groups`), and the Frobenius norm of the
-    entries off those blocks.  ContractError unless op is n^3 x n^3."""
-    blocks, op = label_blocks(n), check_array(op, "op", (2,))
-    if op.shape != blocks.block_of.shape * 2:
-        raise ContractError(f"op must be {n}^3 x {n}^3, got shape {op.shape}")
-    entries = [(cols[:, :, None], cols[:, None, :]) for cols in blocks.groups]
-    diagonal = [op[rows, cols] for rows, cols in entries]
-    rest = np.array(op)  # op minus the direct sum of its diagonal blocks
-    for rows, cols in entries:
-        rest[rows, cols] = 0.0
-    return diagonal, float(np.linalg.norm(rest))
-
-
 def gather_blocks(kets: np.ndarray, n: int) -> list[np.ndarray]:
     """The amplitudes of kets (..., n^3) on each V_t, one (..., blocks, d)
     array per kind (:attr:`LabelBlocks.groups`): O(n^3) memory per ket.
@@ -224,34 +218,20 @@ def gather_blocks(kets: np.ndarray, n: int) -> list[np.ndarray]:
     return [kets[..., cols] for cols in blocks.groups]
 
 
-def _symmetric_basis(n: int, factors: int) -> np.ndarray:
-    """One row per V_t: the equal superposition of the basis kets in it."""
-    n = check_dimension(n)
-    check_build_bytes(8 * math.comb(n + factors - 1, factors) * n**factors, "the symmetric basis")
-    blocks = label_blocks(n, factors)
-    sizes = np.bincount(blocks.block_of)
-    basis = np.zeros((len(sizes), n**factors))
-    basis[blocks.block_of, np.arange(n**factors)] = 1.0 / np.sqrt(sizes[blocks.block_of])
-    return basis
-
-
 def symmetric_basis_2(n: int) -> np.ndarray:
     """Orthonormal basis of the two-fold symmetric subspace.
 
     Returns an array of shape (n(n+1)/2, n^2); row order follows
-    :func:`pair_labels`.
+    :func:`pair_labels`.  Each row is the equal superposition of the basis
+    kets of one V_t of two registers.
     """
-    return _symmetric_basis(n, 2)
-
-
-def symmetric_basis_3(n: int) -> np.ndarray:
-    """Orthonormal basis of the three-fold symmetric subspace.
-
-    Returns an array of shape (n(n+1)(n+2)/6, n^3); row order follows
-    :func:`triple_labels`.  Each row is invariant under all six register
-    permutations.
-    """
-    return _symmetric_basis(n, 3)
+    n = check_dimension(n)
+    check_build_bytes(8 * math.comb(n + 1, 2) * n**2, "the symmetric basis")
+    blocks = label_blocks(n, 2)
+    sizes = np.bincount(blocks.block_of)
+    basis = np.zeros((len(sizes), n**2))
+    basis[blocks.block_of, np.arange(n**2)] = 1.0 / np.sqrt(sizes[blocks.block_of])
+    return basis
 
 
 def permute_registers(rows: np.ndarray, perm: tuple[int, ...], n: int) -> np.ndarray:

@@ -2,15 +2,17 @@
 
 Each rebuilds per n what the library now reads once per kind from the kind
 table (qudisc.kinds), by the route the library took before: splitting n^3-wide
-rows over the V_t, writing the g family and the S1 product basis out term by
-term, and reading the averaged inputs' blocks from the entries of
-P_sigma (x) I and I (x) P_sigma.
+rows or n^3 x n^3 operators over the V_t, writing the three-fold symmetric
+basis, the g family and the S1 product basis out in full, and reading the
+averaged inputs' blocks from the entries of P_sigma (x) I and I (x) P_sigma.
 """
 
 import numpy as np
 
 from qudisc.errors import ContractError
-from qudisc.spaces import label_blocks, symmetric_basis_2, symmetric_projector, triple_labels
+from qudisc.spaces import (
+    check_array, label_blocks, symmetric_basis_2, symmetric_projector, triple_labels,
+)
 
 
 def ket(labels, n):
@@ -19,6 +21,31 @@ def ket(labels, n):
     vec = np.zeros(n ** len(labels))
     vec[np.ravel_multi_index(np.subtract(labels, 1), (n,) * len(labels))] = 1.0
     return vec
+
+
+def symmetric_basis_3(n):
+    """Orthonormal basis of the three-fold symmetric subspace, one row per V_t
+    in triple_labels order: the equal superposition of the basis kets in it."""
+    block_of = label_blocks(n).block_of
+    sizes = np.bincount(block_of)
+    basis = np.zeros((len(sizes), len(block_of)))
+    basis[block_of, np.arange(len(block_of))] = 1.0 / np.sqrt(sizes[block_of])
+    return basis
+
+
+def diagonal_blocks(op, n):
+    """The V_t diagonal blocks of an n^3 x n^3 operator, one (blocks, d, d)
+    stack per kind (LabelBlocks.groups), and the Frobenius norm of the entries
+    off those blocks.  ContractError unless op is n^3 x n^3."""
+    blocks, op = label_blocks(n), check_array(op, "op", (2,))
+    if op.shape != blocks.block_of.shape * 2:
+        raise ContractError(f"op must be {n}^3 x {n}^3, got shape {op.shape}")
+    entries = [(cols[:, :, None], cols[:, None, :]) for cols in blocks.groups]
+    diagonal = [op[rows, cols] for rows, cols in entries]
+    rest = np.array(op)  # op minus the direct sum of its diagonal blocks
+    for rows, cols in entries:
+        rest[rows, cols] = 0.0
+    return diagonal, float(np.linalg.norm(rest))
 
 
 def g_rows_by_formula(n):

@@ -36,8 +36,8 @@ from qudisc.spaces import (
     dimension_table,
     mean_density_operators,
     projector_from_rows,
-    symmetric_basis_3,
 )
+from references import symmetric_basis_3
 
 GOLDEN = Path(__file__).parent / "golden"
 

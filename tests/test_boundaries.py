@@ -2,18 +2,32 @@
 
 Arrays of states, rows or operators raise ContractError; scalars and angle
 arrays raise DomainError.  No row may return a result or raise a builtin error.
+The reference copy of diagonal_blocks, which the tests compare against, checks
+its input as the package does.
 """
+
+import numbers
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qudisc import harness, jordan, optics, povm, spaces
 from qudisc.errors import ContractError, DomainError
+from references import diagonal_blocks
 
 PRIORS = povm.Priors.from_eta1(0.5)
 RAGGED = [[1, 0], [1]]
 E0 = np.array([1.0, 0.0])
 NET = optics.Interferometer(2)
+
+
+@numbers.Real.register
+class PastTheFloats:
+    """A real number that float() cannot hold."""
+
+    def __float__(self):
+        raise OverflowError("too large for a float")
 
 
 @pytest.mark.parametrize("call, error", [
@@ -36,6 +50,13 @@ NET = optics.Interferometer(2)
                  id="average_success_trace-ragged"),
     pytest.param(lambda: spaces.check_integer(True, 0, "x"), DomainError,
                  id="check_integer-bool"),
+    # Past the floats: float() raised OverflowError on these.
+    pytest.param(lambda: spaces.check_integer(Fraction(10**400, 3), 0, "x"), DomainError,
+                 id="check_integer-Fraction(10**400,3)"),
+    pytest.param(lambda: spaces.check_integer(Fraction(10**400), 0, "x", 10), DomainError,
+                 id="check_integer-Fraction(10**400)-above-high"),
+    pytest.param(lambda: spaces.check_integer(PastTheFloats(), 0, "x"), DomainError,
+                 id="check_integer-real-past-the-floats"),
     pytest.param(lambda: optics.Interferometer(True), DomainError, id="Interferometer-bool"),
     pytest.param(lambda: harness.haar_state(True, 0), DomainError, id="haar_state-bool"),
     pytest.param(lambda: harness.empirical_mean_density(2, True, 10, 0), DomainError,
@@ -45,9 +66,9 @@ NET = optics.Interferometer(2)
     pytest.param(lambda: harness.verify_all(2, harness.Tolerances(tight=np.nan)), DomainError,
                  id="Tolerances-nan"),
     # The other entry points, one malformed input each.
-    pytest.param(lambda: spaces.diagonal_blocks(RAGGED, 2), ContractError,
+    pytest.param(lambda: diagonal_blocks(RAGGED, 2), ContractError,
                  id="diagonal_blocks-ragged"),
-    pytest.param(lambda: spaces.diagonal_blocks(np.full((8, 8), None), 2), ContractError,
+    pytest.param(lambda: diagonal_blocks(np.full((8, 8), None), 2), ContractError,
                  id="diagonal_blocks-object"),
     pytest.param(lambda: spaces.gather_blocks(None, 2), ContractError, id="gather_blocks-None"),
     pytest.param(lambda: spaces.gather_blocks(np.ones(8, dtype=bool), 2), ContractError,
@@ -99,3 +120,8 @@ NET = optics.Interferometer(2)
 def test_malformed_input_raises_the_package_error(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_a_whole_fraction_past_the_floats_is_its_exact_integer():
+    value = spaces.check_integer(Fraction(10**400), 0, "x")
+    assert type(value) is int and value == 10**400

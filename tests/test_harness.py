@@ -24,7 +24,7 @@ from qudisc.optics import Interferometer, simulate_clicks, simulate_discriminato
 from qudisc.jordan import build_gh_bases
 from qudisc.kinds import CASE_DISTINCT_PRIMED, CASE_LOW
 from qudisc.povm import Priors, average_success, omega1_from_x, total_povm
-from qudisc.spaces import mean_density_operators, projector_from_rows, symmetric_basis_3
+from qudisc.spaces import mean_density_operators
 
 
 def test_haar_state_basics():
@@ -55,7 +55,6 @@ def test_an_oversized_n_is_refused_before_any_allocation():
         lambda: harness.overlap_identity_check(e0, e1, 2000),
         lambda: povm.pure_success_expectation(stack, stack, 0.5, priors, 60),
         lambda: harness.overlap_identity_check(stack, stack, 60),
-        lambda: spaces.symmetric_basis_3(60),
         lambda: spaces.symmetric_basis_2(300),
         lambda: spaces.symmetric_projector(300),
         lambda: build_gh_bases(60),
@@ -399,31 +398,41 @@ def test_block_positivity_certificate_matches_dense_eigensolves(n):
     assert abs(block.deviation - dense) <= 1e-13
 
 
-def _patch_total_povm(monkeypatch, change):
-    """total_povm with pi1 and pi2 replaced by change(n, triple); pi0 still completes them."""
-    def patched(n, omega1):
-        triple = total_povm(n, omega1)
-        pi1, pi2 = change(n, triple)
-        return dataclasses.replace(triple, pi1=pi1, pi2=pi2, pi0=np.eye(n**3) - pi1 - pi2)
+def _patch_symmetrizers(monkeypatch, change, kind=3):
+    """kinds.symmetrizers with its (S1, S2, S3) replaced by change(perms, s1, s2, s3)
+    for the permutation matrices of one kind of the table only, {a,b,c} by default."""
+    real = kinds.symmetrizers
 
-    monkeypatch.setattr(povm, "total_povm", patched)
+    def patched(perms):
+        sums = real(perms)
+        return change(perms, *sums) if perms is kinds.kind_table()[kind].perms else sums
+
+    monkeypatch.setattr(kinds, "symmetrizers", patched)
 
 
 def test_povm_positive_fails_on_a_negative_dyad_off_the_blocks(monkeypatch):
-    def change(n, triple):
-        s = symmetric_basis_3(n)[1]  # orthogonal to every g_perp and h row
-        return triple.pi1 - 1e-6 * np.outer(s, s.conj()), triple.pi2
-
-    _patch_total_povm(monkeypatch, change)
-    assert not _povm_positive(3).passed
+    # S2 takes a 1e-6 dyad on the {a,b,c} kind's symmetric vector, orthogonal to
+    # every g_perp and h row, so pi1 = a (S3 - S2) takes a negative one.
+    v = np.full(6, 1.0 / np.sqrt(6))
+    _patch_symmetrizers(monkeypatch, lambda perms, s1, s2, s3: (s1, s2 + 1e-6 * np.outer(v, v), s3))
+    for n in (3, 8):
+        assert not _povm_positive(n).passed, n
 
 
 def test_povm_positive_fails_on_a_wrong_pi2_coefficient(monkeypatch):
-    def change(n, triple):
-        return triple.pi1, triple.pi2 + 1e-6 * projector_from_rows(build_gh_bases(n).h_perp)
-
-    _patch_total_povm(monkeypatch, change)
+    # S1 moved off S3 by 1e-6 of their difference: pi2 = b (S3 - S1) is then
+    # (1 + 1e-6) b P_h_perp on every {a,b,c} V_t.
+    _patch_symmetrizers(monkeypatch, lambda perms, s1, s2, s3: (s1 - 1e-6 * (s3 - s1), s2, s3))
     assert not _povm_positive(3).passed
+
+
+@pytest.mark.parametrize("kind", range(4))
+def test_one_permutation_coefficient_of_s3_off_by_a_sixth_fails_the_povm_checks(
+        monkeypatch, kind):
+    # The 3-cycle (1, 2, 0) enters S3 of one kind with coefficient 0, not -1/6.
+    _patch_symmetrizers(monkeypatch, lambda perms, s1, s2, s3: (s1, s2, s3 + perms[1] / 6), kind)
+    for n in (3, 8):
+        assert not _povm_positive(n).passed, n
 
 
 def test_povm_positive_fails_on_a_perturbed_h_perp_row(monkeypatch):
@@ -463,20 +472,6 @@ def _per_n_results(n):
 OMEGA1_GRID = np.linspace(0.0, np.pi / 2, 50)  # the grid of the per-n POVM checks
 
 
-def test_povm_positive_fails_on_a_dense_fault_at_one_cross_check_point(monkeypatch):
-    real = povm.total_povm
-
-    def faulty(n, omega1):
-        triple = real(n, omega1)
-        if n == 5 and omega1 == OMEGA1_GRID[14]:
-            triple.pi1[0, -1] += 1e-6  # between |111> and |555>, off the V_t blocks
-            triple.pi1[-1, 0] += 1e-6
-        return triple
-
-    monkeypatch.setattr(povm, "total_povm", faulty)
-    assert not _povm_positive(5).passed
-
-
 def test_povm_positive_fails_on_a_block_fault_between_cross_check_points(monkeypatch):
     real = povm.kind_povms
 
@@ -491,18 +486,18 @@ def test_povm_positive_fails_on_a_block_fault_between_cross_check_points(monkeyp
 
 
 def test_verify_all_builds_dense_povms_only_at_the_cross_check_points(monkeypatch):
+    # The per-n suite builds none; network_born_rule holds the six-port click
+    # probabilities against total_povm at its 20 angles, at n = 2.
     calls = []
     real = povm.total_povm
 
     def counted(n, omega1):
-        calls.append(n)
+        calls.append((n, omega1))
         return real(n, omega1)
 
     monkeypatch.setattr(povm, "total_povm", counted)
     assert verify_all(6).passed
-    # OMEGA1_GRID[::7] at n = 2..5 only; network_born_rule adds 20 at n = 2.
-    assert len(calls) <= 4 * len(OMEGA1_GRID[::7]) + 20
-    assert set(calls) == {2, 3, 4, 5}
+    assert calls == [(2, omega1) for omega1 in np.linspace(0.0, np.pi / 2, 20)]
 
 
 def test_verify_all_scatters_the_povm_only_at_the_cross_check_and_pure_state_angles(monkeypatch):
@@ -515,20 +510,14 @@ def test_verify_all_scatters_the_povm_only_at_the_cross_check_and_pure_state_ang
 
     monkeypatch.setattr(povm, "kind_povms", recorded)
     assert verify_all(6).passed
-    cross_check = tuple(OMEGA1_GRID[::harness.DENSE_STRIDE])
-    assert len(cross_check) == 8
-    # Each n's checks open with the 50-point grid.  Besides it the kind blocks are
-    # read at the dense cross-check points at n <= 5, the averaged-trace check's
-    # grid[::7] and omega1*, the pure-state checks' 0.7 and dimension_independence's 0.8.
-    per_n = []
-    for angles in calls:
-        if angles == tuple(OMEGA1_GRID):
-            per_n.append([])
-        per_n[-1].append(angles)
-    assert [n for n, read in enumerate(per_n, 2) if cross_check in read] == [2, 3, 4, 5]
+    # Each n's checks read the 50-point grid once, where the permutation sums are
+    # cross-checked too.  Besides it the kind blocks are read at the averaged-trace
+    # check's grid[::7] and omega1*, the pure-state checks' 0.7 and
+    # dimension_independence's 0.8.
+    assert calls.count(tuple(OMEGA1_GRID)) == 5
     averaged = {angles for angles in calls if angles[:-1] == tuple(OMEGA1_GRID[::7])}
     assert len(averaged) == 1
-    assert set(calls) == {tuple(OMEGA1_GRID), cross_check, *averaged, (0.7,), (0.8,)}
+    assert set(calls) == {tuple(OMEGA1_GRID), *averaged, (0.7,), (0.8,)}
 
 
 def test_a_nan_in_one_permutation_operator_fails_the_invariance_check(monkeypatch):
@@ -547,8 +536,7 @@ def test_a_nan_in_one_permutation_operator_fails_the_invariance_check(monkeypatc
 
 
 def test_a_nan_in_pi1_at_one_grid_point_fails_the_grid_checks(monkeypatch):
-    # The {a,b,c} kind's pi1 is NaN at OMEGA1_GRID[10], between the dense
-    # cross-check points, and finite everywhere else; n = 6 has no dense copy.
+    # The {a,b,c} kind's pi1 is NaN at OMEGA1_GRID[10] and finite everywhere else.
     real = povm.kind_povms
 
     def faulty(omega1):
@@ -654,26 +642,23 @@ def test_a_perturbed_g_row_fails_the_angle_checks(monkeypatch):
     assert {("n=3", "principal_angle_cosines"), ("n=3", "paired_basis_structure")} <= failed
 
 
-def test_a_perturbed_dense_g_row_fails_the_dense_cross_check(monkeypatch):
-    # The dense total_povm reads no g row: it is built from the register
-    # permutations, and povm_positive holds it against the kind blocks at
-    # n <= DENSE_N_MAX.  Here P_AB at n = 3 has 1e-6 added at (|112>, |121>).
-    real = spaces.permute_registers
-
-    def faulty(rows, perm, n):
-        permuted = real(rows, perm, n)
-        if n == 3 and perm == (1, 0, 2):
-            permuted = permuted.copy()
-            permuted[1, 3] += 1e-6
-        return permuted
-
-    monkeypatch.setattr(povm, "permute_registers", faulty)
-    povm._permutation_projectors.cache_clear()
+def test_a_perturbed_permutation_block_fails_the_cross_check(monkeypatch):
+    # The {a,a,b} kind's P_AB with 1e-6 added at (|aab>, |aba>): S1 = (I + P_AB)/2,
+    # and so pi2 = b (S3 - S1), no longer match the blocks of the paper's rows, and
+    # permute_registers no longer moves the kets as P_AB does, at every n.
+    perms = kinds.kind_table()[1].perms.copy()
+    perms[kinds.SWAP_AB, 0, 1] += 1e-6
+    table = _with_kind(1, perms=perms)
+    monkeypatch.setattr(kinds, "kind_table", lambda: table)
+    _clear_operator_caches()
     try:
-        assert not _povm_positive(3).passed
-        assert _povm_positive(4).passed
+        for n in (3, 8):
+            results = _per_n_results(n)
+            for name in ("povm_positive", "mean_densities_are_states",
+                         "threefold_permutation_invariance"):
+                assert not results[name].passed, (n, name)
     finally:
-        povm._permutation_projectors.cache_clear()
+        _clear_operator_caches()
 
 
 def test_a_perturbed_kind_row_fails_the_paired_basis_check(monkeypatch):
@@ -715,18 +700,23 @@ def test_a_change_inside_one_rho1_block_fails_the_state_checks_at_n6(monkeypatch
         assert not results[name].passed, name
 
 
-def test_an_entry_off_the_blocks_of_rho1_fails_the_state_check(monkeypatch):
-    # Above the diagonal, where a dense eigvalsh (lower triangle) would not look.
-    real = spaces.mean_density_operators
+@pytest.mark.parametrize("n", [3, 8])
+def test_an_exchange_that_leaves_its_vt_fails_the_glue_check(monkeypatch, n):
+    # spaces.permute_registers with A and B exchanged sends |111> to |nnn>, out of
+    # its V_t and away from where the {a,a,a} kind's P_AB puts it.
+    real = spaces.permute_registers
 
-    def faulty(n):
-        rho1, rho2 = real(n)
-        rho1 = rho1.copy()
-        rho1[0, -1] = 1e-9  # row |111>, column |333>
-        return rho1, rho2
+    def faulty(rows, perm, n):
+        permuted = real(rows, perm, n)
+        if tuple(perm) == (1, 0, 2):
+            permuted = permuted.copy()
+            permuted[..., 0] = rows[..., -1]
+        return permuted
 
-    monkeypatch.setattr(spaces, "mean_density_operators", faulty)
-    assert ("n=3", "mean_densities_are_states") in _failed_checks(verify_all(3))
+    monkeypatch.setattr(spaces, "permute_registers", faulty)
+    results = _per_n_results(n)
+    assert not results["threefold_permutation_invariance"].passed
+    assert results["mean_densities_are_states"].passed  # the kinds' blocks are intact
 
 
 def test_a_wrong_index_in_the_amplitude_gather_fails_the_pure_state_check(monkeypatch):
@@ -746,7 +736,7 @@ def test_a_wrong_index_in_the_amplitude_gather_fails_the_pure_state_check(monkey
     assert results["povm_unambiguous_pure"].passed  # the suite's own gather is intact
 
 
-OPERATOR_CACHES = (kinds.kind_table, spaces._label_blocks, povm._permutation_projectors)
+OPERATOR_CACHES = (kinds.kind_table, spaces._label_blocks)
 
 
 def _clear_operator_caches():
@@ -754,20 +744,17 @@ def _clear_operator_caches():
         cache.cache_clear()
 
 
-def test_no_dense_operator_is_built_above_n5(monkeypatch):
-    # The dense builders, and the n^6 three-fold symmetric rows, refuse n >= 6.
-    # spaces.permutation_operator and jordan.density_from_jordan, the other two
-    # dense builders, are gone.
-    for module, name in ((povm, "total_povm"), (povm, "_permutation_projectors"),
-                         (spaces, "mean_density_operators"), (jordan, "build_gh_bases"),
-                         (harness, "build_gh_bases"), (spaces, "symmetric_basis_3")):
-        def guarded(n, *args, real=getattr(module, name), name=name):
-            if n >= 6:
-                raise AssertionError(f"{name} called at n = {n}")
-            return real(n, *args)
+def test_the_per_n_suite_builds_no_dense_operator(monkeypatch):
+    # At no n does _checks_for_n build an n^3 x n^3 operator or the n^6 paired
+    # families: the kinds' permutation matrices stand in for the dense ones.
+    for module, name in ((povm, "total_povm"), (spaces, "mean_density_operators"),
+                         (jordan, "build_gh_bases"), (harness, "build_gh_bases")):
+        def refused(*args, name=name):
+            raise AssertionError(f"{name} called")
 
-        monkeypatch.setattr(module, name, guarded)
-    assert verify_all(6).passed
+        monkeypatch.setattr(module, name, refused)
+    for n in range(2, 9):
+        assert all(r.passed for r in _per_n_results(n).values()), n
     _clear_operator_caches()
     report = harness.VerificationReport(n_max=8)
     tracemalloc.start()
@@ -781,26 +768,27 @@ def test_no_dense_operator_is_built_above_n5(monkeypatch):
     # blocks it took about 7.6 MiB, read once per kind about 6.8 MiB, with the
     # Jordan pairs read from the kind table about 4.1 MiB, with the u3
     # expansions read per kind instead of over the n^3-wide S1 rows 3.9 MiB,
-    # and with the three-fold symmetric basis read per V_t 3.3 MiB.
+    # with the three-fold symmetric basis read per V_t 3.3 MiB, and with the
+    # per-kind permutation checks 3.5 MiB.
     assert peak <= 26.7 / 2 * 2**20
 
 
 def test_a_kind_absent_at_n_reads_as_an_empty_group_and_the_suite_passes():
     # n = 2 has no {a,b,c} V_t: its group is empty, and the per-kind reductions
-    # of the dense cross-checks read it as nothing.
+    # read it as nothing.
     assert spaces.label_blocks(2).groups[3].shape == (0, 6)
     assert verify_all(2).passed
 
 
 def test_verify_all_hits_every_kept_cache_and_label_blocks_fits_its_keys():
-    # Only builders whose traffic repeats are cached.  verify_all(8) reads
-    # label_blocks at one key per (n, factors), n = 2..8 and factors 2 and 3, so
-    # a cache that holds them all misses once per key.
+    # Only builders whose traffic repeats are cached: in verify_all(6),
+    # kind_table has 92 hits and one miss, and _label_blocks 54 hits and 10
+    # misses.  verify_all(8) reads label_blocks at one key per (n, factors),
+    # n = 2..8 and factors 2 and 3, so a cache that holds them all misses once per key.
     _clear_operator_caches()
     assert verify_all(8).passed
     assert spaces._label_blocks.cache_info().misses == 14
-    for cache in (kinds.kind_table, povm._permutation_projectors):
-        assert cache.cache_info().hits >= 1, cache
+    assert kinds.kind_table.cache_info().hits >= 1
 
 
 def test_a_wrong_kind_count_fails_the_dimension_check(monkeypatch):
@@ -864,31 +852,27 @@ def test_a_changed_u3_coefficient_fails_the_expansion_check_wherever_its_kind_is
     monkeypatch.setattr(kinds, "kind_table", lambda: table)
     _clear_operator_caches()
     try:
-        report = verify_all(5)
+        expansions = {n: _per_n_results(n)["symmetric_vector_expansions"].passed
+                      for n in range(2, 9)}
     finally:
         _clear_operator_caches()
-    expansions = {r.scope: r.passed for r in report.results
-                  if r.name == "symmetric_vector_expansions"}
-    assert expansions == {"n=2": True, "n=3": False, "n=4": False, "n=5": False}
+    assert expansions == {n: n == 2 for n in range(2, 9)}
 
 
 def test_a_misplaced_symmetric_row_fails_the_expansion_check(monkeypatch):
-    # Two rows of the three-fold symmetric basis exchanged at n = 4: still
-    # orthonormal and permutation invariant, but no longer row t on V_t.
-    real = spaces.symmetric_basis_3
-
-    def faulty(n):
-        rows = real(n)
-        if n == 4:
-            rows[[1, 2]] = rows[[2, 1]]
-        return rows
-
-    monkeypatch.setattr(spaces, "symmetric_basis_3", faulty)
-    failed = _failed_checks(verify_all(4))
-    assert ("n=4", "symmetric_vector_expansions") in failed
-    assert not {("n=4", "symmetric_bases_orthonormal"),
-                ("n=4", "threefold_permutation_invariance")} & failed
-    assert not any(scope == "n=3" for scope, _ in failed)
+    # The {a,a,b} kind's two S1 rows, |aab> and the symmetric pair {a,b} with
+    # C = a, exchanged: still an orthonormal basis of the same S1 block, but no
+    # longer in the order that u3 = (sqrt(1/3), sqrt(2/3)) expands.
+    s1_rows = kinds.kind_table()[1].s1_rows[::-1].copy()
+    table = _with_kind(1, s1_rows=s1_rows)
+    monkeypatch.setattr(kinds, "kind_table", lambda: table)
+    _clear_operator_caches()
+    try:
+        for n in (4, 8):
+            failed = {name for name, r in _per_n_results(n).items() if not r.passed}
+            assert failed == {"symmetric_vector_expansions"}, n
+    finally:
+        _clear_operator_caches()
 
 
 @pytest.mark.parametrize("fault, check", [
@@ -896,9 +880,9 @@ def test_a_misplaced_symmetric_row_fails_the_expansion_check(monkeypatch):
     ("groups", "symmetric_bases_orthonormal"),
 ])
 def test_a_wrong_vt_above_n5_fails_the_per_vt_symmetric_basis_check(monkeypatch, fault, check):
-    # Above n = 5 the three-fold symmetric basis is read per V_t, with no dense
-    # rows.  At n = 6, |112> (flat 1) is put in the V_t of |111>, or its place
-    # in the {a,a,b} group is taken by |121> (flat 6).
+    # The three-fold symmetric basis is read per V_t, with no dense rows at any
+    # n.  At n = 6, |112> (flat 1) is put in the V_t of |111>, or its place in
+    # the {a,a,b} group is taken by |121> (flat 6).
     real = spaces.label_blocks
 
     def faulty(n, factors=3):

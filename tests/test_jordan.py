@@ -6,16 +6,16 @@ from qudisc.errors import ContractError, DomainError
 from qudisc.jordan import build_gh_bases, jordan_angles
 from qudisc.kinds import CASE_DISTINCT, CASE_DISTINCT_PRIMED
 from qudisc.spaces import (
-    diagonal_blocks,
     dimension_table,
     exchange_ac,
     mean_density_operators,
     mean_density_weight,
     projector_from_rows,
-    symmetric_basis_3,
     triple_labels,
 )
-from references import g_rows_by_formula, ket, s1_rows_by_kron
+from references import (
+    diagonal_blocks, g_rows_by_formula, ket, s1_rows_by_kron, symmetric_basis_3,
+)
 
 
 def test_qubit_pair_count_and_triples():

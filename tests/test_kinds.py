@@ -5,10 +5,10 @@ import pytest
 
 from qudisc import kinds
 from qudisc.kinds import CASE_DISTINCT, CASE_DISTINCT_PRIMED, CASE_HIGH, CASE_LOW
-from qudisc.spaces import label_blocks
+from qudisc.spaces import label_blocks, permute_registers
 
 ARRAYS = ("g", "h", "g_perp", "h_perp", "p0", "p_g", "p_h", "p_g_perp", "p_h_perp",
-          "s1_rows", "s2_rows", "s1", "s2", "rho1", "rho2")
+          "s1_rows", "s2_rows", "s1", "s2", "rho1", "rho2", "perms")
 
 
 def test_the_four_kinds_and_their_rows():
@@ -59,3 +59,30 @@ def test_kind_identities():
         assert _gap(kind.s2_rows.T @ kind.s2_rows, kind.s2) == 0.0
         for rows in (kind.s1_rows, kind.s2_rows):  # u3 expands the unit symmetric vector
             assert _gap(kind.u3 @ rows, np.full(kind.d, 1 / np.sqrt(kind.d))) <= 1e-15
+
+
+def test_the_permutation_sums_are_the_projectors_of_the_paper_rows():
+    # Schur-Weyl duality on one V_t: S1, S2 and S3 of the permutation matrices
+    # against the product-basis projectors and the reciprocal families' projectors.
+    signs = [sign for _, sign in kinds.PERMUTATIONS]
+    assert sorted(perm for perm, _ in kinds.PERMUTATIONS) == sorted(itertools.permutations(range(3)))
+    assert signs == [1, 1, 1, -1, -1, -1] and kinds.PERMUTATIONS[0][0] == (0, 1, 2)
+    for kind in kinds.kind_table():
+        assert kind.perms.shape == (6, kind.d, kind.d)
+        assert all(np.array_equal(p @ p.T, np.eye(kind.d)) for p in kind.perms)
+        s1, s2, s3 = kinds.symmetrizers(kind.perms)
+        assert _gap(s1, kind.s1) <= 1.2e-16 and _gap(s2, kind.s2) <= 1.2e-16
+        assert _gap(s3 - s2, kind.p_g_perp) <= 2.3e-16
+        assert _gap(s3 - s1, kind.p_h_perp) <= 2.3e-16
+        assert np.array_equal(s1, kind.rho1) and np.array_equal(s2, kind.rho2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_each_kind_permutes_its_kets_as_permute_registers_does(n):
+    blocks, table = label_blocks(n), kinds.kind_table()
+    eye = np.eye(n**3)
+    for s, (perm, _) in enumerate(kinds.PERMUTATIONS):
+        moved = permute_registers(eye, perm, n)
+        for cols, kind in zip(blocks.groups, table):
+            for members in cols:
+                assert np.array_equal(moved[np.ix_(members, members)], kind.perms[s])

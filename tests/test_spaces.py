@@ -12,7 +12,6 @@ from qudisc.spaces import (
     check_dimension,
     check_integer,
     constructive_dimension_table,
-    diagonal_blocks,
     dimension_table,
     exchange_ac,
     gather_blocks,
@@ -25,13 +24,12 @@ from qudisc.spaces import (
     product_ket,
     projector_from_rows,
     symmetric_basis_2,
-    symmetric_basis_3,
     symmetric_projector,
     triple_labels,
 )
 from references import (
-    block_projectors, block_stacks, g_rows_by_formula, ket, rho_blocks_by_index_arithmetic,
-    s1_rows_by_kron,
+    block_projectors, block_stacks, diagonal_blocks, g_rows_by_formula, ket,
+    rho_blocks_by_index_arithmetic, s1_rows_by_kron, symmetric_basis_3,
 )
 
 
