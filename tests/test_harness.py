@@ -472,6 +472,23 @@ def _per_n_results(n):
 OMEGA1_GRID = np.linspace(0.0, np.pi / 2, 50)  # the grid of the per-n POVM checks
 
 
+def test_povm_positive_fails_on_a_dense_fault_at_one_cross_check_point(monkeypatch):
+    # The permutation sums stand in for the dense operators: at every grid angle
+    # each kind's a (S3 - S2), b (S3 - S1) and their complement are held against
+    # its blocks.  Here the {a,b,c} kind's pi1 takes a positive 1e-6 dyad at
+    # n = 5 and OMEGA1_GRID[14] only: still positive, so only that cross-check sees it.
+    real = povm.kind_povms
+
+    def faulty(omega1):
+        stacks = real(omega1)
+        v = np.full(6, 1.0 / np.sqrt(6))
+        stacks[3][np.ravel(omega1) == OMEGA1_GRID[14], 0] += 1e-6 * np.outer(v, v)
+        return stacks
+
+    monkeypatch.setattr(povm, "kind_povms", faulty)
+    assert not _povm_positive(5).passed
+
+
 def test_povm_positive_fails_on_a_block_fault_between_cross_check_points(monkeypatch):
     real = povm.kind_povms
 
@@ -640,6 +657,25 @@ def test_a_perturbed_g_row_fails_the_angle_checks(monkeypatch):
                                         lambda row: (row[0] + 1e-6, *row[1:]))
     failed = _failed_checks(report)
     assert {("n=3", "principal_angle_cosines"), ("n=3", "paired_basis_structure")} <= failed
+
+
+def test_a_perturbed_dense_g_row_fails_the_dense_cross_check(monkeypatch):
+    # The dense permutations read no g row, and the glue check holds them against
+    # each kind's matrices, which the POVM checks hold against the g rows.  Here
+    # P_AB on the whole space at n = 3 reads the flat index it moves to |121>
+    # 1e-6 off; n = 4 is intact.
+    real = spaces.permute_registers
+
+    def faulty(rows, perm, n):
+        permuted = real(rows, perm, n)
+        if n == 3 and tuple(perm) == (1, 0, 2):
+            permuted = permuted.copy()
+            permuted[..., 3] += 1e-6
+        return permuted
+
+    monkeypatch.setattr(spaces, "permute_registers", faulty)
+    assert not _per_n_results(3)["threefold_permutation_invariance"].passed
+    assert all(r.passed for r in _per_n_results(4).values())
 
 
 def test_a_perturbed_permutation_block_fails_the_cross_check(monkeypatch):
