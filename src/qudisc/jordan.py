@@ -84,13 +84,14 @@ def jordan_angles(family_a: np.ndarray, family_b: np.ndarray) -> np.ndarray:
     """Cosines of the principal angles between two orthonormal families.
 
     Computed as the singular values of the cross-Gram matrix, in descending
-    order.  Raises ContractError unless both are numeric 2-D arrays of orthonormal rows.
+    order; empty families give an empty array.  Raises ContractError unless both
+    are numeric 2-D arrays of orthonormal rows.
     """
     family_a, family_b = (check_array(f, f"{name} family", (2,))
                           for f, name in ((family_a, "first"), (family_b, "second")))
     for name, family in (("first", family_a), ("second", family_b)):
         gram = family.conj() @ family.T
-        if not np.abs(gram - np.eye(len(family))).max() <= TAU_OP:  # NaN fails too
+        if not np.abs(gram - np.eye(len(family))).max(initial=0.0) <= TAU_OP:  # NaN fails too
             raise ContractError(f"{name} family is not orthonormal")
     if family_a.shape[1] != family_b.shape[1]:
         raise ContractError("families live on different spaces")

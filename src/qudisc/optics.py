@@ -240,7 +240,10 @@ class Interferometer:
 
     @classmethod
     def from_text(cls, text: str) -> "Interferometer":
-        """Parse :meth:`to_text` output; a line it cannot round-trip raises DomainError."""
+        """Parse :meth:`to_text` output; a line it cannot round-trip, or text that
+        is not a str, raises DomainError."""
+        if not isinstance(text, str):
+            raise DomainError(f"network text must be a str, not {type(text).__name__}")
         num_modes = None
         bs_modes: list[str] = []  # the values of the BS lines, converted once at the end
         bs_angles: list[str] = []

@@ -1,24 +1,36 @@
-"""Every public entry point refuses malformed input with the package's errors.
+"""Every refusal of malformed input that a test checks on its own is one row
+of REFUSALS.
 
-Arrays of states, rows or operators raise ContractError; scalars and angle
-arrays raise DomainError.  No row may return a result or raise a builtin error.
-The reference copy of diagonal_blocks, which the tests compare against, checks
-its input as the package does.
+A row is a call, the package error it must raise (ContractError for arrays of
+states, rows or operators; DomainError for scalars and angle arrays) and the
+message it must match, or None for any message of that class.  No row may
+return a result or raise a builtin error.  A row moved here from a module's
+test file has the old test's name as its id, with `-case` for a case of a
+parametrized test and `#k` for the k-th call of one test, so `-k <old name>`
+selects it; a test that held nothing but refusals keeps its node id through
+`refusal_tests`, which runs its rows again under it.  A refusal stays in its
+module's file when it checks more than the call: a patched stream, a memory
+bound, or the values the same call accepts.  The reference copies of
+diagonal_blocks and block_stacks check their input as the package does.
 """
 
+import ast
 import numbers
+import re
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qudisc import harness, jordan, optics, povm, spaces
 from qudisc.errors import ContractError, DomainError
-from references import diagonal_blocks
+from references import block_stacks, diagonal_blocks, s1_rows_by_kron, symmetric_basis_3
 
 PRIORS = povm.Priors.from_eta1(0.5)
 RAGGED = [[1, 0], [1]]
-E0 = np.array([1.0, 0.0])
+E0, E1 = np.eye(2)
 NET = optics.Interferometer(2)
 
 
@@ -30,98 +42,443 @@ class PastTheFloats:
         raise OverflowError("too large for a float")
 
 
-@pytest.mark.parametrize("call, error", [
+def rows(name, error, match, *calls, first=0):
+    """One row per call, refusing with `error` and a message that matches
+    `match`, or any message when it is None.  A lone call's id is `name`;
+    several are name#first, name#first+1, ..."""
+    return [pytest.param(call, error, match,
+                         id=name if len(calls) == 1 and not first else f"{name}#{first + k}")
+            for k, call in enumerate(calls)]
+
+
+def named(error, match, calls):
+    """One row per id and call of `calls`, refusing with `error` and `match`."""
+    return [pytest.param(call, error, match, id=name) for name, call in calls.items()]
+
+
+def each(call, *cases):
+    """call(case) for each case, as calls of no argument."""
+    return [partial(call, case) for case in cases]
+
+
+def _one_bad_row(bad):
+    """Ten pairs of unit states at n = 3 with row 6 of the first stack times
+    `bad`, and, once, stacks of the wrong shapes, refused by each stacked call."""
+    rng = np.random.Generator(np.random.Philox(key=5))
+    z = rng.normal(size=(2, 10, 3)) + 1j * rng.normal(size=(2, 10, 3))
+    psi1, psi2 = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    psi1[6] *= bad
+    pairs = [(psi1, psi2)]
+    if np.isnan(bad):
+        pairs += [(psi2[:4], psi2), (psi2[None], psi2[None])]
+    return rows(f"test_one_bad_row_in_a_stack_is_refused-{bad}", ContractError,
+                r"states must (be unit vectors|be vectors of length 3|have 1 or 2 axes)", *(
+        partial(call, *pair) for pair in pairs for call in (
+            lambda a, b: povm.pure_success(a, b, 0.7, PRIORS, 3),
+            lambda a, b: povm.pure_success_expectation(a, b, 0.7, PRIORS, 3),
+            lambda a, b: harness.overlap_identity_check(a, b, 3))))
+
+
+BAD_KEYS = [-1, 2**64, 2.5, np.nan, np.inf, "7", None]
+BAD_ANGLES = [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, [0.1, -np.inf]), ("a", 0, 0), (0, 1j, 0),
+              (True, 0, 0), ([0.1, [0.2]], 0, 0)]
+NON_UNIT_PAIRS = [([np.nan, 0], [1, 0]), ([1, 0], [np.inf, 0]), ([1, 1], [1, 0]),
+                  ([0.5, 0], [0, 1]), ([1, 0, 0], [1, 0])]
+WRONG_WIDTHS = [
+    lambda: spaces.gather_blocks(np.arange(9.0), 2),  # would drop the ninth amplitude
+    lambda: spaces.gather_blocks(np.ones(7), 2),
+    lambda: spaces.gather_blocks(np.ones((8, 2)), 2),
+    lambda: diagonal_blocks(np.eye(7), 2),
+    lambda: diagonal_blocks(np.eye(9), 2),  # would count the ninth diagonal entry as off-block
+    lambda: diagonal_blocks(np.eye(8)[:, :7], 2),
+    lambda: diagonal_blocks(np.ones(64), 2),
+]
+NON_NUMERIC = "test_non_numeric_input_raises_the_package_errors"
+NAN_FAMILY = np.array([[np.nan, 0.0], [0.0, 1.0]])  # its Gram deviation is NaN, not above the bound
+SPLITTER = optics.Interferometer(2, [(0, 1)], [(0.3, 0, 0)])
+BAD_TEXTS = [
+    "BS 1 2 0.1 0 0\n",  # no MODES header
+    "MODES 2\nPHASE 5 0.1\n",  # phase on a mode outside the network
+    "MODES 2\nPHASE 0 0.1\n",
+    "MODES 0\n",
+    "MODES 2\nMODES 3\n",
+    "MODES x\n",
+    "MODES 2\nBS 1 2\n",  # too few values
+    "MODES 2\nBS 1 2 0.1 0 0 7\n",  # too many values
+    "MODES 2\nBS 1 2 nan 0 0\n",
+    "MODES 2\nPHASE 1 inf\n",
+    "MODES 2\nPHASE 1 0.1\nPHASE 1 0.2\n",
+    "MODES 2\nBS 1.5 2 0.1 0 0\n",
+    "MODES 2\nBS 0 1 0.1 0 0\n",  # modes are 1-based
+    "MODES 2\nBS 1 1 0.1 0 0\n",
+    "MODES 2\nBS 1 3 0.1 0 0\n",
+    "MODES 2\nBS 1 99999999999999999999 0.1 0 0\n",
+    "MODES 2\nBS 1 2 0.1 x 0\n",
+    "MODES 1e3\n",
+]
+
+REFUSALS = [
     # Inputs that reached numpy's ValueError or TypeError, or ran.
-    pytest.param(lambda: jordan.jordan_angles(RAGGED, [[1, 0]]), ContractError,
-                 id="jordan_angles-ragged"),
-    pytest.param(lambda: spaces.product_ket(RAGGED, [1, 0], [1, 0]), ContractError,
-                 id="product_ket-ragged"),
-    pytest.param(lambda: povm.pure_success(RAGGED, [1, 0], 0.5, PRIORS, 2), ContractError,
-                 id="pure_success-ragged"),
-    pytest.param(lambda: harness.overlap_identity_check(RAGGED, np.eye(2), 2), ContractError,
-                 id="overlap_identity_check-ragged"),
-    pytest.param(lambda: povm.pure_success("ab", [1, 0], 0.5, PRIORS, 2), ContractError,
-                 id="pure_success-str"),
-    pytest.param(lambda: spaces.product_ket(np.eye(3, 2), np.eye(2), np.eye(2)), ContractError,
-                 id="product_ket-mismatched-stacks"),
-    pytest.param(lambda: povm.kind_povms([[0.1], [0.2, 0.3]]), DomainError,
-                 id="kind_povms-ragged"),
-    pytest.param(lambda: povm.average_success_trace(3, [[0.1], [0.2, 0.3]], PRIORS), DomainError,
-                 id="average_success_trace-ragged"),
-    pytest.param(lambda: spaces.check_integer(True, 0, "x"), DomainError,
-                 id="check_integer-bool"),
+    *named(ContractError, "first family must be a rectangular array of numbers", {
+        "jordan_angles-ragged": lambda: jordan.jordan_angles(RAGGED, [[1, 0]])}),
+    *named(ContractError, "states must be a rectangular array of numbers", {
+        "product_ket-ragged": lambda: spaces.product_ket(RAGGED, [1, 0], [1, 0]),
+        "pure_success-ragged": lambda: povm.pure_success(RAGGED, [1, 0], 0.5, PRIORS, 2),
+        "overlap_identity_check-ragged":
+            lambda: harness.overlap_identity_check(RAGGED, np.eye(2), 2)}),
+    *named(ContractError, "states must be an array of numbers", {
+        "pure_success-str": lambda: povm.pure_success("ab", [1, 0], 0.5, PRIORS, 2)}),
+    *named(ContractError, "states must be three vectors or three stacks of one length", {
+        "product_ket-mismatched-stacks":
+            lambda: spaces.product_ket(np.eye(3, 2), np.eye(2), np.eye(2))}),
+    *named(DomainError, "omega1 must be a rectangular array of numbers", {
+        "kind_povms-ragged": lambda: povm.kind_povms([[0.1], [0.2, 0.3]]),
+        "average_success_trace-ragged":
+            lambda: povm.average_success_trace(3, [[0.1], [0.2, 0.3]], PRIORS)}),
+    *named(DomainError, "x must be an integer >= 0", {
+        "check_integer-bool": lambda: spaces.check_integer(True, 0, "x")}),
+    *named(DomainError, "network text must be a str", {
+        "from_text-bytes": lambda: optics.Interferometer.from_text(b"MODES 2\n"),
+        "from_text-None": lambda: optics.Interferometer.from_text(None)}),
     # Past the floats: float() raised OverflowError on these.
-    pytest.param(lambda: spaces.check_integer(Fraction(10**400, 3), 0, "x"), DomainError,
-                 id="check_integer-Fraction(10**400,3)"),
-    pytest.param(lambda: spaces.check_integer(Fraction(10**400), 0, "x", 10), DomainError,
-                 id="check_integer-Fraction(10**400)-above-high"),
-    pytest.param(lambda: spaces.check_integer(PastTheFloats(), 0, "x"), DomainError,
-                 id="check_integer-real-past-the-floats"),
-    pytest.param(lambda: optics.Interferometer(True), DomainError, id="Interferometer-bool"),
-    pytest.param(lambda: harness.haar_state(True, 0), DomainError, id="haar_state-bool"),
-    pytest.param(lambda: harness.empirical_mean_density(2, True, 10, 0), DomainError,
-                 id="empirical_mean_density-bool"),
-    pytest.param(lambda: optics.reck_decompose(np.eye(2, dtype=bool)), ContractError,
-                 id="reck_decompose-bool"),
-    pytest.param(lambda: harness.verify_all(2, harness.Tolerances(tight=np.nan)), DomainError,
-                 id="Tolerances-nan"),
+    *named(DomainError, "x must be an integer >= 0", {
+        "check_integer-Fraction(10**400,3)":
+            lambda: spaces.check_integer(Fraction(10**400, 3), 0, "x"),
+        "check_integer-real-past-the-floats":
+            lambda: spaces.check_integer(PastTheFloats(), 0, "x")}),
+    *named(DomainError, "x must not exceed 10", {
+        "check_integer-Fraction(10**400)-above-high":
+            lambda: spaces.check_integer(Fraction(10**400), 0, "x", 10)}),
+    *named(DomainError, "num_modes must be an integer >= 1", {
+        "Interferometer-bool": lambda: optics.Interferometer(True)}),
+    *named(DomainError, "dimension must be an integer >= 1", {
+        "haar_state-bool": lambda: harness.haar_state(True, 0)}),
+    *named(DomainError, "which must be an integer >= 1", {
+        "empirical_mean_density-bool": lambda: harness.empirical_mean_density(2, True, 10, 0)}),
+    *named(ContractError, "input must be an array of numbers", {
+        "reck_decompose-bool": lambda: optics.reck_decompose(np.eye(2, dtype=bool))}),
+    *named(DomainError, "tolerance tight must lie in", {
+        "Tolerances-nan": lambda: harness.verify_all(2, harness.Tolerances(tight=np.nan))}),
     # The other entry points, one malformed input each.
-    pytest.param(lambda: diagonal_blocks(RAGGED, 2), ContractError,
-                 id="diagonal_blocks-ragged"),
-    pytest.param(lambda: diagonal_blocks(np.full((8, 8), None), 2), ContractError,
-                 id="diagonal_blocks-object"),
-    pytest.param(lambda: spaces.gather_blocks(None, 2), ContractError, id="gather_blocks-None"),
-    pytest.param(lambda: spaces.gather_blocks(np.ones(8, dtype=bool), 2), ContractError,
-                 id="gather_blocks-bool"),
-    pytest.param(lambda: spaces.permute_registers("abcd", (1, 0), 2), ContractError,
-                 id="permute_registers-str"),
-    pytest.param(lambda: spaces.check_unit_states(np.eye(3, 2), np.eye(2), 2), ContractError,
-                 id="check_unit_states-mismatched-stacks"),
-    pytest.param(lambda: spaces.product_ket([1, None], [1, 0], [1, 0]), ContractError,
-                 id="product_ket-object"),
-    pytest.param(lambda: povm.pure_success_expectation(E0, [True, False], 0.5, PRIORS, 2),
-                 ContractError, id="pure_success_expectation-bool"),
-    pytest.param(lambda: jordan.jordan_angles(None, np.eye(2)), ContractError,
-                 id="jordan_angles-None"),
-    pytest.param(lambda: NET.apply([1, "a"]), ContractError, id="apply-str"),
-    pytest.param(lambda: optics.output_distribution(NET, RAGGED), ContractError,
-                 id="output_distribution-ragged"),
-    pytest.param(lambda: optics.reck_decompose([[1, 0], [0]]), ContractError,
-                 id="reck_decompose-ragged"),
-    pytest.param(lambda: optics.prepare_state_network([0.6, None], 2), ContractError,
-                 id="prepare_state_network-object"),
-    pytest.param(lambda: optics.prepare_state_network([0.6, 0.8], True), DomainError,
-                 id="prepare_state_network-bool"),
-    pytest.param(lambda: optics.Interferometer(2, [(True, False)], [(0.1, 0.0, 0.0)]), DomainError,
-                 id="Interferometer-bool-modes"),
-    pytest.param(lambda: optics.two_mode_unitary([0.1, None], 0.0, 0.0), DomainError,
-                 id="two_mode_unitary-object"),
-    pytest.param(lambda: optics.seeded_stream(2**64), DomainError, id="seeded_stream-2**64"),
-    pytest.param(lambda: optics.simulate_clicks(NET, E0, 10, 2**64), DomainError,
-                 id="simulate_clicks-2**64"),
-    pytest.param(lambda: optics.simulate_discriminator(0.5, PRIORS, True, 0), DomainError,
-                 id="simulate_discriminator-bool"),
-    pytest.param(lambda: harness.mc_success(2, 0.5, PRIORS, 100, 2**64), DomainError,
-                 id="mc_success-2**64"),
-    pytest.param(lambda: harness.haar_state(2, 0, 2**64), DomainError, id="haar_state-2**64"),
-    pytest.param(lambda: povm.kind_povms("ab"), DomainError, id="kind_povms-str"),
-    pytest.param(lambda: povm.kind_povms([0.1, None]), DomainError, id="kind_povms-object"),
-    pytest.param(lambda: povm.kind_povms(True), DomainError, id="kind_povms-bool"),
-    pytest.param(lambda: povm.total_povm(True, 0.5), DomainError, id="total_povm-bool"),
-    pytest.param(lambda: povm.omega1_from_x(None), DomainError, id="omega1_from_x-None"),
-    pytest.param(lambda: povm.omega1_from_x(10**400), DomainError, id="omega1_from_x-10**400"),
-    pytest.param(lambda: povm.optimal_pure(True, PRIORS), DomainError, id="optimal_pure-bool"),
-    pytest.param(lambda: povm.Priors(True, False), DomainError, id="Priors-bool"),
-    pytest.param(lambda: spaces.label_blocks(2, True), DomainError, id="label_blocks-bool"),
-    pytest.param(lambda: spaces.check_real(np.complex128(0.5), "x"), DomainError,
-                 id="check_real-complex"),
-    pytest.param(lambda: harness.Tolerances(op=np.inf), DomainError, id="Tolerances-inf"),
-])
-def test_malformed_input_raises_the_package_error(call, error):
-    with pytest.raises(error):
+    *named(ContractError, "op must be a rectangular array of numbers", {
+        "diagonal_blocks-ragged": lambda: diagonal_blocks(RAGGED, 2)}),
+    *named(ContractError, "op must be an array of numbers", {
+        "diagonal_blocks-object": lambda: diagonal_blocks(np.full((8, 8), None), 2)}),
+    *named(ContractError, "kets must be an array of numbers", {
+        "gather_blocks-None": lambda: spaces.gather_blocks(None, 2),
+        "gather_blocks-bool": lambda: spaces.gather_blocks(np.ones(8, dtype=bool), 2)}),
+    *named(ContractError, "rows must be an array of numbers", {
+        "permute_registers-str": lambda: spaces.permute_registers("abcd", (1, 0), 2)}),
+    *named(ContractError, "states must be vectors of length 2, or equal stacks of them", {
+        "check_unit_states-mismatched-stacks":
+            lambda: spaces.check_unit_states(np.eye(3, 2), np.eye(2), 2)}),
+    *named(ContractError, "states must be an array of numbers", {
+        "product_ket-object": lambda: spaces.product_ket([1, None], [1, 0], [1, 0]),
+        "pure_success_expectation-bool":
+            lambda: povm.pure_success_expectation(E0, [True, False], 0.5, PRIORS, 2),
+        "apply-str": lambda: NET.apply([1, "a"])}),
+    *named(ContractError, "first family must be an array of numbers", {
+        "jordan_angles-None": lambda: jordan.jordan_angles(None, np.eye(2))}),
+    *named(ContractError, "input must be a rectangular array of numbers", {
+        "output_distribution-ragged": lambda: optics.output_distribution(NET, RAGGED),
+        "reck_decompose-ragged": lambda: optics.reck_decompose([[1, 0], [0]])}),
+    *named(ContractError, "amplitudes must be an array of numbers", {
+        "prepare_state_network-object": lambda: optics.prepare_state_network([0.6, None], 2)}),
+    *named(DomainError, "num_modes must be an integer >= 1", {
+        "prepare_state_network-bool": lambda: optics.prepare_state_network([0.6, 0.8], True)}),
+    *named(DomainError, "layer modes must be real numbers", {
+        "Interferometer-bool-modes":
+            lambda: optics.Interferometer(2, [(True, False)], [(0.1, 0.0, 0.0)])}),
+    *named(DomainError, "angles must be an array of real numbers", {
+        "two_mode_unitary-object": lambda: optics.two_mode_unitary([0.1, None], 0.0, 0.0)}),
+    *named(DomainError, "seed must not exceed", {
+        "seeded_stream-2**64": lambda: optics.seeded_stream(2**64),
+        "simulate_clicks-2**64": lambda: optics.simulate_clicks(NET, E0, 10, 2**64),
+        "mc_success-2**64": lambda: harness.mc_success(2, 0.5, PRIORS, 100, 2**64)}),
+    *named(DomainError, "shots must be an integer >= 1", {
+        "simulate_discriminator-bool":
+            lambda: optics.simulate_discriminator(0.5, PRIORS, True, 0)}),
+    *named(DomainError, "stream must not exceed", {
+        "haar_state-2**64": lambda: harness.haar_state(2, 0, 2**64)}),
+    *named(DomainError, "omega1 must be an array of real numbers", {
+        "kind_povms-str": lambda: povm.kind_povms("ab"),
+        "kind_povms-object": lambda: povm.kind_povms([0.1, None]),
+        "kind_povms-bool": lambda: povm.kind_povms(True)}),
+    *named(DomainError, "qudit dimension must be an integer >= 2", {
+        "total_povm-bool": lambda: povm.total_povm(True, 0.5)}),
+    *named(DomainError, "x must be a real number", {
+        "omega1_from_x-None": lambda: povm.omega1_from_x(None),
+        "omega1_from_x-10**400": lambda: povm.omega1_from_x(10**400)}),
+    *named(DomainError, "overlap_sq must be a real number", {
+        "optimal_pure-bool": lambda: povm.optimal_pure(True, PRIORS)}),
+    *named(DomainError, "eta1 must be a real number", {
+        "Priors-bool": lambda: povm.Priors(True, False)}),
+    *named(DomainError, "register count must be an integer >= 1", {
+        "label_blocks-bool": lambda: spaces.label_blocks(2, True)}),
+    *named(DomainError, "x must be a real number", {
+        "check_real-complex": lambda: spaces.check_real(np.complex128(0.5), "x")}),
+    *named(DomainError, "tolerance op must lie in", {
+        "Tolerances-inf": lambda: harness.Tolerances(op=np.inf)}),
+
+    # From tests/test_spaces.py.
+    *(row for n in (2, 3, 4) for row in rows(
+        f"test_permutation_operator_matches_column_loop-{n}", DomainError,
+        "is not a permutation of the registers",
+        *each(lambda perm, n=n: spaces.permute_registers(np.eye(n**len(perm)), perm, n),
+              (0, 0), (1, 2), (0, 2, 1, 1)))),
+    *(row for n in (2, 3, 4) for row in rows(
+        # Rows of n^2 entries under a three-register permutation: entries would
+        # move between rows.  A ragged nested list is no array at all.
+        f"test_permutation_operator_matches_column_loop-{n}", ContractError,
+        r"rows must (be a rectangular array|have \d+ entries)",
+        *each(lambda bad, n=n: spaces.permute_registers(bad, (1, 0, 2), n),
+              np.eye(n**2), np.ones(n**3 + 1), np.float64(1.0), [[1.0] * n**3, [1.0]]),
+        first=3)),
+    *rows("test_permutation_operator_matches_column_loop-n1", DomainError,
+          "qudit dimension must be an integer >= 2",
+          lambda: spaces.permute_registers(np.eye(1), (1, 0), 1)),
+    *rows("test_symmetric_bases_reject_dimension_one", DomainError,
+          "qudit dimension must be an integer >= 2",
+          lambda: spaces.symmetric_basis_2(1), lambda: symmetric_basis_3(1)),
+    *rows("test_dimension_table_values", DomainError, "qudit dimension must be an integer >= 2",
+          *(partial(check, bad) for bad in (1, 2.5, np.inf, -np.inf, np.nan, "3", None)
+            for check in (spaces.dimension_table, spaces.check_dimension))),
+    *rows("test_block_stacks_restrict_rows_and_refuse_rows_across_blocks", ContractError,
+          "each row must be supported in exactly one label-multiset space V_t",
+          # Row 4 lies in V_{1,1,2}; flat index 26 is |333>.
+          lambda: block_stacks(s1_rows_by_kron(3)
+                               + 1e-9 * np.outer(np.eye(18)[4], np.eye(27)[26]), 3),
+          lambda: block_stacks(np.vstack([s1_rows_by_kron(3), np.zeros(27)]), 3)),
+    *(row for k, call in enumerate(WRONG_WIDTHS) for row in rows(
+        f"test_block_readers_reject_operators_and_kets_of_the_wrong_width-<lambda>{k}",
+        ContractError, r"(kets|op) must (have|be) 2\^3|op must have 2 axes", call)),
+
+    # From tests/test_jordan.py.
+    *rows("test_jordan_angles_rejects_non_orthonormal", ContractError, "family is not orthonormal",
+          lambda: jordan.jordan_angles([[1.0, 0.0], [1.0, 0.0]], np.eye(2)),
+          lambda: jordan.jordan_angles(NAN_FAMILY, np.eye(2)),
+          lambda: jordan.jordan_angles(np.eye(2), NAN_FAMILY)),
+    *rows("test_jordan_angles_rejects_non_orthonormal", ContractError,
+          "first family must have 2 axes",
+          # Two unit vectors are not two families: a one-row family is (1, n).
+          lambda: jordan.jordan_angles([1.0, 0.0], [0.0, 1.0]), first=3),
+    *rows("test_build_rejects_bad_dimension", DomainError,
+          "qudit dimension must be an integer >= 2",
+          lambda: jordan.build_gh_bases(1)),
+
+    # From tests/test_optics.py.
+    *rows("test_two_mode_unitary_rejects_angles_that_do_not_broadcast", DomainError,
+          "angles must broadcast together",
+          lambda: optics.two_mode_unitary([0.1, 0.2], [0.1, 0.2, 0.3], 0.0),
+          lambda: optics.two_mode_unitary(0.3, np.zeros((2, 3)), np.zeros(2))),
+    *(row for k, angles in enumerate(BAD_ANGLES) for row in rows(
+        f"test_two_mode_unitary_rejects_angles_that_are_not_finite_real_numbers-angles{k}",
+        DomainError, "angles must be", partial(optics.two_mode_unitary, *angles))),
+    *rows("test_layer_validation", DomainError, None,
+          lambda: optics.Interferometer(2, [(1, 1)], [(0.3, 0, 0)]),
+          lambda: optics.Interferometer(2, [(0, 5)], [(0.1, 0, 0)]),
+          *each(lambda modes: optics.Interferometer(2, [modes], [(0.3, 0, 0)]),
+                (0.5, 1), (-1, 1), (0, np.nan)),
+          *each(lambda angles: optics.Interferometer(2, [(0, 1)], [angles]),
+                (np.nan, 0.0, 0.0), (0.3, np.inf, 0.0), (0.3, 0.0, -np.inf),
+                ("0.3", 0.0, 0.0), (0.3, None, 0.0), (0.3, 0.0, 1j)),
+          *each(lambda phases: optics.Interferometer(num_modes=2, phases=phases),
+                (np.nan, 0.0), (0.0, np.inf), ("a", 0.0), (0.1,), ((0.1, 0.2),), (None, 0.0)),
+          *each(lambda num_modes: optics.Interferometer(num_modes=num_modes),
+                0, -1, 2.5, np.nan, optics.MAX_MODES + 1),
+          *each(lambda layers: optics.Interferometer(3, *layers),
+                ([(0, 1)], []),  # one pair, no angles
+                ([(0, 1, 2)], [(0.3, 0.0, 0.0)]),
+                ([(0, 1)], [(0.3, 0.0)]),
+                ([0, 1], [0.3, 0.0, 0.0]),  # flat, not one row per layer
+                ([(0, 2**70)], [(0.3, 0.0, 0.0)]),
+                ([(0, 1), (1,)], [(0.3, 0.0, 0.0)] * 2))),
+    *rows("test_reck_rejects_non_unitary", ContractError,
+          "input matrix is not unitary|input must be a non-empty square matrix",
+          *each(optics.reck_decompose, np.ones((3, 3)), np.ones((2, 3)), np.full((2, 2), np.nan),
+                np.diag([1.0, np.inf]), np.zeros((0, 0)))),
+    *rows("test_serialization_roundtrip", DomainError, None,
+          *each(optics.Interferometer.from_text, *BAD_TEXTS)),
+    *rows("test_apply_rejects_malformed_states", ContractError,
+          "states must (be an array of numbers|be finite|have)",
+          *each(lambda states: optics.discriminator_network(0.3).apply(states),
+                np.ones(2), np.ones((4, 2)), np.ones((3, 2, 1)), np.float64(1.0), "abc",
+                np.array([1.0, np.nan, 0.0]), np.array([[1.0], [np.inf], [0.0]]),
+                np.array([1.0, complex(0.0, -np.inf), 0.0]))),
+    *rows("test_prepare_rejects_unnormalized", ContractError, "amplitudes must have unit norm",
+          *each(lambda amps: optics.prepare_state_network(np.array(amps), 2),
+                [1.0, 1.0], [np.nan, 0.5])),
+    *(row for bad in BAD_KEYS for row in rows(
+        f"test_seeded_stream_rejects_keys_outside_64_bits-{bad}", DomainError,
+        "must not exceed" if bad == 2**64 else "must be an integer >= 0",
+        partial(optics.seeded_stream, bad), partial(optics.seeded_stream, 0, bad))),
+    *rows("test_simulate_clicks_deterministic_and_validated", ContractError,
+          "states must have shape|counts must sum to shots",
+          lambda: optics.simulate_clicks(SPLITTER, np.array([1, 0, 0], dtype=complex), 10, 0),
+          lambda: optics.ClickStats(shots=3, seed=0, counts={"a": 1})),
+    *rows("test_simulate_clicks_deterministic_and_validated", DomainError,
+          "shots must be an integer >= 1",
+          *each(lambda shots: optics.simulate_clicks(SPLITTER, E0, shots=shots, seed=0),
+                0, 2.5, np.nan), first=2),
+    *rows("test_output_distribution_takes_one_unit_vector_of_n_amplitudes", ContractError,
+          "input must (be a unit vector|have 1 axes)|states must have shape",
+          *each(lambda bad: optics.output_distribution(SPLITTER, np.array(bad)),
+                [1.0, 0.0, 0.0], [[1.0], [0.0]], [1.0, 1.0], [np.nan, 0.0])),
+
+    # From tests/test_povm.py.
+    *rows("test_priors_validation", DomainError, "eta[12] must lie in|priors must sum to 1",
+          *each(lambda etas: povm.Priors(*etas),
+                (0.6, 0.6), (-0.1, 1.1), (np.nan, np.nan), (np.nan, 1.0), (np.inf, -np.inf))),
+    *rows("test_clamp_probability", ContractError, "is not a probability",
+          *each(povm.clamp_probability, 1.1, np.nan, -np.inf)),
+    *rows("test_clamp_probability_arrays", ContractError, "are not all probabilities",
+          *each(lambda bad: povm.clamp_probability(np.array([0.5, bad])), 1.1, np.nan)),
+    *rows("test_success_curve_values", DomainError, "x must lie in",
+          *each(lambda x: povm.success_curve_x(x, PRIORS), 0.5, 4.5)),
+    *rows("test_pure_success_examples", ContractError, "states must be",
+          *each(lambda pair: povm.pure_success(*pair, povm.omega1_from_x(2.0), PRIORS, 2),
+                (E0, np.ones(3) / np.sqrt(3)), (np.array([np.nan, 0]), E1),
+                (np.array([np.inf, 0]), E1), (2 * E0, E1))),
+    *rows("test_pure_success_expectation_validates_states", ContractError, "states must be",
+          *each(lambda pair: povm.pure_success_expectation(*pair, 0.7, PRIORS, 2),
+                (1.2 * E0, E1),  # not normalized: it used to evaluate to 0.521
+                (E0, np.ones(3) / np.sqrt(3)),  # length 3 at n = 2
+                (np.array([np.nan, 0.0]), E1), (E0, np.array([np.nan, 0.0])))),
+    *rows("test_total_povm_blocks_validate_angles_and_keep_their_cache_read_only", DomainError,
+          "omega1 must lie in",
+          *each(lambda bad: povm.kind_povms([0.3, bad]), -0.1, np.nan, 2.0)),
+    *_one_bad_row(np.nan), *_one_bad_row(1.001), *_one_bad_row(0.0),
+    *rows("test_optimal_pure_examples", DomainError, "overlap_sq must lie in",
+          lambda: povm.optimal_pure(1.5, PRIORS)),
+    *rows("test_omega2_constraint_values", DomainError, "omega1 must lie in",
+          lambda: povm.omega2_constraint(-0.1)),
+    *named(DomainError, "omega1 must be a real number", {
+        f"{NON_NUMERIC}-check_omega1-None": lambda: povm.check_omega1(None),
+        f"{NON_NUMERIC}-check_omega1-str": lambda: povm.check_omega1("a"),
+        f"{NON_NUMERIC}-check_omega1-complex": lambda: povm.check_omega1(1j),
+        f"{NON_NUMERIC}-x_from_omega1": lambda: povm.x_from_omega1(None),
+        f"{NON_NUMERIC}-detection_weights": lambda: povm.detection_weights("a"),
+        f"{NON_NUMERIC}-discriminator_network": lambda: optics.discriminator_network(None)}),
+    *named(ContractError, "input must be an array of numbers", {
+        f"{NON_NUMERIC}-reck_decompose": lambda: optics.reck_decompose([["a"]]),
+        f"{NON_NUMERIC}-output_distribution":
+            lambda: optics.output_distribution(optics.Interferometer(num_modes=1), ["a"])}),
+    *named(ContractError, "amplitudes must be an array of numbers", {
+        f"{NON_NUMERIC}-prepare_state_network": lambda: optics.prepare_state_network(["a"], 1)}),
+    *named(DomainError, "x must be a real number", {
+        f"{NON_NUMERIC}-omega1_from_x-str": lambda: povm.omega1_from_x("2"),
+        f"{NON_NUMERIC}-omega1_from_x-None": lambda: povm.omega1_from_x(None),
+        f"{NON_NUMERIC}-success_curve_x": lambda: povm.success_curve_x("2", PRIORS)}),
+    *named(DomainError, "overlap_sq must be a real number", {
+        f"{NON_NUMERIC}-optimal_pure": lambda: povm.optimal_pure("x", PRIORS)}),
+    *named(DomainError, "eta1 must be a real number", {
+        f"{NON_NUMERIC}-Priors": lambda: povm.Priors("a", "b"),
+        f"{NON_NUMERIC}-Priors.from_eta1": lambda: povm.Priors.from_eta1(None)}),
+    *named(DomainError, "num_modes must be an integer >= 1", {
+        f"{NON_NUMERIC}-prepare_state_network-n":
+            lambda: optics.prepare_state_network(np.array([0.6, 0.8]), 2.0 + 0.5)}),
+    *named(DomainError, "register index must be an integer >= 0", {
+        f"{NON_NUMERIC}-permute_registers":
+            lambda: spaces.permute_registers(np.eye(4), (1.5, 0), 2)}),
+    *named(DomainError, "None is not a permutation of the registers", {
+        f"{NON_NUMERIC}-permute_registers-None":
+            lambda: spaces.permute_registers(np.eye(4), None, 2)}),
+    *named(DomainError, "unknown input", {
+        f"{NON_NUMERIC}-discriminator_port_state": lambda: optics.discriminator_port_state(["g"])}),
+    *named(ContractError, "first family must be an array of numbers", {
+        f"{NON_NUMERIC}-jordan_angles-None": lambda: jordan.jordan_angles(None, None),
+        f"{NON_NUMERIC}-jordan_angles-str": lambda: jordan.jordan_angles("a", "b")}),
+    *named(ContractError, "states must be an array of numbers", {
+        f"{NON_NUMERIC}-product_ket-None": lambda: spaces.product_ket(None, [1, 0], [1, 0]),
+        f"{NON_NUMERIC}-product_ket-str": lambda: spaces.product_ket("a", [1, 0], [1, 0])}),
+    *named(ContractError, "states must have 1 or 2 axes", {
+        f"{NON_NUMERIC}-product_ket-float": lambda: spaces.product_ket(1.0, [1, 0], [1, 0])}),
+
+    # From tests/test_harness.py.
+    *rows("test_haar_state_basics", DomainError, "dimension must be an integer >= 1",
+          *each(lambda n: harness.haar_state(n, seed=1), 0, 1.5, np.inf, np.nan)),
+    *rows("test_empirical_mean_density_validation", DomainError,
+          "which must not exceed 2|trials must be an integer >= 1",
+          lambda: harness.empirical_mean_density(2, 3, trials=10, seed=0),
+          *each(lambda trials: harness.empirical_mean_density(2, 1, trials=trials, seed=0),
+                0, 2.5, np.nan)),
+    *(row for k, pair in enumerate(NON_UNIT_PAIRS) for row in rows(
+        f"test_overlap_identity_rejects_non_unit_states-psi1{k}-psi2{k}", ContractError,
+        "states must be",
+        partial(harness.overlap_identity_check, *map(np.array, pair), 2))),
+    *rows("test_mc_success_validation", DomainError,
+          "trials must be an integer >= 100|omega1 must lie in",
+          *each(lambda trials: harness.mc_success(2, 0.3, PRIORS, trials=trials, seed=0),
+                50, 150.5, np.nan, np.inf),
+          lambda: harness.mc_success(2, 5.0, PRIORS, trials=200, seed=0)),
+    *rows("test_verify_all_rejects_bad_nmax", DomainError, "n_max must be an integer >= 2",
+          *each(harness.verify_all, 1, 2.5, np.inf, np.nan)),
+]
+
+
+@pytest.mark.parametrize("call, error, match", REFUSALS)
+def test_malformed_input_raises_the_package_error(call, error, match):
+    with pytest.raises(error, match=match):
         call()
+
+
+def node_tests(table, run, names):
+    """A test under each of `names` that runs run(monkeypatch, *row) over its rows
+    of `table`: those whose id, less any #k suffix, is the name, or name-case for
+    the case of a parametrized test, which becomes the test's parameter."""
+    cases = {}
+    for row in table:
+        name, _, case = row.id.partition("#")[0].partition("-")
+        if name in names:
+            cases.setdefault(name, {}).setdefault(case, []).append(row.values)
+    assert sorted(cases) == sorted(names), "a name with no rows"
+    tests = {}
+    for name, by_case in cases.items():
+        if list(by_case) == [""]:
+            def test(monkeypatch, rows=by_case[""]):
+                for values in rows:
+                    run(monkeypatch, *values)
+        else:
+            @pytest.mark.parametrize("case", list(by_case))
+            def test(monkeypatch, case, by_case=by_case):
+                for values in by_case[case]:
+                    run(monkeypatch, *values)
+        tests[name] = test
+    return tests
+
+
+def refusal_tests(*names):
+    """Tests under the node ids of `names`, tests that held only refusals and
+    were moved here whole, each running its rows of REFUSALS."""
+    return node_tests(REFUSALS, lambda monkeypatch, *row:
+                      test_malformed_input_raises_the_package_error(*row), names)
 
 
 def test_a_whole_fraction_past_the_floats_is_its_exact_integer():
     value = spaces.check_integer(Fraction(10**400), 0, "x")
     assert type(value) is int and value == 10**400
+
+
+def _only_refusals(body):
+    """Whether statements are pytest.raises(DomainError|ContractError) blocks,
+    alone or in loops, beside assignments that set them up and a docstring."""
+    return all(isinstance(s, ast.Assign)
+               or isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant)
+               or isinstance(s, ast.For) and not s.orelse and _only_refusals(s.body)
+               or isinstance(s, ast.With) and all(re.fullmatch(
+                   r"pytest\.raises\((Domain|Contract)Error\b.*\)", ast.unparse(item.context_expr))
+                   for item in s.items)
+               for s in body)
+
+
+def test_no_test_elsewhere_holds_only_refusals():
+    # A test that checks more than a refusal, such as a memory bound or an
+    # unbuilt stream, stays in its module's file; one that checks only that
+    # calls raise is rows of REFUSALS.
+    lone = [f"{path.name}::{node.name}"
+            for path in sorted(Path(__file__).parent.glob("test_*.py"))
+            if path.name != Path(__file__).name
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test")
+            and any(isinstance(s, ast.With) for s in ast.walk(node)) and _only_refusals(node.body)]
+    assert lone == []

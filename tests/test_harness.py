@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qudisc import harness, jordan, kinds, optics, povm, spaces
-from qudisc.errors import ContractError, DomainError
+from qudisc.errors import DomainError
 from qudisc.harness import (
     McEstimate,
     Tolerances,
@@ -25,6 +25,13 @@ from qudisc.jordan import build_gh_bases
 from qudisc.kinds import CASE_DISTINCT_PRIMED, CASE_LOW
 from qudisc.povm import Priors, average_success, omega1_from_x, total_povm
 from qudisc.spaces import mean_density_operators
+from test_boundaries import node_tests, refusal_tests
+from test_check_list import GLOBAL_CHECKS, PER_N_CHECKS
+
+# Tests that held only refusals, run from their rows of test_boundaries.REFUSALS.
+globals().update(refusal_tests(
+    "test_empirical_mean_density_validation", "test_overlap_identity_rejects_non_unit_states",
+    "test_mc_success_validation", "test_verify_all_rejects_bad_nmax"))
 
 
 def test_haar_state_basics():
@@ -35,9 +42,6 @@ def test_haar_state_basics():
     np.testing.assert_array_equal(state, again)
     assert abs(np.linalg.norm(state) - 1.0) < 1e-12
     assert not np.allclose(state, haar_state(3, seed=6))
-    for bad in (0, 1.5, np.inf, np.nan):
-        with pytest.raises(DomainError):
-            haar_state(bad, seed=1)
     np.testing.assert_array_equal(haar_state(3.0, seed=5), state)
 
 
@@ -102,14 +106,6 @@ def test_empirical_mean_density_trace_distance_n3():
     assert 0.5 * np.abs(eigs).sum() < 0.05
 
 
-def test_empirical_mean_density_validation():
-    with pytest.raises(DomainError):
-        empirical_mean_density(2, 3, trials=10, seed=0)
-    for trials in (0, 2.5, np.nan):
-        with pytest.raises(DomainError):
-            empirical_mean_density(2, 1, trials=trials, seed=0)
-
-
 def test_sampling_does_not_depend_on_block_size(monkeypatch):
     priors = Priors.from_eta1(0.3)
     mean = mc_success(3, 0.8, priors, trials=500, seed=4)
@@ -162,7 +158,6 @@ def test_one_sampling_call_builds_one_philox(monkeypatch, call):
     assert len(built) == 1
 
 
-
 @pytest.mark.parametrize(
     "call",
     [
@@ -195,21 +190,6 @@ def test_overlap_identity_equal_pair():
     result = overlap_identity_check(psi, psi, 2)
     assert result.sum_g < 1e-12
     assert result.sum_h < 1e-12
-
-
-@pytest.mark.parametrize(
-    "psi1, psi2",
-    [
-        (np.array([np.nan, 0]), np.array([1, 0])),
-        (np.array([1, 0]), np.array([np.inf, 0])),
-        (np.array([1, 1]), np.array([1, 0])),  # norm sqrt(2)
-        (np.array([0.5, 0]), np.array([0, 1])),
-        (np.array([1, 0, 0]), np.array([1, 0])),  # wrong length
-    ],
-)
-def test_overlap_identity_rejects_non_unit_states(psi1, psi2):
-    with pytest.raises(ContractError):
-        overlap_identity_check(psi1, psi2, 2)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -262,14 +242,6 @@ def test_mc_success_coverage_over_seeds():
     assert hits >= 18
 
 
-def test_mc_success_validation():
-    for trials in (50, 150.5, np.nan, np.inf):
-        with pytest.raises(DomainError):
-            mc_success(2, 0.3, Priors.from_eta1(0.5), trials=trials, seed=0)
-    with pytest.raises(DomainError):
-        mc_success(2, 5.0, Priors.from_eta1(0.5), trials=200, seed=0)
-
-
 def _kolmogorov_pvalue(lam):
     """Reference: Kolmogorov's limit P(sqrt(N) D_N > lam) = 2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2).
 
@@ -302,6 +274,7 @@ def test_ks_distance_rejects_wrong_law():
     samples = np.abs([haar_state(2, 123, t)[0] for t in range(2_000)]) ** 2
     distance = harness._ks_distance(samples, lambda u: 1.0 - (1.0 - u) ** 2)
     assert distance > harness._dkw_epsilon(len(samples))
+    assert np.isnan(harness._ks_distance(np.array([0.1, np.nan, 0.5]), lambda u: u))
 
 
 def _fresh_python(code):
@@ -339,12 +312,6 @@ def test_verify_all_passes_and_reports():
     assert "worst_deviation" in text
 
 
-def test_verify_all_rejects_bad_nmax():
-    for bad in (1, 2.5, np.inf, np.nan):
-        with pytest.raises(DomainError):
-            verify_all(bad)
-
-
 def test_verify_all_refuses_oversized_nmax_before_any_work(monkeypatch):
     ran = []  # the check runners record their calls instead of building operators
     monkeypatch.setattr(harness, "_checks_for_n", lambda n, tol, report: ran.append(n))
@@ -380,87 +347,12 @@ def test_windowed_regime_scan_is_the_full_grid_maximum(eta1):
     assert harness._grid_max(priors) == (values[top], top)
 
 
-def _povm_positive(n):
-    report = harness.VerificationReport(n_max=n)
-    harness._checks_for_n(n, Tolerances(), report)
-    return next(r for r in report.results if r.name == "povm_positive")
+OPERATOR_CACHES = (kinds.kind_table, spaces._label_blocks)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_block_positivity_certificate_matches_dense_eigensolves(n):
-    dense = 0.0
-    for omega1 in np.linspace(0.0, np.pi / 2, 50):
-        for op in total_povm(n, omega1).elements():
-            dense = max(dense, max(0.0, -np.linalg.eigvalsh(op).min()))
-    block = _povm_positive(n)
-    assert block.passed
-    assert dense <= Tolerances().op and block.deviation <= Tolerances().op
-    assert abs(block.deviation - dense) <= 1e-13
-
-
-def _patch_symmetrizers(monkeypatch, change, kind=3):
-    """kinds.symmetrizers with its (S1, S2, S3) replaced by change(perms, s1, s2, s3)
-    for the permutation matrices of one kind of the table only, {a,b,c} by default."""
-    real = kinds.symmetrizers
-
-    def patched(perms):
-        sums = real(perms)
-        return change(perms, *sums) if perms is kinds.kind_table()[kind].perms else sums
-
-    monkeypatch.setattr(kinds, "symmetrizers", patched)
-
-
-def test_povm_positive_fails_on_a_negative_dyad_off_the_blocks(monkeypatch):
-    # S2 takes a 1e-6 dyad on the {a,b,c} kind's symmetric vector, orthogonal to
-    # every g_perp and h row, so pi1 = a (S3 - S2) takes a negative one.
-    v = np.full(6, 1.0 / np.sqrt(6))
-    _patch_symmetrizers(monkeypatch, lambda perms, s1, s2, s3: (s1, s2 + 1e-6 * np.outer(v, v), s3))
-    for n in (3, 8):
-        assert not _povm_positive(n).passed, n
-
-
-def test_povm_positive_fails_on_a_wrong_pi2_coefficient(monkeypatch):
-    # S1 moved off S3 by 1e-6 of their difference: pi2 = b (S3 - S1) is then
-    # (1 + 1e-6) b P_h_perp on every {a,b,c} V_t.
-    _patch_symmetrizers(monkeypatch, lambda perms, s1, s2, s3: (s1 - 1e-6 * (s3 - s1), s2, s3))
-    assert not _povm_positive(3).passed
-
-
-@pytest.mark.parametrize("kind", range(4))
-def test_one_permutation_coefficient_of_s3_off_by_a_sixth_fails_the_povm_checks(
-        monkeypatch, kind):
-    # The 3-cycle (1, 2, 0) enters S3 of one kind with coefficient 0, not -1/6.
-    _patch_symmetrizers(monkeypatch, lambda perms, s1, s2, s3: (s1, s2, s3 + perms[1] / 6), kind)
-    for n in (3, 8):
-        assert not _povm_positive(n).passed, n
-
-
-def test_povm_positive_fails_on_a_perturbed_h_perp_row(monkeypatch):
-    # The primed {a,b,c} row at its |acb> entry: at n = 3, h_perp[4, 7] of the family.
-    h_perp = kinds.kind_table()[3].h_perp.copy()
-    h_perp[1, 1] += 1e-6
-    table = _with_kind(3, h_perp=h_perp)
-    monkeypatch.setattr(kinds, "kind_table", lambda: table)
-    _clear_operator_caches()
-    try:
-        assert not _povm_positive(3).passed
-    finally:
-        _clear_operator_caches()
-
-
-def test_a_changed_p_h_perp_of_one_kind_fails_positivity_and_completeness_at_n6(monkeypatch):
-    # No dense copy exists at n = 6; pi0 reads the h_perp rows, not P_h_perp.
-    p_h_perp = kinds.kind_table()[1].p_h_perp.copy()
-    p_h_perp[0, 0] -= 1e-9
-    table = _with_kind(1, p_h_perp=p_h_perp)
-    monkeypatch.setattr(kinds, "kind_table", lambda: table)
-    _clear_operator_caches()
-    try:
-        results = _per_n_results(6)
-    finally:
-        _clear_operator_caches()
-    for name in ("povm_positive", "povm_complete"):
-        assert not results[name].passed, name
+def _clear_operator_caches():
+    for cache in OPERATOR_CACHES:
+        cache.cache_clear()
 
 
 def _per_n_results(n):
@@ -469,37 +361,375 @@ def _per_n_results(n):
     return {r.name: r for r in report.results}
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_block_positivity_certificate_matches_dense_eigensolves(n):
+    dense = 0.0
+    for omega1 in np.linspace(0.0, np.pi / 2, 50):
+        for op in total_povm(n, omega1).elements():
+            dense = max(dense, max(0.0, -np.linalg.eigvalsh(op).min()))
+    block = _per_n_results(n)["povm_positive"]
+    assert block.passed
+    assert dense <= Tolerances().op and block.deviation <= Tolerances().op
+    assert abs(block.deviation - dense) <= 1e-13
+
+
 OMEGA1_GRID = np.linspace(0.0, np.pi / 2, 50)  # the grid of the per-n POVM checks
+SYMMETRIC_ABC = np.full(6, 1.0 / np.sqrt(6))  # the symmetric vector of an {a,b,c} V_t
+SYMMETRIC_DYAD = np.outer(SYMMETRIC_ABC, SYMMETRIC_ABC)
 
 
-def test_povm_positive_fails_on_a_dense_fault_at_one_cross_check_point(monkeypatch):
-    # The permutation sums stand in for the dense operators: at every grid angle
-    # each kind's a (S3 - S2), b (S3 - S1) and their complement are held against
-    # its blocks.  Here the {a,b,c} kind's pi1 takes a positive 1e-6 dyad at
-    # n = 5 and OMEGA1_GRID[14] only: still positive, so only that cross-check sees it.
-    real = povm.kind_povms
+# The fault table: each row of FAULTS patches one fault into the library and
+# names the checks that must fail under it.  The helpers below build the patches.
+
+
+def at(scopes, *checks):
+    """(scope, check) pairs: each check at each n, or at "global", of `scopes`."""
+    scopes = scopes if isinstance(scopes, (tuple, range)) else (scopes,)
+    return frozenset((s if s == "global" else f"n={s}", c) for s in scopes for c in checks)
+
+
+def _wrapped(owner, name, change):
+    """A patch that makes owner.name return change(result, *args) of the real call."""
+    def patch(monkeypatch):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, **kwargs: change(real(*args, **kwargs), *args))
+    return patch
+
+
+def _symmetrizers(change, kind=3):
+    """kinds.symmetrizers with its (S1, S2, S3) replaced by change(perms, s1, s2, s3)
+    for the permutation matrices of one kind of the table only, {a,b,c} by default."""
+    return _wrapped(kinds, "symmetrizers", lambda sums, perms: (
+        change(perms, *sums) if perms is kinds.kind_table()[kind].perms else sums))
+
+
+def _changed_kind(index, **changes):
+    """A patch of the kind table: each named entry of kind `index` is change(a copy)."""
+    def patch(monkeypatch):
+        table = list(kinds.kind_table())
+        table[index] = dataclasses.replace(table[index], **{
+            name: change(getattr(table[index], name).copy()) for name, change in changes.items()})
+        table = tuple(table)
+        monkeypatch.setattr(kinds, "kind_table", lambda: table)
+    return patch
+
+
+def _plus(where, amount):
+    """A change that adds amount to an array at `where`, in place."""
+    def change(entry):
+        entry[where] += amount
+        return entry
+    return change
+
+
+def _changed_g_row(case, change):
+    """A patch of the kind table, built again with change(row) as the g row of `case`."""
+    def patch(monkeypatch):
+        real = kinds._g_rows
+        monkeypatch.setattr(kinds, "_g_rows", lambda: {**real(), case: change(real()[case])})
+        _clear_operator_caches()
+    return patch
+
+
+def _at_grid_point(k, change):
+    """A patch of povm.kind_povms: the {a,b,c} kind's pi1 is change(pi1) at
+    OMEGA1_GRID[k] only."""
+    def faulty(stacks, omega1):
+        at_k = np.ravel(omega1) == OMEGA1_GRID[k]
+        stacks[3][at_k, 0] = change(stacks[3][at_k, 0])
+        return stacks
+    return _wrapped(povm, "kind_povms", faulty)
+
+
+def _exchanged(where, value, n=None):
+    """A patch of spaces.permute_registers: under the A <-> B exchange, at every n
+    or at n only, the permuted rows read value(permuted, rows) at `where`."""
+    def faulty(permuted, rows, perm, m):
+        if tuple(perm) != (1, 0, 2) or n not in (None, m):
+            return permuted
+        permuted = permuted.copy()
+        permuted[where] = value(permuted, rows)
+        return permuted
+    return _wrapped(spaces, "permute_registers", faulty)
+
+
+def _pi1_scaled_at_n5(monkeypatch):
+    # While the per-n checks or a pure-state expectation run at n = 5, each kind's
+    # pi1 is scaled by 1 + 1e-3 wherever register C reads the kind's label b, and
+    # pi0 is still I - pi1 - pi2: a uniform scale would leave pi1 blind to the
+    # wrong input.
+    real, at_n5 = povm.kind_povms, [False]
 
     def faulty(omega1):
         stacks = real(omega1)
-        v = np.full(6, 1.0 / np.sqrt(6))
-        stacks[3][np.ravel(omega1) == OMEGA1_GRID[14], 0] += 1e-6 * np.outer(v, v)
+        if not at_n5[-1]:
+            return stacks
+        for (labels, _), stack in zip(kinds._KINDS, stacks):
+            members = sorted(set(itertools.permutations(labels)))
+            scale = np.array([1.0 + 1e-3 if m[2] == 1 else 1.0 for m in members])
+            pi1 = scale[:, None] * stack[:, 0] * scale
+            stack[:, 2] -= pi1 - stack[:, 0]
+            stack[:, 0] = pi1
         return stacks
 
-    monkeypatch.setattr(povm, "kind_povms", faulty)
-    assert not _povm_positive(5).passed
-
-
-def test_povm_positive_fails_on_a_block_fault_between_cross_check_points(monkeypatch):
-    real = povm.kind_povms
-
-    def faulty(omega1):
-        stacks = real(omega1)
-        v = np.full(6, 1.0 / np.sqrt(6))  # the symmetric vector of an {a,b,c} V_t
-        stacks[3][np.ravel(omega1) == OMEGA1_GRID[10], 0] -= 1e-6 * np.outer(v, v)
-        return stacks
+    def tracked(call, n_of):
+        def run(*args):
+            at_n5.append(n_of(args) == 5)
+            try:
+                return call(*args)
+            finally:
+                at_n5.pop()
+        return run
 
     monkeypatch.setattr(povm, "kind_povms", faulty)
-    assert not _povm_positive(3).passed
+    monkeypatch.setattr(harness, "_checks_for_n", tracked(harness._checks_for_n, lambda a: a[0]))
+    monkeypatch.setattr(povm, "pure_success_expectation",
+                        tracked(povm.pure_success_expectation, lambda a: a[-1]))
+
+
+def _wrong_vt_at_n6(fault):
+    """At n = 6, |112> (flat 1) is put in the V_t of |111>, or its place in the
+    {a,a,b} group is taken by |121> (flat 6)."""
+    def faulty(blocks, n, factors=3):
+        if (n, factors) != (6, 3):
+            return blocks
+        if fault == "block_of":
+            block_of = blocks.block_of.copy()
+            block_of[1] = 0
+            return dataclasses.replace(blocks, block_of=block_of)
+        groups = list(blocks.groups)
+        groups[1] = np.where(groups[1] == 1, 6, groups[1])
+        return dataclasses.replace(blocks, groups=tuple(groups))
+    return _wrapped(spaces, "label_blocks", faulty)
+
+
+def _one_amplitude_from_the_next_vt(amplitudes, kets, n):
+    if n == 6:
+        cols = spaces.label_blocks(n).groups[-1].copy()
+        cols[0, 0] = cols[1, 0]
+        amplitudes[-1] = kets[..., cols]
+    return amplitudes
+
+
+def _a_tenth_of_the_clicks_moved(stats, *args):
+    counts = dict(stats.counts)
+    most, least = max(counts, key=counts.get), min(counts, key=counts.get)
+    counts[most] -= stats.shots // 10
+    counts[least] += stats.shots // 10
+    return dataclasses.replace(stats, counts=counts)
+
+
+def fault(name, patch, fails, passes=frozenset(), deviations=None):
+    """A row of FAULTS.  patch(monkeypatch) installs the fault; `fails` and
+    `passes` hold the (scope, check) pairs that must fail under it and that must
+    still pass, a check of None in `passes` standing for every check of its
+    scope that `fails` does not name; `deviations` pins a check's deviation
+    wherever it fails."""
+    return pytest.param(patch, fails, passes, deviations or {}, id=name)
+
+
+WRONG_VT = "test_a_wrong_vt_above_n5_fails_the_per_vt_symmetric_basis_check"
+S3_CYCLE = "test_one_permutation_coefficient_of_s3_off_by_a_sixth_fails_the_povm_checks"
+FAULTS = [
+    # Ordered by the first check of the pinned list that each row fails.  Rows
+    # moved from their own tests keep the test's name as id, with -case for a
+    # case of a parametrized one; the rows for checks that no test failed
+    # before are named for their check.
+    fault("test_a_wrong_kind_count_fails_the_dimension_check",
+          _wrapped(spaces, "kind_counts", lambda counts, n: counts + [0, 1, 0, 0]),
+          at((2, 3), "dimension_formulas")),
+    fault("test_a_wrong_s1_block_fails_the_dimension_and_span_checks",
+          # The {a,b,c} kind's S1 block with one of its three directions dropped.
+          _changed_kind(3, s1=lambda s1: (top := np.linalg.eigh(s1)[1][:, -2:]) @ top.T),
+          at(3, "dimension_formulas", "complement_spans")),
+    fault(f"{WRONG_VT}-groups-symmetric_bases_orthonormal",
+          _wrong_vt_at_n6("groups"), at(6, "symmetric_bases_orthonormal")),
+    fault("symmetric_projector",  # P_sigma 1e-9 off at every entry
+          _wrapped(spaces, "symmetric_projector", lambda p, n: p + 1e-9),
+          at(2, "symmetric_projector")),
+    fault(f"{WRONG_VT}-block_of-threefold_permutation_invariance",
+          _wrong_vt_at_n6("block_of"), at(6, "threefold_permutation_invariance")),
+    fault("test_a_nan_in_one_permutation_operator_fails_the_invariance_check",
+          # Python's max would drop the NaN of the third of the six.
+          _exchanged((0, 0), lambda permuted, rows: np.nan),
+          at(3, "threefold_permutation_invariance"),
+          deviations={"threefold_permutation_invariance": np.nan}),
+    fault("test_a_perturbed_dense_g_row_fails_the_dense_cross_check",
+          # The dense permutations read no g row, and the glue check holds them
+          # against each kind's matrices.  Here P_AB on the whole space at n = 3
+          # reads the flat index it moves to |121> 1e-6 off; n = 4 is intact.
+          _exchanged((..., 3), lambda permuted, rows: permuted[..., 3] + 1e-6, n=3),
+          at(3, "threefold_permutation_invariance"), passes=at(4, None)),
+    # The A <-> B exchange sends |111> to |nnn>, out of its V_t and away from
+    # where the {a,a,a} kind's P_AB puts it; the kinds' blocks are intact.
+    *(fault(f"test_an_exchange_that_leaves_its_vt_fails_the_glue_check-{n}",
+            _exchanged((..., 0), lambda permuted, rows: rows[..., -1]),
+            at(n, "threefold_permutation_invariance"), passes=at(n, "mean_densities_are_states"))
+      for n in (3, 8)),
+    fault("test_a_perturbed_permutation_block_fails_the_cross_check",
+          # The {a,a,b} kind's P_AB with 1e-6 added at (|aab>, |aba>): S1 = (I + P_AB)/2,
+          # and so pi2 = b (S3 - S1), no longer match the blocks of the paper's rows,
+          # and permute_registers no longer moves the kets as P_AB does, at every n.
+          _changed_kind(1, perms=_plus((kinds.SWAP_AB, 0, 1), 1e-6)),
+          at((3, 8), "povm_positive", "mean_densities_are_states",
+             "threefold_permutation_invariance")),
+    # 1e-9 added to |abc><abc| of the {a,b,c} kind's rho1; no dense copy of rho1
+    # exists at n = 6, so the kinds' blocks are all the suite reads.
+    *(fault(name, _changed_kind(3, rho1=_plus((0, 0), 1e-9)),
+            at(n, "mean_densities_are_states", "density_decomposition"))
+      for n, name in (
+          (3, "test_a_change_in_one_rho_entry_of_the_kind_table_fails_the_state_checks"),
+          (6, "test_a_change_inside_one_rho1_block_fails_the_state_checks_at_n6"))),
+    fault("test_a_changed_u3_coefficient_fails_the_expansion_check_wherever_its_kind_is",
+          # The {a,b,c} kind, present from n = 3 on.
+          _changed_kind(3, u3=_plus(0, 1e-9)), at(range(3, 9), "symmetric_vector_expansions"),
+          passes=at(2, "symmetric_vector_expansions")),
+    fault("test_a_misplaced_symmetric_row_fails_the_expansion_check",
+          # The {a,a,b} kind's two S1 rows, |aab> and the symmetric pair {a,b} with
+          # C = a, exchanged: still an orthonormal basis of the same S1 block, but
+          # no longer in the order that u3 = (sqrt(1/3), sqrt(2/3)) expands.
+          _changed_kind(1, s1_rows=lambda rows: rows[::-1].copy()),
+          at((4, 8), "symmetric_vector_expansions"), passes=at((4, 8), None)),
+    fault("test_a_perturbed_g_row_fails_the_angle_checks",
+          # The primed {a,b,c} row at its |abc> entry: g[4, 5] at n = 3.
+          _changed_g_row(CASE_DISTINCT_PRIMED, lambda row: (row[0] + 1e-6, *row[1:])),
+          at(3, "principal_angle_cosines", "paired_basis_structure")),
+    fault("test_a_perturbed_kind_row_fails_the_paired_basis_check",
+          _changed_g_row(CASE_LOW, lambda row: (row[0] + 1e-9, *row[1:])),
+          at(3, "paired_basis_structure")),
+    fault("test_a_nan_in_one_g_row_fails_the_angle_checks_without_raising",
+          # The operator-level success values are NaN, which the probability checks refuse.
+          _changed_g_row(CASE_DISTINCT_PRIMED, lambda row: (np.nan, *row[1:])),
+          at(3, "principal_angle_cosines", "paired_basis_structure",
+             "average_success_closed_form", "pure_success_closed_form")
+          | at("global", "dimension_independence"),
+          deviations={"principal_angle_cosines": np.inf}),
+    fault("paired_basis_off_symmetric",  # the {a,b,c} g rows 1e-6 along its symmetric vector
+          _changed_kind(3, g=lambda g: g + 1e-6 * SYMMETRIC_ABC),
+          at(3, "paired_basis_off_symmetric")),
+    fault("test_povm_positive_fails_on_a_negative_dyad_off_the_blocks",
+          # S2 takes a 1e-6 dyad on the {a,b,c} kind's symmetric vector, orthogonal
+          # to every g_perp and h row, so pi1 = a (S3 - S2) takes a negative one.
+          _symmetrizers(lambda perms, s1, s2, s3: (s1, s2 + 1e-6 * SYMMETRIC_DYAD, s3)),
+          at((3, 8), "povm_positive")),
+    fault("test_povm_positive_fails_on_a_wrong_pi2_coefficient",
+          # S1 moved off S3 by 1e-6 of their difference: pi2 = b (S3 - S1) is then
+          # (1 + 1e-6) b P_h_perp on every {a,b,c} V_t.
+          _symmetrizers(lambda perms, s1, s2, s3: (s1 - 1e-6 * (s3 - s1), s2, s3)),
+          at(3, "povm_positive")),
+    # The 3-cycle (1, 2, 0) enters S3 of one kind with coefficient 0, not -1/6.
+    *(fault(f"{S3_CYCLE}-{kind}",
+            _symmetrizers(lambda perms, s1, s2, s3: (s1, s2, s3 + perms[1] / 6), kind),
+            at((3, 8), "povm_positive"))
+      for kind in range(4)),
+    fault("test_povm_positive_fails_on_a_perturbed_h_perp_row",
+          # The primed {a,b,c} row at its |acb> entry: h_perp[4, 7] at n = 3.
+          _changed_kind(3, h_perp=_plus((1, 1), 1e-6)), at(3, "povm_positive")),
+    fault("test_a_changed_p_h_perp_of_one_kind_fails_positivity_and_completeness_at_n6",
+          # No dense copy exists at n = 6; pi0 reads the h_perp rows, not P_h_perp.
+          _changed_kind(1, p_h_perp=_plus((0, 0), -1e-9)), at(6, "povm_positive", "povm_complete")),
+    fault("test_povm_positive_fails_on_a_dense_fault_at_one_cross_check_point",
+          # The permutation sums stand in for the dense operators: at every grid
+          # angle each kind's a (S3 - S2), b (S3 - S1) and their complement are held
+          # against its blocks.  Here the {a,b,c} kind's pi1 takes a positive 1e-6
+          # dyad at n = 5 and OMEGA1_GRID[14] only: still positive, so only that
+          # cross-check sees it.
+          _at_grid_point(14, lambda pi1: pi1 + 1e-6 * SYMMETRIC_DYAD), at(5, "povm_positive")),
+    fault("test_povm_positive_fails_on_a_block_fault_between_cross_check_points",
+          _at_grid_point(10, lambda pi1: pi1 - 1e-6 * SYMMETRIC_DYAD), at(3, "povm_positive")),
+    fault("test_a_nan_in_pi1_at_one_grid_point_fails_the_grid_checks",
+          # The {a,b,c} kind's pi1 is NaN at OMEGA1_GRID[10] and finite elsewhere.
+          _at_grid_point(10, lambda pi1: np.full_like(pi1, np.nan)),
+          at((3, 6), "povm_positive", "povm_complete", "povm_unambiguous_mixed"),
+          deviations=dict.fromkeys(("povm_positive", "povm_complete", "povm_unambiguous_mixed"),
+                                   np.nan)),
+    fault("test_an_operating_point_off_the_optimum_fails_the_averaged_trace_check",
+          # The trace at omega1* must equal 2(n-1)/(3n) P(x*); the grid points alone
+          # would not see an omega1* that misses the optimum.
+          _wrapped(povm, "optimal_subspace", lambda best, priors: dataclasses.replace(
+              best, omega1_star=best.omega1_star + 1e-3)),
+          at(3, "average_success_closed_form")),
+    fault("test_pi1_scaled_at_n5_fails_the_pure_state_checks", _pi1_scaled_at_n5,
+          at(5, "povm_unambiguous_pure", "pure_success_closed_form")
+          | at("global", "dimension_independence"), passes=at(4, None)),
+    fault("test_a_wrong_index_in_the_amplitude_gather_fails_the_pure_state_check",
+          # One amplitude read from the next V_t, by the library's gather only.
+          _wrapped(povm, "gather_blocks", _one_amplitude_from_the_next_vt),
+          at(6, "pure_success_closed_form"), passes=at(6, "povm_unambiguous_pure")),
+    fault("reciprocal_overlap_identity",  # the g-side sums 1e-6 high
+          _wrapped(harness, "overlap_identity_check", lambda sums, *args: dataclasses.replace(
+              sums, sum_g=sums.sum_g * (1 + 1e-6))),
+          at(2, "reciprocal_overlap_identity")),
+    fault("regime_optima_vs_scan",  # every optimum 1e-5 high: the boundaries still agree
+          _wrapped(povm, "optimal_subspace", lambda best, priors: dataclasses.replace(
+              best, value=best.value + 1e-5)),
+          at("global", "regime_optima_vs_scan"), passes=at("global", "regime_continuity")),
+    fault("regime_continuity",  # 1e-9 high at eta1 = 1/5 exactly, within the scan's 1e-6
+          _wrapped(povm, "optimal_subspace", lambda best, priors: dataclasses.replace(
+              best, value=best.value + 1e-9) if priors.eta1 == 0.2 else best),
+          at("global", "regime_continuity"), passes=at("global", "regime_optima_vs_scan")),
+    fault("test_a_scaled_photon_amplitude_fails_the_born_rule_check",
+          _wrapped(optics.Interferometer, "apply", lambda out, *args: _plus(0, 1e-9 * out[0])(out)),
+          at("global", "network_born_rule")),
+    fault("mesh_synthesis_roundtrip",  # every beam-splitter angle of a synthesized mesh 1e-9 off
+          _wrapped(optics, "reck_decompose", lambda net, target: optics.Interferometer(
+              net.num_modes, net.modes, net.angles + 1e-9, net.phases)),
+          at("global", "mesh_synthesis_roundtrip")),
+    fault("sampled_click_convergence",  # a tenth of the shots moved between two ports
+          _wrapped(optics, "simulate_clicks", _a_tenth_of_the_clicks_moved),
+          at("global", "sampled_click_convergence")),
+    fault("mc_success_consistency",  # the analytic average 5% high
+          _wrapped(povm, "average_success", lambda value, *args: 1.05 * value),
+          at("global", "mc_success_consistency")),
+    fault("empirical_mean_density",  # the sampled average 0.02 off at one entry
+          _wrapped(harness, "empirical_mean_density", lambda rho, *args: _plus((0, 0), 0.02)(rho)),
+          at("global", "empirical_mean_density")),
+    fault("test_a_nan_ks_statistic_fails_closed",
+          lambda monkeypatch: monkeypatch.setattr(harness, "_ks_distance", lambda *args: np.nan),
+          at("global", "haar_first_component_law")),
+]
+
+
+def run_fault(monkeypatch, patch, fails, passes, deviations):
+    """Run the per-n suite at each n that fails or passes name, and the global
+    checks, with n_max the largest n named (2 if none), when they name "global"."""
+    kinds.kind_table()  # built before a patched symmetrizers could read it
+    try:
+        patch(monkeypatch)
+        scopes = {scope for scope, _ in fails | passes}
+        ns = sorted(int(scope[2:]) for scope in scopes - {"global"})
+        report = harness.VerificationReport(n_max=max(ns, default=2))
+        for n in ns:
+            harness._checks_for_n(n, Tolerances(), report)
+        if "global" in scopes:
+            harness._global_checks(report.n_max, Tolerances(), report)
+    finally:
+        monkeypatch.undo()
+        _clear_operator_caches()  # drop what was built from the fault
+    failed = {(r.scope, r.name): r for r in report.results if not r.passed}
+    assert fails <= failed.keys(), sorted(fails - failed.keys())
+    kept = {(r.scope, r.name) for r in report.results} - fails
+    must_pass = {key for key in kept if key in passes or (key[0], None) in passes}
+    assert not must_pass & failed.keys(), sorted(must_pass & failed.keys())
+    for (_, name), result in failed.items():
+        if name in deviations:
+            np.testing.assert_equal(result.deviation, deviations[name])
+
+
+@pytest.mark.parametrize("patch, fails, passes, deviations", FAULTS)
+def test_a_fault_fails_the_checks_it_names(monkeypatch, patch, fails, passes, deviations):
+    run_fault(monkeypatch, patch, fails, passes, deviations)
+
+
+# The tests these rows were moved from, under their node ids.
+globals().update(node_tests(FAULTS, run_fault, {
+    row.id.partition("-")[0] for row in FAULTS if row.id.startswith("test_")}))
+
+
+def test_every_pinned_check_has_a_fault_that_fails_it():
+    named = {check for row in FAULTS for _, check in row.values[1]}
+    assert [name for name, *_ in PER_N_CHECKS + GLOBAL_CHECKS if name not in named] == []
 
 
 def test_verify_all_builds_dense_povms_only_at_the_cross_check_points(monkeypatch):
@@ -537,247 +767,11 @@ def test_verify_all_scatters_the_povm_only_at_the_cross_check_and_pure_state_ang
     assert set(calls) == {tuple(OMEGA1_GRID), *averaged, (0.7,), (0.8,)}
 
 
-def test_a_nan_in_one_permutation_operator_fails_the_invariance_check(monkeypatch):
-    real = spaces.permute_registers
-
-    def faulty(rows, perm, n):
-        permuted = real(rows, perm, n)
-        if tuple(perm) == (1, 0, 2):  # the third of the six: Python's max would drop its NaN
-            permuted = permuted.copy()
-            permuted[0, 0] = np.nan
-        return permuted
-
-    monkeypatch.setattr(spaces, "permute_registers", faulty)
-    result = _per_n_results(3)["threefold_permutation_invariance"]
-    assert not result.passed and np.isnan(result.deviation)
-
-
-def test_a_nan_in_pi1_at_one_grid_point_fails_the_grid_checks(monkeypatch):
-    # The {a,b,c} kind's pi1 is NaN at OMEGA1_GRID[10] and finite everywhere else.
-    real = povm.kind_povms
-
-    def faulty(omega1):
-        stacks = real(omega1)
-        stacks[3][np.ravel(omega1) == OMEGA1_GRID[10], 0] = np.nan
-        return stacks
-
-    monkeypatch.setattr(povm, "kind_povms", faulty)
-    for n in (3, 6):
-        results = _per_n_results(n)
-        for name in ("povm_positive", "povm_complete", "povm_unambiguous_mixed"):
-            assert not results[name].passed and np.isnan(results[name].deviation), (n, name)
-
-
-def test_an_operating_point_off_the_optimum_fails_the_averaged_trace_check(monkeypatch):
-    # The trace at omega1* must equal 2(n-1)/(3n) P(x*); the grid points alone
-    # would not see an omega1* that misses the optimum.
-    real = povm.optimal_subspace
-
-    def faulty(priors):
-        best = real(priors)
-        return dataclasses.replace(best, omega1_star=best.omega1_star + 1e-3)
-
-    monkeypatch.setattr(povm, "optimal_subspace", faulty)
-    assert not _per_n_results(3)["average_success_closed_form"].passed
-
-
-def test_a_nan_ks_statistic_fails_closed(monkeypatch):
-    assert np.isnan(harness._ks_distance(np.array([0.1, np.nan, 0.5]), lambda u: u))
-    monkeypatch.setattr(harness, "_ks_distance", lambda samples, cdf: np.nan)
-    report = harness.VerificationReport(n_max=2)
-    harness._global_checks(2, Tolerances(), report)
-    law = next(r for r in report.results if r.name == "haar_first_component_law")
-    assert not law.passed
-
-
 def test_verify_all_unattainable_tolerance_fails_without_raising():
     report = verify_all(2, Tolerances(tight=1e-30, op=1e-30, scan=1e-30))
     assert not report.passed
     assert any(not r.passed for r in report.results)
     assert "FAIL" in report.to_text()
-
-
-def _failed_checks(report):
-    return {(r.scope, r.name) for r in report.results if not r.passed}
-
-
-def test_pi1_scaled_at_n5_fails_the_pure_state_checks(monkeypatch):
-    # While the per-n checks or a pure-state expectation run at n = 5, each kind's
-    # pi1 is scaled by 1 + 1e-3 wherever register C reads the kind's label b, and
-    # pi0 is still I - pi1 - pi2: a uniform scale would leave pi1 blind to the
-    # wrong input.
-    real, at_n5 = povm.kind_povms, [False]
-
-    def faulty(omega1):
-        stacks = real(omega1)
-        if not at_n5[-1]:
-            return stacks
-        for (labels, _), stack in zip(kinds._KINDS, stacks):
-            members = sorted(set(itertools.permutations(labels)))
-            scale = np.array([1.0 + 1e-3 if m[2] == 1 else 1.0 for m in members])
-            pi1 = scale[:, None] * stack[:, 0] * scale
-            stack[:, 2] -= pi1 - stack[:, 0]
-            stack[:, 0] = pi1
-        return stacks
-
-    def at(call, n_of):
-        def run(*args):
-            at_n5.append(n_of(args) == 5)
-            try:
-                return call(*args)
-            finally:
-                at_n5.pop()
-        return run
-
-    monkeypatch.setattr(povm, "kind_povms", faulty)
-    monkeypatch.setattr(harness, "_checks_for_n", at(harness._checks_for_n, lambda a: a[0]))
-    monkeypatch.setattr(povm, "pure_success_expectation",
-                        at(povm.pure_success_expectation, lambda a: a[-1]))
-    failed = _failed_checks(verify_all(5))
-    assert {("global", "dimension_independence"), ("n=5", "povm_unambiguous_pure"),
-            ("n=5", "pure_success_closed_form")} <= failed
-    assert not any(scope == "n=4" for scope, _ in failed)
-
-
-def _verify_with_changed_g_row(monkeypatch, case, change):
-    """verify_all(3) with the kind table, and the dense families written from
-    it, built from change(row) as the g row of `case`."""
-    real = kinds._g_rows
-    monkeypatch.setattr(kinds, "_g_rows", lambda: {**real(), case: change(real()[case])})
-    _clear_operator_caches()
-    try:
-        return verify_all(3)
-    finally:
-        _clear_operator_caches()  # drop the table and families built from the changed row
-
-
-def test_a_perturbed_g_row_fails_the_angle_checks(monkeypatch):
-    # The primed {a,b,c} row at its |abc> entry: at n = 3, g[4, 5] of the dense family.
-    report = _verify_with_changed_g_row(monkeypatch, CASE_DISTINCT_PRIMED,
-                                        lambda row: (row[0] + 1e-6, *row[1:]))
-    failed = _failed_checks(report)
-    assert {("n=3", "principal_angle_cosines"), ("n=3", "paired_basis_structure")} <= failed
-
-
-def test_a_perturbed_dense_g_row_fails_the_dense_cross_check(monkeypatch):
-    # The dense permutations read no g row, and the glue check holds them against
-    # each kind's matrices, which the POVM checks hold against the g rows.  Here
-    # P_AB on the whole space at n = 3 reads the flat index it moves to |121>
-    # 1e-6 off; n = 4 is intact.
-    real = spaces.permute_registers
-
-    def faulty(rows, perm, n):
-        permuted = real(rows, perm, n)
-        if n == 3 and tuple(perm) == (1, 0, 2):
-            permuted = permuted.copy()
-            permuted[..., 3] += 1e-6
-        return permuted
-
-    monkeypatch.setattr(spaces, "permute_registers", faulty)
-    assert not _per_n_results(3)["threefold_permutation_invariance"].passed
-    assert all(r.passed for r in _per_n_results(4).values())
-
-
-def test_a_perturbed_permutation_block_fails_the_cross_check(monkeypatch):
-    # The {a,a,b} kind's P_AB with 1e-6 added at (|aab>, |aba>): S1 = (I + P_AB)/2,
-    # and so pi2 = b (S3 - S1), no longer match the blocks of the paper's rows, and
-    # permute_registers no longer moves the kets as P_AB does, at every n.
-    perms = kinds.kind_table()[1].perms.copy()
-    perms[kinds.SWAP_AB, 0, 1] += 1e-6
-    table = _with_kind(1, perms=perms)
-    monkeypatch.setattr(kinds, "kind_table", lambda: table)
-    _clear_operator_caches()
-    try:
-        for n in (3, 8):
-            results = _per_n_results(n)
-            for name in ("povm_positive", "mean_densities_are_states",
-                         "threefold_permutation_invariance"):
-                assert not results[name].passed, (n, name)
-    finally:
-        _clear_operator_caches()
-
-
-def test_a_perturbed_kind_row_fails_the_paired_basis_check(monkeypatch):
-    report = _verify_with_changed_g_row(monkeypatch, CASE_LOW, lambda row: (row[0] + 1e-9, *row[1:]))
-    assert ("n=3", "paired_basis_structure") in _failed_checks(report)
-
-
-def _with_kind(index, **entries):
-    """The kind table with entries of kind `index` replaced."""
-    table = list(kinds.kind_table())
-    table[index] = dataclasses.replace(table[index], **entries)
-    return tuple(table)
-
-
-def _state_checks_with_changed_rho1(monkeypatch, n):
-    """The per-n results at n with 1e-9 added to |abc><abc| of the {a,b,c}
-    kind's rho1, so to rho1 / w on every {a,b,c} block."""
-    rho1 = kinds.kind_table()[3].rho1.copy()
-    rho1[0, 0] += 1e-9
-    table = _with_kind(3, rho1=rho1)
-    monkeypatch.setattr(kinds, "kind_table", lambda: table)
-    _clear_operator_caches()
-    try:
-        return _per_n_results(n)
-    finally:
-        _clear_operator_caches()
-
-
-def test_a_change_in_one_rho_entry_of_the_kind_table_fails_the_state_checks(monkeypatch):
-    results = _state_checks_with_changed_rho1(monkeypatch, 3)
-    for name in ("mean_densities_are_states", "density_decomposition"):
-        assert not results[name].passed, name
-
-
-def test_a_change_inside_one_rho1_block_fails_the_state_checks_at_n6(monkeypatch):
-    # No dense copy of rho1 exists at n = 6: the kinds' blocks are all the suite reads.
-    results = _state_checks_with_changed_rho1(monkeypatch, 6)
-    for name in ("mean_densities_are_states", "density_decomposition"):
-        assert not results[name].passed, name
-
-
-@pytest.mark.parametrize("n", [3, 8])
-def test_an_exchange_that_leaves_its_vt_fails_the_glue_check(monkeypatch, n):
-    # spaces.permute_registers with A and B exchanged sends |111> to |nnn>, out of
-    # its V_t and away from where the {a,a,a} kind's P_AB puts it.
-    real = spaces.permute_registers
-
-    def faulty(rows, perm, n):
-        permuted = real(rows, perm, n)
-        if tuple(perm) == (1, 0, 2):
-            permuted = permuted.copy()
-            permuted[..., 0] = rows[..., -1]
-        return permuted
-
-    monkeypatch.setattr(spaces, "permute_registers", faulty)
-    results = _per_n_results(n)
-    assert not results["threefold_permutation_invariance"].passed
-    assert results["mean_densities_are_states"].passed  # the kinds' blocks are intact
-
-
-def test_a_wrong_index_in_the_amplitude_gather_fails_the_pure_state_check(monkeypatch):
-    real = spaces.gather_blocks
-
-    def faulty(kets, n):
-        amplitudes = real(kets, n)
-        if n == 6:
-            cols = spaces.label_blocks(n).groups[-1].copy()
-            cols[0, 0] = cols[1, 0]  # one amplitude read from the next V_t
-            amplitudes[-1] = kets[..., cols]
-        return amplitudes
-
-    monkeypatch.setattr(povm, "gather_blocks", faulty)
-    results = _per_n_results(6)
-    assert not results["pure_success_closed_form"].passed
-    assert results["povm_unambiguous_pure"].passed  # the suite's own gather is intact
-
-
-OPERATOR_CACHES = (kinds.kind_table, spaces._label_blocks)
-
-
-def _clear_operator_caches():
-    for cache in OPERATOR_CACHES:
-        cache.cache_clear()
 
 
 def test_the_per_n_suite_builds_no_dense_operator(monkeypatch):
@@ -827,39 +821,6 @@ def test_verify_all_hits_every_kept_cache_and_label_blocks_fits_its_keys():
     assert kinds.kind_table.cache_info().hits >= 1
 
 
-def test_a_wrong_kind_count_fails_the_dimension_check(monkeypatch):
-    real = spaces.kind_counts
-    monkeypatch.setattr(spaces, "kind_counts", lambda n: real(n) + [0, 1, 0, 0])
-    assert {("n=2", "dimension_formulas"), ("n=3", "dimension_formulas")} <= _failed_checks(
-        verify_all(3))
-
-
-def test_a_wrong_s1_block_fails_the_dimension_and_span_checks(monkeypatch):
-    # The {a,b,c} kind's S1 block with one of its three directions dropped.
-    _, vectors = np.linalg.eigh(kinds.kind_table()[3].s1)
-    table = _with_kind(3, s1=vectors[:, -2:] @ vectors[:, -2:].T)
-    monkeypatch.setattr(kinds, "kind_table", lambda: table)
-    _clear_operator_caches()
-    try:
-        results = _per_n_results(3)
-    finally:
-        _clear_operator_caches()
-    for name in ("dimension_formulas", "complement_spans"):
-        assert not results[name].passed, name
-
-
-def test_a_nan_in_one_g_row_fails_the_angle_checks_without_raising(monkeypatch):
-    report = _verify_with_changed_g_row(monkeypatch, CASE_DISTINCT_PRIMED,
-                                        lambda row: (np.nan, *row[1:]))
-    results = {r.name: r for r in report.results if r.scope == "n=3"}
-    assert not results["principal_angle_cosines"].passed
-    assert results["principal_angle_cosines"].deviation == np.inf
-    assert not results["paired_basis_structure"].passed
-    # The operator-level success values are NaN, which the probability checks refuse.
-    assert {("n=3", "average_success_closed_form"), ("n=3", "pure_success_closed_form"),
-            ("global", "dimension_independence")} <= _failed_checks(report)
-
-
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_the_per_n_suite_builds_the_s1_rows_once(monkeypatch, n):
     # The S1 rows are the kinds' s1_rows, built with the kind table: once per
@@ -880,63 +841,6 @@ def test_the_per_n_suite_builds_the_s1_rows_once(monkeypatch, n):
     assert calls == [labels for labels, _ in kinds._KINDS]
 
 
-def test_a_changed_u3_coefficient_fails_the_expansion_check_wherever_its_kind_is(monkeypatch):
-    # The {a,b,c} kind, present from n = 3 on.
-    u3 = kinds.kind_table()[3].u3.copy()
-    u3[0] += 1e-9
-    table = _with_kind(3, u3=u3)
-    monkeypatch.setattr(kinds, "kind_table", lambda: table)
-    _clear_operator_caches()
-    try:
-        expansions = {n: _per_n_results(n)["symmetric_vector_expansions"].passed
-                      for n in range(2, 9)}
-    finally:
-        _clear_operator_caches()
-    assert expansions == {n: n == 2 for n in range(2, 9)}
-
-
-def test_a_misplaced_symmetric_row_fails_the_expansion_check(monkeypatch):
-    # The {a,a,b} kind's two S1 rows, |aab> and the symmetric pair {a,b} with
-    # C = a, exchanged: still an orthonormal basis of the same S1 block, but no
-    # longer in the order that u3 = (sqrt(1/3), sqrt(2/3)) expands.
-    s1_rows = kinds.kind_table()[1].s1_rows[::-1].copy()
-    table = _with_kind(1, s1_rows=s1_rows)
-    monkeypatch.setattr(kinds, "kind_table", lambda: table)
-    _clear_operator_caches()
-    try:
-        for n in (4, 8):
-            failed = {name for name, r in _per_n_results(n).items() if not r.passed}
-            assert failed == {"symmetric_vector_expansions"}, n
-    finally:
-        _clear_operator_caches()
-
-
-@pytest.mark.parametrize("fault, check", [
-    ("block_of", "threefold_permutation_invariance"),
-    ("groups", "symmetric_bases_orthonormal"),
-])
-def test_a_wrong_vt_above_n5_fails_the_per_vt_symmetric_basis_check(monkeypatch, fault, check):
-    # The three-fold symmetric basis is read per V_t, with no dense rows at any
-    # n.  At n = 6, |112> (flat 1) is put in the V_t of |111>, or its place in
-    # the {a,a,b} group is taken by |121> (flat 6).
-    real = spaces.label_blocks
-
-    def faulty(n, factors=3):
-        blocks = real(n, factors)
-        if (n, factors) != (6, 3):
-            return blocks
-        if fault == "block_of":
-            block_of = blocks.block_of.copy()
-            block_of[1] = 0
-            return dataclasses.replace(blocks, block_of=block_of)
-        groups = list(blocks.groups)
-        groups[1] = np.where(groups[1] == 1, 6, groups[1])
-        return dataclasses.replace(blocks, groups=tuple(groups))
-
-    monkeypatch.setattr(spaces, "label_blocks", faulty)
-    assert not _per_n_results(6)[check].passed
-
-
 def test_verify_all_memory_peak_stays_small():
     _clear_operator_caches()  # count every operator verify_all builds
     tracemalloc.start()
@@ -948,19 +852,6 @@ def test_verify_all_memory_peak_stays_small():
     # Measured 2.6 MiB (3.1 MiB with one copy of each operator per V_t, 6.4 MiB
     # with dense operators at n = 6); the full 1e-6 regime grid alone would take 24 MB.
     assert peak < 5 * 2**20
-
-
-def test_a_scaled_photon_amplitude_fails_the_born_rule_check(monkeypatch):
-    real = optics.Interferometer.apply
-
-    def faulty(self, states):
-        out = real(self, states)
-        out[0] *= 1 + 1e-9
-        return out
-
-    monkeypatch.setattr(optics.Interferometer, "apply", faulty)
-    born = next(r for r in verify_all(2).results if r.name == "network_born_rule")
-    assert not born.passed
 
 
 # (n, eta1, omega1, trials, seed, mean, stderr): the three verify_all settings

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qudisc import kinds
-from qudisc.errors import ContractError, DomainError
 from qudisc.jordan import build_gh_bases, jordan_angles
 from qudisc.kinds import CASE_DISTINCT, CASE_DISTINCT_PRIMED
 from qudisc.spaces import (
@@ -16,6 +15,11 @@ from qudisc.spaces import (
 from references import (
     diagonal_blocks, g_rows_by_formula, ket, s1_rows_by_kron, symmetric_basis_3,
 )
+from test_boundaries import refusal_tests
+
+# Tests that held only refusals, run from their rows of test_boundaries.REFUSALS.
+globals().update(refusal_tests(
+    "test_jordan_angles_rejects_non_orthonormal", "test_build_rejects_bad_dimension"))
 
 
 def test_qubit_pair_count_and_triples():
@@ -154,20 +158,6 @@ def test_jordan_angles_one_dimensional_oracle():
         assert jordan_angles([list(a)], [list(b)])[0] == cos  # nested lists are taken as arrays
 
 
-def test_jordan_angles_rejects_non_orthonormal():
-    bad = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
-    good = np.eye(2, dtype=complex)
-    with pytest.raises(ContractError):
-        jordan_angles(bad, good)
-    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])  # its Gram deviation is NaN, not above the bound
-    for first, second in ((nan, good), (good, nan)):
-        with pytest.raises(ContractError):
-            jordan_angles(first, second)
-    # Two unit vectors are not two families: a one-row family is (1, n).
-    with pytest.raises(ContractError, match="first family must have 2 axes"):
-        jordan_angles([1.0, 0.0], [0.0, 1.0])
-
-
 def density_from_jordan(n):
     """w (P_0 + P_g) and w (P_0 + P_h), w = 2 / (n^2 (n+1)): the averaged inputs
     rebuilt densely from the paired bases."""
@@ -214,8 +204,3 @@ def test_build_is_real(n):
     assert all(rho.dtype == np.float64 for rho in density_from_jordan(n))
     for name in ("g", "h", "g_perp", "h_perp"):
         assert getattr(pairs, name).dtype == np.float64
-
-
-def test_build_rejects_bad_dimension():
-    with pytest.raises(DomainError):
-        build_gh_bases(1)
