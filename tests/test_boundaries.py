@@ -7,8 +7,9 @@ message it must match, or None for any message of that class.  No row may
 return a result or raise a builtin error.  A row moved here from a module's
 test file has the old test's name as its id, with `-case` for a case of a
 parametrized test and `#k` for the k-th call of one test, so `-k <old name>`
-selects it; a test that held nothing but refusals keeps its node id through
-`refusal_tests`, which runs its rows again under it.  A refusal stays in its
+selects it.  A test that held nothing but refusals keeps its node id: its
+module's file defines it through `refusal_tests`, and it runs its rows in place
+of the table test, so each row runs once.  A refusal stays in its
 module's file when it checks more than the call: a patched stream, a memory
 bound, or the values the same call accepts.  The reference copies of
 diagonal_blocks and block_stacks check their input as the package does.
@@ -27,6 +28,7 @@ import pytest
 from qudisc import harness, jordan, optics, povm, spaces
 from qudisc.errors import ContractError, DomainError
 from references import block_stacks, diagonal_blocks, s1_rows_by_kron, symmetric_basis_3
+from shared import node_tests, owner, state_stacks
 
 PRIORS = povm.Priors.from_eta1(0.5)
 RAGGED = [[1, 0], [1]]
@@ -51,11 +53,6 @@ def rows(name, error, match, *calls, first=0):
             for k, call in enumerate(calls)]
 
 
-def named(error, match, calls):
-    """One row per id and call of `calls`, refusing with `error` and `match`."""
-    return [pytest.param(call, error, match, id=name) for name, call in calls.items()]
-
-
 def each(call, *cases):
     """call(case) for each case, as calls of no argument."""
     return [partial(call, case) for case in cases]
@@ -64,9 +61,7 @@ def each(call, *cases):
 def _one_bad_row(bad):
     """Ten pairs of unit states at n = 3 with row 6 of the first stack times
     `bad`, and, once, stacks of the wrong shapes, refused by each stacked call."""
-    rng = np.random.Generator(np.random.Philox(key=5))
-    z = rng.normal(size=(2, 10, 3)) + 1j * rng.normal(size=(2, 10, 3))
-    psi1, psi2 = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    psi1, psi2 = state_stacks(3, 10, seed=5)
     psi1[6] *= bad
     pairs = [(psi1, psi2)]
     if np.isnan(bad):
@@ -119,106 +114,112 @@ BAD_TEXTS = [
 
 REFUSALS = [
     # Inputs that reached numpy's ValueError or TypeError, or ran.
-    *named(ContractError, "first family must be a rectangular array of numbers", {
-        "jordan_angles-ragged": lambda: jordan.jordan_angles(RAGGED, [[1, 0]])}),
-    *named(ContractError, "states must be a rectangular array of numbers", {
-        "product_ket-ragged": lambda: spaces.product_ket(RAGGED, [1, 0], [1, 0]),
-        "pure_success-ragged": lambda: povm.pure_success(RAGGED, [1, 0], 0.5, PRIORS, 2),
-        "overlap_identity_check-ragged":
-            lambda: harness.overlap_identity_check(RAGGED, np.eye(2), 2)}),
-    *named(ContractError, "states must be an array of numbers", {
-        "pure_success-str": lambda: povm.pure_success("ab", [1, 0], 0.5, PRIORS, 2)}),
-    *named(ContractError, "states must be three vectors or three stacks of one length", {
-        "product_ket-mismatched-stacks":
-            lambda: spaces.product_ket(np.eye(3, 2), np.eye(2), np.eye(2))}),
-    *named(DomainError, "omega1 must be a rectangular array of numbers", {
-        "kind_povms-ragged": lambda: povm.kind_povms([[0.1], [0.2, 0.3]]),
-        "average_success_trace-ragged":
-            lambda: povm.average_success_trace(3, [[0.1], [0.2, 0.3]], PRIORS)}),
-    *named(DomainError, "x must be an integer >= 0", {
-        "check_integer-bool": lambda: spaces.check_integer(True, 0, "x")}),
-    *named(DomainError, "network text must be a str", {
-        "from_text-bytes": lambda: optics.Interferometer.from_text(b"MODES 2\n"),
-        "from_text-None": lambda: optics.Interferometer.from_text(None)}),
+    *rows("jordan_angles-ragged", ContractError,
+          "first family must be a rectangular array of numbers",
+          lambda: jordan.jordan_angles(RAGGED, [[1, 0]])),
+    *rows("product_ket-ragged", ContractError, "states must be a rectangular array of numbers",
+          lambda: spaces.product_ket(RAGGED, [1, 0], [1, 0])),
+    *rows("pure_success-ragged", ContractError, "states must be a rectangular array of numbers",
+          lambda: povm.pure_success(RAGGED, [1, 0], 0.5, PRIORS, 2)),
+    *rows("overlap_identity_check-ragged", ContractError,
+          "states must be a rectangular array of numbers",
+          lambda: harness.overlap_identity_check(RAGGED, np.eye(2), 2)),
+    *rows("pure_success-str", ContractError, "states must be an array of numbers",
+          lambda: povm.pure_success("ab", [1, 0], 0.5, PRIORS, 2)),
+    *rows("product_ket-mismatched-stacks", ContractError,
+          "states must be three vectors or three stacks of one length",
+          lambda: spaces.product_ket(np.eye(3, 2), np.eye(2), np.eye(2))),
+    *rows("kind_povms-ragged", DomainError, "omega1 must be a rectangular array of numbers",
+          lambda: povm.kind_povms([[0.1], [0.2, 0.3]])),
+    *rows("average_success_trace-ragged", DomainError,
+          "omega1 must be a rectangular array of numbers",
+          lambda: povm.average_success_trace(3, [[0.1], [0.2, 0.3]], PRIORS)),
+    *rows("check_integer-bool", DomainError, "x must be an integer >= 0",
+          lambda: spaces.check_integer(True, 0, "x")),
+    *rows("from_text-bytes", DomainError, "network text must be a str",
+          lambda: optics.Interferometer.from_text(b"MODES 2\n")),
+    *rows("from_text-None", DomainError, "network text must be a str",
+          lambda: optics.Interferometer.from_text(None)),
     # Past the floats: float() raised OverflowError on these.
-    *named(DomainError, "x must be an integer >= 0", {
-        "check_integer-Fraction(10**400,3)":
-            lambda: spaces.check_integer(Fraction(10**400, 3), 0, "x"),
-        "check_integer-real-past-the-floats":
-            lambda: spaces.check_integer(PastTheFloats(), 0, "x")}),
-    *named(DomainError, "x must not exceed 10", {
-        "check_integer-Fraction(10**400)-above-high":
-            lambda: spaces.check_integer(Fraction(10**400), 0, "x", 10)}),
-    *named(DomainError, "num_modes must be an integer >= 1", {
-        "Interferometer-bool": lambda: optics.Interferometer(True)}),
-    *named(DomainError, "dimension must be an integer >= 1", {
-        "haar_state-bool": lambda: harness.haar_state(True, 0)}),
-    *named(DomainError, "which must be an integer >= 1", {
-        "empirical_mean_density-bool": lambda: harness.empirical_mean_density(2, True, 10, 0)}),
-    *named(ContractError, "input must be an array of numbers", {
-        "reck_decompose-bool": lambda: optics.reck_decompose(np.eye(2, dtype=bool))}),
-    *named(DomainError, "tolerance tight must lie in", {
-        "Tolerances-nan": lambda: harness.verify_all(2, harness.Tolerances(tight=np.nan))}),
+    *rows("check_integer-Fraction(10**400,3)", DomainError, "x must be an integer >= 0",
+          lambda: spaces.check_integer(Fraction(10**400, 3), 0, "x")),
+    *rows("check_integer-real-past-the-floats", DomainError, "x must be an integer >= 0",
+          lambda: spaces.check_integer(PastTheFloats(), 0, "x")),
+    *rows("check_integer-Fraction(10**400)-above-high", DomainError, "x must not exceed 10",
+          lambda: spaces.check_integer(Fraction(10**400), 0, "x", 10)),
+    *rows("Interferometer-bool", DomainError, "num_modes must be an integer >= 1",
+          lambda: optics.Interferometer(True)),
+    *rows("haar_state-bool", DomainError, "dimension must be an integer >= 1",
+          lambda: harness.haar_state(True, 0)),
+    *rows("empirical_mean_density-bool", DomainError, "which must be an integer >= 1",
+          lambda: harness.empirical_mean_density(2, True, 10, 0)),
+    *rows("reck_decompose-bool", ContractError, "input must be an array of numbers",
+          lambda: optics.reck_decompose(np.eye(2, dtype=bool))),
+    *rows("Tolerances-nan", DomainError, "tolerance tight must lie in",
+          lambda: harness.verify_all(2, harness.Tolerances(tight=np.nan))),
     # The other entry points, one malformed input each.
-    *named(ContractError, "op must be a rectangular array of numbers", {
-        "diagonal_blocks-ragged": lambda: diagonal_blocks(RAGGED, 2)}),
-    *named(ContractError, "op must be an array of numbers", {
-        "diagonal_blocks-object": lambda: diagonal_blocks(np.full((8, 8), None), 2)}),
-    *named(ContractError, "kets must be an array of numbers", {
-        "gather_blocks-None": lambda: spaces.gather_blocks(None, 2),
-        "gather_blocks-bool": lambda: spaces.gather_blocks(np.ones(8, dtype=bool), 2)}),
-    *named(ContractError, "rows must be an array of numbers", {
-        "permute_registers-str": lambda: spaces.permute_registers("abcd", (1, 0), 2)}),
-    *named(ContractError, "states must be vectors of length 2, or equal stacks of them", {
-        "check_unit_states-mismatched-stacks":
-            lambda: spaces.check_unit_states(np.eye(3, 2), np.eye(2), 2)}),
-    *named(ContractError, "states must be an array of numbers", {
-        "product_ket-object": lambda: spaces.product_ket([1, None], [1, 0], [1, 0]),
-        "pure_success_expectation-bool":
-            lambda: povm.pure_success_expectation(E0, [True, False], 0.5, PRIORS, 2),
-        "apply-str": lambda: NET.apply([1, "a"])}),
-    *named(ContractError, "first family must be an array of numbers", {
-        "jordan_angles-None": lambda: jordan.jordan_angles(None, np.eye(2))}),
-    *named(ContractError, "input must be a rectangular array of numbers", {
-        "output_distribution-ragged": lambda: optics.output_distribution(NET, RAGGED),
-        "reck_decompose-ragged": lambda: optics.reck_decompose([[1, 0], [0]])}),
-    *named(ContractError, "amplitudes must be an array of numbers", {
-        "prepare_state_network-object": lambda: optics.prepare_state_network([0.6, None], 2)}),
-    *named(DomainError, "num_modes must be an integer >= 1", {
-        "prepare_state_network-bool": lambda: optics.prepare_state_network([0.6, 0.8], True)}),
-    *named(DomainError, "layer modes must be real numbers", {
-        "Interferometer-bool-modes":
-            lambda: optics.Interferometer(2, [(True, False)], [(0.1, 0.0, 0.0)])}),
-    *named(DomainError, "angles must be an array of real numbers", {
-        "two_mode_unitary-object": lambda: optics.two_mode_unitary([0.1, None], 0.0, 0.0)}),
-    *named(DomainError, "seed must not exceed", {
-        "seeded_stream-2**64": lambda: optics.seeded_stream(2**64),
-        "simulate_clicks-2**64": lambda: optics.simulate_clicks(NET, E0, 10, 2**64),
-        "mc_success-2**64": lambda: harness.mc_success(2, 0.5, PRIORS, 100, 2**64)}),
-    *named(DomainError, "shots must be an integer >= 1", {
-        "simulate_discriminator-bool":
-            lambda: optics.simulate_discriminator(0.5, PRIORS, True, 0)}),
-    *named(DomainError, "stream must not exceed", {
-        "haar_state-2**64": lambda: harness.haar_state(2, 0, 2**64)}),
-    *named(DomainError, "omega1 must be an array of real numbers", {
-        "kind_povms-str": lambda: povm.kind_povms("ab"),
-        "kind_povms-object": lambda: povm.kind_povms([0.1, None]),
-        "kind_povms-bool": lambda: povm.kind_povms(True)}),
-    *named(DomainError, "qudit dimension must be an integer >= 2", {
-        "total_povm-bool": lambda: povm.total_povm(True, 0.5)}),
-    *named(DomainError, "x must be a real number", {
-        "omega1_from_x-None": lambda: povm.omega1_from_x(None),
-        "omega1_from_x-10**400": lambda: povm.omega1_from_x(10**400)}),
-    *named(DomainError, "overlap_sq must be a real number", {
-        "optimal_pure-bool": lambda: povm.optimal_pure(True, PRIORS)}),
-    *named(DomainError, "eta1 must be a real number", {
-        "Priors-bool": lambda: povm.Priors(True, False)}),
-    *named(DomainError, "register count must be an integer >= 1", {
-        "label_blocks-bool": lambda: spaces.label_blocks(2, True)}),
-    *named(DomainError, "x must be a real number", {
-        "check_real-complex": lambda: spaces.check_real(np.complex128(0.5), "x")}),
-    *named(DomainError, "tolerance op must lie in", {
-        "Tolerances-inf": lambda: harness.Tolerances(op=np.inf)}),
+    *rows("diagonal_blocks-ragged", ContractError, "op must be a rectangular array of numbers",
+          lambda: diagonal_blocks(RAGGED, 2)),
+    *rows("diagonal_blocks-object", ContractError, "op must be an array of numbers",
+          lambda: diagonal_blocks(np.full((8, 8), None), 2)),
+    *rows("gather_blocks-None", ContractError, "kets must be an array of numbers",
+          lambda: spaces.gather_blocks(None, 2)),
+    *rows("gather_blocks-bool", ContractError, "kets must be an array of numbers",
+          lambda: spaces.gather_blocks(np.ones(8, dtype=bool), 2)),
+    *rows("permute_registers-str", ContractError, "rows must be an array of numbers",
+          lambda: spaces.permute_registers("abcd", (1, 0), 2)),
+    *rows("check_unit_states-mismatched-stacks", ContractError,
+          "states must be vectors of length 2, or equal stacks of them",
+          lambda: spaces.check_unit_states(np.eye(3, 2), np.eye(2), 2)),
+    *rows("product_ket-object", ContractError, "states must be an array of numbers",
+          lambda: spaces.product_ket([1, None], [1, 0], [1, 0])),
+    *rows("pure_success_expectation-bool", ContractError, "states must be an array of numbers",
+          lambda: povm.pure_success_expectation(E0, [True, False], 0.5, PRIORS, 2)),
+    *rows("apply-str", ContractError, "states must be an array of numbers",
+          lambda: NET.apply([1, "a"])),
+    *rows("jordan_angles-None", ContractError, "first family must be an array of numbers",
+          lambda: jordan.jordan_angles(None, np.eye(2))),
+    *rows("output_distribution-ragged", ContractError,
+          "input must be a rectangular array of numbers",
+          lambda: optics.output_distribution(NET, RAGGED)),
+    *rows("reck_decompose-ragged", ContractError, "input must be a rectangular array of numbers",
+          lambda: optics.reck_decompose([[1, 0], [0]])),
+    *rows("prepare_state_network-object", ContractError, "amplitudes must be an array of numbers",
+          lambda: optics.prepare_state_network([0.6, None], 2)),
+    *rows("prepare_state_network-bool", DomainError, "num_modes must be an integer >= 1",
+          lambda: optics.prepare_state_network([0.6, 0.8], True)),
+    *rows("Interferometer-bool-modes", DomainError, "layer modes must be real numbers",
+          lambda: optics.Interferometer(2, [(True, False)], [(0.1, 0.0, 0.0)])),
+    *rows("two_mode_unitary-object", DomainError, "angles must be an array of real numbers",
+          lambda: optics.two_mode_unitary([0.1, None], 0.0, 0.0)),
+    *rows("simulate_clicks-2**64", DomainError, "seed must not exceed",
+          lambda: optics.simulate_clicks(NET, E0, 10, 2**64)),
+    *rows("mc_success-2**64", DomainError, "seed must not exceed",
+          lambda: harness.mc_success(2, 0.5, PRIORS, 100, 2**64)),
+    *rows("simulate_discriminator-bool", DomainError, "shots must be an integer >= 1",
+          lambda: optics.simulate_discriminator(0.5, PRIORS, True, 0)),
+    *rows("haar_state-2**64", DomainError, "stream must not exceed",
+          lambda: harness.haar_state(2, 0, 2**64)),
+    *rows("kind_povms-str", DomainError, "omega1 must be an array of real numbers",
+          lambda: povm.kind_povms("ab")),
+    *rows("kind_povms-object", DomainError, "omega1 must be an array of real numbers",
+          lambda: povm.kind_povms([0.1, None])),
+    *rows("kind_povms-bool", DomainError, "omega1 must be an array of real numbers",
+          lambda: povm.kind_povms(True)),
+    *rows("total_povm-bool", DomainError, "qudit dimension must be an integer >= 2",
+          lambda: povm.total_povm(True, 0.5)),
+    *rows("omega1_from_x-10**400", DomainError, "x must be a real number",
+          lambda: povm.omega1_from_x(10**400)),
+    *rows("optimal_pure-bool", DomainError, "overlap_sq must be a real number",
+          lambda: povm.optimal_pure(True, PRIORS)),
+    *rows("Priors-bool", DomainError, "eta1 must be a real number",
+          lambda: povm.Priors(True, False)),
+    *rows("label_blocks-bool", DomainError, "register count must be an integer >= 1",
+          lambda: spaces.label_blocks(2, True)),
+    *rows("check_real-complex", DomainError, "x must be a real number",
+          lambda: spaces.check_real(np.complex128(0.5), "x")),
+    *rows("Tolerances-inf", DomainError, "tolerance op must lie in",
+          lambda: harness.Tolerances(op=np.inf)),
 
     # From tests/test_spaces.py.
     *(row for n in (2, 3, 4) for row in rows(
@@ -352,47 +353,59 @@ REFUSALS = [
           lambda: povm.optimal_pure(1.5, PRIORS)),
     *rows("test_omega2_constraint_values", DomainError, "omega1 must lie in",
           lambda: povm.omega2_constraint(-0.1)),
-    *named(DomainError, "omega1 must be a real number", {
-        f"{NON_NUMERIC}-check_omega1-None": lambda: povm.check_omega1(None),
-        f"{NON_NUMERIC}-check_omega1-str": lambda: povm.check_omega1("a"),
-        f"{NON_NUMERIC}-check_omega1-complex": lambda: povm.check_omega1(1j),
-        f"{NON_NUMERIC}-x_from_omega1": lambda: povm.x_from_omega1(None),
-        f"{NON_NUMERIC}-detection_weights": lambda: povm.detection_weights("a"),
-        f"{NON_NUMERIC}-discriminator_network": lambda: optics.discriminator_network(None)}),
-    *named(ContractError, "input must be an array of numbers", {
-        f"{NON_NUMERIC}-reck_decompose": lambda: optics.reck_decompose([["a"]]),
-        f"{NON_NUMERIC}-output_distribution":
-            lambda: optics.output_distribution(optics.Interferometer(num_modes=1), ["a"])}),
-    *named(ContractError, "amplitudes must be an array of numbers", {
-        f"{NON_NUMERIC}-prepare_state_network": lambda: optics.prepare_state_network(["a"], 1)}),
-    *named(DomainError, "x must be a real number", {
-        f"{NON_NUMERIC}-omega1_from_x-str": lambda: povm.omega1_from_x("2"),
-        f"{NON_NUMERIC}-omega1_from_x-None": lambda: povm.omega1_from_x(None),
-        f"{NON_NUMERIC}-success_curve_x": lambda: povm.success_curve_x("2", PRIORS)}),
-    *named(DomainError, "overlap_sq must be a real number", {
-        f"{NON_NUMERIC}-optimal_pure": lambda: povm.optimal_pure("x", PRIORS)}),
-    *named(DomainError, "eta1 must be a real number", {
-        f"{NON_NUMERIC}-Priors": lambda: povm.Priors("a", "b"),
-        f"{NON_NUMERIC}-Priors.from_eta1": lambda: povm.Priors.from_eta1(None)}),
-    *named(DomainError, "num_modes must be an integer >= 1", {
-        f"{NON_NUMERIC}-prepare_state_network-n":
-            lambda: optics.prepare_state_network(np.array([0.6, 0.8]), 2.0 + 0.5)}),
-    *named(DomainError, "register index must be an integer >= 0", {
-        f"{NON_NUMERIC}-permute_registers":
-            lambda: spaces.permute_registers(np.eye(4), (1.5, 0), 2)}),
-    *named(DomainError, "None is not a permutation of the registers", {
-        f"{NON_NUMERIC}-permute_registers-None":
-            lambda: spaces.permute_registers(np.eye(4), None, 2)}),
-    *named(DomainError, "unknown input", {
-        f"{NON_NUMERIC}-discriminator_port_state": lambda: optics.discriminator_port_state(["g"])}),
-    *named(ContractError, "first family must be an array of numbers", {
-        f"{NON_NUMERIC}-jordan_angles-None": lambda: jordan.jordan_angles(None, None),
-        f"{NON_NUMERIC}-jordan_angles-str": lambda: jordan.jordan_angles("a", "b")}),
-    *named(ContractError, "states must be an array of numbers", {
-        f"{NON_NUMERIC}-product_ket-None": lambda: spaces.product_ket(None, [1, 0], [1, 0]),
-        f"{NON_NUMERIC}-product_ket-str": lambda: spaces.product_ket("a", [1, 0], [1, 0])}),
-    *named(ContractError, "states must have 1 or 2 axes", {
-        f"{NON_NUMERIC}-product_ket-float": lambda: spaces.product_ket(1.0, [1, 0], [1, 0])}),
+    *rows(f"{NON_NUMERIC}-check_omega1-None", DomainError, "omega1 must be a real number",
+          lambda: povm.check_omega1(None)),
+    *rows(f"{NON_NUMERIC}-check_omega1-str", DomainError, "omega1 must be a real number",
+          lambda: povm.check_omega1("a")),
+    *rows(f"{NON_NUMERIC}-check_omega1-complex", DomainError, "omega1 must be a real number",
+          lambda: povm.check_omega1(1j)),
+    *rows(f"{NON_NUMERIC}-x_from_omega1", DomainError, "omega1 must be a real number",
+          lambda: povm.x_from_omega1(None)),
+    *rows(f"{NON_NUMERIC}-detection_weights", DomainError, "omega1 must be a real number",
+          lambda: povm.detection_weights("a")),
+    *rows(f"{NON_NUMERIC}-discriminator_network", DomainError, "omega1 must be a real number",
+          lambda: optics.discriminator_network(None)),
+    *rows(f"{NON_NUMERIC}-reck_decompose", ContractError, "input must be an array of numbers",
+          lambda: optics.reck_decompose([["a"]])),
+    *rows(f"{NON_NUMERIC}-output_distribution", ContractError, "input must be an array of numbers",
+          lambda: optics.output_distribution(optics.Interferometer(num_modes=1), ["a"])),
+    *rows(f"{NON_NUMERIC}-prepare_state_network", ContractError,
+          "amplitudes must be an array of numbers",
+          lambda: optics.prepare_state_network(["a"], 1)),
+    *rows(f"{NON_NUMERIC}-omega1_from_x-str", DomainError, "x must be a real number",
+          lambda: povm.omega1_from_x("2")),
+    *rows(f"{NON_NUMERIC}-omega1_from_x-None", DomainError, "x must be a real number",
+          lambda: povm.omega1_from_x(None)),
+    *rows(f"{NON_NUMERIC}-success_curve_x", DomainError, "x must be a real number",
+          lambda: povm.success_curve_x("2", PRIORS)),
+    *rows(f"{NON_NUMERIC}-optimal_pure", DomainError, "overlap_sq must be a real number",
+          lambda: povm.optimal_pure("x", PRIORS)),
+    *rows(f"{NON_NUMERIC}-Priors", DomainError, "eta1 must be a real number",
+          lambda: povm.Priors("a", "b")),
+    *rows(f"{NON_NUMERIC}-Priors.from_eta1", DomainError, "eta1 must be a real number",
+          lambda: povm.Priors.from_eta1(None)),
+    *rows(f"{NON_NUMERIC}-prepare_state_network-n", DomainError,
+          "num_modes must be an integer >= 1",
+          lambda: optics.prepare_state_network(np.array([0.6, 0.8]), 2.0 + 0.5)),
+    *rows(f"{NON_NUMERIC}-permute_registers", DomainError, "register index must be an integer >= 0",
+          lambda: spaces.permute_registers(np.eye(4), (1.5, 0), 2)),
+    *rows(f"{NON_NUMERIC}-permute_registers-None", DomainError,
+          "None is not a permutation of the registers",
+          lambda: spaces.permute_registers(np.eye(4), None, 2)),
+    *rows(f"{NON_NUMERIC}-discriminator_port_state", DomainError, "unknown input",
+          lambda: optics.discriminator_port_state(["g"])),
+    *rows(f"{NON_NUMERIC}-jordan_angles-None", ContractError,
+          "first family must be an array of numbers",
+          lambda: jordan.jordan_angles(None, None)),
+    *rows(f"{NON_NUMERIC}-jordan_angles-str", ContractError,
+          "first family must be an array of numbers",
+          lambda: jordan.jordan_angles("a", "b")),
+    *rows(f"{NON_NUMERIC}-product_ket-None", ContractError, "states must be an array of numbers",
+          lambda: spaces.product_ket(None, [1, 0], [1, 0])),
+    *rows(f"{NON_NUMERIC}-product_ket-str", ContractError, "states must be an array of numbers",
+          lambda: spaces.product_ket("a", [1, 0], [1, 0])),
+    *rows(f"{NON_NUMERIC}-product_ket-float", ContractError, "states must have 1 or 2 axes",
+          lambda: spaces.product_ket(1.0, [1, 0], [1, 0])),
 
     # From tests/test_harness.py.
     *rows("test_haar_state_basics", DomainError, "dimension must be an integer >= 1",
@@ -416,42 +429,39 @@ REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("call, error, match", REFUSALS)
+# The tests that held only refusals and were moved here whole, by module.  Each
+# keeps its node id in its module's file, where refusal_tests defines it to run
+# its rows; the table test runs every other row.
+MOVED_WHOLE = {
+    "test_spaces": ("test_symmetric_bases_reject_dimension_one",
+                    "test_block_readers_reject_operators_and_kets_of_the_wrong_width"),
+    "test_jordan": ("test_jordan_angles_rejects_non_orthonormal",
+                    "test_build_rejects_bad_dimension"),
+    "test_optics": ("test_two_mode_unitary_rejects_angles_that_do_not_broadcast",
+                    "test_two_mode_unitary_rejects_angles_that_are_not_finite_real_numbers",
+                    "test_layer_validation", "test_reck_rejects_non_unitary",
+                    "test_apply_rejects_malformed_states", "test_prepare_rejects_unnormalized",
+                    "test_seeded_stream_rejects_keys_outside_64_bits",
+                    "test_output_distribution_takes_one_unit_vector_of_n_amplitudes"),
+    "test_povm": ("test_pure_success_expectation_validates_states", NON_NUMERIC,
+                  "test_one_bad_row_in_a_stack_is_refused"),
+    "test_harness": ("test_empirical_mean_density_validation",
+                     "test_overlap_identity_rejects_non_unit_states",
+                     "test_mc_success_validation", "test_verify_all_rejects_bad_nmax"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", [
+    row for row in REFUSALS if not any(owner(row) in names for names in MOVED_WHOLE.values())])
 def test_malformed_input_raises_the_package_error(call, error, match):
     with pytest.raises(error, match=match):
         call()
 
 
-def node_tests(table, run, names):
-    """A test under each of `names` that runs run(monkeypatch, *row) over its rows
-    of `table`: those whose id, less any #k suffix, is the name, or name-case for
-    the case of a parametrized test, which becomes the test's parameter."""
-    cases = {}
-    for row in table:
-        name, _, case = row.id.partition("#")[0].partition("-")
-        if name in names:
-            cases.setdefault(name, {}).setdefault(case, []).append(row.values)
-    assert sorted(cases) == sorted(names), "a name with no rows"
-    tests = {}
-    for name, by_case in cases.items():
-        if list(by_case) == [""]:
-            def test(monkeypatch, rows=by_case[""]):
-                for values in rows:
-                    run(monkeypatch, *values)
-        else:
-            @pytest.mark.parametrize("case", list(by_case))
-            def test(monkeypatch, case, by_case=by_case):
-                for values in by_case[case]:
-                    run(monkeypatch, *values)
-        tests[name] = test
-    return tests
-
-
-def refusal_tests(*names):
-    """Tests under the node ids of `names`, tests that held only refusals and
-    were moved here whole, each running its rows of REFUSALS."""
+def refusal_tests(module):
+    """The tests of `module` that were moved here whole, each running its rows."""
     return node_tests(REFUSALS, lambda monkeypatch, *row:
-                      test_malformed_input_raises_the_package_error(*row), names)
+                      test_malformed_input_raises_the_package_error(*row), MOVED_WHOLE[module])
 
 
 def test_a_whole_fraction_past_the_floats_is_its_exact_integer():

@@ -1,6 +1,5 @@
 import json
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 
 from qudisc import cli, harness, optics, povm
 from qudisc.cli import _render_json, main
+from shared import PeakMemory, never
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -71,11 +71,8 @@ def test_verify_rejects_bad_nmax(capsys):
 
 @pytest.mark.parametrize("n_max", ["49", str(10**9)])
 def test_verify_refuses_oversized_nmax(capsys, monkeypatch, n_max):
-    def no_work(*args):
-        raise AssertionError("verify started work")
-
-    monkeypatch.setattr(harness, "_checks_for_n", no_work)
-    monkeypatch.setattr(harness, "_global_checks", no_work)
+    monkeypatch.setattr(harness, "_checks_for_n", never("verify started work"))
+    monkeypatch.setattr(harness, "_global_checks", never("verify started work"))
     code, out, err = run_cli(capsys, "verify", "--n-max", n_max, "--json")
     assert code == 2
     assert out == ""
@@ -153,10 +150,7 @@ def test_scan_degenerate_grid(capsys):
 
 @pytest.mark.parametrize("steps", [cli.MAX_SCAN_STEPS + 1, 10**9])
 def test_scan_refuses_too_many_steps(capsys, monkeypatch, steps):
-    def no_grid(*args):
-        raise AssertionError("a grid was built")
-
-    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    monkeypatch.setattr(cli.np, "linspace", never("a grid was built"))
     code, out, err = run_cli(capsys, "scan", "--n", "2", "--eta1", "0.5", "--steps", str(steps))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "must not exceed" in err
@@ -226,10 +220,7 @@ def test_simulate_rejects_seeds_outside_64_bits(capsys, seed):
     assert err.startswith("error:") and "Traceback" not in err
 
 def test_simulate_refuses_too_many_shots(capsys, monkeypatch):
-    def no_stream(*args):
-        raise AssertionError("a stream was built")
-
-    monkeypatch.setattr(optics, "seeded_stream", no_stream)
+    monkeypatch.setattr(optics, "seeded_stream", never("a stream was built"))
     code, out, err = run_cli(capsys, "simulate", "--eta1", "0.5", "--x", "2",
                              "--shots", str(optics.MAX_SHOTS + 1))
     assert (code, out) == (2, "")
@@ -289,16 +280,12 @@ def test_prepare_stops_reading_at_the_first_amplitude_past_the_limit(tmp_path, c
     modes = optics.MAX_MODES + 1
     source = tmp_path / "amps.txt"
     source.write_text("# header\n" + f"{modes ** -0.5!r}\n" * modes)
-    tracemalloc.start()
-    try:
+    with PeakMemory() as peak:
         code, out, err = run_cli(capsys, "prepare", str(source))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert (code, out) == (2, "")
     # Refused on the line of amplitude MAX_MODES + 1, before any network is built.
     assert err.startswith("error:") and f"line {modes + 1} " in err and "must not exceed" in err
-    assert peak < 2**20
+    assert peak.bytes < 2**20
 
 
 def test_prepare_propagates_one_photon_without_the_unitary(tmp_path, capsys):
@@ -307,15 +294,11 @@ def test_prepare_propagates_one_photon_without_the_unitary(tmp_path, capsys):
     amps /= np.linalg.norm(amps)
     source = tmp_path / "amps.txt"
     source.write_text("".join(f"{a.real!r} {a.imag!r}\n" for a in amps.tolist()))
-    tracemalloc.start()
-    try:
+    with PeakMemory() as peak:
         code, out, _ = run_cli(capsys, "prepare", str(source), "--out", str(tmp_path / "net.txt"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert code == 0
     assert json.loads(out)["results"]["column_error"] < 1e-10
-    assert peak < 16 * 2**20  # the 4096 x 4096 unitary alone would take 256 MiB
+    assert peak.bytes < 16 * 2**20  # the 4096 x 4096 unitary alone would take 256 MiB
 
 
 @pytest.mark.parametrize("body,line", [("0.6 0 5\n0.8\n", 1), ("0.6\n# note\n0.8 x\n", 3)])
@@ -355,16 +338,12 @@ def test_scan_grid_is_linspace_bit_for_bit(steps):
     assert streamed.tobytes() == np.linspace(1.0, 4.0, points).tobytes()
 
 
-def _no_stream(*args):
-    raise AssertionError("a stream was built")
-
-
 @pytest.mark.parametrize("argv", [
     ["scan", "--n", "1", "--eta1", "0.3", "--steps", "3"],
     ["simulate", "--n", "1", "--eta1", "0.3", "--x", "2", "--shots", "20000000"],
 ])
 def test_the_dimension_is_checked_before_any_output_or_draw(monkeypatch, capsys, argv):
-    monkeypatch.setattr(optics, "seeded_stream", _no_stream)
+    monkeypatch.setattr(optics, "seeded_stream", never("a stream was built"))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "qudit dimension" in err

@@ -3,7 +3,6 @@ import itertools
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +24,12 @@ from qudisc.jordan import build_gh_bases
 from qudisc.kinds import CASE_DISTINCT_PRIMED, CASE_LOW
 from qudisc.povm import Priors, average_success, omega1_from_x, total_povm
 from qudisc.spaces import mean_density_operators
-from test_boundaries import node_tests, refusal_tests
+from shared import PeakMemory, never, node_tests, owner
+from test_boundaries import refusal_tests
 from test_check_list import GLOBAL_CHECKS, PER_N_CHECKS
 
-# Tests that held only refusals, run from their rows of test_boundaries.REFUSALS.
-globals().update(refusal_tests(
-    "test_empirical_mean_density_validation", "test_overlap_identity_rejects_non_unit_states",
-    "test_mc_success_validation", "test_verify_all_rejects_bad_nmax"))
+# Tests that held only refusals, under their node ids: rows of test_boundaries.REFUSALS.
+globals().update(refusal_tests("test_harness"))
 
 
 def test_haar_state_basics():
@@ -69,15 +67,11 @@ def test_an_oversized_n_is_refused_before_any_allocation():
         lambda: haar_state(10**13, 0),
         lambda: mc_success(10**9, 0.5, priors, 100, 0),
     ]
-    tracemalloc.start()
-    try:
+    with PeakMemory() as peak:
         for call in calls:
             with pytest.raises(DomainError, match="over the limit"):
                 call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert peak.bytes < 2**20
 
 
 def test_haar_first_component_mean():
@@ -170,10 +164,7 @@ def test_one_sampling_call_builds_one_philox(monkeypatch, call):
     ],
 )
 def test_sampling_calls_refuse_bad_seeds_before_any_stream(monkeypatch, call):
-    def no_philox(*args, **kwargs):
-        raise AssertionError("a stream was built")
-
-    monkeypatch.setattr(np.random, "Philox", no_philox)
+    monkeypatch.setattr(np.random, "Philox", never("a stream was built"))
     with pytest.raises(DomainError):
         call()
 
@@ -717,14 +708,16 @@ def run_fault(monkeypatch, patch, fails, passes, deviations):
             np.testing.assert_equal(result.deviation, deviations[name])
 
 
-@pytest.mark.parametrize("patch, fails, passes, deviations", FAULTS)
+# The rows moved from their own tests run under those tests' node ids; the
+# table test runs the rest, so each row runs once.
+MOVED_WHOLE = {owner(row) for row in FAULTS if row.id.startswith("test_")}
+globals().update(node_tests(FAULTS, run_fault, MOVED_WHOLE))
+
+
+@pytest.mark.parametrize("patch, fails, passes, deviations",
+                         [row for row in FAULTS if owner(row) not in MOVED_WHOLE])
 def test_a_fault_fails_the_checks_it_names(monkeypatch, patch, fails, passes, deviations):
     run_fault(monkeypatch, patch, fails, passes, deviations)
-
-
-# The tests these rows were moved from, under their node ids.
-globals().update(node_tests(FAULTS, run_fault, {
-    row.id.partition("-")[0] for row in FAULTS if row.id.startswith("test_")}))
 
 
 def test_every_pinned_check_has_a_fault_that_fails_it():
@@ -779,20 +772,13 @@ def test_the_per_n_suite_builds_no_dense_operator(monkeypatch):
     # families: the kinds' permutation matrices stand in for the dense ones.
     for module, name in ((povm, "total_povm"), (spaces, "mean_density_operators"),
                          (jordan, "build_gh_bases"), (harness, "build_gh_bases")):
-        def refused(*args, name=name):
-            raise AssertionError(f"{name} called")
-
-        monkeypatch.setattr(module, name, refused)
+        monkeypatch.setattr(module, name, never(f"{name} called"))
     for n in range(2, 9):
         assert all(r.passed for r in _per_n_results(n).values()), n
     _clear_operator_caches()
     report = harness.VerificationReport(n_max=8)
-    tracemalloc.start()
-    try:
+    with PeakMemory() as peak:
         harness._checks_for_n(8, Tolerances(), report)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert report.passed
     # With the dense operators _checks_for_n(8) peaked at 26.7 MiB; on the
     # blocks it took about 7.6 MiB, read once per kind about 6.8 MiB, with the
@@ -800,7 +786,7 @@ def test_the_per_n_suite_builds_no_dense_operator(monkeypatch):
     # expansions read per kind instead of over the n^3-wide S1 rows 3.9 MiB,
     # with the three-fold symmetric basis read per V_t 3.3 MiB, and with the
     # per-kind permutation checks 3.5 MiB.
-    assert peak <= 26.7 / 2 * 2**20
+    assert peak.bytes <= 26.7 / 2 * 2**20
 
 
 def test_a_kind_absent_at_n_reads_as_an_empty_group_and_the_suite_passes():
@@ -843,15 +829,11 @@ def test_the_per_n_suite_builds_the_s1_rows_once(monkeypatch, n):
 
 def test_verify_all_memory_peak_stays_small():
     _clear_operator_caches()  # count every operator verify_all builds
-    tracemalloc.start()
-    try:
+    with PeakMemory() as peak:
         verify_all(6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # Measured 2.6 MiB (3.1 MiB with one copy of each operator per V_t, 6.4 MiB
     # with dense operators at n = 6); the full 1e-6 regime grid alone would take 24 MB.
-    assert peak < 5 * 2**20
+    assert peak.bytes < 5 * 2**20
 
 
 # (n, eta1, omega1, trials, seed, mean, stderr): the three verify_all settings
@@ -874,13 +856,9 @@ def test_mc_success_values_are_pinned_bit_for_bit(n, eta1, omega1, trials, seed,
 
 
 def test_mc_success_keeps_one_float_per_trial():
-    tracemalloc.start()
-    try:
+    with PeakMemory() as peak:
         mc_success(2, 0.8, Priors.from_eta1(0.5), trials=10**6, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 20 * 2**20  # the complex overlaps of every trial took 38 MiB
+    assert peak.bytes <= 20 * 2**20  # the complex overlaps of every trial took 38 MiB
 
 
 @pytest.mark.parametrize("call", [
@@ -888,10 +866,7 @@ def test_mc_success_keeps_one_float_per_trial():
     lambda trials: empirical_mean_density(2, 1, trials=trials, seed=3),
 ])
 def test_trials_above_the_limit_are_refused_before_any_draw(monkeypatch, call):
-    def no_stream(*args):
-        raise AssertionError("a stream was built")
-
-    monkeypatch.setattr(optics, "seeded_stream", no_stream)
+    monkeypatch.setattr(optics, "seeded_stream", never("a stream was built"))
     for trials in (harness.MAX_TRIALS + 1, 10**400):
         with pytest.raises(DomainError, match="must not exceed"):
             call(trials)

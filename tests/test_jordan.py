@@ -17,9 +17,8 @@ from references import (
 )
 from test_boundaries import refusal_tests
 
-# Tests that held only refusals, run from their rows of test_boundaries.REFUSALS.
-globals().update(refusal_tests(
-    "test_jordan_angles_rejects_non_orthonormal", "test_build_rejects_bad_dimension"))
+# Tests that held only refusals, under their node ids: rows of test_boundaries.REFUSALS.
+globals().update(refusal_tests("test_jordan"))
 
 
 def test_qubit_pair_count_and_triples():

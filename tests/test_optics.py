@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -19,16 +17,11 @@ from qudisc.optics import (
     two_mode_unitary,
 )
 from qudisc.povm import Priors, omega1_from_x, omega2_constraint, total_povm
+from shared import PeakMemory, never
 from test_boundaries import refusal_tests
 
-# Tests that held only refusals, run from their rows of test_boundaries.REFUSALS.
-globals().update(refusal_tests(
-    "test_two_mode_unitary_rejects_angles_that_do_not_broadcast",
-    "test_two_mode_unitary_rejects_angles_that_are_not_finite_real_numbers",
-    "test_layer_validation", "test_reck_rejects_non_unitary",
-    "test_apply_rejects_malformed_states", "test_prepare_rejects_unnormalized",
-    "test_seeded_stream_rejects_keys_outside_64_bits",
-    "test_output_distribution_takes_one_unit_vector_of_n_amplitudes"))
+# Tests that held only refusals, under their node ids: rows of test_boundaries.REFUSALS.
+globals().update(refusal_tests("test_optics"))
 
 
 def random_unitary(dim, rng):
@@ -93,15 +86,11 @@ def test_network_equality_is_value_equality():
 
 
 def test_mode_count_above_the_limit_is_refused_before_any_allocation(monkeypatch):
-    tracemalloc.start()
-    try:
+    with PeakMemory() as peak:
         for text in ("MODES 1000000000\n", f"MODES {optics.MAX_MODES + 1}\nPHASE 1 0.5\n"):
             with pytest.raises(DomainError, match="must not exceed"):
                 Interferometer.from_text(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert peak.bytes < 2**20
     assert Interferometer.from_text(f"MODES {optics.MAX_MODES}\n").num_modes == optics.MAX_MODES
     monkeypatch.setattr(optics, "MAX_MODES", 3)
     with pytest.raises(DomainError, match="must not exceed"):
@@ -478,10 +467,7 @@ def test_sampling_tallies_do_not_depend_on_shot_block(monkeypatch):
 
 
 def test_shots_above_the_limit_are_refused_before_any_draw(monkeypatch):
-    def no_stream(*args):
-        raise AssertionError("a stream was built")
-
-    monkeypatch.setattr(optics, "seeded_stream", no_stream)
+    monkeypatch.setattr(optics, "seeded_stream", never("a stream was built"))
     net, state = Interferometer(num_modes=2), np.array([1, 0], dtype=complex)
     for shots in (optics.MAX_SHOTS + 1, 10**18):
         with pytest.raises(DomainError, match="must not exceed"):
@@ -519,10 +505,7 @@ def test_discriminator_tallies_follow_the_two_uniforms_of_each_shot():
 
 
 def test_click_probabilities_and_samples_never_build_the_unitary(monkeypatch):
-    def no_unitary(self):
-        raise AssertionError("unitary() was built")
-
-    monkeypatch.setattr(Interferometer, "unitary", no_unitary)
+    monkeypatch.setattr(Interferometer, "unitary", never("unitary() was built"))
     net = Interferometer(3, [(0, 2), (0, 1)], [(0.4, 0.3, 0), (1.1, 0, 0)])
     state = np.array([0.6, 0.8j, 0.0])
     assert abs(output_distribution(net, state).sum() - 1.0) < 1e-15
@@ -540,13 +523,9 @@ def test_one_photon_through_a_full_size_cascade_stays_small():
     photon = np.zeros(optics.MAX_MODES)
     photon[0] = 1.0
     shots = 2 * optics.SHOT_BLOCK
-    tracemalloc.start()
-    try:
+    with PeakMemory() as peak:
         probs = output_distribution(net, photon)
         stats = simulate_clicks(net, photon, shots=shots, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20  # the 4096 x 4096 unitary alone would take 256 MiB
+    assert peak.bytes < 4 * 2**20  # the 4096 x 4096 unitary alone would take 256 MiB
     np.testing.assert_allclose(probs, np.abs(amps) ** 2, rtol=0, atol=1e-12)
     assert len(stats.counts) == optics.MAX_MODES and sum(stats.counts.values()) == shots

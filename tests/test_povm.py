@@ -25,12 +25,11 @@ from qudisc.povm import (
 )
 from qudisc.spaces import label_blocks, mean_density_operators, product_ket
 from references import diagonal_blocks
+from shared import state_stacks
 from test_boundaries import refusal_tests
 
-# Tests that held only refusals, run from their rows of test_boundaries.REFUSALS.
-globals().update(refusal_tests(
-    "test_pure_success_expectation_validates_states",
-    "test_non_numeric_input_raises_the_package_errors", "test_one_bad_row_in_a_stack_is_refused"))
+# Tests that held only refusals, under their node ids: rows of test_boundaries.REFUSALS.
+globals().update(refusal_tests("test_povm"))
 
 
 def haar_state(n, rng):
@@ -430,15 +429,9 @@ def test_check_omega1_takes_real_numbers_but_not_strings_bytes_or_booleans(value
         assert povm_module.check_omega1(value) == expected
 
 
-def _state_stacks(n, pairs, seed):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.normal(size=(2, pairs, n)) + 1j * rng.normal(size=(2, pairs, n))
-    return z / np.linalg.norm(z, axis=-1, keepdims=True)
-
-
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_stacked_pairs_agree_with_per_pair_calls(n):
-    psi1, psi2 = _state_stacks(n, 30, seed=n)
+    psi1, psi2 = state_stacks(n, 30, seed=n)
     priors = Priors.from_eta1(0.3)
     for name, call in (
         ("pure_success", lambda a, b: pure_success(a, b, 0.7, priors, n)),

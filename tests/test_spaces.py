@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,12 +30,11 @@ from references import (
     block_projectors, block_stacks, diagonal_blocks, g_rows_by_formula, ket,
     rho_blocks_by_index_arithmetic, s1_rows_by_kron, symmetric_basis_3,
 )
+from shared import PeakMemory
 from test_boundaries import refusal_tests
 
-# Tests that held only refusals, run from their rows of test_boundaries.REFUSALS.
-globals().update(refusal_tests(
-    "test_symmetric_bases_reject_dimension_one",
-    "test_block_readers_reject_operators_and_kets_of_the_wrong_width"))
+# Tests that held only refusals, under their node ids: rows of test_boundaries.REFUSALS.
+globals().update(refusal_tests("test_spaces"))
 
 
 def _every_block_is(stack, block):
@@ -369,19 +367,15 @@ def test_kind_counts_are_the_block_counts_of_each_kind(n):
 
 def test_kind_counts_and_the_averaged_trace_take_no_memory_that_grows_with_n():
     # label_blocks(1000) alone would hold several n^3 = 10^9-entry arrays.
-    tracemalloc.start()
-    try:
+    with PeakMemory() as peak:
         counts = kind_counts(10**4)
         value = povm.average_success_trace(1000, 0.7, povm.Priors.from_eta1(0.3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert counts.tolist() == [10**4, 49_995_000, 49_995_000, 166_616_670_000]
     n = 4 * 10**6  # C(n, 3) is past int64, where numpy would round it to a float
     assert kind_counts(n).tolist() == [n, n * (n - 1) // 2, n * (n - 1) // 2,
                                        n * (n - 1) * (n - 2) // 6]
     assert abs(value - povm.average_success(1000, 0.7, povm.Priors.from_eta1(0.3))) <= 1e-12
-    assert peak < 2**20
+    assert peak.bytes < 2**20
 
 
 @pytest.mark.parametrize("n", [2, 3])
