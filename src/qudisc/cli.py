@@ -95,14 +95,6 @@ def _resolve_omega1(args) -> float:
     raise DomainError("provide either --omega1 or --x")
 
 
-def _priors_from_eta1(eta1: float, *, open_interval: bool) -> Priors:
-    if open_interval and not 0.0 < eta1 < 1.0:
-        raise DomainError(f"eta1 must lie strictly inside (0, 1), got {eta1}")
-    if not 0.0 <= eta1 <= 1.0:
-        raise DomainError(f"eta1 must lie in [0, 1], got {eta1}")
-    return Priors.from_eta1(eta1)
-
-
 def cmd_dims(args) -> int:
     table = dimension_table(args.n)
     results = {f.name: getattr(table, f.name) for f in fields(table) if f.name != "n"}
@@ -147,7 +139,8 @@ def cmd_scan(args) -> int:
     check_dimension(args.n)
     if args.steps > MAX_SCAN_STEPS:
         raise DomainError(f"steps must not exceed {MAX_SCAN_STEPS}, got {args.steps}")
-    priors = _priors_from_eta1(args.eta1, open_interval=True)
+    priors = Priors.from_eta1(args.eta1)
+    priors.require_nondegenerate()
     points = max(args.steps, 2)
     _emit_record(
         "scan",
@@ -168,7 +161,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_optimal(args) -> int:
-    priors = _priors_from_eta1(args.eta1, open_interval=True)
+    priors = Priors.from_eta1(args.eta1)
     result = optimal_average(args.n, priors)
     results = {
         "regime": result.regime,
@@ -186,7 +179,7 @@ def cmd_optimal(args) -> int:
 
 def cmd_simulate(args) -> int:
     check_dimension(args.n)
-    priors = _priors_from_eta1(args.eta1, open_interval=False)
+    priors = Priors.from_eta1(args.eta1)
     omega1 = _resolve_omega1(args)
     run = simulate_discriminator(omega1, priors, shots=args.shots, seed=args.seed)
     analytic = analytic_discriminator_probabilities(omega1, priors)

@@ -103,44 +103,30 @@ def two_mode_unitary(
     return np.stack(rows, -2)
 
 
-def _real_array(values, row_shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A copy of `values` as rows of shape `row_shape`; an empty input gives zero rows.
-
-    DomainError unless every entry is a real number and the shape fits.
-    """
-    try:
-        arr = np.array(values)
-    except (ValueError, OverflowError):  # ragged nesting, integers beyond 64 bits
-        raise DomainError(f"{what} must be a table of real numbers") from None
-    if arr.dtype.kind not in "iuf":
-        raise DomainError(f"{what} must be real numbers, got {arr.dtype} entries")
-    if arr.size == 0:
-        arr = arr.reshape((0, *row_shape))
-    if arr.ndim != 1 + len(row_shape) or arr.shape[1:] != row_shape:
-        dims = ", ".join(["rows", *map(str, row_shape)])
-        raise DomainError(f"{what} must have shape ({dims}), got {arr.shape}")
-    return arr
-
-
 def _layer_arrays(modes, angles, num_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (L, 2) int64 mode pairs and (L, 3) float angles of L layers.
+    """Read-only (L, 2) int64 mode pairs and (L, 3) float angles of L layers; two
+    empty inputs give no layers.
 
-    DomainError unless the modes are whole numbers >= 0, below `num_modes`
-    and distinct within each pair, and the angles finite.
+    DomainError unless both are tables of real numbers of those shapes, the modes
+    whole numbers in [0, num_modes) and distinct within each pair, and the angles finite.
     """
-    modes = _real_array(modes, (2,), "layer modes")
-    angles = _real_array(angles, (3,), "layer angles").astype(float, copy=False)
-    if len(modes) != len(angles):
-        raise DomainError(f"{len(modes)} mode pairs for {len(angles)} angle triples")
-    if not ((modes >= 0) & (modes == np.trunc(modes))).all():  # NaN fails too
-        raise DomainError("layer modes must be whole numbers >= 0")
-    if not (modes < num_modes).all():
+    modes = check_array(modes, "layer modes", None, float)
+    angles = check_array(angles, "layer angles", None, float)
+    if not modes.size and not angles.size:
+        modes, angles = np.zeros((0, 2)), np.zeros((0, 3))
+    layers = modes.shape[:1]
+    if modes.shape != (*layers, 2) or angles.shape != (*layers, 3):
+        raise DomainError(f"layer modes and angles must have shapes (L, 2) and (L, 3), "
+                          f"got {modes.shape} and {angles.shape}")
+    if not (modes == np.trunc(modes)).all():  # NaN fails too
+        raise DomainError("layer modes must be whole numbers")
+    if not ((modes >= 0) & (modes < num_modes)).all():
         raise DomainError("layer modes outside the network")
     if not (modes[:, 0] != modes[:, 1]).all():
         raise DomainError("layer modes must differ")
     if not np.isfinite(angles).all():
         raise DomainError("layer angles must be finite")
-    modes = modes.astype(np.int64, copy=False)
+    modes, angles = modes.astype(np.int64), angles.copy()
     modes.flags.writeable = angles.flags.writeable = False
     return modes, angles
 
@@ -162,11 +148,10 @@ class Interferometer:
     def __post_init__(self) -> None:
         num_modes = check_integer(self.num_modes, 1, "num_modes", MAX_MODES)
         modes, angles = _layer_arrays(self.modes, self.angles, num_modes)
-        phases = _real_array(self.phases, (), "phases").astype(float, copy=False)
-        if not phases.size:
-            phases = np.zeros(num_modes)
+        phases = check_array(self.phases, "phases", None, float)
+        phases = phases.copy() if phases.size else np.zeros(num_modes)
         if phases.shape != (num_modes,):
-            raise DomainError("one phase per mode required")
+            raise DomainError(f"phases must have shape ({num_modes},), got {phases.shape}")
         if not np.isfinite(phases).all():
             raise DomainError("phases must be finite")
         phases.flags.writeable = False
@@ -266,17 +251,25 @@ class Interferometer:
                     phases[int(values[0]) - 1] = float(values[1])
                 else:
                     raise DomainError("repeated header or phase")
-            except ValueError as exc:  # DomainError is a ValueError
+            except DomainError as exc:
                 raise DomainError(f"line {raw!r}: {exc}") from None
+            except ValueError:  # int() or float() refused a value
+                raise DomainError(f"line {raw!r}: modes must be whole numbers, "
+                                  "phases real numbers") from None
         if num_modes is None:
             raise DomainError("missing MODES header")
         if not set(phases) <= set(range(num_modes)):
             raise DomainError("PHASE line for a mode outside the network")
-        try:
+        try:  # int(), not float(), of each mode value, so "1e0" and "1.0" are refused
             modes = np.array(bs_modes, dtype=np.int64).reshape(-1, 2) - 1
+        except OverflowError:
+            raise DomainError("layer modes outside the network") from None
+        except ValueError:
+            raise DomainError("layer modes must be whole numbers") from None
+        try:
             angles = np.array(bs_angles, dtype=float).reshape(-1, 3)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"BS line: {exc}") from None
+        except ValueError:
+            raise DomainError("layer angles must be real numbers") from None
         phase_list = [phases.get(m, 0.0) for m in range(num_modes)]
         return cls(num_modes, modes, angles, phase_list)
 
@@ -424,6 +417,8 @@ def output_distribution(net: Interferometer, input_state: np.ndarray) -> np.ndar
     """Born probabilities over output modes for a single-photon input, propagated
     by ``net.apply``; ContractError unless the input is a unit vector of N amplitudes."""
     amps = check_array(input_state, "input", (1,), complex)
+    if len(amps) != net.num_modes:
+        raise ContractError(f"input must have {net.num_modes} amplitudes, got {len(amps)}")
     if not abs(np.linalg.norm(amps) - 1.0) <= TAU_NORM:
         raise ContractError("input must be a unit vector")
     probs = np.abs(net.apply(amps)) ** 2

@@ -60,7 +60,7 @@ class Priors:
 
     @classmethod
     def from_eta1(cls, eta1: float) -> "Priors":
-        return cls(eta1, 1.0 - check_real(eta1, "eta1"))
+        return cls(eta1, 1.0 - check_real(eta1, "eta1", 0.0, 1.0))
 
     def require_nondegenerate(self) -> None:
         if self.eta1 <= 0.0 or self.eta1 >= 1.0:

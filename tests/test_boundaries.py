@@ -3,16 +3,15 @@ of REFUSALS.
 
 A row is a call, the package error it must raise (ContractError for arrays of
 states, rows or operators; DomainError for scalars and angle arrays) and the
-message it must match, or None for any message of that class.  No row may
-return a result or raise a builtin error.  A row moved here from a module's
-test file has the old test's name as its id, with `-case` for a case of a
-parametrized test and `#k` for the k-th call of one test, so `-k <old name>`
-selects it.  A test that held nothing but refusals keeps its node id: its
-module's file defines it through `refusal_tests`, and it runs its rows in place
-of the table test, so each row runs once.  A refusal stays in its
-module's file when it checks more than the call: a patched stream, a memory
-bound, or the values the same call accepts.  The reference copies of
-diagonal_blocks and block_stacks check their input as the package does.
+message it must match.  No row may return a result or raise a builtin error.
+Each row runs once, as test_malformed_input_raises_the_package_error[<id>], so
+the ids are unique.  A row moved here from a module's test file has the old
+test's name as its id, with `-case` for a case of a parametrized test and `#k`
+for the k-th call of one test, so `-k <old name>` selects it.  A refusal stays
+in its module's file when it checks more than the call: a patched stream or a
+memory bound.  The values a call accepts stay in its module's tests.  The
+reference copies of diagonal_blocks and block_stacks check their input as the
+package does.
 """
 
 import ast
@@ -28,7 +27,8 @@ import pytest
 from qudisc import harness, jordan, optics, povm, spaces
 from qudisc.errors import ContractError, DomainError
 from references import block_stacks, diagonal_blocks, s1_rows_by_kron, symmetric_basis_3
-from shared import node_tests, owner, state_stacks
+from shared import state_stacks
+from test_harness import FAULTS
 
 PRIORS = povm.Priors.from_eta1(0.5)
 RAGGED = [[1, 0], [1]]
@@ -46,8 +46,7 @@ class PastTheFloats:
 
 def rows(name, error, match, *calls, first=0):
     """One row per call, refusing with `error` and a message that matches
-    `match`, or any message when it is None.  A lone call's id is `name`;
-    several are name#first, name#first+1, ..."""
+    `match`.  A lone call's id is `name`; several are name#first, name#first+1, ..."""
     return [pytest.param(call, error, match,
                          id=name if len(calls) == 1 and not first else f"{name}#{first + k}")
             for k, call in enumerate(calls)]
@@ -91,26 +90,76 @@ WRONG_WIDTHS = [
 NON_NUMERIC = "test_non_numeric_input_raises_the_package_errors"
 NAN_FAMILY = np.array([[np.nan, 0.0], [0.0, 1.0]])  # its Gram deviation is NaN, not above the bound
 SPLITTER = optics.Interferometer(2, [(0, 1)], [(0.3, 0, 0)])
-BAD_TEXTS = [
-    "BS 1 2 0.1 0 0\n",  # no MODES header
-    "MODES 2\nPHASE 5 0.1\n",  # phase on a mode outside the network
-    "MODES 2\nPHASE 0 0.1\n",
-    "MODES 0\n",
-    "MODES 2\nMODES 3\n",
-    "MODES x\n",
-    "MODES 2\nBS 1 2\n",  # too few values
-    "MODES 2\nBS 1 2 0.1 0 0 7\n",  # too many values
-    "MODES 2\nBS 1 2 nan 0 0\n",
-    "MODES 2\nPHASE 1 inf\n",
-    "MODES 2\nPHASE 1 0.1\nPHASE 1 0.2\n",
-    "MODES 2\nBS 1.5 2 0.1 0 0\n",
-    "MODES 2\nBS 0 1 0.1 0 0\n",  # modes are 1-based
-    "MODES 2\nBS 1 1 0.1 0 0\n",
-    "MODES 2\nBS 1 3 0.1 0 0\n",
-    "MODES 2\nBS 1 99999999999999999999 0.1 0 0\n",
-    "MODES 2\nBS 1 2 0.1 x 0\n",
-    "MODES 1e3\n",
+# (Interferometer arguments, the message that refuses them)
+BAD_LAYERS = [
+    ((2, [(1, 1)], [(0.3, 0, 0)]), "layer modes must differ"),
+    ((2, [(0, 5)], [(0.1, 0, 0)]), "layer modes outside the network"),
+    ((2, [(0.5, 1)], [(0.3, 0, 0)]), "layer modes must be whole numbers"),
+    ((2, [(-1, 1)], [(0.3, 0, 0)]), "layer modes outside the network"),
+    ((2, [(0, np.nan)], [(0.3, 0, 0)]), "layer modes must be whole numbers"),
+    ((2, [(0, 1)], [(np.nan, 0.0, 0.0)]), "layer angles must be finite"),
+    ((2, [(0, 1)], [(0.3, np.inf, 0.0)]), "layer angles must be finite"),
+    ((2, [(0, 1)], [(0.3, 0.0, -np.inf)]), "layer angles must be finite"),
+    ((2, [(0, 1)], [("0.3", 0.0, 0.0)]), "layer angles must be an array of real numbers"),
+    ((2, [(0, 1)], [(0.3, None, 0.0)]), "layer angles must be an array of real numbers"),
+    ((2, [(0, 1)], [(0.3, 0.0, 1j)]), "layer angles must be an array of real numbers"),
+    ((2, (), (), (np.nan, 0.0)), "phases must be finite"),
+    ((2, (), (), (0.0, np.inf)), "phases must be finite"),
+    ((2, (), (), ("a", 0.0)), "phases must be an array of real numbers"),
+    ((2, (), (), (0.1,)), r"phases must have shape \(2,\), got \(1,\)"),
+    ((2, (), (), ((0.1, 0.2),)), r"phases must have shape \(2,\), got \(1, 2\)"),
+    ((2, (), (), (None, 0.0)), "phases must be an array of real numbers"),
+    ((0,), "num_modes must be an integer >= 1"),
+    ((-1,), "num_modes must be an integer >= 1"),
+    ((2.5,), "num_modes must be an integer >= 1"),
+    ((np.nan,), "num_modes must be an integer >= 1"),
+    ((optics.MAX_MODES + 1,), "num_modes must not exceed 4096"),
+    ((3, [(0, 1)], []), r"must have shapes \(L, 2\) and \(L, 3\), got \(1, 2\) and \(0,\)"),
+    ((3, [(0, 1, 2)], [(0.3, 0.0, 0.0)]), r"got \(1, 3\) and \(1, 3\)"),
+    ((3, [(0, 1)], [(0.3, 0.0)]), r"got \(1, 2\) and \(1, 2\)"),
+    ((3, [0, 1], [0.3, 0.0, 0.0]), r"got \(2,\) and \(3,\)"),  # flat, not one row per layer
+    ((3, [(0, 2**70)], [(0.3, 0.0, 0.0)]), "layer modes must be an array of real numbers"),
+    ((3, [(0, 1), (1,)], [(0.3, 0.0, 0.0)] * 2), "layer modes must be a rectangular array"),
 ]
+# (network text, the message that refuses it)
+BAD_TEXTS = [
+    ("BS 1 2 0.1 0 0\n", "missing MODES header"),
+    ("MODES 2\nPHASE 5 0.1\n", "PHASE line for a mode outside the network"),
+    ("MODES 2\nPHASE 0 0.1\n", "PHASE line for a mode outside the network"),
+    ("MODES 0\n", "line 'MODES 0': num_modes must be an integer >= 1"),
+    ("MODES 2\nMODES 3\n", "line 'MODES 3': repeated header or phase"),
+    ("MODES x\n", "line 'MODES x': modes must be whole numbers"),
+    ("MODES 2\nBS 1 2\n", "unrecognized line: 'BS 1 2'"),  # too few values
+    ("MODES 2\nBS 1 2 0.1 0 0 7\n", "unrecognized line"),  # too many values
+    ("MODES 2\nBS 1 2 nan 0 0\n", "layer angles must be finite"),
+    ("MODES 2\nPHASE 1 inf\n", "phases must be finite"),
+    ("MODES 2\nPHASE 1 0.1\nPHASE 1 0.2\n", "line 'PHASE 1 0.2': repeated header or phase"),
+    ("MODES 2\nBS 1.5 2 0.1 0 0\n", "layer modes must be whole numbers"),
+    ("MODES 2\nBS 0 1 0.1 0 0\n", "layer modes outside the network"),  # modes are 1-based
+    ("MODES 2\nBS 1 1 0.1 0 0\n", "layer modes must differ"),
+    ("MODES 2\nBS 1 3 0.1 0 0\n", "layer modes outside the network"),
+    ("MODES 2\nBS 1 99999999999999999999 0.1 0 0\n", "layer modes outside the network"),
+    ("MODES 2\nBS 1 2 0.1 x 0\n", "layer angles must be real numbers"),
+    ("MODES 1e3\n", "line 'MODES 1e3': modes must be whole numbers"),
+    ("MODES 2\nPHASE 1 x\n", "line 'PHASE 1 x': modes must be whole numbers, phases real"),
+    ("MODES 2\nBS 1e0 2 0.1 0 0\n", "layer modes must be whole numbers"),  # as MODES 1e3 is
+]
+# The calls that take a Priors, given one.
+PRIORS_TAKERS = {
+    "success_curve_x": lambda priors: povm.success_curve_x(2.0, priors),
+    "optimal_subspace": povm.optimal_subspace,
+    "average_success": lambda priors: povm.average_success(2, 0.5, priors),
+    "optimal_average": lambda priors: povm.optimal_average(2, priors),
+    "pure_success": lambda priors: povm.pure_success(E0, E1, 0.5, priors, 2),
+    "optimal_pure": lambda priors: povm.optimal_pure(0.5, priors),
+    "average_success_trace": lambda priors: povm.average_success_trace(2, 0.5, priors),
+    "pure_success_expectation": lambda priors: povm.pure_success_expectation(
+        E0, E1, 0.5, priors, 2),
+    "mc_success": lambda priors: harness.mc_success(2, 0.5, priors, 100, 0),
+    "simulate_discriminator": lambda priors: optics.simulate_discriminator(0.5, priors, 10, 0),
+    "analytic_discriminator_probabilities": lambda priors:
+        optics.analytic_discriminator_probabilities(0.5, priors),
+}
 
 REFUSALS = [
     # Inputs that reached numpy's ValueError or TypeError, or ran.
@@ -188,7 +237,7 @@ REFUSALS = [
           lambda: optics.prepare_state_network([0.6, None], 2)),
     *rows("prepare_state_network-bool", DomainError, "num_modes must be an integer >= 1",
           lambda: optics.prepare_state_network([0.6, 0.8], True)),
-    *rows("Interferometer-bool-modes", DomainError, "layer modes must be real numbers",
+    *rows("Interferometer-bool-modes", DomainError, "layer modes must be an array of real numbers",
           lambda: optics.Interferometer(2, [(True, False)], [(0.1, 0.0, 0.0)])),
     *rows("two_mode_unitary-object", DomainError, "angles must be an array of real numbers",
           lambda: optics.two_mode_unitary([0.1, None], 0.0, 0.0)),
@@ -222,6 +271,10 @@ REFUSALS = [
           lambda: harness.Tolerances(op=np.inf)),
 
     # From tests/test_spaces.py.
+    *rows("test_check_integer_semantics", DomainError, "value must be an integer >= [024], got",
+          *(partial(spaces.check_integer, value, low, "value") for value, low in (
+              (True, 0), (2.5, 0), (np.nan, 0), (np.inf, 0), ("3", 0), (None, 0), (3, 4),
+              (np.int64(3), 4), (-1, 0), (True, 2)))),
     *(row for n in (2, 3, 4) for row in rows(
         f"test_permutation_operator_matches_column_loop-{n}", DomainError,
         "is not a permutation of the registers",
@@ -275,31 +328,15 @@ REFUSALS = [
     *(row for k, angles in enumerate(BAD_ANGLES) for row in rows(
         f"test_two_mode_unitary_rejects_angles_that_are_not_finite_real_numbers-angles{k}",
         DomainError, "angles must be", partial(optics.two_mode_unitary, *angles))),
-    *rows("test_layer_validation", DomainError, None,
-          lambda: optics.Interferometer(2, [(1, 1)], [(0.3, 0, 0)]),
-          lambda: optics.Interferometer(2, [(0, 5)], [(0.1, 0, 0)]),
-          *each(lambda modes: optics.Interferometer(2, [modes], [(0.3, 0, 0)]),
-                (0.5, 1), (-1, 1), (0, np.nan)),
-          *each(lambda angles: optics.Interferometer(2, [(0, 1)], [angles]),
-                (np.nan, 0.0, 0.0), (0.3, np.inf, 0.0), (0.3, 0.0, -np.inf),
-                ("0.3", 0.0, 0.0), (0.3, None, 0.0), (0.3, 0.0, 1j)),
-          *each(lambda phases: optics.Interferometer(num_modes=2, phases=phases),
-                (np.nan, 0.0), (0.0, np.inf), ("a", 0.0), (0.1,), ((0.1, 0.2),), (None, 0.0)),
-          *each(lambda num_modes: optics.Interferometer(num_modes=num_modes),
-                0, -1, 2.5, np.nan, optics.MAX_MODES + 1),
-          *each(lambda layers: optics.Interferometer(3, *layers),
-                ([(0, 1)], []),  # one pair, no angles
-                ([(0, 1, 2)], [(0.3, 0.0, 0.0)]),
-                ([(0, 1)], [(0.3, 0.0)]),
-                ([0, 1], [0.3, 0.0, 0.0]),  # flat, not one row per layer
-                ([(0, 2**70)], [(0.3, 0.0, 0.0)]),
-                ([(0, 1), (1,)], [(0.3, 0.0, 0.0)] * 2))),
+    *(row for k, (args, match) in enumerate(BAD_LAYERS) for row in rows(
+        f"test_layer_validation#{k}", DomainError, match, partial(optics.Interferometer, *args))),
     *rows("test_reck_rejects_non_unitary", ContractError,
           "input matrix is not unitary|input must be a non-empty square matrix",
           *each(optics.reck_decompose, np.ones((3, 3)), np.ones((2, 3)), np.full((2, 2), np.nan),
                 np.diag([1.0, np.inf]), np.zeros((0, 0)))),
-    *rows("test_serialization_roundtrip", DomainError, None,
-          *each(optics.Interferometer.from_text, *BAD_TEXTS)),
+    *(row for k, (text, match) in enumerate(BAD_TEXTS) for row in rows(
+        f"test_serialization_roundtrip#{k}", DomainError, match,
+        partial(optics.Interferometer.from_text, text))),
     *rows("test_apply_rejects_malformed_states", ContractError,
           "states must (be an array of numbers|be finite|have)",
           *each(lambda states: optics.discriminator_network(0.3).apply(states),
@@ -314,7 +351,7 @@ REFUSALS = [
         "must not exceed" if bad == 2**64 else "must be an integer >= 0",
         partial(optics.seeded_stream, bad), partial(optics.seeded_stream, 0, bad))),
     *rows("test_simulate_clicks_deterministic_and_validated", ContractError,
-          "states must have shape|counts must sum to shots",
+          "input must have 2 amplitudes|counts must sum to shots",
           lambda: optics.simulate_clicks(SPLITTER, np.array([1, 0, 0], dtype=complex), 10, 0),
           lambda: optics.ClickStats(shots=3, seed=0, counts={"a": 1})),
     *rows("test_simulate_clicks_deterministic_and_validated", DomainError,
@@ -322,7 +359,7 @@ REFUSALS = [
           *each(lambda shots: optics.simulate_clicks(SPLITTER, E0, shots=shots, seed=0),
                 0, 2.5, np.nan), first=2),
     *rows("test_output_distribution_takes_one_unit_vector_of_n_amplitudes", ContractError,
-          "input must (be a unit vector|have 1 axes)|states must have shape",
+          "input must (be a unit vector|have 1 axes|have 2 amplitudes)",
           *each(lambda bad: optics.output_distribution(SPLITTER, np.array(bad)),
                 [1.0, 0.0, 0.0], [[1.0], [0.0]], [1.0, 1.0], [np.nan, 0.0])),
 
@@ -349,6 +386,14 @@ REFUSALS = [
           "omega1 must lie in",
           *each(lambda bad: povm.kind_povms([0.3, bad]), -0.1, np.nan, 2.0)),
     *_one_bad_row(np.nan), *_one_bad_row(1.001), *_one_bad_row(0.0),
+    *rows("test_check_omega1_takes_real_numbers_but_not_strings_bytes_or_booleans", DomainError,
+          "omega1 must be a real number",
+          *each(povm.check_omega1, "0.5", b"0.5", True, np.True_)),
+    *(row for name, call in PRIORS_TAKERS.items() for row in rows(
+        f"test_priors_that_are_not_priors_raise_domain_error-{name}", DomainError,
+        "priors must be a Priors", *each(call, None, "x", 0.3, (0.3, 0.7)))),
+    *rows("Priors.from_eta1-outside-0-1", DomainError, r"eta1 must lie in \[0.0, 1.0\]",
+          *each(povm.Priors.from_eta1, -0.1, 1.5, np.inf)),
     *rows("test_optimal_pure_examples", DomainError, "overlap_sq must lie in",
           lambda: povm.optimal_pure(1.5, PRIORS)),
     *rows("test_omega2_constraint_values", DomainError, "omega1 must lie in",
@@ -429,39 +474,17 @@ REFUSALS = [
 ]
 
 
-# The tests that held only refusals and were moved here whole, by module.  Each
-# keeps its node id in its module's file, where refusal_tests defines it to run
-# its rows; the table test runs every other row.
-MOVED_WHOLE = {
-    "test_spaces": ("test_symmetric_bases_reject_dimension_one",
-                    "test_block_readers_reject_operators_and_kets_of_the_wrong_width"),
-    "test_jordan": ("test_jordan_angles_rejects_non_orthonormal",
-                    "test_build_rejects_bad_dimension"),
-    "test_optics": ("test_two_mode_unitary_rejects_angles_that_do_not_broadcast",
-                    "test_two_mode_unitary_rejects_angles_that_are_not_finite_real_numbers",
-                    "test_layer_validation", "test_reck_rejects_non_unitary",
-                    "test_apply_rejects_malformed_states", "test_prepare_rejects_unnormalized",
-                    "test_seeded_stream_rejects_keys_outside_64_bits",
-                    "test_output_distribution_takes_one_unit_vector_of_n_amplitudes"),
-    "test_povm": ("test_pure_success_expectation_validates_states", NON_NUMERIC,
-                  "test_one_bad_row_in_a_stack_is_refused"),
-    "test_harness": ("test_empirical_mean_density_validation",
-                     "test_overlap_identity_rejects_non_unit_states",
-                     "test_mc_success_validation", "test_verify_all_rejects_bad_nmax"),
-}
-
-
-@pytest.mark.parametrize("call, error, match", [
-    row for row in REFUSALS if not any(owner(row) in names for names in MOVED_WHOLE.values())])
+@pytest.mark.parametrize("call, error, match", REFUSALS)
 def test_malformed_input_raises_the_package_error(call, error, match):
     with pytest.raises(error, match=match):
         call()
 
 
-def refusal_tests(module):
-    """The tests of `module` that were moved here whole, each running its rows."""
-    return node_tests(REFUSALS, lambda monkeypatch, *row:
-                      test_malformed_input_raises_the_package_error(*row), MOVED_WHOLE[module])
+@pytest.mark.parametrize("table", [REFUSALS, FAULTS], ids=["REFUSALS", "FAULTS"])
+def test_the_row_ids_of_each_table_are_unique(table):
+    # A row's id is its node id, and pytest would rename a repeated one silently.
+    ids = [row.id for row in table]
+    assert sorted({i for i in ids if ids.count(i) > 1}) == []
 
 
 def test_a_whole_fraction_past_the_floats_is_its_exact_integer():

@@ -373,7 +373,7 @@ def _contract_cases():
                   ["scan", "--n", n, "--eta1", "0.3", "--steps", "3"],
                   ["optimal", "--n", n, "--eta1", "0.3"],
                   ["simulate", "--n", n, "--eta1", "0.3", "--x", "2", "--shots", "100"]]
-    for eta1 in ("nan", "inf"):
+    for eta1 in ("nan", "inf", "1.5"):
         cases += [["scan", "--n", "2", "--eta1", eta1, "--steps", "3"],
                   ["optimal", "--n", "2", "--eta1", eta1],
                   ["simulate", "--n", "2", "--eta1", eta1, "--x", "2", "--shots", "100"]]

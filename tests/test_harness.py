@@ -24,12 +24,8 @@ from qudisc.jordan import build_gh_bases
 from qudisc.kinds import CASE_DISTINCT_PRIMED, CASE_LOW
 from qudisc.povm import Priors, average_success, omega1_from_x, total_povm
 from qudisc.spaces import mean_density_operators
-from shared import PeakMemory, never, node_tests, owner
-from test_boundaries import refusal_tests
+from shared import PeakMemory, never
 from test_check_list import GLOBAL_CHECKS, PER_N_CHECKS
-
-# Tests that held only refusals, under their node ids: rows of test_boundaries.REFUSALS.
-globals().update(refusal_tests("test_harness"))
 
 
 def test_haar_state_basics():
@@ -708,14 +704,7 @@ def run_fault(monkeypatch, patch, fails, passes, deviations):
             np.testing.assert_equal(result.deviation, deviations[name])
 
 
-# The rows moved from their own tests run under those tests' node ids; the
-# table test runs the rest, so each row runs once.
-MOVED_WHOLE = {owner(row) for row in FAULTS if row.id.startswith("test_")}
-globals().update(node_tests(FAULTS, run_fault, MOVED_WHOLE))
-
-
-@pytest.mark.parametrize("patch, fails, passes, deviations",
-                         [row for row in FAULTS if owner(row) not in MOVED_WHOLE])
+@pytest.mark.parametrize("patch, fails, passes, deviations", FAULTS)
 def test_a_fault_fails_the_checks_it_names(monkeypatch, patch, fails, passes, deviations):
     run_fault(monkeypatch, patch, fails, passes, deviations)
 

@@ -15,10 +15,6 @@ from qudisc.spaces import (
 from references import (
     diagonal_blocks, g_rows_by_formula, ket, s1_rows_by_kron, symmetric_basis_3,
 )
-from test_boundaries import refusal_tests
-
-# Tests that held only refusals, under their node ids: rows of test_boundaries.REFUSALS.
-globals().update(refusal_tests("test_jordan"))
 
 
 def test_qubit_pair_count_and_triples():

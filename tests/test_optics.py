@@ -18,10 +18,6 @@ from qudisc.optics import (
 )
 from qudisc.povm import Priors, omega1_from_x, omega2_constraint, total_povm
 from shared import PeakMemory, never
-from test_boundaries import refusal_tests
-
-# Tests that held only refusals, under their node ids: rows of test_boundaries.REFUSALS.
-globals().update(refusal_tests("test_optics"))
 
 
 def random_unitary(dim, rng):
