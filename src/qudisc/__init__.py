@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .errors import ContractError, DegeneratePriorsError, DomainError
 from .harness import (
     McEstimate,
-    Tolerances,
     VerificationReport,
     empirical_mean_density,
     haar_state,
@@ -28,7 +27,6 @@ from .optics import (
     two_mode_unitary,
 )
 from .povm import (
-    MeasurementTriple,
     Priors,
     RegimeResult,
     average_success,

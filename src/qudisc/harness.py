@@ -9,7 +9,7 @@ outcome), which keeps the estimator unbiased with far lower variance.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,11 @@ SCAN_POINTS = 3_000_001
 # over the fine grid lies within one stride of the maximum over every stride-th
 # point, and scanning only that window finds it exactly.
 SCAN_STRIDE = 1000
+
+# Default comparison tolerances of the suite, which verify_all's tol replaces
+# together: exact algebraic identities, operator-level identities with more
+# accumulation, and closed-form optima against brute-force grid scans.
+TIGHT, OP, SCAN = 1e-12, 1e-10, 1e-6
 
 SEEDED_PAIRS = 100  # random pairs of the per-n suite's pure-state checks
 KS_ALPHA = 1e-3  # false-alarm rate of the Haar law check
@@ -163,21 +168,6 @@ def _dkw_epsilon(count: int) -> float:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    """Comparison thresholds used by the verification suite; DomainError unless
-    each is a finite real number >= 0."""
-
-    tight: float = 1e-12  # exact algebraic identities
-    op: float = 1e-10  # operator-level identities with more accumulation
-    scan: float = 1e-6  # closed-form optima vs. brute-force grid scans
-
-    def __post_init__(self) -> None:
-        for entry in fields(self):
-            spaces.check_real(getattr(self, entry.name), f"tolerance {entry.name}", 0.0,
-                              np.finfo(float).max)
-
-
-@dataclass(frozen=True)
 class CheckResult:
     name: str
     scope: str
@@ -260,8 +250,9 @@ def _completeness_and_unambiguity(stacks, rhos) -> tuple[np.ndarray, np.ndarray]
     return complete, np.maximum(np.abs(wrong[0]), np.abs(wrong[1]))
 
 
-def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
+def _checks_for_n(n: int, tol: float | None, report: VerificationReport) -> None:
     scope = f"n={n}"
+    tight, op = (TIGHT, OP) if tol is None else (tol, tol)
     table = spaces.dimension_table(n)
     constructive = spaces.constructive_dimension_table(n)
     counts = spaces.kind_counts(n)  # closed form, against the V_t that label_blocks counts
@@ -278,14 +269,14 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     covered = np.bincount(np.concatenate([cols.ravel() for cols in vts.groups]), minlength=n**3)
     dev = _worst(np.abs(sym2.conj() @ sym2.T - np.eye(len(sym2))).max(), np.abs(covered - 1).max(),
                  *(abs(unit @ unit - 1) for count, unit in zip(counts, units) if count))
-    report.add("symmetric_bases_orthonormal", scope, dev, tol.tight,
+    report.add("symmetric_bases_orthonormal", scope, dev, tight,
                "two- and three-fold symmetric bases have identity Gram matrices")
 
     swap = spaces.permute_registers(np.eye(n * n), (1, 0), n)  # its rows: the swap is symmetric
     p_sigma = spaces.symmetric_projector(n)
     dev = _worst(np.abs(p_sigma - (np.eye(n * n) + swap) / 2).max(),
                  np.abs(p_sigma @ p_sigma - p_sigma).max())
-    report.add("symmetric_projector", scope, dev, tol.op,
+    report.add("symmetric_projector", scope, dev, op,
                "two-fold symmetric projector is the permutation symmetrizer")
 
     # The glue between the kinds and the whole space: each permutation maps every
@@ -297,7 +288,7 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
                  *(np.abs(m[1, cols] - cols @ kind.perms[s]).max(initial=0.0)
                    for s, m in enumerate(moved)
                    for cols, kind in zip(vts.groups, kinds.kind_table())))
-    report.add("threefold_permutation_invariance", scope, dev, tol.tight,
+    report.add("threefold_permutation_invariance", scope, dev, tight,
                "three-fold symmetric vectors are fixed by all register permutations")
 
     # Operators built alike on every V_t are read once per kind present at n,
@@ -322,7 +313,7 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
                           for block, (_, kind, _), s in zip(blocks, present, sums)
                           for copy in (s[index], getattr(kind, span))))
         dev = _worst(dev, abs(trace - 1), np.maximum(0.0, -lowest), copies)
-    report.add("mean_densities_are_states", scope, dev, tol.tight,
+    report.add("mean_densities_are_states", scope, dev, tight,
                "averaged inputs are unit-trace positive operators")
 
     # Per kind present, u3 over its S1 rows and over its S2 rows gives its unit
@@ -331,22 +322,22 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
                    for count, kind, unit in zip(counts, kinds.kind_table(), units) if count
                    for rows in (kind.s1_rows, kind.s2_rows)),
                  *(abs(cols.shape[1] - unit.size) for cols, unit in zip(vts.groups, units)))
-    report.add("symmetric_vector_expansions", scope, dev, tol.tight,
+    report.add("symmetric_vector_expansions", scope, dev, tight,
                "product-basis expansions reconstruct the symmetric vectors")
 
     paired = [kind for _, kind, _ in present if kind.cases]  # {a,a,a} has no g or h rows
     dev = _worst(*(np.abs(a @ b.T - overlap * np.eye(len(a))).max() for k in paired
                    for a, b, overlap in ((k.g, k.g, 1.0), (k.h, k.h, 1.0), (k.g, k.h, -0.5))))
-    report.add("paired_basis_structure", scope, dev, tol.tight,
+    report.add("paired_basis_structure", scope, dev, tight,
                "g/h families orthonormal with diagonal cross overlap -1/2")
 
     dev = _worst(*(np.abs(rows @ np.full(k.d, k.d**-0.5)).max()  # the unit symmetric vector
                    for k in paired for rows in (k.g, k.h)))
-    report.add("paired_basis_off_symmetric", scope, dev, tol.tight,
+    report.add("paired_basis_off_symmetric", scope, dev, tight,
                "g/h vectors are orthogonal to the fully symmetric subspace")
 
     dev = _worst(*(_or_inf(lambda: np.abs(jordan_angles(k.g, k.h) - 0.5).max()) for k in paired))
-    report.add("principal_angle_cosines", scope, dev, tol.tight,
+    report.add("principal_angle_cosines", scope, dev, tight,
                "all principal-angle cosines between the families equal 1/2")
 
     # Per kind: rho_1 = w (P_0 + P_g), rho_2 = w (P_0 + P_h), S1 = P_0 + P_g, S2 = P_0 + P_h.
@@ -356,9 +347,9 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     dev_spans = _worst(*(np.abs(kind.p0 + family - span).max()
                          for _, kind, _ in present
                          for family, span in ((kind.p_g, kind.s1), (kind.p_h, kind.s2))))
-    report.add("density_decomposition", scope, dev_density, tol.tight,
+    report.add("density_decomposition", scope, dev_density, tight,
                "paired-basis decomposition rebuilds the averaged inputs")
-    report.add("complement_spans", scope, dev_spans, tol.op,
+    report.add("complement_spans", scope, dev_spans, op,
                "g (resp. h) dyads complete the symmetric projector to S1 (resp. S2)")
 
     # One eigensolve per kind gives the exact lambda_min of its pi1, pi2 and pi0 at
@@ -387,21 +378,20 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
         [stack[:, :, None] for stack in stacks], rhos)
         for stacks in ([ops for *_, ops in present], built)], axis=0)
     dev = _worst(h_perp_gap, projector_gap, (negativity + distance).max())
-    report.add("povm_positive", scope, dev, tol.op,
+    report.add("povm_positive", scope, dev, op,
                "all three detection operators are positive semidefinite on a 50-point grid")
-    report.add("povm_complete", scope, _worst(complete.max()), tol.op,
+    report.add("povm_complete", scope, _worst(complete.max()), op,
                "detection operators sum to the identity")
-    report.add("povm_unambiguous_mixed", scope, _worst(unambiguous.max()), tol.tight,
+    report.add("povm_unambiguous_mixed", scope, _worst(unambiguous.max()), tight,
                "wrong-state expectation values vanish for the averaged inputs")
 
-    # On the grid, and at the optimum, where the trace must be 2(n-1)/(3n) times P(x*).
+    # On the grid, and at the optimum, where the trace must be optimal_average's value.
     priors = Priors.from_eta1(0.3)
-    best = povm.optimal_subspace(priors)
+    best = povm.optimal_average(n, priors)
     angles = np.append(grid[::7], best.omega1_star)
-    closed = [*(povm.average_success(n, omega1, priors) for omega1 in grid[::7]),
-              2 * (n - 1) / (3 * n) * best.value]
+    closed = [*(povm.average_success(n, omega1, priors) for omega1 in grid[::7]), best.value]
     dev = _or_inf(lambda: np.abs(povm.average_success_trace(n, angles, priors) - closed).max())
-    report.add("average_success_closed_form", scope, dev, tol.op,
+    report.add("average_success_closed_form", scope, dev, op,
                "closed-form averaged success equals the trace evaluation")
 
     # The seeded pairs, each library call taking the whole stack at once.
@@ -420,11 +410,11 @@ def _checks_for_n(n: int, tol: Tolerances, report: VerificationReport) -> None:
     identity = overlap_identity_check(psi1, psi2, n)
     dev_identity = _worst(np.abs(identity.sum_g - identity.closed_form).max(),
                           np.abs(identity.sum_h - identity.closed_form).max())
-    report.add("pure_success_closed_form", scope, dev_pure, tol.op,
+    report.add("pure_success_closed_form", scope, dev_pure, op,
                "closed-form pure-state success equals the expectation value")
-    report.add("povm_unambiguous_pure", scope, dev_unamb_pure, tol.op,
+    report.add("povm_unambiguous_pure", scope, dev_unamb_pure, op,
                "wrong-state detection amplitudes vanish for random pure pairs")
-    report.add("reciprocal_overlap_identity", scope, dev_identity, tol.op,
+    report.add("reciprocal_overlap_identity", scope, dev_identity, op,
                "summed reciprocal overlaps equal (1 - overlap^2)/2 for random pairs")
 
 
@@ -446,13 +436,14 @@ def _grid_max(priors: Priors) -> tuple[float, int]:
     return float(window[top]), start + top
 
 
-def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> None:
+def _global_checks(n_max: int, tol: float | None, report: VerificationReport) -> None:
     scope = "global"
+    tight, op, scan = (TIGHT, OP, SCAN) if tol is None else (tol, tol, tol)
     dev = 0.0
     for eta1 in np.linspace(0.01, 0.99, 99):
         priors = Priors.from_eta1(float(eta1))
         dev = _worst(dev, abs(povm.optimal_subspace(priors).value - _grid_max(priors)[0]))
-    report.add("regime_optima_vs_scan", scope, dev, tol.scan,
+    report.add("regime_optima_vs_scan", scope, dev, scan,
                "three-regime optimum matches a 1e-6 grid scan for 99 priors")
 
     # The regime switches between adjacent doubles: just below 1/5 and just above 4/5.
@@ -461,7 +452,7 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
         values = [povm.optimal_subspace(Priors.from_eta1(eta1)).value
                   for eta1 in (np.nextafter(boundary, 0.0), boundary, np.nextafter(boundary, 1.0))]
         dev = _worst(dev, np.ptp(values))
-    report.add("regime_continuity", scope, dev, tol.tight,
+    report.add("regime_continuity", scope, dev, tight,
                "endpoint and interior optimum formulas agree at the regime boundaries")
 
     # The same two-dimensional pair embedded at every n, through the V_t blocks
@@ -470,19 +461,19 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
     states = [(e[0], (e[0] + e[1]) / np.sqrt(2)) for e in map(np.eye, range(max(5, n_max), 1, -1))]
     dev = _or_inf(lambda: np.ptp([povm.pure_success_expectation(psi1, psi2, 0.8, priors, len(psi1))
                                   for psi1, psi2 in states]) / 0.5)
-    report.add("dimension_independence", scope, dev, tol.op,
+    report.add("dimension_independence", scope, dev, op,
                "normalized pure-state success is independent of the qudit dimension")
 
     block = {name: getattr(build_gh_bases(2), name)[0] for name in ("g", "h", "g_perp")}
     dev = 0.0
     for omega1 in np.linspace(0.0, np.pi / 2, 20):
         net = optics.discriminator_network(omega1)
-        triple = povm.total_povm(2, omega1)
+        ops = povm.total_povm(2, omega1)
         for which, state in block.items():
             probs = optics.output_distribution(net, optics.discriminator_port_state(which))
-            expected = [np.vdot(state, op @ state).real for op in triple.elements()]
+            expected = [np.vdot(state, pi @ state).real for pi in ops]
             dev = _worst(dev, np.abs(probs - np.array(expected)).max())
-    report.add("network_born_rule", scope, dev, tol.tight,
+    report.add("network_born_rule", scope, dev, tight,
                "six-port click probabilities equal the detection-operator expectations")
 
     dev = 0.0
@@ -495,7 +486,7 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
         max_layers_ok &= len(net.modes) <= dim * (dim - 1) // 2
         dev = _worst(dev, np.abs(net.unitary() - target).max())
     report.add("mesh_synthesis_roundtrip", scope, dev if max_layers_ok else np.inf,
-               tol.op, "triangular mesh synthesis reproduces random unitaries up to size 8")
+               op, "triangular mesh synthesis reproduces random unitaries up to size 8")
 
     shots, state = 20_000, optics.discriminator_port_state("g")
     net = optics.discriminator_network(povm.omega1_from_x(2.0))
@@ -528,17 +519,21 @@ def _global_checks(n_max: int, tol: Tolerances, report: VerificationReport) -> N
                "squared first component of random states follows the Beta(1, n-1) law")
 
 
-def verify_all(n_max: int, tolerances: Tolerances | None = None) -> VerificationReport:
+def verify_all(n_max: int, tol: float | None = None) -> VerificationReport:
     """Run every invariant check for n = 2..n_max plus the global checks.
 
-    Failures are recorded in the report, not raised.  An n_max whose per-n suite
-    would peak over spaces.MAX_BUILD_BYTES (n_max > 48) raises DomainError before any work.
+    Each comparison against TIGHT, OP or SCAN uses `tol` instead when it is given;
+    the statistical and exact checks keep their own bounds.  Failures are recorded
+    in the report, not raised.  A tol that is not a finite real number >= 0, or an
+    n_max whose per-n suite would peak over spaces.MAX_BUILD_BYTES (n_max > 48),
+    raises DomainError before any work.
     """
+    if tol is not None:
+        tol = spaces.check_real(tol, "tol", 0.0, np.finfo(float).max)
     n_max = spaces.check_integer(n_max, 2, "n_max")
     # The per-n suite peaked at 4.76, 4.92, 4.99 and 5.03 times the seeded pairs'
     # kets at n = 30, 40, 45 and 48 (tracemalloc); 6 times them admits n_max <= 48.
     spaces.check_build_bytes(6 * 16 * SEEDED_PAIRS * n_max**3, f"the per-n suite at n_max {n_max}")
-    tol = tolerances or Tolerances()
     report = VerificationReport(n_max=n_max)
     for n in range(2, n_max + 1):
         _checks_for_n(n, tol, report)

@@ -77,19 +77,6 @@ def check_priors(priors) -> Priors:
 
 
 @dataclass(frozen=True)
-class MeasurementTriple:
-    """POVM elements for outcomes "1", "2" and "fail"."""
-
-    pi1: np.ndarray
-    pi2: np.ndarray
-    pi0: np.ndarray
-    omega1: float
-
-    def elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.pi1, self.pi2, self.pi0
-
-
-@dataclass(frozen=True)
 class RegimeResult:
     """Optimal success probability and its operating point."""
 
@@ -150,13 +137,13 @@ def block_povm(omega1: float) -> np.ndarray:
     return np.array([a * e_g, b * e_h, np.eye(2) - a * e_g - b * e_h])
 
 
-def total_povm(n: int, omega1: float) -> MeasurementTriple:
-    """Three-outcome POVM on the full three-register space: pi1 = a (S3 - S2),
-    pi2 = b (S3 - S1) and pi0 = I - pi1 - pi2, with (a, b) from
-    :func:`detection_weights` and S1, S2 and S3 summed from the six register
-    permutations (:func:`qudisc.kinds.symmetrizers`).  The measurement commutes
-    with U (x) U (x) U, so by Schur-Weyl duality it is such a combination of the
-    permutations."""
+def total_povm(n: int, omega1: float) -> np.ndarray:
+    """Three-outcome POVM on the full three-register space, as one (3, n^3, n^3)
+    stack in the order of :func:`block_povm`: pi1 = a (S3 - S2), pi2 = b (S3 - S1)
+    and pi0 = I - pi1 - pi2, with (a, b) from :func:`detection_weights` and S1, S2
+    and S3 summed from the six register permutations (:func:`qudisc.kinds.symmetrizers`).
+    The measurement commutes with U (x) U (x) U, so by Schur-Weyl duality it is such
+    a combination of the permutations."""
     n, omega1 = check_dimension(n), check_omega1(omega1)
     # The identity, its six permutations, their sums and the elements: 16 n^6 floats.
     check_build_bytes(8 * 16 * n**6, "the dense detection operators")
@@ -165,11 +152,10 @@ def total_povm(n: int, omega1: float) -> MeasurementTriple:
     eye = np.eye(n**3)
     s1, s2, s3 = kinds.symmetrizers([permute_registers(eye, p, n) for p, _ in kinds.PERMUTATIONS])
     a, b = detection_weights(omega1)
-    pi1 = a * (s3 - s2)
-    pi2 = b * (s3 - s1)
-    pi0 = eye - pi1  # I - pi1 - pi2, in place
-    pi0 -= pi2
-    return MeasurementTriple(pi1=pi1, pi2=pi2, pi0=pi0, omega1=omega1)
+    ops = np.stack([a * (s3 - s2), b * (s3 - s1), eye])
+    ops[2] -= ops[0]  # I - pi1 - pi2, in place
+    ops[2] -= ops[1]
+    return ops
 
 
 def kind_povms(omega1) -> list[np.ndarray]:

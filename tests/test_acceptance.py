@@ -92,14 +92,14 @@ def test_criterion_03_povm_validity_unambiguity():
         rho1, rho2 = mean_density_operators(n)
         eye = np.eye(n**3)
         for omega1 in np.linspace(0.0, np.pi / 2, 50):
-            povm = total_povm(n, omega1)
-            for op in povm.elements():
+            ops = total_povm(n, omega1)
+            for op in ops:
                 worst_psd = max(worst_psd, -np.linalg.eigvalsh(op).min())
-            worst_sum = max(worst_sum, np.abs(sum(povm.elements()) - eye).max())
+            worst_sum = max(worst_sum, np.abs(ops.sum(axis=0) - eye).max())
             worst_trace = max(
                 worst_trace,
-                abs(np.trace(povm.pi1 @ rho2).real),
-                abs(np.trace(povm.pi2 @ rho1).real),
+                abs(np.trace(ops[0] @ rho2).real),
+                abs(np.trace(ops[1] @ rho1).real),
             )
     elapsed = time.time() - start
     ok = worst_psd < 1e-10 and worst_sum < 1e-10 and worst_trace < 1e-12
@@ -193,10 +193,10 @@ def test_criterion_08_optics_equivalence():
     worst_born = 0.0
     for omega1 in np.linspace(0.0, np.pi / 2, 20):
         net = discriminator_network(omega1)
-        povm = total_povm(2, omega1)
+        ops = total_povm(2, omega1)
         for which, state in (("g", g), ("h", h)):
             probs = output_distribution(net, discriminator_port_state(which))
-            expected = np.array([np.vdot(state, op @ state).real for op in povm.elements()])
+            expected = np.array([np.vdot(state, op @ state).real for op in ops])
             worst_born = max(worst_born, np.abs(probs - expected).max())
 
     worst_reck = 0.0

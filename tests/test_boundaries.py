@@ -204,8 +204,8 @@ REFUSALS = [
           lambda: harness.empirical_mean_density(2, True, 10, 0)),
     *rows("reck_decompose-bool", ContractError, "input must be an array of numbers",
           lambda: optics.reck_decompose(np.eye(2, dtype=bool))),
-    *rows("Tolerances-nan", DomainError, "tolerance tight must lie in",
-          lambda: harness.verify_all(2, harness.Tolerances(tight=np.nan))),
+    *rows("verify_all-tol", DomainError, r"tol must (lie in \[0.0, |be a real number)",
+          *each(partial(harness.verify_all, 2), np.nan, np.inf, -1e-9, True)),
     # The other entry points, one malformed input each.
     *rows("diagonal_blocks-ragged", ContractError, "op must be a rectangular array of numbers",
           lambda: diagonal_blocks(RAGGED, 2)),
@@ -267,8 +267,6 @@ REFUSALS = [
           lambda: spaces.label_blocks(2, True)),
     *rows("check_real-complex", DomainError, "x must be a real number",
           lambda: spaces.check_real(np.complex128(0.5), "x")),
-    *rows("Tolerances-inf", DomainError, "tolerance op must lie in",
-          lambda: harness.Tolerances(op=np.inf)),
 
     # From tests/test_spaces.py.
     *rows("test_check_integer_semantics", DomainError, "value must be an integer >= [024], got",

@@ -234,6 +234,13 @@ def test_simulate_omega1_and_x_exclusive(capsys):
     assert excinfo.value.code == 2
 
 
+def test_simulate_needs_omega1_or_x(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--eta1", "0.5", "--shots", "10"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_prepare_writes_network(tmp_path, capsys):
     source = tmp_path / "amps.txt"
     source.write_text("0.6\n0, 0.8\n")

@@ -1,11 +1,14 @@
-"""The names README.md and the package's docstrings point to exist in the package."""
+"""The names README.md and the package's docstrings point to exist in the package,
+and the package exports exactly the pinned names."""
 
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
+import qudisc
 from qudisc import harness
 from qudisc.errors import DomainError
 
@@ -13,6 +16,23 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qudisc"
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
 DOTTED = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*"
+
+# The package-level public names, its submodules aside.  Adding or removing an
+# export means editing this list, and a removed one is listed in REMOVED and in
+# README.md's "Removed from the API".
+EXPORTS = [
+    "ClickStats", "ContractError", "DegeneratePriorsError", "DimensionTable", "DomainError",
+    "Interferometer", "JordanPairSet", "McEstimate", "Priors", "RegimeResult",
+    "VerificationReport", "average_success", "block_povm", "build_gh_bases",
+    "detection_weights", "dimension_table", "discriminator_network", "empirical_mean_density",
+    "haar_state", "jordan_angles", "mc_success", "mean_density_operators", "omega2_constraint",
+    "optimal_average", "optimal_pure", "optimal_subspace", "overlap_identity_check",
+    "prepare_state_network", "pure_success", "reck_decompose", "simulate_clicks",
+    "success_curve_x", "symmetric_basis_2", "symmetric_projector", "total_povm",
+    "two_mode_unitary", "verify_all",
+]
+# Removed exports: (name, the module that defined it).
+REMOVED = [("MeasurementTriple", "povm"), ("Tolerances", "harness")]
 
 
 def _resolves(target, dotted):
@@ -84,3 +104,13 @@ def test_readme_states_the_nmax_range_that_verify_all_admits(monkeypatch):
     harness.verify_all(low)
     harness.verify_all(high)
     assert ran == [*range(2, low + 1), "g", *range(2, high + 1), "g"]
+
+
+def test_the_package_exports_exactly_the_pinned_names():
+    names = sorted(name for name, value in vars(qudisc).items()
+                   if not name.startswith("_") and not inspect.ismodule(value))
+    assert names == EXPORTS
+    readme = (ROOT / "README.md").read_text()
+    for name, module in REMOVED:
+        assert not hasattr(qudisc, name) and not hasattr(_module(module), name)
+        assert f"`{module}.{name}`" in readme

@@ -12,7 +12,6 @@ from qudisc import harness, jordan, kinds, optics, povm, spaces
 from qudisc.errors import DomainError
 from qudisc.harness import (
     McEstimate,
-    Tolerances,
     empirical_mean_density,
     haar_state,
     mc_success,
@@ -344,7 +343,7 @@ def _clear_operator_caches():
 
 def _per_n_results(n):
     report = harness.VerificationReport(n_max=n)
-    harness._checks_for_n(n, Tolerances(), report)
+    harness._checks_for_n(n, None, report)
     return {r.name: r for r in report.results}
 
 
@@ -352,11 +351,11 @@ def _per_n_results(n):
 def test_block_positivity_certificate_matches_dense_eigensolves(n):
     dense = 0.0
     for omega1 in np.linspace(0.0, np.pi / 2, 50):
-        for op in total_povm(n, omega1).elements():
+        for op in total_povm(n, omega1):
             dense = max(dense, max(0.0, -np.linalg.eigvalsh(op).min()))
     block = _per_n_results(n)["povm_positive"]
     assert block.passed
-    assert dense <= Tolerances().op and block.deviation <= Tolerances().op
+    assert dense <= harness.OP and block.deviation <= harness.OP
     assert abs(block.deviation - dense) <= 1e-13
 
 
@@ -688,9 +687,9 @@ def run_fault(monkeypatch, patch, fails, passes, deviations):
         ns = sorted(int(scope[2:]) for scope in scopes - {"global"})
         report = harness.VerificationReport(n_max=max(ns, default=2))
         for n in ns:
-            harness._checks_for_n(n, Tolerances(), report)
+            harness._checks_for_n(n, None, report)
         if "global" in scopes:
-            harness._global_checks(report.n_max, Tolerances(), report)
+            harness._global_checks(report.n_max, None, report)
     finally:
         monkeypatch.undo()
         _clear_operator_caches()  # drop what was built from the fault
@@ -750,7 +749,7 @@ def test_verify_all_scatters_the_povm_only_at_the_cross_check_and_pure_state_ang
 
 
 def test_verify_all_unattainable_tolerance_fails_without_raising():
-    report = verify_all(2, Tolerances(tight=1e-30, op=1e-30, scan=1e-30))
+    report = verify_all(2, 1e-30)
     assert not report.passed
     assert any(not r.passed for r in report.results)
     assert "FAIL" in report.to_text()
@@ -767,7 +766,7 @@ def test_the_per_n_suite_builds_no_dense_operator(monkeypatch):
     _clear_operator_caches()
     report = harness.VerificationReport(n_max=8)
     with PeakMemory() as peak:
-        harness._checks_for_n(8, Tolerances(), report)
+        harness._checks_for_n(8, None, report)
     assert report.passed
     # With the dense operators _checks_for_n(8) peaked at 26.7 MiB; on the
     # blocks it took about 7.6 MiB, read once per kind about 6.8 MiB, with the

@@ -129,12 +129,10 @@ def test_discriminator_matches_povm_born_rule():
     g, h = pairs.g[0], pairs.h[0]
     for omega1 in np.linspace(0.0, np.pi / 2, 20):
         net = discriminator_network(omega1)
-        povm = total_povm(2, omega1)
+        ops = total_povm(2, omega1)
         for which, state in (("g", g), ("h", h)):
             probs = output_distribution(net, discriminator_port_state(which))
-            expected = [
-                np.vdot(state, op @ state).real for op in povm.elements()
-            ]
+            expected = [np.vdot(state, op @ state).real for op in ops]
             np.testing.assert_allclose(probs, expected, atol=1e-12)
 
 

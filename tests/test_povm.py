@@ -6,7 +6,6 @@ from qudisc.errors import DegeneratePriorsError
 from qudisc.jordan import build_gh_bases, jordan_angles
 from qudisc.kinds import reciprocal_rows
 from qudisc.povm import (
-    MeasurementTriple,
     Priors,
     average_success,
     average_success_trace,
@@ -25,7 +24,7 @@ from qudisc.povm import (
 )
 from qudisc.spaces import label_blocks, mean_density_operators, product_ket
 from references import diagonal_blocks
-from shared import state_stacks
+from shared import PeakMemory, state_stacks
 from test_boundaries import PRIORS_TAKERS
 
 
@@ -104,7 +103,7 @@ def test_block_povm_valid_on_grid():
         blocks = block_povm(omega1)
         np.testing.assert_allclose(blocks.sum(axis=0), np.eye(2), atol=1e-10)
         assert np.linalg.eigvalsh(blocks).min() > -1e-10
-        lifted = [frame.conj() @ op @ frame.T for op in total_povm(3, omega1).elements()]
+        lifted = [frame.conj() @ op @ frame.T for op in total_povm(3, omega1)]
         np.testing.assert_allclose(lifted, blocks, atol=1e-12)
 
 
@@ -112,10 +111,9 @@ def test_block_povm_valid_on_grid():
 def test_total_povm_valid_on_grid(n):
     dim = n**3
     for omega1 in np.linspace(0.0, np.pi / 2, 50):
-        povm = total_povm(n, omega1)
-        total = sum(povm.elements())
-        assert np.abs(total - np.eye(dim)).max() < 1e-10
-        for op in povm.elements():
+        ops = total_povm(n, omega1)
+        assert np.abs(ops.sum(axis=0) - np.eye(dim)).max() < 1e-10
+        for op in ops:
             assert np.linalg.eigvalsh(op).min() > -1e-10
 
 
@@ -123,34 +121,32 @@ def test_total_povm_valid_on_grid(n):
 def test_total_povm_unambiguous(n):
     rho1, rho2 = mean_density_operators(n)
     for omega1 in (0.3, omega1_from_x(2.0), 1.2):
-        povm = total_povm(n, omega1)
-        assert abs(np.trace(povm.pi1 @ rho2).real) < 1e-12
-        assert abs(np.trace(povm.pi2 @ rho1).real) < 1e-12
+        pi1, pi2, _ = total_povm(n, omega1)
+        assert abs(np.trace(pi1 @ rho2).real) < 1e-12
+        assert abs(np.trace(pi2 @ rho1).real) < 1e-12
 
 
 def test_total_povm_results_are_independent_copies():
     first = total_povm(3, 0.7)
-    expected = first.pi1.copy()
-    first.pi1[:] = 0.0
-    second = total_povm(3, 0.7)
-    np.testing.assert_array_equal(second.pi1, expected)
+    expected = first.copy()
+    first[:] = 0.0
+    np.testing.assert_array_equal(total_povm(3, 0.7), expected)
 
 
 def test_total_povm_endpoint():
-    povm = total_povm(2, np.pi / 2)
-    assert np.abs(povm.pi2).max() < 1e-12
+    assert np.abs(total_povm(2, np.pi / 2)[1]).max() < 1e-12
 
 
 def test_total_povm_annihilates_wrong_pure_inputs():
     rng = np.random.Generator(np.random.Philox(key=7))
     for n in (2, 3):
-        povm = total_povm(n, 0.7)
+        pi1, pi2, _ = total_povm(n, 0.7)
         for _ in range(20):
             psi1, psi2 = haar_state(n, rng), haar_state(n, rng)
             big1 = np.kron(np.kron(psi1, psi1), psi2)
             big2 = np.kron(np.kron(psi1, psi2), psi2)
-            assert np.linalg.norm(povm.pi1 @ big2) < 1e-10
-            assert np.linalg.norm(povm.pi2 @ big1) < 1e-10
+            assert np.linalg.norm(pi1 @ big2) < 1e-10
+            assert np.linalg.norm(pi2 @ big1) < 1e-10
 
 
 def test_success_curve_values():
@@ -296,33 +292,42 @@ def test_cross_checks_match_dense_total_povm(n):
     priors = Priors.from_eta1(0.4)
     rho1, rho2 = mean_density_operators(n)
     for omega1 in (0.0, 0.3, omega1_from_x(2.0), 1.1, np.pi / 2):
-        povm = total_povm(n, omega1)
+        pi1, pi2, _ = total_povm(n, omega1)
         dense = clamp_probability(
-            priors.eta1 * np.trace(povm.pi1 @ rho1).real
-            + priors.eta2 * np.trace(povm.pi2 @ rho2).real
+            priors.eta1 * np.trace(pi1 @ rho1).real
+            + priors.eta2 * np.trace(pi2 @ rho2).real
         )
         assert abs(average_success_trace(n, omega1, priors) - dense) < 1e-14
         for _ in range(5):
             psi1, psi2 = haar_state(n, rng), haar_state(n, rng)
             big1, big2 = product_ket(psi1, psi1, psi2), product_ket(psi1, psi2, psi2)
             dense = clamp_probability(
-                priors.eta1 * np.vdot(big1, povm.pi1 @ big1).real
-                + priors.eta2 * np.vdot(big2, povm.pi2 @ big2).real
+                priors.eta1 * np.vdot(big1, pi1 @ big1).real
+                + priors.eta2 * np.vdot(big2, pi2 @ big2).real
             )
             assert abs(pure_success_expectation(psi1, psi2, omega1, priors, n) - dense) < 1e-14
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_total_povm_is_real_and_writable(n):
-    # Nothing is cached: each call sums the permutations afresh into its own arrays.
-    triple = total_povm(n, 0.6)
-    assert all(op.dtype == np.float64 and op.flags.writeable for op in triple.elements())
+def test_total_povm_is_one_real_writable_outcome_stack(n):
+    # Nothing is cached: each call sums the permutations afresh into its own array.
+    ops = total_povm(n, 0.6)
+    assert ops.shape == (3, n**3, n**3)
+    assert ops.dtype == np.float64 and ops.flags.writeable
+
+
+def test_total_povm_peaks_inside_its_build_estimate():
+    # check_build_bytes is told 16 n^6 floats; the permutation sums and the stack
+    # peak at about 10 n^6.
+    with PeakMemory() as peak:
+        total_povm(5, 0.6)
+    assert peak.bytes <= 8 * 16 * 5**6
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_total_povm_pi0_is_the_identity_minus_pi1_and_pi2(n):
     for omega1 in np.linspace(0.0, np.pi / 2, 50):
-        triple = total_povm(n, omega1)
-        assert np.array_equal(triple.pi0, np.eye(n**3) - triple.pi1 - triple.pi2)
+        pi1, pi2, pi0 = total_povm(n, omega1)
+        assert np.array_equal(pi0, np.eye(n**3) - pi1 - pi2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -340,7 +345,7 @@ def test_total_povm_blocks_are_the_dense_diagonal_blocks(n):
     for i in range(0, 50, 3):
         a, b = povm_module.detection_weights(grid[i])
         reference = (a * proj_g, b * proj_h, np.eye(n**3) - a * proj_g - b * proj_h)
-        for k, (op, ref) in enumerate(zip(total_povm(n, grid[i]).elements(), reference)):
+        for k, (op, ref) in enumerate(zip(total_povm(n, grid[i]), reference)):
             blocks, off = diagonal_blocks(ref, n)
             assert off == 0.0
             for stack, ops in zip(blocks, povms):
@@ -446,8 +451,3 @@ def test_omega2_constraint_values():
     assert abs(omega2_constraint(0.0) - np.pi / 3) < 1e-12
     assert abs(omega2_constraint(omega1_from_x(2.0)) - np.pi / 4) < 1e-12
 
-
-def test_measurement_triple_elements():
-    povm = total_povm(2, 0.5)
-    assert isinstance(povm, MeasurementTriple)
-    assert len(povm.elements()) == 3

@@ -223,7 +223,7 @@ def test_s1_product_basis_is_the_kron_loop_bit_for_bit(n):
 
 @pytest.mark.parametrize("build", [
     symmetric_basis_2, symmetric_basis_3, symmetric_projector, kind_counts,
-    lambda n: povm.total_povm(n, 0.5).elements(),
+    lambda n: povm.total_povm(n, 0.5),
 ], ids=["symmetric_basis_2", "symmetric_basis_3", "symmetric_projector", "kind_counts",
         "total_povm"])
 def test_a_whole_float_n_gives_the_integer_n_arrays(build):
