@@ -13,7 +13,6 @@ from .harness import (
     verify_all,
 )
 from .jordan import (
-    JordanPairSet,
     build_gh_bases,
     jordan_angles,
 )

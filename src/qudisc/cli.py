@@ -303,6 +303,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's exit: 0 after --help or --version, 2 on a usage error
+        return exc.code
+    try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # the package's errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -71,10 +71,10 @@ def _haar_pair_blocks(n: int, trials: int, seed: int, least: int):
     return ((p[:, 0], p[:, 1]) for p in pairs)
 
 
-def haar_state(n: int, seed: int, stream: int = 0) -> np.ndarray:
+def haar_state(n: int, seed: int) -> np.ndarray:
     """Unit vector drawn from the unitarily invariant measure."""
     n = spaces.check_integer(n, 1, "dimension")
-    return _haar_rows(optics.seeded_stream(seed, stream), (), n)
+    return _haar_rows(optics.seeded_stream(seed), (), n)
 
 
 def empirical_mean_density(n: int, which: int, trials: int, seed: int) -> np.ndarray:
@@ -238,14 +238,14 @@ def _completeness_and_unambiguity(stacks, rhos) -> tuple[np.ndarray, np.ndarray]
     """Per angle, the largest |entry| of pi1 + pi2 + pi0 - I on the blocks and
     the larger of |Tr(pi1 rho2)| and |Tr(pi2 rho1)|, summed over the blocks.
 
-    The operators come as one (K, 3, blocks, d, d) stack per kind, and rhos holds
-    each kind's (d, d) blocks of the two averaged inputs, the same on each of its
-    V_t, so the traces read only the blocks.  A kind with no blocks adds nothing.
+    The operators come as one (K, 3, d, d) stack per kind, and rhos holds each
+    kind's (d, d) blocks of the two averaged inputs, the same on each of its V_t,
+    so the traces read only the blocks.
     """
     rho1, rho2 = rhos
-    complete = np.max([np.abs(s.sum(axis=1) - np.eye(s.shape[-1])).max(axis=(1, 2, 3), initial=0.0)
+    complete = np.max([np.abs(s.sum(axis=1) - np.eye(s.shape[-1])).max(axis=(1, 2))
                        for s in stacks], axis=0)
-    wrong = [sum(np.einsum("kbij,ji->k", s[:, k], r) for s, r in zip(stacks, rho))
+    wrong = [sum(np.einsum("kij,ji->k", s[:, k], r) for s, r in zip(stacks, rho))
              for k, rho in ((0, rho2), (1, rho1))]
     return complete, np.maximum(np.abs(wrong[0]), np.abs(wrong[1]))
 
@@ -267,7 +267,7 @@ def _checks_for_n(n: int, tol: float | None, report: VerificationReport) -> None
     sym2 = spaces.symmetric_basis_2(n)
     units = [np.full(kind.d, 1.0 / np.sqrt(kind.d)) for kind in kinds.kind_table()]
     covered = np.bincount(np.concatenate([cols.ravel() for cols in vts.groups]), minlength=n**3)
-    dev = _worst(np.abs(sym2.conj() @ sym2.T - np.eye(len(sym2))).max(), np.abs(covered - 1).max(),
+    dev = _worst(np.abs(sym2 @ sym2.T - np.eye(len(sym2))).max(), np.abs(covered - 1).max(),
                  *(abs(unit @ unit - 1) for count, unit in zip(counts, units) if count))
     report.add("symmetric_bases_orthonormal", scope, dev, tight,
                "two- and three-fold symmetric bases have identity Gram matrices")
@@ -374,9 +374,8 @@ def _checks_for_n(n: int, tol: float | None, report: VerificationReport) -> None
     negativity = np.maximum(0.0, -np.min([_lowest_eigenvalues(ops) for *_, ops in present], axis=0))
     rhos = [[count * weight * getattr(kind, entry) for count, kind, _ in present]
             for entry in ("rho1", "rho2")]
-    complete, unambiguous = np.max([_completeness_and_unambiguity(
-        [stack[:, :, None] for stack in stacks], rhos)
-        for stacks in ([ops for *_, ops in present], built)], axis=0)
+    complete, unambiguous = np.max([_completeness_and_unambiguity(stacks, rhos)
+                                    for stacks in ([ops for *_, ops in present], built)], axis=0)
     dev = _worst(h_perp_gap, projector_gap, (negativity + distance).max())
     report.add("povm_positive", scope, dev, op,
                "all three detection operators are positive semidefinite on a 50-point grid")
@@ -464,7 +463,8 @@ def _global_checks(n_max: int, tol: float | None, report: VerificationReport) ->
     report.add("dimension_independence", scope, dev, op,
                "normalized pure-state success is independent of the qudit dimension")
 
-    block = {name: getattr(build_gh_bases(2), name)[0] for name in ("g", "h", "g_perp")}
+    g, h = build_gh_bases(2)
+    block = {"g": g[0], "h": h[0], "g_perp": kinds.reciprocal_rows(g, h)[0][0]}
     dev = 0.0
     for omega1 in np.linspace(0.0, np.pi / 2, 20):
         net = optics.discriminator_network(omega1)

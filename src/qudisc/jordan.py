@@ -16,8 +16,6 @@ distinct labels.  g holds each kind's rows on every V_t of that kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import kinds
@@ -30,42 +28,21 @@ from .spaces import (
     dimension_table,
     exchange_ac,
     label_blocks,
-    triple_labels,
 )
 
 
-@dataclass(frozen=True)
-class JordanPairSet:
-    """Paired orthonormal families spanning S4 (g) and S5 (h).
-
-    g and h are stacked row vectors of shape (i0, n^3); labels[m] records the
-    originating case and ordered triple of row m; g_perp and h_perp are their
-    :func:`qudisc.kinds.reciprocal_rows`.
-    """
-
-    n: int
-    g: np.ndarray
-    h: np.ndarray
-    labels: tuple[tuple[str, tuple[int, int, int]], ...]
-    g_perp: np.ndarray = field(init=False, repr=False)
-    h_perp: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        for name, rows in zip(("g_perp", "h_perp"), kinds.reciprocal_rows(self.g, self.h)):
-            object.__setattr__(self, name, rows)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
-def build_gh_bases(n: int) -> JordanPairSet:
-    """Construct the i0 = n(n+1)(n-1)/3 paired basis vectors.
+def build_gh_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The paired families (g, h): float64 arrays of the i0 = n(n+1)(n-1)/3 rows
+    spanning S4 and S5, h_m being g_m with registers A and C exchanged.
 
     Enumeration is lexicographic in the ordered triple (i, j, k); triples with
-    three distinct labels contribute two pairs (unprimed before primed).
+    three distinct labels contribute two pairs (unprimed before primed).  Their
+    reciprocal rows g_perp and h_perp are :func:`qudisc.kinds.reciprocal_rows`.
     """
     n, i0 = check_dimension(n), dimension_table(n).i0
-    check_build_bytes(5 * 8 * i0 * n**3, "g, h, g_perp and h_perp (i0 x n^3 each) and labels")
+    # g and h peak at 2.26, 2.02 and 2.00 times g's bytes at n = 6, 10 and 14
+    # (tracemalloc, the V_t tables built too); 2.5 times them admits n <= 23.
+    check_build_bytes(20 * i0 * n**3, "g and h (i0 x n^3 each)")
     blocks, table = label_blocks(n), kinds.kind_table()
     depth = np.array([len(kind.cases) for kind in table])[blocks.kind_of]  # g rows per V_t
     first = np.cumsum(depth) - depth
@@ -73,11 +50,8 @@ def build_gh_bases(n: int) -> JordanPairSet:
     for k, (cols, kind) in enumerate(zip(blocks.groups, table)):
         index = first[blocks.kind_of == k, None] + np.arange(len(kind.cases))
         g[index[:, :, None], cols[:, None, :]] = kind.g  # the kind's rows on each of its V_t
-    labels = tuple((case, triple) for triple, k in zip(triple_labels(n), blocks.kind_of)
-                   for case in table[k].cases)
-    pair_set = JordanPairSet(n=n, g=g, h=exchange_ac(g, n), labels=labels)
-    assert len(pair_set) == i0
-    return pair_set
+    assert len(g) == i0
+    return g, exchange_ac(g, n)
 
 
 def jordan_angles(family_a: np.ndarray, family_b: np.ndarray) -> np.ndarray:

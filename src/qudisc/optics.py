@@ -63,10 +63,10 @@ MAX_SHOTS = 10**9
 MAX_MODES = 2**12
 
 
-def seeded_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """The one counter-based Philox stream a sampling call draws from, keyed by (seed, stream):
-    the two 64-bit key words, whole numbers in [0, 2^64); others raise DomainError."""
-    key = [check_integer(seed, 0, "seed", 2**64 - 1), check_integer(stream, 0, "stream", 2**64 - 1)]
+def seeded_stream(seed: int) -> np.random.Generator:
+    """The one counter-based Philox stream a sampling call draws from, keyed by
+    (seed, 0): seed is a whole number in [0, 2^64); others raise DomainError."""
+    key = [check_integer(seed, 0, "seed", 2**64 - 1), 0]
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 

@@ -68,16 +68,16 @@ def test_criterion_02_jordan_structure():
     start = time.time()
     worst = 0.0
     for n in range(2, 5):
-        pairs = build_gh_bases(n)
+        g, h = build_gh_bases(n)
         i0 = dimension_table(n).i0
-        for family in (pairs.g, pairs.h):
+        for family in (g, h):
             worst = max(worst, np.abs(family.conj() @ family.T - np.eye(i0)).max())
-        worst = max(worst, np.abs(pairs.g @ pairs.h.T + 0.5 * np.eye(i0)).max())
-        worst = max(worst, np.abs(jordan_angles(pairs.g, pairs.h) - 0.5).max())
+        worst = max(worst, np.abs(g @ h.T + 0.5 * np.eye(i0)).max())
+        worst = max(worst, np.abs(jordan_angles(g, h) - 0.5).max())
         # rho_1 = w (P_0 + P_g) and rho_2 = w (P_0 + P_h), rebuilt densely.
         weight = 2.0 / (n**2 * (n + 1))
         p0 = projector_from_rows(symmetric_basis_3(n))
-        for direct, family in zip(mean_density_operators(n), (pairs.g, pairs.h)):
+        for direct, family in zip(mean_density_operators(n), (g, h)):
             rebuilt = weight * (p0 + projector_from_rows(family))
             worst = max(worst, np.abs(direct - rebuilt).max())
     elapsed = time.time() - start
@@ -188,8 +188,7 @@ def test_criterion_07_overlap_identity():
 
 
 def test_criterion_08_optics_equivalence():
-    pairs = build_gh_bases(2)
-    g, h = pairs.g[0], pairs.h[0]
+    g, h = (family[0] for family in build_gh_bases(2))
     worst_born = 0.0
     for omega1 in np.linspace(0.0, np.pi / 2, 20):
         net = discriminator_network(omega1)

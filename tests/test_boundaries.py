@@ -247,8 +247,6 @@ REFUSALS = [
           lambda: harness.mc_success(2, 0.5, PRIORS, 100, 2**64)),
     *rows("simulate_discriminator-bool", DomainError, "shots must be an integer >= 1",
           lambda: optics.simulate_discriminator(0.5, PRIORS, True, 0)),
-    *rows("haar_state-2**64", DomainError, "stream must not exceed",
-          lambda: harness.haar_state(2, 0, 2**64)),
     *rows("kind_povms-str", DomainError, "omega1 must be an array of real numbers",
           lambda: povm.kind_povms("ab")),
     *rows("kind_povms-object", DomainError, "omega1 must be an array of real numbers",
@@ -347,7 +345,7 @@ REFUSALS = [
     *(row for bad in BAD_KEYS for row in rows(
         f"test_seeded_stream_rejects_keys_outside_64_bits-{bad}", DomainError,
         "must not exceed" if bad == 2**64 else "must be an integer >= 0",
-        partial(optics.seeded_stream, bad), partial(optics.seeded_stream, 0, bad))),
+        partial(optics.seeded_stream, bad))),
     *rows("test_simulate_clicks_deterministic_and_validated", ContractError,
           "input must have 2 amplitudes|counts must sum to shots",
           lambda: optics.simulate_clicks(SPLITTER, np.array([1, 0, 0], dtype=complex), 10, 0),

@@ -228,17 +228,23 @@ def test_simulate_refuses_too_many_shots(capsys, monkeypatch):
 
 
 def test_simulate_omega1_and_x_exclusive(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["simulate", "--eta1", "0.5", "--x", "2", "--omega1", "0.3",
-              "--shots", "10"])
-    assert excinfo.value.code == 2
+    assert main(["simulate", "--eta1", "0.5", "--x", "2", "--omega1", "0.3",
+                 "--shots", "10"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_simulate_needs_omega1_or_x(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["simulate", "--eta1", "0.5", "--shots", "10"])
-    assert excinfo.value.code == 2
+    assert main(["simulate", "--eta1", "0.5", "--shots", "10"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["--help"], 0, "usage: qudisc"), (["verify", "--help"], 0, "usage: qudisc verify"),
+    (["--version"], 0, "qudisc 0.1.0"), ([], 2, ""), (["dims", "--n", "two"], 2, "")])
+def test_argparse_exits_are_returned_codes(capsys, argv, code, out):
+    assert main(argv) == code
+    printed = capsys.readouterr().out
+    assert printed.startswith(out) if out else printed == ""
 
 
 def test_prepare_writes_network(tmp_path, capsys):

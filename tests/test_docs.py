@@ -22,8 +22,8 @@ DOTTED = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*"
 # README.md's "Removed from the API".
 EXPORTS = [
     "ClickStats", "ContractError", "DegeneratePriorsError", "DimensionTable", "DomainError",
-    "Interferometer", "JordanPairSet", "McEstimate", "Priors", "RegimeResult",
-    "VerificationReport", "average_success", "block_povm", "build_gh_bases",
+    "Interferometer", "McEstimate", "Priors", "RegimeResult", "VerificationReport",
+    "average_success", "block_povm", "build_gh_bases",
     "detection_weights", "dimension_table", "discriminator_network", "empirical_mean_density",
     "haar_state", "jordan_angles", "mc_success", "mean_density_operators", "omega2_constraint",
     "optimal_average", "optimal_pure", "optimal_subspace", "overlap_identity_check",
@@ -32,7 +32,7 @@ EXPORTS = [
     "two_mode_unitary", "verify_all",
 ]
 # Removed exports: (name, the module that defined it).
-REMOVED = [("MeasurementTriple", "povm"), ("Tolerances", "harness")]
+REMOVED = [("MeasurementTriple", "povm"), ("Tolerances", "harness"), ("JordanPairSet", "jordan")]
 
 
 def _resolves(target, dotted):

@@ -38,6 +38,18 @@ def test_haar_state_basics():
     np.testing.assert_array_equal(haar_state(3.0, seed=5), state)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_haar_state_is_the_first_normals_of_the_seed_and_zero_stream(n):
+    # n complex normals of the (seed, 0) stream, real and imaginary parts
+    # interleaved, scaled to unit norm.
+    for seed in (0, 5, 2**64 - 1):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        z = rng.standard_normal((n, 2))
+        z = z[:, 0] + 1j * z[:, 1]
+        expected = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        assert haar_state(n, seed).tobytes() == expected.tobytes()
+
+
 def test_an_oversized_n_is_refused_before_any_allocation():
     # Each call would need from some 19 GiB to some 400 TiB; it must raise
     # DomainError, not MemoryError, having built next to nothing.
@@ -70,7 +82,7 @@ def test_an_oversized_n_is_refused_before_any_allocation():
 
 
 def test_haar_first_component_mean():
-    samples = np.abs([haar_state(2, 42, stream=t)[0] for t in range(30_000)]) ** 2
+    samples = np.abs([haar_state(2, seed=t)[0] for t in range(30_000)]) ** 2
     # |a1|^2 is Beta(1, 1) = uniform for n=2: mean 1/2, variance 1/12.
     sigma = np.sqrt(1 / 12 / len(samples))
     assert abs(samples.mean() - 0.5) < 5 * sigma
@@ -131,7 +143,7 @@ def test_pair_sampling_matches_per_pair_loop():
         lambda: simulate_discriminator(0.6, Priors.from_eta1(0.4), shots=100, seed=3),
         lambda: mc_success(2, 0.6, Priors.from_eta1(0.4), trials=100, seed=3),
         lambda: empirical_mean_density(2, 1, trials=100, seed=3),
-        lambda: haar_state(4, seed=3, stream=2),
+        lambda: haar_state(4, seed=3),
     ],
 )
 def test_one_sampling_call_builds_one_philox(monkeypatch, call):
@@ -155,7 +167,6 @@ def test_one_sampling_call_builds_one_philox(monkeypatch, call):
         lambda: mc_success(2, 0.6, Priors.from_eta1(0.4), trials=100, seed=np.nan),
         lambda: empirical_mean_density(2, 1, trials=100, seed=1.5),
         lambda: haar_state(2, 2.5),
-        lambda: haar_state(2, seed=3, stream=-2),
     ],
 )
 def test_sampling_calls_refuse_bad_seeds_before_any_stream(monkeypatch, call):
@@ -257,7 +268,7 @@ def test_dkw_bound_of_the_haar_law_check_is_kolmogorovs_quantile():
 
 def test_ks_distance_rejects_wrong_law():
     # |a1|^2 is uniform for n = 2, not Beta(1, 2) as for n = 3.
-    samples = np.abs([haar_state(2, 123, t)[0] for t in range(2_000)]) ** 2
+    samples = np.abs([haar_state(2, seed=t)[0] for t in range(2_000)]) ** 2
     distance = harness._ks_distance(samples, lambda u: 1.0 - (1.0 - u) ** 2)
     assert distance > harness._dkw_epsilon(len(samples))
     assert np.isnan(harness._ks_distance(np.array([0.1, np.nan, 0.5]), lambda u: u))

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from qudisc import kinds
+from qudisc import jordan, kinds
+from qudisc.errors import DomainError
 from qudisc.jordan import build_gh_bases, jordan_angles
-from qudisc.kinds import CASE_DISTINCT, CASE_DISTINCT_PRIMED
+from qudisc.kinds import CASE_DISTINCT, CASE_DISTINCT_PRIMED, reciprocal_rows
 from qudisc.spaces import (
     dimension_table,
     exchange_ac,
+    label_blocks,
     mean_density_operators,
     mean_density_weight,
     projector_from_rows,
@@ -15,30 +17,39 @@ from qudisc.spaces import (
 from references import (
     diagonal_blocks, g_rows_by_formula, ket, s1_rows_by_kron, symmetric_basis_3,
 )
+from shared import PeakMemory, never
+
+
+def _row_triples(rows, n):
+    """The label triple t of the one V_t that each row is supported on."""
+    block_of, triples = label_blocks(n).block_of, triple_labels(n)
+    blocks = [np.unique(block_of[np.flatnonzero(row)]) for row in rows]
+    assert all(len(b) == 1 for b in blocks)
+    return [triples[b[0]] for b in blocks]
 
 
 def test_qubit_pair_count_and_triples():
-    pairs = build_gh_bases(2)
-    assert len(pairs) == 2
-    assert [lab[1] for lab in pairs.labels] == [(1, 1, 2), (1, 2, 2)]
+    g, h = build_gh_bases(2)
+    assert g.shape == h.shape == (2, 8)
+    assert _row_triples(g, 2) == [(1, 1, 2), (1, 2, 2)]
 
 
 def test_qubit_g_vector_explicit():
-    pairs = build_gh_bases(2)
+    g, _ = build_gh_bases(2)
     sym_12 = (ket((1, 2), 2) + ket((2, 1), 2)) / np.sqrt(2)
     expected = np.sqrt(1 / 3) * np.kron(sym_12, np.eye(2)[0]) - np.sqrt(
         2 / 3
     ) * ket((1, 1, 2), 2)
-    np.testing.assert_allclose(pairs.g[0], expected, atol=1e-15)
+    np.testing.assert_allclose(g[0], expected, atol=1e-15)
 
 
 def test_qubit_h_vector_explicit():
-    pairs = build_gh_bases(2)
+    _, h = build_gh_bases(2)
     sym_12 = (ket((1, 2), 2) + ket((2, 1), 2)) / np.sqrt(2)
     expected = np.sqrt(1 / 3) * np.kron(np.eye(2)[0], sym_12) - np.sqrt(
         2 / 3
     ) * ket((2, 1, 1), 2)
-    np.testing.assert_allclose(pairs.h[0], expected, atol=1e-15)
+    np.testing.assert_allclose(h[0], expected, atol=1e-15)
 
 
 def _h_rows_by_formula(n):
@@ -77,20 +88,20 @@ def _h_rows_by_formula(n):
 
 @pytest.mark.parametrize("n", range(2, 9))  # every n that verify admits
 def test_g_family_is_the_case_formulas(n):
-    assert build_gh_bases(n).g.tobytes() == g_rows_by_formula(n).tobytes()
+    assert build_gh_bases(n)[0].tobytes() == g_rows_by_formula(n).tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 9))  # every n that verify admits
 def test_h_family_is_the_case_formulas(n):
-    assert np.array_equal(build_gh_bases(n).h, _h_rows_by_formula(n))
+    assert np.array_equal(build_gh_bases(n)[1], _h_rows_by_formula(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_families_orthonormal_and_off_symmetric(n):
-    pairs = build_gh_bases(n)
+    g, h = build_gh_bases(n)
     i0 = dimension_table(n).i0
-    assert len(pairs) == i0
-    for family in (pairs.g, pairs.h):
+    assert len(g) == len(h) == i0
+    for family in (g, h):
         gram = family.conj() @ family.T
         np.testing.assert_allclose(gram, np.eye(i0), atol=1e-12)
         # Every row orthogonal to the fully symmetric subspace.
@@ -100,22 +111,22 @@ def test_families_orthonormal_and_off_symmetric(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_overlap_matrix_is_minus_half_identity(n):
-    pairs = build_gh_bases(n)
-    gram = pairs.g @ pairs.h.T  # <g_i|h_j>
-    np.testing.assert_allclose(gram, -0.5 * np.eye(len(pairs)), atol=1e-12)
+    g, h = build_gh_bases(n)
+    gram = g @ h.T  # <g_i|h_j>
+    np.testing.assert_allclose(gram, -0.5 * np.eye(len(g)), atol=1e-12)
 
 
 def test_overlap_matrix_n4_size():
-    pairs = build_gh_bases(4)
-    assert (pairs.g @ pairs.h.T).shape == (20, 20)
+    g, h = build_gh_bases(4)
+    assert (g @ h.T).shape == (20, 20)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_pair_subspaces_mutually_orthogonal(n):
-    pairs = build_gh_bases(n)
-    stacked = np.vstack([pairs.g, pairs.h])
+    g, h = build_gh_bases(n)
+    stacked = np.vstack([g, h])
     gram = stacked.conj() @ stacked.T
-    i0 = len(pairs)
+    i0 = len(g)
     expected = np.block(
         [[np.eye(i0), -0.5 * np.eye(i0)], [-0.5 * np.eye(i0), np.eye(i0)]]
     )
@@ -123,22 +134,28 @@ def test_pair_subspaces_mutually_orthogonal(n):
 
 
 def test_primed_ordering_for_distinct_triples():
-    labels = build_gh_bases(3).labels
-    cases = [case for case, triple in labels if triple == (1, 2, 3)]
-    assert cases == [CASE_DISTINCT, CASE_DISTINCT_PRIMED]
+    # The two rows on the V_t of (1, 2, 3) are the {a,b,c} kind's unprimed row,
+    # then its primed row, over the V_t's kets in ascending flat order.
+    g, _ = build_gh_bases(3)
+    rows = [m for m, triple in enumerate(_row_triples(g, 3)) if triple == (1, 2, 3)]
+    blocks, kind = label_blocks(3), kinds.kind_table()[3]
+    cols = blocks.groups[3][0]  # (1, 2, 3) is the first, and at n = 3 the only, {a,b,c}
+    assert blocks.block_of[cols[0]] == triple_labels(3).index((1, 2, 3))
+    cases = [kind.cases.index(case) for case in (CASE_DISTINCT, CASE_DISTINCT_PRIMED)]
+    assert np.array_equal(g[np.ix_(rows, cols)], kind.g[cases])
+
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_jordan_angles_all_one_half(n):
-    pairs = build_gh_bases(n)
-    cosines = jordan_angles(pairs.g, pairs.h)
+    cosines = jordan_angles(*build_gh_bases(n))
     assert len(cosines) == dimension_table(n).i0
     np.testing.assert_allclose(cosines, 0.5, atol=1e-12)
 
 
 def test_jordan_angles_identical_family():
-    pairs = build_gh_bases(2)
-    np.testing.assert_allclose(jordan_angles(pairs.g, pairs.g), 1.0, atol=1e-12)
+    g, _ = build_gh_bases(2)
+    np.testing.assert_allclose(jordan_angles(g, g), 1.0, atol=1e-12)
 
 
 def test_jordan_angles_one_dimensional_oracle():
@@ -158,8 +175,7 @@ def density_from_jordan(n):
     rebuilt densely from the paired bases."""
     weight = 2.0 / (n**2 * (n + 1))
     p0 = projector_from_rows(symmetric_basis_3(n))
-    pairs = build_gh_bases(n)
-    return tuple(weight * (p0 + projector_from_rows(rows)) for rows in (pairs.g, pairs.h))
+    return tuple(weight * (p0 + projector_from_rows(rows)) for rows in build_gh_bases(n))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -185,17 +201,34 @@ def test_density_from_jordan_trace_qubits():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_g_family_completes_s1(n):
-    pairs = build_gh_bases(n)
+    g, h = build_gh_bases(n)
     p0 = projector_from_rows(symmetric_basis_3(n))
     s1 = s1_rows_by_kron(n)
     p_s1, p_s2 = projector_from_rows(s1), projector_from_rows(exchange_ac(s1, n))
-    assert np.abs(p0 + projector_from_rows(pairs.g) - p_s1).max() < 1e-10
-    assert np.abs(p0 + projector_from_rows(pairs.h) - p_s2).max() < 1e-10
+    assert np.abs(p0 + projector_from_rows(g) - p_s1).max() < 1e-10
+    assert np.abs(p0 + projector_from_rows(h) - p_s2).max() < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_build_is_real(n):
-    pairs = build_gh_bases(n)
+    g, h = build_gh_bases(n)
     assert all(rho.dtype == np.float64 for rho in density_from_jordan(n))
-    for name in ("g", "h", "g_perp", "h_perp"):
-        assert getattr(pairs, name).dtype == np.float64
+    for rows in (g, h, *reciprocal_rows(g, h)):
+        assert rows.dtype == np.float64
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_build_gh_bases_peaks_inside_its_build_estimate(n):
+    # check_build_bytes is told 2.5 times g's 8 i0 n^3 bytes; g and h, with the
+    # V_t tables if they are not yet built, peak at about 2.3 (n = 6) and 2.0 (n = 10).
+    with PeakMemory() as peak:
+        build_gh_bases(n)
+    assert peak.bytes <= 20 * dimension_table(n).i0 * n**3
+
+
+def test_build_gh_bases_admits_n_up_to_23(monkeypatch):
+    with pytest.raises(DomainError, match="over the limit"):
+        build_gh_bases(24)
+    monkeypatch.setattr(jordan, "label_blocks", never("the size rule passed"))
+    with pytest.raises(AssertionError, match="the size rule passed"):
+        build_gh_bases(23)

@@ -60,8 +60,8 @@ def test_clamp_probability_arrays():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_reciprocal_pair_properties(n):
-    pairs = build_gh_bases(n)
-    for g, h, g_perp, h_perp in zip(pairs.g, pairs.h, pairs.g_perp, pairs.h_perp):
+    g_rows, h_rows = build_gh_bases(n)
+    for g, h, g_perp, h_perp in zip(g_rows, h_rows, *reciprocal_rows(g_rows, h_rows)):
         assert abs(np.vdot(g_perp, h)) < 1e-12
         assert abs(np.vdot(h_perp, g)) < 1e-12
         assert abs(np.linalg.norm(g_perp) - 1.0) < 1e-12
@@ -97,8 +97,8 @@ def test_block_povm_matrix_elements_x2():
 
 
 def test_block_povm_valid_on_grid():
-    pairs = build_gh_bases(3)
-    frame = np.vstack([pairs.g_perp[4], pairs.h[4]])  # one block of total_povm(3, .)
+    g, h = build_gh_bases(3)
+    frame = np.vstack([reciprocal_rows(g, h)[0][4], h[4]])  # one block of total_povm(3, .)
     for omega1 in np.linspace(0.0, np.pi / 2, 25):
         blocks = block_povm(omega1)
         np.testing.assert_allclose(blocks.sum(axis=0), np.eye(2), atol=1e-10)
@@ -340,8 +340,7 @@ def test_total_povm_blocks_are_the_dense_diagonal_blocks(n):
     povms = povm_module.kind_povms(grid)
     groups = label_blocks(n).groups
     assert [p.shape for p in povms] == [(50, 3, cols.shape[1], cols.shape[1]) for cols in groups]
-    pairs = build_gh_bases(n)
-    proj_g, proj_h = (rows.T @ rows for rows in (pairs.g_perp, pairs.h_perp))
+    proj_g, proj_h = (rows.T @ rows for rows in reciprocal_rows(*build_gh_bases(n)))
     for i in range(0, 50, 3):
         a, b = povm_module.detection_weights(grid[i])
         reference = (a * proj_g, b * proj_h, np.eye(n**3) - a * proj_g - b * proj_h)
