@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .errors import ContractError, DegeneratePriorsError, DomainError
+from .errors import ContractError, DomainError
 from .harness import (
     McEstimate,
     VerificationReport,
@@ -17,7 +17,6 @@ from .jordan import (
     jordan_angles,
 )
 from .optics import (
-    ClickStats,
     Interferometer,
     discriminator_network,
     prepare_state_network,

@@ -180,7 +180,7 @@ def cmd_simulate(args) -> int:
     results = {
         "counts": {k: run.counts[k] for k in ("D1", "D2", "F")},
         "input_counts": {k: run.input_counts[k] for k in ("g", "h")},
-        "empirical_success": run.empirical_success,
+        "empirical_success": run.successes / args.shots,
         "analytic_success": analytic["success"],
         "analytic_probabilities": {k: analytic[k] for k in ("D1", "D2", "F")},
         "success_sigma": sigma,

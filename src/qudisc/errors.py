@@ -7,7 +7,3 @@ class DomainError(ValueError):
 
 class ContractError(ValueError):
     """A structured input violates a precondition (norm, unitarity, shape)."""
-
-
-class DegeneratePriorsError(DomainError):
-    """Priors are 0 or 1; the optimal operating point is not defined."""

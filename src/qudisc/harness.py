@@ -91,18 +91,12 @@ def empirical_mean_density(n: int, which: int, trials: int, seed: int) -> np.nda
     return acc / trials
 
 
-@dataclass(frozen=True)
-class OverlapIdentity:
-    """Both operator-side sums and the closed form they should equal: floats
-    for one pair, arrays of one value per pair for stacked states."""
-
-    sum_g: float | np.ndarray
-    sum_h: float | np.ndarray
-    closed_form: float | np.ndarray
-
-
-def overlap_identity_check(psi1: np.ndarray, psi2: np.ndarray, n: int) -> OverlapIdentity:
-    """Summed squared overlaps of the inputs with the reciprocal families.
+def overlap_identity_check(
+    psi1: np.ndarray, psi2: np.ndarray, n: int
+) -> tuple[float | np.ndarray, float | np.ndarray, float | np.ndarray]:
+    """Summed squared overlaps of the inputs with the reciprocal families, and the
+    closed form they should equal: (sum_g, sum_h, closed_form), floats for one
+    pair, arrays of one value per pair for stacked states.
 
     Both sums equal (1 - |<psi1|psi2>|^2) / 2 for any pure pair.  Each is summed
     over the V_t, from the kets' amplitudes there and the kinds' g_perp or h_perp
@@ -122,7 +116,7 @@ def overlap_identity_check(psi1: np.ndarray, psi2: np.ndarray, n: int) -> Overla
     sum_g = overlap_sum("g_perp", spaces.product_ket(psi1, psi1, psi2))
     sum_h = overlap_sum("h_perp", spaces.product_ket(psi1, psi2, psi2))
     closed = 0.5 * (1.0 - np.abs((psi1.conj() * psi2).sum(axis=-1)) ** 2)
-    return OverlapIdentity(sum_g=sum_g, sum_h=sum_h, closed_form=closed)
+    return sum_g, sum_h, closed
 
 
 @dataclass(frozen=True)
@@ -131,8 +125,6 @@ class McEstimate:
 
     mean: float
     stderr: float
-    trials: int
-    seed: int
 
 
 def mc_success(
@@ -149,7 +141,7 @@ def mc_success(
     values = np.concatenate([prefactor * (1.0 - np.abs((a.conj() * b).sum(axis=1)) ** 2)
                              for a, b in blocks])
     stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return McEstimate(mean=float(values.mean()), stderr=stderr, trials=trials, seed=seed)
+    return McEstimate(mean=float(values.mean()), stderr=stderr)
 
 
 def _ks_distance(samples: np.ndarray, cdf) -> float:
@@ -406,9 +398,8 @@ def _checks_for_n(n: int, tol: float | None, report: VerificationReport) -> None
         for k, kets in ((0, spaces.product_ket(psi1, psi2, psi2)),
                         (1, spaces.product_ket(psi1, psi1, psi2)))
     ))
-    identity = overlap_identity_check(psi1, psi2, n)
-    dev_identity = _worst(np.abs(identity.sum_g - identity.closed_form).max(),
-                          np.abs(identity.sum_h - identity.closed_form).max())
+    sum_g, sum_h, closed_form = overlap_identity_check(psi1, psi2, n)
+    dev_identity = _worst(np.abs(sum_g - closed_form).max(), np.abs(sum_h - closed_form).max())
     report.add("pure_success_closed_form", scope, dev_pure, op,
                "closed-form pure-state success equals the expectation value")
     report.add("povm_unambiguous_pure", scope, dev_unamb_pure, op,
@@ -491,7 +482,7 @@ def _global_checks(n_max: int, tol: float | None, report: VerificationReport) ->
     shots, state = 20_000, optics.discriminator_port_state("g")
     net = optics.discriminator_network(povm.omega1_from_x(2.0))
     probs = optics.output_distribution(net, state)
-    counts = optics.simulate_clicks(net, state, shots, seed=31).counts
+    counts = optics.simulate_clicks(net, state, shots, seed=31)
     tv = 0.5 * np.abs(np.array(list(counts.values())) / shots - probs).sum()
     report.add("sampled_click_convergence", scope, tv, 5 * np.sqrt(3 / shots),
                "empirical click frequencies converge at the statistical rate")

@@ -25,10 +25,11 @@ layer: ``modes`` holds the (L, 2) 0-based mode pairs in listed order,
 phases.  The arrays are read-only and validated together when the network is
 built; synthesis, composition and the text form work on them whole.
 
-``Interferometer.unitary()`` composes the N x N network unitary;
 ``Interferometer.apply(states)`` propagates input amplitudes, one column per
-state, through the same wavefront schedule without it, so a single photon
-costs O(N) memory rather than O(N^2).  Click probabilities are always read
+state, through the network in wavefronts; ``Interferometer.unitary()`` is
+``apply`` to the N x N identity.  Composing holds the 2x2 blocks of all L
+layers at once, so a single photon costs O(N + L) memory rather than
+O(N^2 + L).  Click probabilities are always read
 through ``apply``: :func:`output_distribution` propagates the one photon, and
 every sampler tallies its seeded shots with one kernel, ``_click_tallies``.
 """
@@ -43,7 +44,7 @@ from .errors import ContractError, DomainError
 from .povm import (
     Priors, check_omega1, check_priors, omega2_constraint, success_curve_x, x_from_omega1,
 )
-from .spaces import TAU_NORM, check_array, check_integer
+from .spaces import TAU_NORM, check_array, check_build_bytes, check_integer
 
 # Values after the keyword of each network-file line.
 _LINE_FIELDS = {"MODES": 1, "BS": 5, "PHASE": 2}
@@ -55,12 +56,22 @@ _PORTS = ("D1", "D2", "F")
 # Shots per block of a sampling call, which bounds its memory.  Each block takes
 # the next uniforms of the call's one stream, so tallies do not depend on it.
 SHOT_BLOCK = 2**16
-# Most shots one sampling call accepts: at some 7 million shots per second
-# this is about 2.5 minutes of sampling.
+# Most shots one sampling call accepts: at some 15 million shots per second
+# (2-vCPU x86 VM) this is about a minute of sampling.
 MAX_SHOTS = 10**9
-# Most modes a network may have: unitary() of 2^12 modes is a 256 MB matrix
-# (apply() to one photon holds only its N amplitudes).
+# Most modes a network may have.
 MAX_MODES = 2**12
+# Bytes that the mesh calls hold at once, told to spaces.check_build_bytes
+# before they allocate (tracemalloc peaks at 64 to 1024 modes in brackets):
+# apply() per layer (233 to 264) and per complex amplitude it composes (the
+# input, its phased copy, and the gathered rows of one depth and their product),
+# reck_decompose per entry of its matrix (6.1 times 16), to_text() per line it
+# writes (309) and from_text() per character it reads (6.6 on to_text's lines,
+# up to 15.8 on short hand-written ones).
+_LAYER_BYTES, _AMPLITUDE_BYTES = 320, 4 * 16
+_SYNTHESIS_BYTES = 7 * 16
+_LINE_BYTES = 400
+_CHAR_BYTES = 16
 
 
 def seeded_stream(seed: int) -> np.random.Generator:
@@ -196,8 +207,8 @@ class Interferometer:
         return mat
 
     def unitary(self) -> np.ndarray:
-        """The N x N network unitary: the layers composed onto diag(exp(i * phases))."""
-        return self._compose(np.diag(np.exp(1j * self.phases)))
+        """The N x N network unitary: the network applied to the identity."""
+        return self.apply(np.eye(self.num_modes, dtype=complex))
 
     def apply(self, states) -> np.ndarray:
         """The network applied to input amplitudes `states`, shape (N,) or (N, k),
@@ -209,6 +220,8 @@ class Interferometer:
         if len(states) != self.num_modes:
             raise ContractError(f"states must have shape ({self.num_modes},) or "
                                 f"({self.num_modes}, k), got {states.shape}")
+        check_build_bytes(_AMPLITUDE_BYTES * states.size + _LAYER_BYTES * len(self.modes),
+                          "composing the network")
         if not np.isfinite(states).all():
             raise ContractError("states must be finite")
         columns = states[:, None] if states.ndim == 1 else states
@@ -217,6 +230,7 @@ class Interferometer:
 
     def to_text(self) -> str:
         """Serialize as BS lines followed by PHASE lines (1-based modes)."""
+        check_build_bytes(_LINE_BYTES * (len(self.modes) + self.num_modes), "the network text")
         fields = np.hstack([self.modes + 1, self.angles]).ravel().tolist()
         bs_lines = ("BS %d %d %.17g %.17g %.17g\n" * len(self.modes)) % tuple(fields)
         phase_lines = "".join(f"PHASE {m + 1} {p:.17g}\n"
@@ -229,6 +243,7 @@ class Interferometer:
         is not a str, raises DomainError."""
         if not isinstance(text, str):
             raise DomainError(f"network text must be a str, not {type(text).__name__}")
+        check_build_bytes(_CHAR_BYTES * len(text), "parsing the network text")
         num_modes = None
         bs_modes: list[str] = []  # the values of the BS lines, converted once at the end
         bs_angles: list[str] = []
@@ -323,10 +338,12 @@ def reck_decompose(matrix: np.ndarray) -> Interferometer:
     layers are emitted in (col, row) order, the same layers with the same
     angles as a column-by-column elimination.
     """
-    mat = check_array(matrix, "input", (2,), complex).copy()
+    mat = check_array(matrix, "input", (2,), complex)
     if mat.shape[0] != mat.shape[1] or mat.size == 0:
         raise ContractError("input must be a non-empty square matrix")
     dim = check_integer(mat.shape[0], 1, "num_modes", MAX_MODES)
+    check_build_bytes(_SYNTHESIS_BYTES * mat.size, "the mesh synthesis")
+    mat = mat.copy()
     if not (np.isfinite(mat).all() and np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= 1e-8):
         raise ContractError("input matrix is not unitary")
 
@@ -363,8 +380,10 @@ def prepare_state_network(amplitudes: np.ndarray, n: int) -> Interferometer:
     """Cascade preparing a target state from a photon in the first mode.
 
     The first column of the composed unitary equals ``amplitudes``; the
-    remaining columns are an arbitrary unitary completion.  Mode k keeps its
-    final amplitude at layer (k, k+1) and hands the residual weight onward.
+    remaining columns are an arbitrary unitary completion.  Layer (k, k+1) has
+    omega = arctan2(|a_k|, ||a_{k+1:}||) and phi = arg a_k, so mode k keeps its
+    final amplitude and hands the rest onward; the layer on the last two modes
+    also sets theta = arg a_{N-1}.
     """
     amps = check_array(amplitudes, "amplitudes", (1,), complex)
     n = check_integer(n, 1, "num_modes", MAX_MODES)  # before the cascade is computed
@@ -379,38 +398,18 @@ def prepare_state_network(amplitudes: np.ndarray, n: int) -> Interferometer:
         phases[0] = 0.0 if abs(phase) < 1e-14 else phase
         return Interferometer(num_modes=n, phases=phases)
 
-    modes: list[tuple[int, int]] = []  # in physical order, the reverse of the listed one
-    angles: list[tuple[float, float, float]] = []
-    residual = 1.0
-    for k in range(n - 1):
-        if residual < 1e-14:
-            break
-        if k < n - 2:
-            ratio = min(abs(amps[k]) / residual, 1.0)
-            omega = float(np.arcsin(ratio))
-            phi = float(np.angle(amps[k])) if abs(amps[k]) > 0 else 0.0
-            angles.append((omega, phi, 0.0))
-            residual *= np.cos(omega)
-        else:
-            omega = float(np.arctan2(abs(amps[k]), abs(amps[k + 1])))
-            phi = float(np.angle(amps[k])) if abs(amps[k]) > 0 else 0.0
-            theta = float(np.angle(amps[k + 1])) if abs(amps[k + 1]) > 0 else 0.0
-            angles.append((omega, phi, theta))
-        modes.append((k, k + 1))
-    return Interferometer(n, modes[::-1], angles[::-1])
-
-
-@dataclass(frozen=True)
-class ClickStats:
-    """Outcome tallies of a single-photon sampling run."""
-
-    shots: int
-    seed: int
-    counts: dict[str, int]
-
-    def __post_init__(self) -> None:
-        if sum(self.counts.values()) != self.shots:
-            raise ContractError("counts must sum to shots")
+    # tail[k] = ||a_{k:}||, the weight still to be placed at layer k.  It never
+    # grows with k, so the cascade stops at the first layer it reaches below 1e-14.
+    mags = np.abs(amps)
+    tail = np.sqrt(np.cumsum(mags[::-1] ** 2)[::-1])
+    layers = int((tail[:-1] >= 1e-14).sum())
+    phases = np.where(mags > 0, np.angle(amps), 0.0)
+    angles = np.zeros((layers, 3))
+    angles[:, 0] = np.arctan2(mags[:layers], tail[1:layers + 1])
+    angles[:, 1] = phases[:layers]
+    angles[n - 2:, 2] = phases[-1]  # only the layer on the last two modes sets theta
+    k = np.arange(layers)
+    return Interferometer(n, np.stack([k, k + 1], 1)[::-1], angles[::-1])
 
 
 def output_distribution(net: Interferometer, input_state: np.ndarray) -> np.ndarray:
@@ -444,28 +443,23 @@ def _click_tallies(dists: np.ndarray, weights, blocks) -> np.ndarray:
 
 
 def simulate_clicks(net: Interferometer, input_state: np.ndarray, shots: int,
-                    seed: int) -> ClickStats:
-    """Sample i.i.d. output-mode clicks, counted as m1..mN; deterministic given the seed."""
+                    seed: int) -> dict[str, int]:
+    """Sample i.i.d. output-mode clicks, counted as {"m1": ..., "mN": ...};
+    deterministic given the seed."""
     blocks = _shot_blocks(shots, seed, 1)
     dist = output_distribution(net, input_state)
     tallies = _click_tallies(dist[None], [1.0], blocks)[0]
-    return ClickStats(shots=shots, seed=seed,
-                      counts={f"m{i + 1}": int(c) for i, c in enumerate(tallies)})
+    return {f"m{i + 1}": int(c) for i, c in enumerate(tallies)}
 
 
 @dataclass(frozen=True)
 class DiscriminationRun:
-    """Tallies of a priors-weighted run through the six-port device."""
+    """Tallies of a priors-weighted run through the six-port device: clicks per
+    port, shots per input, and the shots that succeeded."""
 
-    shots: int
-    seed: int
     counts: dict[str, int]
     input_counts: dict[str, int]
     successes: int
-
-    @property
-    def empirical_success(self) -> float:
-        return self.successes / self.shots
 
 
 def _port_distributions(omega1: float) -> np.ndarray:
@@ -488,8 +482,6 @@ def simulate_discriminator(
     priors, blocks = check_priors(priors), _shot_blocks(shots, seed, 2)
     table = _click_tallies(_port_distributions(omega1), [priors.eta1, priors.eta2], blocks)
     return DiscriminationRun(
-        shots=shots,
-        seed=seed,
         counts=dict(zip(_PORTS, table.sum(axis=0).tolist())),
         input_counts=dict(zip(("g", "h"), table.sum(axis=1).tolist())),
         successes=int(table[0, 0] + table[1, 1]),

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kinds
-from .errors import ContractError, DegeneratePriorsError, DomainError
+from .errors import ContractError, DomainError
 from .spaces import (
     check_array, check_build_bytes, check_dimension, check_real, check_unit_states, gather_blocks,
     kind_counts, mean_density_weight, permute_registers, product_ket,
@@ -64,7 +64,7 @@ class Priors:
 
     def require_nondegenerate(self) -> None:
         if self.eta1 <= 0.0 or self.eta1 >= 1.0:
-            raise DegeneratePriorsError(
+            raise DomainError(
                 "priors 0 and 1 make the discrimination trivial; no interior optimum"
             )
 

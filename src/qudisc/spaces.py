@@ -34,7 +34,8 @@ TAU_RANK = 1e-8
 # DomainError above it before they allocate.  1 GiB is a quarter of a 4 GiB VM
 # and some 180 times the largest such call of the tests (total_povm at n = 6).
 # It admits the V_t up to n = 237, the paired bases up to n = 23, total_povm up
-# to n = 14 and verify_all up to n_max = 48.
+# to n = 14, verify_all up to n_max = 48, and the unitary of a full mesh up to
+# 2189 modes, whose text from_text reads back up to about 1350.
 MAX_BUILD_BYTES = 2**30
 
 

@@ -5,6 +5,8 @@ table (qudisc.kinds), by the route the library took before: splitting n^3-wide
 rows or n^3 x n^3 operators over the V_t, writing the three-fold symmetric
 basis, the g family and the S1 product basis out in full, and reading the
 averaged inputs' blocks from the entries of P_sigma (x) I and I (x) P_sigma.
+The preparation cascade is rebuilt one mode at a time from its running
+residual weight, as optics.prepare_state_network built it before.
 """
 
 import numpy as np
@@ -129,3 +131,25 @@ def rho_blocks_by_index_arithmetic(n):
         rho1.append(weight * (p_sigma[i // n, j // n] * (i % n == j % n)))
         rho2.append(weight * ((i // n**2 == j // n**2) * p_sigma[i % n**2, j % n**2]))
     return rho1, rho2
+
+
+def cascade_by_residual(amps):
+    """The (k, k+1) mode pairs and (omega, phi, theta) angles of the preparation
+    cascade of unit amplitudes `amps` (not a basis vector), in physical order:
+    mode k keeps arcsin(|a_k| / residual) of the residual weight, the last layer
+    splits the last two amplitudes, and the cascade stops once the residual
+    falls below 1e-14."""
+    n, modes, angles, residual = len(amps), [], [], 1.0
+    for k in range(n - 1):
+        if residual < 1e-14:
+            break
+        phi = float(np.angle(amps[k])) if abs(amps[k]) > 0 else 0.0
+        if k < n - 2:
+            omega = float(np.arcsin(min(abs(amps[k]) / residual, 1.0)))
+            angles.append((omega, phi, 0.0))
+            residual *= np.cos(omega)
+        else:
+            theta = float(np.angle(amps[k + 1])) if abs(amps[k + 1]) > 0 else 0.0
+            angles.append((float(np.arctan2(abs(amps[k]), abs(amps[k + 1]))), phi, theta))
+        modes.append((k, k + 1))
+    return modes, angles

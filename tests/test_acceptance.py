@@ -178,12 +178,8 @@ def test_criterion_07_overlap_identity():
         rng = np.random.Generator(np.random.Philox(key=700 + n))
         for _ in range(100):
             psi1, psi2 = _haar_pair(n, rng)
-            result = overlap_identity_check(psi1, psi2, n)
-            worst = max(
-                worst,
-                abs(result.sum_g - result.closed_form),
-                abs(result.sum_h - result.closed_form),
-            )
+            sum_g, sum_h, closed_form = overlap_identity_check(psi1, psi2, n)
+            worst = max(worst, abs(sum_g - closed_form), abs(sum_h - closed_form))
     _report(7, "reciprocal overlap identity", worst < 1e-10, f"worst {worst:.2e}")
 
 
@@ -209,9 +205,9 @@ def test_criterion_08_optics_equivalence():
     shots = 100_000
     omega1 = omega1_from_x(2.0)
     net = discriminator_network(omega1)
-    stats = simulate_clicks(net, discriminator_port_state("g"), shots, seed=88)
+    counts = simulate_clicks(net, discriminator_port_state("g"), shots, seed=88)
     sigma = np.sqrt(0.25 / shots)
-    sampling_ok = abs(stats.counts["m1"] / shots - 0.5) < 5 * sigma  # D1
+    sampling_ok = abs(counts["m1"] / shots - 0.5) < 5 * sigma  # D1
 
     ok = worst_born < 1e-12 and worst_reck < 1e-10 and sampling_ok
     _report(8, "optics equivalence", ok,

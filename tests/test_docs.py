@@ -21,9 +21,8 @@ DOTTED = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*"
 # export means editing this list, and a removed one is listed in REMOVED and in
 # README.md's "Removed from the API".
 EXPORTS = [
-    "ClickStats", "ContractError", "DegeneratePriorsError", "DimensionTable", "DomainError",
-    "Interferometer", "McEstimate", "Priors", "RegimeResult", "VerificationReport",
-    "average_success", "block_povm", "build_gh_bases",
+    "ContractError", "DimensionTable", "DomainError", "Interferometer", "McEstimate", "Priors",
+    "RegimeResult", "VerificationReport", "average_success", "block_povm", "build_gh_bases",
     "detection_weights", "dimension_table", "discriminator_network", "empirical_mean_density",
     "haar_state", "jordan_angles", "mc_success", "mean_density_operators", "omega2_constraint",
     "optimal_average", "optimal_pure", "optimal_subspace", "overlap_identity_check",
@@ -31,8 +30,10 @@ EXPORTS = [
     "success_curve_x", "symmetric_basis_2", "symmetric_projector", "total_povm",
     "two_mode_unitary", "verify_all",
 ]
-# Removed exports: (name, the module that defined it).
-REMOVED = [("MeasurementTriple", "povm"), ("Tolerances", "harness"), ("JordanPairSet", "jordan")]
+# Removed public names: (name, the module that defined it).
+REMOVED = [("MeasurementTriple", "povm"), ("Tolerances", "harness"), ("JordanPairSet", "jordan"),
+           ("ClickStats", "optics"), ("OverlapIdentity", "harness"),
+           ("DegeneratePriorsError", "errors")]
 
 
 def _resolves(target, dotted):

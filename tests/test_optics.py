@@ -1,7 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from qudisc import optics
+from qudisc import optics, spaces
 from qudisc.errors import DomainError
 from qudisc.jordan import build_gh_bases
 from qudisc.optics import (
@@ -17,6 +19,7 @@ from qudisc.optics import (
     two_mode_unitary,
 )
 from qudisc.povm import Priors, omega1_from_x, omega2_constraint, total_povm
+from references import cascade_by_residual
 from shared import PeakMemory, never
 
 
@@ -373,31 +376,55 @@ def test_prepare_handles_interior_zeros_and_phases():
     assert np.abs(single.unitary()[0, 0] - np.exp(0.3j)) < 1e-12
 
 
+def test_prepare_emits_no_layer_past_a_tail_below_1e_14():
+    # ||a_{2:}|| = 5e-15: the cascade ends at layer (1, 2), which keeps all of a_1.
+    amps = np.array([0.6, 0.8j, 5e-15, 0.0, 0.0])
+    net = prepare_state_network(amps, 5)
+    assert net.modes.tolist() == [[1, 2], [0, 1]]
+    assert np.abs(net.unitary()[:, 0] - amps).max() < 1e-14
+
+
+def test_prepare_matches_the_residual_cascade():
+    # The tail norms replace a running product of cosines: the same layers, with
+    # angles that move by rounding only.
+    rng = np.random.Generator(np.random.Philox(key=96))
+    states = [np.array([0.6, 0.0, 0.8j, 0.0]), np.array([0.6, 0.8j, 5e-15, 0.0, 0.0]),
+              np.array([0.0, -0.6, -0.0, 0.8]), np.array([0.6, -0.8])]
+    for n in (2, 3, 5, 17, 96, 96, 96):
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        states.append(z / np.linalg.norm(z))
+    for amps in states:
+        net = prepare_state_network(amps, len(amps))
+        modes, angles = cascade_by_residual(amps)
+        assert net.modes[::-1].tolist() == [list(pair) for pair in modes]
+        assert np.abs(net.angles[::-1] - np.reshape(angles, (-1, 3))).max() <= 1e-13
+
+
 def test_simulate_clicks_identity_network():
     net = Interferometer(num_modes=3)
     state = np.array([0, 1, 0], dtype=complex)
-    stats = simulate_clicks(net, state, shots=50, seed=0)
-    assert stats.counts == {"m1": 0, "m2": 50, "m3": 0}
+    counts = simulate_clicks(net, state, shots=50, seed=0)
+    assert counts == {"m1": 0, "m2": 50, "m3": 0}
 
 
 def test_simulate_clicks_balanced_splitter():
     net = Interferometer(2, [(0, 1)], [(np.pi / 4, 0, 0)])
     state = np.array([1, 0], dtype=complex)
     shots = 100_000
-    stats = simulate_clicks(net, state, shots=shots, seed=11)
+    counts = simulate_clicks(net, state, shots=shots, seed=11)
     sigma = np.sqrt(0.25 / shots)
-    assert abs(stats.counts["m1"] / shots - 0.5) < 5 * sigma
-    assert stats.counts["m1"] + stats.counts["m2"] == shots
+    assert abs(counts["m1"] / shots - 0.5) < 5 * sigma
+    assert counts["m1"] + counts["m2"] == shots
 
 
 def test_simulate_clicks_discriminator_d1_rate():
     omega1 = omega1_from_x(2.0)
     net = discriminator_network(omega1)
     shots = 100_000
-    stats = simulate_clicks(net, discriminator_port_state("g"), shots=shots, seed=2)
+    counts = simulate_clicks(net, discriminator_port_state("g"), shots=shots, seed=2)
     sigma = np.sqrt(0.25 / shots)
-    assert abs(stats.counts["m1"] / shots - 0.5) < 5 * sigma  # D1
-    assert stats.counts["m2"] == 0  # D2
+    assert abs(counts["m1"] / shots - 0.5) < 5 * sigma  # D1
+    assert counts["m2"] == 0  # D2
 
 
 def test_simulate_clicks_tallies_one_seeded_stream():
@@ -408,8 +435,8 @@ def test_simulate_clicks_tallies_one_seeded_stream():
     draws = np.random.Generator(np.random.Philox(key=[seed, 0])).random(shots)
     expected = np.bincount(np.minimum(np.searchsorted(edges, draws, side="right"), 2),
                            minlength=3)
-    stats = simulate_clicks(net, state, shots=shots, seed=seed)
-    assert list(stats.counts.values()) == expected.tolist()
+    counts = simulate_clicks(net, state, shots=shots, seed=seed)
+    assert list(counts.values()) == expected.tolist()
 
 
 
@@ -443,7 +470,7 @@ def test_simulate_discriminator_statistics():
     assert run.counts["D1"] + run.counts["D2"] + run.counts["F"] == shots
     assert run.input_counts["g"] + run.input_counts["h"] == shots
     sigma = np.sqrt(analytic["success"] * (1 - analytic["success"]) / shots)
-    assert abs(run.empirical_success - analytic["success"]) < 5 * sigma
+    assert abs(run.successes / shots - analytic["success"]) < 5 * sigma
     again = simulate_discriminator(omega1, priors, shots=shots, seed=4)
     assert again == run
 
@@ -472,7 +499,7 @@ def test_shots_above_the_limit_are_refused_before_any_draw(monkeypatch):
 def test_whole_float_shots_count_as_their_integer():
     # A whole float passes the shots check; it raised TypeError in range().
     net, state, priors = Interferometer(num_modes=2), np.array([0.6, 0.8]), Priors.from_eta1(0.4)
-    assert simulate_clicks(net, state, 100.0, 5).counts == simulate_clicks(net, state, 100, 5).counts
+    assert simulate_clicks(net, state, 100.0, 5) == simulate_clicks(net, state, 100, 5)
     assert (simulate_discriminator(0.7, priors, 100.0, 5).counts
             == simulate_discriminator(0.7, priors, 100, 5).counts)
 
@@ -502,9 +529,9 @@ def test_click_probabilities_and_samples_never_build_the_unitary(monkeypatch):
     net = Interferometer(3, [(0, 2), (0, 1)], [(0.4, 0.3, 0), (1.1, 0, 0)])
     state = np.array([0.6, 0.8j, 0.0])
     assert abs(output_distribution(net, state).sum() - 1.0) < 1e-15
-    assert sum(simulate_clicks(net, state, shots=100, seed=1).counts.values()) == 100
+    assert sum(simulate_clicks(net, state, shots=100, seed=1).values()) == 100
     priors = Priors.from_eta1(0.4)
-    assert simulate_discriminator(0.7, priors, shots=100, seed=1).shots == 100
+    assert sum(simulate_discriminator(0.7, priors, shots=100, seed=1).counts.values()) == 100
     assert analytic_discriminator_probabilities(0.7, priors)["F"] > 0
 
 
@@ -518,7 +545,22 @@ def test_one_photon_through_a_full_size_cascade_stays_small():
     shots = 2 * optics.SHOT_BLOCK
     with PeakMemory() as peak:
         probs = output_distribution(net, photon)
-        stats = simulate_clicks(net, photon, shots=shots, seed=5)
+        counts = simulate_clicks(net, photon, shots=shots, seed=5)
     assert peak.bytes < 4 * 2**20  # the 4096 x 4096 unitary alone would take 256 MiB
     np.testing.assert_allclose(probs, np.abs(amps) ** 2, rtol=0, atol=1e-12)
-    assert len(stats.counts) == optics.MAX_MODES and sum(stats.counts.values()) == shots
+    assert len(counts) == optics.MAX_MODES and sum(counts.values()) == shots
+
+
+def test_an_oversized_mesh_is_refused_before_it_is_built(monkeypatch):
+    # A 128-mode Reck mesh (8128 layers) under a 1 MiB limit: composing it, its
+    # text and its synthesis would each take more, and each call refuses while it
+    # holds little more than the 256 KiB identity that unitary() composes.
+    target = random_unitary(128, np.random.Generator(np.random.Philox(key=128)))
+    net = reck_decompose(target)
+    text, photon = net.to_text(), np.eye(128)[0]
+    monkeypatch.setattr(spaces, "MAX_BUILD_BYTES", 2**20)
+    for call in (partial(reck_decompose, target), net.unitary, partial(net.apply, photon),
+                 net.to_text, partial(Interferometer.from_text, text)):
+        with PeakMemory() as peak, pytest.raises(DomainError, match="over the limit"):
+            call()
+        assert peak.bytes < 2**19, call

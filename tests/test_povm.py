@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qudisc import harness, kinds, optics, spaces, povm as povm_module
-from qudisc.errors import DegeneratePriorsError
+from qudisc.errors import DomainError
 from qudisc.jordan import build_gh_bases, jordan_angles
 from qudisc.kinds import reciprocal_rows
 from qudisc.povm import (
@@ -44,7 +44,7 @@ def scan_maximum(priors, step=1e-6):
 
 def test_priors_validation():
     Priors.from_eta1(0.3).require_nondegenerate()
-    with pytest.raises(DegeneratePriorsError):
+    with pytest.raises(DomainError, match="priors 0 and 1"):
         Priors.from_eta1(1.0).require_nondegenerate()
 
 
@@ -183,7 +183,7 @@ def test_optimal_subspace_examples():
     assert abs(high.value - 0.675) < 1e-12
     assert high.x_star == 1.0
 
-    with pytest.raises(DegeneratePriorsError):
+    with pytest.raises(DomainError, match="priors 0 and 1"):
         optimal_subspace(Priors.from_eta1(0.0))
 
 
@@ -369,9 +369,9 @@ EMPTY_STATES = np.empty((0, 3), dtype=complex)
     pytest.param(lambda: pure_success_expectation(EMPTY_STATES, EMPTY_STATES, 0.7,
                                                   Priors.from_eta1(0.3), 3), (0,),
                  id="pure_success_expectation"),
-    pytest.param(lambda: harness.overlap_identity_check(EMPTY_STATES, EMPTY_STATES, 3).sum_g,
+    pytest.param(lambda: harness.overlap_identity_check(EMPTY_STATES, EMPTY_STATES, 3)[0],
                  (0,), id="overlap_identity_check.sum_g"),
-    pytest.param(lambda: harness.overlap_identity_check(EMPTY_STATES, EMPTY_STATES, 3).sum_h,
+    pytest.param(lambda: harness.overlap_identity_check(EMPTY_STATES, EMPTY_STATES, 3)[1],
                  (0,), id="overlap_identity_check.sum_h"),
     pytest.param(lambda: average_success_trace(3, [], Priors.from_eta1(0.3)), (0,),
                  id="average_success_trace"),
@@ -413,9 +413,9 @@ def test_stacked_pairs_agree_with_per_pair_calls(n):
     for name, call in (
         ("pure_success", lambda a, b: pure_success(a, b, 0.7, priors, n)),
         ("pure_success_expectation", lambda a, b: pure_success_expectation(a, b, 0.7, priors, n)),
-        ("sum_g", lambda a, b: harness.overlap_identity_check(a, b, n).sum_g),
-        ("sum_h", lambda a, b: harness.overlap_identity_check(a, b, n).sum_h),
-        ("closed_form", lambda a, b: harness.overlap_identity_check(a, b, n).closed_form),
+        ("sum_g", lambda a, b: harness.overlap_identity_check(a, b, n)[0]),
+        ("sum_h", lambda a, b: harness.overlap_identity_check(a, b, n)[1]),
+        ("closed_form", lambda a, b: harness.overlap_identity_check(a, b, n)[2]),
     ):
         stacked = call(psi1, psi2)
         singles = [call(a, b) for a, b in zip(psi1, psi2)]
