@@ -37,9 +37,9 @@ SCAN_POINTS = 3_000_001
 # point, and scanning only that window finds it exactly.
 SCAN_STRIDE = 1000
 
-# Default comparison tolerances of the suite, which verify_all's tol replaces
-# together: exact algebraic identities, operator-level identities with more
-# accumulation, and closed-form optima against brute-force grid scans.
+# Comparison tolerances of the suite: exact algebraic identities, operator-level
+# identities with more accumulation, and closed-form optima against brute-force
+# grid scans.
 TIGHT, OP, SCAN = 1e-12, 1e-10, 1e-6
 
 SEEDED_PAIRS = 100  # random pairs of the per-n suite's pure-state checks
@@ -171,7 +171,6 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    n_max: int
     results: list[CheckResult] = field(default_factory=list)
 
     @property
@@ -242,9 +241,8 @@ def _completeness_and_unambiguity(stacks, rhos) -> tuple[np.ndarray, np.ndarray]
     return complete, np.maximum(np.abs(wrong[0]), np.abs(wrong[1]))
 
 
-def _checks_for_n(n: int, tol: float | None, report: VerificationReport) -> None:
+def _checks_for_n(n: int, report: VerificationReport) -> None:
     scope = f"n={n}"
-    tight, op = (TIGHT, OP) if tol is None else (tol, tol)
     table = spaces.dimension_table(n)
     constructive = spaces.constructive_dimension_table(n)
     counts = spaces.kind_counts(n)  # closed form, against the V_t that label_blocks counts
@@ -261,14 +259,14 @@ def _checks_for_n(n: int, tol: float | None, report: VerificationReport) -> None
     covered = np.bincount(np.concatenate([cols.ravel() for cols in vts.groups]), minlength=n**3)
     dev = _worst(np.abs(sym2 @ sym2.T - np.eye(len(sym2))).max(), np.abs(covered - 1).max(),
                  *(abs(unit @ unit - 1) for count, unit in zip(counts, units) if count))
-    report.add("symmetric_bases_orthonormal", scope, dev, tight,
+    report.add("symmetric_bases_orthonormal", scope, dev, TIGHT,
                "two- and three-fold symmetric bases have identity Gram matrices")
 
     swap = spaces.permute_registers(np.eye(n * n), (1, 0), n)  # its rows: the swap is symmetric
     p_sigma = spaces.symmetric_projector(n)
     dev = _worst(np.abs(p_sigma - (np.eye(n * n) + swap) / 2).max(),
                  np.abs(p_sigma @ p_sigma - p_sigma).max())
-    report.add("symmetric_projector", scope, dev, op,
+    report.add("symmetric_projector", scope, dev, OP,
                "two-fold symmetric projector is the permutation symmetrizer")
 
     # The glue between the kinds and the whole space: each permutation maps every
@@ -280,7 +278,7 @@ def _checks_for_n(n: int, tol: float | None, report: VerificationReport) -> None
                  *(np.abs(m[1, cols] - cols @ kind.perms[s]).max(initial=0.0)
                    for s, m in enumerate(moved)
                    for cols, kind in zip(vts.groups, kinds.kind_table())))
-    report.add("threefold_permutation_invariance", scope, dev, tight,
+    report.add("threefold_permutation_invariance", scope, dev, TIGHT,
                "three-fold symmetric vectors are fixed by all register permutations")
 
     # Operators built alike on every V_t are read once per kind present at n,
@@ -305,7 +303,7 @@ def _checks_for_n(n: int, tol: float | None, report: VerificationReport) -> None
                           for block, (_, kind, _), s in zip(blocks, present, sums)
                           for copy in (s[index], getattr(kind, span))))
         dev = _worst(dev, abs(trace - 1), np.maximum(0.0, -lowest), copies)
-    report.add("mean_densities_are_states", scope, dev, tight,
+    report.add("mean_densities_are_states", scope, dev, TIGHT,
                "averaged inputs are unit-trace positive operators")
 
     # Per kind present, u3 over its S1 rows and over its S2 rows gives its unit
@@ -314,22 +312,22 @@ def _checks_for_n(n: int, tol: float | None, report: VerificationReport) -> None
                    for count, kind, unit in zip(counts, kinds.kind_table(), units) if count
                    for rows in (kind.s1_rows, kind.s2_rows)),
                  *(abs(cols.shape[1] - unit.size) for cols, unit in zip(vts.groups, units)))
-    report.add("symmetric_vector_expansions", scope, dev, tight,
+    report.add("symmetric_vector_expansions", scope, dev, TIGHT,
                "product-basis expansions reconstruct the symmetric vectors")
 
     paired = [kind for _, kind, _ in present if kind.cases]  # {a,a,a} has no g or h rows
     dev = _worst(*(np.abs(a @ b.T - overlap * np.eye(len(a))).max() for k in paired
                    for a, b, overlap in ((k.g, k.g, 1.0), (k.h, k.h, 1.0), (k.g, k.h, -0.5))))
-    report.add("paired_basis_structure", scope, dev, tight,
+    report.add("paired_basis_structure", scope, dev, TIGHT,
                "g/h families orthonormal with diagonal cross overlap -1/2")
 
     dev = _worst(*(np.abs(rows @ np.full(k.d, k.d**-0.5)).max()  # the unit symmetric vector
                    for k in paired for rows in (k.g, k.h)))
-    report.add("paired_basis_off_symmetric", scope, dev, tight,
+    report.add("paired_basis_off_symmetric", scope, dev, TIGHT,
                "g/h vectors are orthogonal to the fully symmetric subspace")
 
     dev = _worst(*(_or_inf(lambda: np.abs(jordan_angles(k.g, k.h) - 0.5).max()) for k in paired))
-    report.add("principal_angle_cosines", scope, dev, tight,
+    report.add("principal_angle_cosines", scope, dev, TIGHT,
                "all principal-angle cosines between the families equal 1/2")
 
     # Per kind: rho_1 = w (P_0 + P_g), rho_2 = w (P_0 + P_h), S1 = P_0 + P_g, S2 = P_0 + P_h.
@@ -339,9 +337,9 @@ def _checks_for_n(n: int, tol: float | None, report: VerificationReport) -> None
     dev_spans = _worst(*(np.abs(kind.p0 + family - span).max()
                          for _, kind, _ in present
                          for family, span in ((kind.p_g, kind.s1), (kind.p_h, kind.s2))))
-    report.add("density_decomposition", scope, dev_density, tight,
+    report.add("density_decomposition", scope, dev_density, TIGHT,
                "paired-basis decomposition rebuilds the averaged inputs")
-    report.add("complement_spans", scope, dev_spans, op,
+    report.add("complement_spans", scope, dev_spans, OP,
                "g (resp. h) dyads complete the symmetric projector to S1 (resp. S2)")
 
     # One eigensolve per kind gives the exact lambda_min of its pi1, pi2 and pi0 at
@@ -369,11 +367,11 @@ def _checks_for_n(n: int, tol: float | None, report: VerificationReport) -> None
     complete, unambiguous = np.max([_completeness_and_unambiguity(stacks, rhos)
                                     for stacks in ([ops for *_, ops in present], built)], axis=0)
     dev = _worst(h_perp_gap, projector_gap, (negativity + distance).max())
-    report.add("povm_positive", scope, dev, op,
+    report.add("povm_positive", scope, dev, OP,
                "all three detection operators are positive semidefinite on a 50-point grid")
-    report.add("povm_complete", scope, _worst(complete.max()), op,
+    report.add("povm_complete", scope, _worst(complete.max()), OP,
                "detection operators sum to the identity")
-    report.add("povm_unambiguous_mixed", scope, _worst(unambiguous.max()), tight,
+    report.add("povm_unambiguous_mixed", scope, _worst(unambiguous.max()), TIGHT,
                "wrong-state expectation values vanish for the averaged inputs")
 
     # On the grid, and at the optimum, where the trace must be optimal_average's value.
@@ -382,7 +380,7 @@ def _checks_for_n(n: int, tol: float | None, report: VerificationReport) -> None
     angles = np.append(grid[::7], best.omega1_star)
     closed = [*(povm.average_success(n, omega1, priors) for omega1 in grid[::7]), best.value]
     dev = _or_inf(lambda: np.abs(povm.average_success_trace(n, angles, priors) - closed).max())
-    report.add("average_success_closed_form", scope, dev, op,
+    report.add("average_success_closed_form", scope, dev, OP,
                "closed-form averaged success equals the trace evaluation")
 
     # The seeded pairs, each library call taking the whole stack at once.
@@ -400,11 +398,11 @@ def _checks_for_n(n: int, tol: float | None, report: VerificationReport) -> None
     ))
     sum_g, sum_h, closed_form = overlap_identity_check(psi1, psi2, n)
     dev_identity = _worst(np.abs(sum_g - closed_form).max(), np.abs(sum_h - closed_form).max())
-    report.add("pure_success_closed_form", scope, dev_pure, op,
+    report.add("pure_success_closed_form", scope, dev_pure, OP,
                "closed-form pure-state success equals the expectation value")
-    report.add("povm_unambiguous_pure", scope, dev_unamb_pure, op,
+    report.add("povm_unambiguous_pure", scope, dev_unamb_pure, OP,
                "wrong-state detection amplitudes vanish for random pure pairs")
-    report.add("reciprocal_overlap_identity", scope, dev_identity, op,
+    report.add("reciprocal_overlap_identity", scope, dev_identity, OP,
                "summed reciprocal overlaps equal (1 - overlap^2)/2 for random pairs")
 
 
@@ -426,14 +424,13 @@ def _grid_max(priors: Priors) -> tuple[float, int]:
     return float(window[top]), start + top
 
 
-def _global_checks(n_max: int, tol: float | None, report: VerificationReport) -> None:
+def _global_checks(n_max: int, report: VerificationReport) -> None:
     scope = "global"
-    tight, op, scan = (TIGHT, OP, SCAN) if tol is None else (tol, tol, tol)
     dev = 0.0
     for eta1 in np.linspace(0.01, 0.99, 99):
         priors = Priors.from_eta1(float(eta1))
         dev = _worst(dev, abs(povm.optimal_subspace(priors).value - _grid_max(priors)[0]))
-    report.add("regime_optima_vs_scan", scope, dev, scan,
+    report.add("regime_optima_vs_scan", scope, dev, SCAN,
                "three-regime optimum matches a 1e-6 grid scan for 99 priors")
 
     # The regime switches between adjacent doubles: just below 1/5 and just above 4/5.
@@ -442,7 +439,7 @@ def _global_checks(n_max: int, tol: float | None, report: VerificationReport) ->
         values = [povm.optimal_subspace(Priors.from_eta1(eta1)).value
                   for eta1 in (np.nextafter(boundary, 0.0), boundary, np.nextafter(boundary, 1.0))]
         dev = _worst(dev, np.ptp(values))
-    report.add("regime_continuity", scope, dev, tight,
+    report.add("regime_continuity", scope, dev, TIGHT,
                "endpoint and interior optimum formulas agree at the regime boundaries")
 
     # The same two-dimensional pair embedded at every n, through the V_t blocks
@@ -451,7 +448,7 @@ def _global_checks(n_max: int, tol: float | None, report: VerificationReport) ->
     states = [(e[0], (e[0] + e[1]) / np.sqrt(2)) for e in map(np.eye, range(max(5, n_max), 1, -1))]
     dev = _or_inf(lambda: np.ptp([povm.pure_success_expectation(psi1, psi2, 0.8, priors, len(psi1))
                                   for psi1, psi2 in states]) / 0.5)
-    report.add("dimension_independence", scope, dev, op,
+    report.add("dimension_independence", scope, dev, OP,
                "normalized pure-state success is independent of the qudit dimension")
 
     g, h = build_gh_bases(2)
@@ -464,7 +461,7 @@ def _global_checks(n_max: int, tol: float | None, report: VerificationReport) ->
             probs = optics.output_distribution(net, optics.discriminator_port_state(which))
             expected = [np.vdot(state, pi @ state).real for pi in ops]
             dev = _worst(dev, np.abs(probs - np.array(expected)).max())
-    report.add("network_born_rule", scope, dev, tight,
+    report.add("network_born_rule", scope, dev, TIGHT,
                "six-port click probabilities equal the detection-operator expectations")
 
     dev = 0.0
@@ -477,7 +474,7 @@ def _global_checks(n_max: int, tol: float | None, report: VerificationReport) ->
         max_layers_ok &= len(net.modes) <= dim * (dim - 1) // 2
         dev = _worst(dev, np.abs(net.unitary() - target).max())
     report.add("mesh_synthesis_roundtrip", scope, dev if max_layers_ok else np.inf,
-               op, "triangular mesh synthesis reproduces random unitaries up to size 8")
+               OP, "triangular mesh synthesis reproduces random unitaries up to size 8")
 
     shots, state = 20_000, optics.discriminator_port_state("g")
     net = optics.discriminator_network(povm.omega1_from_x(2.0))
@@ -510,23 +507,20 @@ def _global_checks(n_max: int, tol: float | None, report: VerificationReport) ->
                "squared first component of random states follows the Beta(1, n-1) law")
 
 
-def verify_all(n_max: int, tol: float | None = None) -> VerificationReport:
+def verify_all(n_max: int) -> VerificationReport:
     """Run every invariant check for n = 2..n_max plus the global checks.
 
-    Each comparison against TIGHT, OP or SCAN uses `tol` instead when it is given;
-    the statistical and exact checks keep their own bounds.  Failures are recorded
-    in the report, not raised.  A tol that is not a finite real number >= 0, or an
-    n_max whose per-n suite would peak over spaces.MAX_BUILD_BYTES (n_max > 48),
-    raises DomainError before any work.
+    Each check compares its worst deviation with a fixed bound: TIGHT, OP or
+    SCAN, or a statistical or exact bound of its own.  Failures are recorded in
+    the report, not raised.  An n_max whose per-n suite would peak over
+    spaces.MAX_BUILD_BYTES (n_max > 48) raises DomainError before any work.
     """
-    if tol is not None:
-        tol = spaces.check_real(tol, "tol", 0.0, np.finfo(float).max)
     n_max = spaces.check_integer(n_max, 2, "n_max")
     # The per-n suite peaked at 4.76, 4.92, 4.99 and 5.03 times the seeded pairs'
     # kets at n = 30, 40, 45 and 48 (tracemalloc); 6 times them admits n_max <= 48.
     spaces.check_build_bytes(6 * 16 * SEEDED_PAIRS * n_max**3, f"the per-n suite at n_max {n_max}")
-    report = VerificationReport(n_max=n_max)
+    report = VerificationReport()
     for n in range(2, n_max + 1):
-        _checks_for_n(n, tol, report)
-    _global_checks(n_max, tol, report)
+        _checks_for_n(n, report)
+    _global_checks(n_max, report)
     return report

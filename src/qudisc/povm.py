@@ -47,20 +47,21 @@ def _average_scale(n: int) -> float:
 
 @dataclass(frozen=True)
 class Priors:
-    """A-priori probabilities of the two inputs."""
+    """A-priori probabilities of the two inputs: eta1, a float in [0, 1], and
+    eta2 = 1 - eta1."""
 
     eta1: float
-    eta2: float
 
     def __post_init__(self) -> None:
-        check_real(self.eta1, "eta1", 0.0)
-        check_real(self.eta2, "eta2", 0.0)
-        if not abs(self.eta1 + self.eta2 - 1.0) <= 1e-12:
-            raise DomainError("priors must sum to 1")
+        object.__setattr__(self, "eta1", check_real(self.eta1, "eta1", 0.0, 1.0))
+
+    @property
+    def eta2(self) -> float:
+        return 1.0 - self.eta1
 
     @classmethod
     def from_eta1(cls, eta1: float) -> "Priors":
-        return cls(eta1, 1.0 - check_real(eta1, "eta1", 0.0, 1.0))
+        return cls(eta1)
 
     def require_nondegenerate(self) -> None:
         if self.eta1 <= 0.0 or self.eta1 >= 1.0:

@@ -304,7 +304,6 @@ class DimensionTable:
     i0: number of paired basis vectors spanning s4 and s5 (= dim s4).
     """
 
-    n: int
     sigma: int
     s0: int
     s1: int
@@ -325,7 +324,7 @@ def dimension_table(n: int) -> DimensionTable:
     s3 = n * (n + 1) * (5 * n - 2) // 6
     i0 = n * (n + 1) * (n - 1) // 3
     return DimensionTable(
-        n=n, sigma=sigma, s0=s0, s1=s1, s2=s1, s3=s3,
+        sigma=sigma, s0=s0, s1=s1, s2=s1, s3=s3,
         s4=s1 - s0, s5=s1 - s0, s6=2 * i0, i0=i0,
     )
 
@@ -356,5 +355,4 @@ def constructive_dimension_table(n: int) -> DimensionTable:
     sigma = _rank(symmetric_basis_2(n))
     ranks = np.array([_kind_ranks(kind) for kind in kinds.kind_table()])
     s0, s1, s2, s3, s4, s5, s6 = (int(r) for r in kind_counts(n) @ ranks)
-    return DimensionTable(n=n, sigma=sigma, s0=s0, s1=s1, s2=s2, s3=s3, s4=s4, s5=s5, s6=s6,
-                          i0=s4)
+    return DimensionTable(sigma=sigma, s0=s0, s1=s1, s2=s2, s3=s3, s4=s4, s5=s5, s6=s6, i0=s4)

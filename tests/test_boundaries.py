@@ -3,7 +3,8 @@ of REFUSALS.
 
 A row is a call, the package error it must raise (ContractError for arrays of
 states, rows or operators; DomainError for scalars and angle arrays) and the
-message it must match.  No row may return a result or raise a builtin error.
+message it must match.  No row may return a result or raise a builtin error,
+but for a command line that argparse refuses: its exit status, SystemExit(2).
 Each row runs once, as test_malformed_input_raises_the_package_error[<id>], so
 the ids are unique.  A row moved here from a module's test file has the old
 test's name as its id, with `-case` for a case of a parametrized test and `#k`
@@ -17,6 +18,8 @@ package does.
 import ast
 import numbers
 import re
+import sys
+import tempfile
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qudisc import harness, jordan, optics, povm, spaces
+from qudisc import cli, harness, jordan, optics, povm, spaces
 from qudisc.errors import ContractError, DomainError
 from references import block_stacks, diagonal_blocks, s1_rows_by_kron, symmetric_basis_3
 from shared import state_stacks
@@ -55,6 +58,14 @@ def rows(name, error, match, *calls, first=0):
 def each(call, *cases):
     """call(case) for each case, as calls of no argument."""
     return [partial(call, case) for case in cases]
+
+
+def _read_amplitude_text(text):
+    """cli._read_amplitudes on a file that holds `text`."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "amps.txt"
+        path.write_text(text)
+        return cli._read_amplitudes(str(path))
 
 
 def _one_bad_row(bad):
@@ -204,8 +215,11 @@ REFUSALS = [
           lambda: harness.empirical_mean_density(2, True, 10, 0)),
     *rows("reck_decompose-bool", ContractError, "input must be an array of numbers",
           lambda: optics.reck_decompose(np.eye(2, dtype=bool))),
-    *rows("verify_all-tol", DomainError, r"tol must (lie in \[0.0, |be a real number)",
-          *each(partial(harness.verify_all, 2), np.nan, np.inf, -1e-9, True)),
+    *rows("verify--tol", SystemExit, "^2$",  # a retired option; argparse exits before verify runs
+          lambda: sys.exit(cli.main(["verify", "--n-max", "2", "--tol", "1e-9"]))),
+    *rows("_read_amplitudes-commas-alone", DomainError,
+          r"line 2 ',': expected one or two values \(re \[im\]\)",
+          lambda: _read_amplitude_text("0.6\n,\n0.8\n")),
     # The other entry points, one malformed input each.
     *rows("diagonal_blocks-ragged", ContractError, "op must be a rectangular array of numbers",
           lambda: diagonal_blocks(RAGGED, 2)),
@@ -260,7 +274,7 @@ REFUSALS = [
     *rows("optimal_pure-bool", DomainError, "overlap_sq must be a real number",
           lambda: povm.optimal_pure(True, PRIORS)),
     *rows("Priors-bool", DomainError, "eta1 must be a real number",
-          lambda: povm.Priors(True, False)),
+          lambda: povm.Priors(True)),
     *rows("label_blocks-bool", DomainError, "register count must be an integer >= 1",
           lambda: spaces.label_blocks(2, True)),
     *rows("check_real-complex", DomainError, "x must be a real number",
@@ -359,9 +373,8 @@ REFUSALS = [
                 [1.0, 0.0, 0.0], [[1.0], [0.0]], [1.0, 1.0], [np.nan, 0.0])),
 
     # From tests/test_povm.py.
-    *rows("test_priors_validation", DomainError, "eta[12] must lie in|priors must sum to 1",
-          *each(lambda etas: povm.Priors(*etas),
-                (0.6, 0.6), (-0.1, 1.1), (np.nan, np.nan), (np.nan, 1.0), (np.inf, -np.inf))),
+    *rows("test_priors_validation", DomainError, r"eta1 must lie in \[0.0, 1.0\]",
+          *each(povm.Priors, -0.1, 1.1, np.nan, np.inf, -np.inf)),
     *rows("test_clamp_probability", ContractError, "is not a probability",
           *each(povm.clamp_probability, 1.1, np.nan, -np.inf)),
     *rows("test_clamp_probability_arrays", ContractError, "are not all probabilities",
@@ -421,7 +434,7 @@ REFUSALS = [
     *rows(f"{NON_NUMERIC}-optimal_pure", DomainError, "overlap_sq must be a real number",
           lambda: povm.optimal_pure("x", PRIORS)),
     *rows(f"{NON_NUMERIC}-Priors", DomainError, "eta1 must be a real number",
-          lambda: povm.Priors("a", "b")),
+          lambda: povm.Priors("a")),
     *rows(f"{NON_NUMERIC}-Priors.from_eta1", DomainError, "eta1 must be a real number",
           lambda: povm.Priors.from_eta1(None)),
     *rows(f"{NON_NUMERIC}-prepare_state_network-n", DomainError,

@@ -10,7 +10,7 @@ moved or loosened check fails here before a benchmark run refuses it.
 import importlib.util
 from pathlib import Path
 
-from qudisc.harness import OP, SCAN, TIGHT, verify_all
+from qudisc.harness import verify_all
 
 CHECKS_PATH = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
 
@@ -75,17 +75,6 @@ GLOBAL_CHECKS = [
     ("haar_first_component_law", 0.0,
      "squared first component of random states follows the Beta(1, n-1) law"),
 ]
-
-
-def test_tol_replaces_exactly_the_default_comparison_tolerances():
-    # verify_all's tol stands in for the 1e-12, 1e-10 and 1e-6 defaults; the
-    # exact and statistical checks keep their own bounds.
-    report = verify_all(2, 1.0)
-    pinned = PER_N_CHECKS + GLOBAL_CHECKS
-    expected = [1.0 if tol in (TIGHT, OP, SCAN) else tol for _, tol, _ in pinned]
-    assert [(r.name, r.tolerance) for r in report.results] == [
-        (name, tol) for (name, *_), tol in zip(pinned, expected)]
-    assert expected.count(1.0) == 22
 
 
 def test_verify_all_runs_exactly_the_pinned_checks():

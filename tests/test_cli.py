@@ -8,6 +8,7 @@ import pytest
 from qudisc import cli, harness, optics, povm
 from qudisc.cli import _render_json, main
 from shared import PeakMemory, never
+from test_harness import scale_pi1
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -44,10 +45,11 @@ def test_verify_passes(capsys):
     assert "overall: pass" in out
 
 
-def test_verify_unattainable_tolerance_fails(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--n-max", "2", "--tol", "1e-30")
-    assert code == 1
-    assert "FAIL" in out
+def test_verify_exits_1_with_a_fail_report_under_a_scaled_pi1(capsys, monkeypatch):
+    scale_pi1(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--n-max", "2")
+    assert (code, err) == (1, "")
+    assert "status: FAIL" in out and out.endswith("overall: FAIL\n")
 
 
 def test_verify_prints_no_negative_zero(capsys):
@@ -58,7 +60,7 @@ def test_verify_prints_no_negative_zero(capsys):
     tokens = re.findall(r'"worst_deviation": ([^,\n]*)', out)
     assert len(tokens) == len(json.loads(out)["results"]["checks"])
     assert not [token for token in tokens if token.startswith("-")]
-    report = harness.VerificationReport(n_max=2)
+    report = harness.VerificationReport()
     report.add("zero", "global", -0.0, 0.0, "a deviation of -0.0 is reported as +0.0")
     assert np.copysign(1.0, report.results[0].deviation) == 1.0
 
@@ -111,21 +113,13 @@ def test_verify_json_mode(capsys):
 
 
 def test_verify_ignores_qudisc_tol(capsys, monkeypatch):
-    monkeypatch.setenv("QUDISC_TOL", "1e-30")  # only --tol sets the tolerance
+    monkeypatch.setenv("QUDISC_TOL", "1e-30")  # each check's bound is a constant of harness
     code, _, _ = run_cli(capsys, "verify", "--n-max", "2")
     assert code == 0
 
 
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
-def test_verify_rejects_bad_tolerance(capsys, tol):
-    code, out, err = run_cli(capsys, "verify", "--n-max", "2", "--json", f"--tol={tol}")
-    assert code == 2
-    assert out == ""
-    assert "error" in err
 
 
 def test_render_json_writes_non_finite_numbers_as_null():

@@ -1,18 +1,21 @@
 """The names README.md and the package's docstrings point to exist in the package,
-and the package exports exactly the pinned names."""
+README's command lines parse, and the package exports exactly the pinned names."""
 
+import argparse
 import importlib
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import qudisc
-from qudisc import harness
+from qudisc import cli, harness
 from qudisc.errors import DomainError
 
 ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 SRC = ROOT / "src" / "qudisc"
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
 DOTTED = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*"
@@ -59,15 +62,32 @@ def _in_a_module(dotted):
     return module in MODULES and bool(rest) and _resolves(_module(module), rest)
 
 
+def _readme_spans():
+    """Backticked spans of README.md outside fenced code and outside the
+    "Removed from the API" paragraph."""
+    text = re.sub(r"```.*?```", "", README, flags=re.S)
+    return [span for paragraph in text.split("\n\n")
+            if not paragraph.startswith("Removed from the API")
+            for span in re.findall(r"`([^`]+)`", paragraph)]
+
+
 def _readme_references():
-    """Backticked `module.name...` spans of README.md, with or without `qudisc.`,
-    outside fenced code and outside the "Removed from the API" paragraph."""
-    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    """The `module.name...` spans of README.md, with or without `qudisc.`."""
     pattern = re.compile(rf"^((?:qudisc\.)?(?:{'|'.join(MODULES)})\.{DOTTED})")
-    return [match.group(1)
-            for paragraph in text.split("\n\n") if not paragraph.startswith("Removed from the API")
-            for span in re.findall(r"`([^`]+)`", paragraph)
-            if (match := pattern.match(span))]
+    return [match.group(1) for span in _readme_spans() if (match := pattern.match(span))]
+
+
+def _readme_commands():
+    """The argument lists of the `qudisc ...` lines in README.md's fenced code."""
+    return [shlex.split(line, comments=True)[1:]
+            for block in re.findall(r"```.*?```", README, flags=re.S)
+            for line in block.splitlines() if line.startswith("qudisc ")]
+
+
+def _readme_flags():
+    """The --flags of README.md's command lines and of `_readme_spans()`."""
+    spans = [*_readme_spans(), *map(" ".join, _readme_commands())]
+    return {flag for span in spans for flag in re.findall(r"(?<!\S)--[a-z][\w-]*", span)}
 
 
 def _docstring_roles():
@@ -92,12 +112,12 @@ def test_docstring_roles_resolve_in_their_module_or_the_package():
 
 
 def test_readme_states_the_nmax_range_that_verify_all_admits(monkeypatch):
-    stated = re.findall(r"`verify --n-max` accepts (\d+)\.\.(\d+)", (ROOT / "README.md").read_text())
+    stated = re.findall(r"`verify --n-max` accepts (\d+)\.\.(\d+)", README)
     assert len(stated) == 1
     low, high = map(int, stated[0])
     ran = []  # the check runners record their calls instead of building operators
-    monkeypatch.setattr(harness, "_checks_for_n", lambda n, tol, report: ran.append(n))
-    monkeypatch.setattr(harness, "_global_checks", lambda n_max, tol, report: ran.append("g"))
+    monkeypatch.setattr(harness, "_checks_for_n", lambda n, report: ran.append(n))
+    monkeypatch.setattr(harness, "_global_checks", lambda n_max, report: ran.append("g"))
     for outside in (low - 1, high + 1):
         with pytest.raises(DomainError):
             harness.verify_all(outside)
@@ -107,11 +127,29 @@ def test_readme_states_the_nmax_range_that_verify_all_admits(monkeypatch):
     assert ran == [*range(2, low + 1), "g", *range(2, high + 1), "g"]
 
 
+def test_readme_command_lines_parse_and_name_only_subcommand_flags():
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    unparsed = []
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:  # argparse's refusal, its message on stderr
+            unparsed.append(argv)
+    assert unparsed == []
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)).choices.values()
+    known = {flag for sub in subcommands for action in sub._actions
+             for flag in action.option_strings}
+    flags = _readme_flags()
+    assert {"--n-max", "--json", "--shots", "--seed"} <= flags
+    assert sorted(flags - known) == []
+
+
 def test_the_package_exports_exactly_the_pinned_names():
     names = sorted(name for name, value in vars(qudisc).items()
                    if not name.startswith("_") and not inspect.ismodule(value))
     assert names == EXPORTS
-    readme = (ROOT / "README.md").read_text()
     for name, module in REMOVED:
         assert not hasattr(qudisc, name) and not hasattr(_module(module), name)
-        assert f"`{module}.{name}`" in readme
+        assert f"`{module}.{name}`" in README

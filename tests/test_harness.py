@@ -307,8 +307,8 @@ def test_verify_all_passes_and_reports():
 
 def test_verify_all_refuses_oversized_nmax_before_any_work(monkeypatch):
     ran = []  # the check runners record their calls instead of building operators
-    monkeypatch.setattr(harness, "_checks_for_n", lambda n, tol, report: ran.append(n))
-    monkeypatch.setattr(harness, "_global_checks", lambda n_max, tol, report: ran.append("g"))
+    monkeypatch.setattr(harness, "_checks_for_n", lambda n, report: ran.append(n))
+    monkeypatch.setattr(harness, "_global_checks", lambda n_max, report: ran.append("g"))
     for too_big in (49, 10**9):
         with pytest.raises(DomainError, match="over the limit"):
             verify_all(too_big)
@@ -349,8 +349,8 @@ def _clear_operator_caches():
 
 
 def _per_n_results(n):
-    report = harness.VerificationReport(n_max=n)
-    harness._checks_for_n(n, None, report)
+    report = harness.VerificationReport()
+    harness._checks_for_n(n, report)
     return {r.name: r for r in report.results}
 
 
@@ -433,6 +433,13 @@ def _at_grid_point(k, change):
         stacks[3][at_k, 0] = change(stacks[3][at_k, 0])
         return stacks
     return _wrapped(povm, "kind_povms", faulty)
+
+
+# Every kind's pi1 times 1 + 1e-3, with pi0 as built: verify_all(2) fails
+# povm_positive, povm_complete, average_success_closed_form and
+# pure_success_closed_form under it.
+scale_pi1 = _wrapped(povm, "kind_povms", lambda stacks, omega1: [
+    stack * np.array([1.0 + 1e-3, 1.0, 1.0])[:, None, None] for stack in stacks])
 
 
 def _exchanged(where, value, n=None):
@@ -692,11 +699,11 @@ def run_fault(monkeypatch, patch, fails, passes, deviations):
         patch(monkeypatch)
         scopes = {scope for scope, _ in fails | passes}
         ns = sorted(int(scope[2:]) for scope in scopes - {"global"})
-        report = harness.VerificationReport(n_max=max(ns, default=2))
+        report = harness.VerificationReport()
         for n in ns:
-            harness._checks_for_n(n, None, report)
+            harness._checks_for_n(n, report)
         if "global" in scopes:
-            harness._global_checks(report.n_max, None, report)
+            harness._global_checks(max(ns, default=2), report)
     finally:
         monkeypatch.undo()
         _clear_operator_caches()  # drop what was built from the fault
@@ -755,11 +762,14 @@ def test_verify_all_scatters_the_povm_only_at_the_cross_check_and_pure_state_ang
     assert set(calls) == {tuple(OMEGA1_GRID), *averaged, (0.7,), (0.8,)}
 
 
-def test_verify_all_unattainable_tolerance_fails_without_raising():
-    report = verify_all(2, 1e-30)
+def test_verify_all_fails_without_raising_under_a_scaled_pi1(monkeypatch):
+    scale_pi1(monkeypatch)
+    report = verify_all(2)
     assert not report.passed
-    assert any(not r.passed for r in report.results)
-    assert "FAIL" in report.to_text()
+    assert [r.name for r in report.results if not r.passed] == [
+        "povm_positive", "povm_complete", "average_success_closed_form",
+        "pure_success_closed_form"]
+    assert "status: FAIL" in report.to_text()
 
 
 def test_the_per_n_suite_builds_no_dense_operator(monkeypatch):
@@ -771,9 +781,9 @@ def test_the_per_n_suite_builds_no_dense_operator(monkeypatch):
     for n in range(2, 9):
         assert all(r.passed for r in _per_n_results(n).values()), n
     _clear_operator_caches()
-    report = harness.VerificationReport(n_max=8)
+    report = harness.VerificationReport()
     with PeakMemory() as peak:
-        harness._checks_for_n(8, None, report)
+        harness._checks_for_n(8, report)
     assert report.passed
     # With the dense operators _checks_for_n(8) peaked at 26.7 MiB; on the
     # blocks it took about 7.6 MiB, read once per kind about 6.8 MiB, with the
