@@ -7,10 +7,14 @@ requires the same names, at tolerances no tighter than these, so a renamed,
 moved or loosened check fails here before a benchmark run refuses it.
 """
 
+import dataclasses
 import importlib.util
+import inspect
 from pathlib import Path
 
-from qudisc.harness import verify_all
+import pytest
+
+from qudisc.harness import VerificationReport, verify_all
 
 CHECKS_PATH = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
 
@@ -75,6 +79,15 @@ GLOBAL_CHECKS = [
     ("haar_first_component_law", 0.0,
      "squared first component of random states follows the Beta(1, n-1) law"),
 ]
+
+
+def test_verify_all_takes_only_n_max_so_no_argument_replaces_a_bound():
+    # Each check's bound is a constant of harness; the report keeps each
+    # worst deviation for a caller who wants to compare with another bound.
+    assert list(inspect.signature(verify_all).parameters) == ["n_max"]
+    with pytest.raises(TypeError):
+        verify_all(2, 1.0)
+    assert [f.name for f in dataclasses.fields(VerificationReport)] == ["results"]
 
 
 def test_verify_all_runs_exactly_the_pinned_checks():

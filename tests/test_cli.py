@@ -110,6 +110,7 @@ def test_verify_json_mode(capsys):
     record = json.loads(out, parse_constant=_reject_constant)
     assert record["results"]["passed"] is True
     assert len(record["results"]["checks"]) > 20
+    assert record["params"] == {"n_max": 2}
 
 
 def test_verify_ignores_qudisc_tol(capsys, monkeypatch):
@@ -120,6 +121,15 @@ def test_verify_ignores_qudisc_tol(capsys, monkeypatch):
 
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+def test_verify_rejects_bad_tolerance(capsys, tol):
+    # --tol is retired: argparse refuses it whatever its value, before verify runs.
+    code, out, err = run_cli(capsys, "verify", "--n-max", "2", "--json", f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "error" in err
 
 
 def test_render_json_writes_non_finite_numbers_as_null():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,15 @@ def test_priors_validation():
     Priors.from_eta1(0.3).require_nondegenerate()
     with pytest.raises(DomainError, match="priors 0 and 1"):
         Priors.from_eta1(1.0).require_nondegenerate()
+
+
+@pytest.mark.parametrize("eta1", [0.3, np.float64(0.3), 1], ids=["float", "float64", "int"])
+def test_priors_hold_eta1_as_a_float_and_derive_eta2(eta1):
+    priors = Priors(eta1)
+    assert type(priors.eta1) is float and priors.eta1 == eta1
+    assert type(priors.eta2) is float and priors.eta2 == 1.0 - float(eta1)
+    assert Priors.from_eta1(eta1) == priors
+    assert [f.name for f in dataclasses.fields(Priors)] == ["eta1"]
 
 
 def test_clamp_probability():
