@@ -30,8 +30,9 @@ state, through the network in wavefronts; ``Interferometer.unitary()`` is
 ``apply`` to the N x N identity.  Composing holds the 2x2 blocks of all L
 layers at once, so a single photon costs O(N + L) memory rather than
 O(N^2 + L).  Click probabilities are always read
-through ``apply``: :func:`output_distribution` propagates the one photon, and
-every sampler tallies its seeded shots with one kernel, ``_click_tallies``.
+through ``apply``: :func:`output_distribution` propagates the one photon.  The
+tallies of i.i.d. shots follow a multinomial law over the (input, click)
+cells, so every sampler draws them as one multinomial of its seeded stream.
 """
 
 from __future__ import annotations
@@ -53,11 +54,9 @@ _PORT_STATES = {"g": (np.sqrt(3.0) / 2.0, -0.5, 0.0), "h": (0.0, 1.0, 0.0),
                 "g_perp": (1.0, 0.0, 0.0)}
 _PORTS = ("D1", "D2", "F")
 
-# Shots per block of a sampling call, which bounds its memory.  Each block takes
-# the next uniforms of the call's one stream, so tallies do not depend on it.
-SHOT_BLOCK = 2**16
-# Most shots one sampling call accepts: at some 15 million shots per second
-# (2-vCPU x86 VM) this is about a minute of sampling.
+# Most shots one sampling call accepts.  A call draws one multinomial whatever
+# the count, so this bounds no time or memory; it is the largest count the tests
+# sample end to end, and its tallies stay far inside int64.
 MAX_SHOTS = 10**9
 # Most modes a network may have.
 MAX_MODES = 2**12
@@ -79,17 +78,6 @@ def seeded_stream(seed: int) -> np.random.Generator:
     (seed, 0): seed is a whole number in [0, 2^64); others raise DomainError."""
     key = [check_integer(seed, 0, "seed", 2**64 - 1), 0]
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-
-
-def _shot_blocks(shots: int, seed: int, width: int):
-    """Uniforms of `shots` shots, `width` per shot, SHOT_BLOCK shots at a time.
-
-    Shots outside 1..MAX_SHOTS raise DomainError before any draw.
-    """
-    shots = check_integer(shots, 1, "shots", MAX_SHOTS)
-    rng = seeded_stream(seed)
-    return (rng.random((min(SHOT_BLOCK, shots - start), width))
-            for start in range(0, shots, SHOT_BLOCK))
 
 
 def two_mode_unitary(
@@ -424,31 +412,13 @@ def output_distribution(net: Interferometer, input_state: np.ndarray) -> np.ndar
     return probs / probs.sum()
 
 
-def _click_tallies(dists: np.ndarray, weights, blocks) -> np.ndarray:
-    """Joint counts of (input, output mode), an (inputs, modes) table, over the
-    shots whose uniforms `blocks` yields.  A shot's first uniform picks input i,
-    the first whose cumulative weight exceeds it, and its last picks the mode the
-    same way in dists[i]; the last bin takes what lies above the other edges.
-    With one input the pick is always 0, so one uniform per shot suffices."""
-    inputs, modes = dists.shape
-    pick_edges = np.cumsum(weights)[:-1]
-    click_edges = np.cumsum(dists, axis=1)[:, :-1]
-    table = np.zeros((inputs, modes), dtype=np.int64)
-    for draws in blocks:
-        picked = np.searchsorted(pick_edges, draws[:, 0], side="right")
-        for i, edges in enumerate(click_edges):
-            clicks = np.searchsorted(edges, draws[picked == i, -1], side="right")
-            table[i] += np.bincount(clicks, minlength=modes)
-    return table
-
-
 def simulate_clicks(net: Interferometer, input_state: np.ndarray, shots: int,
                     seed: int) -> dict[str, int]:
-    """Sample i.i.d. output-mode clicks, counted as {"m1": ..., "mN": ...};
-    deterministic given the seed."""
-    blocks = _shot_blocks(shots, seed, 1)
-    dist = output_distribution(net, input_state)
-    tallies = _click_tallies(dist[None], [1.0], blocks)[0]
+    """Sample i.i.d. output-mode clicks, counted as {"m1": ..., "mN": ...}: one
+    multinomial draw of the seeded stream over the Born distribution."""
+    shots = check_integer(shots, 1, "shots", MAX_SHOTS)
+    rng = seeded_stream(seed)
+    tallies = rng.multinomial(shots, output_distribution(net, input_state))
     return {f"m{i + 1}": int(c) for i, c in enumerate(tallies)}
 
 
@@ -474,13 +444,17 @@ def simulate_discriminator(
 ) -> DiscriminationRun:
     """Sample the six-port discriminator with inputs drawn from the priors.
 
-    Each shot takes two uniforms: the first picks h when it is >= eta1, else g,
-    and the second picks the click.  A shot succeeds when a g input clicks D1
-    or an h input clicks D2; the expected success rate is the per-subspace
-    curve at x = 1 + 3 cos^2 w1.
+    The (input, click) tallies of the shots, rows g and h and columns D1, D2
+    and F, are one multinomial draw of the seeded stream over the cells
+    eta_i * p_i(port).  A shot succeeds when a g input clicks D1 or an h input
+    clicks D2; the expected success rate is the per-subspace curve at
+    x = 1 + 3 cos^2 w1.
     """
-    priors, blocks = check_priors(priors), _shot_blocks(shots, seed, 2)
-    table = _click_tallies(_port_distributions(omega1), [priors.eta1, priors.eta2], blocks)
+    priors = check_priors(priors)
+    shots = check_integer(shots, 1, "shots", MAX_SHOTS)
+    rng = seeded_stream(seed)
+    joint = np.array([[priors.eta1], [priors.eta2]]) * _port_distributions(omega1)
+    table = rng.multinomial(shots, joint.ravel()).reshape(joint.shape)
     return DiscriminationRun(
         counts=dict(zip(_PORTS, table.sum(axis=0).tolist())),
         input_counts=dict(zip(("g", "h"), table.sum(axis=1).tolist())),

@@ -231,6 +231,18 @@ def test_simulate_refuses_too_many_shots(capsys, monkeypatch):
     assert err.startswith("error:") and "must not exceed" in err
 
 
+def test_simulate_at_the_shot_limit_exits_0_in_little_memory(capsys):
+    argv = ["simulate", "--eta1", "0.3", "--x", "2.5", "--seed", "7", "--shots"]
+    assert run_cli(capsys, *argv, "1")[0] == 0  # first-call costs
+    with PeakMemory() as peak:
+        code, out, err = run_cli(capsys, *argv, "1000000000")
+    assert (code, err) == (0, "")
+    assert peak.bytes < 2**18
+    results = json.loads(out)["results"]
+    assert sum(results["counts"].values()) == sum(results["input_counts"].values()) == 10**9
+    assert abs(results["input_counts"]["g"] - 0.3 * 10**9) < 5 * np.sqrt(0.21 * 10**9)
+
+
 def test_simulate_omega1_and_x_exclusive(capsys):
     assert main(["simulate", "--eta1", "0.5", "--x", "2", "--omega1", "0.3",
                  "--shots", "10"]) == 2
@@ -249,6 +261,20 @@ def test_argparse_exits_are_returned_codes(capsys, argv, code, out):
     assert main(argv) == code
     printed = capsys.readouterr().out
     assert printed.startswith(out) if out else printed == ""
+
+
+@pytest.mark.parametrize("argv, prog, message", [
+    (["verify", "--n-max", "2", "--tol", "1e-9"], "qudisc", "unrecognized arguments: --tol"),
+    (["simulate", "--x", "2", "--shots", "10"], "qudisc simulate",
+     "the following arguments are required: --eta1")])
+def test_a_usage_error_prints_the_usage_then_one_error_line(capsys, argv, prog, message):
+    # argparse's refusals, unlike the program's own "error: ..." line, open with the usage.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0].startswith(f"usage: {prog} ")
+    assert lines[-1].startswith(f"{prog}: error: {message}")
+    assert sum("error:" in line for line in lines) == 1
 
 
 def test_prepare_writes_network(tmp_path, capsys):

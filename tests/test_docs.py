@@ -36,7 +36,7 @@ EXPORTS = [
 # Removed public names: (name, the module that defined it).
 REMOVED = [("MeasurementTriple", "povm"), ("Tolerances", "harness"), ("JordanPairSet", "jordan"),
            ("ClickStats", "optics"), ("OverlapIdentity", "harness"),
-           ("DegeneratePriorsError", "errors")]
+           ("DegeneratePriorsError", "errors"), ("SHOT_BLOCK", "optics")]
 
 
 def _resolves(target, dotted):

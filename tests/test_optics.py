@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import numpy as np
@@ -427,17 +428,20 @@ def test_simulate_clicks_discriminator_d1_rate():
     assert counts["m2"] == 0  # D2
 
 
-def test_simulate_clicks_tallies_one_seeded_stream():
-    net = Interferometer(3, [(0, 2), (0, 1)], [(0.4, 0.3, 0), (1.1, 0, 0)])
-    state = np.array([0.6, 0.8j, 0.0])
-    shots, seed = 5_000, 12
-    edges = np.cumsum(output_distribution(net, state))
-    draws = np.random.Generator(np.random.Philox(key=[seed, 0])).random(shots)
-    expected = np.bincount(np.minimum(np.searchsorted(edges, draws, side="right"), 2),
-                           minlength=3)
-    counts = simulate_clicks(net, state, shots=shots, seed=seed)
-    assert list(counts.values()) == expected.tolist()
-
+def test_simulate_clicks_tallies_are_one_seeded_multinomial():
+    rng = np.random.default_rng(12)
+    for i, modes in enumerate([1, 2, 3, 5, 8] * 4):
+        # A phase-only network leaves the unlit modes of the state as zero cells.
+        net = (reck_decompose(random_unitary(modes, rng)) if i % 2
+               else Interferometer(modes, phases=rng.uniform(-np.pi, np.pi, modes)))
+        state = np.zeros(modes, dtype=complex)  # a photon over the first k modes
+        state[: int(rng.integers(1, modes + 1))] = 1.0
+        state /= np.linalg.norm(state)
+        shots, seed = int(rng.integers(1, 10**6)), int(rng.integers(2**64, dtype=np.uint64))
+        expected = optics.seeded_stream(seed).multinomial(shots, output_distribution(net, state))
+        counts = simulate_clicks(net, state, shots=shots, seed=seed)
+        assert list(counts) == [f"m{i + 1}" for i in range(modes)]
+        assert list(counts.values()) == expected.tolist()
 
 
 def test_seeded_stream_key_is_the_seed_and_zero():
@@ -475,17 +479,6 @@ def test_simulate_discriminator_statistics():
     assert again == run
 
 
-def test_sampling_tallies_do_not_depend_on_shot_block(monkeypatch):
-    priors = Priors.from_eta1(0.35)
-    net = Interferometer(3, [(0, 2), (0, 1)], [(0.4, 0.3, 0), (1.1, 0, 0)])
-    state = np.array([0.6, 0.8j, 0.0])
-    runs = [simulate_discriminator(0.7, priors, shots=1001, seed=8),
-            simulate_clicks(net, state, shots=1001, seed=8)]
-    monkeypatch.setattr(optics, "SHOT_BLOCK", 7)  # 143 blocks of the one stream
-    assert simulate_discriminator(0.7, priors, shots=1001, seed=8) == runs[0]
-    assert simulate_clicks(net, state, shots=1001, seed=8) == runs[1]
-
-
 def test_shots_above_the_limit_are_refused_before_any_draw(monkeypatch):
     monkeypatch.setattr(optics, "seeded_stream", never("a stream was built"))
     net, state = Interferometer(num_modes=2), np.array([1, 0], dtype=complex)
@@ -496,6 +489,22 @@ def test_shots_above_the_limit_are_refused_before_any_draw(monkeypatch):
             simulate_clicks(net, state, shots=shots, seed=0)
 
 
+def test_the_shot_limit_samples_in_little_memory():
+    # One multinomial draw per call: MAX_SHOTS costs what one shot does.
+    omega1, eta1, net = omega1_from_x(2.5), 0.3, discriminator_network(0.7)
+    state = discriminator_port_state("g")
+    simulate_discriminator(omega1, Priors.from_eta1(eta1), 1, seed=7)  # first-call costs
+    simulate_clicks(net, state, 1, seed=7)
+    with PeakMemory() as peak:
+        run = simulate_discriminator(omega1, Priors.from_eta1(eta1), optics.MAX_SHOTS, seed=7)
+        counts = simulate_clicks(net, state, optics.MAX_SHOTS, seed=7)
+    assert peak.bytes < 2**18
+    assert sum(run.counts.values()) == sum(run.input_counts.values()) == optics.MAX_SHOTS
+    assert sum(counts.values()) == optics.MAX_SHOTS
+    sigma = np.sqrt(eta1 * (1 - eta1) * optics.MAX_SHOTS)
+    assert abs(run.input_counts["g"] - eta1 * optics.MAX_SHOTS) < 5 * sigma
+
+
 def test_whole_float_shots_count_as_their_integer():
     # A whole float passes the shots check; it raised TypeError in range().
     net, state, priors = Interferometer(num_modes=2), np.array([0.6, 0.8]), Priors.from_eta1(0.4)
@@ -504,24 +513,90 @@ def test_whole_float_shots_count_as_their_integer():
             == simulate_discriminator(0.7, priors, 100, 5).counts)
 
 
-def test_discriminator_tallies_follow_the_two_uniforms_of_each_shot():
-    # The first uniform of a shot picks h when it is >= eta1, the second the click.
+def _port_law(omega1, eta1):
+    """The (input, port) cell probabilities eta_i * p_i(port): rows g and h,
+    columns D1, D2 and F."""
+    net = discriminator_network(omega1)
+    dists = [output_distribution(net, discriminator_port_state(which)) for which in ("g", "h")]
+    return np.array([[eta1], [1.0 - eta1]]) * np.array(dists)
+
+
+def _joint_tallies(run):
+    """The (input, port) tallies of a run, laid out as _port_law.  A D1 click comes
+    only from g and a D2 click only from h, so the run's tallies fix the table."""
+    d1, d2, _ = run.counts.values()
+    g, h = run.input_counts.values()
+    assert run.successes == d1 + d2  # no h input clicked D1, no g input D2
+    return np.array([[d1, 0, g - d1], [0, d2, h - d2]])
+
+
+def test_discriminator_tallies_are_one_seeded_multinomial():
+    # Boundary angles and priors (None: a random one) give joint tables with zero cells.
     rng = np.random.default_rng(15)
-    for _ in range(50):
-        omega1, eta1 = rng.uniform(0.0, np.pi / 2), rng.uniform(0.0, 1.0)
-        shots, seed = int(rng.integers(1, 3 * optics.SHOT_BLOCK)), int(rng.integers(2**40))
-        net = discriminator_network(omega1)
-        g_edges, h_edges = (np.cumsum(output_distribution(net, discriminator_port_state(which)))
-                            for which in ("g", "h"))
-        draws = optics.seeded_stream(seed).random((shots, 2))
-        pick_h = draws[:, 0] >= eta1
-        clicks = np.minimum(np.where(pick_h, np.searchsorted(h_edges, draws[:, 1], side="right"),
-                                     np.searchsorted(g_edges, draws[:, 1], side="right")), 2)
+    cases = [(omega1, eta1) for omega1 in (0.0, np.pi / 2, None)
+             for eta1 in (0.0, 1.0, None)] * 6
+    for omega1, eta1 in cases:
+        omega1 = rng.uniform(0.0, np.pi / 2) if omega1 is None else omega1
+        eta1 = rng.uniform(0.0, 1.0) if eta1 is None else eta1
+        shots, seed = int(rng.integers(1, 10**6)), int(rng.integers(2**64, dtype=np.uint64))
+        joint = _port_law(omega1, eta1)
+        table = optics.seeded_stream(seed).multinomial(shots, joint.ravel()).reshape(2, 3)
         run = simulate_discriminator(omega1, Priors.from_eta1(eta1), shots, seed)
-        assert list(run.counts.values()) == np.bincount(clicks, minlength=3).tolist()
-        assert run.input_counts == {"g": int((~pick_h).sum()), "h": int(pick_h.sum())}
-        assert run.successes == int((~pick_h & (clicks == 0)).sum()
-                                    + (pick_h & (clicks == 1)).sum())
+        assert list(run.counts) == ["D1", "D2", "F"] and list(run.input_counts) == ["g", "h"]
+        assert list(run.counts.values()) == table.sum(axis=0).tolist()
+        assert list(run.input_counts.values()) == table.sum(axis=1).tolist()
+        assert run.successes == table[0, 0] + table[1, 1]
+        np.testing.assert_array_equal(_joint_tallies(run), table)
+
+
+# Pearson's chi-square test of a run's four nonzero (input, port) cells against
+# eta_i * p_i(port), at LAW_ALPHA on each of LAW_RUNS fixed seeds.  The law is
+# refused when more than LAW_REJECTIONS runs reject: a sampler that follows it is
+# refused with probability P(Binomial(100, 0.01) > 5) = 5.3e-4.
+LAW_ALPHA, LAW_RUNS, LAW_REJECTIONS, LAW_SHOTS = 0.01, 100, 5, 20_000
+
+
+def _chi_square_rejections(sample):
+    """How many of the LAW_RUNS runs `sample(omega1, eta1, seed)` gives are
+    rejected at LAW_ALPHA, against the law at (omega1, eta1)."""
+    rng = np.random.default_rng(2024)
+    rejected = 0
+    for seed in range(LAW_RUNS):
+        # Away from the boundary angles every nonzero cell expects 100 or more shots.
+        omega1, eta1 = rng.uniform(0.2, np.pi / 2 - 0.2), rng.uniform(0.1, 0.9)
+        expected = LAW_SHOTS * _port_law(omega1, eta1)
+        cells = expected > 1e-9  # the g-D2 and h-D1 cells are zero up to rounding
+        assert cells.sum() == 4 and expected[cells].min() >= 100
+        observed = _joint_tallies(sample(omega1, eta1, seed))
+        assert observed.sum() == LAW_SHOTS and (observed[~cells] == 0).all()
+        stat = (((observed[cells] - expected[cells]) ** 2) / expected[cells]).sum()
+        # The chi-square survival function at 3 degrees of freedom.
+        p_value = (math.erfc(math.sqrt(stat / 2))
+                   + math.sqrt(2 * stat / math.pi) * math.exp(-stat / 2))
+        rejected += p_value < LAW_ALPHA
+    return rejected
+
+
+def _success_port_tenth(dists):
+    """A tenth of each input's shots moved to its success port (g to D1, h to D2)."""
+    return 0.9 * dists + 0.1 * np.eye(2, 3)
+
+
+def test_discriminator_tallies_follow_the_joint_law(monkeypatch):
+    def sample(omega1, eta1, seed):
+        return simulate_discriminator(omega1, Priors.from_eta1(eta1), LAW_SHOTS, seed)
+
+    def swapped_priors(omega1, eta1, seed):
+        return sample(omega1, 1.0 - eta1, seed)
+
+    assert _chi_square_rejections(sample) <= LAW_REJECTIONS  # 2 of the 100 runs reject
+    # Power: swapped priors are rejected on 99 of the 100 seeds (they change
+    # nothing at eta1 = 1/2), a tenth of the shots moved on all 100.
+    assert _chi_square_rejections(swapped_priors) >= 90
+    port_distributions = optics._port_distributions
+    monkeypatch.setattr(optics, "_port_distributions",
+                        lambda omega1: _success_port_tenth(port_distributions(omega1)))
+    assert _chi_square_rejections(sample) == LAW_RUNS
 
 
 def test_click_probabilities_and_samples_never_build_the_unitary(monkeypatch):
@@ -542,7 +617,7 @@ def test_one_photon_through_a_full_size_cascade_stays_small():
     net = prepare_state_network(amps, optics.MAX_MODES)
     photon = np.zeros(optics.MAX_MODES)
     photon[0] = 1.0
-    shots = 2 * optics.SHOT_BLOCK
+    shots = 131_072
     with PeakMemory() as peak:
         probs = output_distribution(net, photon)
         counts = simulate_clicks(net, photon, shots=shots, seed=5)
