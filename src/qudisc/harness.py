@@ -140,8 +140,8 @@ def mc_success(
     prefactor = povm.PURE_SCALE * povm.success_curve_x(povm.x_from_omega1(omega1), priors)
     values = np.concatenate([prefactor * (1.0 - np.abs((a.conj() * b).sum(axis=1)) ** 2)
                              for a, b in blocks])
-    stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return McEstimate(mean=float(values.mean()), stderr=stderr)
+    return McEstimate(mean=float(values.mean()),
+                      stderr=float(values.std(ddof=1) / np.sqrt(trials)))
 
 
 def _ks_distance(samples: np.ndarray, cdf) -> float:

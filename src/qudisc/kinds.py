@@ -77,6 +77,11 @@ def symmetrizers(perms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (eye + perms[SWAP_AB]) / 2, (eye + perms[SWAP_BC]) / 2, s3
 
 
+def projector_from_rows(rows: np.ndarray) -> np.ndarray:
+    """Sum of dyads of an orthonormal family given as stacked row vectors."""
+    return rows.T @ rows.conj()
+
+
 def reciprocal_rows(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(2g + h)/sqrt(3) and (2h + g)/sqrt(3), row by row: for <g|h> = -1/2, the
     unit vectors of span(g, h) orthogonal to h and to g respectively."""
@@ -129,9 +134,6 @@ def _kind(labels: tuple[int, int, int], cases: tuple[str, ...]) -> Kind:
         for j, m in enumerate(members):
             perms[s, members.index(tuple(m[perm.index(r)] for r in range(3))), j] = 1.0
 
-    def proj(rows):
-        return rows.T @ rows
-
     g = np.array([_g_rows()[case] for case in cases]).reshape(len(cases), d)
     h = g @ perms[SWAP_AC]
     g_perp, h_perp = reciprocal_rows(g, h)
@@ -141,11 +143,12 @@ def _kind(labels: tuple[int, int, int], cases: tuple[str, ...]) -> Kind:
                         for k in sorted(set(keys))])
     s2_rows = s1_rows @ perms[SWAP_AC]  # S2 is S1 with A and C exchanged
     rho1, rho2, _ = symmetrizers(perms)  # (I + swap_AB)/2 and (I + swap_BC)/2
-    kind = Kind(d=d, cases=cases, g=g, h=h, g_perp=g_perp, h_perp=h_perp,
-                p0=proj(np.full((1, d), 1.0 / np.sqrt(d))), p_g=proj(g), p_h=proj(h),
-                p_g_perp=proj(g_perp), p_h_perp=proj(h_perp), s1_rows=s1_rows, s2_rows=s2_rows,
-                s1=proj(s1_rows), s2=proj(s2_rows), u3=np.array(_u3_coefficients()[labels]),
-                rho1=rho1, rho2=rho2, perms=perms)
+    projectors = {name: projector_from_rows(rows) for name, rows in (
+        ("p0", np.full((1, d), 1.0 / np.sqrt(d))), ("p_g", g), ("p_h", h), ("p_g_perp", g_perp),
+        ("p_h_perp", h_perp), ("s1", s1_rows), ("s2", s2_rows))}
+    kind = Kind(d=d, cases=cases, g=g, h=h, g_perp=g_perp, h_perp=h_perp, s1_rows=s1_rows,
+                s2_rows=s2_rows, u3=np.array(_u3_coefficients()[labels]), rho1=rho1, rho2=rho2,
+                perms=perms, **projectors)
     for value in vars(kind).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)

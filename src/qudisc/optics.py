@@ -65,12 +65,15 @@ MAX_MODES = 2**12
 # apply() per layer (233 to 264) and per complex amplitude it composes (the
 # input, its phased copy, and the gathered rows of one depth and their product),
 # reck_decompose per entry of its matrix (6.1 times 16), to_text() per line it
-# writes (309) and from_text() per character it reads (6.6 on to_text's lines,
-# up to 15.8 on short hand-written ones).
+# writes (309), and from_text() per BS or PHASE line it keeps (137 from 256 modes
+# on, and 156) plus per character of the one piece of text it splits at a time
+# (7 on to_text's lines, up to 35 on comment lines of a 4-byte character).
 _LAYER_BYTES, _AMPLITUDE_BYTES = 320, 4 * 16
 _SYNTHESIS_BYTES = 7 * 16
 _LINE_BYTES = 400
-_CHAR_BYTES = 16
+_PARSED_LINE_BYTES, _CHAR_BYTES = 160, 40
+# Least characters of each piece from_text() splits into lines.
+_CHUNK_CHARS = 2**14
 
 
 def seeded_stream(seed: int) -> np.random.Generator:
@@ -228,51 +231,71 @@ class Interferometer:
     @classmethod
     def from_text(cls, text: str) -> "Interferometer":
         """Parse :meth:`to_text` output; a line it cannot round-trip, or text that
-        is not a str, raises DomainError."""
+        is not a str, raises DomainError.
+
+        The text is read in pieces of whole lines, at least _CHUNK_CHARS long
+        but the last, and the BS values of each piece are converted before the next.
+        """
         if not isinstance(text, str):
             raise DomainError(f"network text must be a str, not {type(text).__name__}")
-        check_build_bytes(_CHAR_BYTES * len(text), "parsing the network text")
-        num_modes = None
-        bs_modes: list[str] = []  # the values of the BS lines, converted once at the end
-        bs_angles: list[str] = []
+        cuts = [0]
+        while cuts[-1] < len(text):
+            cuts.append(text.find("\n", cuts[-1] + _CHUNK_CHARS - 1) + 1 or len(text))
+        widest = max((hi - lo for lo, hi in zip(cuts, cuts[1:])), default=0)
+        lines = text.count("BS") + text.count("PHASE")  # at least the BS and PHASE lines
+        check_build_bytes(_PARSED_LINE_BYTES * lines + _CHAR_BYTES * widest,
+                          "parsing the network text")
+        num_modes, bad_modes, bad_angles = None, None, None
+        mode_chunks, angle_chunks = [], []
         phases: dict[int, float] = {}
-        for raw in text.splitlines():
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            kind, values = parts[0], parts[1:]
-            if _LINE_FIELDS.get(kind) != len(values):
-                raise DomainError(f"unrecognized line: {raw!r}")
-            if kind == "BS":
-                bs_modes += values[:2]
-                bs_angles += values[2:]
-                continue
+        for lo, hi in zip(cuts, cuts[1:]):
+            bs_modes: list[str] = []  # the values of the piece's BS lines
+            bs_angles: list[str] = []
+            for raw in text[lo:hi].splitlines():
+                parts = raw.split()
+                if not parts or parts[0].startswith("#"):
+                    continue
+                kind, values = parts[0], parts[1:]
+                if _LINE_FIELDS.get(kind) != len(values):
+                    raise DomainError(f"unrecognized line: {raw!r}")
+                if kind == "BS":
+                    bs_modes += values[:2]
+                    bs_angles += values[2:]
+                    continue
+                try:
+                    if kind == "MODES" and num_modes is None:
+                        num_modes = check_integer(int(values[0]), 1, "num_modes", MAX_MODES)
+                    elif kind == "PHASE" and int(values[0]) - 1 not in phases:
+                        phases[int(values[0]) - 1] = float(values[1])
+                    else:
+                        raise DomainError("repeated header or phase")
+                except DomainError as exc:
+                    raise DomainError(f"line {raw!r}: {exc}") from None
+                except ValueError:  # int() or float() refused a value
+                    raise DomainError(f"line {raw!r}: modes must be whole numbers, "
+                                      "phases real numbers") from None
+            # A refused value is raised after the header checks, a mode before an angle.
+            # The modes are shifted to 0-based before the angles are parsed: with no numpy
+            # arithmetic between the two conversions, parsing the angles took about 1.6
+            # times as long in the benchmark's mesh rounds (2-vCPU x86 VM).
+            try:  # int(), not float(), of each mode value, so "1e0" and "1.0" are refused
+                mode_chunks.append(np.array(bs_modes, dtype=np.int64) - 1)
+            except OverflowError:
+                bad_modes = bad_modes or "layer modes outside the network"
+            except ValueError:
+                bad_modes = bad_modes or "layer modes must be whole numbers"
             try:
-                if kind == "MODES" and num_modes is None:
-                    num_modes = check_integer(int(values[0]), 1, "num_modes", MAX_MODES)
-                elif kind == "PHASE" and int(values[0]) - 1 not in phases:
-                    phases[int(values[0]) - 1] = float(values[1])
-                else:
-                    raise DomainError("repeated header or phase")
-            except DomainError as exc:
-                raise DomainError(f"line {raw!r}: {exc}") from None
-            except ValueError:  # int() or float() refused a value
-                raise DomainError(f"line {raw!r}: modes must be whole numbers, "
-                                  "phases real numbers") from None
+                angle_chunks.append(np.array(bs_angles, dtype=float))
+            except ValueError:
+                bad_angles = "layer angles must be real numbers"
         if num_modes is None:
             raise DomainError("missing MODES header")
         if not set(phases) <= set(range(num_modes)):
             raise DomainError("PHASE line for a mode outside the network")
-        try:  # int(), not float(), of each mode value, so "1e0" and "1.0" are refused
-            modes = np.array(bs_modes, dtype=np.int64).reshape(-1, 2) - 1
-        except OverflowError:
-            raise DomainError("layer modes outside the network") from None
-        except ValueError:
-            raise DomainError("layer modes must be whole numbers") from None
-        try:
-            angles = np.array(bs_angles, dtype=float).reshape(-1, 3)
-        except ValueError:
-            raise DomainError("layer angles must be real numbers") from None
+        if bad_modes or bad_angles:
+            raise DomainError(bad_modes or bad_angles)
+        modes = np.concatenate(mode_chunks).reshape(-1, 2)
+        angles = np.concatenate(angle_chunks).reshape(-1, 3)
         phase_list = [phases.get(m, 0.0) for m in range(num_modes)]
         return cls(num_modes, modes, angles, phase_list)
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import kinds
 from .errors import ContractError, DomainError
+from .kinds import projector_from_rows
 
 # Default tolerances: norm checks, operator identities, SVD rank threshold.
 TAU_NORM = 1e-10
@@ -35,7 +36,7 @@ TAU_RANK = 1e-8
 # and some 180 times the largest such call of the tests (total_povm at n = 6).
 # It admits the V_t up to n = 237, the paired bases up to n = 23, total_povm up
 # to n = 14, verify_all up to n_max = 48, and the unitary of a full mesh up to
-# 2189 modes, whose text from_text reads back up to about 1350.
+# 2189 modes, whose text round-trips.
 MAX_BUILD_BYTES = 2**30
 
 
@@ -150,15 +151,14 @@ def triple_labels(n: int) -> list[tuple[int, int, int]]:
 
 @dataclass(frozen=True)
 class LabelBlocks:
-    """The label-multiset spaces V_t of `factors` registers of dimension n.
+    """The label-multiset spaces V_t of the three registers at dimension n.
 
     block_of[f] is the index of flat basis index f's sorted label tuple in
-    combinations-with-replacement order (:func:`pair_labels`,
-    :func:`triple_labels`).  kind_of[t] has bit factors - 2 - r set where sorted
-    labels r and r + 1 of t differ; for three registers that is the index into
+    :func:`triple_labels` order.  kind_of[t] has bit 1 set where the first two
+    sorted labels of t differ and bit 0 where the last two do: the index into
     :func:`qudisc.kinds.kind_table`.  groups[k] is a (blocks, d) array: the flat
     indices of each V_t of kind k, ascending, with the blocks in index order,
-    and d the size of every V_t of that kind; a kind absent at n has no rows.
+    and d the kind's width in the kind table; a kind absent at n has no rows.
     All arrays are read-only.
     """
 
@@ -167,35 +167,28 @@ class LabelBlocks:
     kind_of: np.ndarray
 
 
-def label_blocks(n: int, factors: int = 3) -> LabelBlocks:
-    """The V_t of `factors` registers at qudit dimension n; one shared instance per (n, factors)."""
-    n, factors = check_dimension(n), check_integer(factors, 1, "register count")
+def label_blocks(n: int) -> LabelBlocks:
+    """The V_t at qudit dimension n; one shared instance per n."""
+    n = check_dimension(n)
     # The labels, sorted, their keys and their sorts: about ten int64 per basis ket.
-    check_build_bytes(8 * 10 * n**factors, f"the V_t of {factors} registers")
-    return _label_blocks(n, factors)
+    check_build_bytes(8 * 10 * n**3, "the V_t of 3 registers")
+    return _label_blocks(n)
 
 
-# verify_all(n_max) reads one key per (n, factors), n = 2..n_max and factors 2
-# and 3, many times over within each n's checks: 2 (n_max - 1) keys, which 16
-# holds up to n_max = 9.  verify_all(48), the largest it admits, reads 94 keys:
-# 434 hits, 134 misses.  Its 40 repeat misses come after the per-n suite, and
-# all its builds take 0.4 s of its 53 s.
+# verify_all(n_max) reads one key per n, n = 2..n_max, many times over within
+# each n's checks: n_max - 1 keys, which 16 holds up to n_max = 17.
+# verify_all(48), the largest it admits, reads 47 keys: 346 hits, 78 misses.
 @functools.lru_cache(maxsize=16)
-def _label_blocks(n: int, factors: int) -> LabelBlocks:
-    labels = np.sort(np.indices((n,) * factors).reshape(factors, -1).T, axis=1)
-    keys = labels @ n ** np.arange(factors - 1, -1, -1)
+def _label_blocks(n: int) -> LabelBlocks:
+    labels = np.sort(np.indices((n, n, n)).reshape(3, -1).T, axis=1)
+    keys = labels @ np.array([n * n, n, 1])
     _, first, block_of = np.unique(keys, return_index=True, return_inverse=True)
-    bits = 2 ** np.arange(factors - 2, -1, -1)
-    kind_of = (np.diff(labels[first], axis=1) != 0) @ bits
+    kind_of = (np.diff(labels[first], axis=1) != 0) @ np.array([2, 1])
     members = np.argsort(block_of, kind="stable")  # each V_t's flat indices in turn
     member_kind = kind_of[block_of[members]]
-    groups = []
-    for k in range(2 ** (factors - 1)):
-        # A multiset of kind k has runs of equal labels between the set bits of k.
-        runs = np.diff(np.flatnonzero(np.r_[1, k & bits, 1]))
-        d = math.factorial(factors) // math.prod(math.factorial(r) for r in runs)
-        groups.append(members[member_kind == k].reshape(-1, d))
-    blocks = LabelBlocks(block_of=block_of, groups=tuple(groups), kind_of=kind_of)
+    groups = tuple(members[member_kind == k].reshape(-1, kind.d)
+                   for k, kind in enumerate(kinds.kind_table()))
+    blocks = LabelBlocks(block_of=block_of, groups=groups, kind_of=kind_of)
     for array in (block_of, kind_of, *groups):
         array.setflags(write=False)
     return blocks
@@ -223,15 +216,15 @@ def symmetric_basis_2(n: int) -> np.ndarray:
     """Orthonormal basis of the two-fold symmetric subspace.
 
     Returns an array of shape (n(n+1)/2, n^2); row order follows
-    :func:`pair_labels`.  Each row is the equal superposition of the basis
-    kets of one V_t of two registers.
+    :func:`pair_labels`.  The row of (i, i) is 1 on |ii>, and that of
+    (i, j), i < j, is 1/sqrt(2) on |ij> and |ji>.
     """
     n = check_dimension(n)
     check_build_bytes(8 * math.comb(n + 1, 2) * n**2, "the symmetric basis")
-    blocks = label_blocks(n, 2)
-    sizes = np.bincount(blocks.block_of)
-    basis = np.zeros((len(sizes), n**2))
-    basis[blocks.block_of, np.arange(n**2)] = 1.0 / np.sqrt(sizes[blocks.block_of])
+    i, j = np.triu_indices(n)
+    rows, weight = np.arange(len(i)), np.where(i == j, 1.0, 1.0 / np.sqrt(2.0))
+    basis = np.zeros((len(i), n**2))
+    basis[rows, i * n + j] = basis[rows, j * n + i] = weight
     return basis
 
 
@@ -252,11 +245,6 @@ def permute_registers(rows: np.ndarray, perm: tuple[int, ...], n: int) -> np.nda
         raise ContractError(f"rows must have {n ** len(perm)} entries, got shape {rows.shape}")
     tensor = rows.reshape(-1, *(n,) * len(perm))
     return tensor.transpose(0, *(p + 1 for p in perm)).reshape(rows.shape)
-
-
-def projector_from_rows(rows: np.ndarray) -> np.ndarray:
-    """Sum of dyads of an orthonormal family given as stacked row vectors."""
-    return rows.T @ rows.conj()
 
 
 def exchange_ac(rows: np.ndarray, n: int) -> np.ndarray:

@@ -84,7 +84,7 @@ def s1_rows_by_kron(n):
     return np.array([np.kron(u, eye[a]) for u in symmetric_basis_2(n) for a in range(n)])
 
 
-def block_stacks(rows, n, factors=3):
+def block_stacks(rows, n):
     """Stacked rows split over the V_t, each row restricted to its own V_t.
 
     Returns one (blocks, depth, d) array per kind of label_blocks, block-aligned
@@ -92,7 +92,7 @@ def block_stacks(rows, n, factors=3):
     rows pad the rest.  Raises ContractError unless each row has nonzero
     entries in exactly one V_t.
     """
-    blocks = label_blocks(n, factors)
+    blocks = label_blocks(n)
     nonzero = rows != 0
     owner = blocks.block_of[nonzero.argmax(axis=1)]
     if not nonzero.any(axis=1).all() or (nonzero & (blocks.block_of != owner[:, None])).any():

@@ -275,8 +275,6 @@ REFUSALS = [
           lambda: povm.optimal_pure(True, PRIORS)),
     *rows("Priors-bool", DomainError, "eta1 must be a real number",
           lambda: povm.Priors(True)),
-    *rows("label_blocks-bool", DomainError, "register count must be an integer >= 1",
-          lambda: spaces.label_blocks(2, True)),
     *rows("check_real-complex", DomainError, "x must be a real number",
           lambda: spaces.check_real(np.complex128(0.5), "x")),
 

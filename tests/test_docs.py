@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qudisc
-from qudisc import cli, harness
+from qudisc import cli, harness, optics, spaces
 from qudisc.errors import DomainError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,6 +125,36 @@ def test_readme_states_the_nmax_range_that_verify_all_admits(monkeypatch):
     harness.verify_all(low)
     harness.verify_all(high)
     assert ran == [*range(2, low + 1), "g", *range(2, high + 1), "g"]
+
+
+def _largest_full_mesh(nbytes):
+    """The most modes N whose full mesh, N(N-1)/2 layers, is told nbytes(N, layers)
+    within spaces.MAX_BUILD_BYTES."""
+    n = 1
+    while nbytes(n + 1, n * (n + 1) // 2) <= spaces.MAX_BUILD_BYTES:
+        n += 1
+    return n
+
+
+def test_readme_states_the_full_mesh_limits_of_the_byte_constants():
+    # The bytes each mesh call tells check_build_bytes.  to_text writes a line per
+    # layer and at most one per mode; its longest, "BS 4096 4095" and three
+    # 24-character %.17g values, has 88 characters, so from_text's widest piece
+    # has at most _CHUNK_CHARS + 88.
+    told = {
+        "reck_decompose": lambda n, layers: optics._SYNTHESIS_BYTES * n * n,
+        "unitary()": lambda n, layers:
+            optics._AMPLITUDE_BYTES * n * n + optics._LAYER_BYTES * layers,
+        "apply": lambda n, layers: optics._AMPLITUDE_BYTES * n + optics._LAYER_BYTES * layers,
+        "to_text": lambda n, layers: optics._LINE_BYTES * (layers + n),
+        "from_text": lambda n, layers: optics._PARSED_LINE_BYTES * (layers + n)
+            + optics._CHAR_BYTES * (optics._CHUNK_CHARS + 88),
+    }
+    limits = {call: _largest_full_mesh(nbytes) for call, nbytes in told.items()}
+    assert limits["to_text"] <= limits["from_text"] <= optics.MAX_MODES
+    unstated = [(call, n) for call, n in limits.items()
+                if not re.search(rf"\b{n}(?: modes)? by\s+`{re.escape(call)}`", README)]
+    assert unstated == []
 
 
 def test_readme_command_lines_parse_and_name_only_subcommand_flags():

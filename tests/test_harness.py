@@ -70,7 +70,6 @@ def test_an_oversized_n_is_refused_before_any_allocation():
         lambda: total_povm(2000, 0.5),
         lambda: mean_density_operators(100),
         lambda: spaces.label_blocks(2000),
-        lambda: spaces.label_blocks(2, 40),
         lambda: haar_state(10**13, 0),
         lambda: mc_success(10**9, 0.5, priors, 100, 0),
     ]
@@ -491,8 +490,8 @@ def _pi1_scaled_at_n5(monkeypatch):
 def _wrong_vt_at_n6(fault):
     """At n = 6, |112> (flat 1) is put in the V_t of |111>, or its place in the
     {a,a,b} group is taken by |121> (flat 6)."""
-    def faulty(blocks, n, factors=3):
-        if (n, factors) != (6, 3):
+    def faulty(blocks, n):
+        if n != 6:
             return blocks
         if fault == "block_of":
             block_of = blocks.block_of.copy()
@@ -803,12 +802,12 @@ def test_a_kind_absent_at_n_reads_as_an_empty_group_and_the_suite_passes():
 
 def test_verify_all_hits_every_kept_cache_and_label_blocks_fits_its_keys():
     # Only builders whose traffic repeats are cached: in verify_all(6),
-    # kind_table has 92 hits and one miss, and _label_blocks 54 hits and 10
-    # misses.  verify_all(8) reads label_blocks at one key per (n, factors),
-    # n = 2..8 and factors 2 and 3, so a cache that holds them all misses once per key.
+    # kind_table has 95 hits and one miss, and _label_blocks 41 hits and 5
+    # misses.  verify_all(8) reads label_blocks at one key per n, n = 2..8, so
+    # a cache that holds them all misses once per key.
     _clear_operator_caches()
     assert verify_all(8).passed
-    assert spaces._label_blocks.cache_info().misses == 14
+    assert spaces._label_blocks.cache_info().misses == 7
     assert kinds.kind_table.cache_info().hits >= 1
 
 

@@ -639,3 +639,31 @@ def test_an_oversized_mesh_is_refused_before_it_is_built(monkeypatch):
         with PeakMemory() as peak, pytest.raises(DomainError, match="over the limit"):
             call()
         assert peak.bytes < 2**19, call
+
+
+def test_every_text_that_to_text_writes_reads_back_under_the_same_limit(monkeypatch):
+    # The 128-mode Reck mesh's text is some 580 000 characters, read in pieces
+    # of at least optics._CHUNK_CHARS, so its last BS lines sit many pieces in.
+    net = reck_decompose(random_unitary(128, np.random.Generator(np.random.Philox(key=129))))
+    text = net.to_text()
+    monkeypatch.setattr(spaces, "MAX_BUILD_BYTES",
+                        optics._LINE_BYTES * (len(net.modes) + net.num_modes))
+    assert net.to_text() == text
+    assert Interferometer.from_text(text) == net
+    assert Interferometer.from_text(text.replace("\n", "\r\n")) == net
+    told = []
+    with monkeypatch.context() as patch:
+        patch.setattr(optics, "check_build_bytes", lambda nbytes, what: told.append(nbytes))
+        with PeakMemory() as peak:
+            Interferometer.from_text(text)
+    assert peak.bytes <= told[0]
+    monkeypatch.setattr(spaces, "MAX_BUILD_BYTES", spaces.MAX_BUILD_BYTES - 1)
+    with pytest.raises(DomainError, match="the network text would take"):
+        net.to_text()
+    # A value refused in the last piece is raised, and only after the header checks.
+    for tail, match in (("BS 1 2 0.1 x 0\n", "layer angles must be real numbers"),
+                        ("BS 1e0 2 0.1 0 0\n", "layer modes must be whole numbers")):
+        with pytest.raises(DomainError, match=match):
+            Interferometer.from_text(text + tail)
+        with pytest.raises(DomainError, match="missing MODES header"):
+            Interferometer.from_text(text.partition("\n")[2] + tail)
