@@ -129,7 +129,7 @@ def cmd_scan(args) -> int:
     check_dimension(args.n)
     if args.steps > MAX_SCAN_STEPS:
         raise DomainError(f"steps must not exceed {MAX_SCAN_STEPS}, got {args.steps}")
-    priors = Priors.from_eta1(args.eta1)
+    priors = Priors(args.eta1)
     priors.require_nondegenerate()
     points = max(args.steps, 2)
     _emit_record(
@@ -151,7 +151,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_optimal(args) -> int:
-    priors = Priors.from_eta1(args.eta1)
+    priors = Priors(args.eta1)
     result = optimal_average(args.n, priors)
     results = {
         "regime": result.regime,
@@ -169,7 +169,7 @@ def cmd_optimal(args) -> int:
 
 def cmd_simulate(args) -> int:
     check_dimension(args.n)
-    priors = Priors.from_eta1(args.eta1)
+    priors = Priors(args.eta1)
     omega1 = args.omega1 if args.x is None else omega1_from_x(args.x)  # argparse requires one
     run = simulate_discriminator(omega1, priors, shots=args.shots, seed=args.seed)
     analytic = analytic_discriminator_probabilities(omega1, priors)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kinds, optics, povm, spaces
 from .errors import ContractError
-from .jordan import build_gh_bases, jordan_angles
+from .jordan import jordan_angles
 from .povm import Priors
 
 
@@ -344,21 +344,16 @@ def _checks_for_n(n: int, report: VerificationReport) -> None:
 
     # One eigensolve per kind gives the exact lambda_min of its pi1, pi2 and pi0 at
     # every angle; each h_perp row must equal g_perp/2 + (sqrt(3)/2) h.  Each kind's
-    # S3 - S2 and S3 - S1 must be its P_g_perp and P_h_perp, and a (S3 - S2),
-    # b (S3 - S1) and their complement, as total_povm builds them, its blocks at
-    # every angle: the distance, the largest over the kinds, joins each operator's
-    # negativity, and their completeness and traces join the other two checks.
+    # S3 - S2 and S3 - S1 must be its P_g_perp and P_h_perp, and its permutation_povms
+    # its blocks at every angle: the distance, the largest over the kinds, joins each
+    # operator's negativity, and their completeness and traces join the other two checks.
     h_perp_gap = _worst(*(
         np.abs(kind.h_perp - (0.5 * kind.g_perp + np.sqrt(3.0) / 2.0 * kind.h)).max(initial=0.0)
         for _, kind, _ in present))
     projector_gap = _worst(*(np.linalg.norm(copy - proj)
                              for (_, kind, _), (s1, s2, s3) in zip(present, sums)
                              for copy, proj in ((s3 - s2, kind.p_g_perp), (s3 - s1, kind.p_h_perp))))
-    a, b = np.array([povm.detection_weights(w) for w in grid]).T[:, :, None, None]
-    built = []  # per kind present: (K, 3, d, d), as kind_povms gives them
-    for (_, kind, _), (s1, s2, s3) in zip(present, sums):
-        pi1, pi2 = a * (s3 - s2), b * (s3 - s1)
-        built.append(np.stack([pi1, pi2, np.eye(kind.d) - pi1 - pi2], axis=1))
+    built = povm.permutation_povms(sums, grid)  # per kind present, as kind_povms gives them
     distance = np.max([np.sqrt(((ops - copy) ** 2).sum(axis=(2, 3)))
                        for (*_, ops), copy in zip(present, built)], axis=0)
     negativity = np.maximum(0.0, -np.min([_lowest_eigenvalues(ops) for *_, ops in present], axis=0))
@@ -375,7 +370,7 @@ def _checks_for_n(n: int, report: VerificationReport) -> None:
                "wrong-state expectation values vanish for the averaged inputs")
 
     # On the grid, and at the optimum, where the trace must be optimal_average's value.
-    priors = Priors.from_eta1(0.3)
+    priors = Priors(0.3)
     best = povm.optimal_average(n, priors)
     angles = np.append(grid[::7], best.omega1_star)
     closed = [*(povm.average_success(n, omega1, priors) for omega1 in grid[::7]), best.value]
@@ -427,8 +422,7 @@ def _grid_max(priors: Priors) -> tuple[float, int]:
 def _global_checks(n_max: int, report: VerificationReport) -> None:
     scope = "global"
     dev = 0.0
-    for eta1 in np.linspace(0.01, 0.99, 99):
-        priors = Priors.from_eta1(float(eta1))
+    for priors in map(Priors, np.linspace(0.01, 0.99, 99)):
         dev = _worst(dev, abs(povm.optimal_subspace(priors).value - _grid_max(priors)[0]))
     report.add("regime_optima_vs_scan", scope, dev, SCAN,
                "three-regime optimum matches a 1e-6 grid scan for 99 priors")
@@ -436,7 +430,7 @@ def _global_checks(n_max: int, report: VerificationReport) -> None:
     # The regime switches between adjacent doubles: just below 1/5 and just above 4/5.
     dev = 0.0
     for boundary in (0.2, 0.8):
-        values = [povm.optimal_subspace(Priors.from_eta1(eta1)).value
+        values = [povm.optimal_subspace(Priors(eta1)).value
                   for eta1 in (np.nextafter(boundary, 0.0), boundary, np.nextafter(boundary, 1.0))]
         dev = _worst(dev, np.ptp(values))
     report.add("regime_continuity", scope, dev, TIGHT,
@@ -444,23 +438,23 @@ def _global_checks(n_max: int, report: VerificationReport) -> None:
 
     # The same two-dimensional pair embedded at every n, through the V_t blocks
     # of the detection operators.
-    priors = Priors.from_eta1(0.3)
+    priors = Priors(0.3)
     states = [(e[0], (e[0] + e[1]) / np.sqrt(2)) for e in map(np.eye, range(max(5, n_max), 1, -1))]
     dev = _or_inf(lambda: np.ptp([povm.pure_success_expectation(psi1, psi2, 0.8, priors, len(psi1))
                                   for psi1, psi2 in states]) / 0.5)
     report.add("dimension_independence", scope, dev, OP,
                "normalized pure-state success is independent of the qudit dimension")
 
-    g, h = build_gh_bases(2)
-    block = {"g": g[0], "h": h[0], "g_perp": kinds.reciprocal_rows(g, h)[0][0]}
+    # One Jordan block: the {a,a,b} kind's g, h and g_perp rows in its (g_perp, h) frame.
+    kind = kinds.kind_table()[1]
+    frame = np.vstack([kind.g_perp, kind.h])
     dev = 0.0
     for omega1 in np.linspace(0.0, np.pi / 2, 20):
-        net = optics.discriminator_network(omega1)
-        ops = povm.total_povm(2, omega1)
-        for which, state in block.items():
+        net, ops = optics.discriminator_network(omega1), povm.block_povm(omega1)
+        for which in ("g", "h", "g_perp"):
+            c = frame @ getattr(kind, which)[0]
             probs = optics.output_distribution(net, optics.discriminator_port_state(which))
-            expected = [np.vdot(state, pi @ state).real for pi in ops]
-            dev = _worst(dev, np.abs(probs - np.array(expected)).max())
+            dev = _worst(dev, np.abs(probs - [c @ pi @ c for pi in ops]).max())
     report.add("network_born_rule", scope, dev, TIGHT,
                "six-port click probabilities equal the detection-operator expectations")
 
@@ -485,8 +479,7 @@ def _global_checks(n_max: int, report: VerificationReport) -> None:
                "empirical click frequencies converge at the statistical rate")
 
     dev_sigma = 0.0
-    for (n, eta1) in ((2, 0.5), (3, 0.1), (min(5, max(2, n_max)), 0.9)):
-        priors_i = Priors.from_eta1(eta1)
+    for n, priors_i in ((2, Priors(0.5)), (3, Priors(0.1)), (min(5, max(2, n_max)), Priors(0.9))):
         est = mc_success(n, 0.8, priors_i, trials=10_000, seed=55)
         target = povm.average_success(n, 0.8, priors_i)
         if est.stderr != 0:  # a NaN error is not skipped

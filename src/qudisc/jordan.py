@@ -26,8 +26,8 @@ from .spaces import (
     check_build_bytes,
     check_dimension,
     dimension_table,
-    exchange_ac,
     label_blocks,
+    permute_registers,
 )
 
 
@@ -51,7 +51,7 @@ def build_gh_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
         index = first[blocks.kind_of == k, None] + np.arange(len(kind.cases))
         g[index[:, :, None], cols[:, None, :]] = kind.g  # the kind's rows on each of its V_t
     assert len(g) == i0
-    return g, exchange_ac(g, n)
+    return g, permute_registers(g, (2, 1, 0), n)
 
 
 def jordan_angles(family_a: np.ndarray, family_b: np.ndarray) -> np.ndarray:

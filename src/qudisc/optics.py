@@ -67,11 +67,12 @@ MAX_MODES = 2**12
 # reck_decompose per entry of its matrix (6.1 times 16), to_text() per line it
 # writes (309), and from_text() per BS or PHASE line it keeps (137 from 256 modes
 # on, and 156) plus per character of the one piece of text it splits at a time
-# (7 on to_text's lines, up to 35 on comment lines of a 4-byte character).
+# (7 on to_text's lines, up to 35 on comment lines of a 4-byte character), then
+# per mode of the network it builds (24 at 4096 modes: the phase list and arrays).
 _LAYER_BYTES, _AMPLITUDE_BYTES = 320, 4 * 16
 _SYNTHESIS_BYTES = 7 * 16
 _LINE_BYTES = 400
-_PARSED_LINE_BYTES, _CHAR_BYTES = 160, 40
+_PARSED_LINE_BYTES, _CHAR_BYTES, _MODE_BYTES = 160, 40, 32
 # Least characters of each piece from_text() splits into lines.
 _CHUNK_CHARS = 2**14
 
@@ -290,7 +291,9 @@ class Interferometer:
                 bad_angles = "layer angles must be real numbers"
         if num_modes is None:
             raise DomainError("missing MODES header")
-        if not set(phases) <= set(range(num_modes)):
+        check_build_bytes(_PARSED_LINE_BYTES * lines + _MODE_BYTES * num_modes,
+                          "the parsed network")
+        if not all(0 <= m < num_modes for m in phases):
             raise DomainError("PHASE line for a mode outside the network")
         if bad_modes or bad_angles:
             raise DomainError(bad_modes or bad_angles)

@@ -140,23 +140,37 @@ def block_povm(omega1: float) -> np.ndarray:
 
 def total_povm(n: int, omega1: float) -> np.ndarray:
     """Three-outcome POVM on the full three-register space, as one (3, n^3, n^3)
-    stack in the order of :func:`block_povm`: pi1 = a (S3 - S2), pi2 = b (S3 - S1)
-    and pi0 = I - pi1 - pi2, with (a, b) from :func:`detection_weights` and S1, S2
-    and S3 summed from the six register permutations (:func:`qudisc.kinds.symmetrizers`).
-    The measurement commutes with U (x) U (x) U, so by Schur-Weyl duality it is such
-    a combination of the permutations."""
+    stack: :func:`permutation_povms` of S1, S2 and S3 summed from the six register
+    permutations (:func:`qudisc.kinds.symmetrizers`).  The measurement commutes with
+    U (x) U (x) U, so by Schur-Weyl duality it is such a combination of the permutations."""
     n, omega1 = check_dimension(n), check_omega1(omega1)
     # The identity, its six permutations, their sums and the elements: 16 n^6 floats.
     check_build_bytes(8 * 16 * n**6, "the dense detection operators")
     # The identity's rows permuted are P_sigma^T; S1, S2 and S3 are symmetric, so
     # the transpose does not matter.
-    eye = np.eye(n**3)
-    s1, s2, s3 = kinds.symmetrizers([permute_registers(eye, p, n) for p, _ in kinds.PERMUTATIONS])
-    a, b = detection_weights(omega1)
-    ops = np.stack([a * (s3 - s2), b * (s3 - s1), eye])
-    ops[2] -= ops[0]  # I - pi1 - pi2, in place
-    ops[2] -= ops[1]
-    return ops
+    sums = kinds.symmetrizers([permute_registers(np.eye(n**3), p, n)
+                               for p, _ in kinds.PERMUTATIONS])
+    return permutation_povms([sums], omega1)[0][0]
+
+
+def _weights(omega1) -> np.ndarray:
+    """(a, b) of :func:`detection_weights` at each angle of `omega1`, as (2, angles, 1, 1)."""
+    angles = check_array(omega1, "omega1", None, float).ravel()
+    return np.array([detection_weights(w) for w in angles]).reshape(-1, 2).T[:, :, None, None]
+
+
+def permutation_povms(sums, omega1) -> list[np.ndarray]:
+    """pi1 = a (S3 - S2), pi2 = b (S3 - S1) and pi0 = I - pi1 - pi2, in the order of
+    :func:`block_povm`, from each (S1, S2, S3) of `sums` at each angle of `omega1` (one
+    or an array), with (a, b) from :func:`detection_weights`: one (angles, 3, d, d)
+    stack per triple."""
+    a, b = _weights(omega1)
+    stacks = [np.stack(np.broadcast_arrays(a * (s3 - s2), b * (s3 - s1), np.eye(len(s3))), axis=1)
+              for s1, s2, s3 in sums]
+    for ops in stacks:
+        ops[:, 2] -= ops[:, 0]  # I - pi1 - pi2, in place
+        ops[:, 2] -= ops[:, 1]
+    return stacks
 
 
 def kind_povms(omega1) -> list[np.ndarray]:
@@ -165,9 +179,7 @@ def kind_povms(omega1) -> list[np.ndarray]:
     pi1 = a P_g_perp, pi2 = b P_h_perp and pi0 = I - a g_perp^T g_perp - b h_perp^T h_perp
     along axis 1.  pi0 reads the kind's rows, so the three sum to I only if its
     projectors are those of its rows."""
-    angles = check_array(omega1, "omega1", None, float).ravel()
-    weights = np.array([detection_weights(w) for w in angles]).reshape(-1, 2)
-    a, b = weights.T[:, :, None, None]
+    a, b = _weights(omega1)
     return [np.stack([a * k.p_g_perp, b * k.p_h_perp,
                       np.eye(k.d) - a * (k.g_perp.T @ k.g_perp) - b * (k.h_perp.T @ k.h_perp)],
                      axis=1) for k in kinds.kind_table()]

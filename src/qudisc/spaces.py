@@ -18,7 +18,6 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -131,31 +130,21 @@ def product_ket(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     a, b, c = (check_array(s, "states", (1, 2)) for s in (a, b, c))
     if not a.shape[:-1] == b.shape[:-1] == c.shape[:-1]:
         raise ContractError("states must be three vectors or three stacks of one length")
-    entries = a.size * b.shape[-1] * (c.shape[-1] + 1)  # the kets and the products of a and b
+    # The kets, the products of a and b, and a broadcasting ufunc's buffers of
+    # np.getbufsize() entries for each of its three operands.
+    entries = a.size * b.shape[-1] * (c.shape[-1] + 1) + 3 * np.getbufsize()
     check_build_bytes(np.result_type(a, b, c).itemsize * entries, "the product kets")
     big = a[..., :, None, None] * b[..., None, :, None] * c[..., None, None, :]
     return big.reshape(*big.shape[:-3], a.shape[-1] * b.shape[-1] * c.shape[-1])
-
-
-def pair_labels(n: int) -> list[tuple[int, int]]:
-    """Ordered pairs (i, j), i <= j, in lexicographic order."""
-    check_dimension(n)
-    return list(combinations_with_replacement(range(1, n + 1), 2))
-
-
-def triple_labels(n: int) -> list[tuple[int, int, int]]:
-    """Ordered triples (i, j, k), i <= j <= k, in lexicographic order."""
-    check_dimension(n)
-    return list(combinations_with_replacement(range(1, n + 1), 3))
 
 
 @dataclass(frozen=True)
 class LabelBlocks:
     """The label-multiset spaces V_t of the three registers at dimension n.
 
-    block_of[f] is the index of flat basis index f's sorted label tuple in
-    :func:`triple_labels` order.  kind_of[t] has bit 1 set where the first two
-    sorted labels of t differ and bit 0 where the last two do: the index into
+    block_of[f] is the index of flat basis index f's sorted label tuple among the
+    triples i <= j <= k in lexicographic order.  kind_of[t] has bit 1 set where the
+    first two sorted labels of t differ and bit 0 where the last two do: the index into
     :func:`qudisc.kinds.kind_table`.  groups[k] is a (blocks, d) array: the flat
     indices of each V_t of kind k, ascending, with the blocks in index order,
     and d the kind's width in the kind table; a kind absent at n has no rows.
@@ -215,12 +204,14 @@ def gather_blocks(kets: np.ndarray, n: int) -> list[np.ndarray]:
 def symmetric_basis_2(n: int) -> np.ndarray:
     """Orthonormal basis of the two-fold symmetric subspace.
 
-    Returns an array of shape (n(n+1)/2, n^2); row order follows
-    :func:`pair_labels`.  The row of (i, i) is 1 on |ii>, and that of
+    Returns an array of shape (n(n+1)/2, n^2), one row per pair (i, j), i <= j,
+    in lexicographic order.  The row of (i, i) is 1 on |ii>, and that of
     (i, j), i < j, is 1/sqrt(2) on |ij> and |ji>.
     """
     n = check_dimension(n)
-    check_build_bytes(8 * math.comb(n + 1, 2) * n**2, "the symmetric basis")
+    # The basis, and seven vectors of one int64 or float per row: the pair labels,
+    # the row indices, the weights and the flat indices with their temporary.
+    check_build_bytes(8 * math.comb(n + 1, 2) * (n**2 + 7), "the symmetric basis")
     i, j = np.triu_indices(n)
     rows, weight = np.arange(len(i)), np.where(i == j, 1.0, 1.0 / np.sqrt(2.0))
     basis = np.zeros((len(i), n**2))
@@ -247,16 +238,12 @@ def permute_registers(rows: np.ndarray, perm: tuple[int, ...], n: int) -> np.nda
     return tensor.transpose(0, *(p + 1 for p in perm)).reshape(rows.shape)
 
 
-def exchange_ac(rows: np.ndarray, n: int) -> np.ndarray:
-    """Stacked n^3 row vectors with registers A and C exchanged: its own inverse,
-    it maps S1 onto S2 and fixes every three-fold symmetric vector."""
-    return permute_registers(rows, (2, 1, 0), n)
-
-
 def symmetric_projector(n: int) -> np.ndarray:
     """Projector onto the two-fold symmetric subspace."""
     n = check_dimension(n)
-    check_build_bytes(8 * (n**4 + n**3 * (n + 1) // 2), "the symmetric projector and its basis")
+    # The projector, and all that symmetric_basis_2 is told.
+    check_build_bytes(8 * (n**4 + math.comb(n + 1, 2) * (n**2 + 7)),
+                      "the symmetric projector and its basis")
     return projector_from_rows(symmetric_basis_2(n))
 
 

@@ -9,11 +9,13 @@ The preparation cascade is rebuilt one mode at a time from its running
 residual weight, as optics.prepare_state_network built it before.
 """
 
+from itertools import combinations_with_replacement
+
 import numpy as np
 
 from qudisc.errors import ContractError
 from qudisc.spaces import (
-    check_array, label_blocks, symmetric_basis_2, symmetric_projector, triple_labels,
+    check_array, label_blocks, symmetric_basis_2, symmetric_projector,
 )
 
 
@@ -26,8 +28,9 @@ def ket(labels, n):
 
 
 def symmetric_basis_3(n):
-    """Orthonormal basis of the three-fold symmetric subspace, one row per V_t
-    in triple_labels order: the equal superposition of the basis kets in it."""
+    """Orthonormal basis of the three-fold symmetric subspace, one row per V_t in
+    lexicographic order of its labels i <= j <= k: the equal superposition of
+    the basis kets in it."""
     block_of = label_blocks(n).block_of
     sizes = np.bincount(block_of)
     basis = np.zeros((len(sizes), len(block_of)))
@@ -62,7 +65,7 @@ def g_rows_by_formula(n):
         return np.kron(pair, eye[k - 1])
 
     rows = []
-    for i, j, k in triple_labels(n):
+    for i, j, k in combinations_with_replacement(range(1, n + 1), 3):
         if i == j == k:
             continue
         if i == j:

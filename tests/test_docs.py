@@ -36,7 +36,8 @@ EXPORTS = [
 # Removed public names: (name, the module that defined it).
 REMOVED = [("MeasurementTriple", "povm"), ("Tolerances", "harness"), ("JordanPairSet", "jordan"),
            ("ClickStats", "optics"), ("OverlapIdentity", "harness"),
-           ("DegeneratePriorsError", "errors"), ("SHOT_BLOCK", "optics")]
+           ("DegeneratePriorsError", "errors"), ("SHOT_BLOCK", "optics"),
+           ("pair_labels", "spaces"), ("triple_labels", "spaces"), ("exchange_ac", "spaces")]
 
 
 def _resolves(target, dotted):

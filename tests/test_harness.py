@@ -1,6 +1,9 @@
 import dataclasses
+import importlib
+import inspect
 import itertools
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qudisc import harness, jordan, kinds, optics, povm, spaces
+import qudisc
+from qudisc import cli, harness, jordan, kinds, optics, povm, spaces
 from qudisc.errors import DomainError
 from qudisc.harness import (
     McEstimate,
@@ -282,6 +286,54 @@ def _fresh_python(code):
 def test_cli_import_leaves_the_kind_table_unbuilt():
     code = "import qudisc.cli, qudisc.kinds as k; print(k.kind_table.cache_info().currsize)"
     assert _fresh_python(code) == "0"
+
+
+# Public functions and methods that no command calls, each with the reason it stays.
+UNCALLED = {
+    "harness.haar_state": "bench/workloads.py draws its states with it",
+    "jordan.build_gh_bases": "the paper's paired families, traced by bench/tracer.py",
+    "povm.total_povm": "the paper's dense POVM, traced by bench/tracer.py",
+    "optics.Interferometer.from_text": "reads back the network text that prepare writes",
+    "povm.Priors.from_eta1": "bench/workloads.py builds its priors with it",
+}
+
+
+def _public_functions():
+    """{module.name or module.Class.name: code} of every public function and method
+    of the package, properties' getters included."""
+    found = {}
+    for info in pkgutil.iter_modules(qudisc.__path__):
+        module = importlib.import_module(f"qudisc.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for attr, member in members:
+                func = inspect.unwrap(getattr(member, "fget", getattr(member, "__func__", member)))
+                if not attr.startswith("_") and inspect.isfunction(func):
+                    found[".".join(filter(None, (info.name, name, attr)))] = func.__code__
+    return found
+
+
+def test_every_public_function_but_the_allowed_ones_has_a_caller_among_the_commands(tmp_path):
+    amplitudes = tmp_path / "amplitudes.txt"
+    amplitudes.write_text("0.6\n0 0.8\n")
+    commands = [["verify", "--n-max", "4", "--json"], ["verify", "--n-max", "2"],
+                ["dims", "--n", "3"], ["optimal", "--eta1", "0.3", "--overlap-sq", "0.2"],
+                ["scan", "--n", "3", "--eta1", "0.3", "--steps", "5"],
+                ["simulate", "--eta1", "0.3", "--x", "2", "--shots", "100"],
+                ["simulate", "--eta1", "0.3", "--omega1", "0.7", "--shots", "100"],
+                ["prepare", str(amplitudes)]]
+    called = set()
+    _clear_operator_caches()  # so that the cached builders run under the profile
+    sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
+    try:
+        codes = [cli.main(argv) for argv in commands]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(commands)
+    assert sorted(name for name, code in _public_functions().items()
+                  if code not in called) == sorted(UNCALLED)
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -671,6 +723,16 @@ FAULTS = [
     fault("test_a_scaled_photon_amplitude_fails_the_born_rule_check",
           _wrapped(optics.Interferometer, "apply", lambda out, *args: _plus(0, 1e-9 * out[0])(out)),
           at("global", "network_born_rule")),
+    fault("network_born_rule-block_povm",
+          # b E_h times 1 + 1e-3, with pi0 still its complement.
+          _wrapped(povm, "block_povm", lambda ops, omega1: ops + np.array(
+              [0.0, 1e-3, -1e-3])[:, None, None] * ops[1]),
+          at("global", "network_born_rule")),
+    fault("network_born_rule-port_state",
+          # g injected with its h amplitude's sign flipped.
+          lambda monkeypatch: monkeypatch.setitem(optics._PORT_STATES, "g",
+                                                  (np.sqrt(3.0) / 2.0, 0.5, 0.0)),
+          at("global", "network_born_rule")),
     fault("mesh_synthesis_roundtrip",  # every beam-splitter angle of a synthesized mesh 1e-9 off
           _wrapped(optics, "reck_decompose", lambda net, target: optics.Interferometer(
               net.num_modes, net.modes, net.angles + 1e-9, net.phases)),
@@ -726,19 +788,12 @@ def test_every_pinned_check_has_a_fault_that_fails_it():
     assert [name for name, *_ in PER_N_CHECKS + GLOBAL_CHECKS if name not in named] == []
 
 
-def test_verify_all_builds_dense_povms_only_at_the_cross_check_points(monkeypatch):
-    # The per-n suite builds none; network_born_rule holds the six-port click
-    # probabilities against total_povm at its 20 angles, at n = 2.
-    calls = []
-    real = povm.total_povm
-
-    def counted(n, omega1):
-        calls.append((n, omega1))
-        return real(n, omega1)
-
-    monkeypatch.setattr(povm, "total_povm", counted)
+def test_verify_all_calls_neither_total_povm_nor_build_gh_bases(monkeypatch):
+    # The per-n suite reads the kinds' blocks, and network_born_rule holds the
+    # six-port click probabilities against block_povm in one kind's frame.
+    monkeypatch.setattr(povm, "total_povm", never("total_povm called"))
+    monkeypatch.setattr(jordan, "build_gh_bases", never("build_gh_bases called"))
     assert verify_all(6).passed
-    assert calls == [(2, omega1) for omega1 in np.linspace(0.0, np.pi / 2, 20)]
 
 
 def test_verify_all_scatters_the_povm_only_at_the_cross_check_and_pure_state_angles(monkeypatch):
@@ -775,7 +830,7 @@ def test_the_per_n_suite_builds_no_dense_operator(monkeypatch):
     # At no n does _checks_for_n build an n^3 x n^3 operator or the n^6 paired
     # families: the kinds' permutation matrices stand in for the dense ones.
     for module, name in ((povm, "total_povm"), (spaces, "mean_density_operators"),
-                         (jordan, "build_gh_bases"), (harness, "build_gh_bases")):
+                         (jordan, "build_gh_bases")):
         monkeypatch.setattr(module, name, never(f"{name} called"))
     for n in range(2, 9):
         assert all(r.passed for r in _per_n_results(n).values()), n

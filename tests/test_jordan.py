@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,11 @@ from qudisc.jordan import build_gh_bases, jordan_angles
 from qudisc.kinds import CASE_DISTINCT, CASE_DISTINCT_PRIMED, reciprocal_rows
 from qudisc.spaces import (
     dimension_table,
-    exchange_ac,
     label_blocks,
     mean_density_operators,
     mean_density_weight,
+    permute_registers,
     projector_from_rows,
-    triple_labels,
 )
 from references import (
     diagonal_blocks, g_rows_by_formula, ket, s1_rows_by_kron, symmetric_basis_3,
@@ -22,7 +23,8 @@ from shared import PeakMemory, never
 
 def _row_triples(rows, n):
     """The label triple t of the one V_t that each row is supported on."""
-    block_of, triples = label_blocks(n).block_of, triple_labels(n)
+    block_of = label_blocks(n).block_of
+    triples = list(combinations_with_replacement(range(1, n + 1), 3))
     blocks = [np.unique(block_of[np.flatnonzero(row)]) for row in rows]
     assert all(len(b) == 1 for b in blocks)
     return [triples[b[0]] for b in blocks]
@@ -69,7 +71,7 @@ def _h_rows_by_formula(n):
         return np.kron(eye[i - 1], sym_pair(j, k))
 
     rows = []
-    for i, j, k in triple_labels(n):
+    for i, j, k in combinations_with_replacement(range(1, n + 1), 3):
         if i == j == k:
             continue
         if i == j:
@@ -140,7 +142,8 @@ def test_primed_ordering_for_distinct_triples():
     rows = [m for m, triple in enumerate(_row_triples(g, 3)) if triple == (1, 2, 3)]
     blocks, kind = label_blocks(3), kinds.kind_table()[3]
     cols = blocks.groups[3][0]  # (1, 2, 3) is the first, and at n = 3 the only, {a,b,c}
-    assert blocks.block_of[cols[0]] == triple_labels(3).index((1, 2, 3))
+    assert blocks.block_of[cols[0]] == list(combinations_with_replacement(range(1, 4), 3)).index(
+        (1, 2, 3))
     cases = [kind.cases.index(case) for case in (CASE_DISTINCT, CASE_DISTINCT_PRIMED)]
     assert np.array_equal(g[np.ix_(rows, cols)], kind.g[cases])
 
@@ -204,7 +207,8 @@ def test_g_family_completes_s1(n):
     g, h = build_gh_bases(n)
     p0 = projector_from_rows(symmetric_basis_3(n))
     s1 = s1_rows_by_kron(n)
-    p_s1, p_s2 = projector_from_rows(s1), projector_from_rows(exchange_ac(s1, n))
+    p_s1 = projector_from_rows(s1)
+    p_s2 = projector_from_rows(permute_registers(s1, (2, 1, 0), n))  # A and C exchanged
     assert np.abs(p0 + projector_from_rows(g) - p_s1).max() < 1e-10
     assert np.abs(p0 + projector_from_rows(h) - p_s2).max() < 1e-10
 

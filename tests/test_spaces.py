@@ -4,32 +4,32 @@ import itertools
 import numpy as np
 import pytest
 
-from qudisc import kinds, povm, spaces
+from qudisc import kinds, optics, povm, spaces
+from qudisc.errors import DomainError
 from qudisc.kinds import reciprocal_rows
 from qudisc.spaces import (
     check_dimension,
     check_integer,
     constructive_dimension_table,
     dimension_table,
-    exchange_ac,
     gather_blocks,
     kind_counts,
     label_blocks,
     mean_density_operators,
     mean_density_weight,
-    pair_labels,
     permute_registers,
     product_ket,
     projector_from_rows,
     symmetric_basis_2,
     symmetric_projector,
-    triple_labels,
 )
 from references import (
     block_projectors, block_stacks, diagonal_blocks, g_rows_by_formula, ket,
     rho_blocks_by_index_arithmetic, s1_rows_by_kron, symmetric_basis_3,
 )
-from shared import PeakMemory
+from shared import PeakMemory, state_stacks
+
+AC = (2, 1, 0)  # the permutation of the registers that exchanges A and C
 
 
 def _every_block_is(stack, block):
@@ -109,7 +109,7 @@ def test_symmetric_basis_2_qubit_vectors():
 @pytest.mark.parametrize("n", range(2, 13))
 def test_symmetric_basis_2_is_its_rows_built_one_pair_at_a_time(n):
     rows = []
-    for i, j in pair_labels(n):
+    for i, j in itertools.combinations_with_replacement(range(1, n + 1), 2):
         row = ket((i, j), n) + ket((j, i), n)
         rows.append(row / np.linalg.norm(row))
     basis = symmetric_basis_2(n)
@@ -128,7 +128,7 @@ def test_symmetric_basis_3_counts_and_vectors():
     basis = symmetric_basis_3(2)
     assert len(basis) == 4
 
-    labels = triple_labels(2)
+    labels = list(itertools.combinations_with_replacement(range(1, 3), 3))
     row = basis[labels.index((1, 1, 2))]
     expected = (
         ket((1, 1, 2), 2) + ket((1, 2, 1), 2) + ket((2, 1, 1), 2)
@@ -136,7 +136,7 @@ def test_symmetric_basis_3_counts_and_vectors():
     np.testing.assert_allclose(row, expected)
 
     basis3 = symmetric_basis_3(3)
-    row123 = basis3[triple_labels(3).index((1, 2, 3))]
+    row123 = basis3[list(itertools.combinations_with_replacement(range(1, 4), 3)).index((1, 2, 3))]
     expected123 = sum(
         ket(p, 3) for p in itertools.permutations((1, 2, 3))
     ) / np.sqrt(6)
@@ -225,7 +225,7 @@ def test_s1_product_basis_is_the_kron_loop_bit_for_bit(n):
     # The kinds' S1 and S2 rows against the kron loop's rows and their A <-> C
     # exchange, split over the V_t of each kind.
     reference = s1_rows_by_kron(n)
-    for entry, rows in (("s1_rows", reference), ("s2_rows", exchange_ac(reference, n))):
+    for entry, rows in (("s1_rows", reference), ("s2_rows", permute_registers(reference, AC, n))):
         for kind, stack in zip(kinds.kind_table(), block_stacks(rows, n)):
             assert getattr(kind, entry).dtype == np.float64
             assert _every_block_is(stack, getattr(kind, entry)), entry
@@ -324,11 +324,11 @@ def test_kind_blocks_are_the_blocks_of_the_rows_they_replace(n):
     # n^3-wide rows built without the kind table: g term by term, h as its A <-> C exchange.
     # Each kind's block is that of every V_t of its kind.
     g, s1, table = g_rows_by_formula(n), s1_rows_by_kron(n), kinds.kind_table()
-    h = exchange_ac(g, n)
+    h = permute_registers(g, AC, n)
     g_perp, h_perp = reciprocal_rows(g, h)
     for entry, rows in (("p_g_perp", g_perp), ("p_h_perp", h_perp), ("p_g", g),
                         ("p_h", h), ("p0", symmetric_basis_3(n)),
-                        ("s1", s1), ("s2", exchange_ac(s1, n))):
+                        ("s1", s1), ("s2", permute_registers(s1, AC, n))):
         for kind, reference in zip(table, block_projectors(block_stacks(rows, n))):
             assert _every_block_is(reference, getattr(kind, entry)), entry
     for entry, rows in (("g", g), ("h", h)):
@@ -360,6 +360,32 @@ def test_kind_counts_and_the_averaged_trace_take_no_memory_that_grows_with_n():
                                        n * (n - 1) * (n - 2) // 6]
     assert abs(value - povm.average_success(1000, 0.7, povm.Priors.from_eta1(0.3))) <= 1e-12
     assert peak.bytes < 2**20
+
+
+PAIRS_20 = state_stacks(20, 200, 20)  # 200 pairs at n = 20
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: symmetric_basis_2(60), id="symmetric_basis_2"),
+    pytest.param(lambda: product_ket(PAIRS_20[0], PAIRS_20[0], PAIRS_20[1]), id="product_ket"),
+    pytest.param(lambda: symmetric_projector(30), id="symmetric_projector"),
+    pytest.param(lambda: optics.Interferometer.from_text("MODES 4096\n"), id="from_text"),
+])
+def test_each_size_estimate_covers_its_peak_and_pins_its_limit(monkeypatch, call):
+    # The most bytes the call tells check_build_bytes covers its traced peak; under
+    # a limit of exactly those bytes it runs, and one byte less refuses it.
+    told = []
+    with monkeypatch.context() as patch:
+        for module in (spaces, optics):
+            patch.setattr(module, "check_build_bytes", lambda nbytes, what: told.append(nbytes))
+        with PeakMemory() as peak:
+            call()
+    assert peak.bytes <= max(told)
+    monkeypatch.setattr(spaces, "MAX_BUILD_BYTES", max(told))
+    call()
+    monkeypatch.setattr(spaces, "MAX_BUILD_BYTES", max(told) - 1)
+    with pytest.raises(DomainError, match="over the limit"):
+        call()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -402,7 +428,7 @@ def test_diagonal_blocks_equal_the_off_block_mask_version(n):
 
 def test_s1_union_s2_rank_qubits():
     s1 = s1_rows_by_kron(2)
-    stacked = np.vstack([s1, exchange_ac(s1, 2)])
+    stacked = np.vstack([s1, permute_registers(s1, AC, 2)])
     singular = np.linalg.svd(stacked, compute_uv=False)
     assert int((singular > 1e-8).sum()) == 8
 
@@ -410,18 +436,19 @@ def test_s1_union_s2_rank_qubits():
 def test_expand_u3_examples():
     # The {a,a,b} kind on V_{1,1,2} at n = 2: its S1 rows, in the kron loop's
     # (pair, C) order, are |112> and sym(1,2) x |1>.
-    pairs = pair_labels(2)
+    pairs = list(itertools.combinations_with_replacement(range(1, 3), 2))
     c_major, c_minor = np.sqrt(2 / 3), np.sqrt(1 / 3)
     aab = kinds.kind_table()[1]
     assert np.array_equal(aab.u3, [c_minor, c_major])
     s1 = s1_rows_by_kron(2)[[pairs.index((1, 1)) * 2 + 1, pairs.index((1, 2)) * 2 + 0]]
     np.testing.assert_allclose(s1[0], ket((1, 1, 2), 2))
-    u3 = symmetric_basis_3(2)[triple_labels(2).index((1, 1, 2))]
+    triples = list(itertools.combinations_with_replacement(range(1, 3), 3))
+    u3 = symmetric_basis_3(2)[triples.index((1, 1, 2))]
     np.testing.assert_allclose(aab.u3 @ s1, u3, atol=1e-15)
 
     # The same coefficients rebuild u3 from the S2 rows, the S1 rows with
     # registers A and C exchanged.
-    s2 = exchange_ac(s1, 2)
+    s2 = permute_registers(s1, AC, 2)
     sym_12 = (ket((1, 2), 2) + ket((2, 1), 2)) / np.sqrt(2)
     np.testing.assert_allclose(s2[0], ket((2, 1, 1), 2))  # |211>
     np.testing.assert_allclose(s2[1], np.kron(ket((1,), 2), sym_12))  # |1> x sym(1,2)
@@ -441,18 +468,18 @@ def test_expand_u3_reconstructs_symmetric_basis(n):
     owner = blocks.block_of[np.argmax(s1 != 0, axis=1)]
     for t, target in enumerate(sym3):
         rows = s1[owner == t]
-        for expanded in (rows, exchange_ac(rows, n)):
+        for expanded in (rows, permute_registers(rows, AC, n)):
             assert np.linalg.norm(table[blocks.kind_of[t]].u3 @ expanded - target) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_exchange_ac_is_the_register_swap_and_an_involution(n):
+def test_the_ac_exchange_is_the_register_swap_and_an_involution(n):
     rng = np.random.default_rng(n)
     rows = rng.normal(size=(5, n**3)) + 1j * rng.normal(size=(5, n**3))
-    swapped = exchange_ac(rows, n)
-    assert np.array_equal(swapped, rows @ _permutation_operator_loop((2, 1, 0), n).T)
-    assert np.array_equal(exchange_ac(swapped, n), rows)
-    assert np.array_equal(exchange_ac(rows[0], n), swapped[0])
+    swapped = permute_registers(rows, AC, n)
+    assert np.array_equal(swapped, rows @ _permutation_operator_loop(AC, n).T)
+    assert np.array_equal(permute_registers(swapped, AC, n), rows)
+    assert np.array_equal(permute_registers(rows[0], AC, n), swapped[0])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
