@@ -99,22 +99,20 @@ def overlap_identity_check(
     pair, arrays of one value per pair for stacked states.
 
     Both sums equal (1 - |<psi1|psi2>|^2) / 2 for any pure pair.  Each is summed
-    over the V_t, from the kets' amplitudes there and the kinds' g_perp or h_perp
-    rows, in O(n^3) memory per ket.  Takes states (n,) or row-aligned stacks
+    over the V_t, from the product states' amplitudes there
+    (:func:`spaces.product_blocks`) and the kinds' g_perp or h_perp rows, in
+    O(n^3) memory per pair.  Takes states (n,) or row-aligned stacks
     (T, n); states that are not finite unit vectors of length n raise ContractError.
     """
     n = spaces.check_dimension(n)
     psi1, psi2 = spaces.check_unit_states(psi1, psi2, n)
-    spaces.check_build_bytes(3 * 16 * psi1.size * n**2,  # three complex T x n^3 arrays
-                             "a product ket, its V_t amplitudes and their overlaps")
 
-    def overlap_sum(entry, kets):
-        blocks = zip(kinds.kind_table(), spaces.gather_blocks(kets, n))
+    def overlap_sum(entry, middle):
+        blocks = zip(kinds.kind_table(), spaces.product_blocks(psi1, middle, psi2))
         return sum((np.abs(np.einsum("...bj,ij->...bi", amps, getattr(kind, entry))) ** 2)
                    .sum(axis=(-2, -1)) for kind, amps in blocks)
 
-    sum_g = overlap_sum("g_perp", spaces.product_ket(psi1, psi1, psi2))
-    sum_h = overlap_sum("h_perp", spaces.product_ket(psi1, psi2, psi2))
+    sum_g, sum_h = overlap_sum("g_perp", psi1), overlap_sum("h_perp", psi2)
     closed = 0.5 * (1.0 - np.abs((psi1.conj() * psi2).sum(axis=-1)) ** 2)
     return sum_g, sum_h, closed
 
@@ -387,9 +385,8 @@ def _checks_for_n(n: int, report: VerificationReport) -> None:
     povms = povm.kind_povms(0.7)
     dev_unamb_pure = _worst(*(  # |pi_k |wrong input>| per pair, from its V_t blocks
         np.sqrt(sum((np.abs(np.einsum("ij,tbj->tbi", ops[0, k], amps)) ** 2).sum(axis=(1, 2))
-                    for ops, amps in zip(povms, spaces.gather_blocks(kets, n)))).max()
-        for k, kets in ((0, spaces.product_ket(psi1, psi2, psi2)),
-                        (1, spaces.product_ket(psi1, psi1, psi2)))
+                    for ops, amps in zip(povms, spaces.product_blocks(psi1, middle, psi2)))).max()
+        for k, middle in ((0, psi2), (1, psi1))
     ))
     sum_g, sum_h, closed_form = overlap_identity_check(psi1, psi2, n)
     dev_identity = _worst(np.abs(sum_g - closed_form).max(), np.abs(sum_h - closed_form).max())
@@ -509,8 +506,8 @@ def verify_all(n_max: int) -> VerificationReport:
     spaces.MAX_BUILD_BYTES (n_max > 48) raises DomainError before any work.
     """
     n_max = spaces.check_integer(n_max, 2, "n_max")
-    # The per-n suite peaked at 4.76, 4.92, 4.99 and 5.03 times the seeded pairs'
-    # kets at n = 30, 40, 45 and 48 (tracemalloc); 6 times them admits n_max <= 48.
+    # The per-n suite peaked at 2.81 and 3.09 times the seeded pairs' kets at
+    # n = 30 and 48 (tracemalloc); 6 times them admits n_max <= 48.
     spaces.check_build_bytes(6 * 16 * SEEDED_PAIRS * n_max**3, f"the per-n suite at n_max {n_max}")
     report = VerificationReport()
     for n in range(2, n_max + 1):

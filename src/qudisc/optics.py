@@ -65,7 +65,7 @@ MAX_MODES = 2**12
 # apply() per layer (233 to 264) and per complex amplitude it composes (the
 # input, its phased copy, and the gathered rows of one depth and their product),
 # reck_decompose per entry of its matrix (6.1 times 16), to_text() per line it
-# writes (309), and from_text() per BS or PHASE line it keeps (137 from 256 modes
+# writes (309), and from_text() per BS or PHASE line it keeps (123 from 256 modes
 # on, and 156) plus per character of the one piece of text it splits at a time
 # (7 on to_text's lines, up to 35 on comment lines of a 4-byte character), then
 # per mode of the network it builds (24 at 4096 modes: the phase list and arrays).
@@ -112,8 +112,10 @@ def _layer_arrays(modes, angles, num_modes: int) -> tuple[np.ndarray, np.ndarray
 
     DomainError unless both are tables of real numbers of those shapes, the modes
     whole numbers in [0, num_modes) and distinct within each pair, and the angles finite.
+    An integer array of modes is checked as it is, with no cast to float and back.
     """
-    modes = check_array(modes, "layer modes", None, float)
+    whole = isinstance(modes, np.ndarray) and modes.dtype.kind in "iu"
+    modes = modes if whole else check_array(modes, "layer modes", None, float)
     angles = check_array(angles, "layer angles", None, float)
     if not modes.size and not angles.size:
         modes, angles = np.zeros((0, 2)), np.zeros((0, 3))
@@ -121,7 +123,7 @@ def _layer_arrays(modes, angles, num_modes: int) -> tuple[np.ndarray, np.ndarray
     if modes.shape != (*layers, 2) or angles.shape != (*layers, 3):
         raise DomainError(f"layer modes and angles must have shapes (L, 2) and (L, 3), "
                           f"got {modes.shape} and {angles.shape}")
-    if not (modes == np.trunc(modes)).all():  # NaN fails too
+    if not (whole or (modes == np.trunc(modes)).all()):  # NaN fails too
         raise DomainError("layer modes must be whole numbers")
     if not ((modes >= 0) & (modes < num_modes)).all():
         raise DomainError("layer modes outside the network")

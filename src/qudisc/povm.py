@@ -32,8 +32,8 @@ import numpy as np
 from . import kinds
 from .errors import ContractError, DomainError
 from .spaces import (
-    check_array, check_build_bytes, check_dimension, check_real, check_unit_states, gather_blocks,
-    kind_counts, mean_density_weight, permute_registers, product_ket,
+    check_array, check_build_bytes, check_dimension, check_real, check_unit_states, kind_counts,
+    mean_density_weight, permute_registers, product_blocks,
 )
 
 PROB_SLACK = 1e-12
@@ -274,17 +274,15 @@ def pure_success_expectation(
     psi1: np.ndarray, psi2: np.ndarray, omega1: float, priors: Priors, n: int
 ) -> float | np.ndarray:
     """Operator-level evaluation of :func:`pure_success` (cross-check): quadratic
-    forms of each kind's :func:`kind_povms` on the product kets' amplitudes on
-    every V_t of that kind (:func:`spaces.gather_blocks`), in O(n^3) memory.
+    forms of each kind's :func:`kind_povms` on the product states' amplitudes on
+    every V_t of that kind (:func:`spaces.product_blocks`), in O(n^3) memory.
     Takes states (n,) or row-aligned stacks (T, n), as :func:`pure_success` does."""
     n, povms, priors = check_dimension(n), kind_povms(omega1), check_priors(priors)
     psi1, psi2 = check_unit_states(psi1, psi2, n)
-    check_build_bytes(4 * 16 * psi1.size * n**2,  # four complex T x n^3 arrays
-                      "both product kets, one's V_t amplitudes and the temporaries")
     value = 0.0
-    for k, eta, kets in ((0, priors.eta1, product_ket(psi1, psi1, psi2)),
-                         (1, priors.eta2, product_ket(psi1, psi2, psi2))):
+    for k, eta, middle in ((0, priors.eta1, psi1), (1, priors.eta2, psi2)):
         value = value + eta * sum(  # Re <a|op|a> = <Re a|op|Re a> + <Im a|op|Im a> for a real op
             np.einsum("...bi,ij,...bj->...", part, ops[0, k], part)
-            for ops, a in zip(povms, gather_blocks(kets, n)) for part in (a.real, a.imag))
+            for ops, a in zip(povms, product_blocks(psi1, middle, psi2))
+            for part in (a.real, a.imag))
     return clamp_probability(value)

@@ -3,7 +3,7 @@
 The device acts on three n-dimensional registers A, B, C.  Basis labels are
 1-based tuples over {1..n} (register A is the slowest-varying factor); flat
 array indices are 0-based row-major.  Bases and operators on the registers are
-real (float64); only states and their product kets are complex.
+real (float64); only states and their product amplitudes are complex.
 
 A basis ket |i j k> lies in the label-multiset space V_t of its sorted labels
 t.  The symmetric bases, the S1 and S2 product bases and the averaged input
@@ -124,20 +124,6 @@ def check_unit_states(psi1, psi2, n: int) -> tuple[np.ndarray, np.ndarray]:
     return psi1, psi2
 
 
-def product_ket(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """|a>|b>|c> on the three registers, for numeric states (n,) or row-aligned
-    stacks (T, n) of one length, else ContractError; the same products as nested np.kron."""
-    a, b, c = (check_array(s, "states", (1, 2)) for s in (a, b, c))
-    if not a.shape[:-1] == b.shape[:-1] == c.shape[:-1]:
-        raise ContractError("states must be three vectors or three stacks of one length")
-    # The kets, the products of a and b, and a broadcasting ufunc's buffers of
-    # np.getbufsize() entries for each of its three operands.
-    entries = a.size * b.shape[-1] * (c.shape[-1] + 1) + 3 * np.getbufsize()
-    check_build_bytes(np.result_type(a, b, c).itemsize * entries, "the product kets")
-    big = a[..., :, None, None] * b[..., None, :, None] * c[..., None, None, :]
-    return big.reshape(*big.shape[:-3], a.shape[-1] * b.shape[-1] * c.shape[-1])
-
-
 @dataclass(frozen=True)
 class LabelBlocks:
     """The label-multiset spaces V_t of the three registers at dimension n.
@@ -191,14 +177,27 @@ def kind_counts(n: int) -> np.ndarray:
     return np.array([n, pairs, pairs, triples], dtype=np.int64 if triples < 2**63 else object)
 
 
-def gather_blocks(kets: np.ndarray, n: int) -> list[np.ndarray]:
-    """The amplitudes of kets (..., n^3) on each V_t, one (..., blocks, d)
-    array per kind (:attr:`LabelBlocks.groups`): O(n^3) memory per ket.
-    ContractError unless the last axis has n^3 entries."""
-    blocks, kets = label_blocks(n), check_array(kets, "kets", None)
-    if kets.shape[-1:] != blocks.block_of.shape:
-        raise ContractError(f"kets must have {n}^3 entries, got shape {kets.shape}")
-    return [kets[..., cols] for cols in blocks.groups]
+def product_blocks(a, b, c) -> list[np.ndarray]:
+    """The amplitudes of |a>|b>|c> on each V_t, one (..., blocks, d) array per kind
+    (:attr:`LabelBlocks.groups`), for numeric states (n,) or row-aligned stacks (T, n)
+    of one n >= 2, else ContractError: nested np.kron's products, bit for bit, with no n^3 ket."""
+    a, b, c = (check_array(s, "states", (1, 2)) for s in (a, b, c))
+    n, dtype = a.shape[-1], np.result_type(a, b, c)
+    if not (a.shape == b.shape == c.shape and n >= 2):
+        raise ContractError("states must be three vectors or three stacks of one length, all of "
+                            f"n >= 2 entries, got shapes {a.shape}, {b.shape} and {c.shape}")
+    # a (x) b, the amplitudes, one kind's gather of c and its two index arrays, and
+    # a broadcasting ufunc's buffers of np.getbufsize() entries for each operand.
+    entries = a.size * (n + 2 * n**2) + 3 * np.getbufsize()
+    check_build_bytes(dtype.itemsize * entries + 16 * n**3, "the product amplitudes")
+    ab = (a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], n * n).astype(dtype, copy=False)
+    amplitudes = []
+    for cols in label_blocks(n).groups:
+        first_two, third = np.divmod(cols, n)
+        amps = ab[..., first_two]  # (a_i b_j) c_k, in nested np.kron's order
+        amps *= c[..., third]
+        amplitudes.append(amps)
+    return amplitudes
 
 
 def symmetric_basis_2(n: int) -> np.ndarray:

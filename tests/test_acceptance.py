@@ -73,7 +73,9 @@ def test_criterion_02_jordan_structure():
         for family in (g, h):
             worst = max(worst, np.abs(family.conj() @ family.T - np.eye(i0)).max())
         worst = max(worst, np.abs(g @ h.T + 0.5 * np.eye(i0)).max())
-        worst = max(worst, np.abs(jordan_angles(g, h) - 0.5).max())
+        cosines = jordan_angles(g, h)
+        assert len(cosines) == i0
+        worst = max(worst, np.abs(cosines - 0.5).max())
         # rho_1 = w (P_0 + P_g) and rho_2 = w (P_0 + P_h), rebuilt densely.
         weight = 2.0 / (n**2 * (n + 1))
         p0 = projector_from_rows(symmetric_basis_3(n))

@@ -90,9 +90,6 @@ BAD_ANGLES = [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, [0.1, -np.inf]), ("a", 0, 0
 NON_UNIT_PAIRS = [([np.nan, 0], [1, 0]), ([1, 0], [np.inf, 0]), ([1, 1], [1, 0]),
                   ([0.5, 0], [0, 1]), ([1, 0, 0], [1, 0])]
 WRONG_WIDTHS = [
-    lambda: spaces.gather_blocks(np.arange(9.0), 2),  # would drop the ninth amplitude
-    lambda: spaces.gather_blocks(np.ones(7), 2),
-    lambda: spaces.gather_blocks(np.ones((8, 2)), 2),
     lambda: diagonal_blocks(np.eye(7), 2),
     lambda: diagonal_blocks(np.eye(9), 2),  # would count the ninth diagonal entry as off-block
     lambda: diagonal_blocks(np.eye(8)[:, :7], 2),
@@ -131,6 +128,13 @@ BAD_LAYERS = [
     ((3, [0, 1], [0.3, 0.0, 0.0]), r"got \(2,\) and \(3,\)"),  # flat, not one row per layer
     ((3, [(0, 2**70)], [(0.3, 0.0, 0.0)]), "layer modes must be an array of real numbers"),
     ((3, [(0, 1), (1,)], [(0.3, 0.0, 0.0)] * 2), "layer modes must be a rectangular array"),
+    # Integer arrays of modes are checked as they are, with no float cast.
+    ((2, np.array([(0, 2)]), [(0.3, 0.0, 0.0)]), "layer modes outside the network"),
+    ((2, np.array([(-1, 1)], dtype=np.int8), [(0.3, 0.0, 0.0)]), "layer modes outside the network"),
+    ((2, np.array([(1, 1)], dtype=np.uint64), [(0.3, 0.0, 0.0)]), "layer modes must differ"),
+    ((2, np.array([(1, 0, 1)]), [(0.3, 0.0, 0.0)]), r"got \(1, 3\) and \(1, 3\)"),
+    ((2, np.array([(True, False)]), [(0.3, 0.0, 0.0)]),
+     "layer modes must be an array of real numbers"),
 ]
 # (network text, the message that refuses it)
 BAD_TEXTS = [
@@ -177,8 +181,8 @@ REFUSALS = [
     *rows("jordan_angles-ragged", ContractError,
           "first family must be a rectangular array of numbers",
           lambda: jordan.jordan_angles(RAGGED, [[1, 0]])),
-    *rows("product_ket-ragged", ContractError, "states must be a rectangular array of numbers",
-          lambda: spaces.product_ket(RAGGED, [1, 0], [1, 0])),
+    *rows("product_blocks-ragged", ContractError, "states must be a rectangular array of numbers",
+          lambda: spaces.product_blocks(RAGGED, [1, 0], [1, 0])),
     *rows("pure_success-ragged", ContractError, "states must be a rectangular array of numbers",
           lambda: povm.pure_success(RAGGED, [1, 0], 0.5, PRIORS, 2)),
     *rows("overlap_identity_check-ragged", ContractError,
@@ -186,9 +190,14 @@ REFUSALS = [
           lambda: harness.overlap_identity_check(RAGGED, np.eye(2), 2)),
     *rows("pure_success-str", ContractError, "states must be an array of numbers",
           lambda: povm.pure_success("ab", [1, 0], 0.5, PRIORS, 2)),
-    *rows("product_ket-mismatched-stacks", ContractError,
+    *rows("product_blocks-mismatched-stacks", ContractError,
           "states must be three vectors or three stacks of one length",
-          lambda: spaces.product_ket(np.eye(3, 2), np.eye(2), np.eye(2))),
+          lambda: spaces.product_blocks(np.eye(3, 2), np.eye(2), np.eye(2))),
+    *rows("product_blocks-unequal-lengths", ContractError, "all of n >= 2 entries, got shapes",
+          lambda: spaces.product_blocks(np.ones(3), np.ones(2), np.ones(2)),
+          lambda: spaces.product_blocks(np.ones(2), np.ones(3), np.ones(2)),
+          lambda: spaces.product_blocks(np.ones((4, 2)), np.ones((4, 2)), np.ones((4, 3))),
+          lambda: spaces.product_blocks([1], [1], [1])),
     *rows("kind_povms-ragged", DomainError, "omega1 must be a rectangular array of numbers",
           lambda: povm.kind_povms([[0.1], [0.2, 0.3]])),
     *rows("average_success_trace-ragged", DomainError,
@@ -225,17 +234,17 @@ REFUSALS = [
           lambda: diagonal_blocks(RAGGED, 2)),
     *rows("diagonal_blocks-object", ContractError, "op must be an array of numbers",
           lambda: diagonal_blocks(np.full((8, 8), None), 2)),
-    *rows("gather_blocks-None", ContractError, "kets must be an array of numbers",
-          lambda: spaces.gather_blocks(None, 2)),
-    *rows("gather_blocks-bool", ContractError, "kets must be an array of numbers",
-          lambda: spaces.gather_blocks(np.ones(8, dtype=bool), 2)),
+    *rows("product_blocks-None", ContractError, "states must be an array of numbers",
+          lambda: spaces.product_blocks([1, 0], [1, 0], None)),
+    *rows("product_blocks-bool", ContractError, "states must be an array of numbers",
+          lambda: spaces.product_blocks([1, 0], np.ones(2, dtype=bool), [1, 0])),
     *rows("permute_registers-str", ContractError, "rows must be an array of numbers",
           lambda: spaces.permute_registers("abcd", (1, 0), 2)),
     *rows("check_unit_states-mismatched-stacks", ContractError,
           "states must be vectors of length 2, or equal stacks of them",
           lambda: spaces.check_unit_states(np.eye(3, 2), np.eye(2), 2)),
-    *rows("product_ket-object", ContractError, "states must be an array of numbers",
-          lambda: spaces.product_ket([1, None], [1, 0], [1, 0])),
+    *rows("product_blocks-object", ContractError, "states must be an array of numbers",
+          lambda: spaces.product_blocks([1, None], [1, 0], [1, 0])),
     *rows("pure_success_expectation-bool", ContractError, "states must be an array of numbers",
           lambda: povm.pure_success_expectation(E0, [True, False], 0.5, PRIORS, 2)),
     *rows("apply-str", ContractError, "states must be an array of numbers",
@@ -311,9 +320,9 @@ REFUSALS = [
           lambda: block_stacks(s1_rows_by_kron(3)
                                + 1e-9 * np.outer(np.eye(18)[4], np.eye(27)[26]), 3),
           lambda: block_stacks(np.vstack([s1_rows_by_kron(3), np.zeros(27)]), 3)),
-    *(row for k, call in enumerate(WRONG_WIDTHS) for row in rows(
+    *(row for k, call in enumerate(WRONG_WIDTHS, 3) for row in rows(  # ids 0-2 were flat kets
         f"test_block_readers_reject_operators_and_kets_of_the_wrong_width-<lambda>{k}",
-        ContractError, r"(kets|op) must (have|be) 2\^3|op must have 2 axes", call)),
+        ContractError, r"op must (have|be) 2\^3|op must have 2 axes", call)),
 
     # From tests/test_jordan.py.
     *rows("test_jordan_angles_rejects_non_orthonormal", ContractError, "family is not orthonormal",
@@ -451,12 +460,13 @@ REFUSALS = [
     *rows(f"{NON_NUMERIC}-jordan_angles-str", ContractError,
           "first family must be an array of numbers",
           lambda: jordan.jordan_angles("a", "b")),
-    *rows(f"{NON_NUMERIC}-product_ket-None", ContractError, "states must be an array of numbers",
-          lambda: spaces.product_ket(None, [1, 0], [1, 0])),
-    *rows(f"{NON_NUMERIC}-product_ket-str", ContractError, "states must be an array of numbers",
-          lambda: spaces.product_ket("a", [1, 0], [1, 0])),
-    *rows(f"{NON_NUMERIC}-product_ket-float", ContractError, "states must have 1 or 2 axes",
-          lambda: spaces.product_ket(1.0, [1, 0], [1, 0])),
+    *rows(f"{NON_NUMERIC}-product_blocks-None", ContractError,
+          "states must be an array of numbers",
+          lambda: spaces.product_blocks(None, [1, 0], [1, 0])),
+    *rows(f"{NON_NUMERIC}-product_blocks-str", ContractError, "states must be an array of numbers",
+          lambda: spaces.product_blocks("a", [1, 0], [1, 0])),
+    *rows(f"{NON_NUMERIC}-product_blocks-float", ContractError, "states must have 1 or 2 axes",
+          lambda: spaces.product_blocks(1.0, [1, 0], [1, 0])),
 
     # From tests/test_harness.py.
     *rows("test_haar_state_basics", DomainError, "dimension must be an integer >= 1",

@@ -37,7 +37,8 @@ EXPORTS = [
 REMOVED = [("MeasurementTriple", "povm"), ("Tolerances", "harness"), ("JordanPairSet", "jordan"),
            ("ClickStats", "optics"), ("OverlapIdentity", "harness"),
            ("DegeneratePriorsError", "errors"), ("SHOT_BLOCK", "optics"),
-           ("pair_labels", "spaces"), ("triple_labels", "spaces"), ("exchange_ac", "spaces")]
+           ("pair_labels", "spaces"), ("triple_labels", "spaces"), ("exchange_ac", "spaces"),
+           ("product_ket", "spaces"), ("gather_blocks", "spaces")]
 
 
 def _resolves(target, dotted):

@@ -555,11 +555,9 @@ def _wrong_vt_at_n6(fault):
     return _wrapped(spaces, "label_blocks", faulty)
 
 
-def _one_amplitude_from_the_next_vt(amplitudes, kets, n):
-    if n == 6:
-        cols = spaces.label_blocks(n).groups[-1].copy()
-        cols[0, 0] = cols[1, 0]
-        amplitudes[-1] = kets[..., cols]
+def _one_amplitude_from_the_next_vt(amplitudes, a, b, c):
+    if np.shape(a)[-1] == 6:  # the first {a,b,c} V_t reads one amplitude of the second
+        amplitudes[-1][..., 0, 0] = amplitudes[-1][..., 1, 0]
     return amplitudes
 
 
@@ -706,7 +704,7 @@ FAULTS = [
           | at("global", "dimension_independence"), passes=at(4, None)),
     fault("test_a_wrong_index_in_the_amplitude_gather_fails_the_pure_state_check",
           # One amplitude read from the next V_t, by the library's gather only.
-          _wrapped(povm, "gather_blocks", _one_amplitude_from_the_next_vt),
+          _wrapped(povm, "product_blocks", _one_amplitude_from_the_next_vt),
           at(6, "pure_success_closed_form"), passes=at(6, "povm_unambiguous_pure")),
     fault("reciprocal_overlap_identity",  # the g-side sums 1e-6 high
           _wrapped(harness, "overlap_identity_check", lambda sums, *args: (
@@ -846,6 +844,19 @@ def test_the_per_n_suite_builds_no_dense_operator(monkeypatch):
     # with the three-fold symmetric basis read per V_t 3.3 MiB, and with the
     # per-kind permutation checks 3.5 MiB.
     assert peak.bytes <= 26.7 / 2 * 2**20
+
+
+def test_the_per_n_suite_holds_no_product_ket():
+    # The seeded pairs enter the pure-state checks as their amplitudes on the
+    # V_t, one product at a time: _checks_for_n(16) peaks at about 2.6 times the
+    # pairs' 16 SEEDED_PAIRS n^3 bytes of kets (4.6 times with the n^3 kets
+    # built, then gathered onto the V_t).
+    _clear_operator_caches()
+    report = harness.VerificationReport()
+    with PeakMemory() as peak:
+        harness._checks_for_n(16, report)
+    assert report.passed
+    assert peak.bytes <= 4 * 16 * harness.SEEDED_PAIRS * 16**3
 
 
 def test_a_kind_absent_at_n_reads_as_an_empty_group_and_the_suite_passes():

@@ -111,30 +111,6 @@ def test_families_orthonormal_and_off_symmetric(n):
         assert np.abs(overlaps).max() < 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_overlap_matrix_is_minus_half_identity(n):
-    g, h = build_gh_bases(n)
-    gram = g @ h.T  # <g_i|h_j>
-    np.testing.assert_allclose(gram, -0.5 * np.eye(len(g)), atol=1e-12)
-
-
-def test_overlap_matrix_n4_size():
-    g, h = build_gh_bases(4)
-    assert (g @ h.T).shape == (20, 20)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_pair_subspaces_mutually_orthogonal(n):
-    g, h = build_gh_bases(n)
-    stacked = np.vstack([g, h])
-    gram = stacked.conj() @ stacked.T
-    i0 = len(g)
-    expected = np.block(
-        [[np.eye(i0), -0.5 * np.eye(i0)], [-0.5 * np.eye(i0), np.eye(i0)]]
-    )
-    np.testing.assert_allclose(gram, expected, atol=1e-12)
-
-
 def test_primed_ordering_for_distinct_triples():
     # The two rows on the V_t of (1, 2, 3) are the {a,b,c} kind's unprimed row,
     # then its primed row, over the V_t's kets in ascending flat order.
@@ -147,13 +123,6 @@ def test_primed_ordering_for_distinct_triples():
     cases = [kind.cases.index(case) for case in (CASE_DISTINCT, CASE_DISTINCT_PRIMED)]
     assert np.array_equal(g[np.ix_(rows, cols)], kind.g[cases])
 
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_jordan_angles_all_one_half(n):
-    cosines = jordan_angles(*build_gh_bases(n))
-    assert len(cosines) == dimension_table(n).i0
-    np.testing.assert_allclose(cosines, 0.5, atol=1e-12)
 
 
 def test_jordan_angles_identical_family():
@@ -194,12 +163,6 @@ def test_density_from_jordan_matches_direct(n):
         assert off < 1e-12
         assert max(np.abs(d - weight * getattr(kind, entry)).max(initial=0.0)
                    for d, kind in zip(diagonal, kinds.kind_table())) < 1e-12
-
-
-def test_density_from_jordan_trace_qubits():
-    rho1_j, _ = density_from_jordan(2)
-    # weight 2/12 times (rank-4 symmetric projector + 2 dyads)
-    assert abs(np.trace(rho1_j).real - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -24,7 +24,7 @@ from qudisc.povm import (
     total_povm,
     x_from_omega1,
 )
-from qudisc.spaces import label_blocks, mean_density_operators, product_ket
+from qudisc.spaces import label_blocks, mean_density_operators, product_blocks
 from references import diagonal_blocks
 from shared import PeakMemory, state_stacks
 from test_boundaries import PRIORS_TAKERS
@@ -116,25 +116,6 @@ def test_block_povm_valid_on_grid():
         assert np.linalg.eigvalsh(blocks).min() > -1e-10
         lifted = [frame.conj() @ op @ frame.T for op in total_povm(3, omega1)]
         np.testing.assert_allclose(lifted, blocks, atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_total_povm_valid_on_grid(n):
-    dim = n**3
-    for omega1 in np.linspace(0.0, np.pi / 2, 50):
-        ops = total_povm(n, omega1)
-        assert np.abs(ops.sum(axis=0) - np.eye(dim)).max() < 1e-10
-        for op in ops:
-            assert np.linalg.eigvalsh(op).min() > -1e-10
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_total_povm_unambiguous(n):
-    rho1, rho2 = mean_density_operators(n)
-    for omega1 in (0.3, omega1_from_x(2.0), 1.2):
-        pi1, pi2, _ = total_povm(n, omega1)
-        assert abs(np.trace(pi1 @ rho2).real) < 1e-12
-        assert abs(np.trace(pi2 @ rho1).real) < 1e-12
 
 
 def test_total_povm_results_are_independent_copies():
@@ -311,7 +292,7 @@ def test_cross_checks_match_dense_total_povm(n):
         assert abs(average_success_trace(n, omega1, priors) - dense) < 1e-14
         for _ in range(5):
             psi1, psi2 = haar_state(n, rng), haar_state(n, rng)
-            big1, big2 = product_ket(psi1, psi1, psi2), product_ket(psi1, psi2, psi2)
+            big1, big2 = (np.kron(np.kron(psi1, middle), psi2) for middle in (psi1, psi2))
             dense = clamp_probability(
                 priors.eta1 * np.vdot(big1, pi1 @ big1).real
                 + priors.eta2 * np.vdot(big2, pi2 @ big2).real
@@ -375,8 +356,8 @@ EMPTY_STATES = np.empty((0, 3), dtype=complex)
 
 
 @pytest.mark.parametrize("call, shape", [
-    pytest.param(lambda: product_ket(EMPTY_STATES, EMPTY_STATES, EMPTY_STATES), (0, 27),
-                 id="product_ket"),
+    pytest.param(lambda: product_blocks(EMPTY_STATES, EMPTY_STATES, EMPTY_STATES)[-1], (0, 1, 6),
+                 id="product_blocks"),
     pytest.param(lambda: pure_success_expectation(EMPTY_STATES, EMPTY_STATES, 0.7,
                                                   Priors.from_eta1(0.3), 3), (0,),
                  id="pure_success_expectation"),
