@@ -73,6 +73,34 @@ def test_network_arrays_are_read_only_copies():
     assert Interferometer(3, net.modes, net.angles, net.phases) == net
 
 
+INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@pytest.mark.parametrize("dtype", INTEGER_DTYPES, ids=lambda t: np.dtype(t).name)
+def test_integer_modes_of_each_width_give_the_network_of_the_listed_modes(dtype):
+    modes = np.array([[0, 2], [1, 2]], dtype=dtype)
+    net = Interferometer(3, modes, np.full((2, 3), 0.4))
+    assert net == Interferometer(3, [(0, 2), (1, 2)], np.full((2, 3), 0.4))
+    assert net.modes.dtype == np.int64 and not net.modes.flags.writeable
+    modes[0, 0] = 1  # the caller's array stays the caller's, and writable
+    assert net.modes.tolist() == [[0, 2], [1, 2]]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8], ids=lambda t: np.dtype(t).name)
+def test_integer_modes_are_checked_with_no_float_copy(dtype):
+    # The constructor peaks at the 40 bytes per layer it keeps: int64 modes (16)
+    # and float angles (24). Casting integer modes to float to check them, and
+    # back, would add 16 more.
+    layers = 50_000
+    rng = np.random.Generator(np.random.Philox(key=7))
+    first = rng.integers(0, 199, layers)
+    modes = np.stack([first, first + 1], axis=1).astype(dtype)
+    angles = rng.uniform(0.0, 1.0, (layers, 3))
+    with PeakMemory() as peak:
+        Interferometer(200, modes, angles)
+    assert peak.bytes <= 48 * layers
+
+
 def test_network_equality_is_value_equality():
     net = Interferometer(2, [(0, 1)], [(0.3, 0.0, -0.0)], (0.0, -0.0))
     assert net == Interferometer(2, [(0, 1)], [(0.3, -0.0, 0.0)])

@@ -498,3 +498,20 @@ def test_product_blocks_are_the_nested_kron_on_each_v_t(n):
     ints, reals = rng.integers(-9, 9, size=(2, n)), rng.normal(size=n)
     ket = np.kron(np.kron(*ints), reals)
     assert _same_bits(product_blocks(*ints, reals), (ket[cols] for cols in groups))
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (0,)], ids=["states", "stacks", "empty-stacks"])
+def test_product_blocks_are_fresh_arrays_that_leave_the_states_alone(lead):
+    # Each kind's amplitudes are multiplied in place as they are built: into an
+    # array of their own, never into the states or another kind's amplitudes.
+    rng = np.random.Generator(np.random.Philox(key=11))
+    states = rng.normal(size=(3, *lead, 3)) + 1j * rng.normal(size=(3, *lead, 3))
+    before = states.copy()
+    blocks = product_blocks(*states)
+    assert [x.shape for x in blocks] == [(*lead, *cols.shape) for cols in label_blocks(3).groups]
+    assert states.tobytes() == before.tobytes()
+    for k, x in enumerate(blocks):
+        assert x.flags.writeable and not np.shares_memory(x, states)
+        assert not any(np.shares_memory(x, y) for y in blocks[k + 1:])
+    for t in range(lead[0] if lead else 0):  # row t of the stacks is the product of their row t
+        assert _same_bits([x[t] for x in blocks], product_blocks(*states[:, t]))
