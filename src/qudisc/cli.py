@@ -8,6 +8,9 @@ byte-identical output.  Exit codes: 0 success, 1 verification failure (a
 check over its fixed bound; no option moves the bounds), 2 usage or domain
 error (including requests too large for memory), 3 internal error (an
 unexpected exception; its traceback goes to stderr).
+
+Each command imports the layers it needs when it runs, so dims, --version,
+--help and usage errors run without numpy.
 """
 
 from __future__ import annotations
@@ -15,31 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import traceback
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__
 from .errors import DomainError
-from .harness import verify_all
-from .optics import (
-    MAX_MODES,
-    analytic_discriminator_probabilities,
-    prepare_state_network,
-    simulate_discriminator,
-)
-from .povm import (
-    Priors,
-    average_success,
-    omega1_from_x,
-    optimal_average,
-    optimal_pure,
-    success_curve_x,
-    x_from_omega1,
-)
-from .spaces import check_dimension, dimension_table
 
 # Most grid points `scan` accepts: at some 13 microseconds per printed row this
 # is about two minutes of output.  The grid is computed one point at a time.
@@ -49,7 +34,7 @@ MAX_SCAN_STEPS = 10**7
 def _format_number(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # numpy's integer scalars too
         return str(int(value))
     value = float(value)
     # JSON has no NaN or infinity; a non-finite value is written as null.
@@ -90,11 +75,15 @@ def _emit_record(command: str, params: dict, results: dict, seed: int | None = N
 
 
 def cmd_dims(args) -> int:
+    from .scalars import dimension_table
+
     _emit_record("dims", {"n": args.n}, asdict(dimension_table(args.n)))
     return 0
 
 
 def cmd_verify(args) -> int:
+    from .harness import verify_all
+
     report = verify_all(args.n_max)
     if args.json:
         results = {
@@ -126,6 +115,9 @@ def _scan_grid(points: int):
 
 
 def cmd_scan(args) -> int:
+    from .povm import Priors, average_success, omega1_from_x, success_curve_x
+    from .scalars import check_dimension
+
     check_dimension(args.n)
     if args.steps > MAX_SCAN_STEPS:
         raise DomainError(f"steps must not exceed {MAX_SCAN_STEPS}, got {args.steps}")
@@ -151,6 +143,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_optimal(args) -> int:
+    from .povm import Priors, optimal_average, optimal_pure
+
     priors = Priors(args.eta1)
     result = optimal_average(args.n, priors)
     results = {
@@ -168,14 +162,16 @@ def cmd_optimal(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .optics import analytic_discriminator_probabilities, simulate_discriminator
+    from .povm import Priors, average_success, omega1_from_x, x_from_omega1
+    from .scalars import check_dimension
+
     check_dimension(args.n)
     priors = Priors(args.eta1)
     omega1 = args.omega1 if args.x is None else omega1_from_x(args.x)  # argparse requires one
     run = simulate_discriminator(omega1, priors, shots=args.shots, seed=args.seed)
     analytic = analytic_discriminator_probabilities(omega1, priors)
-    sigma = float(
-        np.sqrt(max(analytic["success"] * (1 - analytic["success"]), 1e-300) / args.shots)
-    )
+    sigma = math.sqrt(max(analytic["success"] * (1 - analytic["success"]), 1e-300) / args.shots)
     results = {
         "counts": {k: run.counts[k] for k in ("D1", "D2", "F")},
         "input_counts": {k: run.input_counts[k] for k in ("g", "h")},
@@ -202,9 +198,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_amplitudes(path: str) -> np.ndarray:
-    """One amplitude per line as `re` or `re im`; any other line raises DomainError,
-    and so does the first amplitude past MAX_MODES, before the rest is read."""
+def _read_amplitudes(path: str):
+    """One amplitude per line as `re` or `re im`, as a complex array; any other line
+    raises DomainError, and so does the first amplitude past MAX_MODES, before the
+    rest is read."""
+    import numpy as np
+    from .optics import MAX_MODES
+
     values = []
     with open(path, "r", encoding="utf-8") as handle:
         for number, raw in enumerate(handle, 1):
@@ -227,6 +227,9 @@ def _read_amplitudes(path: str) -> np.ndarray:
 
 
 def cmd_prepare(args) -> int:
+    import numpy as np
+    from .optics import prepare_state_network
+
     amps = _read_amplitudes(args.amplitudes)
     net = prepare_state_network(amps, len(amps))
     text = net.to_text()

@@ -7,8 +7,8 @@ removed or renamed, fails here instead of in the next traced benchmark run.
 import importlib.util
 from pathlib import Path
 
-import qudisc.cli  # noqa: F401  the tracer wraps every layer module, so all must be loaded
-from qudisc import povm
+# The tracer wraps every layer module, so all must be loaded; `import qudisc.cli` loads only cli.
+from qudisc import cli, harness, jordan, optics, povm, spaces  # noqa: F401
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 

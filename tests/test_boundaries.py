@@ -291,7 +291,7 @@ REFUSALS = [
     *rows("test_check_integer_semantics", DomainError, "value must be an integer >= [024], got",
           *(partial(spaces.check_integer, value, low, "value") for value, low in (
               (True, 0), (2.5, 0), (np.nan, 0), (np.inf, 0), ("3", 0), (None, 0), (3, 4),
-              (np.int64(3), 4), (-1, 0), (True, 2)))),
+              (np.int64(3), 4), (-1, 0), (True, 2), (np.bool_(True), 0)))),
     *(row for n in (2, 3, 4) for row in rows(
         f"test_permutation_operator_matches_column_loop-{n}", DomainError,
         "is not a permutation of the registers",
@@ -312,7 +312,8 @@ REFUSALS = [
           "qudit dimension must be an integer >= 2",
           lambda: spaces.symmetric_basis_2(1), lambda: symmetric_basis_3(1)),
     *rows("test_dimension_table_values", DomainError, "qudit dimension must be an integer >= 2",
-          *(partial(check, bad) for bad in (1, 2.5, np.inf, -np.inf, np.nan, "3", None)
+          *(partial(check, bad) for bad in (1, 2.5, np.inf, -np.inf, np.nan, "3", None,
+                                            np.float64(2.5), np.float64("nan"))
             for check in (spaces.dimension_table, spaces.check_dimension))),
     *rows("test_block_stacks_restrict_rows_and_refuse_rows_across_blocks", ContractError,
           "each row must be supported in exactly one label-multiset space V_t",

@@ -137,6 +137,12 @@ def test_render_json_writes_non_finite_numbers_as_null():
     assert json.loads(text, parse_constant=_reject_constant) == {"x": None, "y": [None, None, 1.5]}
 
 
+def test_numpy_integers_are_written_as_integers():
+    # np.int64(2**62) through float() would be written 4.61168601842739e+18.
+    assert [cli._format_number(v) for v in (np.int64(7), np.int64(2**62), np.uint8(3))] == [
+        "7", str(2**62), "3"]
+
+
 def test_scan_row_at_x2(capsys):
     code, out, _ = run_cli(capsys, "scan", "--n", "2", "--eta1", "0.5", "--steps", "4")
     assert code == 0
@@ -154,7 +160,7 @@ def test_scan_degenerate_grid(capsys):
 
 @pytest.mark.parametrize("steps", [cli.MAX_SCAN_STEPS + 1, 10**9])
 def test_scan_refuses_too_many_steps(capsys, monkeypatch, steps):
-    monkeypatch.setattr(cli.np, "linspace", never("a grid was built"))
+    monkeypatch.setattr(np, "linspace", never("a grid was built"))
     code, out, err = run_cli(capsys, "scan", "--n", "2", "--eta1", "0.5", "--steps", str(steps))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "must not exceed" in err

@@ -3,7 +3,6 @@ README's command lines parse, and the package exports exactly the pinned names."
 
 import argparse
 import importlib
-import inspect
 import re
 import shlex
 from pathlib import Path
@@ -179,9 +178,14 @@ def test_readme_command_lines_parse_and_name_only_subcommand_flags():
 
 
 def test_the_package_exports_exactly_the_pinned_names():
-    names = sorted(name for name, value in vars(qudisc).items()
-                   if not name.startswith("_") and not inspect.ismodule(value))
-    assert names == EXPORTS
+    # The exports resolve on first use (PEP 562), so vars(qudisc) holds only the loaded ones.
+    assert qudisc.__all__ == EXPORTS and dir(qudisc) == EXPORTS
+    for name in EXPORTS:
+        value = getattr(qudisc, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    namespace = {}
+    exec("from qudisc import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == EXPORTS
     for name, module in REMOVED:
         assert not hasattr(qudisc, name) and not hasattr(_module(module), name)
         assert f"`{module}.{name}`" in README

@@ -2,10 +2,12 @@ import dataclasses
 import importlib
 import inspect
 import itertools
+import json
 import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +341,27 @@ def test_every_public_function_but_the_allowed_ones_has_a_caller_among_the_comma
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, qudisc.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     assert _fresh_python(code) == "False"
+
+
+def test_the_package_cli_and_the_closed_form_commands_leave_numpy_unloaded():
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] in ("qudisc", "numpy"))
+        import qudisc
+        seen = [loaded()]
+        import qudisc.cli
+        seen.append(loaded())
+        codes = []
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in (["--version"], ["--help"], ["dims", "--n"], ["dims", "--n", "3"]):
+                codes.append(qudisc.cli.main(argv))
+                seen.append(loaded())
+        print(json.dumps([codes, seen]))
+    """)
+    codes, seen = json.loads(_fresh_python(code))
+    assert codes == [0, 0, 2, 0]
+    front = ["qudisc", "qudisc.cli", "qudisc.errors"]
+    assert seen == [["qudisc"], front, front, front, front, [*front, "qudisc.scalars"]]
 
 
 def test_verify_leaves_numpy_ma_unloaded():

@@ -61,7 +61,7 @@ def test_flatten_index_matches_enumeration_order():
 
 
 @pytest.mark.parametrize("value, expected", [
-    (3, 3), (np.int64(3), 3), (3.0, 3), (2**70, 2**70),
+    (3, 3), (np.int64(3), 3), (3.0, 3), (2**70, 2**70), (np.float64(3.0), 3), (np.uint8(3), 3),
 ])
 def test_check_integer_semantics(value, expected):
     """Which values check_integer accepts, and the plain int it returns for them;
