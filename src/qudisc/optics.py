@@ -47,8 +47,8 @@ from .povm import (
 )
 from .spaces import TAU_NORM, check_array, check_build_bytes, check_integer
 
-# Values after the keyword of each network-file line.
-_LINE_FIELDS = {"MODES": 1, "BS": 5, "PHASE": 2}
+# Values after the keyword of each MODES or PHASE line; a BS line has five.
+_LINE_FIELDS = {"MODES": 1, "PHASE": 2}
 # Port amplitudes (g_perp, h, vacuum) of the six-port's inputs, and its outputs.
 _PORT_STATES = {"g": (np.sqrt(3.0) / 2.0, -0.5, 0.0), "h": (0.0, 1.0, 0.0),
                 "g_perp": (1.0, 0.0, 0.0)}
@@ -64,8 +64,8 @@ MAX_MODES = 2**12
 # before they allocate (tracemalloc peaks at 64 to 1024 modes in brackets):
 # apply() per layer (233 to 264) and per complex amplitude it composes (the
 # input, its phased copy, and the gathered rows of one depth and their product),
-# reck_decompose per entry of its matrix (6.1 times 16), to_text() per line it
-# writes (309), and from_text() per BS or PHASE line it keeps (123 from 256 modes
+# reck_decompose per entry of its matrix (5.6 times 16), to_text() per line it
+# writes (309), and from_text() per BS or PHASE line it keeps (81 from 256 modes
 # on, and 156) plus per character of the one piece of text it splits at a time
 # (7 on to_text's lines, up to 35 on comment lines of a 4-byte character), then
 # per mode of the network it builds (24 at 4096 modes: the phase list and arrays).
@@ -180,15 +180,19 @@ class Interferometer:
         layers of one depth act on disjoint modes, and every mode meets its
         layers in order, so each depth is applied as one batched product of
         its 2x2 blocks with the rows they act on.  One stable argsort of the
-        depths makes each depth a slice of the sorted layers.  This holds for
-        any layer order; the result equals layer-by-layer composition bit for bit.
+        depths makes each depth a slice of the sorted layers.  A depth of one
+        layer on modes a < b multiplies the two-row view ``mat[a:b + 1:b - a]``
+        in place of a gather and a scatter; a reversed pair is gathered, since
+        numpy's matmul rounds one column of a view with a negative stride
+        differently.  This holds for any layer order; the result equals
+        layer-by-layer composition bit for bit.
         """
         if not len(self.modes):
             return mat
         reached = [0] * self.num_modes  # depth of the last layer on each mode
         depths = []
-        for a, b in self.modes[::-1].tolist():
-            depth = max(reached[a], reached[b])
+        for a, b in zip(self.modes[::-1, 0].tolist(), self.modes[::-1, 1].tolist()):
+            depth = reached[a] if reached[a] > reached[b] else reached[b]
             reached[a] = reached[b] = depth + 1
             depths.append(depth)
         order = len(depths) - 1 - np.argsort(depths, kind="stable")  # listed indices
@@ -196,8 +200,13 @@ class Interferometer:
         blocks = two_mode_unitary(*self.angles[order].T)
         bounds = np.cumsum(np.bincount(depths)).tolist()
         for lo, hi in zip([0, *bounds], bounds):
-            rows = modes[lo:hi]
-            mat[rows] = blocks[lo:hi] @ mat[rows]
+            a, b = modes[lo].tolist()
+            if hi - lo == 1 and a < b:
+                rows = mat[a:b + 1:b - a]
+                rows[...] = blocks[lo] @ rows
+            else:
+                rows = modes[lo:hi]
+                mat[rows] = blocks[lo:hi] @ mat[rows]
         return mat
 
     def unitary(self) -> np.ndarray:
@@ -245,26 +254,29 @@ class Interferometer:
         while cuts[-1] < len(text):
             cuts.append(text.find("\n", cuts[-1] + _CHUNK_CHARS - 1) + 1 or len(text))
         widest = max((hi - lo for lo, hi in zip(cuts, cuts[1:])), default=0)
-        lines = text.count("BS") + text.count("PHASE")  # at least the BS and PHASE lines
+        bs_lines = text.count("BS")  # at least the BS lines
+        lines = bs_lines + text.count("PHASE")  # at least the BS and PHASE lines
         check_build_bytes(_PARSED_LINE_BYTES * lines + _CHAR_BYTES * widest,
                           "parsing the network text")
         num_modes, bad_modes, bad_angles = None, None, None
-        mode_chunks, angle_chunks = [], []
+        # The values of the BS lines, filled a piece at a time: 0-based modes, angles.
+        modes, angles = np.empty(2 * bs_lines, dtype=np.int64), np.empty(3 * bs_lines)
+        kept = 0  # BS lines read so far
         phases: dict[int, float] = {}
         for lo, hi in zip(cuts, cuts[1:]):
             bs_modes: list[str] = []  # the values of the piece's BS lines
             bs_angles: list[str] = []
             for raw in text[lo:hi].splitlines():
                 parts = raw.split()
+                if len(parts) == 6 and parts[0] == "BS":
+                    bs_modes += parts[1:3]
+                    bs_angles += parts[3:]
+                    continue
                 if not parts or parts[0].startswith("#"):
                     continue
                 kind, values = parts[0], parts[1:]
                 if _LINE_FIELDS.get(kind) != len(values):
                     raise DomainError(f"unrecognized line: {raw!r}")
-                if kind == "BS":
-                    bs_modes += values[:2]
-                    bs_angles += values[2:]
-                    continue
                 try:
                     if kind == "MODES" and num_modes is None:
                         num_modes = check_integer(int(values[0]), 1, "num_modes", MAX_MODES)
@@ -277,18 +289,19 @@ class Interferometer:
                 except ValueError:  # int() or float() refused a value
                     raise DomainError(f"line {raw!r}: modes must be whole numbers, "
                                       "phases real numbers") from None
+            first, kept = kept, kept + len(bs_angles) // 3
             # A refused value is raised after the header checks, a mode before an angle.
             # The modes are shifted to 0-based before the angles are parsed: with no numpy
             # arithmetic between the two conversions, parsing the angles took about 1.6
             # times as long in the benchmark's mesh rounds (2-vCPU x86 VM).
             try:  # int(), not float(), of each mode value, so "1e0" and "1.0" are refused
-                mode_chunks.append(np.array(bs_modes, dtype=np.int64) - 1)
+                modes[2 * first:2 * kept] = np.array(bs_modes, dtype=np.int64) - 1
             except OverflowError:
                 bad_modes = bad_modes or "layer modes outside the network"
             except ValueError:
                 bad_modes = bad_modes or "layer modes must be whole numbers"
             try:
-                angle_chunks.append(np.array(bs_angles, dtype=float))
+                angles[3 * first:3 * kept] = np.array(bs_angles, dtype=float)
             except ValueError:
                 bad_angles = "layer angles must be real numbers"
         if num_modes is None:
@@ -299,8 +312,7 @@ class Interferometer:
             raise DomainError("PHASE line for a mode outside the network")
         if bad_modes or bad_angles:
             raise DomainError(bad_modes or bad_angles)
-        modes = np.concatenate(mode_chunks).reshape(-1, 2)
-        angles = np.concatenate(angle_chunks).reshape(-1, 3)
+        modes, angles = modes[:2 * kept].reshape(-1, 2), angles[:3 * kept].reshape(-1, 3)
         phase_list = [phases.get(m, 0.0) for m in range(num_modes)]
         return cls(num_modes, modes, angles, phase_list)
 
@@ -350,7 +362,11 @@ def reck_decompose(matrix: np.ndarray) -> Interferometer:
     Step (col, row) reads and writes rows col and row only, so the steps
     with one value of t = col + row act on disjoint rows, and each row meets
     its steps in order of t as it does column by column.  The steps run as
-    wavefronts t = 1 .. 2N-3, each one gathered update of its rows; the
+    wavefronts t = 1 .. 2N-3 over the columns lo .. hi-1, lo = max(0, t-N+1).
+    Each updates two strided views of its rows in place, rows lo .. hi-1 and
+    rows t-lo down to t-hi+1, from column lo on: the columns left of lo are
+    eliminated in every row it touches and are not read again.  A wavefront
+    that skips a step gathers and writes back the rows of its kept steps.  The
     layers are emitted in (col, row) order, the same layers with the same
     angles as a column-by-column elimination.
     """
@@ -363,30 +379,39 @@ def reck_decompose(matrix: np.ndarray) -> Interferometer:
     if not (np.isfinite(mat).all() and np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= 1e-8):
         raise ContractError("input matrix is not unitary")
 
-    # angles[:, col, row] = (omega, phi, theta) of step (col, row), if kept.
-    angles = np.zeros((3, dim, dim))
-    kept = np.zeros((dim, dim), dtype=bool)
+    # angles[:, col * dim + row] = (omega, phi, theta) of step (col, row), if kept.
+    angles = np.zeros((3, dim * dim))
+    kept = np.zeros(dim * dim, dtype=bool)
     for t in range(1, 2 * dim - 2):
-        cols = np.arange(max(0, t - dim + 1), (t + 1) // 2)
-        rows = t - cols
-        pivot, target = mat[cols, cols], mat[rows, cols]
+        lo, hi = max(0, t - dim + 1), (t + 1) // 2  # the columns of the wavefront
+        # Rows lo..hi-1 and t-lo down to t-hi+1, from column lo on: the steps'
+        # pivots and targets are the diagonals of the two views.
+        top, bot = mat[lo:hi, lo:], mat[t - lo:t - hi:-1, lo:]
+        slots = slice(t + lo * (dim - 1), t + hi * (dim - 1), dim - 1)  # col * dim + t - col
+        # Contiguous copies: the targets' diagonal runs backwards in memory, and numpy's
+        # arctan2 (so np.angle) rounds some values read with a negative stride differently.
+        pivot, target = top.diagonal().copy(), bot.diagonal().copy()
         # hypot, not np.abs: it matches the scalar abs() bit for bit.
         size = np.hypot(target.real, target.imag)
-        keep = size > 1e-14
-        cols, rows, pivot, target, size = (v[keep] for v in (cols, rows, pivot, target, size))
-        if not cols.size:
+        steps = size > 1e-14
+        if steps.all():
+            steps = slice(None)  # the views themselves, not gathered rows
+        elif steps.any():
+            pivot, target, size = pivot[steps], target[steps], size[steps]
+        else:
             continue
         phi, theta = np.angle(pivot), np.angle(target)
         omega = np.arctan2(np.hypot(pivot.real, pivot.imag), size)
-        s, c = np.sin(omega), np.cos(omega)
+        s, c = np.sin(omega)[:, None], np.cos(omega)[:, None]
         e_phi, e_theta = np.exp(-1j * phi)[:, None], np.exp(-1j * theta)[:, None]
-        top, bot = mat[cols], mat[rows]
-        mat[cols] = s[:, None] * e_phi * top + c[:, None] * e_theta * bot
-        mat[rows] = c[:, None] * e_phi * top - s[:, None] * e_theta * bot
-        angles[:, cols, rows] = omega, phi, theta
-        kept[cols, rows] = True
+        upper, lower = top[steps], bot[steps]
+        new_upper = s * e_phi * upper + c * e_theta * lower
+        bot[steps] = c * e_phi * upper - s * e_theta * lower
+        top[steps] = new_upper
+        angles[:, slots][:, steps] = omega, phi, theta
+        kept[slots][steps] = True
 
-    cols, rows = np.nonzero(kept)  # in (col, row) order
+    cols, rows = np.divmod(np.flatnonzero(kept), dim)  # in (col, row) order
     phases = np.angle(np.diag(mat))
     phases[np.abs(phases) < 1e-14] = 0.0
     return Interferometer(dim, np.stack([cols, rows], 1), angles[:, kept].T, phases)

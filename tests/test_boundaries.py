@@ -158,6 +158,9 @@ BAD_TEXTS = [
     ("MODES 1e3\n", "line 'MODES 1e3': modes must be whole numbers"),
     ("MODES 2\nPHASE 1 x\n", "line 'PHASE 1 x': modes must be whole numbers, phases real"),
     ("MODES 2\nBS 1e0 2 0.1 0 0\n", "layer modes must be whole numbers"),  # as MODES 1e3 is
+    # Six fields that are not a BS line, and a BS line with a trailing comment.
+    ("MODES 2\nbs 1 2 0.1 0 0\n", "unrecognized line: 'bs 1 2 0.1 0 0'"),
+    ("MODES 2\nBS 1 2 0.1 0 0 # c\n", "unrecognized line: 'BS 1 2 0.1 0 0 # c'"),
 ]
 # The calls that take a Priors, given one.
 PRIORS_TAKERS = {

@@ -301,6 +301,14 @@ def _reck_equivalence_targets():
     near_diagonal = two_mode_unitary(np.pi / 2 - 5e-15, 0.2, 0.0)
     yield np.kron(near_diagonal, random_unitary(3, rng))
     yield two_mode_unitary(0.6, 0.0, 0.0)
+    for dim in (24, 48):
+        yield random_unitary(dim, np.random.Generator(np.random.Philox(key=[7100 + dim, 3])))
+    # Exact zeros off three diagonal blocks: the wavefronts t >= 24, which start at
+    # column t - 23 > 0, keep their steps within a block and skip the others.
+    wide = np.zeros((24, 24), dtype=complex)
+    for lo, hi in ((0, 10), (10, 18), (18, 24)):
+        wide[lo:hi, lo:hi] = random_unitary(hi - lo, rng)
+    yield wide
 
 
 def test_reck_wavefronts_match_column_by_column_elimination():
@@ -310,9 +318,11 @@ def test_reck_wavefronts_match_column_by_column_elimination():
         assert reck_decompose(target).to_text() == expected
 
 
-def _unitary_layer_by_layer(net):
-    """Reference: one 2x2 block product per layer, last listed layer first."""
-    mat = np.diag(np.exp(1j * np.asarray(net.phases)))
+def _unitary_layer_by_layer(net, states=None):
+    """Reference: one 2x2 block product per layer, last listed layer first, on
+    the identity or on the columns of `states`."""
+    phased = np.exp(1j * np.asarray(net.phases))
+    mat = np.diag(phased) if states is None else phased[:, None] * states
     for rows, (omega, phi, theta) in reversed(list(zip(net.modes.tolist(),
                                                        net.angles.tolist()))):
         s, c = np.sin(omega), np.cos(omega)
@@ -339,9 +349,12 @@ def _any_order_networks():
         phases = tuple(rng.uniform(-7, 7, modes) * (rng.random(modes) < 0.7))
         nets.append(Interferometer(modes, pairs, angles, phases))
     nets += [discriminator_network(omega1) for omega1 in (0.0, 0.3, omega1_from_x(2.0), 1.5)]
-    for n in (2, 3, 9, 17):
+    for n in (2, 3, 9, 17, 96):  # every depth of a cascade holds one layer
         amps = rng.normal(size=n) + 1j * rng.normal(size=n)
         nets.append(prepare_state_network(amps / np.linalg.norm(amps), n))
+    nets += [reck_decompose(random_unitary(dim, rng)) for dim in (24, 48)]
+    # Depths of one layer on a reversed pair (a > b), before and after a forward one.
+    nets.append(Interferometer(5, [(4, 1), (1, 3), (3, 0)], rng.uniform(-7, 7, (3, 3))))
     return nets
 
 
@@ -357,6 +370,17 @@ def _apply_test_networks():
 def test_apply_to_the_identity_is_the_unitary():
     for net in _apply_test_networks():
         assert np.array_equal(net.apply(np.eye(net.num_modes)), net.unitary())
+
+
+def test_apply_to_columns_matches_layer_by_layer():
+    # numpy's matmul rounds a single column read through a view with a negative
+    # row stride differently, so a depth of one reversed pair is not viewed.
+    rng = np.random.Generator(np.random.Philox(key=75))
+    for net in _apply_test_networks():
+        for columns in (1, 3):
+            states = rng.normal(size=(net.num_modes, columns)) + 1j * rng.normal(
+                size=(net.num_modes, columns))
+            assert np.array_equal(net.apply(states), _unitary_layer_by_layer(net, states))
 
 
 def test_apply_to_states_matches_the_unitary_product():
