@@ -387,9 +387,9 @@ REFUSALS = [
     *rows("test_priors_validation", DomainError, r"eta1 must lie in \[0.0, 1.0\]",
           *each(povm.Priors, -0.1, 1.1, np.nan, np.inf, -np.inf)),
     *rows("test_clamp_probability", ContractError, "is not a probability",
-          *each(povm.clamp_probability, 1.1, np.nan, -np.inf)),
+          *each(povm.clamp_probability, 1.0005, np.nan, -np.inf)),
     *rows("test_clamp_probability_arrays", ContractError, "are not all probabilities",
-          *each(lambda bad: povm.clamp_probability(np.array([0.5, bad])), 1.1, np.nan)),
+          *each(lambda bad: povm.clamp_probability(np.array([0.5, bad])), 1.0005, np.nan)),
     *rows("test_success_curve_values", DomainError, "x must lie in",
           *each(lambda x: povm.success_curve_x(x, PRIORS), 0.5, 4.5)),
     *rows("test_pure_success_examples", ContractError, "states must be",
@@ -414,7 +414,7 @@ REFUSALS = [
     *rows("Priors.from_eta1-outside-0-1", DomainError, r"eta1 must lie in \[0.0, 1.0\]",
           *each(povm.Priors.from_eta1, -0.1, 1.5, np.inf)),
     *rows("test_optimal_pure_examples", DomainError, "overlap_sq must lie in",
-          lambda: povm.optimal_pure(1.5, PRIORS)),
+          lambda: povm.optimal_pure(1.0005, PRIORS)),
     *rows("test_omega2_constraint_values", DomainError, "omega1 must lie in",
           lambda: povm.omega2_constraint(-0.1)),
     *rows(f"{NON_NUMERIC}-check_omega1-None", DomainError, "omega1 must be a real number",

@@ -145,32 +145,10 @@ def test_symmetric_basis_3_orthonormal_and_permutation_invariant(n):
         np.testing.assert_allclose(basis @ op.T, basis, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_symmetric_projector_properties(n):
-    proj = symmetric_projector(n)
-    assert abs(np.trace(proj).real - n * (n + 1) / 2) < 1e-10
-    np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
-    np.testing.assert_allclose(proj, proj.conj().T, atol=1e-12)
-
-    # Independent construction: (I + SWAP)/2 with SWAP from index permutation.
-    swap = _permutation_operator_loop((1, 0), n).real
-    np.testing.assert_allclose(proj, (np.eye(n * n) + swap) / 2, atol=1e-10)
-    np.testing.assert_allclose(proj @ swap, swap @ proj, atol=1e-12)
-
-
 def test_symmetric_projector_three_factors():
     proj = projector_from_rows(symmetric_basis_3(3))
     assert abs(np.trace(proj).real - 10) < 1e-10
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_mean_density_operators_are_states(n):
-    rho1, rho2 = mean_density_operators(n)
-    for rho in (rho1, rho2):
-        assert abs(np.trace(rho).real - 1.0) < 1e-12
-        np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
-        assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -360,6 +338,10 @@ PAIRS_20 = state_stacks(20, 200, 20)  # 200 pairs at n = 20
     pytest.param(lambda: harness.overlap_identity_check(*PAIRS_20, 20),
                  id="overlap_identity_check"),
     pytest.param(lambda: symmetric_projector(30), id="symmetric_projector"),
+    pytest.param(lambda: (spaces._label_blocks.cache_clear(), label_blocks(40)),
+                 id="label_blocks"),  # built afresh, not read from the cache
+    pytest.param(lambda: mean_density_operators(5), id="mean_density_operators"),
+    pytest.param(lambda: povm.total_povm(5, 0.6), id="total_povm"),
     pytest.param(lambda: optics.Interferometer.from_text("MODES 4096\n"), id="from_text"),
 ])
 def test_each_size_estimate_covers_its_peak_and_pins_its_limit(monkeypatch, call):
