@@ -27,7 +27,7 @@ from qudisc.harness import (
 from qudisc.optics import Interferometer, simulate_clicks, simulate_discriminator
 from qudisc.jordan import build_gh_bases
 from qudisc.kinds import CASE_DISTINCT_PRIMED, CASE_LOW
-from qudisc.povm import Priors, average_success, total_povm
+from qudisc.povm import Priors, average_success, omega1_from_x, total_povm
 from qudisc.spaces import mean_density_operators
 from shared import PeakMemory, never
 from test_check_list import GLOBAL_CHECKS, PER_N_CHECKS
@@ -90,6 +90,12 @@ def test_empirical_mean_density_single_trial():
     rho = empirical_mean_density(2, 1, trials=1, seed=3)
     assert abs(np.trace(rho).real - 1.0) < 1e-12
     assert np.linalg.matrix_rank(rho, tol=1e-10) == 1
+
+
+def test_empirical_mean_density_converges_n2():
+    rho = empirical_mean_density(2, 1, trials=20_000, seed=17)
+    rho1, _ = mean_density_operators(2)
+    assert np.abs(rho - rho1).max() < 0.01
 
 
 def test_empirical_mean_density_trace_distance_n3():
@@ -181,10 +187,50 @@ def test_overlap_identity_equal_pair():
     assert sum_h < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_overlap_identity_random_pairs(n):
+    rng = np.random.Generator(np.random.Philox(key=33))
+    worst = 0.0
+    for _ in range(100):
+        z = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        sum_g, sum_h, closed_form = overlap_identity_check(z[0], z[1], n)
+        worst = max(worst, abs(sum_g - closed_form), abs(sum_h - closed_form))
+    assert worst < 1e-10
+
+
+def test_mc_success_matches_analytic():
+    priors = Priors.from_eta1(0.5)
+    omega1 = omega1_from_x(2.0)
+    est = mc_success(2, omega1, priors, trials=10_000, seed=8)
+    target = average_success(2, omega1, priors)
+    assert abs(target - 1 / 6) < 1e-12
+    assert abs(est.mean - target) < 3 * est.stderr
+    assert isinstance(est, McEstimate)
+
+
 def test_mc_success_degenerate_case_is_exact():
     est = mc_success(2, 0.0, Priors.from_eta1(1.0), trials=200, seed=1)
     assert est.mean == 0.0
     assert est.stderr == 0.0
+
+
+def test_mc_success_high_dimension():
+    priors = Priors.from_eta1(0.5)
+    omega1 = omega1_from_x(2.0)
+    est = mc_success(5, omega1, priors, trials=5_000, seed=9)
+    assert abs(est.mean - average_success(5, omega1, priors)) < 3 * est.stderr
+
+
+def test_mc_success_coverage_over_seeds():
+    priors = Priors.from_eta1(0.4)
+    omega1 = 0.9
+    target = average_success(3, omega1, priors)
+    hits = 0
+    for seed in range(20):
+        est = mc_success(3, omega1, priors, trials=2_000, seed=seed)
+        hits += abs(est.mean - target) <= 3 * est.stderr
+    assert hits >= 18
 
 
 def _kolmogorov_pvalue(lam):
@@ -903,7 +949,6 @@ MC_REFERENCE = [
 @pytest.mark.parametrize("n,eta1,omega1,trials,seed,mean,stderr", MC_REFERENCE)
 def test_mc_success_values_are_pinned_bit_for_bit(n, eta1, omega1, trials, seed, mean, stderr):
     est = mc_success(n, omega1, Priors.from_eta1(eta1), trials, seed)
-    assert isinstance(est, McEstimate)
     assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
 
 

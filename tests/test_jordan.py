@@ -7,8 +7,17 @@ from qudisc import jordan, kinds
 from qudisc.errors import DomainError
 from qudisc.jordan import build_gh_bases, jordan_angles
 from qudisc.kinds import CASE_DISTINCT, CASE_DISTINCT_PRIMED, reciprocal_rows
-from qudisc.spaces import dimension_table, label_blocks, projector_from_rows
-from references import g_rows_by_formula, ket, symmetric_basis_3
+from qudisc.spaces import (
+    dimension_table,
+    label_blocks,
+    mean_density_operators,
+    mean_density_weight,
+    permute_registers,
+    projector_from_rows,
+)
+from references import (
+    diagonal_blocks, g_rows_by_formula, ket, s1_rows_by_kron, symmetric_basis_3,
+)
 from shared import PeakMemory, never
 
 
@@ -89,6 +98,19 @@ def test_h_family_is_the_case_formulas(n):
     assert np.array_equal(build_gh_bases(n)[1], _h_rows_by_formula(n))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_families_orthonormal_and_off_symmetric(n):
+    g, h = build_gh_bases(n)
+    i0 = dimension_table(n).i0
+    assert len(g) == len(h) == i0
+    for family in (g, h):
+        gram = family.conj() @ family.T
+        np.testing.assert_allclose(gram, np.eye(i0), atol=1e-12)
+        # Every row orthogonal to the fully symmetric subspace.
+        overlaps = family.conj() @ symmetric_basis_3(n).T
+        assert np.abs(overlaps).max() < 1e-12
+
+
 def test_primed_ordering_for_distinct_triples():
     # The two rows on the V_t of (1, 2, 3) are the {a,b,c} kind's unprimed row,
     # then its primed row, over the V_t's kets in ascending flat order.
@@ -100,6 +122,7 @@ def test_primed_ordering_for_distinct_triples():
         (1, 2, 3))
     cases = [kind.cases.index(case) for case in (CASE_DISTINCT, CASE_DISTINCT_PRIMED)]
     assert np.array_equal(g[np.ix_(rows, cols)], kind.g[cases])
+
 
 
 def test_jordan_angles_identical_family():
@@ -125,6 +148,32 @@ def density_from_jordan(n):
     weight = 2.0 / (n**2 * (n + 1))
     p0 = projector_from_rows(symmetric_basis_3(n))
     return tuple(weight * (p0 + projector_from_rows(rows)) for rows in build_gh_bases(n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_density_from_jordan_matches_direct(n):
+    rho1_j, rho2_j = density_from_jordan(n)
+    rho1, rho2 = mean_density_operators(n)
+    assert np.abs(rho1_j - rho1).max() < 1e-12
+    assert np.abs(rho2_j - rho2).max() < 1e-12
+    # The kind blocks the verification suite reads are those of the rebuilt states.
+    weight = mean_density_weight(n)
+    for rebuilt, entry in zip((rho1_j, rho2_j), ("rho1", "rho2")):
+        diagonal, off = diagonal_blocks(rebuilt, n)
+        assert off < 1e-12
+        assert max(np.abs(d - weight * getattr(kind, entry)).max(initial=0.0)
+                   for d, kind in zip(diagonal, kinds.kind_table())) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_g_family_completes_s1(n):
+    g, h = build_gh_bases(n)
+    p0 = projector_from_rows(symmetric_basis_3(n))
+    s1 = s1_rows_by_kron(n)
+    p_s1 = projector_from_rows(s1)
+    p_s2 = projector_from_rows(permute_registers(s1, (2, 1, 0), n))  # A and C exchanged
+    assert np.abs(p0 + projector_from_rows(g) - p_s1).max() < 1e-10
+    assert np.abs(p0 + projector_from_rows(h) - p_s2).max() < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3])

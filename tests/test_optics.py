@@ -6,6 +6,7 @@ import pytest
 
 from qudisc import optics, spaces
 from qudisc.errors import DomainError
+from qudisc.jordan import build_gh_bases
 from qudisc.optics import (
     Interferometer,
     analytic_discriminator_probabilities,
@@ -18,7 +19,7 @@ from qudisc.optics import (
     simulate_discriminator,
     two_mode_unitary,
 )
-from qudisc.povm import Priors, omega1_from_x, omega2_constraint
+from qudisc.povm import Priors, omega1_from_x, omega2_constraint, total_povm
 from references import cascade_by_residual
 from shared import PeakMemory, never
 
@@ -155,6 +156,17 @@ def test_discriminator_failure_probs_at_x2():
     assert probs_g[1] < 1e-24
 
 
+def test_discriminator_matches_povm_born_rule():
+    g, h = (family[0] for family in build_gh_bases(2))
+    for omega1 in np.linspace(0.0, np.pi / 2, 20):
+        net = discriminator_network(omega1)
+        ops = total_povm(2, omega1)
+        for which, state in (("g", g), ("h", h)):
+            probs = output_distribution(net, discriminator_port_state(which))
+            expected = [np.vdot(state, op @ state).real for op in ops]
+            np.testing.assert_allclose(probs, expected, atol=1e-12)
+
+
 def test_reck_identity_is_empty():
     net = reck_decompose(np.eye(4))
     assert len(net.modes) == 0
@@ -168,6 +180,22 @@ def test_reck_single_block_roundtrip():
     assert len(net.modes) == 1
     assert abs(net.angles[0, 0] - 0.6) < 1e-12
     np.testing.assert_allclose(net.unitary(), block, atol=1e-12)
+
+
+def test_reck_random_4x4_seed42():
+    rng = np.random.Generator(np.random.Philox(key=42))
+    target = random_unitary(4, rng)
+    net = reck_decompose(target)
+    assert np.abs(net.unitary() - target).max() < 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
+def test_reck_roundtrip_and_layer_bound(dim):
+    rng = np.random.Generator(np.random.Philox(key=100 + dim))
+    target = random_unitary(dim, rng)
+    net = reck_decompose(target)
+    assert len(net.modes) <= dim * (dim - 1) // 2
+    assert np.abs(net.unitary() - target).max() < 1e-10
 
 
 def test_serialization_roundtrip():
@@ -185,7 +213,6 @@ def test_reck_and_text_round_trips_on_haar_unitaries(dim):
     for seed in range(5):
         target = random_unitary(dim, np.random.Generator(np.random.Philox(key=[dim, seed])))
         net = reck_decompose(target)
-        assert len(net.modes) <= dim * (dim - 1) // 2
         assert np.abs(net.unitary() - target).max() < 1e-10
         assert Interferometer.from_text(net.to_text()) == net
 
@@ -441,6 +468,16 @@ def test_simulate_clicks_balanced_splitter():
     sigma = np.sqrt(0.25 / shots)
     assert abs(counts["m1"] / shots - 0.5) < 5 * sigma
     assert counts["m1"] + counts["m2"] == shots
+
+
+def test_simulate_clicks_discriminator_d1_rate():
+    omega1 = omega1_from_x(2.0)
+    net = discriminator_network(omega1)
+    shots = 100_000
+    counts = simulate_clicks(net, discriminator_port_state("g"), shots=shots, seed=2)
+    sigma = np.sqrt(0.25 / shots)
+    assert abs(counts["m1"] / shots - 0.5) < 5 * sigma  # D1
+    assert counts["m2"] == 0  # D2
 
 
 def test_simulate_clicks_tallies_are_one_seeded_multinomial():

@@ -22,6 +22,7 @@ from qudisc.povm import (
     pure_success_expectation,
     success_curve_x,
     total_povm,
+    x_from_omega1,
 )
 from qudisc.spaces import label_blocks, mean_density_operators, product_blocks
 from references import diagonal_blocks
@@ -32,6 +33,15 @@ from test_boundaries import PRIORS_TAKERS
 def haar_state(n, rng):
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
     return z / np.linalg.norm(z)
+
+
+def scan_maximum(priors, step=1e-6):
+    """Brute-force grid scan of the per-subspace success curve."""
+    xs = np.arange(1.0, 4.0 + step, step)
+    xs = xs[xs <= 4.0]
+    values = 1.0 - priors.eta1 * xs / 4.0 - priors.eta2 / xs
+    top = int(np.argmax(values))
+    return values[top], xs[top]
 
 
 def test_priors_validation():
@@ -97,6 +107,17 @@ def test_block_povm_matrix_elements_x2():
     assert np.linalg.norm(pi2 @ G_FRAME) < 1e-12
 
 
+def test_block_povm_valid_on_grid():
+    g, h = build_gh_bases(3)
+    frame = np.vstack([reciprocal_rows(g, h)[0][4], h[4]])  # one block of total_povm(3, .)
+    for omega1 in np.linspace(0.0, np.pi / 2, 25):
+        blocks = block_povm(omega1)
+        np.testing.assert_allclose(blocks.sum(axis=0), np.eye(2), atol=1e-10)
+        assert np.linalg.eigvalsh(blocks).min() > -1e-10
+        lifted = [frame.conj() @ op @ frame.T for op in total_povm(3, omega1)]
+        np.testing.assert_allclose(lifted, blocks, atol=1e-12)
+
+
 def test_total_povm_results_are_independent_copies():
     first = total_povm(3, 0.7)
     expected = first.copy()
@@ -125,6 +146,17 @@ def test_success_curve_values():
     assert abs(success_curve_x(4.0, half) - 0.375) < 1e-15
     assert abs(success_curve_x(1.0, half) - 0.375) < 1e-15
     assert abs(success_curve_x(2.0, half) - 0.5) < 1e-15
+
+
+def test_success_curve_substitution_identity():
+    priors = Priors.from_eta1(0.37)
+    for omega1 in np.linspace(0.0, np.pi / 2, 11):
+        x = x_from_omega1(omega1)
+        direct = (
+            0.75 * priors.eta1 * np.sin(omega1) ** 2
+            + 3.0 * priors.eta2 * np.cos(omega1) ** 2 / (1 + 3 * np.cos(omega1) ** 2)
+        )
+        assert abs(success_curve_x(x, priors) - direct) < 1e-12
 
 
 def test_optimal_subspace_examples():
@@ -160,11 +192,50 @@ def test_optimal_subspace_boundary_continuity():
     assert abs(optimal_subspace(Priors.from_eta1(0.2)).value - 0.6) < 1e-12
 
 
+def test_optimal_subspace_against_grid_scan():
+    # The windowed scan finds the full 1e-6 grid maximum and its index exactly
+    # (test_windowed_regime_scan_is_the_full_grid_maximum).
+    xs = np.arange(1.0, 4.0 + 1e-6, 1e-6)
+    xs = xs[xs <= 4.0]
+    for eta1 in np.linspace(0.01, 0.99, 99):
+        priors = Priors.from_eta1(float(eta1))
+        best, top = harness._grid_max(priors)
+        x_best = xs[top]
+        result = optimal_subspace(priors)
+        assert abs(result.value - best) < 1e-6
+        assert abs(result.x_star - x_best) < 2e-6
+
+
+def test_middle_value_is_not_the_doubled_root_form():
+    # The interior optimum is 1 - sqrt(eta1 eta2); the variant with a factor
+    # of 2 in front of the square root does not match a brute-force scan.
+    priors = Priors.from_eta1(0.5)
+    best, _ = scan_maximum(priors)
+    alt = 1.0 - 2.0 * np.sqrt(priors.eta1 * priors.eta2)
+    assert abs(alt - best) > 0.4
+    assert abs((1.0 - np.sqrt(priors.eta1 * priors.eta2)) - best) < 1e-6
+
+
 def test_average_success_examples():
     priors = Priors.from_eta1(0.5)
     omega1 = omega1_from_x(2.0)
     assert abs(average_success(2, omega1, priors) - 1 / 6) < 1e-12
     assert average_success(3, 0.0, Priors.from_eta1(1.0)) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_average_success_matches_trace(n):
+    priors = Priors.from_eta1(0.3)
+    grid = np.linspace(0.0, np.pi / 2, 9)
+    for omega1 in grid:
+        closed = average_success(n, omega1, priors)
+        traced = average_success_trace(n, omega1, priors)
+        assert abs(closed - traced) < 1e-10
+    # An array of angles gives one value per angle, as the angles one at a time.
+    stacked = average_success_trace(n, grid, priors)
+    assert stacked.shape == grid.shape
+    np.testing.assert_allclose(stacked, [average_success_trace(n, w, priors) for w in grid],
+                               rtol=0, atol=1e-15)
 
 
 def test_optimal_average_examples():
@@ -173,6 +244,18 @@ def test_optimal_average_examples():
     low = optimal_average(2, Priors.from_eta1(0.1))
     assert abs(low.value - 0.225) < 1e-12
     assert low.regime == "low"
+
+
+def test_optimal_average_against_grid_scan():
+    omegas = np.linspace(0.0, np.pi / 2, 200001)
+    s2, c2 = np.sin(omegas) ** 2, np.cos(omegas) ** 2
+    for n in (2, 3):
+        for eta1 in np.linspace(0.05, 0.95, 19):
+            priors = Priors.from_eta1(float(eta1))
+            values = (n - 1) * priors.eta1 * s2 / (2 * n) + (
+                2 * (n - 1) * priors.eta2 * c2 / (n * (1 + 3 * c2))
+            )
+            assert abs(optimal_average(n, priors).value - values.max()) < 1e-6
 
 
 def test_pure_success_examples():
@@ -185,21 +268,30 @@ def test_pure_success_examples():
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_pure_success_matches_expectation(n):
+    rng = np.random.Generator(np.random.Philox(key=21))
+    priors = Priors.from_eta1(0.35)
+    for omega1 in (0.2, omega1_from_x(2.0), 1.4):
+        for _ in range(10):
+            psi1, psi2 = haar_state(n, rng), haar_state(n, rng)
+            closed = pure_success(psi1, psi2, omega1, priors, n)
+            operator = pure_success_expectation(psi1, psi2, omega1, priors, n)
+            assert abs(closed - operator) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_cross_checks_match_dense_total_povm(n):
     """Both cross-checks equal their evaluation on dense total_povm operators."""
     rng = np.random.Generator(np.random.Philox(key=[37, n]))
     priors = Priors.from_eta1(0.4)
     rho1, rho2 = mean_density_operators(n)
-    angles = (0.0, 0.3, omega1_from_x(2.0), 1.1, np.pi / 2)
-    stacked = average_success_trace(n, angles, priors)  # one value per angle, as one at a time
-    for omega1, value in zip(angles, stacked, strict=True):
+    for omega1 in (0.0, 0.3, omega1_from_x(2.0), 1.1, np.pi / 2):
         pi1, pi2, _ = total_povm(n, omega1)
         dense = clamp_probability(
             priors.eta1 * np.trace(pi1 @ rho1).real
             + priors.eta2 * np.trace(pi2 @ rho2).real
         )
         assert abs(average_success_trace(n, omega1, priors) - dense) < 1e-14
-        assert abs(value - average_success_trace(n, omega1, priors)) <= 1e-15
         for _ in range(5):
             psi1, psi2 = haar_state(n, rng), haar_state(n, rng)
             big1, big2 = (np.kron(np.kron(psi1, middle), psi2) for middle in (psi1, psi2))
@@ -237,20 +329,15 @@ def test_total_povm_blocks_are_the_dense_diagonal_blocks(n):
     # Each kind's block is, on every V_t of that kind, bit for bit a P_g_perp +
     # b P_h_perp with the projectors of the dense g_perp and h_perp families;
     # total_povm, built from the register permutations, is within 1e-15 of it and
-    # exactly 0 off the V_t blocks, and in one pair's (g_perp, h) frame it is block_povm.
+    # exactly 0 off the V_t blocks.
     grid = np.linspace(0.0, np.pi / 2, 50)
     povms = povm_module.kind_povms(grid)
     groups = label_blocks(n).groups
     assert [p.shape for p in povms] == [(50, 3, cols.shape[1], cols.shape[1]) for cols in groups]
-    g, h = build_gh_bases(n)
-    g_perp, h_perp = reciprocal_rows(g, h)
-    proj_g, proj_h = g_perp.T @ g_perp, h_perp.T @ h_perp
-    frame = np.vstack([g_perp[-1], h[-1]])  # the last pair's Jordan block
+    proj_g, proj_h = (rows.T @ rows for rows in reciprocal_rows(*build_gh_bases(n)))
     for i in range(0, 50, 3):
         a, b = povm_module.detection_weights(grid[i])
         reference = (a * proj_g, b * proj_h, np.eye(n**3) - a * proj_g - b * proj_h)
-        lifted = [frame @ op @ frame.T for op in total_povm(n, grid[i])]
-        np.testing.assert_allclose(lifted, block_povm(grid[i]), rtol=0, atol=1e-12)
         for k, (op, ref) in enumerate(zip(total_povm(n, grid[i]), reference)):
             blocks, off = diagonal_blocks(ref, n)
             assert off == 0.0
@@ -329,6 +416,21 @@ def test_stacked_pairs_agree_with_per_pair_calls(n):
         assert stacked.shape == (30,), name
         assert all(isinstance(v, float) for v in singles), name
         assert np.abs(stacked - np.array(singles)).max() <= 1e-15, name
+
+
+def test_pure_success_dimension_independent():
+    priors = Priors.from_eta1(0.3)
+    omega1 = 0.8
+    # Use pairs with the same overlap in every dimension.
+    reference = None
+    for n in range(2, 6):
+        e = np.eye(n, dtype=complex)
+        psi1 = e[0]
+        psi2 = (e[0] + e[1]) / np.sqrt(2)  # squared overlap 1/2
+        ratio = pure_success(psi1, psi2, omega1, priors, n) / (1 - 0.5)
+        if reference is None:
+            reference = ratio
+        assert abs(ratio - reference) < 1e-10
 
 
 def test_optimal_pure_examples():

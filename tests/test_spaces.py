@@ -151,6 +151,15 @@ def test_symmetric_projector_three_factors():
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_mean_density_operators_are_states(n):
+    rho1, rho2 = mean_density_operators(n)
+    for rho in (rho1, rho2):
+        assert abs(np.trace(rho).real - 1.0) < 1e-12
+        np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
+        assert np.linalg.eigvalsh(rho).min() > -1e-12
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_mean_density_blocks_are_the_dense_diagonal_blocks(n):
     # The blocks are w (I + swap)/2, whose entries w/2 and w are exact; the dense
