@@ -80,8 +80,11 @@ def haar_state(n: int, seed: int) -> np.ndarray:
 def empirical_mean_density(n: int, which: int, trials: int, seed: int) -> np.ndarray:
     """Monte Carlo average of the projector onto the three-register input."""
     n, which = spaces.check_dimension(n), spaces.check_integer(which, 1, "which", 2)
-    # The complex n^3 x n^3 sum and product, and some five copies of a block's kets.
-    spaces.check_build_bytes(16 * (2 * n**6 + 5 * HAAR_BLOCK * n**3), "the sampled density")
+    # The complex n^3 x n^3 sum and product, some five copies of a block's kets,
+    # and two blocks' sampled states, as _haar_rows tells them: the next block is
+    # drawn while the last one's kets are held.  n <= 16 is admitted.
+    spaces.check_build_bytes(16 * (2 * n**6 + 5 * HAAR_BLOCK * n**3) + 2 * 96 * HAAR_BLOCK * n,
+                             "the sampled density")
     blocks = _haar_pair_blocks(n, trials, seed, 1)
     acc = np.zeros((n**3, n**3), dtype=complex)
     for psi1, psi2 in blocks:
@@ -223,26 +226,95 @@ def _lowest_eigenvalues(stack: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack)[..., 0]
 
 
-def _completeness_and_unambiguity(stacks, rhos) -> tuple[np.ndarray, np.ndarray]:
-    """Per angle, the largest |entry| of pi1 + pi2 + pi0 - I on the blocks and
-    the larger of |Tr(pi1 rho2)| and |Tr(pi2 rho1)|, summed over the blocks.
-
-    The operators come as one (K, 3, d, d) stack per kind, and rhos holds each
-    kind's (d, d) blocks of the two averaged inputs, the same on each of its V_t,
-    so the traces read only the blocks.
-    """
+def _wrong_traces(stacks, rhos) -> np.ndarray:
+    """Per angle, the larger of |Tr(pi1 rho2)| and |Tr(pi2 rho1)|, summed over the
+    blocks.  The operators come as one (K, 3, d, d) stack per kind, and rhos holds
+    each kind's (d, d) blocks of the two averaged inputs, the same on each of its
+    V_t, so the traces read only the blocks."""
     rho1, rho2 = rhos
-    complete = np.max([np.abs(s.sum(axis=1) - np.eye(s.shape[-1])).max(axis=(1, 2))
-                       for s in stacks], axis=0)
     wrong = [sum(np.einsum("kij,ji->k", s[:, k], r) for s, r in zip(stacks, rho))
              for k, rho in ((0, rho2), (1, rho1))]
-    return complete, np.maximum(np.abs(wrong[0]), np.abs(wrong[1]))
+    return np.maximum(np.abs(wrong[0]), np.abs(wrong[1]))
 
 
-def _checks_for_n(n: int, report: VerificationReport) -> None:
+# The angles at which the per-n suite reads every kind's detection operators.
+_GRID = np.linspace(0.0, np.pi / 2, 50)
+_GRID.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class _KindResult:
+    """The half of the per-n suite that reads one kind alone, the same at every n.
+
+    ranks are the kind's :func:`spaces.kind_ranks`, and sums its S1, S2 and S3
+    from its permutation matrices (:func:`kinds.symmetrizers`).  povms and built
+    are its :func:`povm.kind_povms` and the :func:`povm.permutation_povms` of its
+    sums on _GRID, (50, 3, d, d) each; distance is their Frobenius distance and
+    lowest the lowest eigenvalue of povms, (50, 3) each, per angle and operator.
+    The other fields are the kind's worst deviations in the check named beside
+    each; {a,a,a}, which has no g or h rows, reads 0 in the paired checks.
+    All arrays are read-only.
+    """
+
+    ranks: np.ndarray
+    sums: tuple[np.ndarray, np.ndarray, np.ndarray]
+    povms: np.ndarray
+    built: np.ndarray
+    distance: np.ndarray
+    lowest: np.ndarray
+    unit: float  # symmetric_bases_orthonormal: |<u|u> - 1| of its unit symmetric vector
+    expansions: float  # symmetric_vector_expansions: u3 over its S1 rows and its S2 rows
+    paired: float  # paired_basis_structure
+    off_symmetric: float  # paired_basis_off_symmetric
+    angles: float  # principal_angle_cosines
+    spans: float  # complement_spans
+    h_perp_gap: float  # povm_positive: h_perp against g_perp/2 + (sqrt(3)/2) h
+    projector_gap: float  # povm_positive: S3 - S2 and S3 - S1 against P_g_perp and P_h_perp
+    complete: float  # povm_complete: pi1 + pi2 + pi0 - I of povms and of built
+
+
+def _kind_result(kind: kinds.Kind, sums, ops: np.ndarray, built: np.ndarray) -> _KindResult:
+    s1, s2, s3 = sums
+    unit = np.full(kind.d, 1.0 / np.sqrt(kind.d))
+    pairs = ((kind.g, kind.g, 1.0), (kind.h, kind.h, 1.0), (kind.g, kind.h, -0.5))
+    result = _KindResult(
+        ranks=np.array(spaces.kind_ranks(kind)), sums=(s1, s2, s3), povms=ops, built=built,
+        distance=np.sqrt(((ops - built) ** 2).sum(axis=(2, 3))), lowest=_lowest_eigenvalues(ops),
+        unit=abs(unit @ unit - 1),
+        expansions=_worst(*(np.linalg.norm(kind.u3 @ rows - unit)
+                            for rows in (kind.s1_rows, kind.s2_rows))),
+        paired=_worst(*(np.abs(a @ b.T - overlap * np.eye(len(a))).max(initial=0.0)
+                        for a, b, overlap in pairs)),
+        off_symmetric=_worst(*(np.abs(rows @ np.full(kind.d, kind.d**-0.5)).max(initial=0.0)
+                               for rows in (kind.g, kind.h))),
+        angles=_or_inf(lambda: np.abs(jordan_angles(kind.g, kind.h) - 0.5).max(initial=0.0)),
+        spans=_worst(*(np.abs(kind.p0 + family - span).max()
+                       for family, span in ((kind.p_g, kind.s1), (kind.p_h, kind.s2)))),
+        h_perp_gap=np.abs(kind.h_perp - (0.5 * kind.g_perp + np.sqrt(3.0) / 2.0 * kind.h))
+        .max(initial=0.0),
+        projector_gap=_worst(*(np.linalg.norm(copy - proj) for copy, proj
+                               in ((s3 - s2, kind.p_g_perp), (s3 - s1, kind.p_h_perp)))),
+        complete=_worst(*(np.abs(s.sum(axis=1) - np.eye(kind.d)).max() for s in (ops, built))))
+    for array in (result.ranks, *sums, ops, built, result.distance, result.lowest):
+        array.setflags(write=False)
+    return result
+
+
+def _kind_results() -> tuple[_KindResult, ...]:
+    """One :class:`_KindResult` per kind of :func:`kinds.kind_table` as it is now."""
+    table = kinds.kind_table()
+    sums = [kinds.symmetrizers(kind.perms) for kind in table]
+    return tuple(map(_kind_result, table, sums, povm.kind_povms(_GRID),
+                     povm.permutation_povms(sums, _GRID)))
+
+
+def _checks_for_n(n: int, report: VerificationReport, kind_results) -> None:
+    """The checks at qudit dimension n.  Whatever reads one kind alone comes from
+    kind_results (:func:`_kind_results`), reduced over the kinds present at n;
+    what depends on n, through w, the counts or the V_t, is computed here."""
     scope = f"n={n}"
     table = spaces.dimension_table(n)
-    constructive = spaces.constructive_dimension_table(n)
+    constructive = spaces.constructive_dimension_table(n, [r.ranks for r in kind_results])
     counts = spaces.kind_counts(n)  # closed form, against the V_t that label_blocks counts
     vts = spaces.label_blocks(n)
     dev = _worst(*(abs(a - b) for a, b in zip(astuple(table), astuple(constructive))),
@@ -250,13 +322,19 @@ def _checks_for_n(n: int, report: VerificationReport) -> None:
     report.add("dimension_formulas", scope, dev, 0,
                "closed-form subspace dimensions equal constructive SVD ranks")
 
+    # Each kind present at n, with its results.  Operators built alike on every
+    # V_t are read once per kind present, and a sum over the V_t counts each
+    # kind's term once per V_t of that kind.
+    present = [(count, kind, result) for count, kind, result
+               in zip(counts, kinds.kind_table(), kind_results) if count]
+    results = [result for *_, result in present]
+
     # The three-fold symmetric basis has one row per V_t, its kind's unit vector
     # spread over it, so the groups must cover each ket once.
     sym2 = spaces.symmetric_basis_2(n)
-    units = [np.full(kind.d, 1.0 / np.sqrt(kind.d)) for kind in kinds.kind_table()]
     covered = np.bincount(np.concatenate([cols.ravel() for cols in vts.groups]), minlength=n**3)
     dev = _worst(np.abs(sym2 @ sym2.T - np.eye(len(sym2))).max(), np.abs(covered - 1).max(),
-                 *(abs(unit @ unit - 1) for count, unit in zip(counts, units) if count))
+                 *(r.unit for r in results))
     report.add("symmetric_bases_orthonormal", scope, dev, TIGHT,
                "two- and three-fold symmetric bases have identity Gram matrices")
 
@@ -279,18 +357,13 @@ def _checks_for_n(n: int, report: VerificationReport) -> None:
     report.add("threefold_permutation_invariance", scope, dev, TIGHT,
                "three-fold symmetric vectors are fixed by all register permutations")
 
-    # Operators built alike on every V_t are read once per kind present at n,
-    # and a sum over the V_t counts each kind's term once per V_t of that kind.
     # The averaged inputs are w times the kinds' rho1 and rho2.  By Schur-Weyl
     # duality they and the detection operators are sums of the six permutations,
     # so each kind's S1, S2 and S3 from its permutation matrices must equal its
     # blocks built from the paper's rows; by the glue check these are the V_t
     # blocks of the sums on the whole space.  A Frobenius distance between two
     # copies joins the negativity of the one checked (Weyl, ||.||_2 <= ||.||_F).
-    grid, weight = np.linspace(0.0, np.pi / 2, 50), spaces.mean_density_weight(n)
-    present = [(count, kind, ops) for count, kind, ops
-               in zip(counts, kinds.kind_table(), povm.kind_povms(grid)) if count]
-    sums = [kinds.symmetrizers(kind.perms) for _, kind, _ in present]
+    weight = spaces.mean_density_weight(n)
     dev = 0.0
     for index, entry, span in ((0, "rho1", "s1"), (1, "rho2", "s2")):
         blocks = [weight * getattr(kind, entry) for _, kind, _ in present]
@@ -298,46 +371,33 @@ def _checks_for_n(n: int, report: VerificationReport) -> None:
         trace = sum(count * np.trace(block) for (count, *_), block in zip(present, blocks))
         # w S1 (w S2) from the permutations, and from the product-basis rows.
         copies = _worst(*(np.linalg.norm(block - weight * copy)
-                          for block, (_, kind, _), s in zip(blocks, present, sums)
-                          for copy in (s[index], getattr(kind, span))))
+                          for block, (_, kind, result) in zip(blocks, present)
+                          for copy in (result.sums[index], getattr(kind, span))))
         dev = _worst(dev, abs(trace - 1), np.maximum(0.0, -lowest), copies)
     report.add("mean_densities_are_states", scope, dev, TIGHT,
                "averaged inputs are unit-trace positive operators")
 
     # Per kind present, u3 over its S1 rows and over its S2 rows gives its unit
     # symmetric vector, as wide as each V_t of its group.
-    dev = _worst(*(np.linalg.norm(kind.u3 @ rows - unit)
-                   for count, kind, unit in zip(counts, kinds.kind_table(), units) if count
-                   for rows in (kind.s1_rows, kind.s2_rows)),
-                 *(abs(cols.shape[1] - unit.size) for cols, unit in zip(vts.groups, units)))
+    widths = (abs(cols.shape[1] - kind.d) for cols, kind in zip(vts.groups, kinds.kind_table()))
+    dev = _worst(*(r.expansions for r in results), *widths)
     report.add("symmetric_vector_expansions", scope, dev, TIGHT,
                "product-basis expansions reconstruct the symmetric vectors")
 
-    paired = [kind for _, kind, _ in present if kind.cases]  # {a,a,a} has no g or h rows
-    dev = _worst(*(np.abs(a @ b.T - overlap * np.eye(len(a))).max() for k in paired
-                   for a, b, overlap in ((k.g, k.g, 1.0), (k.h, k.h, 1.0), (k.g, k.h, -0.5))))
-    report.add("paired_basis_structure", scope, dev, TIGHT,
+    report.add("paired_basis_structure", scope, _worst(*(r.paired for r in results)), TIGHT,
                "g/h families orthonormal with diagonal cross overlap -1/2")
-
-    dev = _worst(*(np.abs(rows @ np.full(k.d, k.d**-0.5)).max()  # the unit symmetric vector
-                   for k in paired for rows in (k.g, k.h)))
-    report.add("paired_basis_off_symmetric", scope, dev, TIGHT,
-               "g/h vectors are orthogonal to the fully symmetric subspace")
-
-    dev = _worst(*(_or_inf(lambda: np.abs(jordan_angles(k.g, k.h) - 0.5).max()) for k in paired))
-    report.add("principal_angle_cosines", scope, dev, TIGHT,
+    report.add("paired_basis_off_symmetric", scope, _worst(*(r.off_symmetric for r in results)),
+               TIGHT, "g/h vectors are orthogonal to the fully symmetric subspace")
+    report.add("principal_angle_cosines", scope, _worst(*(r.angles for r in results)), TIGHT,
                "all principal-angle cosines between the families equal 1/2")
 
     # Per kind: rho_1 = w (P_0 + P_g), rho_2 = w (P_0 + P_h), S1 = P_0 + P_g, S2 = P_0 + P_h.
     dev_density = _worst(*(np.abs(weight * (kind.p0 + family) - weight * rho).max()
                            for _, kind, _ in present
                            for family, rho in ((kind.p_g, kind.rho1), (kind.p_h, kind.rho2))))
-    dev_spans = _worst(*(np.abs(kind.p0 + family - span).max()
-                         for _, kind, _ in present
-                         for family, span in ((kind.p_g, kind.s1), (kind.p_h, kind.s2))))
     report.add("density_decomposition", scope, dev_density, TIGHT,
                "paired-basis decomposition rebuilds the averaged inputs")
-    report.add("complement_spans", scope, dev_spans, OP,
+    report.add("complement_spans", scope, _worst(*(r.spans for r in results)), OP,
                "g (resp. h) dyads complete the symmetric projector to S1 (resp. S2)")
 
     # One eigensolve per kind gives the exact lambda_min of its pi1, pi2 and pi0 at
@@ -345,24 +405,17 @@ def _checks_for_n(n: int, report: VerificationReport) -> None:
     # S3 - S2 and S3 - S1 must be its P_g_perp and P_h_perp, and its permutation_povms
     # its blocks at every angle: the distance, the largest over the kinds, joins each
     # operator's negativity, and their completeness and traces join the other two checks.
-    h_perp_gap = _worst(*(
-        np.abs(kind.h_perp - (0.5 * kind.g_perp + np.sqrt(3.0) / 2.0 * kind.h)).max(initial=0.0)
-        for _, kind, _ in present))
-    projector_gap = _worst(*(np.linalg.norm(copy - proj)
-                             for (_, kind, _), (s1, s2, s3) in zip(present, sums)
-                             for copy, proj in ((s3 - s2, kind.p_g_perp), (s3 - s1, kind.p_h_perp))))
-    built = povm.permutation_povms(sums, grid)  # per kind present, as kind_povms gives them
-    distance = np.max([np.sqrt(((ops - copy) ** 2).sum(axis=(2, 3)))
-                       for (*_, ops), copy in zip(present, built)], axis=0)
-    negativity = np.maximum(0.0, -np.min([_lowest_eigenvalues(ops) for *_, ops in present], axis=0))
+    distance = np.max([r.distance for r in results], axis=0)
+    negativity = np.maximum(0.0, -np.min([r.lowest for r in results], axis=0))
     rhos = [[count * weight * getattr(kind, entry) for count, kind, _ in present]
             for entry in ("rho1", "rho2")]
-    complete, unambiguous = np.max([_completeness_and_unambiguity(stacks, rhos)
-                                    for stacks in ([ops for *_, ops in present], built)], axis=0)
-    dev = _worst(h_perp_gap, projector_gap, (negativity + distance).max())
+    unambiguous = np.max([_wrong_traces([getattr(r, copy) for r in results], rhos)
+                          for copy in ("povms", "built")], axis=0)
+    dev = _worst(*(r.h_perp_gap for r in results), *(r.projector_gap for r in results),
+                 (negativity + distance).max())
     report.add("povm_positive", scope, dev, OP,
                "all three detection operators are positive semidefinite on a 50-point grid")
-    report.add("povm_complete", scope, _worst(complete.max()), OP,
+    report.add("povm_complete", scope, _worst(*(r.complete for r in results)), OP,
                "detection operators sum to the identity")
     report.add("povm_unambiguous_mixed", scope, _worst(unambiguous.max()), TIGHT,
                "wrong-state expectation values vanish for the averaged inputs")
@@ -370,8 +423,8 @@ def _checks_for_n(n: int, report: VerificationReport) -> None:
     # On the grid, and at the optimum, where the trace must be optimal_average's value.
     priors = Priors(0.3)
     best = povm.optimal_average(n, priors)
-    angles = np.append(grid[::7], best.omega1_star)
-    closed = [*(povm.average_success(n, omega1, priors) for omega1 in grid[::7]), best.value]
+    angles = np.append(_GRID[::7], best.omega1_star)
+    closed = [*(povm.average_success(n, omega1, priors) for omega1 in _GRID[::7]), best.value]
     dev = _or_inf(lambda: np.abs(povm.average_success_trace(n, angles, priors) - closed).max())
     report.add("average_success_closed_form", scope, dev, OP,
                "closed-form averaged success equals the trace evaluation")
@@ -513,13 +566,18 @@ def verify_all(n_max: int) -> VerificationReport:
     SCAN, or a statistical or exact bound of its own.  Failures are recorded in
     the report, not raised.  An n_max whose per-n suite would peak over
     spaces.MAX_BUILD_BYTES (n_max > 48) raises DomainError before any work.
+
+    Whatever the per-n suite reads of one kind alone is the same at every n, so
+    it is built once per run, after that refusal and from the kind table as it
+    then is (:func:`_kind_results`), and each n reduces it over its kinds.
     """
     n_max = spaces.check_integer(n_max, 2, "n_max")
     # The per-n suite peaked at 2.81 and 3.09 times the seeded pairs' kets at
     # n = 30 and 48 (tracemalloc); 6 times them admits n_max <= 48.
     spaces.check_build_bytes(6 * 16 * SEEDED_PAIRS * n_max**3, f"the per-n suite at n_max {n_max}")
     report = VerificationReport()
+    kind_results = _kind_results()
     for n in range(2, n_max + 1):
-        _checks_for_n(n, report)
+        _checks_for_n(n, report, kind_results)
     _global_checks(n_max, report)
     return report

@@ -100,6 +100,11 @@ def two_mode_unitary(
         raise DomainError("angles must broadcast together") from None
     if not all(np.isfinite(a).all() for a in angles):
         raise DomainError("angles must be finite")
+    return _blocks(omega, phi, theta)
+
+
+def _blocks(omega: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """:func:`two_mode_unitary` of angle arrays of one shape, already checked."""
     s, c = np.sin(omega), np.cos(omega)
     e_phi, e_theta = np.exp(1j * phi), np.exp(1j * theta)
     rows = (np.stack([s * e_phi, c * e_phi], -1), np.stack([c * e_theta, -s * e_theta], -1))
@@ -197,7 +202,7 @@ class Interferometer:
             depths.append(depth)
         order = len(depths) - 1 - np.argsort(depths, kind="stable")  # listed indices
         modes = self.modes[order]
-        blocks = two_mode_unitary(*self.angles[order].T)
+        blocks = _blocks(*self.angles[order].T)  # angles that __post_init__ checked
         bounds = np.cumsum(np.bincount(depths)).tolist()
         for lo, hi in zip([0, *bounds], bounds):
             a, b = modes[lo].tolist()

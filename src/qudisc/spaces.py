@@ -241,7 +241,7 @@ def _rank(matrix: np.ndarray) -> int:
     return int((np.linalg.svd(matrix, compute_uv=False) > TAU_RANK).sum())
 
 
-def _kind_ranks(kind: kinds.Kind) -> list[int]:
+def kind_ranks(kind: kinds.Kind) -> list[int]:
     """On one kind's V_t: the ranks of P_0, S1, S2, S3 = span(S1, S2), and of
     the complements of P_0 in S1, S2 and S3."""
     # S3: the right singular vectors of the stacked S1 and S2 projectors above TAU_RANK.
@@ -251,16 +251,19 @@ def _kind_ranks(kind: kinds.Kind) -> list[int]:
             _rank(kind.s1 - kind.p0), _rank(kind.s2 - kind.p0), _rank(span.T @ span - kind.p0)]
 
 
-def constructive_dimension_table(n: int) -> DimensionTable:
+def constructive_dimension_table(n: int, ranks) -> DimensionTable:
     """Subspace dimensions recomputed as SVD ranks of explicitly built spans.
 
     Every span of three registers splits over the V_t, and its block on a V_t
     is that of the V_t's kind (:mod:`qudisc.kinds`), so each of its dimensions
     is the sum over the kinds of the kind's rank times :func:`kind_counts`.
-    sigma is the rank of the two-fold symmetric basis.
+    `ranks` holds the :func:`kind_ranks` of each kind of the kind table, in its
+    order; they do not depend on n.  sigma is the rank of the two-fold symmetric
+    basis.  ContractError unless `ranks` is a table of 4 rows of 7 numbers.
     """
-    n = check_dimension(n)
+    n, ranks = check_dimension(n), check_array(ranks, "kind ranks", (2,))
+    if ranks.shape != (4, 7):
+        raise ContractError(f"kind ranks must have shape (4, 7), got {ranks.shape}")
     sigma = _rank(symmetric_basis_2(n))
-    ranks = np.array([_kind_ranks(kind) for kind in kinds.kind_table()])
     s0, s1, s2, s3, s4, s5, s6 = (int(r) for r in kind_counts(n) @ ranks)
     return DimensionTable(sigma=sigma, s0=s0, s1=s1, s2=s2, s3=s3, s4=s4, s5=s5, s6=s6, i0=s4)

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 
+from qudisc import kinds, spaces
+
 
 class PeakMemory:
     """A block run under tracemalloc: `bytes` is then its peak traced allocation."""
@@ -29,3 +31,9 @@ def state_stacks(n, pairs, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.normal(size=(2, pairs, n)) + 1j * rng.normal(size=(2, pairs, n))
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def constructive_table(n):
+    """spaces.constructive_dimension_table at n, on the ranks of the kind table as it is."""
+    ranks = [spaces.kind_ranks(kind) for kind in kinds.kind_table()]
+    return spaces.constructive_dimension_table(n, ranks)

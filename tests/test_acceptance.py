@@ -32,12 +32,12 @@ from qudisc.povm import (
     total_povm,
 )
 from qudisc.spaces import (
-    constructive_dimension_table,
     dimension_table,
     mean_density_operators,
     projector_from_rows,
 )
 from references import symmetric_basis_3
+from shared import constructive_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,7 +59,7 @@ def test_criterion_01_dimension_formulas():
     start = time.time()
     ok = True
     for n in range(2, 6):
-        ok &= constructive_dimension_table(n) == dimension_table(n)
+        ok &= constructive_table(n) == dimension_table(n)
     elapsed = time.time() - start
     _report(1, "dimension formulas n=2..5", ok and elapsed < 10, f"{elapsed:.1f}s")
 

@@ -243,6 +243,10 @@ REFUSALS = [
           lambda: spaces.product_blocks([1, 0], np.ones(2, dtype=bool), [1, 0])),
     *rows("permute_registers-str", ContractError, "rows must be an array of numbers",
           lambda: spaces.permute_registers("abcd", (1, 0), 2)),
+    *rows("constructive_dimension_table-ranks", ContractError, "kind ranks must",
+          lambda: spaces.constructive_dimension_table(3, [[1] * 7] * 3),
+          lambda: spaces.constructive_dimension_table(3, [1] * 7),
+          lambda: spaces.constructive_dimension_table(3, RAGGED)),
     *rows("check_unit_states-mismatched-stacks", ContractError,
           "states must be vectors of length 2, or equal stacks of them",
           lambda: spaces.check_unit_states(np.eye(3, 2), np.eye(2), 2)),

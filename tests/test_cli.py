@@ -73,6 +73,7 @@ def test_verify_rejects_bad_nmax(capsys):
 
 @pytest.mark.parametrize("n_max", ["49", str(10**9)])
 def test_verify_refuses_oversized_nmax(capsys, monkeypatch, n_max):
+    monkeypatch.setattr(harness, "_kind_results", never("verify started work"))
     monkeypatch.setattr(harness, "_checks_for_n", never("verify started work"))
     monkeypatch.setattr(harness, "_global_checks", never("verify started work"))
     code, out, err = run_cli(capsys, "verify", "--n-max", n_max, "--json")

@@ -117,7 +117,8 @@ def test_readme_states_the_nmax_range_that_verify_all_admits(monkeypatch):
     assert len(stated) == 1
     low, high = map(int, stated[0])
     ran = []  # the check runners record their calls instead of building operators
-    monkeypatch.setattr(harness, "_checks_for_n", lambda n, report: ran.append(n))
+    monkeypatch.setattr(harness, "_kind_results", lambda: ran.append("kinds"))
+    monkeypatch.setattr(harness, "_checks_for_n", lambda n, report, kind_results: ran.append(n))
     monkeypatch.setattr(harness, "_global_checks", lambda n_max, report: ran.append("g"))
     for outside in (low - 1, high + 1):
         with pytest.raises(DomainError):
@@ -125,7 +126,7 @@ def test_readme_states_the_nmax_range_that_verify_all_admits(monkeypatch):
     assert ran == []
     harness.verify_all(low)
     harness.verify_all(high)
-    assert ran == [*range(2, low + 1), "g", *range(2, high + 1), "g"]
+    assert ran == ["kinds", *range(2, low + 1), "g", "kinds", *range(2, high + 1), "g"]
 
 
 def _largest_full_mesh(nbytes):

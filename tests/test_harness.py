@@ -289,6 +289,8 @@ UNCALLED = {
     "jordan.build_gh_bases": "the paper's paired families, traced by bench/tracer.py",
     "povm.total_povm": "the paper's dense POVM, traced by bench/tracer.py",
     "optics.Interferometer.from_text": "reads back the network text that prepare writes",
+    "optics.two_mode_unitary": "the checked form of the blocks that apply composes from the "
+                               "angles its network checked when built",
     "povm.Priors.from_eta1": "bench/workloads.py builds its priors with it",
 }
 
@@ -374,14 +376,15 @@ def test_verify_all_passes_and_reports():
 
 def test_verify_all_refuses_oversized_nmax_before_any_work(monkeypatch):
     ran = []  # the check runners record their calls instead of building operators
-    monkeypatch.setattr(harness, "_checks_for_n", lambda n, report: ran.append(n))
+    monkeypatch.setattr(harness, "_kind_results", lambda: ran.append("kinds"))
+    monkeypatch.setattr(harness, "_checks_for_n", lambda n, report, kind_results: ran.append(n))
     monkeypatch.setattr(harness, "_global_checks", lambda n_max, report: ran.append("g"))
     for too_big in (49, 10**9):
         with pytest.raises(DomainError, match="over the limit"):
             verify_all(too_big)
     assert ran == []
     verify_all(48)  # the largest admitted
-    assert ran == [*range(2, 49), "g"]
+    assert ran == ["kinds", *range(2, 49), "g"]
 
 
 def _full_scan_grid():
@@ -417,7 +420,7 @@ def _clear_operator_caches():
 
 def _per_n_results(n):
     report = harness.VerificationReport()
-    harness._checks_for_n(n, report)
+    harness._checks_for_n(n, report, harness._kind_results())
     return {r.name: r for r in report.results}
 
 
@@ -777,16 +780,17 @@ FAULTS = [
 
 
 def run_fault(monkeypatch, patch, fails, passes, deviations):
-    """Run the per-n suite at each n that fails or passes name, and the global
-    checks, with n_max the largest n named (2 if none), when they name "global"."""
+    """Run the per-n suite at each n that fails or passes name, on kind results
+    built under the fault, and the global checks, with n_max the largest n named
+    (2 if none), when they name "global"."""
     kinds.kind_table()  # built before a patched symmetrizers could read it
     try:
         patch(monkeypatch)
         scopes = {scope for scope, _ in fails | passes}
         ns = sorted(int(scope[2:]) for scope in scopes - {"global"})
-        report = harness.VerificationReport()
+        report, kind_results = harness.VerificationReport(), harness._kind_results()
         for n in ns:
-            harness._checks_for_n(n, report)
+            harness._checks_for_n(n, report, kind_results)
         if "global" in scopes:
             harness._global_checks(max(ns, default=2), report)
     finally:
@@ -830,15 +834,51 @@ def test_verify_all_scatters_the_povm_only_at_the_cross_check_and_pure_state_ang
 
     monkeypatch.setattr(povm, "kind_povms", recorded)
     assert verify_all(6).passed
-    # Each n's checks read the 50-point grid once, where the permutation sums are
-    # cross-checked too.  Besides it the kind blocks are read at the averaged-trace
-    # check's grid[::7] and omega1*, the pure-state checks' 0.7 and
-    # dimension_independence's 0.8 and omega1*.
-    assert calls.count(tuple(OMEGA1_GRID)) == 5
+    # The kind results read the 50-point grid once for every n, where the
+    # permutation sums are cross-checked too.  Besides it the kind blocks are read
+    # at the averaged-trace check's grid[::7] and omega1*, the pure-state checks'
+    # 0.7 and dimension_independence's 0.8 and omega1*.
+    assert calls.count(tuple(OMEGA1_GRID)) == 1
     averaged = {angles for angles in calls if angles[:-1] == tuple(OMEGA1_GRID[::7])}
     assert len(averaged) == 1
     best = (povm.optimal_subspace(Priors(0.3)).omega1_star,)
     assert set(calls) == {tuple(OMEGA1_GRID), *averaged, (0.7,), (0.8,), best}
+
+
+def test_verify_all_takes_the_symmetrizers_and_rank_svds_once_per_kind(monkeypatch):
+    # Both are n-free, so one verify_all run takes them once per kind, not once
+    # per kind and n.  The table is built first: its rho blocks are symmetrizers too.
+    table, summed, ranked = kinds.kind_table(), [], []
+    real_sums, real_ranks = kinds.symmetrizers, spaces.kind_ranks
+    monkeypatch.setattr(kinds, "symmetrizers",
+                        lambda perms: summed.append(perms) or real_sums(perms))
+    monkeypatch.setattr(spaces, "kind_ranks", lambda kind: ranked.append(kind) or real_ranks(kind))
+    assert verify_all(6).passed
+    for calls in (summed, [kind.perms for kind in ranked]):
+        assert len(calls) == len(table) and all(a is k.perms for a, k in zip(calls, table))
+
+
+def test_the_kind_results_refuse_in_place_writes():
+    for result in harness._kind_results():
+        arrays = [*result.sums, *(v for v in vars(result).values() if isinstance(v, np.ndarray))]
+        assert len(arrays) == 8
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
+def test_verify_all_equals_per_n_runs_on_fresh_kind_results():
+    # One build of the kind results serves every n: each n's checks on results
+    # built afresh for it give the same rows, bit for bit.
+    def rows(report):
+        return [(r.name, r.scope, r.passed, r.deviation.hex(), r.tolerance.hex(), r.claim)
+                for r in report.results]
+
+    fresh = harness.VerificationReport()
+    for n in range(2, 9):
+        harness._checks_for_n(n, fresh, harness._kind_results())
+    harness._global_checks(8, fresh)
+    assert rows(verify_all(8)) == rows(fresh)
 
 
 def test_verify_all_fails_without_raising_under_a_scaled_pi1(monkeypatch):
@@ -862,7 +902,7 @@ def test_the_per_n_suite_builds_no_dense_operator(monkeypatch):
     _clear_operator_caches()
     report = harness.VerificationReport()
     with PeakMemory() as peak:
-        harness._checks_for_n(8, report)
+        harness._checks_for_n(8, report, harness._kind_results())
     assert report.passed
     # With the dense operators _checks_for_n(8) peaked at 26.7 MiB; on the
     # blocks it took about 7.6 MiB, read once per kind about 6.8 MiB, with the
@@ -881,7 +921,7 @@ def test_the_per_n_suite_holds_no_product_ket():
     _clear_operator_caches()
     report = harness.VerificationReport()
     with PeakMemory() as peak:
-        harness._checks_for_n(16, report)
+        harness._checks_for_n(16, report, harness._kind_results())
     assert report.passed
     assert peak.bytes <= 4 * 16 * harness.SEEDED_PAIRS * 16**3
 
@@ -895,7 +935,7 @@ def test_a_kind_absent_at_n_reads_as_an_empty_group_and_the_suite_passes():
 
 def test_verify_all_hits_every_kept_cache_and_label_blocks_fits_its_keys():
     # Only builders whose traffic repeats are cached: in verify_all(6),
-    # kind_table has 95 hits and one miss, and _label_blocks 41 hits and 5
+    # kind_table has 87 hits and one miss, and _label_blocks 50 hits and 5
     # misses.  verify_all(8) reads label_blocks at one key per n, n = 2..8, so
     # a cache that holds them all misses once per key.
     _clear_operator_caches()

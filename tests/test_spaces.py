@@ -10,7 +10,6 @@ from qudisc.kinds import reciprocal_rows
 from qudisc.spaces import (
     check_dimension,
     check_integer,
-    constructive_dimension_table,
     dimension_table,
     kind_counts,
     label_blocks,
@@ -26,7 +25,7 @@ from references import (
     block_projectors, block_stacks, diagonal_blocks, g_rows_by_formula, ket,
     rho_blocks_by_index_arithmetic, s1_rows_by_kron, symmetric_basis_3,
 )
-from shared import PeakMemory, state_stacks
+from shared import PeakMemory, constructive_table, state_stacks
 
 AC = (2, 1, 0)  # the permutation of the registers that exchanges A and C
 
@@ -215,7 +214,7 @@ def test_a_whole_float_n_gives_the_integer_n_arrays(build):
 
 
 def test_a_whole_float_n_gives_the_integer_n_tables():
-    for table in (dimension_table, constructive_dimension_table):
+    for table in (dimension_table, constructive_table):
         assert table(3.0) == table(3)
         assert all(type(value) is int for value in dataclasses.astuple(table(3.0)))
 
@@ -281,14 +280,14 @@ def test_constructive_table_counts_kinds_and_reads_their_s1_blocks(monkeypatch):
     table = dimension_table(3)
     real = spaces.kind_counts
     monkeypatch.setattr(spaces, "kind_counts", lambda n: real(n) + [0, 0, 0, 1])
-    assert constructive_dimension_table(3) != table
+    assert constructive_table(3) != table
     monkeypatch.setattr(spaces, "kind_counts", real)
     # The {a,b,c} kind's S1 block with one of its three directions dropped.
     kind_list = list(kinds.kind_table())
     _, vectors = np.linalg.eigh(kind_list[3].s1)
     kind_list[3] = dataclasses.replace(kind_list[3], s1=vectors[:, -2:] @ vectors[:, -2:].T)
     monkeypatch.setattr(kinds, "kind_table", lambda: tuple(kind_list))
-    broken = constructive_dimension_table(3)
+    broken = constructive_table(3)
     assert broken.s1 == table.s1 - 1 and broken.s2 == table.s2
 
 
@@ -336,6 +335,8 @@ def test_kind_counts_and_the_averaged_trace_take_no_memory_that_grows_with_n():
 
 
 PAIRS_20 = state_stacks(20, 200, 20)  # 200 pairs at n = 20
+# A network text of PHASE lines only, one per mode.
+PHASE_TEXT = "MODES 4096\n" + "".join(f"PHASE {m} 0.25\n" for m in range(1, 4097))
 
 
 @pytest.mark.parametrize("call", [
@@ -352,6 +353,10 @@ PAIRS_20 = state_stacks(20, 200, 20)  # 200 pairs at n = 20
     pytest.param(lambda: mean_density_operators(5), id="mean_density_operators"),
     pytest.param(lambda: povm.total_povm(5, 0.6), id="total_povm"),
     pytest.param(lambda: optics.Interferometer.from_text("MODES 4096\n"), id="from_text"),
+    pytest.param(lambda: optics.Interferometer.from_text(PHASE_TEXT), id="from_text-phases"),
+    # Two blocks of sampled pairs: the second is drawn while the first is held.
+    *(pytest.param(lambda n=n: harness.empirical_mean_density(n, 1, 2 * harness.HAAR_BLOCK, 5),
+                   id=f"empirical_mean_density-{n}") for n in (2, 3, 4)),
 ])
 def test_each_size_estimate_covers_its_peak_and_pins_its_limit(monkeypatch, call):
     # The most bytes the call tells check_build_bytes covers its traced peak; under
