@@ -10,18 +10,14 @@ error (including requests too large for memory), 3 internal error (an
 unexpected exception; its traceback goes to stderr).
 
 Each command imports the layers it needs when it runs, so dims, --version,
---help and usage errors run without numpy.
+--help and usage errors run without numpy.  json is imported only to print a
+record, and traceback only for exit 3.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import math
 import numbers
 import sys
-import traceback
-from dataclasses import asdict
 
 from . import __version__
 from .errors import DomainError
@@ -42,6 +38,8 @@ def _format_number(value) -> str:
 
 
 def _render_json(obj, indent: int = 0) -> str:
+    import json  # only a printed record needs it
+
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -77,7 +75,7 @@ def _emit_record(command: str, params: dict, results: dict, seed: int | None = N
 def cmd_dims(args) -> int:
     from .scalars import dimension_table
 
-    _emit_record("dims", {"n": args.n}, asdict(dimension_table(args.n)))
+    _emit_record("dims", {"n": args.n}, dimension_table(args.n)._asdict())
     return 0
 
 
@@ -313,6 +311,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: out of memory; use a smaller request", file=sys.stderr)
         return 2
     except Exception:
+        import traceback
+
         traceback.print_exc()
         print("error: internal error", file=sys.stderr)
         return 3

@@ -9,7 +9,7 @@ outcome), which keeps the estimator unbiased with far lower variance.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,7 +68,7 @@ def _haar_pair_blocks(n: int, trials: int, seed: int, least: int):
     rng = optics.seeded_stream(seed)
     pairs = (_haar_rows(rng, (min(HAAR_BLOCK, trials - start), 2), n)
              for start in range(0, trials, HAAR_BLOCK))
-    return ((p[:, 0], p[:, 1]) for p in pairs)
+    return map(lambda p: (p[:, 0], p[:, 1]), pairs)  # holds no block once handed on
 
 
 def haar_state(n: int, seed: int) -> np.ndarray:
@@ -80,17 +80,17 @@ def haar_state(n: int, seed: int) -> np.ndarray:
 def empirical_mean_density(n: int, which: int, trials: int, seed: int) -> np.ndarray:
     """Monte Carlo average of the projector onto the three-register input."""
     n, which = spaces.check_dimension(n), spaces.check_integer(which, 1, "which", 2)
-    # The complex n^3 x n^3 sum and product, some five copies of a block's kets,
-    # and two blocks' sampled states, as _haar_rows tells them: the next block is
-    # drawn while the last one's kets are held.  n <= 16 is admitted.
-    spaces.check_build_bytes(16 * (2 * n**6 + 5 * HAAR_BLOCK * n**3) + 2 * 96 * HAAR_BLOCK * n,
-                             "the sampled density")
+    # The complex n^3 x n^3 sum and product, and some five copies of a block's
+    # kets; a block's states are released before the next is drawn.  n <= 16 is
+    # admitted.
+    spaces.check_build_bytes(16 * (2 * n**6 + 5 * HAAR_BLOCK * n**3), "the sampled density")
     blocks = _haar_pair_blocks(n, trials, seed, 1)
     acc = np.zeros((n**3, n**3), dtype=complex)
     for psi1, psi2 in blocks:
         middle = psi1 if which == 1 else psi2
         big = np.einsum("ti,tj,tk->tijk", psi1, middle, psi2).reshape(len(psi1), n**3)
         acc += big.T @ big.conj()
+        del psi1, psi2, middle, big  # before the next block is drawn
     return acc / trials
 
 
@@ -317,7 +317,7 @@ def _checks_for_n(n: int, report: VerificationReport, kind_results) -> None:
     constructive = spaces.constructive_dimension_table(n, [r.ranks for r in kind_results])
     counts = spaces.kind_counts(n)  # closed form, against the V_t that label_blocks counts
     vts = spaces.label_blocks(n)
-    dev = _worst(*(abs(a - b) for a, b in zip(astuple(table), astuple(constructive))),
+    dev = _worst(*(abs(a - b) for a, b in zip(table, constructive)),
                  np.abs(counts - [len(cols) for cols in vts.groups]).max())
     report.add("dimension_formulas", scope, dev, 0,
                "closed-form subspace dimensions equal constructive SVD ranks")

@@ -5,10 +5,8 @@ The subspace dimensions are integer formulas in the qudit dimension n, so
 :mod:`qudisc.spaces` imports these names back for the numerical layers.
 """
 
-from __future__ import annotations
-
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
@@ -43,8 +41,7 @@ def check_dimension(n: int) -> int:
     return check_integer(n, 2, "qudit dimension")
 
 
-@dataclass(frozen=True)
-class DimensionTable:
+class DimensionTable(namedtuple("DimensionTable", "sigma s0 s1 s2 s3 s4 s5 s6 i0")):
     """Dimensions of the subspace hierarchy at qudit dimension n.
 
     sigma: two-fold symmetric subspace.
@@ -56,15 +53,7 @@ class DimensionTable:
     i0: number of paired basis vectors spanning s4 and s5 (= dim s4).
     """
 
-    sigma: int
-    s0: int
-    s1: int
-    s2: int
-    s3: int
-    s4: int
-    s5: int
-    s6: int
-    i0: int
+    __slots__ = ()
 
 
 def dimension_table(n: int) -> DimensionTable:

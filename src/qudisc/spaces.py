@@ -124,7 +124,8 @@ def label_blocks(n: int) -> LabelBlocks:
 
 # verify_all(n_max) reads one key per n, n = 2..n_max, many times over within
 # each n's checks: n_max - 1 keys, which 16 holds up to n_max = 17.
-# verify_all(48), the largest it admits, reads 47 keys: 346 hits, 78 misses.
+# verify_all(48), the largest it admits, reads 47 keys: 392 hits, 125 misses
+# from a cleared cache.
 @functools.lru_cache(maxsize=16)
 def _label_blocks(n: int) -> LabelBlocks:
     labels = np.sort(np.indices((n, n, n)).reshape(3, -1).T, axis=1)

@@ -12,6 +12,7 @@ import pytest
 import qudisc
 from qudisc import cli, harness, optics, spaces
 from qudisc.errors import DomainError
+from shared import never
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -127,6 +128,33 @@ def test_readme_states_the_nmax_range_that_verify_all_admits(monkeypatch):
     harness.verify_all(low)
     harness.verify_all(high)
     assert ran == ["kinds", *range(2, low + 1), "g", "kinds", *range(2, high + 1), "g"]
+
+
+def _stated_power(pattern):
+    """The one power of ten, such as 10⁹, that README states where `pattern` matches."""
+    stated = re.findall(pattern, README)
+    assert len(stated) == 1
+    return 10 ** int(stated[0].translate(str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")))
+
+
+def test_readme_states_the_shot_trial_and_step_limits(monkeypatch, capsys):
+    sup = "([⁰¹²³⁴⁵⁶⁷⁸⁹]+)"
+    shots = _stated_power(rf"`simulate --shots` accepts 1\.\.10{sup} \(`optics\.MAX_SHOTS`\)")
+    trials = _stated_power(rf"accept at most 10{sup}\s+trials \(`harness\.MAX_TRIALS`\)")
+    steps = _stated_power(rf"`scan --steps` accepts at most 10{sup} grid points "
+                          rf"\(`cli\.MAX_SCAN_STEPS`")
+    assert (shots, trials, steps) == (optics.MAX_SHOTS, harness.MAX_TRIALS, cli.MAX_SCAN_STEPS)
+    # One past each limit is refused before any draw or row; nothing runs at a limit.
+    monkeypatch.setattr(optics, "seeded_stream", never("a draw"))
+    for shot_count in (0, shots + 1):
+        argv = ["simulate", "--eta1", "0.5", "--x", "2", "--shots", str(shot_count)]
+        assert cli.main(argv) == 2
+    with pytest.raises(DomainError, match="trials must not exceed"):
+        harness.mc_success(2, 0.5, harness.Priors(0.3), trials + 1, 0)
+    with pytest.raises(DomainError, match="trials must not exceed"):
+        harness.empirical_mean_density(2, 1, trials + 1, 0)
+    assert cli.main(["scan", "--n", "2", "--eta1", "0.5", "--steps", str(steps + 1)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def _largest_full_mesh(nbytes):

@@ -187,6 +187,7 @@ def test_dimension_table_values():
     t2 = dimension_table(2)
     assert (t2.sigma, t2.s0, t2.s1, t2.s2) == (3, 4, 6, 6)
     assert (t2.s3, t2.s4, t2.s5, t2.s6, t2.i0) == (8, 2, 2, 4, 2)
+    assert t2 == (3, 4, 6, 6, 8, 2, 2, 4, 2)  # a named tuple, in field order
     t3 = dimension_table(3)
     assert (t3.s0, t3.s3, t3.s6, t3.i0) == (10, 26, 16, 8)
     assert check_dimension(3.0) == 3 and check_dimension(np.int64(4)) == 4
@@ -216,7 +217,7 @@ def test_a_whole_float_n_gives_the_integer_n_arrays(build):
 def test_a_whole_float_n_gives_the_integer_n_tables():
     for table in (dimension_table, constructive_table):
         assert table(3.0) == table(3)
-        assert all(type(value) is int for value in dataclasses.astuple(table(3.0)))
+        assert all(type(value) is int for value in tuple(table(3.0)))
 
 
 @pytest.mark.parametrize("n", [2, 3])
