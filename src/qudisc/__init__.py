@@ -16,8 +16,7 @@ _HOMES = {
     "overlap_identity_check": "harness", "verify_all": "harness",
     "build_gh_bases": "jordan", "jordan_angles": "jordan",
     "Interferometer": "optics", "discriminator_network": "optics",
-    "prepare_state_network": "optics", "reck_decompose": "optics",
-    "simulate_clicks": "optics", "two_mode_unitary": "optics",
+    "prepare_state_network": "optics", "reck_decompose": "optics", "simulate_clicks": "optics",
     "Priors": "povm", "RegimeResult": "povm", "average_success": "povm", "block_povm": "povm",
     "detection_weights": "povm", "omega2_constraint": "povm", "optimal_average": "povm",
     "optimal_pure": "povm", "optimal_subspace": "povm", "pure_success": "povm",

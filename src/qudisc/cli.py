@@ -226,16 +226,16 @@ def _read_amplitudes(path: str):
 
 def cmd_prepare(args) -> int:
     import numpy as np
-    from .optics import prepare_state_network
+    from .optics import Interferometer, prepare_state_network
 
     amps = _read_amplitudes(args.amplitudes)
-    net = prepare_state_network(amps, len(amps))
-    text = net.to_text()
+    text = prepare_state_network(amps, len(amps)).to_text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+    net = Interferometer.from_text(text)  # the network the text hands out is the one checked
     photon = np.zeros(len(amps))
     photon[0] = 1.0  # one photon in the first mode; apply() never builds the unitary
     target_error = float(np.abs(net.apply(photon) - amps).max())

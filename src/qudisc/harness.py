@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kinds, optics, povm, spaces
+from . import kinds, optics, povm, scalars, spaces
 from .errors import ContractError
 from .jordan import jordan_angles
 from .povm import Priors
@@ -64,7 +64,7 @@ def _haar_pair_blocks(n: int, trials: int, seed: int, least: int):
 
     Trials outside least..MAX_TRIALS raise DomainError before any draw.
     """
-    trials = spaces.check_integer(trials, least, "trials", MAX_TRIALS)
+    trials = scalars.check_integer(trials, least, "trials", MAX_TRIALS)
     rng = optics.seeded_stream(seed)
     pairs = (_haar_rows(rng, (min(HAAR_BLOCK, trials - start), 2), n)
              for start in range(0, trials, HAAR_BLOCK))
@@ -73,13 +73,13 @@ def _haar_pair_blocks(n: int, trials: int, seed: int, least: int):
 
 def haar_state(n: int, seed: int) -> np.ndarray:
     """Unit vector drawn from the unitarily invariant measure."""
-    n = spaces.check_integer(n, 1, "dimension")
+    n = scalars.check_integer(n, 1, "dimension")
     return _haar_rows(optics.seeded_stream(seed), (), n)
 
 
 def empirical_mean_density(n: int, which: int, trials: int, seed: int) -> np.ndarray:
     """Monte Carlo average of the projector onto the three-register input."""
-    n, which = spaces.check_dimension(n), spaces.check_integer(which, 1, "which", 2)
+    n, which = scalars.check_dimension(n), scalars.check_integer(which, 1, "which", 2)
     # The complex n^3 x n^3 sum and product, and some five copies of a block's
     # kets; a block's states are released before the next is drawn.  n <= 16 is
     # admitted.
@@ -95,7 +95,7 @@ def empirical_mean_density(n: int, which: int, trials: int, seed: int) -> np.nda
 
 
 def overlap_identity_check(
-    psi1: np.ndarray, psi2: np.ndarray, n: int
+    psi1: np.ndarray, psi2: np.ndarray
 ) -> tuple[float | np.ndarray, float | np.ndarray, float | np.ndarray]:
     """Summed squared overlaps of the inputs with the reciprocal families, and the
     closed form they should equal: (sum_g, sum_h, closed_form), floats for one
@@ -104,11 +104,10 @@ def overlap_identity_check(
     Both sums equal (1 - |<psi1|psi2>|^2) / 2 for any pure pair.  Each is summed
     over the V_t, from the product states' amplitudes there
     (:func:`spaces.product_blocks`) and the kinds' g_perp or h_perp rows, in
-    O(n^3) memory per pair.  Takes states (n,) or row-aligned stacks
-    (T, n); states that are not finite unit vectors of length n raise ContractError.
+    O(n^3) memory per pair.  Takes states (n,) or row-aligned stacks (T, n), as
+    :func:`spaces.check_unit_states` admits them.
     """
-    n = spaces.check_dimension(n)
-    psi1, psi2 = spaces.check_unit_states(psi1, psi2, n)
+    psi1, psi2 = spaces.check_unit_states(psi1, psi2)
 
     def overlap_sum(entry, middle):
         blocks = zip(kinds.kind_table(), spaces.product_blocks(psi1, middle, psi2))
@@ -136,7 +135,7 @@ def mc_success(
     Each trial contributes its exact conditional success probability, which
     depends on the drawn pair only through the squared overlap.
     """
-    n = spaces.check_dimension(n)
+    n = scalars.check_dimension(n)
     blocks = _haar_pair_blocks(n, trials, seed, 100)
     prefactor = povm.PURE_SCALE * povm.success_curve_x(povm.x_from_omega1(omega1), priors)
     values = np.concatenate([prefactor * (1.0 - np.abs((a.conj() * b).sum(axis=1)) ** 2)
@@ -313,7 +312,7 @@ def _checks_for_n(n: int, report: VerificationReport, kind_results) -> None:
     kind_results (:func:`_kind_results`), reduced over the kinds present at n;
     what depends on n, through w, the counts or the V_t, is computed here."""
     scope = f"n={n}"
-    table = spaces.dimension_table(n)
+    table = scalars.dimension_table(n)
     constructive = spaces.constructive_dimension_table(n, [r.ranks for r in kind_results])
     counts = spaces.kind_counts(n)  # closed form, against the V_t that label_blocks counts
     vts = spaces.label_blocks(n)
@@ -432,16 +431,16 @@ def _checks_for_n(n: int, report: VerificationReport, kind_results) -> None:
     # The seeded pairs, each library call taking the whole stack at once.
     states = _haar_rows(optics.seeded_stream(977), (SEEDED_PAIRS, 2), n)
     psi1, psi2 = states[:, 0], states[:, 1]
-    closed = povm.pure_success(psi1, psi2, 0.7, priors, n)
+    closed = povm.pure_success(psi1, psi2, 0.7, priors)
     dev_pure = _or_inf(lambda: np.abs(
-        closed - povm.pure_success_expectation(psi1, psi2, 0.7, priors, n)).max())
+        closed - povm.pure_success_expectation(psi1, psi2, 0.7, priors)).max())
     povms = povm.kind_povms(0.7)
     dev_unamb_pure = _worst(*(  # |pi_k |wrong input>| per pair, from its V_t blocks
         np.sqrt(sum((np.abs(np.einsum("ij,tbj->tbi", ops[0, k], amps)) ** 2).sum(axis=(1, 2))
                     for ops, amps in zip(povms, spaces.product_blocks(psi1, middle, psi2)))).max()
         for k, middle in ((0, psi2), (1, psi1))
     ))
-    sum_g, sum_h, closed_form = overlap_identity_check(psi1, psi2, n)
+    sum_g, sum_h, closed_form = overlap_identity_check(psi1, psi2)
     dev_identity = _worst(np.abs(sum_g - closed_form).max(), np.abs(sum_h - closed_form).max())
     report.add("pure_success_closed_form", scope, dev_pure, OP,
                "closed-form pure-state success equals the expectation value")
@@ -489,13 +488,14 @@ def _global_checks(n_max: int, report: VerificationReport) -> None:
     # The same two-dimensional pair, of squared overlap 1/2, embedded at every n,
     # through the V_t blocks of the detection operators: at omega1 = 0.8 its success
     # is one value at every n, and at the optimal angle it is optimal_pure's value.
+    # Both angles are read at each n in turn, so the n sweep runs once.
     priors = Priors(0.3)
     states = [(e[0], (e[0] + e[1]) / np.sqrt(2)) for e in map(np.eye, range(max(5, n_max), 1, -1))]
+    angles = (0.8, povm.optimal_subspace(priors).omega1_star)
 
     def spread():
-        fixed, best = ([povm.pure_success_expectation(psi1, psi2, omega1, priors, len(psi1))
-                        for psi1, psi2 in states]
-                       for omega1 in (0.8, povm.optimal_subspace(priors).omega1_star))
+        fixed, best = zip(*([povm.pure_success_expectation(psi1, psi2, omega1, priors)
+                             for omega1 in angles] for psi1, psi2 in states))
         optimum = povm.optimal_pure(0.5, priors).value
         return _worst(np.ptp(fixed), *(abs(value - optimum) for value in best)) / 0.5
 
@@ -571,7 +571,7 @@ def verify_all(n_max: int) -> VerificationReport:
     it is built once per run, after that refusal and from the kind table as it
     then is (:func:`_kind_results`), and each n reduces it over its kinds.
     """
-    n_max = spaces.check_integer(n_max, 2, "n_max")
+    n_max = scalars.check_integer(n_max, 2, "n_max")
     # The per-n suite peaked at 2.81 and 3.09 times the seeded pairs' kets at
     # n = 30 and 48 (tracemalloc); 6 times them admits n_max <= 48.
     spaces.check_build_bytes(6 * 16 * SEEDED_PAIRS * n_max**3, f"the per-n suite at n_max {n_max}")

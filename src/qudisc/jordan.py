@@ -20,15 +20,8 @@ import numpy as np
 
 from . import kinds
 from .errors import ContractError
-from .spaces import (
-    TAU_OP,
-    check_array,
-    check_build_bytes,
-    check_dimension,
-    dimension_table,
-    label_blocks,
-    permute_registers,
-)
+from .scalars import check_dimension, dimension_table
+from .spaces import TAU_OP, check_array, check_build_bytes, label_blocks, permute_registers
 
 
 def build_gh_bases(n: int) -> tuple[np.ndarray, np.ndarray]:

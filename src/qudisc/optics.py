@@ -45,7 +45,8 @@ from .errors import ContractError, DomainError
 from .povm import (
     Priors, check_omega1, check_priors, omega2_constraint, success_curve_x, x_from_omega1,
 )
-from .spaces import TAU_NORM, check_array, check_build_bytes, check_integer
+from .scalars import check_integer
+from .spaces import TAU_NORM, check_array, check_build_bytes
 
 # Values after the keyword of each MODES or PHASE line; a BS line has five.
 _LINE_FIELDS = {"MODES": 1, "PHASE": 2}
@@ -84,27 +85,9 @@ def seeded_stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
-def two_mode_unitary(
-    omega: float | np.ndarray, phi: float | np.ndarray, theta: float | np.ndarray
-) -> np.ndarray:
-    """The 2x2 block realized by one four-port interferometer.
-
-    Given arrays of angles, broadcast together, one block per entry, on the
-    last two axes.  DomainError unless every angle is a finite real number and
-    the three broadcast.
-    """
-    angles = [check_array(a, "angles", None, float) for a in (omega, phi, theta)]
-    try:
-        omega, phi, theta = np.broadcast_arrays(*angles)
-    except ValueError:
-        raise DomainError("angles must broadcast together") from None
-    if not all(np.isfinite(a).all() for a in angles):
-        raise DomainError("angles must be finite")
-    return _blocks(omega, phi, theta)
-
-
 def _blocks(omega: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """:func:`two_mode_unitary` of angle arrays of one shape, already checked."""
+    """The block of the module docstring for each entry of angle arrays of one shape,
+    already checked, on the last two axes."""
     s, c = np.sin(omega), np.cos(omega)
     e_phi, e_theta = np.exp(1j * phi), np.exp(1j * theta)
     rows = (np.stack([s * e_phi, c * e_phi], -1), np.stack([c * e_theta, -s * e_theta], -1))

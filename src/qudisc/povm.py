@@ -31,8 +31,9 @@ import numpy as np
 
 from . import kinds
 from .errors import ContractError, DomainError
+from .scalars import check_dimension
 from .spaces import (
-    check_array, check_build_bytes, check_dimension, check_real, check_unit_states, kind_counts,
+    check_array, check_build_bytes, check_real, check_unit_states, kind_counts,
     mean_density_weight, permute_registers, product_blocks,
 )
 
@@ -223,21 +224,16 @@ def optimal_average(n: int, priors: Priors) -> RegimeResult:
 
 
 def pure_success(
-    psi1: np.ndarray,
-    psi2: np.ndarray,
-    omega1: float,
-    priors: Priors,
-    n: int,
+    psi1: np.ndarray, psi2: np.ndarray, omega1: float, priors: Priors
 ) -> float | np.ndarray:
     """Success probability when the two program states are fixed pure states.
 
     Equals (2/3) P(x) (1 - |<psi1|psi2>|^2); the prefactor carries no
     dependence on n.  States (n,) give a float; row-aligned stacks (T, n) give
-    one value per pair.
+    one value per pair.  The states' last axis is the qudit dimension n >= 2.
     """
-    check_dimension(n)
     prefactor = PURE_SCALE * success_curve_x(x_from_omega1(omega1), priors)
-    psi1, psi2 = check_unit_states(psi1, psi2, n)
+    psi1, psi2 = check_unit_states(psi1, psi2)
     overlap_sq = np.abs((psi1.conj() * psi2).sum(axis=-1)) ** 2
     return clamp_probability(prefactor * (1.0 - overlap_sq))
 
@@ -271,14 +267,14 @@ def average_success_trace(n: int, omega1, priors: Priors) -> float | np.ndarray:
 
 
 def pure_success_expectation(
-    psi1: np.ndarray, psi2: np.ndarray, omega1: float, priors: Priors, n: int
+    psi1: np.ndarray, psi2: np.ndarray, omega1: float, priors: Priors
 ) -> float | np.ndarray:
     """Operator-level evaluation of :func:`pure_success` (cross-check): quadratic
     forms of each kind's :func:`kind_povms` on the product states' amplitudes on
     every V_t of that kind (:func:`spaces.product_blocks`), in O(n^3) memory.
     Takes states (n,) or row-aligned stacks (T, n), as :func:`pure_success` does."""
-    n, povms, priors = check_dimension(n), kind_povms(omega1), check_priors(priors)
-    psi1, psi2 = check_unit_states(psi1, psi2, n)
+    povms, priors = kind_povms(omega1), check_priors(priors)
+    psi1, psi2 = check_unit_states(psi1, psi2)
     value = 0.0
     for k, eta, middle in ((0, priors.eta1, psi1), (1, priors.eta2, psi2)):
         value = value + eta * sum(  # Re <a|op|a> = <Re a|op|Re a> + <Im a|op|Im a> for a real op

@@ -6,7 +6,9 @@ rows or n^3 x n^3 operators over the V_t, writing the three-fold symmetric
 basis, the g family and the S1 product basis out in full, and reading the
 averaged inputs' blocks from the entries of P_sigma (x) I and I (x) P_sigma.
 The preparation cascade is rebuilt one mode at a time from its running
-residual weight, as optics.prepare_state_network built it before.
+residual weight, as optics.prepare_state_network built it before, and a
+two-mode layer's block is written out entry by entry from the optics module
+docstring.
 """
 
 from itertools import combinations_with_replacement
@@ -17,6 +19,15 @@ from qudisc.errors import ContractError
 from qudisc.spaces import (
     check_array, label_blocks, symmetric_basis_2, symmetric_projector,
 )
+
+
+def layer_block(omega, phi, theta):
+    """The 2x2 block of one two-mode layer at scalar angles, as the optics module
+    docstring writes it: [[sin(w) e^{i phi}, cos(w) e^{i phi}],
+    [cos(w) e^{i theta}, -sin(w) e^{i theta}]]."""
+    s, c = np.sin(omega), np.cos(omega)
+    return np.array([[s * np.exp(1j * phi), c * np.exp(1j * phi)],
+                     [c * np.exp(1j * theta), -s * np.exp(1j * theta)]])
 
 
 def ket(labels, n):

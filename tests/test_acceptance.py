@@ -31,11 +31,8 @@ from qudisc.povm import (
     pure_success_expectation,
     total_povm,
 )
-from qudisc.spaces import (
-    dimension_table,
-    mean_density_operators,
-    projector_from_rows,
-)
+from qudisc.scalars import dimension_table
+from qudisc.spaces import mean_density_operators, projector_from_rows
 from references import symmetric_basis_3
 from shared import constructive_table
 
@@ -122,8 +119,8 @@ def test_criterion_04_closed_form_agreement():
         for _ in range(100):
             psi1, psi2 = _haar_pair(n, rng)
             worst_pure = max(worst_pure, abs(
-                pure_success(psi1, psi2, 0.8, priors, n)
-                - pure_success_expectation(psi1, psi2, 0.8, priors, n)
+                pure_success(psi1, psi2, 0.8, priors)
+                - pure_success_expectation(psi1, psi2, 0.8, priors)
             ))
     ok = worst_avg < 1e-10 and worst_pure < 1e-10
     _report(4, "closed forms match operator evaluations", ok,
@@ -167,9 +164,10 @@ def test_criterion_06_dimension_independence():
     for n in range(2, 6):
         e = np.eye(n, dtype=complex)
         psi1, psi2 = e[0], (e[0] + e[1]) / np.sqrt(2)
-        ratios.append(pure_success(psi1, psi2, omega1, priors, n) / 0.5)
+        ratios.append(pure_success(psi1, psi2, omega1, priors) / 0.5)
     spread = max(ratios) - min(ratios)
-    takes_no_n = "n" not in inspect.signature(optimal_pure).parameters
+    takes_no_n = all("n" not in inspect.signature(call).parameters
+                     for call in (optimal_pure, pure_success, pure_success_expectation))
     _report(6, "pure-state optimum independent of dimension",
             spread < 1e-10 and takes_no_n, f"spread {spread:.2e}")
 
@@ -180,7 +178,7 @@ def test_criterion_07_overlap_identity():
         rng = np.random.Generator(np.random.Philox(key=700 + n))
         for _ in range(100):
             psi1, psi2 = _haar_pair(n, rng)
-            sum_g, sum_h, closed_form = overlap_identity_check(psi1, psi2, n)
+            sum_g, sum_h, closed_form = overlap_identity_check(psi1, psi2)
             worst = max(worst, abs(sum_g - closed_form), abs(sum_h - closed_form))
     _report(7, "reciprocal overlap identity", worst < 1e-10, f"worst {worst:.2e}")
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qudisc import cli, harness, jordan, optics, povm, spaces
+from qudisc import cli, harness, jordan, optics, povm, scalars, spaces
 from qudisc.errors import ContractError, DomainError
 from references import block_stacks, diagonal_blocks, s1_rows_by_kron, symmetric_basis_3
 from shared import state_stacks
@@ -77,16 +77,14 @@ def _one_bad_row(bad):
     if np.isnan(bad):
         pairs += [(psi2[:4], psi2), (psi2[None], psi2[None])]
     return rows(f"test_one_bad_row_in_a_stack_is_refused-{bad}", ContractError,
-                r"states must (be unit vectors|be vectors of length 3|have 1 or 2 axes)", *(
+                r"states must (be unit vectors|be two vectors of one length|have 1 or 2 axes)", *(
         partial(call, *pair) for pair in pairs for call in (
-            lambda a, b: povm.pure_success(a, b, 0.7, PRIORS, 3),
-            lambda a, b: povm.pure_success_expectation(a, b, 0.7, PRIORS, 3),
-            lambda a, b: harness.overlap_identity_check(a, b, 3))))
+            lambda a, b: povm.pure_success(a, b, 0.7, PRIORS),
+            lambda a, b: povm.pure_success_expectation(a, b, 0.7, PRIORS),
+            lambda a, b: harness.overlap_identity_check(a, b))))
 
 
 BAD_KEYS = [-1, 2**64, 2.5, np.nan, np.inf, "7", None]
-BAD_ANGLES = [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, [0.1, -np.inf]), ("a", 0, 0), (0, 1j, 0),
-              (True, 0, 0), ([0.1, [0.2]], 0, 0)]
 NON_UNIT_PAIRS = [([np.nan, 0], [1, 0]), ([1, 0], [np.inf, 0]), ([1, 1], [1, 0]),
                   ([0.5, 0], [0, 1]), ([1, 0, 0], [1, 0])]
 WRONG_WIDTHS = [
@@ -168,11 +166,11 @@ PRIORS_TAKERS = {
     "optimal_subspace": povm.optimal_subspace,
     "average_success": lambda priors: povm.average_success(2, 0.5, priors),
     "optimal_average": lambda priors: povm.optimal_average(2, priors),
-    "pure_success": lambda priors: povm.pure_success(E0, E1, 0.5, priors, 2),
+    "pure_success": lambda priors: povm.pure_success(E0, E1, 0.5, priors),
     "optimal_pure": lambda priors: povm.optimal_pure(0.5, priors),
     "average_success_trace": lambda priors: povm.average_success_trace(2, 0.5, priors),
     "pure_success_expectation": lambda priors: povm.pure_success_expectation(
-        E0, E1, 0.5, priors, 2),
+        E0, E1, 0.5, priors),
     "mc_success": lambda priors: harness.mc_success(2, 0.5, priors, 100, 0),
     "simulate_discriminator": lambda priors: optics.simulate_discriminator(0.5, priors, 10, 0),
     "analytic_discriminator_probabilities": lambda priors:
@@ -187,12 +185,12 @@ REFUSALS = [
     *rows("product_blocks-ragged", ContractError, "states must be a rectangular array of numbers",
           lambda: spaces.product_blocks(RAGGED, [1, 0], [1, 0])),
     *rows("pure_success-ragged", ContractError, "states must be a rectangular array of numbers",
-          lambda: povm.pure_success(RAGGED, [1, 0], 0.5, PRIORS, 2)),
+          lambda: povm.pure_success(RAGGED, [1, 0], 0.5, PRIORS)),
     *rows("overlap_identity_check-ragged", ContractError,
           "states must be a rectangular array of numbers",
-          lambda: harness.overlap_identity_check(RAGGED, np.eye(2), 2)),
+          lambda: harness.overlap_identity_check(RAGGED, np.eye(2))),
     *rows("pure_success-str", ContractError, "states must be an array of numbers",
-          lambda: povm.pure_success("ab", [1, 0], 0.5, PRIORS, 2)),
+          lambda: povm.pure_success("ab", [1, 0], 0.5, PRIORS)),
     *rows("product_blocks-mismatched-stacks", ContractError,
           "states must be three vectors or three stacks of one length",
           lambda: spaces.product_blocks(np.eye(3, 2), np.eye(2), np.eye(2))),
@@ -207,18 +205,18 @@ REFUSALS = [
           "omega1 must be a rectangular array of numbers",
           lambda: povm.average_success_trace(3, [[0.1], [0.2, 0.3]], PRIORS)),
     *rows("check_integer-bool", DomainError, "x must be an integer >= 0",
-          lambda: spaces.check_integer(True, 0, "x")),
+          lambda: scalars.check_integer(True, 0, "x")),
     *rows("from_text-bytes", DomainError, "network text must be a str",
           lambda: optics.Interferometer.from_text(b"MODES 2\n")),
     *rows("from_text-None", DomainError, "network text must be a str",
           lambda: optics.Interferometer.from_text(None)),
     # Past the floats: float() raised OverflowError on these.
     *rows("check_integer-Fraction(10**400,3)", DomainError, "x must be an integer >= 0",
-          lambda: spaces.check_integer(Fraction(10**400, 3), 0, "x")),
+          lambda: scalars.check_integer(Fraction(10**400, 3), 0, "x")),
     *rows("check_integer-real-past-the-floats", DomainError, "x must be an integer >= 0",
-          lambda: spaces.check_integer(PastTheFloats(), 0, "x")),
+          lambda: scalars.check_integer(PastTheFloats(), 0, "x")),
     *rows("check_integer-Fraction(10**400)-above-high", DomainError, "x must not exceed 10",
-          lambda: spaces.check_integer(Fraction(10**400), 0, "x", 10)),
+          lambda: scalars.check_integer(Fraction(10**400), 0, "x", 10)),
     *rows("Interferometer-bool", DomainError, "num_modes must be an integer >= 1",
           lambda: optics.Interferometer(True)),
     *rows("haar_state-bool", DomainError, "dimension must be an integer >= 1",
@@ -248,12 +246,20 @@ REFUSALS = [
           lambda: spaces.constructive_dimension_table(3, [1] * 7),
           lambda: spaces.constructive_dimension_table(3, RAGGED)),
     *rows("check_unit_states-mismatched-stacks", ContractError,
-          "states must be vectors of length 2, or equal stacks of them",
-          lambda: spaces.check_unit_states(np.eye(3, 2), np.eye(2), 2)),
+          "states must be two vectors of one length, or equal stacks of them",
+          lambda: spaces.check_unit_states(np.eye(3, 2), np.eye(2))),
+    # The states' last axis is their qudit dimension, refused below 2 as check_dimension refuses.
+    *(row for label, shape in (("one-entry", (1,)), ("one-entry-stacks", (3, 1)), ("empty", (0,)))
+      for row in rows(
+          f"unit-states-{label}", DomainError, "qudit dimension must be an integer >= 2",
+          *each(lambda call, shape=shape: call(np.ones(shape), np.ones(shape)),
+                lambda a, b: povm.pure_success(a, b, 0.7, PRIORS),
+                lambda a, b: povm.pure_success_expectation(a, b, 0.7, PRIORS),
+                harness.overlap_identity_check, spaces.check_unit_states))),
     *rows("product_blocks-object", ContractError, "states must be an array of numbers",
           lambda: spaces.product_blocks([1, None], [1, 0], [1, 0])),
     *rows("pure_success_expectation-bool", ContractError, "states must be an array of numbers",
-          lambda: povm.pure_success_expectation(E0, [True, False], 0.5, PRIORS, 2)),
+          lambda: povm.pure_success_expectation(E0, [True, False], 0.5, PRIORS)),
     *rows("apply-str", ContractError, "states must be an array of numbers",
           lambda: NET.apply([1, "a"])),
     *rows("jordan_angles-None", ContractError, "first family must be an array of numbers",
@@ -269,8 +275,6 @@ REFUSALS = [
           lambda: optics.prepare_state_network([0.6, 0.8], True)),
     *rows("Interferometer-bool-modes", DomainError, "layer modes must be an array of real numbers",
           lambda: optics.Interferometer(2, [(True, False)], [(0.1, 0.0, 0.0)])),
-    *rows("two_mode_unitary-object", DomainError, "angles must be an array of real numbers",
-          lambda: optics.two_mode_unitary([0.1, None], 0.0, 0.0)),
     *rows("simulate_clicks-2**64", DomainError, "seed must not exceed",
           lambda: optics.simulate_clicks(NET, E0, 10, 2**64)),
     *rows("mc_success-2**64", DomainError, "seed must not exceed",
@@ -296,7 +300,7 @@ REFUSALS = [
 
     # From tests/test_spaces.py.
     *rows("test_check_integer_semantics", DomainError, "value must be an integer >= [024], got",
-          *(partial(spaces.check_integer, value, low, "value") for value, low in (
+          *(partial(scalars.check_integer, value, low, "value") for value, low in (
               (True, 0), (2.5, 0), (np.nan, 0), (np.inf, 0), ("3", 0), (None, 0), (3, 4),
               (np.int64(3), 4), (-1, 0), (True, 2), (np.bool_(True), 0)))),
     *(row for n in (2, 3, 4) for row in rows(
@@ -321,7 +325,7 @@ REFUSALS = [
     *rows("test_dimension_table_values", DomainError, "qudit dimension must be an integer >= 2",
           *(partial(check, bad) for bad in (1, 2.5, np.inf, -np.inf, np.nan, "3", None,
                                             np.float64(2.5), np.float64("nan"))
-            for check in (spaces.dimension_table, spaces.check_dimension))),
+            for check in (scalars.dimension_table, scalars.check_dimension))),
     *rows("test_block_stacks_restrict_rows_and_refuse_rows_across_blocks", ContractError,
           "each row must be supported in exactly one label-multiset space V_t",
           # Row 4 lies in V_{1,1,2}; flat index 26 is |333>.
@@ -346,13 +350,6 @@ REFUSALS = [
           lambda: jordan.build_gh_bases(1)),
 
     # From tests/test_optics.py.
-    *rows("test_two_mode_unitary_rejects_angles_that_do_not_broadcast", DomainError,
-          "angles must broadcast together",
-          lambda: optics.two_mode_unitary([0.1, 0.2], [0.1, 0.2, 0.3], 0.0),
-          lambda: optics.two_mode_unitary(0.3, np.zeros((2, 3)), np.zeros(2))),
-    *(row for k, angles in enumerate(BAD_ANGLES) for row in rows(
-        f"test_two_mode_unitary_rejects_angles_that_are_not_finite_real_numbers-angles{k}",
-        DomainError, "angles must be", partial(optics.two_mode_unitary, *angles))),
     *(row for k, (args, match) in enumerate(BAD_LAYERS) for row in rows(
         f"test_layer_validation#{k}", DomainError, match, partial(optics.Interferometer, *args))),
     *rows("test_reck_rejects_non_unitary", ContractError,
@@ -397,13 +394,13 @@ REFUSALS = [
     *rows("test_success_curve_values", DomainError, "x must lie in",
           *each(lambda x: povm.success_curve_x(x, PRIORS), 0.5, 4.5)),
     *rows("test_pure_success_examples", ContractError, "states must be",
-          *each(lambda pair: povm.pure_success(*pair, povm.omega1_from_x(2.0), PRIORS, 2),
+          *each(lambda pair: povm.pure_success(*pair, povm.omega1_from_x(2.0), PRIORS),
                 (E0, np.ones(3) / np.sqrt(3)), (np.array([np.nan, 0]), E1),
                 (np.array([np.inf, 0]), E1), (2 * E0, E1))),
     *rows("test_pure_success_expectation_validates_states", ContractError, "states must be",
-          *each(lambda pair: povm.pure_success_expectation(*pair, 0.7, PRIORS, 2),
+          *each(lambda pair: povm.pure_success_expectation(*pair, 0.7, PRIORS),
                 (1.2 * E0, E1),  # not normalized: it used to evaluate to 0.521
-                (E0, np.ones(3) / np.sqrt(3)),  # length 3 at n = 2
+                (E0, np.ones(3) / np.sqrt(3)),  # states of lengths 2 and 3
                 (np.array([np.nan, 0.0]), E1), (E0, np.array([np.nan, 0.0])))),
     *rows("test_total_povm_blocks_validate_angles_and_keep_their_cache_read_only", DomainError,
           "omega1 must lie in",
@@ -487,7 +484,7 @@ REFUSALS = [
     *(row for k, pair in enumerate(NON_UNIT_PAIRS) for row in rows(
         f"test_overlap_identity_rejects_non_unit_states-psi1{k}-psi2{k}", ContractError,
         "states must be",
-        partial(harness.overlap_identity_check, *map(np.array, pair), 2))),
+        partial(harness.overlap_identity_check, *map(np.array, pair)))),
     *rows("test_mc_success_validation", DomainError,
           "trials must be an integer >= 100|omega1 must lie in",
           *each(lambda trials: harness.mc_success(2, 0.3, PRIORS, trials=trials, seed=0),
@@ -512,7 +509,7 @@ def test_the_row_ids_of_each_table_are_unique(table):
 
 
 def test_a_whole_fraction_past_the_floats_is_its_exact_integer():
-    value = spaces.check_integer(Fraction(10**400), 0, "x")
+    value = scalars.check_integer(Fraction(10**400), 0, "x")
     assert type(value) is int and value == 10**400
 
 

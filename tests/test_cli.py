@@ -295,6 +295,24 @@ def test_prepare_writes_network(tmp_path, capsys):
     assert out_file.read_text().startswith("MODES 2\nBS 1 2 ")
 
 
+def test_prepare_measures_its_error_on_the_network_its_text_reads_back_as(
+        tmp_path, capsys, monkeypatch):
+    source, out_file = tmp_path / "amps.txt", tmp_path / "net.txt"
+    source.write_text("0.6\n0, 0.8\n")
+    read, parse = [], optics.Interferometer.from_text
+
+    def misread(text):  # the text's network, with a phase of 0.1 on the photon's mode
+        read.append(text)
+        net = parse(text)
+        return optics.Interferometer(2, net.modes, net.angles, net.phases + [0.1, 0.0])
+
+    monkeypatch.setattr(optics.Interferometer, "from_text", misread)
+    code, out, _ = run_cli(capsys, "prepare", str(source), "--out", str(out_file))
+    assert code == 0
+    assert read == [out_file.read_text()]
+    assert json.loads(out)["results"]["column_error"] > 0.05
+
+
 def test_prepare_basis_vector(tmp_path, capsys):
     source = tmp_path / "amps.txt"
     source.write_text("1\n0\n0\n")

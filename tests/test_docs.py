@@ -30,15 +30,15 @@ EXPORTS = [
     "haar_state", "jordan_angles", "mc_success", "mean_density_operators", "omega2_constraint",
     "optimal_average", "optimal_pure", "optimal_subspace", "overlap_identity_check",
     "prepare_state_network", "pure_success", "reck_decompose", "simulate_clicks",
-    "success_curve_x", "symmetric_basis_2", "symmetric_projector", "total_povm",
-    "two_mode_unitary", "verify_all",
+    "success_curve_x", "symmetric_basis_2", "symmetric_projector", "total_povm", "verify_all",
 ]
 # Removed public names: (name, the module that defined it).
 REMOVED = [("MeasurementTriple", "povm"), ("Tolerances", "harness"), ("JordanPairSet", "jordan"),
            ("ClickStats", "optics"), ("OverlapIdentity", "harness"),
            ("DegeneratePriorsError", "errors"), ("SHOT_BLOCK", "optics"),
            ("pair_labels", "spaces"), ("triple_labels", "spaces"), ("exchange_ac", "spaces"),
-           ("product_ket", "spaces"), ("gather_blocks", "spaces")]
+           ("product_ket", "spaces"), ("gather_blocks", "spaces"),
+           ("two_mode_unitary", "optics")]
 
 
 def _resolves(target, dotted):

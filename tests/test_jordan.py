@@ -7,8 +7,8 @@ from qudisc import jordan, kinds
 from qudisc.errors import DomainError
 from qudisc.jordan import build_gh_bases, jordan_angles
 from qudisc.kinds import CASE_DISTINCT, CASE_DISTINCT_PRIMED, reciprocal_rows
+from qudisc.scalars import dimension_table
 from qudisc.spaces import (
-    dimension_table,
     label_blocks,
     mean_density_operators,
     mean_density_weight,

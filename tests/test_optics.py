@@ -17,10 +17,9 @@ from qudisc.optics import (
     reck_decompose,
     simulate_clicks,
     simulate_discriminator,
-    two_mode_unitary,
 )
 from qudisc.povm import Priors, omega1_from_x, omega2_constraint, total_povm
-from references import cascade_by_residual
+from references import cascade_by_residual, layer_block
 from shared import PeakMemory, never
 
 
@@ -30,33 +29,17 @@ def random_unitary(dim, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def test_two_mode_unitary_special_values():
-    np.testing.assert_allclose(
-        two_mode_unitary(np.pi / 2, 0, 0), np.array([[1, 0], [0, -1]]), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        two_mode_unitary(0, 0, 0), np.array([[0, 1], [1, 0]]), atol=1e-12
-    )
+def test_one_layer_is_the_block_of_the_module_docstring():
+    def one_layer(*angles):
+        return Interferometer(2, [(0, 1)], [angles]).unitary()
 
-
-def test_two_mode_unitary_is_unitary():
+    np.testing.assert_allclose(one_layer(np.pi / 2, 0, 0), [[1, 0], [0, -1]], atol=1e-12)
+    np.testing.assert_allclose(one_layer(0, 0, 0), [[0, 1], [1, 0]], atol=1e-12)
     rng = np.random.Generator(np.random.Philox(key=3))
-    angles = rng.uniform(0, 2 * np.pi, size=(20, 3))
-    stacked = two_mode_unitary(*angles.T)  # one block per row of angles
-    for (omega, phi, theta), from_stack in zip(angles, stacked):
-        block = two_mode_unitary(omega, phi, theta)
-        np.testing.assert_allclose(block.conj().T @ block, np.eye(2), atol=1e-12)
-        assert np.array_equal(from_stack, block)
-
-
-def test_two_mode_unitary_broadcasts_its_angles():
-    blocks = two_mode_unitary(0.3, 1, np.array([0.2, 0.5]))
-    assert blocks.shape == (2, 2, 2)
-    for theta, block in zip((0.2, 0.5), blocks):
-        assert np.array_equal(block, two_mode_unitary(0.3, 1, theta))
-    grid = two_mode_unitary(np.array([[0.1], [0.4]]), 0.0, np.array([0.2, 0.5, 0.9]))
-    assert grid.shape == (2, 3, 2, 2)
-    assert np.array_equal(grid[1, 2], two_mode_unitary(0.4, 0.0, 0.9))
+    for angles in rng.uniform(0, 2 * np.pi, size=(20, 3)):
+        unitary = one_layer(*angles)
+        np.testing.assert_allclose(unitary, layer_block(*angles), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(unitary.conj().T @ unitary, np.eye(2), atol=1e-12)
 
 
 def test_network_arrays_are_read_only_copies():
@@ -175,7 +158,7 @@ def test_reck_identity_is_empty():
 
 
 def test_reck_single_block_roundtrip():
-    block = two_mode_unitary(0.6, 0.0, 0.0)
+    block = layer_block(0.6, 0.0, 0.0)
     net = reck_decompose(block)
     assert len(net.modes) == 1
     assert abs(net.angles[0, 0] - 0.6) < 1e-12
@@ -293,14 +276,14 @@ def _reck_equivalence_targets():
     block = np.zeros((6, 6), dtype=complex)  # exact zeros below the diagonal: skipped steps
     rng = np.random.Generator(np.random.Philox(key=72))
     block[:3, :3] = random_unitary(3, rng)
-    block[3:5, 3:5] = two_mode_unitary(0.4, 1.0, -2.0)
+    block[3:5, 3:5] = layer_block(0.4, 1.0, -2.0)
     block[5, 5] = np.exp(0.3j)
     yield block
     yield block[::-1]
     # Entries below 1e-14 but not zero: the tiny ones skipped, the rest kept.
-    near_diagonal = two_mode_unitary(np.pi / 2 - 5e-15, 0.2, 0.0)
+    near_diagonal = layer_block(np.pi / 2 - 5e-15, 0.2, 0.0)
     yield np.kron(near_diagonal, random_unitary(3, rng))
-    yield two_mode_unitary(0.6, 0.0, 0.0)
+    yield layer_block(0.6, 0.0, 0.0)
     for dim in (24, 48):
         yield random_unitary(dim, np.random.Generator(np.random.Philox(key=[7100 + dim, 3])))
     # Exact zeros off three diagonal blocks: the wavefronts t >= 24, which start at
@@ -325,14 +308,7 @@ def _unitary_layer_by_layer(net, states=None):
     mat = np.diag(phased) if states is None else phased[:, None] * states
     for rows, (omega, phi, theta) in reversed(list(zip(net.modes.tolist(),
                                                        net.angles.tolist()))):
-        s, c = np.sin(omega), np.cos(omega)
-        block = np.array(
-            [
-                [s * np.exp(1j * phi), c * np.exp(1j * phi)],
-                [c * np.exp(1j * theta), -s * np.exp(1j * theta)],
-            ]
-        )
-        mat[rows] = block @ mat[rows]
+        mat[rows] = layer_block(omega, phi, theta) @ mat[rows]
     return mat
 
 

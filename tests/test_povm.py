@@ -262,9 +262,9 @@ def test_pure_success_examples():
     priors = Priors.from_eta1(0.5)
     omega1 = omega1_from_x(2.0)
     e1, e2 = np.eye(2, dtype=complex)
-    assert abs(pure_success(e1, e2, omega1, priors, 2) - 1 / 3) < 1e-12
+    assert abs(pure_success(e1, e2, omega1, priors) - 1 / 3) < 1e-12
     psi = np.array([1, 1j]) / np.sqrt(2)
-    assert pure_success(psi, psi, 0.9, priors, 2) < 1e-12
+    assert pure_success(psi, psi, 0.9, priors) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -274,8 +274,8 @@ def test_pure_success_matches_expectation(n):
     for omega1 in (0.2, omega1_from_x(2.0), 1.4):
         for _ in range(10):
             psi1, psi2 = haar_state(n, rng), haar_state(n, rng)
-            closed = pure_success(psi1, psi2, omega1, priors, n)
-            operator = pure_success_expectation(psi1, psi2, omega1, priors, n)
+            closed = pure_success(psi1, psi2, omega1, priors)
+            operator = pure_success_expectation(psi1, psi2, omega1, priors)
             assert abs(closed - operator) < 1e-10
 
 
@@ -299,7 +299,7 @@ def test_cross_checks_match_dense_total_povm(n):
                 priors.eta1 * np.vdot(big1, pi1 @ big1).real
                 + priors.eta2 * np.vdot(big2, pi2 @ big2).real
             )
-            assert abs(pure_success_expectation(psi1, psi2, omega1, priors, n) - dense) < 1e-14
+            assert abs(pure_success_expectation(psi1, psi2, omega1, priors) - dense) < 1e-14
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_total_povm_is_one_real_writable_outcome_stack(n):
@@ -361,11 +361,11 @@ EMPTY_STATES = np.empty((0, 3), dtype=complex)
     pytest.param(lambda: product_blocks(EMPTY_STATES, EMPTY_STATES, EMPTY_STATES)[-1], (0, 1, 6),
                  id="product_blocks"),
     pytest.param(lambda: pure_success_expectation(EMPTY_STATES, EMPTY_STATES, 0.7,
-                                                  Priors.from_eta1(0.3), 3), (0,),
+                                                  Priors.from_eta1(0.3)), (0,),
                  id="pure_success_expectation"),
-    pytest.param(lambda: harness.overlap_identity_check(EMPTY_STATES, EMPTY_STATES, 3)[0],
+    pytest.param(lambda: harness.overlap_identity_check(EMPTY_STATES, EMPTY_STATES)[0],
                  (0,), id="overlap_identity_check.sum_g"),
-    pytest.param(lambda: harness.overlap_identity_check(EMPTY_STATES, EMPTY_STATES, 3)[1],
+    pytest.param(lambda: harness.overlap_identity_check(EMPTY_STATES, EMPTY_STATES)[1],
                  (0,), id="overlap_identity_check.sum_h"),
     pytest.param(lambda: average_success_trace(3, [], Priors.from_eta1(0.3)), (0,),
                  id="average_success_trace"),
@@ -405,11 +405,11 @@ def test_stacked_pairs_agree_with_per_pair_calls(n):
     psi1, psi2 = state_stacks(n, 30, seed=n)
     priors = Priors.from_eta1(0.3)
     for name, call in (
-        ("pure_success", lambda a, b: pure_success(a, b, 0.7, priors, n)),
-        ("pure_success_expectation", lambda a, b: pure_success_expectation(a, b, 0.7, priors, n)),
-        ("sum_g", lambda a, b: harness.overlap_identity_check(a, b, n)[0]),
-        ("sum_h", lambda a, b: harness.overlap_identity_check(a, b, n)[1]),
-        ("closed_form", lambda a, b: harness.overlap_identity_check(a, b, n)[2]),
+        ("pure_success", lambda a, b: pure_success(a, b, 0.7, priors)),
+        ("pure_success_expectation", lambda a, b: pure_success_expectation(a, b, 0.7, priors)),
+        ("sum_g", lambda a, b: harness.overlap_identity_check(a, b)[0]),
+        ("sum_h", lambda a, b: harness.overlap_identity_check(a, b)[1]),
+        ("closed_form", lambda a, b: harness.overlap_identity_check(a, b)[2]),
     ):
         stacked = call(psi1, psi2)
         singles = [call(a, b) for a, b in zip(psi1, psi2)]
@@ -427,7 +427,7 @@ def test_pure_success_dimension_independent():
         e = np.eye(n, dtype=complex)
         psi1 = e[0]
         psi2 = (e[0] + e[1]) / np.sqrt(2)  # squared overlap 1/2
-        ratio = pure_success(psi1, psi2, omega1, priors, n) / (1 - 0.5)
+        ratio = pure_success(psi1, psi2, omega1, priors) / (1 - 0.5)
         if reference is None:
             reference = ratio
         assert abs(ratio - reference) < 1e-10

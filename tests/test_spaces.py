@@ -7,10 +7,8 @@ import pytest
 from qudisc import harness, kinds, optics, povm, spaces
 from qudisc.errors import DomainError
 from qudisc.kinds import reciprocal_rows
+from qudisc.scalars import check_dimension, check_integer, dimension_table
 from qudisc.spaces import (
-    check_dimension,
-    check_integer,
-    dimension_table,
     kind_counts,
     label_blocks,
     mean_density_operators,
@@ -344,9 +342,9 @@ PHASE_TEXT = "MODES 4096\n" + "".join(f"PHASE {m} 0.25\n" for m in range(1, 4097
     pytest.param(lambda: symmetric_basis_2(60), id="symmetric_basis_2"),
     pytest.param(lambda: product_blocks(PAIRS_20[0], PAIRS_20[0], PAIRS_20[1]),
                  id="product_blocks"),
-    pytest.param(lambda: povm.pure_success_expectation(*PAIRS_20, 0.7, povm.Priors(0.3), 20),
+    pytest.param(lambda: povm.pure_success_expectation(*PAIRS_20, 0.7, povm.Priors(0.3)),
                  id="pure_success_expectation"),
-    pytest.param(lambda: harness.overlap_identity_check(*PAIRS_20, 20),
+    pytest.param(lambda: harness.overlap_identity_check(*PAIRS_20),
                  id="overlap_identity_check"),
     pytest.param(lambda: symmetric_projector(30), id="symmetric_projector"),
     pytest.param(lambda: (spaces._label_blocks.cache_clear(), label_blocks(40)),
