@@ -19,12 +19,12 @@ from .jordan import jordan_angles
 from .povm import Priors
 
 
-# Random pairs per block, which bounds a sampling call's memory.  Each block
-# takes the next draws of the call's one stream, so results do not depend on it.
+# Random pairs per block of empirical_mean_density, which bounds its memory.  Each
+# block takes the next draws of the call's one stream, so results do not depend on it.
 HAAR_BLOCK = 1024
 # Most trials one Monte Carlo call accepts: mc_success keeps one float per
 # trial, and its standard error one more, so it peaks near 160 MB at the limit
-# (about 4 s at n = 2 on a 2-vCPU x86 VM).
+# (about 0.2 s on a 2-vCPU x86 VM, whatever n).
 MAX_TRIALS = 10**7
 
 # The regime scan's grid is np.arange(1.0, 4.0 + 1e-6, 1e-6) cut at 4: np.arange
@@ -59,18 +59,6 @@ def _haar_rows(rng: np.random.Generator, shape: tuple[int, ...], n: int) -> np.n
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
-def _haar_pair_blocks(n: int, trials: int, seed: int, least: int):
-    """(psi1 rows, psi2 rows) for `trials` random pairs, HAAR_BLOCK pairs at a time.
-
-    Trials outside least..MAX_TRIALS raise DomainError before any draw.
-    """
-    trials = scalars.check_integer(trials, least, "trials", MAX_TRIALS)
-    rng = optics.seeded_stream(seed)
-    pairs = (_haar_rows(rng, (min(HAAR_BLOCK, trials - start), 2), n)
-             for start in range(0, trials, HAAR_BLOCK))
-    return map(lambda p: (p[:, 0], p[:, 1]), pairs)  # holds no block once handed on
-
-
 def haar_state(n: int, seed: int) -> np.ndarray:
     """Unit vector drawn from the unitarily invariant measure."""
     n = scalars.check_integer(n, 1, "dimension")
@@ -84,9 +72,11 @@ def empirical_mean_density(n: int, which: int, trials: int, seed: int) -> np.nda
     # kets; a block's states are released before the next is drawn.  n <= 16 is
     # admitted.
     spaces.check_build_bytes(16 * (2 * n**6 + 5 * HAAR_BLOCK * n**3), "the sampled density")
-    blocks = _haar_pair_blocks(n, trials, seed, 1)
+    trials = scalars.check_integer(trials, 1, "trials", MAX_TRIALS)
+    rng = optics.seeded_stream(seed)
     acc = np.zeros((n**3, n**3), dtype=complex)
-    for psi1, psi2 in blocks:
+    for start in range(0, trials, HAAR_BLOCK):
+        psi1, psi2 = _haar_rows(rng, (min(HAAR_BLOCK, trials - start), 2), n).swapaxes(0, 1)
         middle = psi1 if which == 1 else psi2
         big = np.einsum("ti,tj,tk->tijk", psi1, middle, psi2).reshape(len(psi1), n**3)
         acc += big.T @ big.conj()
@@ -132,16 +122,24 @@ def mc_success(
 ) -> McEstimate:
     """Monte Carlo average of the pure-state success over random pairs.
 
-    Each trial contributes its exact conditional success probability, which
-    depends on the drawn pair only through the squared overlap.
+    Each trial contributes its exact conditional success probability,
+    prefactor * (1 - s), which reads the pair only through its squared overlap
+    s.  By unitary invariance s has the law of |psi[0]|^2 for one random state,
+    Beta(1, n - 1): P(1 - s <= v) = v^(n-1), so 1 - s has exactly the law of
+    U^(1/(n-1)) for U uniform on (0, 1].  Trial t draws no state, only the t-th
+    uniform of the (seed, 0) stream, U_t = 1 - random(), and reads
+    exp(log(U_t) * (1 / (n - 1))); the exponent is an exact int quotient, 0.0
+    for n past the floats, where the mean is prefactor itself and the error 0.
     """
     n = scalars.check_dimension(n)
-    blocks = _haar_pair_blocks(n, trials, seed, 100)
+    trials = scalars.check_integer(trials, 100, "trials", MAX_TRIALS)
+    rng = optics.seeded_stream(seed)
     prefactor = povm.PURE_SCALE * povm.success_curve_x(povm.x_from_omega1(omega1), priors)
-    values = np.concatenate([prefactor * (1.0 - np.abs((a.conj() * b).sum(axis=1)) ** 2)
-                             for a, b in blocks])
-    return McEstimate(mean=float(values.mean()),
-                      stderr=float(values.std(ddof=1) / np.sqrt(trials)))
+    draws = rng.random(trials)  # made 1 - s of each trial in place
+    np.log(np.subtract(1.0, draws, out=draws), out=draws)
+    np.exp(np.multiply(draws, 1 / (n - 1), out=draws), out=draws)
+    return McEstimate(mean=prefactor * float(draws.mean()),
+                      stderr=prefactor * float(draws.std(ddof=1) / np.sqrt(trials)))
 
 
 def _ks_distance(samples: np.ndarray, cdf) -> float:

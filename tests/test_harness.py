@@ -79,13 +79,27 @@ def test_an_oversized_n_is_refused_before_any_allocation():
         lambda: mean_density_operators(100),
         lambda: spaces.label_blocks(2000),
         lambda: haar_state(10**13, 0),
-        lambda: mc_success(10**9, 0.5, priors, 100, 0),
     ]
     with PeakMemory() as peak:
         for call in calls:
             with pytest.raises(DomainError, match="over the limit"):
                 call()
     assert peak.bytes < 2**20
+
+
+@pytest.mark.parametrize("n", [10**9, 10**400])
+def test_mc_success_runs_at_any_n_in_memory_of_its_trials_alone(n):
+    # mc_success draws the squared overlap, not the states, so no n is over the
+    # size limit; the exponent 1 / (n - 1) is an int quotient, 0.0 past the floats.
+    priors = Priors.from_eta1(0.3)
+    with PeakMemory() as peak:
+        est = mc_success(n, 0.5, priors, trials=10_000, seed=7)
+    assert peak.bytes < 2**20
+    prefactor = povm.PURE_SCALE * povm.success_curve_x(povm.x_from_omega1(0.5), priors)
+    if n == 10**400:  # every trial reads 1 - s = 1 exactly
+        assert (est.mean, est.stderr) == (prefactor, 0.0)
+    else:
+        assert abs(est.mean - average_success(n, 0.5, priors)) < 3 * est.stderr
 
 
 def test_empirical_mean_density_single_trial():
@@ -108,11 +122,8 @@ def test_empirical_mean_density_trace_distance_n3():
 
 
 def test_sampling_does_not_depend_on_block_size(monkeypatch):
-    priors = Priors.from_eta1(0.3)
-    mean = mc_success(3, 0.8, priors, trials=500, seed=4)
     density = empirical_mean_density(2, 2, trials=500, seed=6)
     monkeypatch.setattr(harness, "HAAR_BLOCK", 7)
-    assert mc_success(3, 0.8, priors, trials=500, seed=4) == mean
     np.testing.assert_allclose(
         empirical_mean_density(2, 2, trials=500, seed=6), density, rtol=0, atol=1e-14
     )
@@ -130,9 +141,17 @@ def test_pair_sampling_matches_per_pair_loop():
     np.testing.assert_allclose(
         empirical_mean_density(n, 2, trials, seed), density, rtol=0, atol=1e-14
     )
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_mc_success_reads_one_uniform_per_trial(n):
+    # The documented contract: trial t takes the t-th uniform r_t of the (seed, 0)
+    # stream, and 1 - s = exp(log(1 - r_t) / (n - 1)) of the Beta(1, n - 1) law.
+    trials, seed = 300, 21
+    r = np.random.Generator(np.random.Philox(key=[seed, 0])).random(trials)
     priors = Priors.from_eta1(0.6)
     scale = average_success(n, 0.5, priors) * n / (n - 1)  # (2/3) P(x)
-    values = [scale * (1.0 - abs(np.vdot(a, b)) ** 2) for a, b in z]
+    values = [scale * np.exp(np.log(1.0 - r_t) * (1 / (n - 1))) for r_t in r]
     assert abs(mc_success(n, 0.5, priors, trials, seed).mean - np.mean(values)) < 1e-14
 
 
@@ -602,6 +621,11 @@ def _a_tenth_of_the_clicks_moved(counts, net, state, shots):
     return counts
 
 
+def _first_component_scaled(z, *args):
+    z[..., 0] *= 1.3
+    return z
+
+
 def fault(name, patch, fails, passes=frozenset(), deviations=None):
     """A row of FAULTS.  patch(monkeypatch) installs the fault; `fails` and
     `passes` hold the (scope, check) pairs that must fail under it and that must
@@ -787,6 +811,14 @@ FAULTS = [
     fault("empirical_mean_density",  # the sampled average 0.02 off at one entry
           _wrapped(harness, "empirical_mean_density", lambda rho, *args: _plus((0, 0), 0.02)(rho)),
           at("global", "empirical_mean_density")),
+    fault("empirical_mean_density-haar_sampler",
+          # Each state's first component 1.3 times its complex normal.  mc_success
+          # draws the overlap's law, not states, so the two checks that read states
+          # must fail.  A Monte Carlo of s over sampled states would not catch a
+          # sampler of real Gaussians: real unit vectors also have E s = 1/n.
+          _wrapped(harness, "_complex_normal", _first_component_scaled),
+          at("global", "empirical_mean_density", "haar_first_component_law"),
+          at("global", None)),
     fault("test_a_nan_ks_statistic_fails_closed",
           lambda monkeypatch: monkeypatch.setattr(harness, "_ks_distance", lambda *args: np.nan),
           at("global", "haar_first_component_law")),
@@ -990,13 +1022,13 @@ def test_verify_all_memory_peak_stays_small():
 # (n, eta1, omega1, trials, seed, mean, stderr): the three verify_all settings
 # (n = 4 at n_max = 4) and three of the bench `sample` round's shape.
 MC_REFERENCE = [
-    (2, 0.5, 0.8, 10_000, 55, "0x1.50c4ef4c6e642p-3", "0x1.ee1bbb31c484dp-11"),
-    (3, 0.1, 0.8, 10_000, 55, "0x1.04eb75b2d5829p-2", "0x1.d708b2eacc074p-11"),
-    (4, 0.9, 0.8, 10_000, 55, "0x1.9d934bc753ff4p-3", "0x1.15db25a69041fp-11"),
-    (5, 0.9, 0.8, 10_000, 55, "0x1.bcb118e9c36c2p-3", "0x1.ccad6bc00943bp-12"),
-    (2, 0.37, 0.2, 20_000, 1_234_567, "0x1.47c01295f248ap-3", "0x1.55ab7ab066696p-11"),
-    (3, 0.62, 1.1, 20_000, 2**31 - 1, "0x1.d620abdf65bacp-3", "0x1.2b18e4c96b89dp-11"),
-    (5, 0.05, 1.5, 20_000, 90_210, "0x1.c1431a58500b1p-6", "0x1.4ab575719c8d0p-15"),
+    (2, 0.5, 0.8, 10_000, 55, "0x1.4cf1e044ce2b2p-3", "0x1.eccd0b80d52eep-11"),
+    (3, 0.1, 0.8, 10_000, 55, "0x1.03fbd67e2dd0fp-2", "0x1.d61f47d196b3ap-11"),
+    (4, 0.9, 0.8, 10_000, 55, "0x1.9ff957f8a39c2p-3", "0x1.1292765d77b8cp-11"),
+    (5, 0.9, 0.8, 10_000, 55, "0x1.bbd3cf5056906p-3", "0x1.cf3c721377365p-12"),
+    (2, 0.37, 0.2, 20_000, 1_234_567, "0x1.464645b583ba5p-3", "0x1.5713bfd8b7c98p-11"),
+    (3, 0.62, 1.1, 20_000, 2**31 - 1, "0x1.d62caa3e6f2b2p-3", "0x1.2ab00f740ed50p-11"),
+    (5, 0.05, 1.5, 20_000, 90_210, "0x1.c15bd5bffc3efp-6", "0x1.4a106c8c63a98p-15"),
 ]
 
 
@@ -1009,7 +1041,9 @@ def test_mc_success_values_are_pinned_bit_for_bit(n, eta1, omega1, trials, seed,
 def test_mc_success_keeps_one_float_per_trial():
     with PeakMemory() as peak:
         mc_success(2, 0.8, Priors.from_eta1(0.5), trials=10**6, seed=3)
-    assert peak.bytes <= 20 * 2**20  # the complex overlaps of every trial took 38 MiB
+    # One float per trial and one more for the standard error, 15.3 MiB; the
+    # complex overlaps of every trial took 38 MiB.
+    assert peak.bytes <= 2 * 8 * 10**6 + 2**16
 
 
 @pytest.mark.parametrize("call", [
