@@ -315,7 +315,7 @@ def _checks_for_n(n: int, report: VerificationReport, kind_results) -> None:
     counts = spaces.kind_counts(n)  # closed form, against the V_t that label_blocks counts
     vts = spaces.label_blocks(n)
     dev = _worst(*(abs(a - b) for a, b in zip(table, constructive)),
-                 np.abs(counts - [len(cols) for cols in vts.groups]).max())
+                 np.abs(counts - [len(cols) for cols in vts]).max())
     report.add("dimension_formulas", scope, dev, 0,
                "closed-form subspace dimensions equal constructive SVD ranks")
 
@@ -329,7 +329,7 @@ def _checks_for_n(n: int, report: VerificationReport, kind_results) -> None:
     # The three-fold symmetric basis has one row per V_t, its kind's unit vector
     # spread over it, so the groups must cover each ket once.
     sym2 = spaces.symmetric_basis_2(n)
-    covered = np.bincount(np.concatenate([cols.ravel() for cols in vts.groups]), minlength=n**3)
+    covered = np.bincount(np.concatenate([cols.ravel() for cols in vts]), minlength=n**3)
     dev = _worst(np.abs(sym2 @ sym2.T - np.eye(len(sym2))).max(), np.abs(covered - 1).max(),
                  *(r.unit for r in results))
     report.add("symmetric_bases_orthonormal", scope, dev, TIGHT,
@@ -342,15 +342,13 @@ def _checks_for_n(n: int, report: VerificationReport, kind_results) -> None:
     report.add("symmetric_projector", scope, dev, OP,
                "two-fold symmetric projector is the permutation symmetrizer")
 
-    # The glue between the kinds and the whole space: each permutation maps every
-    # V_t, so its row of block_of, to itself, and moves the flat indices of a V_t
-    # as its kind's permutation matrix moves them.  Float rows let a NaN show.
-    rows = np.stack([vts.block_of, np.arange(n**3)]).astype(float)
-    moved = [spaces.permute_registers(rows, perm, n) for perm, _ in kinds.PERMUTATIONS]
-    dev = _worst(*(np.abs(m[0] - rows[0]).max() for m in moved),
-                 *(np.abs(m[1, cols] - cols @ kind.perms[s]).max(initial=0.0)
-                   for s, m in enumerate(moved)
-                   for cols, kind in zip(vts.groups, kinds.kind_table())))
+    # The glue between the kinds and the whole space: each permutation moves the
+    # flat indices of a V_t as its kind's permutation matrix moves them, so, as the
+    # groups cover each ket once, it maps every V_t to itself.  A float row lets a NaN show.
+    flat = np.arange(n**3, dtype=float)
+    moved = [spaces.permute_registers(flat, perm, n) for perm, _ in kinds.PERMUTATIONS]
+    dev = _worst(*(np.abs(m[cols] - cols @ kind.perms[s]).max(initial=0.0)
+                   for s, m in enumerate(moved) for cols, kind in zip(vts, kinds.kind_table())))
     report.add("threefold_permutation_invariance", scope, dev, TIGHT,
                "three-fold symmetric vectors are fixed by all register permutations")
 
@@ -376,7 +374,7 @@ def _checks_for_n(n: int, report: VerificationReport, kind_results) -> None:
 
     # Per kind present, u3 over its S1 rows and over its S2 rows gives its unit
     # symmetric vector, as wide as each V_t of its group.
-    widths = (abs(cols.shape[1] - kind.d) for cols, kind in zip(vts.groups, kinds.kind_table()))
+    widths = (abs(cols.shape[1] - kind.d) for cols, kind in zip(vts, kinds.kind_table()))
     dev = _worst(*(r.expansions for r in results), *widths)
     report.add("symmetric_vector_expansions", scope, dev, TIGHT,
                "product-basis expansions reconstruct the symmetric vectors")

@@ -36,12 +36,14 @@ def build_gh_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
     # g and h peak at 2.26, 2.02 and 2.00 times g's bytes at n = 6, 10 and 14
     # (tracemalloc, the V_t tables built too); 2.5 times them admits n <= 23.
     check_build_bytes(20 * i0 * n**3, "g and h (i0 x n^3 each)")
-    blocks, table = label_blocks(n), kinds.kind_table()
-    depth = np.array([len(kind.cases) for kind in table])[blocks.kind_of]  # g rows per V_t
-    first = np.cumsum(depth) - depth
-    g = np.zeros((depth.sum(), n**3))
-    for k, (cols, kind) in enumerate(zip(blocks.groups, table)):
-        index = first[blocks.kind_of == k, None] + np.arange(len(kind.cases))
+    groups, table = label_blocks(n), kinds.kind_table()
+    g = np.zeros((sum(len(kind.cases) * len(cols) for cols, kind in zip(groups, table)), n**3))
+    for cols, kind in zip(groups, table):
+        # A V_t's sorted labels are its first ket, and each group's first kets
+        # ascend, so the g rows before a V_t's are those of the V_t below it.
+        first = sum(len(other.cases) * np.searchsorted(lower[:, 0], cols[:, 0])
+                    for lower, other in zip(groups, table))
+        index = first[:, None] + np.arange(len(kind.cases))
         g[index[:, :, None], cols[:, None, :]] = kind.g  # the kind's rows on each of its V_t
     assert len(g) == i0
     return g, permute_registers(g, (2, 1, 0), n)

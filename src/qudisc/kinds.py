@@ -5,9 +5,9 @@ are a permutation of the multiset t (:func:`qudisc.spaces.label_blocks`).  Up
 to an order-preserving relabelling, which keeps the kets' ascending flat
 order, t is one of four kinds: {a,a,a}, {a,a,b}, {a,b,b} and {a,b,c} with
 a < b < c.  So an operator built alike on every V_t has one block per kind,
-the same at every qudit dimension n; :attr:`qudisc.spaces.LabelBlocks.groups`
-lists the V_t of each kind at a given n, and the block held here broadcasts
-over them.
+the same at every qudit dimension n.  :func:`qudisc.spaces.label_blocks`
+lays each kind's `members` over the V_t of that kind at a given n, and the
+block held here broadcasts over them.
 
 The g rows and the S1 product-basis rows are written out from their
 definitions.  h and the S2 rows are them with A and C exchanged, and rho1 and
@@ -28,7 +28,7 @@ CASE_LOW = "i=j<k"
 CASE_HIGH = "i<j=k"
 CASE_DISTINCT = "i<j<k"
 CASE_DISTINCT_PRIMED = "i<j<k'"
-# One multiset t of each kind, in the order of LabelBlocks.kind_of, with the cases of its g rows.
+# One multiset t of each kind, in the kind table's order, with the cases of its g rows.
 _KINDS = (((0, 0, 0), ()), ((0, 0, 1), (CASE_LOW,)), ((0, 1, 1), (CASE_HIGH,)),
           ((0, 1, 2), (CASE_DISTINCT, CASE_DISTINCT_PRIMED)))
 
@@ -101,11 +101,13 @@ class Kind:
     over either.  rho1 and rho2 are the blocks of the averaged inputs over
     w = 2/(n^2 (n+1)).  perms stacks the d x d matrices of PERMUTATIONS: rows @
     perms[s] permutes the registers of rows on V_t as spaces.permute_registers
-    does on the whole space.  All arrays are read-only.
+    does on the whole space.  members holds the (d, 3) label indices of the
+    kets, 0 = a, 1 = b and 2 = c, in their order.  All arrays are read-only.
     """
 
     d: int
     cases: tuple[str, ...]
+    members: np.ndarray
     g: np.ndarray
     h: np.ndarray
     g_perp: np.ndarray
@@ -146,9 +148,10 @@ def _kind(labels: tuple[int, int, int], cases: tuple[str, ...]) -> Kind:
     projectors = {name: projector_from_rows(rows) for name, rows in (
         ("p0", np.full((1, d), 1.0 / np.sqrt(d))), ("p_g", g), ("p_h", h), ("p_g_perp", g_perp),
         ("p_h_perp", h_perp), ("s1", s1_rows), ("s2", s2_rows))}
-    kind = Kind(d=d, cases=cases, g=g, h=h, g_perp=g_perp, h_perp=h_perp, s1_rows=s1_rows,
-                s2_rows=s2_rows, u3=np.array(_u3_coefficients()[labels]), rho1=rho1, rho2=rho2,
-                perms=perms, **projectors)
+    kind = Kind(d=d, cases=cases, members=np.array(members), g=g, h=h, g_perp=g_perp,
+                h_perp=h_perp, s1_rows=s1_rows, s2_rows=s2_rows,
+                u3=np.array(_u3_coefficients()[labels]), rho1=rho1, rho2=rho2, perms=perms,
+                **projectors)
     for value in vars(kind).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
@@ -157,6 +160,6 @@ def _kind(labels: tuple[int, int, int], cases: tuple[str, ...]) -> Kind:
 
 @functools.cache
 def kind_table() -> tuple[Kind, ...]:
-    """The kinds {a,a,a}, {a,a,b}, {a,b,b} and {a,b,c}, in the order of
-    :attr:`qudisc.spaces.LabelBlocks.kind_of`; built once, on first use."""
+    """The kinds {a,a,a}, {a,a,b}, {a,b,b} and {a,b,c}, in the order of the
+    groups of :func:`qudisc.spaces.label_blocks`; built once, on first use."""
     return tuple(_kind(labels, cases) for labels, cases in _KINDS)

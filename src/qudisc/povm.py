@@ -3,7 +3,7 @@
 On each Jordan block span(g_perp_i, h_i) the measurement is :func:`block_povm`,
 written in the block's orthonormal (g_perp, h) frame.  :func:`kind_povms` gives
 it on each kind of label-multiset space V_t, with no n in it: its block on
-every V_t of that kind (:attr:`qudisc.spaces.LabelBlocks.groups`).
+every V_t of that kind (:func:`qudisc.spaces.label_blocks`).
 :func:`total_povm` builds the same operators independently, as combinations of
 the register permutations.
 

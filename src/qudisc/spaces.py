@@ -8,15 +8,15 @@ real (float64); only states and their product amplitudes are complex.
 A basis ket |i j k> lies in the label-multiset space V_t of its sorted labels
 t.  The symmetric bases, the S1 and S2 product bases and the averaged input
 states are block diagonal over these spaces, and each V_t block is that of
-its kind (:mod:`qudisc.kinds`).  :func:`label_blocks` groups the V_t by kind,
-so one block of the kind table broadcasts over every V_t of its group.
+its kind (:mod:`qudisc.kinds`).  :func:`label_blocks` lays each kind's members
+over the V_t of that kind, one group per kind, so one block of the kind table
+broadcasts over every V_t of its group.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,28 +98,16 @@ def check_unit_states(psi1, psi2) -> tuple[np.ndarray, np.ndarray]:
     return psi1, psi2
 
 
-@dataclass(frozen=True)
-class LabelBlocks:
-    """The label-multiset spaces V_t of the three registers at dimension n.
-
-    block_of[f] is the index of flat basis index f's sorted label tuple among the
-    triples i <= j <= k in lexicographic order.  kind_of[t] has bit 1 set where the
-    first two sorted labels of t differ and bit 0 where the last two do: the index into
-    :func:`qudisc.kinds.kind_table`.  groups[k] is a (blocks, d) array: the flat
-    indices of each V_t of kind k, ascending, with the blocks in index order,
-    and d the kind's width in the kind table; a kind absent at n has no rows.
-    All arrays are read-only.
-    """
-
-    block_of: np.ndarray
-    groups: tuple[np.ndarray, ...]
-    kind_of: np.ndarray
-
-
-def label_blocks(n: int) -> LabelBlocks:
-    """The V_t at qudit dimension n; one shared instance per n."""
+def label_blocks(n: int) -> tuple[np.ndarray, ...]:
+    """The label-multiset spaces V_t of the three registers at qudit dimension n,
+    one (blocks, d) int64 array per kind of :func:`qudisc.kinds.kind_table`, in
+    its order: the flat indices of each V_t of that kind, ascending, with the V_t
+    in lexicographic order of their sorted labels and d the kind's width.  A
+    kind absent at n has no rows.  One shared read-only tuple per n."""
     n = check_dimension(n)
-    # The labels, sorted, their keys and their sorts: about ten int64 per basis ket.
+    # The increasing-label mask, its argwhere, the {a,b,c} members' labels and
+    # the flat indices peak at about 31 bytes per basis ket from n = 8 on
+    # (tracemalloc); 80 keeps the admitted n at 237.
     check_build_bytes(8 * 10 * n**3, "the V_t of 3 registers")
     return _label_blocks(n)
 
@@ -130,19 +118,20 @@ def label_blocks(n: int) -> LabelBlocks:
 # from a cleared cache (the global checks' one sweep down from n = 48 misses
 # the 31 keys below n = 33 that the per-n loop evicted).
 @functools.lru_cache(maxsize=16)
-def _label_blocks(n: int) -> LabelBlocks:
-    labels = np.sort(np.indices((n, n, n)).reshape(3, -1).T, axis=1)
-    keys = labels @ np.array([n * n, n, 1])
-    _, first, block_of = np.unique(keys, return_index=True, return_inverse=True)
-    kind_of = (np.diff(labels[first], axis=1) != 0) @ np.array([2, 1])
-    members = np.argsort(block_of, kind="stable")  # each V_t's flat indices in turn
-    member_kind = kind_of[block_of[members]]
-    groups = tuple(members[member_kind == k].reshape(-1, kind.d)
-                   for k, kind in enumerate(kinds.kind_table()))
-    blocks = LabelBlocks(block_of=block_of, groups=groups, kind_of=kind_of)
-    for array in (block_of, kind_of, *groups):
-        array.setflags(write=False)
-    return blocks
+def _label_blocks(n: int) -> tuple[np.ndarray, ...]:
+    # Each V_t of a kind is its labels a < b (< c) relabelled into the kind's
+    # members; argwhere lists those label tuples in lexicographic order.
+    groups = []
+    for kind in kinds.kind_table():
+        shape = (n,) * (kind.members.max() + 1)  # an axis per distinct label of the kind
+        axes = np.indices(shape, sparse=True)
+        increasing = np.ones(shape, dtype=bool)
+        for low, high in zip(axes, axes[1:]):
+            increasing &= low < high
+        cols = np.argwhere(increasing)[:, kind.members] @ np.array([n * n, n, 1])
+        cols.setflags(write=False)
+        groups.append(cols)
+    return tuple(groups)
 
 
 def kind_counts(n: int) -> np.ndarray:
@@ -155,7 +144,7 @@ def kind_counts(n: int) -> np.ndarray:
 
 def product_blocks(a, b, c) -> list[np.ndarray]:
     """The amplitudes of |a>|b>|c> on each V_t, one (..., blocks, d) array per kind
-    (:attr:`LabelBlocks.groups`), for numeric states (n,) or row-aligned stacks (T, n)
+    (:func:`label_blocks`), for numeric states (n,) or row-aligned stacks (T, n)
     of one n >= 2, else ContractError: nested np.kron's products, bit for bit, with no n^3 ket."""
     a, b, c = (check_array(s, "states", (1, 2)) for s in (a, b, c))
     n, dtype = a.shape[-1], np.result_type(a, b, c)
@@ -168,7 +157,7 @@ def product_blocks(a, b, c) -> list[np.ndarray]:
     check_build_bytes(dtype.itemsize * entries + 16 * n**3, "the product amplitudes")
     ab = (a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], n * n).astype(dtype, copy=False)
     amplitudes = []
-    for cols in label_blocks(n).groups:
+    for cols in label_blocks(n):
         first_two, third = np.divmod(cols, n)
         amps = ab[..., first_two]  # (a_i b_j) c_k, in nested np.kron's order
         amps *= c[..., third]

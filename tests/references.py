@@ -8,14 +8,17 @@ averaged inputs' blocks from the entries of P_sigma (x) I and I (x) P_sigma.
 The preparation cascade is rebuilt one mode at a time from its running
 residual weight, as optics.prepare_state_network built it before, and a
 two-mode layer's block is written out entry by entry from the optics module
-docstring.
+docstring.  The V_t are found by sorting every label triple, as
+spaces.label_blocks found them before it laid out the kinds' members.
 """
 
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
 from qudisc.errors import ContractError
+from qudisc.scalars import check_dimension
 from qudisc.spaces import (
     check_array, label_blocks, symmetric_basis_2, symmetric_projector,
 )
@@ -38,11 +41,41 @@ def ket(labels, n):
     return vec
 
 
+class SortedLabelBlocks(NamedTuple):
+    """The V_t at qudit dimension n, found by sorting.
+
+    block_of[f] is the index of flat basis index f's sorted label tuple among the
+    triples i <= j <= k in lexicographic order.  kind_of[t] has bit 1 set where the
+    first two sorted labels of t differ and bit 0 where the last two do: the index
+    into qudisc.kinds.kind_table().  groups[k] is a (blocks, d) array: the flat
+    indices of each V_t of kind k, ascending, with the blocks in index order.
+    """
+
+    block_of: np.ndarray
+    groups: tuple
+    kind_of: np.ndarray
+
+
+def sorted_label_blocks(n):
+    """The V_t of every label triple sorted, its key np.unique'd and the inverse
+    argsorted (:class:`SortedLabelBlocks`).  DomainError unless n is a qudit dimension."""
+    n = check_dimension(n)
+    labels = np.sort(np.indices((n, n, n)).reshape(3, -1).T, axis=1)
+    keys = labels @ np.array([n * n, n, 1])
+    _, first, block_of = np.unique(keys, return_index=True, return_inverse=True)
+    kind_of = (np.diff(labels[first], axis=1) != 0) @ np.array([2, 1])
+    members = np.argsort(block_of, kind="stable")  # each V_t's flat indices in turn
+    member_kind = kind_of[block_of[members]]
+    # d is the number of orderings of {a,a,a}, {a,a,b}, {a,b,b} and {a,b,c}.
+    groups = tuple(members[member_kind == k].reshape(-1, d) for k, d in enumerate((1, 3, 3, 6)))
+    return SortedLabelBlocks(block_of, groups, kind_of)
+
+
 def symmetric_basis_3(n):
     """Orthonormal basis of the three-fold symmetric subspace, one row per V_t in
     lexicographic order of its labels i <= j <= k: the equal superposition of
     the basis kets in it."""
-    block_of = label_blocks(n).block_of
+    block_of = sorted_label_blocks(n).block_of
     sizes = np.bincount(block_of)
     basis = np.zeros((len(sizes), len(block_of)))
     basis[block_of, np.arange(len(block_of))] = 1.0 / np.sqrt(sizes[block_of])
@@ -51,12 +84,12 @@ def symmetric_basis_3(n):
 
 def diagonal_blocks(op, n):
     """The V_t diagonal blocks of an n^3 x n^3 operator, one (blocks, d, d)
-    stack per kind (LabelBlocks.groups), and the Frobenius norm of the entries
+    stack per kind (spaces.label_blocks), and the Frobenius norm of the entries
     off those blocks.  ContractError unless op is n^3 x n^3."""
-    blocks, op = label_blocks(n), check_array(op, "op", (2,))
-    if op.shape != blocks.block_of.shape * 2:
+    op = check_array(op, "op", (2,))
+    if op.shape != (n**3, n**3):
         raise ContractError(f"op must be {n}^3 x {n}^3, got shape {op.shape}")
-    entries = [(cols[:, :, None], cols[:, None, :]) for cols in blocks.groups]
+    entries = [(cols[:, :, None], cols[:, None, :]) for cols in label_blocks(n)]
     diagonal = [op[rows, cols] for rows, cols in entries]
     rest = np.array(op)  # op minus the direct sum of its diagonal blocks
     for rows, cols in entries:
@@ -106,7 +139,7 @@ def block_stacks(rows, n):
     rows pad the rest.  Raises ContractError unless each row has nonzero
     entries in exactly one V_t.
     """
-    blocks = label_blocks(n)
+    blocks = sorted_label_blocks(n)
     nonzero = rows != 0
     owner = blocks.block_of[nonzero.argmax(axis=1)]
     if not nonzero.any(axis=1).all() or (nonzero & (blocks.block_of != owner[:, None])).any():
@@ -139,7 +172,7 @@ def rho_blocks_by_index_arithmetic(n):
     weight = 2.0 / (n**2 * (n + 1))
     p_sigma = symmetric_projector(n)
     rho1, rho2 = [], []
-    for cols in label_blocks(n).groups:
+    for cols in label_blocks(n):
         i, j = cols[:, :, None], cols[:, None, :]
         # Flat index (ab, c) for P_sigma (x) I, and (a, bc) for I (x) P_sigma.
         rho1.append(weight * (p_sigma[i // n, j // n] * (i % n == j % n)))

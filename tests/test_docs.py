@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qudisc
-from qudisc import cli, harness, optics, spaces
+from qudisc import cli, harness, jordan, optics, povm, spaces
 from qudisc.errors import DomainError
 from shared import never
 
@@ -38,7 +38,7 @@ REMOVED = [("MeasurementTriple", "povm"), ("Tolerances", "harness"), ("JordanPai
            ("DegeneratePriorsError", "errors"), ("SHOT_BLOCK", "optics"),
            ("pair_labels", "spaces"), ("triple_labels", "spaces"), ("exchange_ac", "spaces"),
            ("product_ket", "spaces"), ("gather_blocks", "spaces"),
-           ("two_mode_unitary", "optics")]
+           ("two_mode_unitary", "optics"), ("LabelBlocks", "spaces")]
 
 
 def _resolves(target, dotted):
@@ -185,6 +185,31 @@ def test_readme_states_the_full_mesh_limits_of_the_byte_constants():
     unstated = [(call, n) for call, n in limits.items()
                 if not re.search(rf"\b{n}(?: modes)? by\s+`{re.escape(call)}`", README)]
     assert unstated == []
+
+
+def test_readme_states_the_dense_limits_of_the_size_rule(monkeypatch):
+    # The size rule is the real one, but a call it admits stops right after it,
+    # having built nothing: a grown estimate fails here instead of lowering the
+    # limit that README and the MAX_BUILD_BYTES comment state.
+    pattern = (r"admits the V_t up to n = (\d+), (?:`build_gh_bases`|the paired bases) up to"
+               r"\s+n = (\d+)\b.*?total_povm`? up(?:\s|#)+to n = (\d+)")
+    stated = [re.findall(pattern, text, flags=re.S)
+              for text in (README, (SRC / "spaces.py").read_text())]
+    assert len(stated[0]) == 1 and stated[0] == stated[1]
+    real = spaces.check_build_bytes
+
+    def admitted(nbytes, what):
+        real(nbytes, what)
+        raise AssertionError("the size rule passed")
+
+    for module in (spaces, jordan, povm):
+        monkeypatch.setattr(module, "check_build_bytes", admitted)
+    calls = (spaces.label_blocks, jordan.build_gh_bases, lambda n: povm.total_povm(n, 0.5))
+    for call, limit in zip(calls, map(int, stated[0][0])):
+        with pytest.raises(AssertionError, match="the size rule passed"):
+            call(limit)
+        with pytest.raises(DomainError, match="over the limit"):
+            call(limit + 1)
 
 
 def test_readme_command_lines_parse_and_name_only_subcommand_flags():

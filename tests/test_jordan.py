@@ -16,14 +16,15 @@ from qudisc.spaces import (
     projector_from_rows,
 )
 from references import (
-    diagonal_blocks, g_rows_by_formula, ket, s1_rows_by_kron, symmetric_basis_3,
+    diagonal_blocks, g_rows_by_formula, ket, s1_rows_by_kron, sorted_label_blocks,
+    symmetric_basis_3,
 )
 from shared import PeakMemory, never
 
 
 def _row_triples(rows, n):
     """The label triple t of the one V_t that each row is supported on."""
-    block_of = label_blocks(n).block_of
+    block_of = sorted_label_blocks(n).block_of
     triples = list(combinations_with_replacement(range(1, n + 1), 3))
     blocks = [np.unique(block_of[np.flatnonzero(row)]) for row in rows]
     assert all(len(b) == 1 for b in blocks)
@@ -116,10 +117,10 @@ def test_primed_ordering_for_distinct_triples():
     # then its primed row, over the V_t's kets in ascending flat order.
     g, _ = build_gh_bases(3)
     rows = [m for m, triple in enumerate(_row_triples(g, 3)) if triple == (1, 2, 3)]
-    blocks, kind = label_blocks(3), kinds.kind_table()[3]
-    cols = blocks.groups[3][0]  # (1, 2, 3) is the first, and at n = 3 the only, {a,b,c}
-    assert blocks.block_of[cols[0]] == list(combinations_with_replacement(range(1, 4), 3)).index(
-        (1, 2, 3))
+    kind = kinds.kind_table()[3]
+    cols = label_blocks(3)[3][0]  # (1, 2, 3) is the first, and at n = 3 the only, {a,b,c}
+    triples = list(combinations_with_replacement(range(1, 4), 3))
+    assert sorted_label_blocks(3).block_of[cols[0]] == triples.index((1, 2, 3))
     cases = [kind.cases.index(case) for case in (CASE_DISTINCT, CASE_DISTINCT_PRIMED)]
     assert np.array_equal(g[np.ix_(rows, cols)], kind.g[cases])
 

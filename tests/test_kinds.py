@@ -6,6 +6,7 @@ import pytest
 from qudisc import kinds
 from qudisc.kinds import CASE_DISTINCT, CASE_DISTINCT_PRIMED, CASE_HIGH, CASE_LOW
 from qudisc.spaces import label_blocks, permute_registers
+from references import sorted_label_blocks
 
 ARRAYS = ("g", "h", "g_perp", "h_perp", "p0", "p_g", "p_h", "p_g_perp", "p_h_perp",
           "s1_rows", "s2_rows", "s1", "s2", "rho1", "rho2", "perms")
@@ -24,19 +25,21 @@ def test_the_four_kinds_and_their_rows():
             assert array.shape[-1] == kind.d, name
         assert kind.u3.dtype == np.float64 and not kind.u3.flags.writeable
         assert kind.u3.shape == kind.s1_rows.shape[:1] == kind.s2_rows.shape[:1]
+        assert kind.members.shape == (kind.d, 3) and not kind.members.flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_each_block_has_the_members_of_its_kind_up_to_relabelling(n):
-    blocks, table = label_blocks(n), kinds.kind_table()
+    kind_of, table = sorted_label_blocks(n).kind_of, kinds.kind_table()
     labels = np.indices((n,) * 3).reshape(3, -1).T
-    for k, cols in enumerate(blocks.groups):
-        for t, members in zip(np.flatnonzero(blocks.kind_of == k), cols):
+    for k, cols in enumerate(label_blocks(n)):
+        for t, members in zip(np.flatnonzero(kind_of == k), cols):
             relabel = {x: r for r, x in enumerate(np.unique(labels[members]))}
             kets = [tuple(relabel[x] for x in labels[f]) for f in members]
-            labels_of_kind = kinds._KINDS[blocks.kind_of[t]][0]
+            labels_of_kind = kinds._KINDS[kind_of[t]][0]
             assert kets == sorted(set(itertools.permutations(labels_of_kind)))
-            assert len(kets) == table[blocks.kind_of[t]].d
+            assert len(kets) == table[kind_of[t]].d
+            assert kets == list(map(tuple, table[kind_of[t]].members))
 
 
 def _gap(a, b):
@@ -79,10 +82,10 @@ def test_the_permutation_sums_are_the_projectors_of_the_paper_rows():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_each_kind_permutes_its_kets_as_permute_registers_does(n):
-    blocks, table = label_blocks(n), kinds.kind_table()
+    groups, table = label_blocks(n), kinds.kind_table()
     eye = np.eye(n**3)
     for s, (perm, _) in enumerate(kinds.PERMUTATIONS):
         moved = permute_registers(eye, perm, n)
-        for cols, kind in zip(blocks.groups, table):
+        for cols, kind in zip(groups, table):
             for members in cols:
                 assert np.array_equal(moved[np.ix_(members, members)], kind.perms[s])

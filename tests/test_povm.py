@@ -332,7 +332,7 @@ def test_total_povm_blocks_are_the_dense_diagonal_blocks(n):
     # exactly 0 off the V_t blocks.
     grid = np.linspace(0.0, np.pi / 2, 50)
     povms = povm_module.kind_povms(grid)
-    groups = label_blocks(n).groups
+    groups = label_blocks(n)
     assert [p.shape for p in povms] == [(50, 3, cols.shape[1], cols.shape[1]) for cols in groups]
     proj_g, proj_h = (rows.T @ rows for rows in reciprocal_rows(*build_gh_bases(n)))
     for i in range(0, 50, 3):

@@ -21,7 +21,7 @@ from qudisc.spaces import (
 )
 from references import (
     block_projectors, block_stacks, diagonal_blocks, g_rows_by_formula, ket,
-    rho_blocks_by_index_arithmetic, s1_rows_by_kron, symmetric_basis_3,
+    rho_blocks_by_index_arithmetic, s1_rows_by_kron, sorted_label_blocks, symmetric_basis_3,
 )
 from shared import PeakMemory, constructive_table, state_stacks
 
@@ -229,15 +229,24 @@ def test_bases_and_operators_on_the_registers_are_real(n):
         *(getattr(kind, entry) for kind in kinds.kind_table() for entry in ("rho1", "rho2")),
     ]
     assert all(a.dtype == np.float64 for a in arrays)
-    blocks = label_blocks(n)
-    assert label_blocks(n) is blocks
-    for array in (blocks.block_of, blocks.kind_of, *blocks.groups):
+    groups = label_blocks(n)
+    assert label_blocks(n) is groups
+    for array in groups:
         assert not array.flags.writeable
 
 
-@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("n", [*range(2, 9), 17, 48])
 def test_label_blocks_are_the_sorted_label_multisets(n):
-    blocks = label_blocks(n)
+    # The kinds' members laid over the increasing label tuples are, bit for bit
+    # and dtype included, the groups that sorting every label triple finds.
+    groups = label_blocks(n)
+    assert type(groups) is tuple and _same_bits(groups, sorted_label_blocks(n).groups)
+    assert all(cols.dtype == np.int64 and not cols.flags.writeable for cols in groups)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_the_sorting_reference_indexes_the_sorted_label_multisets(n):
+    blocks = sorted_label_blocks(n)
     multisets = list(itertools.combinations_with_replacement(range(n), 3))
     for flat, labels in enumerate(itertools.product(range(n), repeat=3)):
         assert blocks.block_of[flat] == multisets.index(tuple(sorted(labels)))
@@ -255,9 +264,9 @@ def test_label_blocks_are_the_sorted_label_multisets(n):
 def test_each_group_is_exactly_the_v_t_of_its_kind(n):
     # One group per kind, in index order, absent kinds included; every V_t of a
     # kind has the same size, the number of orderings of its labels.
-    blocks = label_blocks(n)
-    assert [cols.shape[1] for cols in blocks.groups] == [1, 3, 3, 6]
-    for k, cols in enumerate(blocks.groups):
+    groups, blocks = label_blocks(n), sorted_label_blocks(n)
+    assert [cols.shape[1] for cols in groups] == [1, 3, 3, 6]
+    for k, cols in enumerate(groups):
         members = [np.flatnonzero(blocks.block_of == t)
                    for t in np.flatnonzero(blocks.kind_of == k)]
         assert cols.shape[0] == len(members)
@@ -268,7 +277,7 @@ def test_block_stacks_restrict_rows_and_refuse_rows_across_blocks():
     n = 3
     rows = s1_rows_by_kron(n)
     stacks = block_stacks(rows, n)
-    for cols, stack in zip(label_blocks(n).groups, stacks):
+    for cols, stack in zip(label_blocks(n), stacks):
         for members, block in zip(cols, stack):
             inside = rows[:, members]
             mine = inside[np.abs(inside).sum(axis=1) > 0]
@@ -316,7 +325,8 @@ def test_kind_blocks_are_the_blocks_of_the_rows_they_replace(n):
 def test_kind_counts_are_the_block_counts_of_each_kind(n):
     counts = kind_counts(n)
     assert counts.tolist() == [n, n * (n - 1) // 2, n * (n - 1) // 2, n * (n - 1) * (n - 2) // 6]
-    assert counts.tolist() == np.bincount(label_blocks(n).kind_of, minlength=4).tolist()
+    assert counts.tolist() == np.bincount(sorted_label_blocks(n).kind_of, minlength=4).tolist()
+    assert counts.tolist() == [len(cols) for cols in label_blocks(n)]
     assert counts @ [kind.d for kind in kinds.kind_table()] == n**3
 
 
@@ -374,13 +384,26 @@ def test_each_size_estimate_covers_its_peak_and_pins_its_limit(monkeypatch, call
         call()
 
 
+@pytest.mark.parametrize("n", [8, 40])
+def test_label_blocks_tells_at_least_its_peak_and_at_most_three_times_it(monkeypatch, n):
+    # Built afresh, the V_t peak at some 31 bytes per basis ket from n = 8 on
+    # (tracemalloc) and tell 80; a grown estimate fails here, not only the limit.
+    label_blocks(n)  # first builds of the kind table and of numpy's internals
+    told = []
+    monkeypatch.setattr(spaces, "check_build_bytes", lambda nbytes, what: told.append(nbytes))
+    spaces._label_blocks.cache_clear()
+    with PeakMemory() as peak:
+        label_blocks(n)
+    assert peak.bytes <= max(told) <= 3 * peak.bytes
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_diagonal_blocks_and_the_off_block_norm(n):
     rng = np.random.default_rng(n)
     op = rng.normal(size=(n**3, n**3))
     diagonal, off = diagonal_blocks(op, n)
-    block_of = label_blocks(n).block_of
-    for cols, stack in zip(label_blocks(n).groups, diagonal):
+    block_of = sorted_label_blocks(n).block_of
+    for cols, stack in zip(label_blocks(n), diagonal):
         for members, block in zip(cols, stack):
             assert np.array_equal(block, op[np.ix_(members, members)])
     outside = block_of[:, None] != block_of[None, :]
@@ -398,12 +421,12 @@ def test_diagonal_blocks_equal_the_off_block_mask_version(n):
     rng = np.random.default_rng(10 + n)
     op = rng.normal(size=(n**3, n**3))
     before = op.copy()
-    blocks = label_blocks(n)
+    block_of = sorted_label_blocks(n).block_of
     diagonal, off = diagonal_blocks(op, n)
     assert np.array_equal(op, before)  # the input is left as it was
-    for cols, stack in zip(blocks.groups, diagonal):
+    for cols, stack in zip(label_blocks(n), diagonal):
         assert np.array_equal(stack, op[cols[:, :, None], cols[:, None, :]])
-    mask = blocks.block_of[:, None] != blocks.block_of
+    mask = block_of[:, None] != block_of
     assert off == pytest.approx(np.linalg.norm(op[mask]), rel=1e-14, abs=0.0)
     lone = np.zeros_like(op)
     lone[tuple(np.argwhere(mask)[len(op)])] = -3e-9  # one entry off the blocks
@@ -447,7 +470,7 @@ def test_expand_u3_examples():
 def test_expand_u3_reconstructs_symmetric_basis(n):
     # Each V_t's kind coefficients over the kron loop's S1 rows in V_t, and over
     # their A <-> C exchange, give V_t's symmetric basis row.
-    sym3, blocks, table = symmetric_basis_3(n), label_blocks(n), kinds.kind_table()
+    sym3, blocks, table = symmetric_basis_3(n), sorted_label_blocks(n), kinds.kind_table()
     s1 = s1_rows_by_kron(n)
     owner = blocks.block_of[np.argmax(s1 != 0, axis=1)]
     for t, target in enumerate(sym3):
@@ -479,7 +502,7 @@ def test_product_blocks_are_the_nested_kron_on_each_v_t(n):
     # Each kind's amplitudes are the nested np.kron ket at that kind's flat
     # indices, bit for bit, for states, stacks and the nested lists they spell.
     rng = np.random.Generator(np.random.Philox(key=n))
-    groups = label_blocks(n).groups
+    groups = label_blocks(n)
     for _ in range(20):
         a, b, c = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
         ket = np.kron(np.kron(a, b), c)
@@ -503,7 +526,7 @@ def test_product_blocks_are_fresh_arrays_that_leave_the_states_alone(lead):
     states = rng.normal(size=(3, *lead, 3)) + 1j * rng.normal(size=(3, *lead, 3))
     before = states.copy()
     blocks = product_blocks(*states)
-    assert [x.shape for x in blocks] == [(*lead, *cols.shape) for cols in label_blocks(3).groups]
+    assert [x.shape for x in blocks] == [(*lead, *cols.shape) for cols in label_blocks(3)]
     assert states.tobytes() == before.tobytes()
     for k, x in enumerate(blocks):
         assert x.flags.writeable and not np.shares_memory(x, states)
