@@ -66,21 +66,34 @@ def haar_state(n: int, seed: int) -> np.ndarray:
 
 
 def empirical_mean_density(n: int, which: int, trials: int, seed: int) -> np.ndarray:
-    """Monte Carlo average of the projector onto the three-register input."""
+    """Monte Carlo average of the projector onto the three-register input.
+
+    ``which`` = 1 averages |psi1 psi1 psi2>, and 2 averages |psi1 psi2 psi2>.
+    Pair t takes the next 4n normals of the (seed, 0) stream, real and
+    imaginary parts interleaved: n complex normals z1 of psi1, then n of psi2.
+    Each block of ``HAAR_BLOCK`` pairs is laid out pairs last, (2, n, B), and
+    no state is normalized: one factor carries the norms, as in
+    z1 (x) z1 (x) z2 / (|z1|^2 |z2|), and the (n^3, B) products are summed.
+    """
     n, which = scalars.check_dimension(n), scalars.check_integer(which, 1, "which", 2)
-    # The complex n^3 x n^3 sum and product, and some five copies of a block's
-    # kets; a block's states are released before the next is drawn.  n <= 16 is
-    # admitted.
+    # The complex n^3 x n^3 sum and product, a block's (n^3, B) products and
+    # their conjugate, and under 3 n^3 B more: its draws, norms, scaled factor,
+    # (n^2, B) partial product and numpy's two 8192-entry broadcast buffers.  A
+    # block is released before the next is drawn.  n <= 16 is admitted.
     spaces.check_build_bytes(16 * (2 * n**6 + 5 * HAAR_BLOCK * n**3), "the sampled density")
     trials = scalars.check_integer(trials, 1, "trials", MAX_TRIALS)
     rng = optics.seeded_stream(seed)
     acc = np.zeros((n**3, n**3), dtype=complex)
     for start in range(0, trials, HAAR_BLOCK):
-        psi1, psi2 = _haar_rows(rng, (min(HAAR_BLOCK, trials - start), 2), n).swapaxes(0, 1)
-        middle = psi1 if which == 1 else psi2
-        big = np.einsum("ti,tj,tk->tijk", psi1, middle, psi2).reshape(len(psi1), n**3)
-        acc += big.T @ big.conj()
-        del psi1, psi2, middle, big  # before the next block is drawn
+        z = _complex_normal(rng, (min(HAAR_BLOCK, trials - start), 2, n)).transpose(1, 2, 0).copy()
+        sq1, sq2 = (z.real**2 + z.imag**2).sum(axis=1)
+        if which == 1:
+            first, middle = z[0] / (sq1 * np.sqrt(sq2)), z[0]
+        else:
+            first, middle = z[0] / (np.sqrt(sq1) * sq2), z[1]
+        big = (first[:, None, None] * middle[:, None] * z[1]).reshape(n**3, -1)
+        acc += big @ big.conj().T
+        del z, sq1, sq2, first, middle, big  # before the next block is drawn
     return acc / trials
 
 

@@ -190,12 +190,17 @@ def test_readme_states_the_full_mesh_limits_of_the_byte_constants():
 def test_readme_states_the_dense_limits_of_the_size_rule(monkeypatch):
     # The size rule is the real one, but a call it admits stops right after it,
     # having built nothing: a grown estimate fails here instead of lowering the
-    # limit that README and the MAX_BUILD_BYTES comment state.
+    # limit that README and the MAX_BUILD_BYTES comment (for the sampled density,
+    # the comment at its estimate) state.
     pattern = (r"admits the V_t up to n = (\d+), (?:`build_gh_bases`|the paired bases) up to"
                r"\s+n = (\d+)\b.*?total_povm`? up(?:\s|#)+to n = (\d+)")
     stated = [re.findall(pattern, text, flags=re.S)
               for text in (README, (SRC / "spaces.py").read_text())]
     assert len(stated[0]) == 1 and stated[0] == stated[1]
+    sampled = [re.findall(regex, text) for regex, text in (
+        (r"`empirical_mean_density` up to n = (\d+)\b", README),
+        (r"n <= (\d+) is admitted", (SRC / "harness.py").read_text()))]
+    assert len(sampled[0]) == 1 and sampled[0] == sampled[1]
     real = spaces.check_build_bytes
 
     def admitted(nbytes, what):
@@ -204,8 +209,9 @@ def test_readme_states_the_dense_limits_of_the_size_rule(monkeypatch):
 
     for module in (spaces, jordan, povm):
         monkeypatch.setattr(module, "check_build_bytes", admitted)
-    calls = (spaces.label_blocks, jordan.build_gh_bases, lambda n: povm.total_povm(n, 0.5))
-    for call, limit in zip(calls, map(int, stated[0][0])):
+    calls = (spaces.label_blocks, jordan.build_gh_bases, lambda n: povm.total_povm(n, 0.5),
+             lambda n: harness.empirical_mean_density(n, 1, 1, 0))
+    for call, limit in zip(calls, map(int, [*stated[0][0], *sampled[0]]), strict=True):
         with pytest.raises(AssertionError, match="the size rule passed"):
             call(limit)
         with pytest.raises(DomainError, match="over the limit"):

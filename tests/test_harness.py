@@ -121,25 +121,29 @@ def test_empirical_mean_density_trace_distance_n3():
     assert 0.5 * np.abs(eigs).sum() < 0.05
 
 
-def test_sampling_does_not_depend_on_block_size(monkeypatch):
-    density = empirical_mean_density(2, 2, trials=500, seed=6)
+@pytest.mark.parametrize("which", [1, 2])
+def test_sampling_does_not_depend_on_block_size(monkeypatch, which):
+    density = empirical_mean_density(2, which, trials=500, seed=6)
     monkeypatch.setattr(harness, "HAAR_BLOCK", 7)
     np.testing.assert_allclose(
-        empirical_mean_density(2, 2, trials=500, seed=6), density, rtol=0, atol=1e-14
+        empirical_mean_density(2, which, trials=500, seed=6), density, rtol=0, atol=1e-14
     )
 
 
-def test_pair_sampling_matches_per_pair_loop():
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_sampling_matches_per_pair_loop(n, which):
     # The documented contract: pair t takes the next 4n normals of the
-    # (seed, 0) stream, real and imaginary parts interleaved.
-    n, trials, seed = 2, 300, 21
+    # (seed, 0) stream, real and imaginary parts interleaved.  1030 trials
+    # leave a partial last block.
+    trials, seed = 1030, 21
     z = np.random.Generator(np.random.Philox(key=[seed, 0])).standard_normal((trials, 2, n, 2))
     z = z[..., 0] + 1j * z[..., 1]
     z /= np.linalg.norm(z, axis=-1, keepdims=True)
-    density = sum(np.outer(big, big.conj())
-                  for big in (np.kron(np.kron(a, b), b) for a, b in z)) / trials
+    density = sum(np.outer(big, big.conj()) for big in (
+        np.kron(np.kron(a, a if which == 1 else b), b) for a, b in z)) / trials
     np.testing.assert_allclose(
-        empirical_mean_density(n, 2, trials, seed), density, rtol=0, atol=1e-14
+        empirical_mean_density(n, which, trials, seed), density, rtol=0, atol=1e-14
     )
 
 
