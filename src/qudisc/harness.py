@@ -236,17 +236,6 @@ def _lowest_eigenvalues(stack: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack)[..., 0]
 
 
-def _wrong_traces(stacks, rhos) -> np.ndarray:
-    """Per angle, the larger of |Tr(pi1 rho2)| and |Tr(pi2 rho1)|, summed over the
-    blocks.  The operators come as one (K, 3, d, d) stack per kind, and rhos holds
-    each kind's (d, d) blocks of the two averaged inputs, the same on each of its
-    V_t, so the traces read only the blocks."""
-    rho1, rho2 = rhos
-    wrong = [sum(np.einsum("kij,ji->k", s[:, k], r) for s, r in zip(stacks, rho))
-             for k, rho in ((0, rho2), (1, rho1))]
-    return np.maximum(np.abs(wrong[0]), np.abs(wrong[1]))
-
-
 # The angles at which the per-n suite reads every kind's detection operators.
 _GRID = np.linspace(0.0, np.pi / 2, 50)
 _GRID.setflags(write=False)
@@ -254,42 +243,48 @@ _GRID.setflags(write=False)
 
 @dataclass(frozen=True)
 class _KindResult:
-    """The half of the per-n suite that reads one kind alone, the same at every n.
+    """The half of the per-n suite that reads one kind alone: numbers, the same at
+    every n, which each n scales by w and its count of V_t of the kind.
 
-    ranks are the kind's :func:`spaces.kind_ranks`, and sums its S1, S2 and S3
-    from its permutation matrices (:func:`kinds.symmetrizers`).  povms and built
-    are its :func:`povm.kind_povms` and the :func:`povm.permutation_povms` of its
-    sums on _GRID, (50, 3, d, d) each; distance is their Frobenius distance and
-    lowest the lowest eigenvalue of povms, (50, 3) each, per angle and operator.
-    The other fields are the kind's worst deviations in the check named beside
-    each; {a,a,a}, which has no g or h rows, reads 0 in the paired checks.
-    All arrays are read-only.
+    ranks are the kind's :func:`spaces.kind_ranks` and traces its Tr rho1 and
+    Tr rho2.  wrong holds Tr(pi1 rho2) and Tr(pi2 rho1) on _GRID, (2, 2, 50): on
+    axis 0 its :func:`povm.kind_povms`, then the :func:`povm.permutation_povms`
+    of its rho1, rho2 and s3_sum.  The other fields are the kind's worst
+    deviations, before w, in the check named beside each; {a,a,a}, which has no
+    g or h rows, reads 0 in the paired checks.  All arrays are read-only.
     """
 
     ranks: np.ndarray
-    sums: tuple[np.ndarray, np.ndarray, np.ndarray]
-    povms: np.ndarray
-    built: np.ndarray
-    distance: np.ndarray
-    lowest: np.ndarray
+    traces: np.ndarray
+    wrong: np.ndarray
+    states: float  # mean_densities_are_states: rho1, rho2's negativity and distance to s1, s2
     unit: float  # symmetric_bases_orthonormal: |<u|u> - 1| of its unit symmetric vector
     expansions: float  # symmetric_vector_expansions: u3 over its S1 rows and its S2 rows
     paired: float  # paired_basis_structure
     off_symmetric: float  # paired_basis_off_symmetric
     angles: float  # principal_angle_cosines
+    decomposition: float  # density_decomposition: P_0 + P_g and P_0 + P_h against rho1, rho2
     spans: float  # complement_spans
-    h_perp_gap: float  # povm_positive: h_perp against g_perp/2 + (sqrt(3)/2) h
-    projector_gap: float  # povm_positive: S3 - S2 and S3 - S1 against P_g_perp and P_h_perp
-    complete: float  # povm_complete: pi1 + pi2 + pi0 - I of povms and of built
+    positive: float  # povm_positive: per operator, negativity plus distance; the h_perp gap
+    complete: float  # povm_complete: pi1 + pi2 + pi0 - I of both constructions
 
 
-def _kind_result(kind: kinds.Kind, sums, ops: np.ndarray, built: np.ndarray) -> _KindResult:
-    s1, s2, s3 = sums
+def _kind_result(kind: kinds.Kind, ops: np.ndarray, built: np.ndarray) -> _KindResult:
+    """The :class:`_KindResult` of one kind, from its :func:`povm.kind_povms` and its
+    :func:`povm.permutation_povms` on _GRID, (50, 3, d, d) each."""
     unit = np.full(kind.d, 1.0 / np.sqrt(kind.d))
     pairs = ((kind.g, kind.g, 1.0), (kind.h, kind.h, 1.0), (kind.g, kind.h, -0.5))
+    rhos = np.array([kind.rho1, kind.rho2])
+    # Each operator's negativity, at each angle, plus its Frobenius distance to
+    # its permutation copy: by Weyl (||.||_2 <= ||.||_F) it bounds the copy's.
+    negativity = np.maximum(0.0, -_lowest_eigenvalues(ops))
+    distance = np.sqrt(((ops - built) ** 2).sum(axis=(2, 3)))
+    h_perp_gap = np.abs(kind.h_perp - (0.5 * kind.g_perp + np.sqrt(3.0) / 2.0 * kind.h))
     result = _KindResult(
-        ranks=np.array(spaces.kind_ranks(kind)), sums=(s1, s2, s3), povms=ops, built=built,
-        distance=np.sqrt(((ops - built) ** 2).sum(axis=(2, 3))), lowest=_lowest_eigenvalues(ops),
+        ranks=np.array(spaces.kind_ranks(kind)), traces=np.trace(rhos, axis1=1, axis2=2),
+        wrong=np.einsum("xkoij,oji->xok", np.array([ops, built])[:, :, :2], rhos[::-1]),
+        states=_worst(*np.maximum(0.0, -_lowest_eigenvalues(rhos)),
+                      *(np.linalg.norm(rho - span) for rho, span in zip(rhos, (kind.s1, kind.s2)))),
         unit=abs(unit @ unit - 1),
         expansions=_worst(*(np.linalg.norm(kind.u3 @ rows - unit)
                             for rows in (kind.s1_rows, kind.s2_rows))),
@@ -298,14 +293,13 @@ def _kind_result(kind: kinds.Kind, sums, ops: np.ndarray, built: np.ndarray) -> 
         off_symmetric=_worst(*(np.abs(rows @ np.full(kind.d, kind.d**-0.5)).max(initial=0.0)
                                for rows in (kind.g, kind.h))),
         angles=_or_inf(lambda: np.abs(jordan_angles(kind.g, kind.h) - 0.5).max(initial=0.0)),
+        decomposition=_worst(*(np.abs(kind.p0 + family - rho).max()
+                               for family, rho in zip((kind.p_g, kind.p_h), rhos))),
         spans=_worst(*(np.abs(kind.p0 + family - span).max()
                        for family, span in ((kind.p_g, kind.s1), (kind.p_h, kind.s2)))),
-        h_perp_gap=np.abs(kind.h_perp - (0.5 * kind.g_perp + np.sqrt(3.0) / 2.0 * kind.h))
-        .max(initial=0.0),
-        projector_gap=_worst(*(np.linalg.norm(copy - proj) for copy, proj
-                               in ((s3 - s2, kind.p_g_perp), (s3 - s1, kind.p_h_perp)))),
+        positive=_worst(h_perp_gap.max(initial=0.0), (negativity + distance).max()),
         complete=_worst(*(np.abs(s.sum(axis=1) - np.eye(kind.d)).max() for s in (ops, built))))
-    for array in (result.ranks, *sums, ops, built, result.distance, result.lowest):
+    for array in (result.ranks, result.traces, result.wrong):
         array.setflags(write=False)
     return result
 
@@ -313,9 +307,8 @@ def _kind_result(kind: kinds.Kind, sums, ops: np.ndarray, built: np.ndarray) -> 
 def _kind_results() -> tuple[_KindResult, ...]:
     """One :class:`_KindResult` per kind of :func:`kinds.kind_table` as it is now."""
     table = kinds.kind_table()
-    sums = [kinds.symmetrizers(kind.perms) for kind in table]
-    return tuple(map(_kind_result, table, sums, povm.kind_povms(_GRID),
-                     povm.permutation_povms(sums, _GRID)))
+    built = povm.permutation_povms([(k.rho1, k.rho2, k.s3_sum) for k in table], _GRID)
+    return tuple(map(_kind_result, table, povm.kind_povms(_GRID), built))
 
 
 def _checks_for_n(n: int, report: VerificationReport, kind_results) -> None:
@@ -335,9 +328,8 @@ def _checks_for_n(n: int, report: VerificationReport, kind_results) -> None:
     # Each kind present at n, with its results.  Operators built alike on every
     # V_t are read once per kind present, and a sum over the V_t counts each
     # kind's term once per V_t of that kind.
-    present = [(count, kind, result) for count, kind, result
-               in zip(counts, kinds.kind_table(), kind_results) if count]
-    results = [result for *_, result in present]
+    present = [(count, result) for count, result in zip(counts, kind_results) if count]
+    results = [result for _, result in present]
 
     # The three-fold symmetric basis has one row per V_t, its kind's unit vector
     # spread over it, so the groups must cover each ket once.
@@ -365,23 +357,13 @@ def _checks_for_n(n: int, report: VerificationReport, kind_results) -> None:
     report.add("threefold_permutation_invariance", scope, dev, TIGHT,
                "three-fold symmetric vectors are fixed by all register permutations")
 
-    # The averaged inputs are w times the kinds' rho1 and rho2.  By Schur-Weyl
-    # duality they and the detection operators are sums of the six permutations,
-    # so each kind's S1, S2 and S3 from its permutation matrices must equal its
-    # blocks built from the paper's rows; by the glue check these are the V_t
-    # blocks of the sums on the whole space.  A Frobenius distance between two
-    # copies joins the negativity of the one checked (Weyl, ||.||_2 <= ||.||_F).
+    # The averaged inputs are w times the kinds' rho1 and rho2, which by Schur-Weyl
+    # duality are the S1 and S2 of the six permutations; each kind's must be positive
+    # and equal its s1 and s2 of the paper's rows (its states deviation, before w),
+    # and by the glue check these are the V_t blocks of the sums on the whole space.
     weight = spaces.mean_density_weight(n)
-    dev = 0.0
-    for index, entry, span in ((0, "rho1", "s1"), (1, "rho2", "s2")):
-        blocks = [weight * getattr(kind, entry) for _, kind, _ in present]
-        lowest = np.min([_lowest_eigenvalues(block) for block in blocks])
-        trace = sum(count * np.trace(block) for (count, *_), block in zip(present, blocks))
-        # w S1 (w S2) from the permutations, and from the product-basis rows.
-        copies = _worst(*(np.linalg.norm(block - weight * copy)
-                          for block, (_, kind, result) in zip(blocks, present)
-                          for copy in (result.sums[index], getattr(kind, span))))
-        dev = _worst(dev, abs(trace - 1), np.maximum(0.0, -lowest), copies)
+    traces = weight * sum(count * result.traces for count, result in present)
+    dev = _worst(*np.abs(traces - 1), *(weight * r.states for r in results))
     report.add("mean_densities_are_states", scope, dev, TIGHT,
                "averaged inputs are unit-trace positive operators")
 
@@ -400,32 +382,23 @@ def _checks_for_n(n: int, report: VerificationReport, kind_results) -> None:
                "all principal-angle cosines between the families equal 1/2")
 
     # Per kind: rho_1 = w (P_0 + P_g), rho_2 = w (P_0 + P_h), S1 = P_0 + P_g, S2 = P_0 + P_h.
-    dev_density = _worst(*(np.abs(weight * (kind.p0 + family) - weight * rho).max()
-                           for _, kind, _ in present
-                           for family, rho in ((kind.p_g, kind.rho1), (kind.p_h, kind.rho2))))
+    dev_density = weight * _worst(*(r.decomposition for r in results))
     report.add("density_decomposition", scope, dev_density, TIGHT,
                "paired-basis decomposition rebuilds the averaged inputs")
     report.add("complement_spans", scope, _worst(*(r.spans for r in results)), OP,
                "g (resp. h) dyads complete the symmetric projector to S1 (resp. S2)")
 
-    # One eigensolve per kind gives the exact lambda_min of its pi1, pi2 and pi0 at
-    # every angle; each h_perp row must equal g_perp/2 + (sqrt(3)/2) h.  Each kind's
-    # S3 - S2 and S3 - S1 must be its P_g_perp and P_h_perp, and its permutation_povms
-    # its blocks at every angle: the distance, the largest over the kinds, joins each
-    # operator's negativity, and their completeness and traces join the other two checks.
-    distance = np.max([r.distance for r in results], axis=0)
-    negativity = np.maximum(0.0, -np.min([r.lowest for r in results], axis=0))
-    rhos = [[count * weight * getattr(kind, entry) for count, kind, _ in present]
-            for entry in ("rho1", "rho2")]
-    unambiguous = np.max([_wrong_traces([getattr(r, copy) for r in results], rhos)
-                          for copy in ("povms", "built")], axis=0)
-    dev = _worst(*(r.h_perp_gap for r in results), *(r.projector_gap for r in results),
-                 (negativity + distance).max())
-    report.add("povm_positive", scope, dev, OP,
+    # Per kind: each h_perp row must equal g_perp/2 + (sqrt(3)/2) h, and at every
+    # angle each of pi1, pi2 and pi0 must be positive and equal to a (S3 - S2),
+    # b (S3 - S1) and their complement of its permutation sums, which at a = 1 and
+    # b = 1 holds S3 - S2 and S3 - S1 against P_g_perp and P_h_perp.  The wrong-input
+    # traces on the whole space are the kinds' counted once per V_t, times w.
+    unambiguous = weight * sum(count * result.wrong for count, result in present)
+    report.add("povm_positive", scope, _worst(*(r.positive for r in results)), OP,
                "all three detection operators are positive semidefinite on a 50-point grid")
     report.add("povm_complete", scope, _worst(*(r.complete for r in results)), OP,
                "detection operators sum to the identity")
-    report.add("povm_unambiguous_mixed", scope, _worst(unambiguous.max()), TIGHT,
+    report.add("povm_unambiguous_mixed", scope, _worst(np.abs(unambiguous).max()), TIGHT,
                "wrong-state expectation values vanish for the averaged inputs")
 
     # On the grid, and at the optimum, where the trace must be optimal_average's value.

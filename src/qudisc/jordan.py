@@ -59,8 +59,10 @@ def jordan_angles(family_a: np.ndarray, family_b: np.ndarray) -> np.ndarray:
     family_a, family_b = (check_array(f, f"{name} family", (2,))
                           for f, name in ((family_a, "first"), (family_b, "second")))
     for name, family in (("first", family_a), ("second", family_b)):
-        gram = family.conj() @ family.T
-        if not np.abs(gram - np.eye(len(family))).max(initial=0.0) <= TAU_OP:  # NaN fails too
+        # An entry of modulus above 1, which no orthonormal row has, is refused before
+        # it could overflow the Gram product; NaN fails too.
+        if not (np.abs(family).max(initial=0.0) <= 1 + TAU_OP and np.abs(
+                family.conj() @ family.T - np.eye(len(family))).max(initial=0.0) <= TAU_OP):
             raise ContractError(f"{name} family is not orthonormal")
     if family_a.shape[1] != family_b.shape[1]:
         raise ContractError("families live on different spaces")

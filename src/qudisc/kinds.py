@@ -10,9 +10,9 @@ lays each kind's `members` over the V_t of that kind at a given n, and the
 block held here broadcasts over them.
 
 The g rows and the S1 product-basis rows are written out from their
-definitions.  h and the S2 rows are them with A and C exchanged, and rho1 and
-rho2 are (I + P_AB)/2 and (I + P_BC)/2, all through the kind's permutation
-matrices (`perms`).  So the checks that hold sums of the permutations against
+definitions.  h and the S2 rows are them with A and C exchanged; rho1 and
+rho2 are (I + P_AB)/2 and (I + P_BC)/2, and s3_sum is S3, all through the
+kind's permutation matrices (`perms`).  So the checks that hold sums of the permutations against
 the projectors of the rows compare independent constructions.
 """
 
@@ -99,10 +99,12 @@ class Kind:
     lexicographic (pair, C) order; s2_rows are them with A and C exchanged, and
     s1 and s2 project onto their spans.  u3 expands the unit symmetric vector
     over either.  rho1 and rho2 are the blocks of the averaged inputs over
-    w = 2/(n^2 (n+1)).  perms stacks the d x d matrices of PERMUTATIONS: rows @
-    perms[s] permutes the registers of rows on V_t as spaces.permute_registers
-    does on the whole space.  members holds the (d, 3) label indices of the
-    kets, 0 = a, 1 = b and 2 = c, in their order.  All arrays are read-only.
+    w = 2/(n^2 (n+1)), the S1 and S2 of :func:`symmetrizers`, and s3_sum is its
+    S3: sums of the permutations, which no rows build.  perms stacks the d x d
+    matrices of PERMUTATIONS: rows @ perms[s] permutes the registers of rows on
+    V_t as spaces.permute_registers does on the whole space.  members holds the
+    (d, 3) label indices of the kets, 0 = a, 1 = b and 2 = c, in their order.
+    All arrays are read-only.
     """
 
     d: int
@@ -124,6 +126,7 @@ class Kind:
     u3: np.ndarray
     rho1: np.ndarray
     rho2: np.ndarray
+    s3_sum: np.ndarray
     perms: np.ndarray
 
 
@@ -144,14 +147,14 @@ def _kind(labels: tuple[int, int, int], cases: tuple[str, ...]) -> Kind:
     s1_rows = np.array([[1.0 / np.sqrt(keys.count(k)) if key == k else 0.0 for key in keys]
                         for k in sorted(set(keys))])
     s2_rows = s1_rows @ perms[SWAP_AC]  # S2 is S1 with A and C exchanged
-    rho1, rho2, _ = symmetrizers(perms)  # (I + swap_AB)/2 and (I + swap_BC)/2
+    rho1, rho2, s3_sum = symmetrizers(perms)  # (I + swap_AB)/2, (I + swap_BC)/2 and S3
     projectors = {name: projector_from_rows(rows) for name, rows in (
         ("p0", np.full((1, d), 1.0 / np.sqrt(d))), ("p_g", g), ("p_h", h), ("p_g_perp", g_perp),
         ("p_h_perp", h_perp), ("s1", s1_rows), ("s2", s2_rows))}
     kind = Kind(d=d, cases=cases, members=np.array(members), g=g, h=h, g_perp=g_perp,
                 h_perp=h_perp, s1_rows=s1_rows, s2_rows=s2_rows,
-                u3=np.array(_u3_coefficients()[labels]), rho1=rho1, rho2=rho2, perms=perms,
-                **projectors)
+                u3=np.array(_u3_coefficients()[labels]), rho1=rho1, rho2=rho2, s3_sum=s3_sum,
+                perms=perms, **projectors)
     for value in vars(kind).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)

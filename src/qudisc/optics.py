@@ -46,7 +46,7 @@ from .povm import (
     Priors, check_omega1, check_priors, omega2_constraint, success_curve_x, x_from_omega1,
 )
 from .scalars import check_integer
-from .spaces import TAU_NORM, check_array, check_build_bytes
+from .spaces import check_array, check_build_bytes, check_unit_norms
 
 # Values after the keyword of each MODES or PHASE line; a BS line has five.
 _LINE_FIELDS = {"MODES": 1, "PHASE": 2}
@@ -364,7 +364,10 @@ def reck_decompose(matrix: np.ndarray) -> Interferometer:
     dim = check_integer(mat.shape[0], 1, "num_modes", MAX_MODES)
     check_build_bytes(_SYNTHESIS_BYTES * mat.size, "the mesh synthesis")
     mat = mat.copy()
-    if not (np.isfinite(mat).all() and np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= 1e-8):
+    # No unitary has an entry of modulus above 1, and a larger one could overflow the
+    # Gram product; NaN fails too.
+    if not (np.abs(mat).max() <= 1 + 1e-8
+            and np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= 1e-8):
         raise ContractError("input matrix is not unitary")
 
     # angles[:, col * dim + row] = (omega, phi, theta) of step (col, row), if kept.
@@ -418,8 +421,7 @@ def prepare_state_network(amplitudes: np.ndarray, n: int) -> Interferometer:
     n = check_integer(n, 1, "num_modes", MAX_MODES)  # before the cascade is computed
     if len(amps) != n:
         raise ContractError(f"expected {n} amplitudes, got shape {amps.shape}")
-    if not abs(np.linalg.norm(amps) - 1.0) <= TAU_NORM:
-        raise ContractError("amplitudes must have unit norm")
+    check_unit_norms(amps, "amplitudes must have unit norm")
 
     if abs(abs(amps[0]) - 1.0) < 1e-14:
         phase = float(np.angle(amps[0]))
@@ -447,8 +449,7 @@ def output_distribution(net: Interferometer, input_state: np.ndarray) -> np.ndar
     amps = check_array(input_state, "input", (1,), complex)
     if len(amps) != net.num_modes:
         raise ContractError(f"input must have {net.num_modes} amplitudes, got {len(amps)}")
-    if not abs(np.linalg.norm(amps) - 1.0) <= TAU_NORM:
-        raise ContractError("input must be a unit vector")
+    check_unit_norms(amps, "input must be a unit vector")
     probs = np.abs(net.apply(amps)) ** 2
     return probs / probs.sum()
 

@@ -91,11 +91,20 @@ def check_unit_states(psi1, psi2) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError(f"states must be two vectors of one length, or equal stacks of "
                             f"them, got shapes {psi1.shape} and {psi2.shape}")
     check_dimension(psi1.shape[-1])
-    for psi in (psi1, psi2):  # the norms, with no temporary as large as the states
-        norms = np.sqrt(sum(np.einsum("...i,...i", part, part) for part in (psi.real, psi.imag)))
-        if not np.all(np.abs(norms - 1.0) <= TAU_NORM):  # NaN and inf fail too
-            raise ContractError("states must be unit vectors")
+    for psi in (psi1, psi2):
+        check_unit_norms(psi, "states must be unit vectors")
     return psi1, psi2
+
+
+def check_unit_norms(vectors: np.ndarray, message: str) -> None:
+    """ContractError(message) unless each vector along the last axis of a numeric
+    array has unit norm within TAU_NORM; NaN and inf fail too.  einsum sums the
+    squared parts with no temporary as large as the vectors, and a part too large
+    to square reads as inf with no overflow warning."""
+    parts = (vectors.real, vectors.imag)
+    norms = np.sqrt(sum(np.einsum("...i,...i", part, part) for part in parts))
+    if not np.all(np.abs(norms - 1.0) <= TAU_NORM):
+        raise ContractError(message)
 
 
 def label_blocks(n: int) -> tuple[np.ndarray, ...]:

@@ -384,6 +384,21 @@ REFUSALS = [
           *each(lambda bad: optics.output_distribution(SPLITTER, np.array(bad)),
                 [1.0, 0.0, 0.0], [[1.0], [0.0]], [1.0, 1.0], [np.nan, 0.0])),
 
+    # Entries too large to square, refused with no numpy overflow warning: every row
+    # runs with warnings as errors.
+    *rows("huge-amplitudes", ContractError, "amplitudes must have unit norm",
+          lambda: optics.prepare_state_network([1e200, 0], 2)),
+    *rows("huge-input", ContractError, "input must be a unit vector",
+          lambda: optics.output_distribution(optics.discriminator_network(0.3), [1e200, 0, 0])),
+    *rows("huge-unitary-entry", ContractError, "input matrix is not unitary",
+          *each(optics.reck_decompose, [[1e300, 0], [0, 1]], [[1, 0], [0, 1.7e308 + 1.7e308j]])),
+    *rows("huge-family-entry", ContractError, "(first|second) family is not orthonormal",
+          lambda: jordan.jordan_angles([[1e200, 0]], [[1, 0]]),
+          lambda: jordan.jordan_angles([[1, 0]], [[0, -1e300]])),
+    *rows("huge-states", ContractError, "states must be unit vectors",
+          lambda: spaces.check_unit_states([1e200, 0], [1, 0]),
+          lambda: povm.pure_success(np.full((3, 2), 1e200), np.eye(3, 2), 0.5, PRIORS)),
+
     # From tests/test_povm.py.
     *rows("test_priors_validation", DomainError, r"eta1 must lie in \[0.0, 1.0\]",
           *each(povm.Priors, -0.1, 1.1, np.nan, np.inf, -np.inf)),
@@ -495,6 +510,7 @@ REFUSALS = [
 ]
 
 
+@pytest.mark.filterwarnings("error")  # no refusal may pass a numpy warning on
 @pytest.mark.parametrize("call, error, match", REFUSALS)
 def test_malformed_input_raises_the_package_error(call, error, match):
     with pytest.raises(error, match=match):

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +336,18 @@ def test_prepare_rejects_unnormalized(tmp_path, capsys):
     assert code == 2
     assert "error" in err and out == ""
     assert not out_file.exists()
+
+
+def test_prepare_refuses_huge_amplitudes_with_one_error_line(tmp_path):
+    # Run as a user runs it, where a numpy overflow warning would reach stderr.
+    source = tmp_path / "amps.txt"
+    source.write_text("1e200\n0\n")
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "qudisc.cli", "prepare", str(source)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == "error: amplitudes must have unit norm\n"
 
 
 def test_prepare_refuses_more_modes_than_the_limit(tmp_path, capsys):

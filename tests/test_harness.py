@@ -473,6 +473,42 @@ def test_block_positivity_certificate_matches_dense_eigensolves(n):
     assert abs(block.deviation - dense) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_scaled_kind_numbers_match_the_dense_states_and_traces(n):
+    # Each n scales the kinds' n-free numbers by w and the counts; the rows must
+    # read what the dense averaged inputs and detection operators give.
+    rhos = mean_density_operators(n)
+    states = max(max(abs(np.trace(rho) - 1), -np.linalg.eigvalsh(rho)[0]) for rho in rhos)
+    wrong = max(max(abs(np.trace(pi1 @ rhos[1])), abs(np.trace(pi2 @ rhos[0])))
+                for pi1, pi2, _ in (total_povm(n, omega1) for omega1 in OMEGA1_GRID))
+    results = _per_n_results(n)
+    assert abs(results["mean_densities_are_states"].deviation - states) <= 1e-15
+    assert abs(results["povm_unambiguous_mixed"].deviation - wrong) <= 1e-15
+
+
+def test_the_per_n_suite_sums_no_permutations_and_solves_no_eigenproblem(monkeypatch):
+    # Once the kind results are built, each n only scales their numbers.
+    kind_results = harness._kind_results()
+    for module, name in ((kinds, "symmetrizers"), (povm, "permutation_povms"),
+                         (harness, "_lowest_eigenvalues")):
+        monkeypatch.setattr(module, name, never(f"{name} called"))
+    report = harness.VerificationReport()
+    for n in range(2, 9):
+        harness._checks_for_n(n, report, kind_results)
+    assert report.passed
+
+
+def test_the_kind_only_rows_are_the_same_at_every_n_with_every_kind_present():
+    # From n = 3 on every kind is present, and these rows read the kinds alone.
+    kind_only = ("paired_basis_structure", "paired_basis_off_symmetric", "principal_angle_cosines",
+                 "complement_spans", "povm_positive", "povm_complete")
+    seen = {name: set() for name in kind_only}
+    for r in verify_all(8).results:
+        if r.name in seen and r.scope != "n=2":
+            seen[r.name].add((r.scope, r.deviation.hex()))
+    assert all(len(rows) == 6 and len({dev for _, dev in rows}) == 1 for rows in seen.values())
+
+
 OMEGA1_GRID = np.linspace(0.0, np.pi / 2, 50)  # the grid of the per-n POVM checks
 SYMMETRIC_ABC = np.full(6, 1.0 / np.sqrt(6))  # the symmetric vector of an {a,b,c} V_t
 SYMMETRIC_DYAD = np.outer(SYMMETRIC_ABC, SYMMETRIC_ABC)
@@ -497,22 +533,31 @@ def _wrapped(owner, name, change):
     return patch
 
 
-def _symmetrizers(change, kind=3):
-    """kinds.symmetrizers with its (S1, S2, S3) replaced by change(perms, s1, s2, s3)
-    for the permutation matrices of one kind of the table only, {a,b,c} by default."""
-    return _wrapped(kinds, "symmetrizers", lambda sums, perms: (
-        change(perms, *sums) if perms is kinds.kind_table()[kind].perms else sums))
+def _replaced_kind(index, entries):
+    """A patch of the kind table: kind `index` takes the entries that entries(kind)
+    names.  It reads the table before the patch."""
+    def patch(monkeypatch):
+        table = list(kinds.kind_table())
+        table[index] = dataclasses.replace(table[index], **entries(table[index]))
+        table = tuple(table)
+        monkeypatch.setattr(kinds, "kind_table", lambda: table)
+    return patch
 
 
 def _changed_kind(index, **changes):
     """A patch of the kind table: each named entry of kind `index` is change(a copy)."""
-    def patch(monkeypatch):
-        table = list(kinds.kind_table())
-        table[index] = dataclasses.replace(table[index], **{
-            name: change(getattr(table[index], name).copy()) for name, change in changes.items()})
-        table = tuple(table)
-        monkeypatch.setattr(kinds, "kind_table", lambda: table)
-    return patch
+    return _replaced_kind(index, lambda kind: {
+        name: change(getattr(kind, name).copy()) for name, change in changes.items()})
+
+
+def _changed_perms(index, change):
+    """A patch of the kind table: kind `index` takes change(a copy) as its perms, and
+    its rho1, rho2 and s3_sum summed from them by one kinds.symmetrizers call, as
+    kinds._kind sums them."""
+    def entries(kind):
+        perms = change(kind.perms.copy())
+        return dict(zip(("rho1", "rho2", "s3_sum"), kinds.symmetrizers(perms)), perms=perms)
+    return _replaced_kind(index, entries)
 
 
 def _plus(where, amount):
@@ -668,12 +713,16 @@ FAULTS = [
             at(n, "threefold_permutation_invariance"), passes=at(n, "mean_densities_are_states"))
       for n in (3, 8)),
     fault("test_a_perturbed_permutation_block_fails_the_cross_check",
-          # The {a,a,b} kind's P_AB with 1e-6 added at (|aab>, |aba>): S1 = (I + P_AB)/2,
-          # and so pi2 = b (S3 - S1), no longer match the blocks of the paper's rows,
-          # and permute_registers no longer moves the kets as P_AB does, at every n.
-          _changed_kind(1, perms=_plus((kinds.SWAP_AB, 0, 1), 1e-6)),
+          # The {a,a,b} kind's P_AB with 1e-6 added at (|aab>, |aba>), and its sums
+          # built from it: S1 = (I + P_AB)/2, and so pi2 = b (S3 - S1), no longer match
+          # the blocks of the paper's rows, and permute_registers no longer moves the
+          # kets as P_AB does, at every n.
+          _changed_perms(1, _plus((kinds.SWAP_AB, 0, 1), 1e-6)),
           at((3, 8), "povm_positive", "mean_densities_are_states",
              "threefold_permutation_invariance")),
+    fault("mean_densities_are_states-weight",  # w 1e-9 high, relative: so are the traces
+          _wrapped(spaces, "mean_density_weight", lambda weight, n: weight * (1 + 1e-9)),
+          at((2, 3, 8), "mean_densities_are_states")),
     # 1e-9 added to |abc><abc| of the {a,b,c} kind's rho1; no dense copy of rho1
     # exists at n = 6, so the kinds' blocks are all the suite reads.
     *(fault(name, _changed_kind(3, rho1=_plus((0, 0), 1e-9)),
@@ -709,18 +758,18 @@ FAULTS = [
           _changed_kind(3, g=lambda g: g + 1e-6 * SYMMETRIC_ABC),
           at(3, "paired_basis_off_symmetric")),
     fault("test_povm_positive_fails_on_a_negative_dyad_off_the_blocks",
-          # S2 takes a 1e-6 dyad on the {a,b,c} kind's symmetric vector, orthogonal
+          # S2 = rho2 takes a 1e-6 dyad on the {a,b,c} kind's symmetric vector, orthogonal
           # to every g_perp and h row, so pi1 = a (S3 - S2) takes a negative one.
-          _symmetrizers(lambda perms, s1, s2, s3: (s1, s2 + 1e-6 * SYMMETRIC_DYAD, s3)),
+          _changed_kind(3, rho2=lambda s2: s2 + 1e-6 * SYMMETRIC_DYAD),
           at((3, 8), "povm_positive")),
     fault("test_povm_positive_fails_on_a_wrong_pi2_coefficient",
-          # S1 moved off S3 by 1e-6 of their difference: pi2 = b (S3 - S1) is then
-          # (1 + 1e-6) b P_h_perp on every {a,b,c} V_t.
-          _symmetrizers(lambda perms, s1, s2, s3: (s1 - 1e-6 * (s3 - s1), s2, s3)),
+          # S1 = rho1 moved off S3 by 1e-6 of their difference: pi2 = b (S3 - S1) is
+          # then (1 + 1e-6) b P_h_perp on every {a,b,c} V_t.
+          _replaced_kind(3, lambda kind: {"rho1": kind.rho1 - 1e-6 * (kind.s3_sum - kind.rho1)}),
           at(3, "povm_positive")),
     # The 3-cycle (1, 2, 0) enters S3 of one kind with coefficient 0, not -1/6.
     *(fault(f"{S3_CYCLE}-{kind}",
-            _symmetrizers(lambda perms, s1, s2, s3: (s1, s2, s3 + perms[1] / 6), kind),
+            _replaced_kind(kind, lambda k: {"s3_sum": k.s3_sum + k.perms[1] / 6}),
             at((3, 8), "povm_positive"))
       for kind in range(4)),
     fault("test_povm_positive_fails_on_a_perturbed_h_perp_row",
@@ -823,7 +872,6 @@ def run_fault(monkeypatch, patch, fails, passes, deviations):
     """Run the per-n suite at each n that fails or passes name, on kind results
     built under the fault, and the global checks, with n_max the largest n named
     (2 if none), when they name "global"."""
-    kinds.kind_table()  # built before a patched symmetrizers could read it
     try:
         patch(monkeypatch)
         scopes = {scope for scope, _ in fails | passes}
@@ -885,23 +933,25 @@ def test_verify_all_scatters_the_povm_only_at_the_cross_check_and_pure_state_ang
     assert set(calls) == {tuple(OMEGA1_GRID), *averaged, (0.7,), (0.8,), best}
 
 
-def test_verify_all_takes_the_symmetrizers_and_rank_svds_once_per_kind(monkeypatch):
-    # Both are n-free, so one verify_all run takes them once per kind, not once
-    # per kind and n.  The table is built first: its rho blocks are symmetrizers too.
-    table, summed, ranked = kinds.kind_table(), [], []
-    real_sums, real_ranks = kinds.symmetrizers, spaces.kind_ranks
-    monkeypatch.setattr(kinds, "symmetrizers",
-                        lambda perms: summed.append(perms) or real_sums(perms))
-    monkeypatch.setattr(spaces, "kind_ranks", lambda kind: ranked.append(kind) or real_ranks(kind))
+def test_verify_all_sums_no_permutations_and_takes_the_rank_svds_once_per_kind(monkeypatch):
+    # The kind table holds each kind's permutation sums, so once it is built a
+    # verify_all run sums none, builds the operators from them in one call and
+    # takes the n-free rank SVDs once per kind, not once per kind and n.
+    table, calls = kinds.kind_table(), {}
+    for module, name in ((kinds, "symmetrizers"), (povm, "permutation_povms"),
+                         (spaces, "kind_ranks")):
+        real, calls[name] = getattr(module, name), []
+        monkeypatch.setattr(module, name, lambda *args, real=real, seen=calls[name]: (
+            seen.append(args) or real(*args)))
     assert verify_all(6).passed
-    for calls in (summed, [kind.perms for kind in ranked]):
-        assert len(calls) == len(table) and all(a is k.perms for a, k in zip(calls, table))
+    assert [len(seen) for seen in calls.values()] == [0, 1, len(table)]
+    assert all(args[0] is kind for args, kind in zip(calls["kind_ranks"], table))
 
 
 def test_the_kind_results_refuse_in_place_writes():
     for result in harness._kind_results():
-        arrays = [*result.sums, *(v for v in vars(result).values() if isinstance(v, np.ndarray))]
-        assert len(arrays) == 8
+        arrays = [v for v in vars(result).values() if isinstance(v, np.ndarray)]
+        assert [array.shape for array in arrays] == [(7,), (2,), (2, 2, len(OMEGA1_GRID))]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0

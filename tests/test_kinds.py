@@ -9,7 +9,7 @@ from qudisc.spaces import label_blocks, permute_registers
 from references import sorted_label_blocks
 
 ARRAYS = ("g", "h", "g_perp", "h_perp", "p0", "p_g", "p_h", "p_g_perp", "p_h_perp",
-          "s1_rows", "s2_rows", "s1", "s2", "rho1", "rho2", "perms")
+          "s1_rows", "s2_rows", "s1", "s2", "rho1", "rho2", "s3_sum", "perms")
 
 
 def test_the_four_kinds_and_their_rows():
@@ -77,7 +77,7 @@ def test_the_permutation_sums_are_the_projectors_of_the_paper_rows():
         assert _gap(s1, kind.s1) <= 1.2e-16 and _gap(s2, kind.s2) <= 1.2e-16
         assert _gap(s3 - s2, kind.p_g_perp) <= 2.3e-16
         assert _gap(s3 - s1, kind.p_h_perp) <= 2.3e-16
-        assert np.array_equal(s1, kind.rho1) and np.array_equal(s2, kind.rho2)
+        assert all(map(np.array_equal, (s1, s2, s3), (kind.rho1, kind.rho2, kind.s3_sum)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
